@@ -59,6 +59,7 @@
 #include "data/synthetic.hpp"
 #include "ingest/pipeline.hpp"
 #include "io/raw_file.hpp"
+#include "net/backoff.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "metrics/error_stats.hpp"
@@ -71,7 +72,6 @@
 #include "obs/trace.hpp"
 #include "store/store.hpp"
 #include "svc/archive.hpp"
-#include "svc/batch.hpp"
 #include "temporal/pfpv.hpp"
 #include "temporal/temporal.hpp"
 
@@ -92,7 +92,6 @@ namespace {
                "       [--audit]   # re-verify every packed entry, exit 3 on violation\n"
                "       [--store DIR]   # reuse/fill a PFPS chunk store\n"
                "       [--progress]    # per-file progress + stage timing on stderr\n"
-               "       [--serial]      # synchronous batch path (no ingest pipeline)\n"
                "  pfpl unpack <in.pfpa> <outdir> [--entry NAME]\n"
                "  pfpl list <in.pfpa>\n"
                "  pfpl stats <in.pfpa|in.pfpl> [--json]\n"
@@ -108,7 +107,6 @@ namespace {
                "       [--crash-dir DIR]  # fatal-signal crash reports + stall dumps\n"
                "       [--shard-map FILE] [--node-id ID]  # join a cluster (PFSM map)\n"
                "       [--max-conns N]    # cap concurrent connections (0 = unlimited)\n"
-               "       [--poll]           # force the poll(2) event backend (no epoll)\n"
                "       [--max-sessions N] [--session-idle-ms N]  # temporal stream\n"
                "                          # sessions: cap + idle eviction (0 = off)\n"
                "  pfpl cluster init <out.pfsm> --nodes [id=]H:P,[id=]H:P,...\n"
@@ -216,7 +214,6 @@ struct Flags {
   bool json = false;   ///< `pfpl stats|audit --json`: machine-readable output
   bool audit = false;  ///< `pfpl pack --audit`: re-verify every packed job
   bool progress = false;  ///< `pfpl pack --progress`: per-file lines on stderr
-  bool serial = false;    ///< `pfpl pack --serial`: bypass the ingest pipeline
   bool full = false;   ///< `pfpl audit --full`: paper-scale protocol
   std::string suite;   ///< `pfpl audit --suite NAME`: restrict to one suite
   // `pfpl audit` narrows its sweep only along axes the user actually set,
@@ -252,7 +249,6 @@ struct Flags {
   unsigned replicas = 0;            ///< `pfpl cluster init --replicas R` (0 = default)
   unsigned vnodes = 0;              ///< `pfpl cluster init --vnodes V` (0 = default)
   std::size_t max_conns = 0;        ///< `pfpl serve --max-conns N` (0 = unlimited)
-  bool poll = false;                ///< `pfpl serve --poll`: poll(2), no epoll
   bool cluster = false;             ///< `pfpl top --cluster`
   // Temporal stream verbs (`pfpl stream` / `pfpl serve`).
   std::string dims;                 ///< `pfpl stream pack --dims ZxYxX`
@@ -456,8 +452,6 @@ Flags parse_flags(int argc, char** argv, int first, std::vector<std::string>* po
       } catch (const std::exception&) {
         throw CompressionError("invalid value for --max-conns: '" + v + "'");
       }
-    } else if (a == "--poll") {
-      fl.poll = true;
     } else if (a == "--cluster") {
       fl.cluster = true;
     } else if (a == "--dims") {
@@ -525,8 +519,6 @@ Flags parse_flags(int argc, char** argv, int first, std::vector<std::string>* po
       fl.audit = true;
     } else if (a == "--progress") {
       fl.progress = true;
-    } else if (a == "--serial") {
-      fl.serial = true;
     } else if (a == "--full") {
       fl.full = true;
     } else if (!a.empty() && a[0] == '-') {
@@ -571,82 +563,46 @@ int cmd_pack(const std::vector<std::string>& positional, const Flags& fl) {
     chunk_store = std::make_unique<store::ChunkStore>(so);
   }
 
-  std::vector<ingest::Result> results;
-  std::string run_summary;
-  if (fl.serial) {
-    // Reference path: read every input up front, one synchronous
-    // BatchCompressor run. Byte-identical to the pipeline by construction —
-    // the CI ingest-smoke job cmp's the two archives.
-    std::vector<std::vector<u8>> raws;
-    std::vector<svc::Job> jobs;
-    raws.reserve(positional.size() - 1);
-    for (std::size_t i = 1; i < positional.size(); ++i) {
-      raws.push_back(io::read_file(positional[i]));
-      jobs.push_back({names[i - 1], make_field(raws.back(), fl.dtype), fl.params});
-    }
-    svc::BatchCompressor batch(
-        {.threads = fl.threads, .audit = fl.audit, .store = chunk_store.get()});
-    std::vector<svc::JobResult> jr = batch.run(jobs);
-    results.reserve(jr.size());
-    for (svc::JobResult& r : jr) {
-      ingest::Result out;
-      out.name = std::move(r.name);
-      out.stream = std::move(r.stream);
-      out.header = r.header;
-      out.raw_bytes = r.raw_bytes;
-      out.failed = r.failed;
-      out.error = std::move(r.error);
-      out.reused = r.reused;
-      out.audited = r.audited;
-      out.audit_violations = r.audit_violations;
-      results.push_back(std::move(out));
-    }
-    run_summary = batch.stats().summary();
-    if (obs::enabled())
-      obs::RunReport::global().add_section("svc", batch.stats().json());
-  } else {
-    // Default path: the staged ingest pipeline overlaps reading, dedup
-    // probing, encoding, and the batched segment appends.
-    ingest::IngestPipeline::Options po;
-    po.dtype = fl.dtype;
-    po.params = fl.params;
-    po.threads = fl.threads;
-    po.audit = fl.audit;
-    po.store = chunk_store.get();
-    if (fl.progress)
-      po.progress = [](const ingest::Result& r, std::size_t i, std::size_t n) {
-        if (r.failed || r.cancelled) {
-          std::fprintf(stderr, "pfpl: [%zu/%zu] %s: %s\n", i + 1, n, r.name.c_str(),
-                       r.error.c_str());
-        } else {
-          std::fprintf(stderr, "pfpl: [%zu/%zu] %s: %llu -> %zu bytes (ratio %.2f)%s\n",
-                       i + 1, n, r.name.c_str(),
-                       static_cast<unsigned long long>(r.raw_bytes), r.stream.size(),
-                       r.stream.empty() ? 0.0
-                                        : static_cast<double>(r.raw_bytes) /
-                                              static_cast<double>(r.stream.size()),
-                       r.reused ? " [reused]" : "");
-        }
-      };
-    std::vector<ingest::Item> items;
-    items.reserve(positional.size() - 1);
-    for (std::size_t i = 1; i < positional.size(); ++i)
-      items.push_back(ingest::Item{names[i - 1], positional[i], {}});
-    ingest::IngestPipeline pipe(po);
-    results = pipe.run(std::move(items));
-    run_summary = pipe.stats().summary();
-    if (fl.progress) {
-      const ingest::IngestStats& st = pipe.stats();
-      std::fprintf(stderr,
-                   "pfpl: stages read/hash/encode/append = %.1f/%.1f/%.1f/%.1f ms, "
-                   "wall %.1f ms, %llu append batch(es), peak queue %.1f MB\n",
-                   st.read_ms, st.hash_ms, st.encode_ms, st.append_ms, st.wall_ms,
-                   static_cast<unsigned long long>(st.append_batches),
-                   st.peak_queue_bytes / 1e6);
-    }
-    if (obs::enabled())
-      obs::RunReport::global().add_section("ingest", pipe.stats().json());
+  // The staged ingest pipeline overlaps reading, dedup probing, encoding,
+  // and the batched segment appends.
+  ingest::IngestPipeline::Options po;
+  po.dtype = fl.dtype;
+  po.params = fl.params;
+  po.threads = fl.threads;
+  po.audit = fl.audit;
+  po.store = chunk_store.get();
+  if (fl.progress)
+    po.progress = [](const ingest::Result& r, std::size_t i, std::size_t n) {
+      if (r.failed || r.cancelled) {
+        std::fprintf(stderr, "pfpl: [%zu/%zu] %s: %s\n", i + 1, n, r.name.c_str(),
+                     r.error.c_str());
+      } else {
+        std::fprintf(stderr, "pfpl: [%zu/%zu] %s: %llu -> %zu bytes (ratio %.2f)%s\n",
+                     i + 1, n, r.name.c_str(),
+                     static_cast<unsigned long long>(r.raw_bytes), r.stream.size(),
+                     r.stream.empty() ? 0.0
+                                      : static_cast<double>(r.raw_bytes) /
+                                            static_cast<double>(r.stream.size()),
+                     r.reused ? " [reused]" : "");
+      }
+    };
+  std::vector<ingest::Item> items;
+  items.reserve(positional.size() - 1);
+  for (std::size_t i = 1; i < positional.size(); ++i)
+    items.push_back(ingest::Item{names[i - 1], positional[i], {}});
+  ingest::IngestPipeline pipe(po);
+  const std::vector<ingest::Result> results = pipe.run(std::move(items));
+  if (fl.progress) {
+    const ingest::IngestStats& st = pipe.stats();
+    std::fprintf(stderr,
+                 "pfpl: stages read/hash/encode/append = %.1f/%.1f/%.1f/%.1f ms, "
+                 "wall %.1f ms, %llu append batch(es), peak queue %.1f MB\n",
+                 st.read_ms, st.hash_ms, st.encode_ms, st.append_ms, st.wall_ms,
+                 static_cast<unsigned long long>(st.append_batches),
+                 st.peak_queue_bytes / 1e6);
   }
+  if (obs::enabled())
+    obs::RunReport::global().add_section("ingest", pipe.stats().json());
   if (chunk_store) {
     chunk_store->sync();
     if (obs::enabled())
@@ -671,7 +627,7 @@ int cmd_pack(const std::vector<std::string>& positional, const Flags& fl) {
   }
   writer.finish();
   std::printf("%s: %zu entries\n%s\n", out_path.c_str(), results.size() - failed,
-              run_summary.c_str());
+              pipe.stats().summary().c_str());
   if (failed) return 1;
   return audit_violations ? 3 : 0;
 }
@@ -931,7 +887,6 @@ int cmd_serve(const std::vector<std::string>& positional, const Flags& fl) {
   opts.stall_ms = fl.stall_ms;
   opts.crash_dir = fl.crash_dir;
   opts.max_conns = fl.max_conns;
-  opts.use_epoll = !fl.poll;
   opts.max_sessions = fl.max_sessions;
   opts.session_idle_ms = fl.session_idle_ms;
   if (!fl.shard_map.empty()) {
@@ -1305,7 +1260,7 @@ int cmd_top_cluster(const Flags& fl) {
     net::Client::Options co;
     co.host = n.host;
     co.port = n.port;
-    co.retry = false;  // a dead node should render DOWN now, not after retries
+    co.max_attempts = 1;  // a dead node should render DOWN now, not after retries
     co.connect_timeout_ms = fl.timeout_ms > 0 ? fl.timeout_ms : 1000;
     co.request_timeout_ms = fl.timeout_ms > 0 ? fl.timeout_ms : 2000;
     clients.emplace_back(std::move(co));
@@ -1951,7 +1906,11 @@ int cmd_stream(const std::vector<std::string>& positional, const Flags& fl) {
                                 cfg.keyframe_interval);
     };
     u64 sid = open_session();
+    // Reopen pacing: 100 ms doubling to a 2 s cap, jittered so clients that
+    // lost the same server do not reconnect in lockstep. Five reopens wait
+    // at least 1.55 s in total, enough to ride out a server restart.
     constexpr unsigned kMaxReopensPerFrame = 5;
+    net::BackoffJitter jitter(net::process_jitter_seed());
     for (std::size_t i = 0; i < n_frames; ++i) {
       Bytes record;
       unsigned attempts = 0;
@@ -1970,7 +1929,8 @@ int cmd_stream(const std::vector<std::string>& positional, const Flags& fl) {
         } catch (const net::NetError&) {
           if (++attempts > kMaxReopensPerFrame) throw;
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(100u * attempts));
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(net::backoff_ms(attempts, 100, 2000, jitter)));
         try {
           sid = open_session();
           ++reopens;

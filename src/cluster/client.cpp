@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <thread>
-#include <unistd.h>
 
 #include "common/hash.hpp"
 #include "obs/json.hpp"
@@ -31,20 +30,10 @@ struct ClientMetrics {
   }
 };
 
-u64 jitter_seed() {
-  struct {
-    u64 pid;
-    u64 t;
-  } seed{static_cast<u64>(::getpid()),
-         static_cast<u64>(
-             std::chrono::steady_clock::now().time_since_epoch().count())};
-  return common::hash128(&seed, sizeof seed).lo;
-}
-
 }  // namespace
 
 ClusterClient::ClusterClient(Options opts)
-    : opts_(std::move(opts)), map_(opts_.map), jitter_(jitter_seed()) {
+    : opts_(std::move(opts)), map_(opts_.map), jitter_(net::process_jitter_seed()) {
   if (map_.empty())
     throw CompressionError("ClusterClient: the shard map has no nodes");
   if (opts_.refresh_interval_ms > 0)
@@ -99,7 +88,6 @@ net::Client& ClusterClient::client_for(u32 node_index) {
     co.port = n.port;
     co.connect_timeout_ms = opts_.connect_timeout_ms;
     co.request_timeout_ms = opts_.request_timeout_ms;
-    co.retry = opts_.node_attempts > 1;
     co.max_attempts = opts_.node_attempts;
     co.max_response_payload = opts_.max_response_payload;
     it = clients_.emplace(n.id, net::Client(std::move(co))).first;

@@ -285,12 +285,16 @@ std::vector<Result> IngestPipeline::run(std::vector<Item> items) {
     WorkPtr w;
     while (q_encode.pop(w)) {
       obs::StallScope stall(wd_encode, w->index);
-      if (!w->failed && !abort.load(std::memory_order_relaxed)) {
+      // After a fail_fast abort, drop unencoded items: forwarding them would
+      // deliver them as completed with no stream. Dropped items come back
+      // `cancelled`; already-failed items still flow on to report their error.
+      if (!w->failed && abort.load(std::memory_order_relaxed)) continue;
+      if (!w->failed) {
         Timer t;
         if (!w->reused) {
           // Same plan / per-chunk code / slot-ordered assembly as
-          // svc::BatchCompressor — the output is byte-identical to
-          // single-threaded pfpl::compress by construction.
+          // pfpl::compress — the output is byte-identical to it by
+          // construction, whatever order the chunks finish in.
           try {
             const Field field = make_field(w->item.raw, opts_.dtype);
             w->header = pfpl::plan_header(field, opts_.params);

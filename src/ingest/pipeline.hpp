@@ -1,4 +1,6 @@
-// IngestPipeline — asynchronous staged ingest (DESIGN.md §ingest).
+// IngestPipeline — asynchronous staged ingest (DESIGN.md §ingest), and the
+// repo's only multi-field, chunk-parallel compression driver (`pfpl pack`,
+// `pfpl store put`, the benches).
 //
 // Restructures file/stream ingest from a synchronous
 // read → hash → encode → append loop (throughput = SUM of the stages) into
@@ -7,9 +9,10 @@
 //
 //   read    double-buffered chunked file reads (io::DoubleBufferedReader)
 //   hash    content key + store dedup probe: a hit skips encoding entirely
-//   encode  chunk fan-out across the svc ThreadPool, slot-ordered assembly —
-//           the exact BatchCompressor discipline, so the output stream is
-//           byte-identical to single-threaded pfpl::compress
+//   encode  plan the header, fan the chunks out across the svc ThreadPool
+//           (any idle worker takes the next chunk), assemble in slot order —
+//           so the output stream is byte-identical to single-threaded
+//           pfpl::compress whatever the worker count or finishing order
 //   append  batched ChunkStore::put_batch with one group fsync per batch
 //
 // Each stage runs on its own thread; queues are FIFO, so items complete in

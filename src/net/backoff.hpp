@@ -1,5 +1,6 @@
-// Jittered exponential backoff, shared by net::Client (transport retries)
-// and cluster::ClusterClient (replica-sweep pacing).
+// Jittered exponential backoff, shared by net::Client (transport retries),
+// cluster::ClusterClient (replica-sweep pacing) and the `pfpl stream pack
+// --host` session-reopen loop.
 //
 // The jitter matters more than the curve: when a node dies, every client
 // notices at the same instant, and a deterministic backoff would have the
@@ -9,7 +10,10 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
+#include <unistd.h>
 
+#include "common/hash.hpp"
 #include "common/types.hpp"
 
 namespace repro::net {
@@ -33,6 +37,17 @@ class BackoffJitter {
  private:
   u64 state_;
 };
+
+/// Jitter seed that differs across processes and across runs: pid and the
+/// monotonic clock, mixed. For callers with no per-instance id to seed from.
+inline u64 process_jitter_seed() {
+  struct {
+    u64 pid;
+    u64 t;
+  } seed{static_cast<u64>(::getpid()),
+         static_cast<u64>(std::chrono::steady_clock::now().time_since_epoch().count())};
+  return common::hash128(&seed, sizeof seed).lo;
+}
 
 /// Sleep before retry `k` (1-based): min(base << (k-1), max) milliseconds,
 /// scaled by jitter in [0.5, 1.5). base <= 0 returns 0 (immediate retry).

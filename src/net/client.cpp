@@ -111,7 +111,7 @@ Frame Client::roundtrip_once(const FrameHeader& h, const void* payload, std::siz
 Frame Client::roundtrip(const FrameHeader& base, const void* payload, std::size_t n) {
   FrameHeader h = base;
   const u64 t0 = now_us();
-  const unsigned attempts = opts_.retry ? std::max(opts_.max_attempts, 1u) : 1;
+  const unsigned attempts = std::max(opts_.max_attempts, 1u);
   // Jitter state seeded from the client's id stream: deterministic per
   // client, decorrelated across clients (fresh_id() seeds from pid/clock/
   // address).

@@ -35,9 +35,8 @@ class Client {
     u16 port = 0;
     int connect_timeout_ms = 5000;
     int request_timeout_ms = 120000;  ///< per send/recv wait, not per byte
-    bool retry = true;                ///< false = exactly one attempt, ever
-    /// Total attempts per request (first try included) while `retry` is
-    /// true. The default matches the old hard-coded retry-once.
+    /// Total attempts per request (first try included); 1 = exactly one
+    /// attempt, ever. The default matches the old hard-coded retry-once.
     unsigned max_attempts = 2;
     /// Backoff before retry k (1-based): min(backoff_base_ms << (k-1),
     /// backoff_max_ms), scaled by a uniform jitter in [0.5, 1.5) so a fleet

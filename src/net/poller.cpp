@@ -1,21 +1,15 @@
 #include "net/poller.hpp"
 
 #include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define REPRO_NET_HAVE_EPOLL 1
-#endif
-
 #include "net/frame.hpp"  // NetError
 
 namespace repro::net {
-
-#ifdef REPRO_NET_HAVE_EPOLL
 namespace {
 
 u32 to_epoll(short events) {
@@ -35,45 +29,30 @@ short from_epoll(u32 ev) {
 }
 
 }  // namespace
-#endif
 
-Poller::Poller(bool prefer_epoll) {
-#ifdef REPRO_NET_HAVE_EPOLL
-  if (prefer_epoll) {
-    epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    // A failed epoll_create1 (e.g. fd exhaustion at startup) degrades to
-    // poll(2) rather than refusing to serve.
-  }
-#else
-  (void)prefer_epoll;
-#endif
+Poller::Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
+  if (epfd_ < 0) throw NetError("net: epoll_create1: " + std::string(std::strerror(errno)));
 }
 
-Poller::~Poller() {
-  if (epfd_ >= 0) ::close(epfd_);
-}
+Poller::~Poller() { ::close(epfd_); }
 
 void Poller::set(int fd, short events, u64 tag) {
   auto it = interest_.find(fd);
   if (it != interest_.end() && it->second.events == events && it->second.tag == tag)
     return;
   const bool known = it != interest_.end();
-#ifdef REPRO_NET_HAVE_EPOLL
-  if (epfd_ >= 0) {
-    epoll_event ev{};
-    ev.events = to_epoll(events);
-    ev.data.u64 = tag;
-    const int op = known ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
-    if (::epoll_ctl(epfd_, op, fd, &ev) != 0) {
-      // ADD on an fd epoll already tracks (or MOD on one it lost through a
-      // close we were not told about) — retry with the other op before
-      // giving up, so a missed remove() cannot wedge the loop.
-      const int op2 = op == EPOLL_CTL_ADD ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
-      if (::epoll_ctl(epfd_, op2, fd, &ev) != 0)
-        throw NetError("net: epoll_ctl: " + std::string(std::strerror(errno)));
-    }
+  epoll_event ev{};
+  ev.events = to_epoll(events);
+  ev.data.u64 = tag;
+  const int op = known ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
+  if (::epoll_ctl(epfd_, op, fd, &ev) != 0) {
+    // ADD on an fd epoll already tracks (or MOD on one it lost through a
+    // close we were not told about) — retry with the other op before giving
+    // up, so a missed remove() cannot wedge the loop.
+    const int op2 = op == EPOLL_CTL_ADD ? EPOLL_CTL_MOD : EPOLL_CTL_ADD;
+    if (::epoll_ctl(epfd_, op2, fd, &ev) != 0)
+      throw NetError("net: epoll_ctl: " + std::string(std::strerror(errno)));
   }
-#endif
   if (known) {
     it->second.events = events;
     it->second.tag = tag;
@@ -85,46 +64,22 @@ void Poller::set(int fd, short events, u64 tag) {
 void Poller::remove(int fd) {
   auto it = interest_.find(fd);
   if (it == interest_.end()) return;
-#ifdef REPRO_NET_HAVE_EPOLL
-  if (epfd_ >= 0) {
-    epoll_event ev{};  // ignored by DEL; non-null for pre-2.6.9 kernels
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
-  }
-#endif
+  epoll_event ev{};  // ignored by DEL; non-null for pre-2.6.9 kernels
+  ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
   interest_.erase(it);
 }
 
 std::size_t Poller::wait(std::vector<Event>& out, int timeout_ms) {
   out.clear();
-#ifdef REPRO_NET_HAVE_EPOLL
-  if (epfd_ >= 0) {
-    epoll_event evs[256];
-    const int rc = ::epoll_wait(epfd_, evs, 256, timeout_ms);
-    if (rc < 0) {
-      if (errno == EINTR) return 0;
-      throw NetError("net: epoll_wait: " + std::string(std::strerror(errno)));
-    }
-    out.reserve(static_cast<std::size_t>(rc));
-    for (int i = 0; i < rc; ++i)
-      out.push_back(Event{evs[i].data.u64, from_epoll(evs[i].events)});
-    return out.size();
-  }
-#endif
-  std::vector<pollfd> pfds;
-  std::vector<u64> tags;
-  pfds.reserve(interest_.size());
-  tags.reserve(interest_.size());
-  for (const auto& [fd, in] : interest_) {
-    pfds.push_back(pollfd{fd, in.events, 0});
-    tags.push_back(in.tag);
-  }
-  const int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
+  epoll_event evs[256];
+  const int rc = ::epoll_wait(epfd_, evs, 256, timeout_ms);
   if (rc < 0) {
     if (errno == EINTR) return 0;
-    throw NetError("net: poll: " + std::string(std::strerror(errno)));
+    throw NetError("net: epoll_wait: " + std::string(std::strerror(errno)));
   }
-  for (std::size_t i = 0; i < pfds.size(); ++i)
-    if (pfds[i].revents != 0) out.push_back(Event{tags[i], pfds[i].revents});
+  out.reserve(static_cast<std::size_t>(rc));
+  for (int i = 0; i < rc; ++i)
+    out.push_back(Event{evs[i].data.u64, from_epoll(evs[i].events)});
   return out.size();
 }
 

@@ -1,18 +1,16 @@
-// Event-loop readiness backend: epoll(7) where available, poll(2) fallback.
+// Event-loop readiness backend over epoll(7).
 //
 // The server's loop is structured as "declare the full interest set every
-// round, then wait" — simple to reason about, and exactly what poll(2) wants.
-// epoll is stateful, so this adapter keeps the declarative surface and turns
-// it into incremental epoll_ctl calls: set(fd, ...) caches the last-armed
-// (events, tag) per fd and only issues EPOLL_CTL_ADD/MOD when something
-// changed. A loop round over N mostly-idle connections therefore costs zero
-// syscalls beyond the single epoll_wait — the property that lets one node
-// hold thousands of sockets — while the poll backend rebuilds its pollfd
-// array per round, exactly like the pre-epoll server did.
+// round, then wait" — simple to reason about. epoll is stateful, so this
+// adapter keeps the declarative surface and turns it into incremental
+// epoll_ctl calls: set(fd, ...) caches the last-armed (events, tag) per fd
+// and only issues EPOLL_CTL_ADD/MOD when something changed. A loop round over
+// N mostly-idle connections therefore costs zero syscalls beyond the single
+// epoll_wait — the property that lets one node hold thousands of sockets.
 //
-// Events use poll(2) semantics everywhere (POLLIN/POLLOUT in, POLLIN/POLLOUT/
-// POLLERR/POLLHUP/POLLNVAL out); the epoll backend translates. An fd armed
-// with events == 0 still reports error/hangup, matching poll(2).
+// Events use poll(2) bit names (POLLIN/POLLOUT in, POLLIN/POLLOUT/POLLERR/
+// POLLHUP out); the adapter translates. An fd armed with events == 0 still
+// reports error/hangup, matching poll(2).
 //
 // Single-threaded, like the loop that owns it. Call remove(fd) before
 // closing an fd: close() silently drops an fd from an epoll set, which would
@@ -34,22 +32,19 @@ class Poller {
     short revents = 0;  ///< poll(2)-style readiness bits
   };
 
-  /// `prefer_epoll` requests the epoll backend; builds/platforms without
-  /// epoll silently fall back to poll(2). epoll() reports the choice.
-  explicit Poller(bool prefer_epoll);
+  /// Throws NetError when epoll_create1 fails (e.g. fd exhaustion).
+  Poller();
   ~Poller();
 
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
-
-  bool epoll() const { return epfd_ >= 0; }
 
   /// Declare interest for this round: POLLIN/POLLOUT bits in `events` (0 is
   /// valid — error/hangup only). `tag` is echoed back in Event::tag and may
   /// change between rounds for the same fd.
   void set(int fd, short events, u64 tag);
 
-  /// Forget an fd. Must be called before the fd is closed (epoll backend).
+  /// Forget an fd. Must be called before the fd is closed.
   /// Unknown fds are ignored.
   void remove(int fd);
 
@@ -64,7 +59,7 @@ class Poller {
     u64 tag = 0;
   };
 
-  int epfd_ = -1;  ///< -1 = poll(2) backend
+  int epfd_ = -1;
   std::unordered_map<int, Interest> interest_;
 };
 

@@ -262,9 +262,6 @@ struct Server::Impl {
 
   /// Readiness backend, alive only while run() is on the loop thread.
   std::unique_ptr<Poller> poller;
-  /// Which backend run() actually got (atomic: stats_json readers race the
-  /// loop thread that creates the Poller).
-  std::atomic<bool> epoll_active{false};
   /// EMFILE headroom: one fd held in reserve so an exhausted server can
   /// still accept-and-close the pending connection instead of leaving it
   /// dangling in the backlog (see shed_accept()).
@@ -545,8 +542,6 @@ struct Server::Impl {
     w.kv("peak_inflight_bytes", static_cast<unsigned long long>(s.peak_inflight_bytes));
     w.kv("metrics_scrapes", static_cast<unsigned long long>(s.metrics_scrapes));
     w.kv("accept_overloads", static_cast<unsigned long long>(s.accept_overloads));
-    w.kv("event_backend",
-         epoll_active.load(std::memory_order_relaxed) ? "epoll" : "poll");
     if (opts.max_conns)
       w.kv("max_conns", static_cast<unsigned long long>(opts.max_conns));
     w.kv("slow_ms", opts.slow_ms);
@@ -1579,6 +1574,8 @@ struct Server::Impl {
   }
 
   void run() {
+    // First, so a failed epoll_create1 throws before anything needs undoing.
+    poller = std::make_unique<Poller>();
     // Flight recorder + crash handler live for the duration of the loop.
     // stall_ms alone still needs the sampler thread (it drives the checks),
     // so any of the three options brings the recorder up.
@@ -1611,8 +1608,6 @@ struct Server::Impl {
     constexpr u64 kTagHttp = 5ull << 56;
     constexpr u64 kIdMask = ~kTagMask;
 
-    poller = std::make_unique<Poller>(opts.use_epoll);
-    epoll_active.store(poller->epoll(), std::memory_order_relaxed);
     std::vector<Poller::Event> events;
     for (;;) {
       if (stop_requested.load(std::memory_order_relaxed)) begin_drain();

@@ -2,11 +2,11 @@
 //
 // Architecture (one event-loop thread + the svc worker pool):
 //
-//   * A readiness event loop (epoll(7) via net/poller.hpp, with poll(2) as
-//     the portability fallback) owns the listening socket and every
-//     connection. Connections are non-blocking; frames are parsed
-//     incrementally from per-connection buffers (net::FrameParser), so a
-//     slow or malicious peer can never block the loop or make it over-read.
+//   * A readiness event loop (epoll(7) via net/poller.hpp) owns the
+//     listening socket and every connection. Connections are non-blocking;
+//     frames are parsed incrementally from per-connection buffers
+//     (net::FrameParser), so a slow or malicious peer can never block the
+//     loop or make it over-read.
 //   * COMPRESS/DECOMPRESS work is dispatched onto a svc::ThreadPool. Workers
 //     never touch connection state: each finished request is pushed onto a
 //     completion queue and the loop is woken through a self-pipe, the only
@@ -84,9 +84,6 @@ class Server {
     /// polled for reads, so new peers wait in the kernel backlog until a
     /// slot frees. 0 = unlimited.
     std::size_t max_conns = 0;
-    /// Event-loop backend: epoll(7) by default on Linux, with poll(2) as
-    /// the portability fallback (non-Linux builds, or --poll for A/B runs).
-    bool use_epoll = true;
     /// Cluster membership: a non-empty shard map turns on cluster mode —
     /// the SHARDMAP/HEALTH ops serve it, and COMPRESS/DECOMPRESS requests
     /// whose content key this node does not own are refused with

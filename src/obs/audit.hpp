@@ -16,9 +16,9 @@
 //     (suite, file, seed, chunk, index, original/reconstructed/allowed) so a
 //     violation is immediately reproducible.
 //
-// The same per-field verifier backs the BatchCompressor's audit hook
-// (svc::BatchCompressor::Options::audit), so the service path is audited by
-// the same code as the sweep. Lives in its own library (repro_audit): unlike
+// The same per-field verifier backs the ingest pipeline's audit hook
+// (ingest::IngestPipeline::Options::audit, `pfpl pack --audit`), so the
+// service path is audited by the same code as the sweep. Lives in its own library (repro_audit): unlike
 // the rest of src/obs it depends on core/data/metrics.
 #pragma once
 
@@ -112,7 +112,7 @@ class ErrorBoundAuditor {
   AuditResult run() const;
 
   /// Verify one original/reconstruction pair — the unit the sweep and the
-  /// BatchCompressor audit hook share. `recon_raw` holds the decompressed
+  /// ingest pipeline's audit hook share. `recon_raw` holds the decompressed
   /// scalar bytes; labels feed the drill-down.
   static AuditCase verify_field(const Field& orig, const std::vector<u8>& recon_raw,
                                 EbType eb, double eps, const std::string& suite,

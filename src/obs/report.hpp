@@ -7,10 +7,10 @@
 //     "metrics":      MetricsRegistry::json(),
 //     "spans":        per-name aggregates {count, total_ms, min_ms, max_ms},
 //     "run_times_ms": { "<label>": [t0, t1, ...] },   // bench per-run times
-//     "sections":     { "svc": {...}, ... }           // caller-rendered JSON
+//     "sections":     { "ingest": {...}, ... }        // caller-rendered JSON
 //   }
 //
-// Sections are pre-rendered JSON fragments so higher layers (svc, bench) can
+// Sections are pre-rendered JSON fragments so higher layers (ingest, bench) can
 // contribute their own stats without obs depending on them. The CLI and the
 // bench harness write the report when --report / --json is given; CI uploads
 // it as an artifact so perf regressions are diffable across commits.

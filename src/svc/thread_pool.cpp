@@ -11,17 +11,14 @@ namespace {
 
 /// Pool metric handles, resolved once (see obs/metrics.hpp on the pattern).
 struct PoolMetrics {
-  obs::Counter& steals;
   obs::Gauge& queue_depth;
   obs::Histogram& task_wait_us;  ///< enqueue -> dequeue
   obs::Histogram& task_run_us;   ///< dequeue -> completion
-  obs::Histogram& steal_us;      ///< victim-scan latency of successful steals
   static PoolMetrics& get() {
     auto& r = obs::MetricsRegistry::global();
-    static PoolMetrics m{r.counter("svc.pool.steals"), r.gauge("svc.pool.queue_depth"),
+    static PoolMetrics m{r.gauge("svc.pool.queue_depth"),
                          r.histogram("svc.pool.task_wait_us"),
-                         r.histogram("svc.pool.task_run_us"),
-                         r.histogram("svc.pool.steal_us")};
+                         r.histogram("svc.pool.task_run_us")};
     return m;
   }
 };
@@ -31,12 +28,9 @@ struct PoolMetrics {
 ThreadPool::ThreadPool(unsigned threads, std::size_t queue_capacity)
     : capacity_(std::max<std::size_t>(1, queue_capacity)) {
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) workers_.push_back(std::make_unique<Worker>());
-  // Deques exist before any thread starts, so worker_loop can scan all of
-  // them for victims without synchronizing on the vector itself.
+  threads_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i)
-    workers_[i]->thread = std::thread(&ThreadPool::worker_loop, this, i);
+    threads_.emplace_back(&ThreadPool::worker_loop, this, i);
 }
 
 ThreadPool::~ThreadPool() { shutdown(); }
@@ -46,54 +40,15 @@ void ThreadPool::enqueue(std::function<void()> f) {
   Task t{std::move(f), obs_on ? obs::TraceRecorder::global().now_ns() : 0,
          obs_on ? obs::TraceContext::current() : 0};
   std::unique_lock<std::mutex> lk(state_m_);
-  space_cv_.wait(lk, [&] { return stopping_ || draining_ || pending_ < capacity_; });
+  space_cv_.wait(lk, [&] { return stopping_ || draining_ || queue_.size() < capacity_; });
   if (stopping_) throw CompressionError("svc::ThreadPool: submit after shutdown");
   if (draining_) throw CompressionError("svc::ThreadPool: submit during drain");
-  const unsigned target = static_cast<unsigned>(next_worker_++ % workers_.size());
-  {
-    // Push BEFORE pending_ is bumped (both under state_m_, so the two are
-    // ordered for anyone holding the lock): a worker whose wait predicate
-    // observes pending_ > 0 is then guaranteed to find a task in some deque
-    // instead of busy-spinning through empty scans until the push lands.
-    // Lock order state_m_ -> worker.m is safe: workers take the two locks
-    // only one at a time, never nested.
-    std::lock_guard<std::mutex> dlk(workers_[target]->m);
-    workers_[target]->q.push_back(std::move(t));
-  }
-  ++pending_;
+  queue_.push_back(std::move(t));
   ++counters_.submitted;
-  counters_.peak_pending = std::max<u64>(counters_.peak_pending, pending_);
-  PoolMetrics::get().queue_depth.set(static_cast<long long>(pending_));
+  counters_.peak_pending = std::max<u64>(counters_.peak_pending, queue_.size());
+  PoolMetrics::get().queue_depth.set(static_cast<long long>(queue_.size()));
   lk.unlock();
   work_cv_.notify_one();
-}
-
-bool ThreadPool::try_pop_own(unsigned self, Task& out) {
-  Worker& w = *workers_[self];
-  std::lock_guard<std::mutex> lk(w.m);
-  if (w.q.empty()) return false;
-  out = std::move(w.q.back());  // owner pops LIFO
-  w.q.pop_back();
-  return true;
-}
-
-bool ThreadPool::try_steal(unsigned self, Task& out) {
-  const u64 t0 = obs::enabled() ? obs::TraceRecorder::global().now_ns() : 0;
-  const unsigned n = static_cast<unsigned>(workers_.size());
-  for (unsigned k = 1; k < n; ++k) {
-    Worker& victim = *workers_[(self + k) % n];
-    std::lock_guard<std::mutex> lk(victim.m);
-    if (victim.q.empty()) continue;
-    out = std::move(victim.q.front());  // thieves steal FIFO
-    victim.q.pop_front();
-    if (t0) {
-      PoolMetrics& m = PoolMetrics::get();
-      m.steals.add(1);
-      m.steal_us.record((obs::TraceRecorder::global().now_ns() - t0) / 1000);
-    }
-    return true;
-  }
-  return false;
 }
 
 void ThreadPool::worker_loop(unsigned self) {
@@ -105,26 +60,14 @@ void ThreadPool::worker_loop(unsigned self) {
       obs::Watchdog::global().register_slot("svc.worker." + std::to_string(self));
   for (;;) {
     Task task;
-    bool got = try_pop_own(self, task);
-    bool was_steal = false;
-    if (!got) {
-      got = try_steal(self, task);
-      was_steal = got;
-    }
-    if (!got) {
-      std::unique_lock<std::mutex> lk(state_m_);
-      // Re-check under the lock: a task may have been enqueued between the
-      // deque scans and this wait.
-      work_cv_.wait(lk, [&] { return pending_ > 0 || stopping_; });
-      if (pending_ == 0 && stopping_) return;
-      continue;  // retry the deque scan
-    }
     {
-      std::lock_guard<std::mutex> lk(state_m_);
-      --pending_;
+      std::unique_lock<std::mutex> lk(state_m_);
+      work_cv_.wait(lk, [&] { return !queue_.empty() || stopping_; });
+      if (queue_.empty()) return;  // stopping, and every queued task has run
+      task = std::move(queue_.front());
+      queue_.pop_front();
       ++running_;
-      if (was_steal) ++counters_.stolen;
-      PoolMetrics::get().queue_depth.set(static_cast<long long>(pending_));
+      PoolMetrics::get().queue_depth.set(static_cast<long long>(queue_.size()));
     }
     space_cv_.notify_one();  // queue slot freed on dequeue, not completion
     u64 run_t0 = 0;
@@ -159,15 +102,14 @@ void ThreadPool::worker_loop(unsigned self) {
       std::lock_guard<std::mutex> lk(state_m_);
       --running_;
       ++counters_.executed;
-      if (pending_ == 0 && running_ == 0) idle_cv_.notify_all();
+      if (queue_.empty() && running_ == 0) idle_cv_.notify_all();
     }
-    space_cv_.notify_one();
   }
 }
 
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lk(state_m_);
-  idle_cv_.wait(lk, [&] { return pending_ == 0 && running_ == 0; });
+  idle_cv_.wait(lk, [&] { return queue_.empty() && running_ == 0; });
 }
 
 void ThreadPool::drain() {
@@ -180,7 +122,7 @@ void ThreadPool::drain() {
   // throw instead of waiting out a queue slot that may never matter again.
   space_cv_.notify_all();
   lk.lock();
-  idle_cv_.wait(lk, [&] { return pending_ == 0 && running_ == 0; });
+  idle_cv_.wait(lk, [&] { return queue_.empty() && running_ == 0; });
   draining_ = false;
   lk.unlock();
   space_cv_.notify_all();
@@ -194,18 +136,17 @@ bool ThreadPool::draining() const {
 void ThreadPool::shutdown() {
   {
     std::lock_guard<std::mutex> lk(state_m_);
-    if (stopping_ && workers_.empty()) return;
     stopping_ = true;
   }
   work_cv_.notify_all();
   space_cv_.notify_all();
-  for (auto& w : workers_)
-    if (w->thread.joinable()) w->thread.join();
+  for (std::thread& t : threads_)
+    if (t.joinable()) t.join();
 }
 
 std::size_t ThreadPool::pending() const {
   std::lock_guard<std::mutex> lk(state_m_);
-  return pending_;
+  return queue_.size();
 }
 
 ThreadPool::Counters ThreadPool::counters() const {

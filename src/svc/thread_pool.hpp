@@ -1,15 +1,14 @@
-// Work-stealing thread pool for the batch-compression service.
+// Thread pool for chunk-parallel work: the ingest pipeline's encode stage
+// and pfpld's request dispatch (DESIGN.md §svc).
 //
-// Design (DESIGN.md §svc):
-//   * one task deque per worker. The owner pushes and pops at the back
-//     (LIFO, cache-warm); idle workers steal from the front of a victim's
-//     deque (FIFO, oldest task first) — the classic Blumofe/Leiserson
-//     discipline, mirroring the paper's dynamic chunk assignment for load
-//     balance (chunks differ in compressibility).
-//   * external submissions are distributed round-robin and return a
-//     std::future; submit() BLOCKS while `queue_capacity` tasks are already
-//     pending — the bounded queue is the service's backpressure primitive, so
-//     a fast producer cannot buffer unbounded work in memory.
+// Design:
+//   * one FIFO task queue shared by every worker. Any idle worker takes the
+//     oldest pending task — the paper's dynamic chunk assignment for load
+//     balance (chunks differ in compressibility) with nothing to tune, and
+//     tasks start in submission order.
+//   * submit() returns a std::future and BLOCKS while `queue_capacity` tasks
+//     are already pending — the bounded queue is the service's backpressure
+//     primitive, so a fast producer cannot buffer unbounded work in memory.
 //   * graceful shutdown: the destructor (or shutdown()) lets every already-
 //     queued task run to completion, then joins the workers. Tasks submitted
 //     after shutdown began are rejected with CompressionError.
@@ -17,7 +16,7 @@
 // The pool is deliberately scheduler-only: task *results* are delivered via
 // futures, so any execution order yields the same values — determinism of
 // the compressed output is the responsibility of the caller's slot layout
-// (see svc/batch.cpp), not of the scheduler.
+// (see ingest/pipeline.cpp), not of the scheduler.
 #pragma once
 
 #include <condition_variable>
@@ -40,7 +39,6 @@ class ThreadPool {
   struct Counters {
     u64 submitted = 0;      ///< tasks accepted by submit()
     u64 executed = 0;       ///< tasks run to completion
-    u64 stolen = 0;         ///< tasks taken from another worker's deque
     u64 peak_pending = 0;   ///< high-water mark of the queue depth
   };
 
@@ -70,8 +68,7 @@ class ThreadPool {
   /// queued and running task finishes, then the pool accepts work again.
   /// This is the quiescence primitive the network server's graceful shutdown
   /// uses (finish in-flight requests, reject new ones, keep the workers),
-  /// and what the batch path uses to guarantee the pool is idle before it
-  /// snapshots scheduler counters.
+  /// and what the ingest pipeline uses to leave the pool idle after a run.
   void drain();
 
   /// True while a drain() is in progress (submissions are being rejected).
@@ -81,7 +78,7 @@ class ThreadPool {
   /// submissions are rejected. Returns after all workers have joined.
   void shutdown();
 
-  unsigned worker_count() const { return static_cast<unsigned>(workers_.size()); }
+  unsigned worker_count() const { return static_cast<unsigned>(threads_.size()); }
   std::size_t pending() const;
   Counters counters() const;
 
@@ -98,31 +95,23 @@ class ThreadPool {
     u64 trace_ctx = 0;
   };
 
-  struct Worker {
-    mutable std::mutex m;
-    std::deque<Task> q;
-    std::thread thread;
-  };
-
   void enqueue(std::function<void()> f);
   void worker_loop(unsigned self);
-  bool try_pop_own(unsigned self, Task& out);
-  bool try_steal(unsigned self, Task& out);
 
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::size_t capacity_;
 
-  // Global scheduler state: pending/running counts, shutdown flag, counters.
+  // Scheduler state: the queue, running count, shutdown flag, counters.
   mutable std::mutex state_m_;
   std::condition_variable work_cv_;   ///< workers sleep here
   std::condition_variable space_cv_;  ///< producers blocked on the bound
-  std::condition_variable idle_cv_;   ///< wait_idle()/shutdown() sleep here
-  std::size_t pending_ = 0;           ///< queued, not yet started
+  std::condition_variable idle_cv_;   ///< wait_idle()/drain() sleep here
+  std::deque<Task> queue_;            ///< queued, not yet started (FIFO)
   std::size_t running_ = 0;           ///< currently executing
   bool stopping_ = false;
   bool draining_ = false;             ///< drain() in progress: reject submits
-  u64 next_worker_ = 0;  ///< round-robin cursor for external submissions
   Counters counters_;
+
+  std::vector<std::thread> threads_;  ///< last: workers use every member above
 };
 
 }  // namespace repro::svc

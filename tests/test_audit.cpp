@@ -1,6 +1,6 @@
-// ErrorBoundAuditor: the clean sweep is clean, a corrupted decode is caught
-// with a reproducible drill-down, and the BatchCompressor audit hook re-uses
-// the same verifier.
+// ErrorBoundAuditor: the clean sweep is clean, and a corrupted decode is
+// caught with a reproducible drill-down. The ingest pipeline's audit option
+// re-uses the same verifier (tested in test_ingest.cpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "obs/audit.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "svc/batch.hpp"
 
 using namespace repro;
 using namespace repro::obs;
@@ -137,30 +136,4 @@ TEST(Audit, VerifyFieldFlagsTruncatedReconstruction) {
   EXPECT_EQ(cut.violations, 1000u);
   ASSERT_TRUE(cut.has_first);
   EXPECT_EQ(cut.first.index, 9000u);
-}
-
-TEST(Audit, BatchCompressorAuditHook) {
-  // The service path runs the same verifier when Options::audit is set.
-  data::Suite suite = data::generate(data::paper_suites()[0], 1 << 12, 2);
-  std::vector<svc::Job> jobs;
-  for (const auto& f : suite.files)
-    jobs.push_back({f.name, f.field(), pfpl::Params{1e-3, EbType::ABS}});
-
-  svc::BatchCompressor batch({.threads = 2, .audit = true});
-  std::vector<svc::JobResult> results = batch.run(jobs);
-  ASSERT_EQ(results.size(), jobs.size());
-  for (const svc::JobResult& r : results) {
-    EXPECT_FALSE(r.failed);
-    EXPECT_TRUE(r.audited);
-    EXPECT_EQ(r.audit_violations, 0u) << r.name;
-  }
-  EXPECT_EQ(batch.stats().jobs_audited, jobs.size());
-  EXPECT_EQ(batch.stats().audit_violations, 0u);
-
-  // Without the option nothing is audited (and no decompress cost is paid).
-  svc::BatchCompressor plain({.threads = 2});
-  for (const svc::JobResult& r : plain.run(jobs)) {
-    EXPECT_FALSE(r.audited);
-  }
-  EXPECT_EQ(plain.stats().jobs_audited, 0u);
 }

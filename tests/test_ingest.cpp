@@ -1,6 +1,8 @@
-// Tests for the asynchronous staged ingest pipeline: byte-identity with the
-// serial compressor, in-order completion, dedup-probe reuse, bounded-queue
-// backpressure (byte budget held under a slow consumer), first-error
+// Tests for the asynchronous staged ingest pipeline — the repo's one
+// multi-field, chunk-parallel driver: byte-identity with the serial
+// compressor at every worker count and under a tiny in-flight budget,
+// in-order completion, dedup-probe reuse, bounded-queue backpressure (byte
+// budget held under a slow consumer), per-item errors, first-error
 // cancellation without deadlock, and the audit hook.
 #include <gtest/gtest.h>
 
@@ -84,23 +86,64 @@ Bytes serial_stream(std::size_t values, unsigned seed) {
 // ------------------------------------------------------------- byte identity
 
 TEST(IngestPipeline, StreamsByteIdenticalToSerialCompress) {
-  ingest::IngestPipeline pipe(base_options());
   const std::size_t kValues = 6000;  // > one chunk, odd tail
-  std::vector<ingest::Result> rs = pipe.run(memory_items(5, kValues));
-  ASSERT_EQ(rs.size(), 5u);
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    EXPECT_FALSE(rs[i].failed) << rs[i].error;
-    EXPECT_FALSE(rs[i].cancelled);
-    EXPECT_EQ(rs[i].name, "item" + std::to_string(i));
-    EXPECT_EQ(rs[i].raw_bytes, kValues * sizeof(float));
-    EXPECT_EQ(rs[i].stream, serial_stream(kValues, unsigned(i)));
-    EXPECT_EQ(rs[i].header.value_count, kValues);
+  for (unsigned threads : {1u, 2u, 3u, 8u}) {
+    ingest::IngestPipeline::Options o = base_options();
+    o.threads = threads;
+    ingest::IngestPipeline pipe(o);
+    std::vector<ingest::Result> rs = pipe.run(memory_items(5, kValues));
+    ASSERT_EQ(rs.size(), 5u);
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+      EXPECT_FALSE(rs[i].failed) << rs[i].error;
+      EXPECT_FALSE(rs[i].cancelled);
+      EXPECT_FALSE(rs[i].audited);  // audit is opt-in
+      EXPECT_EQ(rs[i].name, "item" + std::to_string(i));
+      EXPECT_EQ(rs[i].raw_bytes, kValues * sizeof(float));
+      EXPECT_EQ(rs[i].stream, serial_stream(kValues, unsigned(i)))
+          << "item " << i << " differs at threads=" << threads;
+      EXPECT_EQ(rs[i].header.value_count, kValues);
+    }
+    const ingest::IngestStats& st = pipe.stats();
+    EXPECT_EQ(st.threads, threads);
+    EXPECT_EQ(st.files, 5u);
+    EXPECT_EQ(st.files_failed, 0u);
+    EXPECT_EQ(st.audited, 0u);
+    EXPECT_GT(st.chunks, 0u);
+    EXPECT_EQ(st.bytes_in, 5u * kValues * sizeof(float));
   }
-  const ingest::IngestStats& st = pipe.stats();
-  EXPECT_EQ(st.files, 5u);
-  EXPECT_EQ(st.files_failed, 0u);
-  EXPECT_GT(st.chunks, 0u);
-  EXPECT_EQ(st.bytes_in, 5u * kValues * sizeof(float));
+}
+
+TEST(IngestPipeline, TinyInflightBudgetStillDeterministic) {
+  // A budget smaller than one chunk admits chunks one at a time (the
+  // oversized-acquisition escape hatch); bytes must still be identical.
+  const std::size_t kValues = 4096 * 8;
+  ingest::IngestPipeline::Options o = base_options();
+  o.threads = 4;
+  o.max_inflight_bytes = 1024;
+  ingest::IngestPipeline pipe(o);
+  std::vector<ingest::Result> rs = pipe.run(memory_items(2, kValues));
+  ASSERT_EQ(rs.size(), 2u);
+  for (std::size_t i = 0; i < rs.size(); ++i) {
+    ASSERT_FALSE(rs[i].failed) << rs[i].error;
+    EXPECT_EQ(rs[i].stream, serial_stream(kValues, unsigned(i)));
+  }
+  EXPECT_EQ(pipe.stats().chunks, 16u);
+}
+
+TEST(IngestPipeline, InvalidBoundFailsEachItemWithoutThrowing) {
+  ingest::IngestPipeline::Options o = base_options();
+  o.params.eps = -1.0;
+  ingest::IngestPipeline pipe(o);
+  std::vector<ingest::Result> rs;
+  EXPECT_NO_THROW(rs = pipe.run(memory_items(3, 2000)));
+  ASSERT_EQ(rs.size(), 3u);
+  for (const ingest::Result& r : rs) {
+    EXPECT_TRUE(r.failed) << r.name;
+    EXPECT_FALSE(r.cancelled);
+    EXPECT_FALSE(r.error.empty());
+    EXPECT_TRUE(r.stream.empty());
+  }
+  EXPECT_EQ(pipe.stats().files_failed, 3u);
 }
 
 TEST(IngestPipeline, FileItemsMatchMemoryItems) {

@@ -1,12 +1,13 @@
 // Tests for the PFPS tiered chunk store: the 128-bit content hash, the
 // sharded in-memory LRU, the persistent segment log (including crash
-// recovery and corruption detection), the two-tier facade, and the batch
-// service's stored-chunk reuse.
+// recovery and corruption detection), the two-tier facade, and the ingest
+// pipeline's stored-stream reuse.
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -19,10 +20,10 @@
 
 #include "common/hash.hpp"
 #include "core/pfpl.hpp"
+#include "ingest/pipeline.hpp"
 #include "store/cache.hpp"
 #include "store/segment_log.hpp"
 #include "store/store.hpp"
-#include "svc/batch.hpp"
 
 using namespace repro;
 namespace fs = std::filesystem;
@@ -53,11 +54,13 @@ common::Hash128 key_of(unsigned i) {
 
 Bytes bytes_of(std::size_t n, u8 fill) { return Bytes(n, fill); }
 
-std::vector<float> make_field_values(std::size_t n, unsigned seed) {
-  std::vector<float> v(n);
-  for (std::size_t i = 0; i < n; ++i)
-    v[i] = static_cast<float>((i % 97) * 0.25 + seed);
-  return v;
+Bytes make_field_bytes(std::size_t n, unsigned seed) {
+  Bytes raw(n * sizeof(float));
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = static_cast<float>((i % 97) * 0.25 + seed);
+    std::memcpy(raw.data() + i * sizeof(float), &v, sizeof(float));
+  }
+  return raw;
 }
 
 }  // namespace
@@ -410,44 +413,47 @@ TEST(ChunkStore, StatsJsonShape) {
   EXPECT_NE(js.find("\"persistent\":false"), std::string::npos);
 }
 
-// ------------------------------------------------- BatchCompressor + store
+// ------------------------------------------------- IngestPipeline + store
 
 TEST(BatchStoreReuse, SecondRunServedFromStore) {
   store::ChunkStore cs(store::ChunkStore::Options{});
-  svc::BatchCompressor::Options o;
+  ingest::IngestPipeline::Options o;
   o.threads = 2;
+  o.params.eps = 1e-3;
   o.store = &cs;
-  svc::BatchCompressor batch(o);
+  ingest::IngestPipeline pipe(o);
 
-  const std::vector<float> values = make_field_values(20000, 1);
-  pfpl::Params params;
-  params.eps = 1e-3;
-  std::vector<svc::Job> jobs;
-  jobs.push_back({"a", Field(values.data(), values.size()), params});
-  jobs.push_back({"b", Field(values.data(), values.size()), params});
+  const Bytes raw = make_field_bytes(20000, 1);
+  auto items = [&] {
+    std::vector<ingest::Item> v;
+    v.push_back({"a", "", raw});
+    v.push_back({"b", "", raw});
+    return v;
+  };
 
-  // First run: job "a" compresses; job "b" has identical content, so by the
-  // time phase 3 stores "a", "b" was already planned — both compress this
-  // run, but the second *run* must be answered entirely from the store.
-  const std::vector<svc::JobResult> first = batch.run(jobs);
+  // First run: "b" has the same content as "a"; whether its probe sees "a"
+  // already appended depends on timing, but both streams must be identical.
+  // The second *run* must be answered entirely from the store.
+  const std::vector<ingest::Result> first = pipe.run(items());
   ASSERT_EQ(first.size(), 2u);
-  ASSERT_FALSE(first[0].failed);
-  ASSERT_FALSE(first[1].failed);
+  ASSERT_FALSE(first[0].failed) << first[0].error;
+  ASSERT_FALSE(first[1].failed) << first[1].error;
   EXPECT_EQ(first[0].stream, first[1].stream);
 
-  const std::vector<svc::JobResult> second = batch.run(jobs);
-  ASSERT_FALSE(second[0].failed);
-  ASSERT_FALSE(second[1].failed);
+  const std::vector<ingest::Result> second = pipe.run(items());
+  ASSERT_FALSE(second[0].failed) << second[0].error;
+  ASSERT_FALSE(second[1].failed) << second[1].error;
   EXPECT_TRUE(second[0].reused);
   EXPECT_TRUE(second[1].reused);
-  EXPECT_EQ(batch.stats().jobs_reused, 2u);
+  EXPECT_EQ(pipe.stats().files_reused, 2u);
   EXPECT_EQ(second[0].stream, first[0].stream);
   EXPECT_EQ(second[1].stream, first[1].stream);
 
-  // Reused results decompress to the same values as fresh ones.
-  const std::vector<u8> raw = pfpl::decompress(second[0].stream);
-  EXPECT_EQ(raw.size(), values.size() * sizeof(float));
+  // Reused results decompress to the same size as fresh ones.
+  const std::vector<u8> back = pfpl::decompress(second[0].stream);
+  EXPECT_EQ(back.size(), raw.size());
 }
+
 
 // ------------------------------------------------------------ append_batch
 

@@ -1,12 +1,14 @@
-// Tests for the svc batch-compression service: the work-stealing thread
-// pool, the determinism invariant of BatchCompressor (entry bytes identical
-// to single-threaded pfpl::compress for every worker count), and the PFPA
-// archive container (round-trip, random access, corruption rejection).
+// Tests for the svc layer: the FIFO thread pool (bounded queue, graceful
+// shutdown, submission-order dispatch), the chunked primitives the ingest
+// pipeline's encode stage builds on, and the PFPA archive container
+// (round-trip, random access, corruption rejection). The pipeline's byte
+// identity to single-threaded pfpl::compress is pinned in test_ingest.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -16,9 +18,7 @@
 #include "data/rng.hpp"
 #include "io/raw_file.hpp"
 #include "svc/archive.hpp"
-#include "svc/batch.hpp"
 #include "common/checksum.hpp"
-#include "svc/stats.hpp"
 #include "svc/thread_pool.hpp"
 
 using namespace repro;
@@ -72,6 +72,9 @@ TEST(ThreadPool, ExecutesEveryTaskExactlyOnce) {
   for (int i = 1; i <= 500; ++i)
     futs.push_back(pool.submit([i, &sum] { sum.fetch_add(i); }));
   for (auto& f : futs) f.get();
+  // A future is ready before its worker bumps `executed`; wait for the
+  // workers to finish their bookkeeping before reading the counters.
+  pool.wait_idle();
   EXPECT_EQ(sum.load(), 500 * 501 / 2);
   auto c = pool.counters();
   EXPECT_EQ(c.submitted, 500u);
@@ -112,79 +115,33 @@ TEST(ThreadPool, TaskExceptionsPropagateThroughFuture) {
   EXPECT_THROW(f.get(), CompressionError);
 }
 
-// ---------------------------------------------------------------------------
-// BatchCompressor determinism
-// ---------------------------------------------------------------------------
+TEST(ThreadPool, SingleWorkerRunsTasksInSubmissionOrder) {
+  svc::ThreadPool pool(1);
+  std::promise<void> started, release;
+  std::shared_future<void> gate = release.get_future().share();
+  auto blocker = pool.submit([&started, gate] {
+    started.set_value();
+    gate.wait();
+  });
+  started.get_future().wait();  // the only worker is now parked on the gate
 
-TEST(BatchCompressor, ByteIdenticalToOneShotForEveryWorkerCount) {
-  auto f32 = wave_f32(50000, 1);
-  auto f64 = wave_f64(30000, 2);
-  auto noisy = wave_f32(4096 * 3 + 17, 3);  // non-multiple of the chunk size
-
-  std::vector<svc::Job> jobs = {
-      {"a", Field(f32.data(), f32.size()), {1e-3, EbType::ABS}},
-      {"b", Field(f64.data(), f64.size()), {1e-2, EbType::REL}},
-      {"c", Field(noisy.data(), noisy.size()), {1e-4, EbType::NOA}},
-  };
-  std::vector<Bytes> oneshot;
-  for (const auto& j : jobs) oneshot.push_back(pfpl::compress(j.field, j.params));
-
-  for (unsigned threads : {1u, 2u, 8u}) {
-    svc::BatchCompressor batch({.threads = threads});
-    auto results = batch.run(jobs);
-    ASSERT_EQ(results.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      ASSERT_FALSE(results[i].failed) << results[i].error;
-      EXPECT_EQ(results[i].stream, oneshot[i])
-          << "job " << jobs[i].name << " differs at threads=" << threads;
-    }
-  }
-}
-
-TEST(BatchCompressor, TinyInflightBudgetStillDeterministic) {
-  // A budget smaller than one chunk admits chunks one at a time (the
-  // oversized-acquisition escape hatch); bytes must still be identical.
-  auto v = wave_f32(4096 * 8, 4);
-  std::vector<svc::Job> jobs = {{"x", Field(v.data(), v.size()), {1e-3, EbType::ABS}}};
-  svc::BatchCompressor batch({.threads = 4, .max_inflight_bytes = 1024});
-  auto results = batch.run(jobs);
-  ASSERT_FALSE(results[0].failed);
-  EXPECT_EQ(results[0].stream, pfpl::compress(jobs[0].field, jobs[0].params));
-}
-
-TEST(BatchCompressor, InvalidBoundFailsJobNotBatch) {
-  auto v = wave_f32(10000, 5);
-  std::vector<svc::Job> jobs = {
-      {"bad", Field(v.data(), v.size()), {-1.0, EbType::ABS}},
-      {"good", Field(v.data(), v.size()), {1e-3, EbType::ABS}},
-  };
-  svc::BatchCompressor batch({.threads = 2});
-  auto results = batch.run(jobs);
-  EXPECT_TRUE(results[0].failed);
-  EXPECT_FALSE(results[0].error.empty());
-  ASSERT_FALSE(results[1].failed);
-  EXPECT_EQ(results[1].stream, pfpl::compress(jobs[1].field, jobs[1].params));
-  EXPECT_EQ(batch.stats().jobs_failed, 1u);
-}
-
-TEST(BatchCompressor, StatsAreFilled) {
-  auto v = wave_f32(4096 * 4, 6);
-  std::vector<svc::Job> jobs = {{"s", Field(v.data(), v.size()), {1e-3, EbType::ABS}}};
-  svc::BatchCompressor batch({.threads = 2});
-  auto results = batch.run(jobs);
-  ASSERT_FALSE(results[0].failed);
-  const svc::SvcStats& st = batch.stats();
-  EXPECT_EQ(st.jobs, 1u);
-  EXPECT_EQ(st.chunks, 4u);
-  EXPECT_EQ(st.bytes_in, v.size() * 4);
-  EXPECT_EQ(st.bytes_out, results[0].stream.size());
-  EXPECT_EQ(st.threads, 2u);
-  EXPECT_GT(st.ratio(), 1.0);
-  EXPECT_FALSE(st.summary().empty());
+  std::mutex m;
+  std::vector<int> order;
+  std::vector<std::future<void>> futs;
+  for (int i = 0; i < 8; ++i)
+    futs.push_back(pool.submit([i, &m, &order] {
+      std::lock_guard<std::mutex> lk(m);
+      order.push_back(i);
+    }));
+  EXPECT_EQ(pool.pending(), 8u);
+  release.set_value();
+  blocker.get();
+  for (auto& f : futs) f.get();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 // ---------------------------------------------------------------------------
-// Chunked primitives (the contract svc builds on)
+// Chunked primitives (the contract the ingest encode stage builds on)
 // ---------------------------------------------------------------------------
 
 TEST(Chunked, ManualChunkLoopMatchesOneShot) {
@@ -216,12 +173,8 @@ class ArchiveTest : public ::testing::Test {
     path = tmp_path(tag + "_archive.pfpa");
     f32 = wave_f32(20000, 11);
     f64 = wave_f64(9000, 12);
-    jobs = {
-        {"temp.f32", Field(f32.data(), f32.size()), {1e-3, EbType::ABS}},
-        {"pres.f64", Field(f64.data(), f64.size()), {1e-2, EbType::REL}},
-    };
-    svc::BatchCompressor batch({.threads = 2});
-    results = batch.run(jobs);
+    results = {entry("temp.f32", Field(f32.data(), f32.size()), {1e-3, EbType::ABS}),
+               entry("pres.f64", Field(f64.data(), f64.size()), {1e-2, EbType::REL})};
     svc::ArchiveWriter writer(path);
     for (const auto& r : results) writer.add(r.name, r.header, r.stream, r.raw_bytes);
     writer.finish();
@@ -231,8 +184,18 @@ class ArchiveTest : public ::testing::Test {
   std::string path;
   std::vector<float> f32;
   std::vector<double> f64;
-  std::vector<svc::Job> jobs;
-  std::vector<svc::JobResult> results;
+  struct Entry {
+    std::string name;
+    pfpl::Header header;
+    Bytes stream;
+    u64 raw_bytes = 0;
+  };
+  static Entry entry(const std::string& name, const Field& field, const pfpl::Params& p) {
+    Entry e{name, {}, pfpl::compress(field, p), field.byte_size()};
+    e.header = pfpl::peek_header(e.stream);
+    return e;
+  }
+  std::vector<Entry> results;
 };
 
 TEST_F(ArchiveTest, RoundTrip) {
