@@ -41,11 +41,13 @@
 //
 // Exit codes: 0 ok, 1 error (bad/corrupt input, I/O failure), 2 usage,
 // 3 verify/audit found a bound violation.
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -262,9 +264,28 @@ struct Flags {
   int session_idle_ms = 60000;      ///< `pfpl serve --session-idle-ms N`
 };
 
+/// The value of a numeric flag: a plain base-10 integer in [lo, hi], with no
+/// sign and no trailing characters. Anything else is a usage error (exit 2).
+u64 flag_uint(const char* flag, const std::string& v, u64 lo, u64 hi) {
+  u64 n = 0;
+  const char* end = v.data() + v.size();
+  const auto [stop, ec] = std::from_chars(v.data(), end, n);
+  if (ec != std::errc() || stop != end || n < lo || n > hi) {
+    std::fprintf(stderr, "pfpl: invalid value for %s: '%s' (expected %llu..%llu)\n", flag,
+                 v.c_str(), static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    std::exit(2);
+  }
+  return n;
+}
+
 /// Parse `--flag value` pairs from argv[first..); non-flag arguments are
 /// appended to `positional`.
 Flags parse_flags(int argc, char** argv, int first, std::vector<std::string>* positional) {
+  constexpr u64 kMaxThreads = 1024;
+  constexpr u64 kInt = std::numeric_limits<int>::max();
+  constexpr u64 kUint = std::numeric_limits<unsigned>::max();
+  constexpr u64 kU64 = std::numeric_limits<u64>::max();
   Flags fl;
   for (int i = first; i < argc; ++i) {
     std::string a = argv[i];
@@ -274,6 +295,9 @@ Flags parse_flags(int argc, char** argv, int first, std::vector<std::string>* po
         usage();
       }
       return argv[++i];
+    };
+    auto num = [&](u64 lo, u64 hi) {
+      return flag_uint(a.c_str(), need(a.c_str()), lo, hi);
     };
     if (a == "--dtype") {
       std::string v = need("--dtype");
@@ -310,12 +334,7 @@ Flags parse_flags(int argc, char** argv, int first, std::vector<std::string>* po
     } else if (a == "--exec") {
       fl.params.exec = parse_exec(need("--exec"));
     } else if (a == "--threads") {
-      std::string v = need("--threads");
-      try {
-        fl.threads = static_cast<unsigned>(std::stoul(v));
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --threads: '" + v + "'");
-      }
+      fl.threads = static_cast<unsigned>(num(0, kMaxThreads));
     } else if (a == "--entry") {
       fl.entry = need("--entry");
     } else if (a == "--host") {
@@ -323,101 +342,33 @@ Flags parse_flags(int argc, char** argv, int first, std::vector<std::string>* po
     } else if (a == "--bind") {
       fl.bind = need("--bind");
     } else if (a == "--port") {
-      std::string v = need("--port");
-      try {
-        unsigned long p = std::stoul(v);
-        if (p > 65535) throw CompressionError("");
-        fl.port = static_cast<unsigned>(p);
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --port: '" + v + "'");
-      }
+      fl.port = static_cast<unsigned>(num(0, 65535));
     } else if (a == "--max-inflight") {
-      std::string v = need("--max-inflight");
-      try {
-        fl.max_inflight = static_cast<std::size_t>(std::stoull(v));
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --max-inflight: '" + v + "'");
-      }
+      fl.max_inflight = static_cast<std::size_t>(num(0, kU64));
     } else if (a == "--store") {
       fl.store_dir = need("--store");
     } else if (a == "--cache-mb") {
-      std::string v = need("--cache-mb");
-      try {
-        fl.cache_mb = static_cast<unsigned>(std::stoul(v));
-        if (fl.cache_mb == 0) throw CompressionError("");
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --cache-mb: '" + v +
-                               "' (expected a positive MiB count)");
-      }
+      fl.cache_mb = static_cast<unsigned>(num(1, kUint));
     } else if (a == "--timeout-ms") {
-      std::string v = need("--timeout-ms");
-      try {
-        fl.timeout_ms = static_cast<int>(std::stol(v));
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --timeout-ms: '" + v + "'");
-      }
+      fl.timeout_ms = static_cast<int>(num(0, kInt));
     } else if (a == "--slow-ms") {
-      std::string v = need("--slow-ms");
-      try {
-        fl.slow_ms = static_cast<int>(std::stol(v));
-        if (fl.slow_ms < 0) throw CompressionError("");
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --slow-ms: '" + v + "'");
-      }
+      fl.slow_ms = static_cast<int>(num(0, kInt));
     } else if (a == "--slow-log") {
       fl.slow_log = need("--slow-log");
     } else if (a == "--flight-ms") {
-      std::string v = need("--flight-ms");
-      try {
-        fl.flight_ms = static_cast<int>(std::stol(v));
-        if (fl.flight_ms < 0) throw CompressionError("");
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --flight-ms: '" + v + "'");
-      }
+      fl.flight_ms = static_cast<int>(num(0, kInt));
     } else if (a == "--flight-depth") {
-      std::string v = need("--flight-depth");
-      try {
-        fl.flight_depth = static_cast<int>(std::stol(v));
-        if (fl.flight_depth <= 0) throw CompressionError("");
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --flight-depth: '" + v +
-                               "' (expected a positive snapshot count)");
-      }
+      fl.flight_depth = static_cast<int>(num(1, kInt));
     } else if (a == "--stall-ms") {
-      std::string v = need("--stall-ms");
-      try {
-        fl.stall_ms = std::stoull(v);
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --stall-ms: '" + v + "'");
-      }
+      fl.stall_ms = num(0, kU64);
     } else if (a == "--crash-dir") {
       fl.crash_dir = need("--crash-dir");
     } else if (a == "--metrics-port") {
-      std::string v = need("--metrics-port");
-      try {
-        unsigned long p = std::stoul(v);
-        if (p > 65535) throw CompressionError("");
-        fl.metrics_port = static_cast<int>(p);
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --metrics-port: '" + v + "'");
-      }
+      fl.metrics_port = static_cast<int>(num(0, 65535));
     } else if (a == "--interval-ms") {
-      std::string v = need("--interval-ms");
-      try {
-        fl.interval_ms = static_cast<int>(std::stol(v));
-        if (fl.interval_ms <= 0) throw CompressionError("");
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --interval-ms: '" + v +
-                               "' (expected a positive millisecond count)");
-      }
+      fl.interval_ms = static_cast<int>(num(1, kInt));
     } else if (a == "--count") {
-      std::string v = need("--count");
-      try {
-        fl.count = static_cast<int>(std::stol(v));
-        if (fl.count < 0) throw CompressionError("");
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --count: '" + v + "'");
-      }
+      fl.count = static_cast<int>(num(0, kInt));
     } else if (a == "--shard-map") {
       fl.shard_map = need("--shard-map");
     } else if (a == "--node-id") {
@@ -427,86 +378,31 @@ Flags parse_flags(int argc, char** argv, int first, std::vector<std::string>* po
     } else if (a == "--nodes") {
       fl.nodes = need("--nodes");
     } else if (a == "--replicas") {
-      std::string v = need("--replicas");
-      try {
-        unsigned long r = std::stoul(v);
-        if (r == 0 || r > 65535) throw CompressionError("");
-        fl.replicas = static_cast<unsigned>(r);
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --replicas: '" + v +
-                               "' (expected 1..65535)");
-      }
+      fl.replicas = static_cast<unsigned>(num(1, 65535));
     } else if (a == "--vnodes") {
-      std::string v = need("--vnodes");
-      try {
-        fl.vnodes = static_cast<unsigned>(std::stoul(v));
-        if (fl.vnodes == 0) throw CompressionError("");
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --vnodes: '" + v +
-                               "' (expected a positive vnode count)");
-      }
+      fl.vnodes = static_cast<unsigned>(num(1, kUint));
     } else if (a == "--max-conns") {
-      std::string v = need("--max-conns");
-      try {
-        fl.max_conns = static_cast<std::size_t>(std::stoull(v));
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --max-conns: '" + v + "'");
-      }
+      fl.max_conns = static_cast<std::size_t>(num(0, kU64));
     } else if (a == "--cluster") {
       fl.cluster = true;
     } else if (a == "--dims") {
       fl.dims = need("--dims");
     } else if (a == "--frames") {
-      std::string v = need("--frames");
-      try {
-        fl.frames = static_cast<std::size_t>(std::stoull(v));
-        if (fl.frames == 0) throw CompressionError("");
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --frames: '" + v +
-                               "' (expected a positive frame count)");
-      }
+      fl.frames = static_cast<std::size_t>(num(1, kU64));
     } else if (a == "--values") {
-      std::string v = need("--values");
-      try {
-        fl.values = static_cast<std::size_t>(std::stoull(v));
-        if (fl.values == 0) throw CompressionError("");
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --values: '" + v +
-                               "' (expected a positive value count)");
-      }
+      fl.values = static_cast<std::size_t>(num(1, kU64));
     } else if (a == "--keyframe-interval") {
-      std::string v = need("--keyframe-interval");
-      try {
-        fl.keyframe_interval = static_cast<unsigned>(std::stoul(v));
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --keyframe-interval: '" + v + "'");
-      }
+      fl.keyframe_interval = static_cast<unsigned>(num(0, kUint));
     } else if (a == "--seed") {
-      std::string v = need("--seed");
-      try {
-        fl.seed = std::stoull(v);
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --seed: '" + v + "'");
-      }
+      fl.seed = num(0, kU64);
     } else if (a == "--dump-raw") {
       fl.dump_raw = need("--dump-raw");
     } else if (a == "--dump-recon") {
       fl.dump_recon = need("--dump-recon");
     } else if (a == "--max-sessions") {
-      std::string v = need("--max-sessions");
-      try {
-        fl.max_sessions = static_cast<std::size_t>(std::stoull(v));
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --max-sessions: '" + v + "'");
-      }
+      fl.max_sessions = static_cast<std::size_t>(num(0, kU64));
     } else if (a == "--session-idle-ms") {
-      std::string v = need("--session-idle-ms");
-      try {
-        fl.session_idle_ms = static_cast<int>(std::stol(v));
-        if (fl.session_idle_ms < 0) throw CompressionError("");
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --session-idle-ms: '" + v + "'");
-      }
+      fl.session_idle_ms = static_cast<int>(num(0, kInt));
     } else if (a == "--prom") {
       fl.prom = true;
     } else if (a == "--history") {

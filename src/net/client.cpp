@@ -200,25 +200,20 @@ u64 Client::stream_open(DType dtype, EbType eb, double eps,
   h.eb_type = static_cast<u8>(eb);
   h.eps = eps;
   u8 body[16];
-  for (int d = 0; d < 3; ++d)
-    for (int i = 0; i < 4; ++i)
-      body[d * 4 + i] = static_cast<u8>(dims[static_cast<std::size_t>(d)] >> (8 * i));
-  for (int i = 0; i < 4; ++i) body[12 + i] = static_cast<u8>(keyframe_interval >> (8 * i));
+  for (std::size_t d = 0; d < 3; ++d) put_le<u32>(body + 4 * d, dims[d]);
+  put_le<u32>(body + 12, keyframe_interval);
   Frame f = roundtrip(h, body, sizeof body);
   if (f.payload.size() != 8)
     throw NetError("PFPN: STREAM_OPEN response is not a session id");
-  u64 sid = 0;
-  for (int i = 0; i < 8; ++i) sid |= static_cast<u64>(f.payload[static_cast<std::size_t>(i)]) << (8 * i);
-  return sid;
+  return get_le<u64>(f.payload.data());
 }
 
 Bytes Client::stream_frame(u64 sid, u64 frame_index, const void* raw, std::size_t n) {
   FrameHeader h;
   h.op = static_cast<u8>(Op::StreamFrame);
   Bytes body(16 + n);
-  for (int i = 0; i < 8; ++i) body[static_cast<std::size_t>(i)] = static_cast<u8>(sid >> (8 * i));
-  for (int i = 0; i < 8; ++i)
-    body[static_cast<std::size_t>(8 + i)] = static_cast<u8>(frame_index >> (8 * i));
+  put_le<u64>(body.data(), sid);
+  put_le<u64>(body.data() + 8, frame_index);
   std::memcpy(body.data() + 16, raw, n);
   return roundtrip(h, body.data(), body.size()).payload;
 }
@@ -227,7 +222,7 @@ void Client::stream_close(u64 sid) {
   FrameHeader h;
   h.op = static_cast<u8>(Op::StreamClose);
   u8 body[8];
-  for (int i = 0; i < 8; ++i) body[i] = static_cast<u8>(sid >> (8 * i));
+  put_le<u64>(body, sid);
   roundtrip(h, body, sizeof body);
 }
 

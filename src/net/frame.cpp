@@ -7,19 +7,6 @@
 namespace repro::net {
 namespace {
 
-// Little-endian wire primitives (byte-portable: no host-order assumptions).
-template <typename T>
-void put_le(u8* p, T v) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) p[i] = static_cast<u8>(v >> (8 * i));
-}
-
-template <typename T>
-T get_le(const u8* p) {
-  T v = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) v |= static_cast<T>(p[i]) << (8 * i);
-  return v;
-}
-
 void put_f64(u8* p, double v) {
   u64 bits;
   std::memcpy(&bits, &v, 8);

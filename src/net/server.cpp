@@ -38,83 +38,80 @@
 namespace repro::net {
 namespace {
 
-/// net.* metric handles, resolved once (obs/metrics.hpp pattern). These are
-/// the obs-gated view; Server::Stats atomics below are always live.
-struct NetMetrics {
-  obs::Counter& connections_accepted;
-  obs::Counter& frames_rx;
-  obs::Counter& frames_tx;
-  obs::Counter& bytes_rx;
-  obs::Counter& bytes_tx;
-  obs::Counter& requests;
-  obs::Counter& errors;
-  obs::Counter& store_hits;
-  obs::Counter& store_misses;
-  obs::Counter& slow_requests;
-  obs::Counter& metrics_scrapes;
-  obs::Counter& accept_overloads;
-  obs::Gauge& connections;
-  obs::Gauge& inflight_bytes;
-  obs::Histogram& request_us;
-  obs::Histogram& compress_us;
-  obs::Histogram& decompress_us;
-  static NetMetrics& get() {
-    auto& r = obs::MetricsRegistry::global();
-    static NetMetrics m{r.counter("net.connections_accepted"),
-                        r.counter("net.frames_rx"),
-                        r.counter("net.frames_tx"),
-                        r.counter("net.bytes_rx"),
-                        r.counter("net.bytes_tx"),
-                        r.counter("net.requests"),
-                        r.counter("net.errors"),
-                        r.counter("net.store_hits"),
-                        r.counter("net.store_misses"),
-                        r.counter("net.slow_requests"),
-                        r.counter("net.metrics_scrapes"),
-                        r.counter("net.accept_overloads"),
-                        r.gauge("net.connections"),
-                        r.gauge("net.inflight_bytes"),
-                        r.histogram("net.request_us"),
-                        r.histogram("net.compress_us"),
-                        r.histogram("net.decompress_us")};
-    return m;
+/// An always-live Server::Stats count and the obs-gated registry counter
+/// that mirrors it (none when `metric` is null): one add() moves both.
+class Count {
+ public:
+  explicit Count(const char* metric = nullptr)
+      : m_(metric ? &obs::MetricsRegistry::global().counter(metric) : nullptr) {}
+  void add(u64 n = 1) {
+    v_.fetch_add(n, std::memory_order_relaxed);
+    if (m_) m_->add(n);
   }
+  u64 get() const { return v_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<u64> v_{0};
+  obs::Counter* m_;
 };
 
-/// Server-side cluster.node.* handles (the client-side cluster.* counters
-/// live in cluster/client.cpp).
-struct ClusterMetrics {
-  obs::Counter& wrong_shard;
-  obs::Counter& map_exchanges;
-  obs::Counter& map_adopted;
-  obs::Counter& health_checks;
-  static ClusterMetrics& get() {
-    auto& r = obs::MetricsRegistry::global();
-    static ClusterMetrics m{r.counter("cluster.node.wrong_shard"),
-                            r.counter("cluster.node.map_exchanges"),
-                            r.counter("cluster.node.map_adopted"),
-                            r.counter("cluster.node.health_checks")};
-    return m;
+/// An always-live level with its high-water mark, mirrored into a registry
+/// gauge. Every change re-sets the gauge from the live value, so the gauge
+/// reads what Server::Stats reads whenever observability is on.
+class Level {
+ public:
+  explicit Level(const char* metric) : m_(obs::MetricsRegistry::global().gauge(metric)) {}
+  void add(u64 n) {
+    const u64 now = v_.fetch_add(n, std::memory_order_relaxed) + n;
+    u64 p = peak_.load(std::memory_order_relaxed);
+    while (now > p && !peak_.compare_exchange_weak(p, now, std::memory_order_relaxed)) {
+    }
+    m_.set(static_cast<long long>(now));
   }
+  void sub(u64 n) {
+    m_.set(static_cast<long long>(v_.fetch_sub(n, std::memory_order_relaxed) - n));
+  }
+  u64 get() const { return v_.load(std::memory_order_relaxed); }
+  u64 peak() const { return peak_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<u64> v_{0}, peak_{0};
+  obs::Gauge& m_;
 };
 
-/// Server-side temporal.session.* handles (the per-frame temporal.* counters
-/// live in temporal/temporal.cpp).
-struct TemporalMetrics {
-  obs::Counter& sessions_opened;
-  obs::Counter& sessions_closed;
-  obs::Counter& sessions_evicted;
-  obs::Counter& stream_frames;
-  obs::Gauge& sessions;
-  static TemporalMetrics& get() {
-    auto& r = obs::MetricsRegistry::global();
-    static TemporalMetrics m{r.counter("temporal.sessions_opened"),
-                             r.counter("temporal.sessions_closed"),
-                             r.counter("temporal.sessions_evicted"),
-                             r.counter("temporal.stream_frames"),
-                             r.gauge("temporal.sessions")};
-    return m;
-  }
+/// Every event the server counts, each declared once beside the registry
+/// metric it mirrors. The Count/Level values are the STATS op's source of
+/// truth; the registry-only members below them are obs-gated.
+struct Counters {
+  Count connections_accepted{"net.connections_accepted"};
+  Level connections{"net.connections"};
+  Count frames_rx{"net.frames_rx"};
+  Count frames_tx{"net.frames_tx"};
+  Count bytes_rx{"net.bytes_rx"};
+  Count bytes_tx{"net.bytes_tx"};
+  Count requests_compress, requests_decompress, requests_other;
+  Count errors{"net.errors"};
+  Count store_hits{"net.store_hits"};
+  Count store_misses{"net.store_misses"};
+  Level inflight_bytes{"net.inflight_bytes"};
+  Count slow_requests{"net.slow_requests"};
+  Count metrics_scrapes{"net.metrics_scrapes"};
+  Count accept_overloads{"net.accept_overloads"};
+  Count wrong_shard{"cluster.node.wrong_shard"};
+  Count map_exchanges{"cluster.node.map_exchanges"};
+  Count map_adopted{"cluster.node.map_adopted"};
+  Count health_checks{"cluster.node.health_checks"};
+  Count sessions_opened{"temporal.sessions_opened"};
+  Count sessions_closed{"temporal.sessions_closed"};
+  Count sessions_evicted{"temporal.sessions_evicted"};
+  Count stream_frames{"temporal.stream_frames"};
+  Level sessions{"temporal.sessions"};
+  /// Registry only: pool dispatches (COMPRESS, DECOMPRESS, STREAM_FRAME) and latencies.
+  obs::Counter& pool_requests = obs::MetricsRegistry::global().counter("net.requests");
+  obs::Histogram& request_us = obs::MetricsRegistry::global().histogram("net.request_us");
+  obs::Histogram& compress_us = obs::MetricsRegistry::global().histogram("net.compress_us");
+  obs::Histogram& decompress_us =
+      obs::MetricsRegistry::global().histogram("net.decompress_us");
 };
 
 /// Thrown by the worker-side ownership check; turned into a typed
@@ -123,18 +120,6 @@ struct TemporalMetrics {
 struct WrongShardError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
-
-u64 rd_le64(const u8* p) {
-  u64 v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<u64>(p[i]) << (8 * i);
-  return v;
-}
-
-u32 rd_le32(const u8* p) {
-  u32 v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<u32>(p[i]) << (8 * i);
-  return v;
-}
 
 /// One temporal frame session. The encoder is stateful (closed-loop
 /// reference), so frames of a session are serialized by `m`; distinct
@@ -179,7 +164,7 @@ void test_slowdown() {
 }
 
 /// Test-only crash: PFPL_NET_TEST_CRASH_AFTER=N raises SIGSEGV inside the
-/// worker handling the Nth COMPRESS/DECOMPRESS request — the CI induced-crash
+/// worker handling the Nth pooled request — the CI induced-crash
 /// smoke uses this to exercise the crash-report path on a serving pfpld.
 /// Unset in production; the counter only exists when the env var is set.
 void test_crash() {
@@ -231,6 +216,31 @@ struct SlowRequest {
   u64 work_us = 0;   ///< worker compute time
 };
 
+/// The one writer of a slow-request row: the STATS/METRICS ring and the
+/// `slow_request` event log both render it here.
+void write_slow_row(obs::JsonWriter& w, const SlowRequest& s) {
+  w.begin_object();
+  w.kv("request_id", static_cast<unsigned long long>(s.request_id));
+  w.kv("conn", static_cast<unsigned long long>(s.conn_id));
+  w.kv("op", to_string(static_cast<Op>(s.op)));
+  w.kv("dtype", repro::to_string(static_cast<DType>(s.dtype)));
+  w.kv("payload_bytes", static_cast<unsigned long long>(s.payload_bytes));
+  w.kv("total_us", static_cast<unsigned long long>(s.total_us));
+  w.kv("wait_us", static_cast<unsigned long long>(s.wait_us));
+  w.kv("work_us", static_cast<unsigned long long>(s.work_us));
+  w.end_object();
+}
+
+/// The one success-response builder: the op (with the response bit) and the
+/// request id come from the request `h`; `echo` supplies the dtype/eb_type/
+/// eps fields the op reports back (all zero by default).
+Bytes ok_frame(const FrameHeader& h, const void* body, std::size_t n,
+               FrameHeader echo = {}) {
+  echo.op = h.op | kResponseBit;
+  echo.request_id = h.request_id;
+  return encode_frame(echo, body, n);
+}
+
 /// A connection on the plain-HTTP metrics listener. One request per
 /// connection (Connection: close); the whole exchange rides the poll loop.
 struct HttpConn {
@@ -256,7 +266,7 @@ struct Server::Impl {
   std::map<u64, std::unique_ptr<HttpConn>> http_conns;
   u64 next_conn_id = 1;
   u64 next_http_id = 1;
-  bool draining = false;
+  std::atomic<bool> draining{false};  ///< written on the loop, read by stats()
   u64 drain_deadline_ns = 0;
   u64 start_ns = now_ns();
 
@@ -292,20 +302,7 @@ struct Server::Impl {
   mutable std::mutex slow_m;
   std::vector<SlowRequest> slow;
 
-  // Always-live service counters (the STATS op's source of truth).
-  struct {
-    std::atomic<u64> connections_accepted{0}, connections_current{0};
-    std::atomic<u64> frames_rx{0}, frames_tx{0}, bytes_rx{0}, bytes_tx{0};
-    std::atomic<u64> requests_compress{0}, requests_decompress{0}, requests_other{0};
-    std::atomic<u64> errors{0}, store_hits{0}, store_misses{0};
-    std::atomic<u64> inflight_bytes{0}, peak_inflight_bytes{0};
-    std::atomic<u64> slow_requests{0}, metrics_scrapes{0};
-    std::atomic<u64> accept_overloads{0};
-    std::atomic<u64> wrong_shard{0}, map_exchanges{0}, map_adopted{0}, health_checks{0};
-    std::atomic<u64> sessions_opened{0}, sessions_closed{0}, sessions_evicted{0};
-    std::atomic<u64> stream_frames{0};
-    std::atomic<bool> draining{false};
-  } st;
+  Counters st;
 
   explicit Impl(const Options& o) : opts(o) {
     listen = tcp_listen(o.bind_host, o.port);
@@ -384,36 +381,33 @@ struct Server::Impl {
 
   Stats snapshot() const {
     Stats out;
-    out.connections_accepted = st.connections_accepted.load(std::memory_order_relaxed);
-    out.connections_current = st.connections_current.load(std::memory_order_relaxed);
-    out.frames_rx = st.frames_rx.load(std::memory_order_relaxed);
-    out.frames_tx = st.frames_tx.load(std::memory_order_relaxed);
-    out.bytes_rx = st.bytes_rx.load(std::memory_order_relaxed);
-    out.bytes_tx = st.bytes_tx.load(std::memory_order_relaxed);
-    out.requests_compress = st.requests_compress.load(std::memory_order_relaxed);
-    out.requests_decompress = st.requests_decompress.load(std::memory_order_relaxed);
-    out.requests_other = st.requests_other.load(std::memory_order_relaxed);
-    out.errors = st.errors.load(std::memory_order_relaxed);
-    out.store_hits = st.store_hits.load(std::memory_order_relaxed);
-    out.store_misses = st.store_misses.load(std::memory_order_relaxed);
-    out.inflight_bytes = st.inflight_bytes.load(std::memory_order_relaxed);
-    out.peak_inflight_bytes = st.peak_inflight_bytes.load(std::memory_order_relaxed);
-    out.slow_requests = st.slow_requests.load(std::memory_order_relaxed);
-    out.metrics_scrapes = st.metrics_scrapes.load(std::memory_order_relaxed);
-    out.accept_overloads = st.accept_overloads.load(std::memory_order_relaxed);
-    out.wrong_shard = st.wrong_shard.load(std::memory_order_relaxed);
-    out.map_exchanges = st.map_exchanges.load(std::memory_order_relaxed);
-    out.map_adopted = st.map_adopted.load(std::memory_order_relaxed);
-    out.health_checks = st.health_checks.load(std::memory_order_relaxed);
-    out.sessions_opened = st.sessions_opened.load(std::memory_order_relaxed);
-    out.sessions_closed = st.sessions_closed.load(std::memory_order_relaxed);
-    out.sessions_evicted = st.sessions_evicted.load(std::memory_order_relaxed);
-    out.stream_frames = st.stream_frames.load(std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lk(sess_m);
-      out.sessions_current = sessions.size();
-    }
-    out.draining = st.draining.load(std::memory_order_relaxed);
+    out.connections_accepted = st.connections_accepted.get();
+    out.connections_current = st.connections.get();
+    out.frames_rx = st.frames_rx.get();
+    out.frames_tx = st.frames_tx.get();
+    out.bytes_rx = st.bytes_rx.get();
+    out.bytes_tx = st.bytes_tx.get();
+    out.requests_compress = st.requests_compress.get();
+    out.requests_decompress = st.requests_decompress.get();
+    out.requests_other = st.requests_other.get();
+    out.errors = st.errors.get();
+    out.store_hits = st.store_hits.get();
+    out.store_misses = st.store_misses.get();
+    out.inflight_bytes = st.inflight_bytes.get();
+    out.peak_inflight_bytes = st.inflight_bytes.peak();
+    out.slow_requests = st.slow_requests.get();
+    out.metrics_scrapes = st.metrics_scrapes.get();
+    out.accept_overloads = st.accept_overloads.get();
+    out.wrong_shard = st.wrong_shard.get();
+    out.map_exchanges = st.map_exchanges.get();
+    out.map_adopted = st.map_adopted.get();
+    out.health_checks = st.health_checks.get();
+    out.sessions_opened = st.sessions_opened.get();
+    out.sessions_closed = st.sessions_closed.get();
+    out.sessions_evicted = st.sessions_evicted.get();
+    out.sessions_current = st.sessions.get();
+    out.stream_frames = st.stream_frames.get();
+    out.draining = draining.load(std::memory_order_relaxed);
     return out;
   }
 
@@ -425,29 +419,17 @@ struct Server::Impl {
     return it == sessions.end() ? nullptr : it->second;
   }
 
-  void note_sessions_gauge() {
-    std::size_t n;
-    {
-      std::lock_guard<std::mutex> lk(sess_m);
-      n = sessions.size();
-    }
-    TemporalMetrics::get().sessions.set(static_cast<long long>(n));
-  }
-
-  /// Evict sessions idle past opts.session_idle_ms (loop thread, time-gated
-  /// to one sweep per ~500 ms).
-  void evict_idle_sessions() {
-    if (opts.session_idle_ms <= 0) return;
+  /// Loop thread: erase every session idle for longer than `idle_ns`, or every
+  /// session when `idle_ns` is 0 (drain); both count as evicted.
+  void evict_sessions(u64 idle_ns) {
     const u64 now = now_ns();
-    if (now - last_session_sweep_ns < 500'000'000ull) return;
-    last_session_sweep_ns = now;
-    const u64 limit = static_cast<u64>(opts.session_idle_ms) * 1'000'000ull;
     std::size_t evicted = 0;
     {
       std::lock_guard<std::mutex> lk(sess_m);
       for (auto it = sessions.begin(); it != sessions.end();) {
+        // A worker may stamp last_active after `now` was read: never idle.
         const u64 last = it->second->last_active_ns.load(std::memory_order_relaxed);
-        if (now - last > limit) {
+        if (idle_ns == 0 || (last < now && now - last > idle_ns)) {
           it = sessions.erase(it);
           ++evicted;
         } else {
@@ -456,26 +438,19 @@ struct Server::Impl {
       }
     }
     if (evicted) {
-      st.sessions_evicted.fetch_add(evicted, std::memory_order_relaxed);
-      TemporalMetrics::get().sessions_evicted.add(evicted);
-      note_sessions_gauge();
+      st.sessions_evicted.add(evicted);
+      st.sessions.sub(evicted);
     }
   }
 
-  /// Drain: every live session dies (counted as evicted); later frames get
-  /// BadSession, new opens get Draining.
-  void kill_all_sessions() {
-    std::size_t killed = 0;
-    {
-      std::lock_guard<std::mutex> lk(sess_m);
-      killed = sessions.size();
-      sessions.clear();
-    }
-    if (killed) {
-      st.sessions_evicted.fetch_add(killed, std::memory_order_relaxed);
-      TemporalMetrics::get().sessions_evicted.add(killed);
-      note_sessions_gauge();
-    }
+  /// Idle eviction past opts.session_idle_ms, time-gated to one sweep per
+  /// ~500 ms.
+  void evict_idle_sessions() {
+    if (opts.session_idle_ms <= 0) return;
+    const u64 now = now_ns();
+    if (now - last_session_sweep_ns < 500'000'000ull) return;
+    last_session_sweep_ns = now;
+    evict_sessions(static_cast<u64>(opts.session_idle_ms) * 1'000'000ull);
   }
 
   /// Per-session STATS rows (id, frame counts, age/idle).
@@ -611,18 +586,7 @@ struct Server::Impl {
     std::lock_guard<std::mutex> lk(slow_m);
     obs::JsonWriter w;
     w.begin_array();
-    for (const SlowRequest& s : slow) {
-      w.begin_object();
-      w.kv("request_id", static_cast<unsigned long long>(s.request_id));
-      w.kv("conn", static_cast<unsigned long long>(s.conn_id));
-      w.kv("op", to_string(static_cast<Op>(s.op)));
-      w.kv("dtype", static_cast<unsigned long long>(s.dtype));
-      w.kv("payload_bytes", static_cast<unsigned long long>(s.payload_bytes));
-      w.kv("total_us", static_cast<unsigned long long>(s.total_us));
-      w.kv("wait_us", static_cast<unsigned long long>(s.wait_us));
-      w.kv("work_us", static_cast<unsigned long long>(s.work_us));
-      w.end_object();
-    }
+    for (const SlowRequest& s : slow) write_slow_row(w, s);
     w.end_array();
     return w.take();
   }
@@ -653,8 +617,7 @@ struct Server::Impl {
                     ? (comp.work_start_ns - comp.t0_ns) / 1000
                     : 0;
     s.work_us = comp.work_ns / 1000;
-    st.slow_requests.fetch_add(1, std::memory_order_relaxed);
-    NetMetrics::get().slow_requests.add(1);
+    st.slow_requests.add(1);
     {
       std::lock_guard<std::mutex> lk(slow_m);
       auto pos = std::lower_bound(
@@ -672,50 +635,9 @@ struct Server::Impl {
     obs::EventLog& log = obs::EventLog::global();
     if (log.would_log(obs::LogLevel::Warn)) {
       obs::JsonWriter w;
-      w.begin_object();
-      w.kv("request_id", static_cast<unsigned long long>(s.request_id));
-      w.kv("conn", static_cast<unsigned long long>(s.conn_id));
-      w.kv("op", to_string(static_cast<Op>(s.op)));
-      w.kv("dtype", static_cast<unsigned long long>(s.dtype));
-      w.kv("payload_bytes", static_cast<unsigned long long>(s.payload_bytes));
-      w.kv("total_us", static_cast<unsigned long long>(s.total_us));
-      w.kv("wait_us", static_cast<unsigned long long>(s.wait_us));
-      w.kv("work_us", static_cast<unsigned long long>(s.work_us));
-      w.end_object();
+      write_slow_row(w, s);
       log.emit(obs::LogLevel::Warn, "slow_request", w.take());
     }
-  }
-
-  /// Per-request store outcome, from worker threads (atomics only).
-  void note_store_lookup(const store::ChunkStore* cs, bool hit) {
-    if (!cs) return;
-    NetMetrics& m = NetMetrics::get();
-    if (hit) {
-      st.store_hits.fetch_add(1, std::memory_order_relaxed);
-      m.store_hits.add(1);
-    } else {
-      st.store_misses.fetch_add(1, std::memory_order_relaxed);
-      m.store_misses.add(1);
-    }
-  }
-
-  // -- in-flight accounting ------------------------------------------------
-
-  void inflight_add(Connection& c, std::size_t n) {
-    c.inflight += n;
-    const u64 total = st.inflight_bytes.fetch_add(n, std::memory_order_relaxed) + n;
-    u64 peak = st.peak_inflight_bytes.load(std::memory_order_relaxed);
-    while (total > peak &&
-           !st.peak_inflight_bytes.compare_exchange_weak(peak, total,
-                                                         std::memory_order_relaxed)) {
-    }
-    NetMetrics::get().inflight_bytes.set(static_cast<long long>(total));
-  }
-
-  void inflight_release(Connection& c, std::size_t n) {
-    c.inflight -= std::min(n, c.inflight);
-    const u64 total = st.inflight_bytes.fetch_sub(n, std::memory_order_relaxed) - n;
-    NetMetrics::get().inflight_bytes.set(static_cast<long long>(total));
   }
 
   bool paused(const Connection& c) const {
@@ -725,17 +647,19 @@ struct Server::Impl {
   // -- responses -----------------------------------------------------------
 
   void queue_response(Connection& c, Bytes frame, bool is_error) {
-    st.frames_tx.fetch_add(1, std::memory_order_relaxed);
-    if (is_error) st.errors.fetch_add(1, std::memory_order_relaxed);
-    NetMetrics& m = NetMetrics::get();
-    m.frames_tx.add(1);
-    if (is_error) m.errors.add(1);
+    st.frames_tx.add(1);
+    if (is_error) st.errors.add(1);
     c.outq.push_back(std::move(frame));
   }
 
-  void queue_error(Connection& c, u64 request_id, u8 op, Status stc,
+  void queue_error(Connection& c, const FrameHeader& h, Status stc,
                    const std::string& text) {
-    queue_response(c, encode_error_frame(request_id, op, stc, text), /*is_error=*/true);
+    queue_response(c, encode_error_frame(h.request_id, h.op, stc, text), /*is_error=*/true);
+  }
+
+  void reply(Connection& c, const FrameHeader& h, const void* body = nullptr,
+             std::size_t n = 0, const FrameHeader& echo = {}) {
+    queue_response(c, ok_frame(h, body, n, echo), /*is_error=*/false);
   }
 
   /// Flush as much of the out-queue as the socket accepts right now.
@@ -747,8 +671,7 @@ struct Server::Impl {
                                   front.size() - c.out_off, MSG_NOSIGNAL);
         if (rc > 0) {
           c.out_off += static_cast<std::size_t>(rc);
-          st.bytes_tx.fetch_add(static_cast<u64>(rc), std::memory_order_relaxed);
-          NetMetrics::get().bytes_tx.add(static_cast<u64>(rc));
+          st.bytes_tx.add(static_cast<u64>(rc));
           continue;
         }
         if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
@@ -766,547 +689,437 @@ struct Server::Impl {
 
   // -- request handling ----------------------------------------------------
 
-  void dispatch(Connection& c, Frame&& f) {
-    if (f.header.base_op() == static_cast<u8>(Op::StreamFrame)) {
-      // Deferred frames come back through dispatch() (pump's un-park path),
-      // so the stream branch lives here, not in handle_frame.
-      dispatch_stream(c, std::move(f));
-      return;
-    }
-    const FrameHeader h = f.header;
-    const std::size_t n = f.payload.size();
-    inflight_add(c, n);
-    NetMetrics::get().requests.add(1);
-    auto payload = std::make_shared<Bytes>(std::move(f.payload));
-    const pfpl::Executor exec = opts.exec;
-    store::ChunkStore* cs = opts.store.get();  // opts outlives the pool
-    const u64 conn_id = c.id;
-    const u64 t0 = now_ns();
-    ClusterView cv = cluster_view();  // immutable snapshot for the worker
-    Impl* self = this;
-    // The submit below runs under handle_frame's TraceContext scope, so the
-    // pool captures h.request_id into the task and re-installs it around
-    // execution — every span the worker opens is tagged with the request.
-    pool->submit([self, payload, h, exec, cs, conn_id, t0, n, cv = std::move(cv)] {
-      Completion comp;
-      comp.conn_id = conn_id;
-      comp.release = n;
-      comp.t0_ns = t0;
-      comp.work_start_ns = now_ns();
-      comp.request_id = h.request_id;
-      comp.op = h.base_op();
-      comp.dtype = h.dtype;
-      // Belt and braces: tag the worker explicitly too, so the request
-      // scoping survives even if the task ran on a path that did not thread
-      // the pool's captured context (e.g. obs was flipped on mid-request).
-      obs::TraceContext::Scope trace_ctx(h.request_id);
-      obs::ScopedSpan work_span(h.base_op() == static_cast<u8>(Op::Compress)
-                                    ? "net.work.compress"
-                                    : "net.work.decompress");
-      try {
-        test_slowdown();
-        test_crash();
-        if (cv.map) {
-          // Cluster mode: answer only for keys this node owns under its
-          // current map epoch. Refusals are cheap (one hash over the
-          // payload) and typed, so a stale client can recover by
-          // refetching the map instead of polluting the wrong shard.
-          const common::Hash128 key =
-              h.base_op() == static_cast<u8>(Op::Compress)
-                  ? store::compress_key(payload->data(), payload->size(),
-                                        static_cast<DType>(h.dtype),
-                                        static_cast<EbType>(h.eb_type), h.eps)
-                  : store::decompress_key(payload->data(), payload->size());
-          if (!cv.map->owns(key, cv.self)) {
-            self->st.wrong_shard.fetch_add(1, std::memory_order_relaxed);
-            ClusterMetrics::get().wrong_shard.add(1);
-            throw WrongShardError("key " + key.hex() + " is not owned by node '" +
-                                  cv.node_id + "' at shard-map epoch " +
-                                  std::to_string(cv.map->epoch()));
-          }
-        }
-        if (h.base_op() == static_cast<u8>(Op::Compress)) {
-          // COMPRESS with --store goes through the ingest dedup probe: a
-          // duplicate payload answers straight from the store (byte-identical
-          // by key construction) and skips the compressor entirely.
-          Bytes stream;
-          common::Hash128 key{};
-          bool hit = false;
-          if (cs) {
-            const ingest::ProbeResult pr = ingest::probe_compress(
-                *cs, payload->data(), payload->size(), static_cast<DType>(h.dtype),
-                static_cast<EbType>(h.eb_type), h.eps, stream);
-            key = pr.key;
-            hit = pr.hit;
-          }
-          if (!hit) {
-            Field field = h.dtype == static_cast<u8>(DType::F64)
-                              ? Field(reinterpret_cast<const double*>(payload->data()),
-                                      payload->size() / 8)
-                              : Field(reinterpret_cast<const float*>(payload->data()),
-                                      payload->size() / 4);
-            pfpl::Params params{h.eps, static_cast<EbType>(h.eb_type), exec};
-            stream = pfpl::compress(field, params);
-            if (cs)
-              cs->put(key, stream,
-                      store::ChunkMeta{static_cast<DType>(h.dtype),
-                                       static_cast<EbType>(h.eb_type), h.eps,
-                                       payload->size()});
-          }
-          self->note_store_lookup(cs, hit);
-          FrameHeader rh;
-          rh.op = h.op | kResponseBit;
-          rh.request_id = h.request_id;
-          rh.dtype = h.dtype;
-          rh.eb_type = h.eb_type;
-          rh.eps = h.eps;
-          comp.frame = encode_frame(rh, stream);
-        } else {
-          pfpl::Header sh = pfpl::peek_header(*payload);
-          const common::Hash128 key =
-              cs ? store::decompress_key(payload->data(), payload->size())
-                 : common::Hash128{};
-          Bytes raw;
-          const bool hit = cs && cs->get(key, raw);
-          if (!hit) {
-            raw = pfpl::decompress(*payload, exec);
-            if (cs)
-              cs->put(key, raw,
-                      store::ChunkMeta{sh.dtype, sh.eb_type, sh.eps, raw.size()});
-          }
-          self->note_store_lookup(cs, hit);
-          FrameHeader rh;
-          rh.op = h.op | kResponseBit;
-          rh.request_id = h.request_id;
-          rh.dtype = static_cast<u8>(sh.dtype);
-          rh.eb_type = static_cast<u8>(sh.eb_type);
-          rh.eps = sh.eps;
-          comp.frame = encode_frame(rh, raw.data(), raw.size());
-        }
-      } catch (const WrongShardError& e) {
-        comp.frame =
-            encode_error_frame(h.request_id, h.op, Status::WrongShard, e.what());
-        comp.is_error = true;
-      } catch (const std::exception& e) {
-        comp.frame = encode_error_frame(h.request_id, h.op, Status::CompressFailed,
-                                        e.what());
-        comp.is_error = true;
-      }
-      comp.work_ns = now_ns() - comp.work_start_ns;
-      {
-        std::lock_guard<std::mutex> lk(self->comp_m);
-        self->completions.push_back(std::move(comp));
-      }
-      self->wake();
-    });
+  /// Per-op policy. `handle` runs on the loop thread after the shared
+  /// prologue in handle_frame(); pooled ops validate there and admit(), and
+  /// `dispatch` hands an admitted (or un-parked) frame to the pool.
+  struct OpRow {
+    Op op;
+    Count Counters::*bucket;      ///< always-live requests_* count, on arrival
+    bool refused_while_draining;  ///< a draining server answers Draining
+    void (Impl::*handle)(Connection&, Frame&);
+    void (Impl::*dispatch)(Connection&, Frame&);
+  };
+
+  static const OpRow* op_row(u8 op) {
+    static constexpr OpRow kOps[] = {
+        {Op::Compress, &Counters::requests_compress, true, &Impl::on_compress,
+         &Impl::run_compress},
+        {Op::Decompress, &Counters::requests_decompress, true, &Impl::on_decompress,
+         &Impl::run_decompress},
+        {Op::Stats, &Counters::requests_other, false, &Impl::on_stats, nullptr},
+        {Op::Ping, &Counters::requests_other, false, &Impl::on_ping, nullptr},
+        {Op::Shutdown, &Counters::requests_other, false, &Impl::on_shutdown, nullptr},
+        {Op::Metrics, &Counters::requests_other, false, &Impl::on_metrics, nullptr},
+        {Op::ShardMap, &Counters::requests_other, false, &Impl::on_shardmap, nullptr},
+        {Op::Health, &Counters::requests_other, false, &Impl::on_health, nullptr},
+        {Op::StreamOpen, &Counters::requests_other, true, &Impl::on_stream_open,
+         nullptr},
+        {Op::StreamFrame, &Counters::requests_other, true, &Impl::on_stream_frame,
+         &Impl::run_stream_frame},
+        {Op::StreamClose, &Counters::requests_other, false, &Impl::on_stream_close,
+         nullptr},
+    };
+    for (const OpRow& r : kOps)
+      if (static_cast<u8>(r.op) == op) return &r;
+    return nullptr;
   }
 
-  /// STREAM_FRAME: resolve the session on the loop thread (it may have been
-  /// idle-evicted while the frame was parked), then encode on the pool.
-  /// Frames of one session serialize on the session mutex; distinct sessions
-  /// encode concurrently.
-  void dispatch_stream(Connection& c, Frame&& f) {
-    const FrameHeader h = f.header;
-    const std::size_t n = f.payload.size();
-    const u64 sid = rd_le64(f.payload.data());
-    std::shared_ptr<StreamSession> sess = find_session(sid);
-    if (!sess) {
-      queue_error(c, h.request_id, h.op, Status::BadSession,
-                  "unknown session " + std::to_string(sid) +
-                      " (evicted or never opened) — reopen and resume");
-      return;
-    }
-    if (n != 16 + sess->cfg.frame_bytes()) {
-      queue_error(c, h.request_id, h.op, Status::BadParams,
-                  "frame payload is " + std::to_string(n - 16) + " bytes, session " +
-                      std::to_string(sid) + " expects " +
-                      std::to_string(sess->cfg.frame_bytes()));
-      return;
-    }
-    inflight_add(c, n);
-    st.stream_frames.fetch_add(1, std::memory_order_relaxed);
-    TemporalMetrics::get().stream_frames.add(1);
-    NetMetrics::get().requests.add(1);
-    auto payload = std::make_shared<Bytes>(std::move(f.payload));
-    const u64 conn_id = c.id;
-    const u64 t0 = now_ns();
-    Impl* self = this;
-    pool->submit([self, payload, h, sess = std::move(sess), conn_id, t0, n] {
-      Completion comp;
-      comp.conn_id = conn_id;
-      comp.release = n;
-      comp.t0_ns = t0;
-      comp.work_start_ns = now_ns();
-      comp.request_id = h.request_id;
-      comp.op = h.base_op();
-      comp.dtype = static_cast<u8>(sess->cfg.dtype);
-      obs::TraceContext::Scope trace_ctx(h.request_id);
-      obs::ScopedSpan work_span("net.work.stream_frame");
-      const u64 fidx = rd_le64(payload->data() + 8);
-      try {
-        test_slowdown();
-        std::lock_guard<std::mutex> lk(sess->m);
-        if (sess->started && fidx != sess->expected_index)
-          throw CompressionError("out-of-order frame index " + std::to_string(fidx) +
-                                 " (session expects " +
-                                 std::to_string(sess->expected_index) + ")");
-        Field field = sess->cfg.dtype == DType::F64
-                          ? Field(reinterpret_cast<const double*>(payload->data() + 16),
-                                  sess->cfg.frame_values())
-                          : Field(reinterpret_cast<const float*>(payload->data() + 16),
-                                  sess->cfg.frame_values());
-        const temporal::EncodedFrame ef = sess->enc.encode(field, fidx);
-        sess->started = true;
-        sess->expected_index = fidx + 1;
-        sess->last_active_ns.store(now_ns(), std::memory_order_relaxed);
-        sess->frames.fetch_add(1, std::memory_order_relaxed);
-        (ef.type == temporal::FrameType::Intra ? sess->iframes : sess->pframes)
-            .fetch_add(1, std::memory_order_relaxed);
-        FrameHeader rh;
-        rh.op = h.op | kResponseBit;
-        rh.request_id = h.request_id;
-        rh.dtype = static_cast<u8>(sess->cfg.dtype);
-        rh.eb_type = static_cast<u8>(sess->cfg.eb);
-        rh.eps = sess->cfg.eps;
-        comp.frame = encode_frame(rh, temporal::encode_frame_record(ef));
-      } catch (const std::exception& e) {
-        comp.frame = encode_error_frame(h.request_id, h.op, Status::CompressFailed,
-                                        e.what());
-        comp.is_error = true;
-      }
-      comp.work_ns = now_ns() - comp.work_start_ns;
-      {
-        std::lock_guard<std::mutex> lk(self->comp_m);
-        self->completions.push_back(std::move(comp));
-      }
-      self->wake();
-    });
-  }
-
-  /// Admit a validated COMPRESS/DECOMPRESS request against the per-conn
-  /// budget: dispatch now, or park it (which pauses reads) until in-flight
-  /// bytes drop. An oversized single request is admitted alone.
-  void admit(Connection& c, Frame&& f) {
-    const std::size_t n = f.payload.size();
-    if (!c.deferred.empty() ||
-        (c.inflight != 0 && c.inflight + n > opts.max_inflight_bytes)) {
-      c.deferred.push_back(std::move(f));
-      return;
-    }
-    dispatch(c, std::move(f));
-  }
-
-  void handle_frame(Connection& c, Frame&& f) {
+  void handle_frame(Connection& c, Frame& f) {
     const FrameHeader& h = f.header;
     // Request-scoped tracing starts here: everything on the loop (validation,
     // dispatch/enqueue) and — via the pool's context capture — everything in
     // the worker runs under this request id.
     obs::TraceContext::Scope trace_ctx(h.request_id);
     OBS_SPAN("net.handle_frame");
-    st.frames_rx.fetch_add(1, std::memory_order_relaxed);
-    NetMetrics::get().frames_rx.add(1);
-    if (h.is_response() || h.status != 0) {
-      queue_error(c, h.request_id, h.op, Status::BadFrame,
-                  "expected a request frame");
+    st.frames_rx.add(1);
+    if (h.is_response() || h.status != 0)
+      return queue_error(c, h, Status::BadFrame, "expected a request frame");
+    const OpRow* row = op_row(h.base_op());
+    if (!row)
+      return queue_error(c, h, Status::BadFrame,
+                         "unsupported op " + std::to_string(h.base_op()));
+    (st.*row->bucket).add(1);
+    if (draining && row->refused_while_draining)
+      return queue_error(c, h, Status::Draining, "server is draining");
+    (this->*row->handle)(c, f);
+  }
+
+  /// Admit a validated pooled request against the per-conn budget: dispatch
+  /// now, or park it (which pauses reads) until in-flight bytes drop. An
+  /// oversized single request is admitted alone.
+  void admit(Connection& c, Frame& f) {
+    const std::size_t n = f.payload.size();
+    if (!c.deferred.empty() ||
+        (c.inflight != 0 && c.inflight + n > opts.max_inflight_bytes)) {
+      c.deferred.push_back(std::move(f));
       return;
     }
-    switch (static_cast<Op>(h.base_op())) {
-      case Op::Ping: {
-        st.requests_other.fetch_add(1, std::memory_order_relaxed);
-        FrameHeader rh;
-        rh.op = h.op | kResponseBit;
-        rh.request_id = h.request_id;
-        queue_response(c, encode_frame(rh, f.payload), /*is_error=*/false);
-        return;
+    dispatch(c, f);
+  }
+
+  void dispatch(Connection& c, Frame& f) {
+    (this->*op_row(f.header.base_op())->dispatch)(c, f);
+  }
+
+  /// The one worker harness. Charges the frame's payload to the connection's
+  /// in-flight budget and runs `body(payload)` on the pool; `body` returns
+  /// the response frame. Everything around it — trace scope and work span,
+  /// the test hooks, the typed error frames, timing, and the hand-back to the
+  /// loop through the completion queue — lives here.
+  template <typename Body>
+  void run_pooled(Connection& c, Frame& f, const char* span, u8 dtype, Body body) {
+    Completion comp;
+    comp.conn_id = c.id;
+    comp.release = f.payload.size();
+    comp.t0_ns = now_ns();
+    comp.request_id = f.header.request_id;
+    comp.op = f.header.base_op();
+    comp.dtype = dtype;
+    c.inflight += comp.release;
+    st.inflight_bytes.add(comp.release);
+    st.pool_requests.add(1);
+    // Straight from handle_frame the submit runs under its TraceContext scope
+    // and the pool re-installs that id around the task. An un-parked frame
+    // (pump) has no scope here, and obs may be flipped on mid-request, so the
+    // worker also tags itself: every span it opens carries the request id.
+    pool->submit([this, comp, span, payload = std::move(f.payload),
+                  body = std::move(body)]() mutable {
+      comp.work_start_ns = now_ns();
+      obs::TraceContext::Scope trace_ctx(comp.request_id);
+      obs::ScopedSpan work_span(span);
+      try {
+        test_slowdown();
+        test_crash();
+        comp.frame = body(payload);
+      } catch (const WrongShardError& e) {
+        comp.frame = encode_error_frame(comp.request_id, comp.op, Status::WrongShard,
+                                        e.what());
+        comp.is_error = true;
+      } catch (const std::exception& e) {
+        comp.frame = encode_error_frame(comp.request_id, comp.op,
+                                        Status::CompressFailed, e.what());
+        comp.is_error = true;
       }
-      case Op::Stats: {
-        st.requests_other.fetch_add(1, std::memory_order_relaxed);
-        const std::string json = stats_json();
-        FrameHeader rh;
-        rh.op = h.op | kResponseBit;
-        rh.request_id = h.request_id;
-        queue_response(c, encode_frame(rh, json.data(), json.size()),
-                       /*is_error=*/false);
-        return;
+      comp.work_ns = now_ns() - comp.work_start_ns;
+      {
+        std::lock_guard<std::mutex> lk(comp_m);
+        completions.push_back(std::move(comp));
       }
-      case Op::Shutdown: {
-        st.requests_other.fetch_add(1, std::memory_order_relaxed);
-        FrameHeader rh;
-        rh.op = h.op | kResponseBit;
-        rh.request_id = h.request_id;
-        queue_response(c, encode_frame(rh, nullptr, 0), /*is_error=*/false);
-        begin_drain();
-        return;
+      wake();
+    });
+  }
+
+  /// Cluster mode: answer only for keys this node owns under its current map
+  /// epoch. Refusals are cheap (one hash over the payload) and typed, so a
+  /// stale client can recover by refetching the map instead of polluting the
+  /// wrong shard.
+  void check_owner(const ClusterView& cv, const common::Hash128& key) {
+    if (cv.map->owns(key, cv.self)) return;
+    st.wrong_shard.add(1);
+    throw WrongShardError("key " + key.hex() + " is not owned by node '" + cv.node_id +
+                          "' at shard-map epoch " + std::to_string(cv.map->epoch()));
+  }
+
+  void on_compress(Connection& c, Frame& f) {
+    const FrameHeader& h = f.header;
+    if (h.dtype > 1 || h.eb_type > 2)
+      return queue_error(c, h, Status::BadParams, "unknown dtype/eb_type");
+    const std::size_t scalar = dtype_size(static_cast<DType>(h.dtype));
+    if (f.payload.empty() || f.payload.size() % scalar != 0)
+      return queue_error(c, h, Status::BadParams,
+                         "payload size is not a positive multiple of the scalar size");
+    if (!std::isfinite(h.eps))
+      return queue_error(c, h, Status::BadParams, "eps is not finite");
+    admit(c, f);
+  }
+
+  void run_compress(Connection& c, Frame& f) {
+    const FrameHeader h = f.header;
+    run_pooled(c, f, "net.work.compress", h.dtype,
+               [this, h, cv = cluster_view()](const Bytes& in) {
+      const auto dtype = static_cast<DType>(h.dtype);
+      const auto eb = static_cast<EbType>(h.eb_type);
+      if (cv.map)
+        check_owner(cv, store::compress_key(in.data(), in.size(), dtype, eb, h.eps));
+      // COMPRESS with --store goes through the ingest dedup probe: a
+      // duplicate payload answers straight from the store (byte-identical by
+      // key construction) and skips the compressor entirely.
+      store::ChunkStore* cs = opts.store.get();  // opts outlives the pool
+      Bytes stream;
+      ingest::ProbeResult pr;
+      if (cs)
+        pr = ingest::probe_compress(*cs, in.data(), in.size(), dtype, eb, h.eps, stream);
+      if (!pr.hit) {
+        const Field field =
+            dtype == DType::F64
+                ? Field(reinterpret_cast<const double*>(in.data()), in.size() / 8)
+                : Field(reinterpret_cast<const float*>(in.data()), in.size() / 4);
+        stream = pfpl::compress(field, pfpl::Params{h.eps, eb, opts.exec});
+        if (cs) cs->put(pr.key, stream, store::ChunkMeta{dtype, eb, h.eps, in.size()});
       }
-      case Op::Metrics: {
-        st.requests_other.fetch_add(1, std::memory_order_relaxed);
-        const std::string fmt(f.payload.begin(), f.payload.end());
-        std::string doc;
-        if (fmt == "prom") {
-          doc = obs::prometheus_text();
-        } else if (fmt.empty() || fmt == "json") {
-          doc = metrics_doc();
-        } else if (fmt == "history") {
-          doc = obs::FlightRecorder::global().history_json();
-        } else {
-          queue_error(c, h.request_id, h.op, Status::BadParams,
-                      "unknown metrics format '" + fmt + "'");
-          return;
-        }
-        st.metrics_scrapes.fetch_add(1, std::memory_order_relaxed);
-        NetMetrics::get().metrics_scrapes.add(1);
-        FrameHeader rh;
-        rh.op = h.op | kResponseBit;
-        rh.request_id = h.request_id;
-        queue_response(c, encode_frame(rh, doc.data(), doc.size()),
-                       /*is_error=*/false);
-        return;
+      if (cs) (pr.hit ? st.store_hits : st.store_misses).add(1);
+      return ok_frame(h, stream.data(), stream.size(), h);
+    });
+  }
+
+  void on_decompress(Connection& c, Frame& f) {
+    if (f.payload.empty())
+      return queue_error(c, f.header, Status::BadParams, "empty stream");
+    admit(c, f);
+  }
+
+  void run_decompress(Connection& c, Frame& f) {
+    const FrameHeader h = f.header;
+    run_pooled(c, f, "net.work.decompress", h.dtype,
+               [this, h, cv = cluster_view()](const Bytes& in) {
+      store::ChunkStore* cs = opts.store.get();
+      const common::Hash128 key = cs || cv.map
+                                      ? store::decompress_key(in.data(), in.size())
+                                      : common::Hash128{};
+      if (cv.map) check_owner(cv, key);
+      const pfpl::Header sh = pfpl::peek_header(in);
+      Bytes raw;
+      const bool hit = cs && cs->get(key, raw);
+      if (!hit) {
+        raw = pfpl::decompress(in, opts.exec);
+        if (cs)
+          cs->put(key, raw, store::ChunkMeta{sh.dtype, sh.eb_type, sh.eps, raw.size()});
       }
-      case Op::ShardMap: {
-        st.requests_other.fetch_add(1, std::memory_order_relaxed);
-        ClusterView cv = cluster_view();
-        if (!cv.map) {
-          queue_error(c, h.request_id, h.op, Status::BadParams,
-                      "server is not in a cluster");
-          return;
-        }
-        if (!f.payload.empty()) {
-          // Exchange: the caller sent its own map. Adopt it when it is a
-          // newer generation of the same cluster; either way the response
-          // below carries our (possibly just-updated) map.
-          cluster::ShardMap theirs;
-          try {
-            theirs = cluster::ShardMap::parse(f.payload);
-          } catch (const CompressionError& e) {
-            queue_error(c, h.request_id, h.op, Status::BadParams, e.what());
-            return;
-          }
-          if (theirs.cluster_id() != cv.map->cluster_id()) {
-            queue_error(c, h.request_id, h.op, Status::BadParams,
-                        "cluster id mismatch ('" + theirs.cluster_id() + "' vs '" +
-                            cv.map->cluster_id() + "')");
-            return;
-          }
-          bool adopted = false;
-          u64 old_epoch = 0;
-          {
-            std::lock_guard<std::mutex> lk(map_m);
-            if (theirs.epoch() > map->epoch()) {
-              old_epoch = map->epoch();
-              map = std::make_shared<cluster::ShardMap>(std::move(theirs));
-              self_index = map->find_node(node_id);
-              adopted = true;
-            }
-            cv.map = map;
-            cv.self = self_index;
-          }
-          if (adopted) {
-            st.map_adopted.fetch_add(1, std::memory_order_relaxed);
-            ClusterMetrics::get().map_adopted.add(1);
-            obs::EventLog& log = obs::EventLog::global();
-            if (log.would_log(obs::LogLevel::Info)) {
-              obs::JsonWriter w;
-              w.begin_object();
-              w.kv("epoch_old", static_cast<unsigned long long>(old_epoch));
-              w.kv("epoch_new", static_cast<unsigned long long>(cv.map->epoch()));
-              w.kv("nodes", static_cast<unsigned long long>(cv.map->size()));
-              w.kv("self_index", cv.self);
-              w.end_object();
-              log.emit(obs::LogLevel::Info, "shard_map_adopted", w.take());
-            }
-          }
-        }
-        st.map_exchanges.fetch_add(1, std::memory_order_relaxed);
-        ClusterMetrics::get().map_exchanges.add(1);
-        const Bytes body = cv.map->serialize();
-        FrameHeader rh;
-        rh.op = h.op | kResponseBit;
-        rh.request_id = h.request_id;
-        queue_response(c, encode_frame(rh, body), /*is_error=*/false);
-        return;
+      if (cs) (hit ? st.store_hits : st.store_misses).add(1);
+      FrameHeader echo;
+      echo.dtype = static_cast<u8>(sh.dtype);
+      echo.eb_type = static_cast<u8>(sh.eb_type);
+      echo.eps = sh.eps;
+      return ok_frame(h, raw.data(), raw.size(), echo);
+    });
+  }
+
+  void on_stream_frame(Connection& c, Frame& f) {
+    if (f.payload.size() < 16)
+      return queue_error(c, f.header, Status::BadParams,
+                         "STREAM_FRAME payload must carry u64 session id + u64 "
+                         "frame index + raw scalars");
+    admit(c, f);
+  }
+
+  /// STREAM_FRAME: resolve the session on the loop thread (it may have been
+  /// idle-evicted while the frame was parked), then encode on the pool.
+  /// Frames of one session serialize on the session mutex; distinct sessions
+  /// encode concurrently.
+  void run_stream_frame(Connection& c, Frame& f) {
+    const FrameHeader h = f.header;
+    const u64 sid = get_le<u64>(f.payload.data());
+    std::shared_ptr<StreamSession> sess = find_session(sid);
+    if (!sess)
+      return queue_error(c, h, Status::BadSession,
+                         "unknown session " + std::to_string(sid) +
+                             " (evicted or never opened) — reopen and resume");
+    if (f.payload.size() != 16 + sess->cfg.frame_bytes())
+      return queue_error(c, h, Status::BadParams,
+                         "frame payload is " + std::to_string(f.payload.size() - 16) +
+                             " bytes, session " + std::to_string(sid) + " expects " +
+                             std::to_string(sess->cfg.frame_bytes()));
+    st.stream_frames.add(1);
+    const u8 dtype = static_cast<u8>(sess->cfg.dtype);
+    run_pooled(c, f, "net.work.stream_frame", dtype,
+               [h, sess = std::move(sess)](const Bytes& in) {
+      const u64 fidx = get_le<u64>(in.data() + 8);
+      std::lock_guard<std::mutex> lk(sess->m);
+      if (sess->started && fidx != sess->expected_index)
+        throw CompressionError("out-of-order frame index " + std::to_string(fidx) +
+                               " (session expects " +
+                               std::to_string(sess->expected_index) + ")");
+      const temporal::SessionConfig& cfg = sess->cfg;
+      const Field field =
+          cfg.dtype == DType::F64
+              ? Field(reinterpret_cast<const double*>(in.data() + 16), cfg.frame_values())
+              : Field(reinterpret_cast<const float*>(in.data() + 16), cfg.frame_values());
+      const temporal::EncodedFrame ef = sess->enc.encode(field, fidx);
+      sess->started = true;
+      sess->expected_index = fidx + 1;
+      sess->last_active_ns.store(now_ns(), std::memory_order_relaxed);
+      sess->frames.fetch_add(1, std::memory_order_relaxed);
+      (ef.type == temporal::FrameType::Intra ? sess->iframes : sess->pframes)
+          .fetch_add(1, std::memory_order_relaxed);
+      FrameHeader echo;
+      echo.dtype = static_cast<u8>(cfg.dtype);
+      echo.eb_type = static_cast<u8>(cfg.eb);
+      echo.eps = cfg.eps;
+      const Bytes record = temporal::encode_frame_record(ef);
+      return ok_frame(h, record.data(), record.size(), echo);
+    });
+  }
+
+  void on_ping(Connection& c, Frame& f) {
+    reply(c, f.header, f.payload.data(), f.payload.size());
+  }
+
+  void on_stats(Connection& c, Frame& f) {
+    const std::string json = stats_json();
+    reply(c, f.header, json.data(), json.size());
+  }
+
+  void on_shutdown(Connection& c, Frame& f) {
+    reply(c, f.header);
+    begin_drain();
+  }
+
+  void on_metrics(Connection& c, Frame& f) {
+    const std::string fmt(f.payload.begin(), f.payload.end());
+    std::string doc;
+    if (fmt == "prom") {
+      doc = obs::prometheus_text();
+    } else if (fmt.empty() || fmt == "json") {
+      doc = metrics_doc();
+    } else if (fmt == "history") {
+      doc = obs::FlightRecorder::global().history_json();
+    } else {
+      return queue_error(c, f.header, Status::BadParams,
+                         "unknown metrics format '" + fmt + "'");
+    }
+    st.metrics_scrapes.add(1);
+    reply(c, f.header, doc.data(), doc.size());
+  }
+
+  void on_shardmap(Connection& c, Frame& f) {
+    const FrameHeader& h = f.header;
+    ClusterView cv = cluster_view();
+    if (!cv.map) return queue_error(c, h, Status::BadParams, "server is not in a cluster");
+    if (!f.payload.empty()) {
+      // Exchange: the caller sent its own map. Adopt it when it is a newer
+      // generation of the same cluster; either way the response below
+      // carries our (possibly just-updated) map.
+      cluster::ShardMap theirs;
+      try {
+        theirs = cluster::ShardMap::parse(f.payload);
+      } catch (const CompressionError& e) {
+        return queue_error(c, h, Status::BadParams, e.what());
       }
-      case Op::Health: {
-        st.requests_other.fetch_add(1, std::memory_order_relaxed);
-        st.health_checks.fetch_add(1, std::memory_order_relaxed);
-        ClusterMetrics::get().health_checks.add(1);
-        const std::string json = health_json();
-        FrameHeader rh;
-        rh.op = h.op | kResponseBit;
-        rh.request_id = h.request_id;
-        queue_response(c, encode_frame(rh, json.data(), json.size()),
-                       /*is_error=*/false);
-        return;
+      if (theirs.cluster_id() != cv.map->cluster_id())
+        return queue_error(c, h, Status::BadParams,
+                           "cluster id mismatch ('" + theirs.cluster_id() + "' vs '" +
+                               cv.map->cluster_id() + "')");
+      bool adopted = false;
+      u64 old_epoch = 0;
+      {
+        std::lock_guard<std::mutex> lk(map_m);
+        if (theirs.epoch() > map->epoch()) {
+          old_epoch = map->epoch();
+          map = std::make_shared<cluster::ShardMap>(std::move(theirs));
+          self_index = map->find_node(node_id);
+          adopted = true;
+        }
+        cv.map = map;
+        cv.self = self_index;
       }
-      case Op::Compress: {
-        if (draining) {
-          queue_error(c, h.request_id, h.op, Status::Draining, "server is draining");
-          return;
+      if (adopted) {
+        st.map_adopted.add(1);
+        obs::EventLog& log = obs::EventLog::global();
+        if (log.would_log(obs::LogLevel::Info)) {
+          obs::JsonWriter w;
+          w.begin_object();
+          w.kv("epoch_old", static_cast<unsigned long long>(old_epoch));
+          w.kv("epoch_new", static_cast<unsigned long long>(cv.map->epoch()));
+          w.kv("nodes", static_cast<unsigned long long>(cv.map->size()));
+          w.kv("self_index", cv.self);
+          w.end_object();
+          log.emit(obs::LogLevel::Info, "shard_map_adopted", w.take());
         }
-        if (h.dtype > 1 || h.eb_type > 2) {
-          queue_error(c, h.request_id, h.op, Status::BadParams,
-                      "unknown dtype/eb_type");
-          return;
-        }
-        const std::size_t scalar = dtype_size(static_cast<DType>(h.dtype));
-        if (f.payload.empty() || f.payload.size() % scalar != 0) {
-          queue_error(c, h.request_id, h.op, Status::BadParams,
-                      "payload size is not a positive multiple of the scalar size");
-          return;
-        }
-        if (!std::isfinite(h.eps)) {
-          queue_error(c, h.request_id, h.op, Status::BadParams, "eps is not finite");
-          return;
-        }
-        st.requests_compress.fetch_add(1, std::memory_order_relaxed);
-        admit(c, std::move(f));
-        return;
-      }
-      case Op::Decompress: {
-        if (draining) {
-          queue_error(c, h.request_id, h.op, Status::Draining, "server is draining");
-          return;
-        }
-        if (f.payload.empty()) {
-          queue_error(c, h.request_id, h.op, Status::BadParams, "empty stream");
-          return;
-        }
-        st.requests_decompress.fetch_add(1, std::memory_order_relaxed);
-        admit(c, std::move(f));
-        return;
-      }
-      case Op::StreamOpen: {
-        st.requests_other.fetch_add(1, std::memory_order_relaxed);
-        if (draining) {
-          queue_error(c, h.request_id, h.op, Status::Draining, "server is draining");
-          return;
-        }
-        if (f.payload.size() != 16) {
-          queue_error(c, h.request_id, h.op, Status::BadParams,
-                      "STREAM_OPEN payload must be 16 bytes (3x u32 dims + u32 "
-                      "keyframe_interval)");
-          return;
-        }
-        if (h.dtype > 1 || h.eb_type > 2 || !std::isfinite(h.eps)) {
-          queue_error(c, h.request_id, h.op, Status::BadParams,
-                      "unknown dtype/eb_type or non-finite eps");
-          return;
-        }
-        temporal::SessionConfig cfg;
-        cfg.dtype = static_cast<DType>(h.dtype);
-        cfg.eb = static_cast<EbType>(h.eb_type);
-        cfg.eps = h.eps;
-        for (int d = 0; d < 3; ++d)
-          cfg.dims[static_cast<std::size_t>(d)] = rd_le32(f.payload.data() + 4 * d);
-        cfg.keyframe_interval = rd_le32(f.payload.data() + 12);
-        cfg.exec = opts.exec;
-        u64 sid = 0;
-        {
-          std::lock_guard<std::mutex> lk(sess_m);
-          if (opts.max_sessions && sessions.size() >= opts.max_sessions) {
-            queue_error(c, h.request_id, h.op, Status::SessionLimit,
-                        "session limit of " + std::to_string(opts.max_sessions) +
-                            " reached");
-            return;
-          }
-          sid = next_session_id++;
-          try {
-            sessions.emplace(
-                sid, std::make_shared<StreamSession>(sid, cfg, now_ns()));
-          } catch (const CompressionError& e) {
-            // FrameEncoder's config validation (zero frame, eps below the
-            // dtype's min normal under ABS, ...).
-            queue_error(c, h.request_id, h.op, Status::BadParams, e.what());
-            return;
-          }
-        }
-        st.sessions_opened.fetch_add(1, std::memory_order_relaxed);
-        TemporalMetrics::get().sessions_opened.add(1);
-        note_sessions_gauge();
-        u8 body[8];
-        for (int i = 0; i < 8; ++i) body[i] = static_cast<u8>(sid >> (8 * i));
-        FrameHeader rh;
-        rh.op = h.op | kResponseBit;
-        rh.request_id = h.request_id;
-        rh.dtype = h.dtype;
-        rh.eb_type = h.eb_type;
-        rh.eps = h.eps;
-        queue_response(c, encode_frame(rh, body, sizeof body), /*is_error=*/false);
-        return;
-      }
-      case Op::StreamFrame: {
-        if (draining) {
-          queue_error(c, h.request_id, h.op, Status::Draining, "server is draining");
-          return;
-        }
-        if (f.payload.size() < 16) {
-          queue_error(c, h.request_id, h.op, Status::BadParams,
-                      "STREAM_FRAME payload must carry u64 session id + u64 "
-                      "frame index + raw scalars");
-          return;
-        }
-        admit(c, std::move(f));  // admit() -> dispatch() routes to dispatch_stream
-        return;
-      }
-      case Op::StreamClose: {
-        st.requests_other.fetch_add(1, std::memory_order_relaxed);
-        if (f.payload.size() != 8) {
-          queue_error(c, h.request_id, h.op, Status::BadParams,
-                      "STREAM_CLOSE payload must be a u64 session id");
-          return;
-        }
-        const u64 sid = rd_le64(f.payload.data());
-        bool erased = false;
-        {
-          std::lock_guard<std::mutex> lk(sess_m);
-          erased = sessions.erase(sid) != 0;
-        }
-        if (erased) {
-          st.sessions_closed.fetch_add(1, std::memory_order_relaxed);
-          TemporalMetrics::get().sessions_closed.add(1);
-          note_sessions_gauge();
-        }
-        // Idempotent: closing an unknown/already-evicted session is Ok.
-        FrameHeader rh;
-        rh.op = h.op | kResponseBit;
-        rh.request_id = h.request_id;
-        queue_response(c, encode_frame(rh, nullptr, 0), /*is_error=*/false);
-        return;
       }
     }
-    queue_error(c, h.request_id, h.op, Status::BadFrame,
-                "unsupported op " + std::to_string(h.base_op()));
+    st.map_exchanges.add(1);
+    const Bytes body = cv.map->serialize();
+    reply(c, h, body.data(), body.size());
+  }
+
+  void on_health(Connection& c, Frame& f) {
+    st.health_checks.add(1);
+    const std::string json = health_json();
+    reply(c, f.header, json.data(), json.size());
+  }
+
+  void on_stream_open(Connection& c, Frame& f) {
+    const FrameHeader& h = f.header;
+    if (f.payload.size() != 16)
+      return queue_error(c, h, Status::BadParams,
+                         "STREAM_OPEN payload must be 16 bytes (3x u32 dims + u32 "
+                         "keyframe_interval)");
+    if (h.dtype > 1 || h.eb_type > 2 || !std::isfinite(h.eps))
+      return queue_error(c, h, Status::BadParams,
+                         "unknown dtype/eb_type or non-finite eps");
+    temporal::SessionConfig cfg;
+    cfg.dtype = static_cast<DType>(h.dtype);
+    cfg.eb = static_cast<EbType>(h.eb_type);
+    cfg.eps = h.eps;
+    for (std::size_t d = 0; d < 3; ++d) cfg.dims[d] = get_le<u32>(f.payload.data() + 4 * d);
+    cfg.keyframe_interval = get_le<u32>(f.payload.data() + 12);
+    cfg.exec = opts.exec;
+    u64 sid = 0;
+    {
+      std::lock_guard<std::mutex> lk(sess_m);
+      if (opts.max_sessions && sessions.size() >= opts.max_sessions)
+        return queue_error(c, h, Status::SessionLimit,
+                           "session limit of " + std::to_string(opts.max_sessions) +
+                               " reached");
+      sid = next_session_id++;
+      try {
+        sessions.emplace(sid, std::make_shared<StreamSession>(sid, cfg, now_ns()));
+      } catch (const CompressionError& e) {
+        // FrameEncoder's config validation (zero frame, eps below the dtype's
+        // min normal under ABS, ...).
+        return queue_error(c, h, Status::BadParams, e.what());
+      }
+    }
+    st.sessions_opened.add(1);
+    st.sessions.add(1);
+    u8 body[8];
+    put_le<u64>(body, sid);
+    reply(c, h, body, sizeof body, h);
+  }
+
+  void on_stream_close(Connection& c, Frame& f) {
+    if (f.payload.size() != 8)
+      return queue_error(c, f.header, Status::BadParams,
+                         "STREAM_CLOSE payload must be a u64 session id");
+    bool erased = false;
+    {
+      std::lock_guard<std::mutex> lk(sess_m);
+      erased = sessions.erase(get_le<u64>(f.payload.data())) != 0;
+    }
+    if (erased) {
+      st.sessions_closed.add(1);
+      st.sessions.sub(1);
+    }
+    // Idempotent: closing an unknown/already-evicted session is Ok.
+    reply(c, f.header);
   }
 
   /// Parse and handle every complete frame buffered on the connection,
   /// stopping early when backpressure parks it.
   void pump(Connection& c) {
-    // Budget freed? Un-park deferred requests first, oldest first.
+    // Budget freed? Un-park deferred requests first, oldest first. (A drain
+    // empties every queue, and a draining server parks nothing new.)
     while (!c.deferred.empty() &&
            (c.inflight == 0 ||
             c.inflight + c.deferred.front().payload.size() <= opts.max_inflight_bytes)) {
-      if (draining) {
-        Frame f = std::move(c.deferred.front());
-        c.deferred.pop_front();
-        queue_error(c, f.header.request_id, f.header.op, Status::Draining,
-                    "server is draining");
-        continue;
-      }
       Frame f = std::move(c.deferred.front());
       c.deferred.pop_front();
-      dispatch(c, std::move(f));
+      dispatch(c, f);
     }
     while (!paused(c)) {
       Frame f;
       const FrameParser::Result r = c.parser.next(f);
       if (r == FrameParser::Result::NeedMore) break;
       if (r == FrameParser::Result::Ready) {
-        handle_frame(c, std::move(f));
+        handle_frame(c, f);
         continue;
       }
       // Typed error frame for the offender; framing errors also poison the
       // stream, so stop reading and close once everything queued flushes.
-      queue_error(c, c.parser.error_request_id(), c.parser.error_op(),
-                  c.parser.status(), c.parser.error());
+      queue_response(c,
+                     encode_error_frame(c.parser.error_request_id(), c.parser.error_op(),
+                                        c.parser.status(), c.parser.error()),
+                     /*is_error=*/true);
       if (c.parser.fatal()) {
         c.no_read = true;
         break;
@@ -1321,8 +1134,7 @@ struct Server::Impl {
     for (int round = 0; round < 4; ++round) {
       const ssize_t rc = ::recv(c.sock.fd(), buf, sizeof(buf), 0);
       if (rc > 0) {
-        st.bytes_rx.fetch_add(static_cast<u64>(rc), std::memory_order_relaxed);
-        NetMetrics::get().bytes_rx.add(static_cast<u64>(rc));
+        st.bytes_rx.add(static_cast<u64>(rc));
         c.parser.feed(buf, static_cast<std::size_t>(rc));
         if (static_cast<std::size_t>(rc) < sizeof(buf)) break;
         continue;
@@ -1342,7 +1154,6 @@ struct Server::Impl {
   void begin_drain() {
     if (draining) return;
     draining = true;
-    st.draining.store(true, std::memory_order_relaxed);
     drain_deadline_ns = now_ns() + static_cast<u64>(opts.drain_timeout_ms) * 1000000ull;
     if (poller) {
       if (listen.valid()) poller->remove(listen.fd());
@@ -1356,14 +1167,13 @@ struct Server::Impl {
       while (!c->deferred.empty()) {
         Frame f = std::move(c->deferred.front());
         c->deferred.pop_front();
-        queue_error(*c, f.header.request_id, f.header.op, Status::Draining,
-                    "server is draining");
+        queue_error(*c, f.header, Status::Draining, "server is draining");
       }
     }
     // Temporal sessions die with the drain: clients get Draining for frames
     // of this process's lifetime and BadSession from the next one, and both
     // recover the same way (reopen, resume at a keyframe).
-    kill_all_sessions();
+    evict_sessions(0);
   }
 
   void process_completions() {
@@ -1373,11 +1183,10 @@ struct Server::Impl {
       batch.swap(completions);
     }
     for (Completion& comp : batch) {
-      NetMetrics& m = NetMetrics::get();
       const u64 us = (now_ns() - comp.t0_ns) / 1000;
-      m.request_us.record(us);
-      if (comp.op == static_cast<u8>(Op::Compress)) m.compress_us.record(us);
-      if (comp.op == static_cast<u8>(Op::Decompress)) m.decompress_us.record(us);
+      st.request_us.record(us);
+      if (comp.op == static_cast<u8>(Op::Compress)) st.compress_us.record(us);
+      if (comp.op == static_cast<u8>(Op::Decompress)) st.decompress_us.record(us);
       note_slow(comp, us);
       auto it = conns.find(comp.conn_id);
       if (it == conns.end()) {
@@ -1386,7 +1195,8 @@ struct Server::Impl {
         continue;
       }
       Connection& c = *it->second;
-      inflight_release(c, comp.release);
+      c.inflight -= comp.release;
+      st.inflight_bytes.sub(comp.release);
       queue_response(c, std::move(comp.frame), comp.is_error);
       pump(c);  // freed budget may un-park deferred frames / buffered bytes
     }
@@ -1398,8 +1208,7 @@ struct Server::Impl {
   /// timeout), re-arm the reserve, and log. Returns false when even the
   /// reserve trick could not accept (nothing further to shed this round).
   bool shed_accept() {
-    st.accept_overloads.fetch_add(1, std::memory_order_relaxed);
-    NetMetrics::get().accept_overloads.add(1);
+    st.accept_overloads.add(1);
     if (reserve_fd >= 0) {
       ::close(reserve_fd);
       reserve_fd = -1;
@@ -1411,11 +1220,8 @@ struct Server::Impl {
     if (log.would_log(obs::LogLevel::Warn)) {
       obs::JsonWriter w;
       w.begin_object();
-      w.kv("connections_current",
-           static_cast<unsigned long long>(
-               st.connections_current.load(std::memory_order_relaxed)));
-      w.kv("shed_total", static_cast<unsigned long long>(
-                             st.accept_overloads.load(std::memory_order_relaxed)));
+      w.kv("connections_current", static_cast<unsigned long long>(st.connections.get()));
+      w.kv("shed_total", static_cast<unsigned long long>(st.accept_overloads.get()));
       w.end_object();
       log.emit(obs::LogLevel::Warn, "accept_overload", w.take());
     }
@@ -1445,12 +1251,8 @@ struct Server::Impl {
       const u64 id = next_conn_id++;
       conns.emplace(id, std::make_unique<Connection>(id, std::move(s),
                                                      opts.max_frame_payload));
-      st.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-      st.connections_current.fetch_add(1, std::memory_order_relaxed);
-      NetMetrics& m = NetMetrics::get();
-      m.connections_accepted.add(1);
-      m.connections.set(static_cast<long long>(
-          st.connections_current.load(std::memory_order_relaxed)));
+      st.connections_accepted.add(1);
+      st.connections.add(1);
     }
   }
 
@@ -1492,8 +1294,7 @@ struct Server::Impl {
       body = "unknown path (try /metrics, /metrics.json, /stats, /history)\n";
     }
     if (status[0] == '2' && (path == "/metrics" || path == "/metrics.json")) {
-      st.metrics_scrapes.fetch_add(1, std::memory_order_relaxed);
-      NetMetrics::get().metrics_scrapes.add(1);
+      st.metrics_scrapes.add(1);
     }
     std::string resp = "HTTP/1.1 " + status + "\r\n";
     resp += "Content-Type: " + ctype + "\r\n";
@@ -1564,13 +1365,10 @@ struct Server::Impl {
   void close_conn(std::map<u64, std::unique_ptr<Connection>>::iterator it) {
     // In-flight bytes of a dying conn are given back here; its completions
     // will find no connection and skip the (already-done) release.
-    st.inflight_bytes.fetch_sub(it->second->inflight, std::memory_order_relaxed);
-    it->second->inflight = 0;
+    st.inflight_bytes.sub(it->second->inflight);
     if (poller) poller->remove(it->second->sock.fd());
     conns.erase(it);
-    st.connections_current.fetch_sub(1, std::memory_order_relaxed);
-    NetMetrics::get().connections.set(static_cast<long long>(
-        st.connections_current.load(std::memory_order_relaxed)));
+    st.connections.sub(1);
   }
 
   void run() {
@@ -1752,3 +1550,4 @@ std::string Server::stats_json() const { return impl_->stats_json(); }
 std::string Server::metrics_json() const { return impl_->metrics_doc(); }
 
 }  // namespace repro::net
+

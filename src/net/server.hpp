@@ -7,24 +7,30 @@
 //     frames are parsed incrementally from per-connection buffers
 //     (net::FrameParser), so a slow or malicious peer can never block the
 //     loop or make it over-read.
-//   * COMPRESS/DECOMPRESS work is dispatched onto a svc::ThreadPool. Workers
-//     never touch connection state: each finished request is pushed onto a
-//     completion queue and the loop is woken through a self-pipe, the only
-//     cross-thread channel.
+//   * Every request frame runs one prologue (count it, look up its op's row
+//     in a per-op table, refuse it if the server is draining and the row
+//     says so) and then its row's handler on the loop thread.
+//   * COMPRESS, DECOMPRESS and STREAM_FRAME work is dispatched onto a
+//     svc::ThreadPool through one worker harness. Workers never touch
+//     connection state: each finished request is pushed onto a completion
+//     queue and the loop is woken through a self-pipe, the only cross-thread
+//     channel.
 //   * Backpressure is per connection: while a connection has more than
 //     `max_inflight_bytes` of dispatched-but-unanswered payload, the loop
 //     parks its parsed-but-undispatched frames and stops polling it for
 //     reads. A single request larger than the whole budget is admitted alone
 //     (mirroring svc's ByteBudget) so it cannot deadlock.
 //   * Graceful drain (SIGINT via request_stop(), or a SHUTDOWN frame): stop
-//     accepting connections, answer new requests with a typed Draining
-//     error, let in-flight requests finish and their responses flush, then
-//     close everything and return from run(). A peer that refuses to read
-//     its responses is cut off after `drain_timeout_ms`.
+//     accepting connections, answer new COMPRESS, DECOMPRESS, STREAM_OPEN
+//     and STREAM_FRAME requests with a typed Draining error, let in-flight
+//     requests finish and their responses flush, then close everything and
+//     return from run(). A peer that refuses to read its responses is cut
+//     off after `drain_timeout_ms`.
 //
 // Protocol errors get typed error frames: recoverable ones (CRC mismatch,
-// bad params, unsupported op) keep the connection; framing errors (bad
-// magic, oversized length) get a best-effort error frame and a close. The
+// bad params, unsupported op, a response frame sent as a request) keep the
+// connection; framing errors (bad magic, oversized length) get a
+// best-effort error frame and a close. The
 // server must never crash on hostile bytes — tests/test_net.cpp pins this.
 #pragma once
 
@@ -102,7 +108,8 @@ class Server {
   };
 
   /// Plain-atomic service counters (live regardless of obs::enabled(), so
-  /// the STATS op always has content).
+  /// the STATS op always has content). The requests_* buckets count every
+  /// request frame with a known op once, on arrival, refused or not.
   struct Stats {
     u64 connections_accepted = 0;
     u64 connections_current = 0;
@@ -112,7 +119,7 @@ class Server {
     u64 bytes_tx = 0;
     u64 requests_compress = 0;
     u64 requests_decompress = 0;
-    u64 requests_other = 0;   ///< STATS/PING/SHUTDOWN
+    u64 requests_other = 0;   ///< every other known op, STREAM_FRAME included
     u64 errors = 0;           ///< typed error frames sent
     u64 store_hits = 0;       ///< requests answered from the chunk store
     u64 store_misses = 0;     ///< requests that had to compute (store attached)

@@ -348,6 +348,15 @@ TEST_F(CliTest, UnknownFlagValuesAreRejected) {
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 2);
   EXPECT_FALSE(fs::exists(comp));
+  // Numeric flags are strict: no sign (a wrapped '-1' once meant 2^32-1
+  // threads), no trailing characters, and nothing outside the flag's range.
+  const std::string pfpa = tmp_path("bad_flags.pfpa");
+  for (const char* bad : {"--threads -1", "--threads 2x", "--port 70000"}) {
+    status = run(cli + " pack " + pfpa + " " + in + " --eps 1e-3 " + bad);
+    ASSERT_TRUE(WIFEXITED(status)) << bad;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << bad;
+    EXPECT_FALSE(fs::exists(pfpa)) << bad;
+  }
 }
 
 TEST_F(CliTest, PackDuplicateBasenamesFailFast) {

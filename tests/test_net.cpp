@@ -856,6 +856,48 @@ TEST(NetIntrospection, SlowRequestCaptureRingInStats) {
   EXPECT_GE(worst.at("work_us").num, 5000.0);  // the injected sleep is work
 }
 
+// A connection reset while its request is in the pool must not leave its
+// bytes in the net.inflight_bytes gauge: the gauge tracks the live count.
+TEST(NetIntrospection, InflightGaugeReturnsToZeroWhenConnDies) {
+  ObsGuard guard(true);
+  obs::Gauge& gauge = obs::MetricsRegistry::global().gauge("net.inflight_bytes");
+  obs::Histogram& request_us =
+      obs::MetricsRegistry::global().histogram("net.request_us");
+  const u64 finished = request_us.count();
+  net::Server::Options opts;
+  opts.threads = 1;
+  TestServer ts(opts);
+  ::setenv("PFPL_NET_TEST_SLOW_US", "100000", 1);
+
+  const std::vector<float> data = make_f32(1024);
+  net::Socket sock = net::tcp_connect("127.0.0.1", ts.server.port(), 5000);
+  net::FrameHeader h;
+  h.op = static_cast<u8>(net::Op::Compress);
+  h.eps = 1e-3;
+  h.request_id = 1;
+  const Bytes req = net::encode_frame(h, data.data(), data.size() * 4);
+  net::send_all(sock.fd(), req.data(), req.size(), 5000);
+  for (int i = 0; i < 500 && ts.server.stats().inflight_bytes == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_EQ(ts.server.stats().inflight_bytes, data.size() * 4);
+
+  // Reset (not FIN) the connection: the loop sees POLLERR and closes it
+  // while the slow request is still on the worker.
+  const linger rst{1, 0};
+  ASSERT_EQ(::setsockopt(sock.fd(), SOL_SOCKET, SO_LINGER, &rst, sizeof rst), 0);
+  sock.close();
+  for (int i = 0; i < 1000 && (ts.server.stats().connections_current != 0 ||
+                               request_us.count() == finished);
+       ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ::unsetenv("PFPL_NET_TEST_SLOW_US");
+  ASSERT_EQ(ts.server.stats().connections_current, 0u);
+  ASSERT_EQ(request_us.count(), finished + 1) << "the slow request never finished";
+
+  EXPECT_EQ(ts.server.stats().inflight_bytes, 0u);
+  EXPECT_EQ(gauge.value(), 0);
+}
+
 // Satellite: ids are unique per client instance (seeded counter), distinct
 // across instances, and quoted in RemoteError text for correlation.
 TEST(NetIntrospection, ClientRequestIdsUniqueAndQuotedInErrors) {
@@ -1043,3 +1085,78 @@ TEST(NetServer, AcceptShedsGracefullyOnFdExhaustion) {
 }
 
 }  // namespace
+
+// The op table's policy, one op at a time on a connection that a slow
+// in-flight COMPRESS keeps alive across the drain: pooled ops and new
+// sessions are refused with Draining, everything else still answers, and
+// every request frame with a known op is counted once on arrival.
+TEST(NetServer, EveryOpHasATypedAnswerWhileDraining) {
+  net::Server::Options opts;
+  opts.threads = 1;
+  TestServer ts(opts);
+  ::setenv("PFPL_NET_TEST_SLOW_US", "500000", 1);
+
+  const std::vector<float> data = make_f32(256);
+  net::Socket sock = net::tcp_connect("127.0.0.1", ts.server.port(), 5000);
+  net::FrameHeader h;
+  h.op = static_cast<u8>(net::Op::Compress);
+  h.eps = 1e-3;
+  h.request_id = 1;
+  const Bytes slow_req = net::encode_frame(h, data.data(), data.size() * 4);
+  net::send_all(sock.fd(), slow_req.data(), slow_req.size(), 5000);
+  for (int i = 0; i < 500 && ts.server.stats().inflight_bytes == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  net::Client ctl(ts.client_options());
+  ctl.shutdown_server();
+  ASSERT_TRUE(ts.server.stats().draining);
+  const net::Server::Stats before = ts.server.stats();
+
+  u64 id = 100;
+  auto ask = [&](u8 op, const Bytes& payload) {
+    net::FrameHeader q = h;
+    q.op = op;
+    q.request_id = ++id;
+    const net::Frame r = raw_roundtrip(sock.fd(), net::encode_frame(q, payload));
+    EXPECT_EQ(r.header.request_id, id) << "op " << int(op);
+    return static_cast<net::Status>(r.header.status);
+  };
+  struct Case {
+    net::Op op;
+    std::size_t payload_bytes;
+    net::Status want;
+  };
+  const Case cases[] = {
+      {net::Op::Compress, 64, net::Status::Draining},
+      {net::Op::Decompress, 64, net::Status::Draining},
+      {net::Op::StreamOpen, 16, net::Status::Draining},
+      {net::Op::StreamFrame, 32, net::Status::Draining},
+      {net::Op::Ping, 0, net::Status::Ok},
+      {net::Op::Stats, 0, net::Status::Ok},
+      {net::Op::Metrics, 0, net::Status::Ok},
+      {net::Op::Health, 0, net::Status::Ok},
+      {net::Op::StreamClose, 8, net::Status::Ok},
+      {net::Op::Shutdown, 0, net::Status::Ok},
+      {net::Op::ShardMap, 0, net::Status::BadParams},  // standalone server
+  };
+  for (const Case& k : cases)
+    EXPECT_EQ(ask(static_cast<u8>(k.op), Bytes(k.payload_bytes, 0)), k.want)
+        << net::to_string(k.op);
+
+  // An unknown op and a response frame are BadFrame; the connection stays.
+  EXPECT_EQ(ask(0x30, {}), net::Status::BadFrame);
+  EXPECT_EQ(ask(static_cast<u8>(net::Op::Ping) | net::kResponseBit, {}),
+            net::Status::BadFrame);
+  EXPECT_EQ(ask(static_cast<u8>(net::Op::Ping), {}), net::Status::Ok);
+
+  const net::Server::Stats after = ts.server.stats();
+  EXPECT_EQ(after.requests_compress - before.requests_compress, 1u);
+  EXPECT_EQ(after.requests_decompress - before.requests_decompress, 1u);
+  EXPECT_EQ(after.requests_other - before.requests_other, 10u);  // 9 cases + PING
+
+  // The in-flight request still completes on the same connection.
+  const net::Frame done = raw_roundtrip(sock.fd(), {}, 10000);
+  EXPECT_EQ(done.header.status, static_cast<u16>(net::Status::Ok));
+  EXPECT_EQ(done.header.request_id, 1u);
+  ::unsetenv("PFPL_NET_TEST_SLOW_US");
+  ts.thread.join();
+}
