@@ -12,18 +12,6 @@
 //   bench_net_loadgen --host 127.0.0.1:19777   # external server
 //   bench_net_loadgen --update-baseline --baseline BENCH_net_baseline.json
 //
-// Cluster mode (src/cluster): boot N in-process pfpld nodes sharing a
-// consistent-hash shard map, drive them through ClusterClient with a unique
-// payload per request (so keys spread over the ring), and check three
-// things on top of byte-identity: per-node load balance within
-// --balance-tol of 1/N, zero error-bound violations on every decompressed
-// payload, and — with --kill-node — zero client-visible errors while one
-// node is stopped mid-load (failovers must be > 0).
-//
-//   bench_net_loadgen --nodes 3
-//   bench_net_loadgen --nodes 3 --kill-node
-//   bench_net_loadgen --shard-map map.pfsm     # external, pre-booted cluster
-//
 // Harness flags (--json/--baseline/--update-baseline/--gate) apply; the
 // baseline rows carry throughput, and the "_us" histogram quantiles
 // (net.client.request_us, net.request_us, ...) ride along as advisory
@@ -34,24 +22,18 @@
 //
 // Exit codes: 0 ok, 1 protocol error or byte mismatch, 3 failed --gate.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "cluster/client.hpp"
-#include "cluster/shard_map.hpp"
 #include "core/pfpl.hpp"
 #include "harness.hpp"
-#include "metrics/error_stats.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
@@ -69,11 +51,6 @@ struct LoadCfg {
   std::string host;             ///< empty = in-process server
   double dup_ratio = 0.0;       ///< fraction of requests resending one payload
   unsigned cache_mb = 0;        ///< give the in-process server a chunk store
-  // Cluster mode.
-  unsigned nodes = 0;           ///< --nodes N: boot an in-process N-node cluster
-  std::string shard_map;        ///< --shard-map FILE: external, pre-booted cluster
-  bool kill_node = false;       ///< stop one node at half load; expect failover
-  double balance_tol = 0.20;    ///< per-node share must be within ±tol of 1/N
 };
 
 LoadCfg parse_load_flags(int argc, char** argv) {
@@ -87,10 +64,6 @@ LoadCfg parse_load_flags(int argc, char** argv) {
     else if (a == "--host") cfg.host = next();
     else if (a == "--dup-ratio") cfg.dup_ratio = std::atof(next());
     else if (a == "--cache-mb") cfg.cache_mb = static_cast<unsigned>(std::atoi(next()));
-    else if (a == "--nodes") cfg.nodes = static_cast<unsigned>(std::atoi(next()));
-    else if (a == "--shard-map") cfg.shard_map = next();
-    else if (a == "--kill-node") cfg.kill_node = true;
-    else if (a == "--balance-tol") cfg.balance_tol = std::atof(next());
   }
   if (cfg.clients == 0) cfg.clients = 1;
   if (cfg.requests == 0) cfg.requests = 1;
@@ -121,12 +94,6 @@ struct WorkerResult {
   /// Client-observed per-request round-trip latencies (µs, both ops) — merged
   /// across workers for the exact p50/p95/p99 summary and the advisory gate.
   std::vector<double> latencies_us;
-  // Cluster mode only.
-  u64 bound_violations = 0;  ///< decompressed values outside the error bound
-  u64 failovers = 0;
-  u64 retries = 0;
-  u64 map_refreshes = 0;
-  std::map<std::string, u64> node_requests;  ///< answered requests per node id
 };
 
 /// One client's workload: rotate through dtype x eb combinations, compress
@@ -211,261 +178,6 @@ WorkerResult run_client(const LoadCfg& cfg, const std::string& host, u16 port,
   return r;
 }
 
-/// One cluster worker: every request carries a *unique* deterministic
-/// payload (seeded by client id and request index) so the content keys
-/// spread across the ring and per-node balance is measurable. On top of the
-/// byte-identity checks the single-node path does, every decompressed
-/// payload is audited against the original values under its error bound.
-WorkerResult run_cluster_worker(const LoadCfg& cfg, const cluster::ShardMap& map,
-                                unsigned id, std::atomic<u64>& completed) {
-  using clock = std::chrono::steady_clock;
-  WorkerResult r;
-  cluster::ClusterClient::Options co;
-  co.map = map;
-  cluster::ClusterClient client(std::move(co));
-
-  static constexpr EbType kEbs[] = {EbType::ABS, EbType::REL, EbType::NOA};
-  static constexpr double kEps[] = {1e-2, 1e-3, 1e-4};
-
-  for (unsigned q = 0; q < cfg.requests; ++q) {
-    const unsigned seed = id * 8191u + q * 131u + 1u;
-    const DType dtype = ((id + q) % 2) ? DType::F64 : DType::F32;
-    const EbType eb = kEbs[(id + q) % 3];
-    const double eps = kEps[q % 3];
-    const std::vector<float> f32 =
-        dtype == DType::F32 ? make_signal<float>(cfg.values, seed) : std::vector<float>();
-    const std::vector<double> f64 =
-        dtype == DType::F64 ? make_signal<double>(cfg.values, seed) : std::vector<double>();
-    const void* raw = dtype == DType::F32 ? static_cast<const void*>(f32.data())
-                                          : static_cast<const void*>(f64.data());
-    const std::size_t raw_n = cfg.values * dtype_size(dtype);
-    try {
-      pfpl::Params params;
-      params.eb = eb;
-      params.eps = eps;
-      const Field field = dtype == DType::F32 ? Field(f32.data(), f32.size())
-                                              : Field(f64.data(), f64.size());
-      const Bytes local = pfpl::compress(field, params);
-
-      auto t0 = clock::now();
-      const Bytes remote = client.compress(raw, raw_n, dtype, eb, eps);
-      const double comp_s = std::chrono::duration<double>(clock::now() - t0).count();
-      r.compress_s += comp_s;
-      r.latencies_us.push_back(comp_s * 1e6);
-      ++r.requests;
-      r.raw_bytes += raw_n;
-      r.comp_bytes += remote.size();
-      if (remote != local) {
-        std::fprintf(stderr,
-                     "loadgen: cluster client %u req %u: remote COMPRESS differs "
-                     "from local pfpl::compress (%zu vs %zu bytes)\n",
-                     id, q, remote.size(), local.size());
-        ++r.errors;
-        ++completed;
-        continue;
-      }
-
-      t0 = clock::now();
-      const std::vector<u8> back = client.decompress(remote);
-      const double decomp_s = std::chrono::duration<double>(clock::now() - t0).count();
-      r.decompress_s += decomp_s;
-      r.latencies_us.push_back(decomp_s * 1e6);
-      ++r.requests;
-      const std::vector<u8> local_back = pfpl::decompress(local);
-      if (back != local_back) {
-        std::fprintf(stderr,
-                     "loadgen: cluster client %u req %u: remote DECOMPRESS "
-                     "differs from local pfpl::decompress\n",
-                     id, q);
-        ++r.errors;
-      }
-      // Guaranteed-error-bound audit: the paper's contract must survive the
-      // wire and the routing layer, not just the local codec.
-      if (dtype == DType::F32) {
-        std::span<const float> o(f32.data(), f32.size());
-        std::span<const float> b(reinterpret_cast<const float*>(back.data()),
-                                 back.size() / sizeof(float));
-        r.bound_violations += metrics::count_violations(o, b, eps, eb);
-      } else {
-        std::span<const double> o(f64.data(), f64.size());
-        std::span<const double> b(reinterpret_cast<const double*>(back.data()),
-                                  back.size() / sizeof(double));
-        r.bound_violations += metrics::count_violations(o, b, eps, eb);
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "loadgen: cluster client %u req %u: %s\n", id, q,
-                   e.what());
-      ++r.errors;
-    }
-    ++completed;
-  }
-  const cluster::ClusterClient::Stats& cs = client.stats();
-  r.failovers = cs.failovers;
-  r.retries = cs.retries;
-  r.map_refreshes = cs.map_refreshes;
-  r.node_requests = cs.node_requests;
-  return r;
-}
-
-/// Cluster-mode driver: boot the nodes (or adopt an external map), fan the
-/// workers out over ClusterClient, then enforce balance / failover /
-/// bound-audit acceptance on top of the usual throughput row.
-int run_cluster_main(const LoadCfg& cfg) {
-  std::vector<std::unique_ptr<net::Server>> servers;
-  std::vector<std::thread> server_threads;
-  cluster::ShardMap map;
-  if (!cfg.shard_map.empty()) {
-    map = cluster::ShardMap::load_file(cfg.shard_map);
-  } else {
-    const unsigned n = std::max(cfg.nodes, 2u);
-    std::vector<cluster::NodeInfo> nodes;
-    for (unsigned i = 0; i < n; ++i) {
-      net::Server::Options sopts;
-      if (cfg.cache_mb) {
-        store::ChunkStore::Options so;
-        so.cache.byte_budget = static_cast<std::size_t>(cfg.cache_mb) << 20;
-        sopts.store = std::make_shared<store::ChunkStore>(so);
-      }
-      servers.push_back(std::make_unique<net::Server>(sopts));
-      nodes.push_back({"n" + std::to_string(i), "127.0.0.1", servers.back()->port()});
-    }
-    map = cluster::ShardMap("loadgen", std::move(nodes));
-    for (std::size_t i = 0; i < servers.size(); ++i)
-      servers[i]->set_cluster(map, "n" + std::to_string(i));
-    for (auto& s : servers)
-      server_threads.emplace_back([srv = s.get()] { srv->run(); });
-  }
-  std::fprintf(stderr,
-               "loadgen: cluster '%s': %u clients x %u requests x %zu values over "
-               "%zu node(s), replicas=%u%s%s\n",
-               map.cluster_id().c_str(), cfg.clients, cfg.requests, cfg.values,
-               map.size(), static_cast<unsigned>(map.replicas()),
-               servers.empty() ? " (external)" : " (in-process)",
-               cfg.kill_node ? ", killing one node at half load" : "");
-
-  std::atomic<u64> completed{0};
-  std::thread killer;
-  bool killed = false;
-  if (cfg.kill_node && !servers.empty()) {
-    killed = true;
-    killer = std::thread([&] {
-      const u64 half =
-          std::max<u64>(1, static_cast<u64>(cfg.clients) * cfg.requests / 2);
-      while (completed.load() < half)
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      std::fprintf(stderr, "loadgen: stopping node n0 mid-load\n");
-      servers[0]->request_stop();
-    });
-  }
-
-  std::vector<WorkerResult> results(cfg.clients);
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(cfg.clients);
-    for (unsigned c = 0; c < cfg.clients; ++c)
-      threads.emplace_back(
-          [&, c] { results[c] = run_cluster_worker(cfg, map, c, completed); });
-    for (auto& t : threads) t.join();
-  }
-  if (killer.joinable()) killer.join();
-  for (auto& s : servers) s->request_stop();
-  for (auto& t : server_threads) t.join();
-
-  WorkerResult total;
-  for (const WorkerResult& r : results) {
-    total.requests += r.requests;
-    total.errors += r.errors;
-    total.raw_bytes += r.raw_bytes;
-    total.comp_bytes += r.comp_bytes;
-    total.compress_s += r.compress_s;
-    total.decompress_s += r.decompress_s;
-    total.bound_violations += r.bound_violations;
-    total.failovers += r.failovers;
-    total.retries += r.retries;
-    total.map_refreshes += r.map_refreshes;
-    for (const auto& [id, n] : r.node_requests) total.node_requests[id] += n;
-    total.latencies_us.insert(total.latencies_us.end(), r.latencies_us.begin(),
-                              r.latencies_us.end());
-  }
-
-  double p50 = 0, p95 = 0, p99 = 0;
-  if (!total.latencies_us.empty()) {
-    std::sort(total.latencies_us.begin(), total.latencies_us.end());
-    auto at_q = [&](double q) {
-      const std::size_t n = total.latencies_us.size();
-      std::size_t i = static_cast<std::size_t>(q * static_cast<double>(n - 1) + 0.5);
-      if (i >= n) i = n - 1;
-      return total.latencies_us[i];
-    };
-    p50 = at_q(0.50);
-    p95 = at_q(0.95);
-    p99 = at_q(0.99);
-    std::fprintf(stderr,
-                 "loadgen: cluster latency p50=%.0fus p95=%.0fus p99=%.0fus "
-                 "(%zu samples)\n",
-                 p50, p95, p99, total.latencies_us.size());
-    bench::record_advisory_us("net_loadgen/cluster_p50", {p50});
-    bench::record_advisory_us("net_loadgen/cluster_p95", {p95});
-    bench::record_advisory_us("net_loadgen/cluster_p99", {p99});
-  }
-
-  // Per-node balance. With a healthy cluster every key is answered by its
-  // primary, so the shares measure the consistent-hash ring directly; after
-  // a kill the survivors absorb the dead node's arc and the check is
-  // meaningless, so it only runs on clean runs.
-  u64 answered = 0;
-  for (const auto& [id, n] : total.node_requests) answered += n;
-  bool balance_ok = true;
-  for (const auto& [id, n] : total.node_requests) {
-    const double share =
-        answered ? static_cast<double>(n) / static_cast<double>(answered) : 0.0;
-    const double ideal = 1.0 / static_cast<double>(map.size());
-    const double rel = share / ideal - 1.0;
-    std::fprintf(stderr, "loadgen: node %-6s answered %6llu (share %.3f, %+.1f%% of 1/N)\n",
-                 id.c_str(), static_cast<unsigned long long>(n), share, rel * 100.0);
-    if (!killed && std::abs(rel) > cfg.balance_tol) balance_ok = false;
-  }
-  std::fprintf(stderr,
-               "loadgen: cluster: %llu requests, %llu errors, %llu bound "
-               "violations, %llu failovers, %llu retries, %llu map refreshes\n",
-               static_cast<unsigned long long>(total.requests),
-               static_cast<unsigned long long>(total.errors),
-               static_cast<unsigned long long>(total.bound_violations),
-               static_cast<unsigned long long>(total.failovers),
-               static_cast<unsigned long long>(total.retries),
-               static_cast<unsigned long long>(total.map_refreshes));
-
-  const double mb = 1024.0 * 1024.0;
-  bench::Row row;
-  row.compressor = "PFPN_cluster";
-  row.eb = 0;
-  row.ratio = total.comp_bytes
-                  ? static_cast<double>(total.raw_bytes) / total.comp_bytes
-                  : 0.0;
-  row.comp_mbps = total.compress_s > 0 ? total.raw_bytes / mb / total.compress_s : 0.0;
-  row.decomp_mbps =
-      total.decompress_s > 0 ? total.raw_bytes / mb / total.decompress_s : 0.0;
-  row.violations = static_cast<std::size_t>(total.errors + total.bound_violations);
-  row.has_psnr = false;
-  bench::print_rows("net_cluster", {row});
-
-  const int gate_rc = bench::finish();
-  if (total.errors || total.bound_violations) return 1;
-  if (!balance_ok) {
-    std::fprintf(stderr,
-                 "loadgen: FAIL: per-node share outside ±%.0f%% of 1/N\n",
-                 cfg.balance_tol * 100.0);
-    return 1;
-  }
-  if (killed && total.failovers == 0) {
-    std::fprintf(stderr,
-                 "loadgen: FAIL: --kill-node run finished without a single "
-                 "failover (the kill never bit)\n");
-    return 1;
-  }
-  return gate_rc;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -476,8 +188,6 @@ int main(int argc, char** argv) {
   // The whole point is the latency histograms; record them even without
   // --json/--baseline.
   obs::set_enabled(true);
-
-  if (cfg.nodes >= 2 || !cfg.shard_map.empty()) return run_cluster_main(cfg);
 
   std::unique_ptr<net::Server> server;
   std::thread server_thread;

@@ -54,8 +54,6 @@
 #include <vector>
 
 #include "cli/top_window.hpp"
-#include "cluster/client.hpp"
-#include "cluster/shard_map.hpp"
 #include "core/pfpl.hpp"
 #include "data/evolving.hpp"
 #include "data/synthetic.hpp"
@@ -107,24 +105,15 @@ namespace {
                "       [--flight-ms N] [--flight-depth N]  # metric-snapshot flight recorder\n"
                "       [--stall-ms N]     # watchdog: flag requests/stages stuck N ms\n"
                "       [--crash-dir DIR]  # fatal-signal crash reports + stall dumps\n"
-               "       [--shard-map FILE] [--node-id ID]  # join a cluster (PFSM map)\n"
                "       [--max-conns N]    # cap concurrent connections (0 = unlimited)\n"
                "       [--max-sessions N] [--session-idle-ms N]  # temporal stream\n"
                "                          # sessions: cap + idle eviction (0 = off)\n"
-               "  pfpl cluster init <out.pfsm> --nodes [id=]H:P,[id=]H:P,...\n"
-               "       [--cluster-id NAME] [--replicas R] [--vnodes V]\n"
-               "  pfpl cluster status --shard-map FILE [--json] [--timeout-ms N]\n"
-               "  pfpl cluster put <in.raw> <out.pfpl> --shard-map FILE --dtype f32|f64\n"
-               "       --eb abs|rel|noa --eps <e>\n"
-               "  pfpl cluster get <in.pfpl> <out.raw> --shard-map FILE\n"
                "  pfpl remote compress <in.raw> <out.pfpl> --host H:P --dtype f32|f64\n"
                "       --eb abs|rel|noa --eps <e>\n"
                "  pfpl remote decompress <in.pfpl> <out.raw> --host H:P\n"
                "  pfpl remote stats|ping|shutdown --host H:P [--timeout-ms N]\n"
                "  pfpl remote metrics --host H:P [--prom | --history]\n"
                "  pfpl top --host H:P [--interval-ms N] [--count N]\n"
-               "  pfpl top --cluster --shard-map FILE [--interval-ms N] [--count N]\n"
-               "       one row per node each tick (req/s, p99, hit%%, conns)\n"
                "  pfpl profile [--json] [--suite NAME] [--dtype f32|f64] [--full]\n"
                "       [--eb abs|rel|noa] [--eps <e>] [--exec serial|omp|gpusim]\n"
                "       per-kernel throughput attribution over the synthetic suites\n"
@@ -243,15 +232,7 @@ struct Flags {
   bool history = false;             ///< `pfpl remote metrics --history`
   int interval_ms = 1000;           ///< `pfpl top --interval-ms N`
   int count = 0;                    ///< `pfpl top --count N` (0 = until ^C)
-  // Cluster verbs (`pfpl serve --shard-map` / `pfpl cluster` / `pfpl top --cluster`).
-  std::string shard_map;            ///< `--shard-map FILE` (PFSM, empty = standalone)
-  std::string node_id;              ///< `pfpl serve --node-id ID` (empty = by port)
-  std::string cluster_id = "pfpl";  ///< `pfpl cluster init --cluster-id NAME`
-  std::string nodes;                ///< `pfpl cluster init --nodes [id=]H:P,...`
-  unsigned replicas = 0;            ///< `pfpl cluster init --replicas R` (0 = default)
-  unsigned vnodes = 0;              ///< `pfpl cluster init --vnodes V` (0 = default)
   std::size_t max_conns = 0;        ///< `pfpl serve --max-conns N` (0 = unlimited)
-  bool cluster = false;             ///< `pfpl top --cluster`
   // Temporal stream verbs (`pfpl stream` / `pfpl serve`).
   std::string dims;                 ///< `pfpl stream pack --dims ZxYxX`
   std::size_t frames = 0;           ///< `--frames N` (0 = suite default)
@@ -369,22 +350,8 @@ Flags parse_flags(int argc, char** argv, int first, std::vector<std::string>* po
       fl.interval_ms = static_cast<int>(num(1, kInt));
     } else if (a == "--count") {
       fl.count = static_cast<int>(num(0, kInt));
-    } else if (a == "--shard-map") {
-      fl.shard_map = need("--shard-map");
-    } else if (a == "--node-id") {
-      fl.node_id = need("--node-id");
-    } else if (a == "--cluster-id") {
-      fl.cluster_id = need("--cluster-id");
-    } else if (a == "--nodes") {
-      fl.nodes = need("--nodes");
-    } else if (a == "--replicas") {
-      fl.replicas = static_cast<unsigned>(num(1, 65535));
-    } else if (a == "--vnodes") {
-      fl.vnodes = static_cast<unsigned>(num(1, kUint));
     } else if (a == "--max-conns") {
       fl.max_conns = static_cast<std::size_t>(num(0, kU64));
-    } else if (a == "--cluster") {
-      fl.cluster = true;
     } else if (a == "--dims") {
       fl.dims = need("--dims");
     } else if (a == "--frames") {
@@ -785,12 +752,6 @@ int cmd_serve(const std::vector<std::string>& positional, const Flags& fl) {
   opts.max_conns = fl.max_conns;
   opts.max_sessions = fl.max_sessions;
   opts.session_idle_ms = fl.session_idle_ms;
-  if (!fl.shard_map.empty()) {
-    opts.shard_map = cluster::ShardMap::load_file(fl.shard_map);
-    opts.node_id = fl.node_id;
-  } else if (!fl.node_id.empty()) {
-    throw CompressionError("serve: --node-id requires --shard-map");
-  }
   if (!fl.slow_log.empty()) {
     // Route slow-request events (and any other EventLog traffic) to a file
     // instead of stderr. Deliberately independent of --trace/--metrics: the
@@ -834,15 +795,6 @@ int cmd_serve(const std::vector<std::string>& positional, const Flags& fl) {
                 fl.flight_ms > 0 ? fl.flight_ms : 1000, fl.flight_depth,
                 static_cast<unsigned long long>(fl.stall_ms),
                 fl.crash_dir.empty() ? "(none)" : fl.crash_dir.c_str());
-  if (!fl.shard_map.empty()) {
-    const cluster::ShardMap m = server.shard_map();
-    std::printf("pfpl: cluster '%s': node=%s epoch=%llu nodes=%zu replicas=%u "
-                "vnodes=%u\n",
-                m.cluster_id().c_str(),
-                fl.node_id.empty() ? "(by port)" : fl.node_id.c_str(),
-                static_cast<unsigned long long>(m.epoch()), m.size(),
-                static_cast<unsigned>(m.replicas()), m.vnodes());
-  }
   std::printf("pfpl: stream sessions: max=%zu idle-timeout=%dms\n", opts.max_sessions,
               opts.session_idle_ms);
   std::fflush(stdout);
@@ -936,172 +888,7 @@ int cmd_remote(const std::vector<std::string>& positional, const Flags& fl) {
   usage();
 }
 
-/// `pfpl cluster` — shard-map tooling plus cluster-routed data operations.
-/// `init` is pure file manipulation (no network); `status` polls HEALTH on
-/// every node; `put`/`get` route one COMPRESS/DECOMPRESS through the
-/// consistent-hash ring exactly as a cluster-aware application would.
-int cmd_cluster(const std::vector<std::string>& positional, const Flags& fl) {
-  if (positional.empty()) usage();
-  const std::string& verb = positional[0];
-
-  auto load_map = [&]() -> cluster::ShardMap {
-    if (fl.shard_map.empty()) {
-      std::fprintf(stderr, "pfpl cluster %s: --shard-map FILE is required\n",
-                   verb.c_str());
-      usage();
-    }
-    return cluster::ShardMap::load_file(fl.shard_map);
-  };
-  auto make_client = [&](cluster::ShardMap map) {
-    cluster::ClusterClient::Options co;
-    co.map = std::move(map);
-    if (fl.timeout_ms > 0) {
-      co.connect_timeout_ms = fl.timeout_ms;
-      co.request_timeout_ms = fl.timeout_ms;
-    }
-    return cluster::ClusterClient(std::move(co));
-  };
-  // The node that actually answered the last data request (by id).
-  auto answered_by = [](const cluster::ClusterClient& cc) -> std::string {
-    for (const auto& [id, n] : cc.stats().node_requests)
-      if (n > 0) return id;
-    return "?";
-  };
-
-  if (verb == "init") {
-    if (positional.size() != 2) usage();
-    if (fl.nodes.empty()) {
-      std::fprintf(stderr,
-                   "pfpl cluster init: --nodes [id=]H:P,[id=]H:P,... is required\n");
-      usage();
-    }
-    std::vector<cluster::NodeInfo> nodes;
-    std::size_t auto_id = 0;
-    for (std::size_t pos = 0; pos < fl.nodes.size();) {
-      std::size_t comma = fl.nodes.find(',', pos);
-      if (comma == std::string::npos) comma = fl.nodes.size();
-      const std::string tok = fl.nodes.substr(pos, comma - pos);
-      pos = comma + 1;
-      if (tok.empty()) continue;
-      cluster::NodeInfo n;
-      const std::size_t eq = tok.find('=');
-      std::string hp = tok;
-      if (eq != std::string::npos) {
-        n.id = tok.substr(0, eq);
-        hp = tok.substr(eq + 1);
-      } else {
-        n.id = "n" + std::to_string(auto_id);
-      }
-      ++auto_id;
-      net::split_host_port(hp, n.host, n.port);
-      nodes.push_back(std::move(n));
-    }
-    const cluster::ShardMap map(
-        fl.cluster_id, std::move(nodes),
-        fl.vnodes ? fl.vnodes : cluster::ShardMap::kDefaultVnodes,
-        fl.replicas ? static_cast<u16>(fl.replicas)
-                    : cluster::ShardMap::kDefaultReplicas);
-    map.save_file(positional[1]);
-    std::printf("pfpl: wrote %s: cluster '%s', %zu node(s), replicas=%u, "
-                "vnodes=%u, epoch=%llu\n",
-                positional[1].c_str(), map.cluster_id().c_str(), map.size(),
-                static_cast<unsigned>(map.replicas()), map.vnodes(),
-                static_cast<unsigned long long>(map.epoch()));
-    return 0;
-  }
-
-  if (verb == "status") {
-    if (positional.size() != 1) usage();
-    const cluster::ShardMap map = load_map();
-    cluster::ClusterClient cc = make_client(map);
-    std::vector<std::string> health(map.size());
-    std::size_t alive = 0;
-    for (std::size_t i = 0; i < map.size(); ++i) {
-      try {
-        health[i] = cc.health(map.nodes()[i].id);
-        ++alive;
-      } catch (const CompressionError&) {
-        health[i].clear();  // unreachable
-      }
-    }
-    if (fl.json) {
-      // map.json() and HEALTH payloads are already JSON documents; splice
-      // them rather than re-encoding.
-      std::string out = "{\"map\":" + map.json() + ",\"nodes\":{";
-      for (std::size_t i = 0; i < map.size(); ++i) {
-        if (i) out += ",";
-        out += "\"" + map.nodes()[i].id +
-               "\":" + (health[i].empty() ? "null" : health[i]);
-      }
-      out += "}}";
-      std::printf("%s\n", out.c_str());
-    } else {
-      std::printf("cluster '%s': epoch=%llu nodes=%zu replicas=%u vnodes=%u\n",
-                  map.cluster_id().c_str(),
-                  static_cast<unsigned long long>(map.epoch()), map.size(),
-                  static_cast<unsigned>(map.replicas()), map.vnodes());
-      auto num = [](const obs::JsonValue& o, const char* k) -> double {
-        return o.has(k) ? o.at(k).num : 0.0;
-      };
-      for (std::size_t i = 0; i < map.size(); ++i) {
-        const cluster::NodeInfo& n = map.nodes()[i];
-        if (health[i].empty()) {
-          std::printf("  %-8s %s:%u  DOWN\n", n.id.c_str(), n.host.c_str(),
-                      static_cast<unsigned>(n.port));
-          continue;
-        }
-        const obs::JsonValue h = obs::parse_json(health[i]);
-        std::printf("  %-8s %s:%u  up %.0fs  epoch=%.0f conns=%.0f reqs=%.0f "
-                    "errors=%.0f%s\n",
-                    n.id.c_str(), n.host.c_str(), static_cast<unsigned>(n.port),
-                    num(h, "uptime_s"), num(h, "epoch"),
-                    num(h, "connections_current"), num(h, "requests"),
-                    num(h, "errors"),
-                    num(h, "draining") != 0 ? "  DRAINING" : "");
-      }
-      std::printf("%zu/%zu node(s) up\n", alive, map.size());
-    }
-    return alive == map.size() ? 0 : 1;
-  }
-
-  if (verb == "put") {
-    if (positional.size() != 3) usage();
-    cluster::ClusterClient cc = make_client(load_map());
-    std::vector<u8> raw = io::read_file(positional[1]);
-    Bytes out =
-        cc.compress(raw.data(), raw.size(), fl.dtype, fl.params.eb, fl.params.eps);
-    io::write_file(positional[2], out.data(), out.size());
-    std::printf("%zu -> %zu bytes (ratio %.3f) via node %s\n", raw.size(), out.size(),
-                out.empty() ? 0.0
-                            : static_cast<double>(raw.size()) /
-                                  static_cast<double>(out.size()),
-                answered_by(cc).c_str());
-    return 0;
-  }
-
-  if (verb == "get") {
-    if (positional.size() != 3) usage();
-    cluster::ClusterClient cc = make_client(load_map());
-    Bytes in = io::read_file(positional[1]);
-    std::vector<u8> raw = cc.decompress(in);
-    io::write_file(positional[2], raw.data(), raw.size());
-    std::printf("%zu -> %zu bytes via node %s\n", in.size(), raw.size(),
-                answered_by(cc).c_str());
-    return 0;
-  }
-
-  usage();
-}
-
-/// `pfpl top` — poll the server's METRICS op and render one status line per
-/// tick. Rates (req/s, MB/s, hit ratio) are deltas between consecutive
-/// scrapes; latency quantiles come from the net.request_us histogram bucket
-/// deltas over the same window, falling back to the server's cumulative
-/// quantiles on the first tick or when the window saw no requests. Columns
-/// show '-' when the server has span/metric recording disabled (the stats
-/// block is always live, so throughput still renders).
-/// Scrape one node's METRICS document into a TopSample. Shared between the
-/// single-host and --cluster modes.
+/// Scrape one server's METRICS document into a TopSample.
 cli::TopSample scrape_metrics(net::Client& client) {
   auto num = [](const obs::JsonValue& o, const char* k) -> double {
     return o.has(k) ? o.at(k).num : 0.0;
@@ -1141,102 +928,15 @@ cli::TopSample scrape_metrics(net::Client& client) {
   return s;
 }
 
-/// `pfpl top --cluster` — the same rate-converted columns, one row per node
-/// per tick, scraped from every node in the shard map. A node that fails to
-/// answer renders as DOWN and its window re-anchors when it comes back.
-int cmd_top_cluster(const Flags& fl) {
-  if (fl.shard_map.empty()) {
-    std::fprintf(stderr, "pfpl top --cluster: --shard-map FILE is required\n");
-    usage();
-  }
-  const cluster::ShardMap map = cluster::ShardMap::load_file(fl.shard_map);
-  std::vector<net::Client> clients;
-  clients.reserve(map.size());
-  for (const cluster::NodeInfo& n : map.nodes()) {
-    net::Client::Options co;
-    co.host = n.host;
-    co.port = n.port;
-    co.max_attempts = 1;  // a dead node should render DOWN now, not after retries
-    co.connect_timeout_ms = fl.timeout_ms > 0 ? fl.timeout_ms : 1000;
-    co.request_timeout_ms = fl.timeout_ms > 0 ? fl.timeout_ms : 2000;
-    clients.emplace_back(std::move(co));
-  }
-
-  const std::string ticks =
-      fl.count ? " (" + std::to_string(fl.count) + " ticks)" : std::string();
-  std::printf("pfpl top: cluster '%s' (%zu nodes, epoch %llu) every %dms%s\n",
-              map.cluster_id().c_str(), map.size(),
-              static_cast<unsigned long long>(map.epoch()), fl.interval_ms,
-              ticks.c_str());
-  std::printf("%-8s %10s %10s %10s %9s %6s %6s %6s\n", "node", "req/s", "rx MB/s",
-              "tx MB/s", "p99(us)", "hit%", "conns", "errs");
-  std::fflush(stdout);
-
-  std::vector<cli::TopSample> prev(map.size());
-  std::vector<bool> prev_ok(map.size(), false);
-  auto scrape_into = [&](std::size_t i, cli::TopSample& out) -> bool {
-    try {
-      out = scrape_metrics(clients[i]);
-      return true;
-    } catch (const CompressionError&) {
-      return false;  // NetError/RemoteError/parse failure: node is down
-    }
-  };
-  for (std::size_t i = 0; i < map.size(); ++i) prev_ok[i] = scrape_into(i, prev[i]);
-
-  for (int tick = 0; fl.count == 0 || tick < fl.count; ++tick) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(fl.interval_ms));
-    for (std::size_t i = 0; i < map.size(); ++i) {
-      const std::string& id = map.nodes()[i].id;
-      cli::TopSample cur;
-      if (!scrape_into(i, cur)) {
-        std::printf("%-8s %10s\n", id.c_str(), "DOWN");
-        prev_ok[i] = false;
-        continue;
-      }
-      if (!prev_ok[i]) {
-        // First successful scrape (or the node just came back): no window
-        // yet, so show lifetime quantiles and re-anchor.
-        char q99[32];
-        if (cur.has_hist)
-          std::snprintf(q99, sizeof q99, "%.0f", cur.p99);
-        else
-          std::snprintf(q99, sizeof q99, "-");
-        std::printf("%-8s %10s %10s %10s %9s %6s %6.0f %6.0f\n", id.c_str(), "-",
-                    "-", "-", q99, "-", cur.conns, cur.errors);
-        prev[i] = cur;
-        prev_ok[i] = true;
-        continue;
-      }
-      const cli::TopWindow w =
-          cli::compute_window(prev[i], cur, fl.interval_ms / 1000.0);
-      if (w.reset) {
-        std::printf("%-8s %10s  -- restarted, counters reset --\n", id.c_str(), "");
-        prev[i] = cur;
-        continue;
-      }
-      char q99[32], hitbuf[16];
-      if (w.p99 < 0)
-        std::snprintf(q99, sizeof q99, "-");
-      else
-        std::snprintf(q99, sizeof q99, "%.0f", w.p99);
-      if (w.have_hit)
-        std::snprintf(hitbuf, sizeof hitbuf, "%.1f", w.hit_pct);
-      else
-        std::snprintf(hitbuf, sizeof hitbuf, "-");
-      std::printf("%-8s %10.1f %10.2f %10.2f %9s %6s %6.0f %6.0f\n", id.c_str(),
-                  w.rps, w.rx_mbps, w.tx_mbps, q99, hitbuf, cur.conns, cur.errors);
-      prev[i] = cur;
-    }
-    if (map.size() > 1) std::printf("\n");
-    std::fflush(stdout);
-  }
-  return 0;
-}
-
+/// `pfpl top` — poll the server's METRICS op and render one status line per
+/// tick. Rates (req/s, MB/s, hit ratio) are deltas between consecutive
+/// scrapes; latency quantiles come from the net.request_us histogram bucket
+/// deltas over the same window, falling back to the server's cumulative
+/// quantiles on the first tick or when the window saw no requests. Columns
+/// show '-' when the server has span/metric recording disabled (the stats
+/// block is always live, so throughput still renders).
 int cmd_top(const std::vector<std::string>& positional, const Flags& fl) {
   if (!positional.empty()) usage();
-  if (fl.cluster) return cmd_top_cluster(fl);
   if (fl.host.empty()) {
     std::fprintf(stderr, "pfpl top: --host H:P is required\n");
     usage();
@@ -1887,7 +1587,7 @@ int run_command(int argc, char** argv) {
   try {
     if (mode == "pack" || mode == "unpack" || mode == "list" || mode == "stats" ||
         mode == "audit" || mode == "serve" || mode == "remote" || mode == "store" ||
-        mode == "top" || mode == "profile" || mode == "cluster" || mode == "stream") {
+        mode == "top" || mode == "profile" || mode == "stream") {
       std::vector<std::string> positional;
       Flags fl = parse_flags(argc, argv, 2, &positional);
       if (mode == "pack") return cmd_pack(positional, fl);
@@ -1899,7 +1599,6 @@ int run_command(int argc, char** argv) {
       if (mode == "store") return cmd_store(positional, fl);
       if (mode == "top") return cmd_top(positional, fl);
       if (mode == "profile") return cmd_profile(positional, fl);
-      if (mode == "cluster") return cmd_cluster(positional, fl);
       if (mode == "stream") return cmd_stream(positional, fl);
       return cmd_list(positional);
     }

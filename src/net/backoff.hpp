@@ -1,6 +1,5 @@
-// Jittered exponential backoff, shared by net::Client (transport retries),
-// cluster::ClusterClient (replica-sweep pacing) and the `pfpl stream pack
-// --host` session-reopen loop.
+// Jittered exponential backoff, shared by net::Client (transport retries)
+// and the `pfpl stream pack --host` session-reopen loop.
 //
 // The jitter matters more than the curve: when a node dies, every client
 // notices at the same instant, and a deterministic backoff would have the

@@ -179,19 +179,6 @@ void Client::ping() {
   roundtrip(h, nullptr, 0);
 }
 
-Bytes Client::shardmap_fetch(const Bytes& mine) {
-  FrameHeader h;
-  h.op = static_cast<u8>(Op::ShardMap);
-  return roundtrip(h, mine.data(), mine.size()).payload;
-}
-
-std::string Client::health() {
-  FrameHeader h;
-  h.op = static_cast<u8>(Op::Health);
-  Frame f = roundtrip(h, nullptr, 0);
-  return std::string(f.payload.begin(), f.payload.end());
-}
-
 u64 Client::stream_open(DType dtype, EbType eb, double eps,
                         const std::array<u32, 3>& dims, u32 keyframe_interval) {
   FrameHeader h;

@@ -74,14 +74,6 @@ class Client {
   /// Round-trip an empty PING (connectivity + liveness check).
   void ping();
 
-  /// Fetch the server's shard map (SHARDMAP op), optionally offering `mine`
-  /// — a serialized map the server adopts when it carries a higher epoch of
-  /// the same cluster. Returns the server's current serialized map (PFSM).
-  Bytes shardmap_fetch(const Bytes& mine = Bytes());
-
-  /// The HEALTH op: the node's liveness + load snapshot as JSON.
-  std::string health();
-
   /// Open a temporal frame session (STREAM_OPEN): the server builds a
   /// FrameEncoder with (dtype, eb, eps, dims, keyframe_interval) and its own
   /// executor. Returns the server-assigned session id.

@@ -77,10 +77,7 @@ enum class Op : u8 {
   Shutdown = 5,    ///< begin graceful drain; response: empty payload
   Metrics = 6,     ///< payload: "" or "json" for JSON, "prom" for Prometheus
                    ///< text; response payload: the rendered metrics document
-  ShardMap = 7,    ///< payload: "" or the caller's serialized shard map (the
-                   ///< server adopts a higher epoch); response payload: the
-                   ///< server's current serialized map (PFSM, docs/FORMAT.md)
-  Health = 8,      ///< empty payload; response payload: liveness + load JSON
+  // 7 and 8 are retired (SHARDMAP, HEALTH); never reuse them.
   StreamOpen = 9,  ///< open a temporal frame session: dtype/eb/eps in the
                    ///< header, payload = dims + keyframe interval (16 B);
                    ///< response payload: u64 session id
@@ -102,8 +99,7 @@ enum class Status : u16 {
   CompressFailed = 4,  ///< the compressor rejected the request (error text)
   TooLarge = 5,        ///< declared payload_len over the server's limit
   Draining = 6,        ///< server is draining; request rejected
-  WrongShard = 7,      ///< key not owned by this node under its shard-map
-                       ///< epoch — refetch the map (SHARDMAP) and re-route
+  // 7 is retired (wrong shard); never reuse it.
   BadSession = 8,      ///< STREAM_FRAME names an unknown or evicted session
                        ///< — open a new one (the next frame is a keyframe)
   SessionLimit = 9,    ///< STREAM_OPEN refused: --max-sessions reached

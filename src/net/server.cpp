@@ -17,7 +17,6 @@
 #include <deque>
 #include <map>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -97,10 +96,6 @@ struct Counters {
   Count slow_requests{"net.slow_requests"};
   Count metrics_scrapes{"net.metrics_scrapes"};
   Count accept_overloads{"net.accept_overloads"};
-  Count wrong_shard{"cluster.node.wrong_shard"};
-  Count map_exchanges{"cluster.node.map_exchanges"};
-  Count map_adopted{"cluster.node.map_adopted"};
-  Count health_checks{"cluster.node.health_checks"};
   Count sessions_opened{"temporal.sessions_opened"};
   Count sessions_closed{"temporal.sessions_closed"};
   Count sessions_evicted{"temporal.sessions_evicted"};
@@ -112,13 +107,6 @@ struct Counters {
   obs::Histogram& compress_us = obs::MetricsRegistry::global().histogram("net.compress_us");
   obs::Histogram& decompress_us =
       obs::MetricsRegistry::global().histogram("net.decompress_us");
-};
-
-/// Thrown by the worker-side ownership check; turned into a typed
-/// Status::WrongShard error frame (never retried on the same node — the
-/// client refetches the shard map and re-routes).
-struct WrongShardError : std::runtime_error {
-  using std::runtime_error::runtime_error;
 };
 
 /// One temporal frame session. The encoder is stateful (closed-loop
@@ -277,14 +265,6 @@ struct Server::Impl {
   /// dangling in the backlog (see shed_accept()).
   int reserve_fd = -1;
 
-  /// Cluster identity. `map` null = not clustered. Written on the loop
-  /// thread (SHARDMAP adoption) or via set_cluster(); read by workers as an
-  /// immutable snapshot, so the mutex only covers the pointer swap.
-  mutable std::mutex map_m;
-  std::shared_ptr<const cluster::ShardMap> map;
-  int self_index = -1;
-  std::string node_id;
-
   std::atomic<bool> stop_requested{false};
   std::mutex comp_m;
   std::vector<Completion> completions;
@@ -318,7 +298,6 @@ struct Server::Impl {
     set_nonblocking(wake_w, true);
     reserve_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
     pool = std::make_unique<svc::ThreadPool>(o.threads, o.queue_capacity);
-    if (!o.shard_map.empty()) install_map(o.shard_map, o.node_id);
   }
 
   ~Impl() {
@@ -328,49 +307,6 @@ struct Server::Impl {
     if (wake_r >= 0) ::close(wake_r);
     if (wake_w >= 0) ::close(wake_w);
     if (reserve_fd >= 0) ::close(reserve_fd);
-  }
-
-  // -- cluster membership ---------------------------------------------------
-
-  /// Everything a worker needs to answer the ownership question, captured
-  /// atomically (map pointer + the node's index and id under that map).
-  struct ClusterView {
-    std::shared_ptr<const cluster::ShardMap> map;
-    int self = -1;
-    std::string node_id;
-  };
-
-  ClusterView cluster_view() const {
-    std::lock_guard<std::mutex> lk(map_m);
-    return ClusterView{map, self_index, node_id};
-  }
-
-  /// Adopt `m` as this node's shard map. An empty node-id hint resolves by
-  /// matching the bound port against the map (the common single-host case);
-  /// throws NetError when nothing or more than one node matches.
-  void install_map(const cluster::ShardMap& m, const std::string& node_id_hint) {
-    std::string nid = node_id_hint;
-    if (nid.empty()) {
-      const u16 p = local_port(listen);
-      int match = -1;
-      for (std::size_t i = 0; i < m.nodes().size(); ++i) {
-        if (m.nodes()[i].port != p) continue;
-        if (match >= 0)
-          throw NetError("net: several shard-map nodes listen on port " +
-                         std::to_string(p) + "; pass an explicit node id");
-        match = static_cast<int>(i);
-      }
-      if (match < 0)
-        throw NetError("net: no shard-map node listens on port " + std::to_string(p) +
-                       "; pass an explicit node id");
-      nid = m.nodes()[static_cast<std::size_t>(match)].id;
-    } else if (m.find_node(nid) < 0) {
-      throw NetError("net: node id '" + nid + "' is not in the shard map");
-    }
-    std::lock_guard<std::mutex> lk(map_m);
-    map = std::make_shared<cluster::ShardMap>(m);
-    node_id = nid;
-    self_index = map->find_node(nid);
   }
 
   void wake() {
@@ -398,10 +334,6 @@ struct Server::Impl {
     out.slow_requests = st.slow_requests.get();
     out.metrics_scrapes = st.metrics_scrapes.get();
     out.accept_overloads = st.accept_overloads.get();
-    out.wrong_shard = st.wrong_shard.get();
-    out.map_exchanges = st.map_exchanges.get();
-    out.map_adopted = st.map_adopted.get();
-    out.health_checks = st.health_checks.get();
     out.sessions_opened = st.sessions_opened.get();
     out.sessions_closed = st.sessions_closed.get();
     out.sessions_evicted = st.sessions_evicted.get();
@@ -538,45 +470,6 @@ struct Server::Impl {
     w.kv("session_idle_ms", opts.session_idle_ms);
     w.key("rows").raw(sessions_json());
     w.end_object();
-    const ClusterView cv = cluster_view();
-    if (cv.map) {
-      w.key("cluster");
-      w.begin_object();
-      w.kv("cluster_id", cv.map->cluster_id());
-      w.kv("node_id", cv.node_id);
-      w.kv("epoch", static_cast<unsigned long long>(cv.map->epoch()));
-      w.kv("nodes", static_cast<unsigned long long>(cv.map->size()));
-      w.kv("replicas", static_cast<unsigned long long>(cv.map->replicas()));
-      w.kv("vnodes", static_cast<unsigned long long>(cv.map->vnodes()));
-      w.kv("self_index", cv.self);
-      w.kv("wrong_shard", static_cast<unsigned long long>(s.wrong_shard));
-      w.kv("map_exchanges", static_cast<unsigned long long>(s.map_exchanges));
-      w.kv("map_adopted", static_cast<unsigned long long>(s.map_adopted));
-      w.kv("health_checks", static_cast<unsigned long long>(s.health_checks));
-      w.end_object();
-    }
-    w.end_object();
-    return w.take();
-  }
-
-  /// The HEALTH-op payload: a liveness + load snapshot small enough for a
-  /// failover decision on every request. Served even when not clustered
-  /// (cluster fields are empty/zero) so it doubles as a plain probe.
-  std::string health_json() const {
-    const Stats s = snapshot();
-    const ClusterView cv = cluster_view();
-    obs::JsonWriter w;
-    w.begin_object();
-    w.kv("node_id", cv.node_id);
-    w.kv("cluster_id", cv.map ? cv.map->cluster_id() : "");
-    w.kv("epoch", static_cast<unsigned long long>(cv.map ? cv.map->epoch() : 0));
-    w.kv("draining", s.draining);
-    w.kv("uptime_s", static_cast<double>(now_ns() - start_ns) / 1e9);
-    w.kv("connections_current", static_cast<unsigned long long>(s.connections_current));
-    w.kv("inflight_bytes", static_cast<unsigned long long>(s.inflight_bytes));
-    w.kv("requests",
-         static_cast<unsigned long long>(s.requests_compress + s.requests_decompress));
-    w.kv("errors", static_cast<unsigned long long>(s.errors));
     w.end_object();
     return w.take();
   }
@@ -710,8 +603,6 @@ struct Server::Impl {
         {Op::Ping, &Counters::requests_other, false, &Impl::on_ping, nullptr},
         {Op::Shutdown, &Counters::requests_other, false, &Impl::on_shutdown, nullptr},
         {Op::Metrics, &Counters::requests_other, false, &Impl::on_metrics, nullptr},
-        {Op::ShardMap, &Counters::requests_other, false, &Impl::on_shardmap, nullptr},
-        {Op::Health, &Counters::requests_other, false, &Impl::on_health, nullptr},
         {Op::StreamOpen, &Counters::requests_other, true, &Impl::on_stream_open,
          nullptr},
         {Op::StreamFrame, &Counters::requests_other, true, &Impl::on_stream_frame,
@@ -791,10 +682,6 @@ struct Server::Impl {
         test_slowdown();
         test_crash();
         comp.frame = body(payload);
-      } catch (const WrongShardError& e) {
-        comp.frame = encode_error_frame(comp.request_id, comp.op, Status::WrongShard,
-                                        e.what());
-        comp.is_error = true;
       } catch (const std::exception& e) {
         comp.frame = encode_error_frame(comp.request_id, comp.op,
                                         Status::CompressFailed, e.what());
@@ -807,17 +694,6 @@ struct Server::Impl {
       }
       wake();
     });
-  }
-
-  /// Cluster mode: answer only for keys this node owns under its current map
-  /// epoch. Refusals are cheap (one hash over the payload) and typed, so a
-  /// stale client can recover by refetching the map instead of polluting the
-  /// wrong shard.
-  void check_owner(const ClusterView& cv, const common::Hash128& key) {
-    if (cv.map->owns(key, cv.self)) return;
-    st.wrong_shard.add(1);
-    throw WrongShardError("key " + key.hex() + " is not owned by node '" + cv.node_id +
-                          "' at shard-map epoch " + std::to_string(cv.map->epoch()));
   }
 
   void on_compress(Connection& c, Frame& f) {
@@ -836,11 +712,9 @@ struct Server::Impl {
   void run_compress(Connection& c, Frame& f) {
     const FrameHeader h = f.header;
     run_pooled(c, f, "net.work.compress", h.dtype,
-               [this, h, cv = cluster_view()](const Bytes& in) {
+               [this, h](const Bytes& in) {
       const auto dtype = static_cast<DType>(h.dtype);
       const auto eb = static_cast<EbType>(h.eb_type);
-      if (cv.map)
-        check_owner(cv, store::compress_key(in.data(), in.size(), dtype, eb, h.eps));
       // COMPRESS with --store goes through the ingest dedup probe: a
       // duplicate payload answers straight from the store (byte-identical by
       // key construction) and skips the compressor entirely.
@@ -871,12 +745,10 @@ struct Server::Impl {
   void run_decompress(Connection& c, Frame& f) {
     const FrameHeader h = f.header;
     run_pooled(c, f, "net.work.decompress", h.dtype,
-               [this, h, cv = cluster_view()](const Bytes& in) {
+               [this, h](const Bytes& in) {
       store::ChunkStore* cs = opts.store.get();
-      const common::Hash128 key = cs || cv.map
-                                      ? store::decompress_key(in.data(), in.size())
-                                      : common::Hash128{};
-      if (cv.map) check_owner(cv, key);
+      const common::Hash128 key =
+          cs ? store::decompress_key(in.data(), in.size()) : common::Hash128{};
       const pfpl::Header sh = pfpl::peek_header(in);
       Bytes raw;
       const bool hit = cs && cs->get(key, raw);
@@ -979,63 +851,6 @@ struct Server::Impl {
     }
     st.metrics_scrapes.add(1);
     reply(c, f.header, doc.data(), doc.size());
-  }
-
-  void on_shardmap(Connection& c, Frame& f) {
-    const FrameHeader& h = f.header;
-    ClusterView cv = cluster_view();
-    if (!cv.map) return queue_error(c, h, Status::BadParams, "server is not in a cluster");
-    if (!f.payload.empty()) {
-      // Exchange: the caller sent its own map. Adopt it when it is a newer
-      // generation of the same cluster; either way the response below
-      // carries our (possibly just-updated) map.
-      cluster::ShardMap theirs;
-      try {
-        theirs = cluster::ShardMap::parse(f.payload);
-      } catch (const CompressionError& e) {
-        return queue_error(c, h, Status::BadParams, e.what());
-      }
-      if (theirs.cluster_id() != cv.map->cluster_id())
-        return queue_error(c, h, Status::BadParams,
-                           "cluster id mismatch ('" + theirs.cluster_id() + "' vs '" +
-                               cv.map->cluster_id() + "')");
-      bool adopted = false;
-      u64 old_epoch = 0;
-      {
-        std::lock_guard<std::mutex> lk(map_m);
-        if (theirs.epoch() > map->epoch()) {
-          old_epoch = map->epoch();
-          map = std::make_shared<cluster::ShardMap>(std::move(theirs));
-          self_index = map->find_node(node_id);
-          adopted = true;
-        }
-        cv.map = map;
-        cv.self = self_index;
-      }
-      if (adopted) {
-        st.map_adopted.add(1);
-        obs::EventLog& log = obs::EventLog::global();
-        if (log.would_log(obs::LogLevel::Info)) {
-          obs::JsonWriter w;
-          w.begin_object();
-          w.kv("epoch_old", static_cast<unsigned long long>(old_epoch));
-          w.kv("epoch_new", static_cast<unsigned long long>(cv.map->epoch()));
-          w.kv("nodes", static_cast<unsigned long long>(cv.map->size()));
-          w.kv("self_index", cv.self);
-          w.end_object();
-          log.emit(obs::LogLevel::Info, "shard_map_adopted", w.take());
-        }
-      }
-    }
-    st.map_exchanges.add(1);
-    const Bytes body = cv.map->serialize();
-    reply(c, h, body.data(), body.size());
-  }
-
-  void on_health(Connection& c, Frame& f) {
-    st.health_checks.add(1);
-    const std::string json = health_json();
-    reply(c, f.header, json.data(), json.size());
   }
 
   void on_stream_open(Connection& c, Frame& f) {
@@ -1532,15 +1347,6 @@ void Server::run() { impl_->run(); }
 void Server::request_stop() {
   impl_->stop_requested.store(true, std::memory_order_relaxed);
   impl_->wake();
-}
-
-void Server::set_cluster(const cluster::ShardMap& map, const std::string& node_id) {
-  impl_->install_map(map, node_id);
-}
-
-cluster::ShardMap Server::shard_map() const {
-  const Impl::ClusterView cv = impl_->cluster_view();
-  return cv.map ? *cv.map : cluster::ShardMap();
 }
 
 Server::Stats Server::stats() const { return impl_->snapshot(); }

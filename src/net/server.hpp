@@ -38,7 +38,6 @@
 #include <memory>
 #include <string>
 
-#include "cluster/shard_map.hpp"
 #include "common/types.hpp"
 #include "core/pfpl.hpp"
 #include "net/socket.hpp"
@@ -90,14 +89,6 @@ class Server {
     /// polled for reads, so new peers wait in the kernel backlog until a
     /// slot frees. 0 = unlimited.
     std::size_t max_conns = 0;
-    /// Cluster membership: a non-empty shard map turns on cluster mode —
-    /// the SHARDMAP/HEALTH ops serve it, and COMPRESS/DECOMPRESS requests
-    /// whose content key this node does not own are refused with
-    /// Status::WrongShard (the client refetches the map and re-routes).
-    /// `node_id` names this node in the map; empty = resolve by matching
-    /// the bound port against the map's nodes (throws when ambiguous).
-    cluster::ShardMap shard_map;
-    std::string node_id;
     /// Temporal frame sessions (STREAM_OPEN/FRAME/CLOSE): cap on concurrent
     /// sessions (0 = unlimited) and the idle-eviction threshold — a session
     /// with no frame for `session_idle_ms` is evicted and later frames get
@@ -128,10 +119,6 @@ class Server {
     u64 slow_requests = 0;    ///< requests captured by the slow-request ring
     u64 metrics_scrapes = 0;  ///< METRICS ops + HTTP /metrics[.json] GETs
     u64 accept_overloads = 0; ///< connections shed on EMFILE/ENFILE
-    u64 wrong_shard = 0;      ///< requests refused for keys this node doesn't own
-    u64 map_exchanges = 0;    ///< SHARDMAP ops served
-    u64 map_adopted = 0;      ///< higher-epoch maps adopted from peers/clients
-    u64 health_checks = 0;    ///< HEALTH ops served
     u64 sessions_opened = 0;  ///< STREAM_OPEN sessions created
     u64 sessions_closed = 0;  ///< STREAM_CLOSE (explicit client close)
     u64 sessions_evicted = 0; ///< idle-evicted or killed by drain
@@ -159,14 +146,6 @@ class Server {
   /// Begin graceful drain. Safe from any thread and from signal handlers
   /// (atomic store + one write() to the wake pipe).
   void request_stop();
-
-  /// (Re)join a cluster: adopt `map` and identify as `node_id` (empty =
-  /// resolve by bound port, as with Options::node_id). Safe before run() or
-  /// while running — bench harnesses boot N ephemeral-port servers first
-  /// and install the map once every port is known.
-  void set_cluster(const cluster::ShardMap& map, const std::string& node_id = "");
-  /// The current shard map (empty when not clustered) and its epoch.
-  cluster::ShardMap shard_map() const;
 
   Stats stats() const;
   /// The STATS-op payload: stats + config as a JSON object.

@@ -1,5 +1,6 @@
 #include "temporal/pfpv.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -99,9 +100,11 @@ Bytes encode_frame_record(const EncodedFrame& f) {
   put_le<u32>(p + 32, static_cast<u32>(f.payload.size()));
   put_le<u32>(p + 36, body_crc(f.chunk_modes, f.payload));
   put_le<u32>(p + 4, common::crc32(p + 8, kPfpvRecordHeaderSize - 8));
-  std::memcpy(p + kPfpvRecordHeaderSize, f.chunk_modes.data(), f.chunk_modes.size());
-  std::memcpy(p + kPfpvRecordHeaderSize + f.chunk_modes.size(), f.payload.data(),
-              f.payload.size());
+  // std::copy, not memcpy: an all-intra frame has no bitmap, and memcpy from
+  // an empty vector's null data() is undefined even for zero bytes.
+  u8* body =
+      std::copy(f.chunk_modes.begin(), f.chunk_modes.end(), p + kPfpvRecordHeaderSize);
+  std::copy(f.payload.begin(), f.payload.end(), body);
   return out;
 }
 

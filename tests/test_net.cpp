@@ -1133,10 +1133,10 @@ TEST(NetServer, EveryOpHasATypedAnswerWhileDraining) {
       {net::Op::Ping, 0, net::Status::Ok},
       {net::Op::Stats, 0, net::Status::Ok},
       {net::Op::Metrics, 0, net::Status::Ok},
-      {net::Op::Health, 0, net::Status::Ok},
+      {static_cast<net::Op>(7), 0, net::Status::BadFrame},  // retired op: unknown
       {net::Op::StreamClose, 8, net::Status::Ok},
       {net::Op::Shutdown, 0, net::Status::Ok},
-      {net::Op::ShardMap, 0, net::Status::BadParams},  // standalone server
+      {static_cast<net::Op>(8), 0, net::Status::BadFrame},  // retired op: unknown
   };
   for (const Case& k : cases)
     EXPECT_EQ(ask(static_cast<u8>(k.op), Bytes(k.payload_bytes, 0)), k.want)
@@ -1151,7 +1151,7 @@ TEST(NetServer, EveryOpHasATypedAnswerWhileDraining) {
   const net::Server::Stats after = ts.server.stats();
   EXPECT_EQ(after.requests_compress - before.requests_compress, 1u);
   EXPECT_EQ(after.requests_decompress - before.requests_decompress, 1u);
-  EXPECT_EQ(after.requests_other - before.requests_other, 10u);  // 9 cases + PING
+  EXPECT_EQ(after.requests_other - before.requests_other, 8u);  // 7 cases + PING
 
   // The in-flight request still completes on the same connection.
   const net::Frame done = raw_roundtrip(sock.fd(), {}, 10000);

@@ -2,23 +2,19 @@
 // STREAM ops): evolving-suite determinism, closed-loop P-frame error bounds
 // over long sequences, per-chunk intra fallback under a correlation-killing
 // regime change, PFPV container torn-tail recovery and corruption rejection,
-// server-side session lifecycle (idle eviction, the session cap, drain), and
-// the cluster client's timer-driven background map refresh.
+// and server-side session lifecycle (idle eviction, the session cap, drain).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <unistd.h>
 
-#include "cluster/client.hpp"
-#include "cluster/shard_map.hpp"
 #include "core/pfpl.hpp"
 #include "data/evolving.hpp"
 #include "io/raw_file.hpp"
@@ -419,34 +415,6 @@ TEST(StreamSession, DrainKillsOpenSessions) {
   EXPECT_EQ(st.sessions_opened, 1u);
   EXPECT_GE(st.sessions_evicted, 1u) << "drain must kill live sessions";
   EXPECT_EQ(st.sessions_current, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Cluster client background refresh (satellite)
-
-TEST(ClusterRefresh, BackgroundTimerRefreshesTheMap) {
-  net::Server::Options so;
-  auto server = std::make_unique<net::Server>(so);
-  std::vector<cluster::NodeInfo> nodes{{"n0", "127.0.0.1", server->port()}};
-  cluster::ShardMap map("test", std::move(nodes),
-                        cluster::ShardMap::kDefaultVnodes, 1);
-  server->set_cluster(map, "n0");
-  std::thread run([&] { server->run(); });
-  {
-    cluster::ClusterClient::Options co;
-    co.map = map;
-    co.refresh_interval_ms = 50;
-    cluster::ClusterClient cc(co);
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (cc.stats().background_refreshes == 0 &&
-           std::chrono::steady_clock::now() < deadline)
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    EXPECT_GT(cc.stats().background_refreshes, 0u);
-    EXPECT_EQ(cc.map().epoch(), map.epoch());
-  }  // destructor must stop + join the refresher without hanging
-  server->request_stop();
-  run.join();
 }
 
 }  // namespace
