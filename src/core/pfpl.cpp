@@ -78,7 +78,7 @@ u32 encode_one_chunk(const T* data, std::size_t beg, std::size_t k, const Q& q,
   {
     OBS_SPAN("pfpl.quantize");
     obs::KernelTimer kt(obs::Kernel::Quantize, k * sizeof(T));
-    for (std::size_t i = 0; i < k; ++i) words[i] = q.encode(data[beg + i]);
+    q.encode_block(data + beg, words.data(), k);
   }
   bool compressed = exec == Executor::GpuSim
                         ? sim::gpu_chunk_encode(words.data(), k, payload)
@@ -127,7 +127,8 @@ std::vector<u8> decompress_typed(const Bytes& in, const Header& h, const Q& q,
   if (in.size() < table_off + nchunks * sizeof(u32))
     throw CompressionError("PFPL stream: truncated chunk table");
   std::vector<u32> sizes(nchunks);
-  std::memcpy(sizes.data(), in.data() + table_off, nchunks * sizeof(u32));
+  if (nchunks > 0)  // an empty field has no table (and sizes.data() may be null)
+    std::memcpy(sizes.data(), in.data() + table_off, nchunks * sizeof(u32));
 
   // Prefix sum over chunk sizes locates every chunk (paper: "the decoder
   // computes a prefix sum over the stored chunk sizes").
@@ -155,7 +156,7 @@ std::vector<u8> decompress_typed(const Bytes& in, const Header& h, const Q& q,
     {
       OBS_SPAN("pfpl.dequantize");
       obs::KernelTimer kt(obs::Kernel::Dequantize, k * sizeof(T));
-      for (std::size_t i = 0; i < k; ++i) values[beg + i] = q.decode(words[i]);
+      q.decode_block(words.data(), values + beg, k);
     }
     CoreMetrics::get().chunks_decoded.add(1);
   };

@@ -63,7 +63,7 @@ template <typename T>
 std::vector<T> decompress_as(const Bytes& stream, Executor exec = Executor::Serial) {
   std::vector<u8> raw = decompress(stream, exec);
   std::vector<T> out(raw.size() / sizeof(T));
-  std::memcpy(out.data(), raw.data(), out.size() * sizeof(T));
+  if (!out.empty()) std::memcpy(out.data(), raw.data(), out.size() * sizeof(T));
   return out;
 }
 

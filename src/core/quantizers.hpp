@@ -15,9 +15,14 @@
 // FP rounding, bin-range overflow, NaN/inf, or approximation error in the
 // deterministic log/exp — is emitted losslessly. The bound therefore holds
 // unconditionally, by construction.
+//
+// encode()/decode() are the specification. encode_block()/decode_block() run
+// them over a slice; on CPUs with AVX2 they use the lane kernels of
+// quantize_avx2.cpp, whose every output word equals the per-value word.
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 
 #include "common/types.hpp"
 #include "fpmath/det_math.hpp"
@@ -31,6 +36,25 @@ namespace repro::pfpl {
 template <typename T>
 using VerifyReal = std::conditional_t<std::is_same_v<T, float>, double, long double>;
 
+namespace avx2 {
+
+/// True when this CPU and OS run AVX2; resolved once per process.
+bool available();
+
+/// The AVX2 block kernels (quantize_avx2.cpp), instantiated for the four
+/// quantizer types. Output word i equals q.encode(in[i]) (resp. q.decode),
+/// bit for bit, for any input. Call only when available() is true.
+struct Kernels {
+  template <typename Q>
+  static void encode(const Q& q, const typename Q::Value* in, typename Q::Bits* out,
+                     std::size_t k);
+  template <typename Q>
+  static void decode(const Q& q, const typename Q::Bits* in, typename Q::Value* out,
+                     std::size_t k);
+};
+
+}  // namespace avx2
+
 // ---------------------------------------------------------------------------
 // ABS quantizer (also used by NOA with the range-derived bound).
 // ---------------------------------------------------------------------------
@@ -38,9 +62,11 @@ using VerifyReal = std::conditional_t<std::is_same_v<T, float>, double, long dou
 template <typename T>
 class AbsQuantizer {
   using FT = fpmath::FloatTraits<T>;
-  using Bits = typename FT::Bits;
 
  public:
+  using Value = T;
+  using Bits = typename FT::Bits;
+
   /// `eps` is the point-wise absolute bound. Values of eps below the smallest
   /// positive normal number put the quantizer in degenerate mode where only
   /// exact zeros are binned (paper: "the error bound cannot be less than the
@@ -85,12 +111,26 @@ class AbsQuantizer {
     return fpmath::from_bits<T>(w);
   }
 
+  /// out[i] = encode(in[i]) for i < k.
+  void encode_block(const T* in, Bits* out, std::size_t k) const {
+    if (avx2::available()) return avx2::Kernels::encode(*this, in, out, k);
+    for (std::size_t i = 0; i < k; ++i) out[i] = encode(in[i]);
+  }
+
+  /// out[i] = decode(in[i]) for i < k.
+  void decode_block(const Bits* in, T* out, std::size_t k) const {
+    if (avx2::available()) return avx2::Kernels::decode(*this, in, out, k);
+    for (std::size_t i = 0; i < k; ++i) out[i] = decode(in[i]);
+  }
+
   /// True if a word holds a bin number rather than a raw pattern.
   static bool is_bin(Bits w) { return w < FT::denormal_limit; }
 
   double eps() const { return eps_; }
 
  private:
+  friend struct avx2::Kernels;
+
   T reconstruct(i64 bin) const {
     // The decoder performs this exact computation; verifying against it is
     // what makes the guarantee airtight.
@@ -110,9 +150,11 @@ class AbsQuantizer {
 template <typename T>
 class RelQuantizer {
   using FT = fpmath::FloatTraits<T>;
-  using Bits = typename FT::Bits;
 
  public:
+  using Value = T;
+  using Bits = typename FT::Bits;
+
   /// Bin u = 0 is reserved for exact zeros; bins are biased so the encoded
   /// magnitude-sign word fits strictly below 2^mantissa_bits - 1 (the last
   /// pattern is ~(-inf) and must stay distinguishable).
@@ -174,11 +216,25 @@ class RelQuantizer {
     return fpmath::from_bits<T>(static_cast<Bits>(~w));
   }
 
+  /// out[i] = encode(in[i]) for i < k.
+  void encode_block(const T* in, Bits* out, std::size_t k) const {
+    if (avx2::available()) return avx2::Kernels::encode(*this, in, out, k);
+    for (std::size_t i = 0; i < k; ++i) out[i] = encode(in[i]);
+  }
+
+  /// out[i] = decode(in[i]) for i < k.
+  void decode_block(const Bits* in, T* out, std::size_t k) const {
+    if (avx2::available()) return avx2::Kernels::decode(*this, in, out, k);
+    for (std::size_t i = 0; i < k; ++i) out[i] = decode(in[i]);
+  }
+
   static bool is_bin(Bits w) { return w < FT::denormal_limit - 1; }
 
   double eps() const { return eps_; }
 
  private:
+  friend struct avx2::Kernels;
+
   T reconstruct_abs(i64 bin) const {
     return static_cast<T>(fpmath::det_exp(static_cast<double>(bin) * two_log_));
   }

@@ -12,7 +12,6 @@ namespace {
 
 template <typename T>
 struct TypedState {
-  using Bits = typename fpmath::FloatTraits<T>::Bits;
   std::variant<AbsQuantizer<T>, RelQuantizer<T>> quant;
   std::vector<T> pending;  // < one chunk of raw values
 
@@ -22,13 +21,6 @@ struct TypedState {
                         RelQuantizer<T>(h.eps, h.recon_param))
                   : std::variant<AbsQuantizer<T>, RelQuantizer<T>>(
                         AbsQuantizer<T>(h.recon_param))) {}
-
-  Bits encode_value(T v) const {
-    return std::visit([&](const auto& q) { return q.encode(v); }, quant);
-  }
-  T decode_word(Bits w) const {
-    return std::visit([&](const auto& q) { return q.decode(w); }, quant);
-  }
 };
 
 }  // namespace
@@ -105,7 +97,9 @@ class StreamEncoderImpl {
     using Bits = typename fpmath::FloatTraits<T>::Bits;
     auto& st = std::get<TypedState<T>>(state_);
     std::vector<Bits> words(st.pending.size());
-    for (std::size_t i = 0; i < words.size(); ++i) words[i] = st.encode_value(st.pending[i]);
+    std::visit(
+        [&](const auto& q) { q.encode_block(st.pending.data(), words.data(), words.size()); },
+        st.quant);
     std::size_t start = payload_.size();
     bool compressed = chunk_encode(words.data(), words.size(), payload_);
     u32 sz = static_cast<u32>(payload_.size() - start);
@@ -137,7 +131,8 @@ class StreamDecoderImpl {
     if (stream.size() < table_off_ + header_.chunk_count * 4)
       throw CompressionError("PFPL stream: truncated chunk table");
     sizes_.resize(header_.chunk_count);
-    std::memcpy(sizes_.data(), stream.data() + table_off_, header_.chunk_count * 4);
+    if (header_.chunk_count > 0)  // an empty field has no table
+      std::memcpy(sizes_.data(), stream.data() + table_off_, header_.chunk_count * 4);
     payload_off_ = table_off_ + header_.chunk_count * 4;
     if (header_.dtype == DType::F32)
       state_.emplace<TypedState<float>>(header_);
@@ -170,7 +165,7 @@ class StreamDecoderImpl {
                      words.data(), k);
         staging_.resize(k * sizeof(T));
         T* vals = reinterpret_cast<T*>(staging_.data());
-        for (std::size_t i = 0; i < k; ++i) vals[i] = st.decode_word(words[i]);
+        std::visit([&](const auto& q) { q.decode_block(words.data(), vals, k); }, st.quant);
         offset_ += csize;
         ++chunk_;
         decoded_values_ += k;

@@ -1,16 +1,13 @@
 #include "fpmath/det_math.hpp"
 
+#include "fpmath/det_poly.hpp"
+
 namespace repro::fpmath {
 namespace {
 
-// ln(2) split into a high part exact in 32 bits and a low correction, so the
-// product k * ln2_hi is exact for |k| < 2^20 and argument reduction loses no
-// precision.
-constexpr double kLn2Hi = 6.93147180369123816490e-01;   // upper bits of ln 2
-constexpr double kLn2Lo = 1.90821492927058770002e-10;   // ln 2 - kLn2Hi
-constexpr double kInvLn2 = 1.44269504088896338700e+00;  // 1 / ln 2
-constexpr double kTwo52 = 4503599627370496.0;           // 2^52
-constexpr double kSqrt2 = 1.41421356237309514547;
+using poly::kInvLn2;
+using poly::kSqrt2;
+constexpr double kTwo52 = 4503599627370496.0;  // 2^52
 
 }  // namespace
 
@@ -45,23 +42,9 @@ double det_log(double x) {
     m = m * 0.5;
     e += 1;
   }
-  // log(m) for m in (sqrt(2)/2, sqrt(2)] via the atanh series:
-  //   log(m) = 2s * (1 + z/3 + z^2/5 + ...),  s = (m-1)/(m+1), z = s^2.
-  // |s| <= 0.1716 so 9 terms give < 1e-15 relative error.
-  double s = (m - 1.0) / (m + 1.0);
-  double z = s * s;
-  double p = 1.0 / 17.0;
-  p = p * z + 1.0 / 15.0;
-  p = p * z + 1.0 / 13.0;
-  p = p * z + 1.0 / 11.0;
-  p = p * z + 1.0 / 9.0;
-  p = p * z + 1.0 / 7.0;
-  p = p * z + 1.0 / 5.0;
-  p = p * z + 1.0 / 3.0;
-  p = p * z + 1.0;
-  double log_m = 2.0 * s * p;
-  double de = static_cast<double>(e);
-  return de * kLn2Hi + (de * kLn2Lo + log_m);
+  double out;
+  poly::log_reduced(m, static_cast<double>(e), out);
+  return out;
 }
 
 double det_log1p(double x) {
@@ -87,24 +70,8 @@ double det_exp(double x) {
   // Argument reduction: x = k*ln2 + r, |r| <= ln2/2.
   double dk = round_nearest_even(x * kInvLn2);
   i64 k = static_cast<i64>(dk);
-  double r = (x - dk * kLn2Hi) - dk * kLn2Lo;
-  // exp(r) Taylor series; |r| <= 0.3466 so 15 terms reach < 2e-17.
-  double p = 1.0 / 1307674368000.0;  // 1/15!
-  p = p * r + 1.0 / 87178291200.0;
-  p = p * r + 1.0 / 6227020800.0;
-  p = p * r + 1.0 / 479001600.0;
-  p = p * r + 1.0 / 39916800.0;
-  p = p * r + 1.0 / 3628800.0;
-  p = p * r + 1.0 / 362880.0;
-  p = p * r + 1.0 / 40320.0;
-  p = p * r + 1.0 / 5040.0;
-  p = p * r + 1.0 / 720.0;
-  p = p * r + 1.0 / 120.0;
-  p = p * r + 1.0 / 24.0;
-  p = p * r + 1.0 / 6.0;
-  p = p * r + 0.5;
-  p = p * r + 1.0;
-  p = p * r + 1.0;
+  double p;
+  poly::exp_reduced(x, dk, p);
   // Scale by 2^k. For k in the normal-exponent range a single exact multiply
   // suffices; near the denormal boundary split the scaling so intermediate
   // values stay representable.
