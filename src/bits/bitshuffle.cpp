@@ -2,6 +2,9 @@
 
 #include <cassert>
 
+#include "bits/avx2.hpp"
+#include "common/cpu.hpp"
+
 namespace repro::bits {
 
 void transpose_bits_32(u32* a) {
@@ -28,6 +31,20 @@ void transpose_bits_64(u64* a) {
 
 void bitshuffle(u32* w, std::size_t n) {
   assert(n % 32 == 0);
+  if (common::has_avx2()) return avx2::bitshuffle(w, n);
+  scalar::bitshuffle(w, n);
+}
+
+void bitshuffle(u64* w, std::size_t n) {
+  assert(n % 64 == 0);
+  if (common::has_avx2()) return avx2::bitshuffle(w, n);
+  scalar::bitshuffle(w, n);
+}
+
+namespace scalar {
+
+void bitshuffle(u32* w, std::size_t n) {
+  assert(n % 32 == 0);
   for (std::size_t i = 0; i < n; i += 32) transpose_bits_32(w + i);
 }
 
@@ -35,5 +52,7 @@ void bitshuffle(u64* w, std::size_t n) {
   assert(n % 64 == 0);
   for (std::size_t i = 0; i < n; i += 64) transpose_bits_64(w + i);
 }
+
+}  // namespace scalar
 
 }  // namespace repro::bits

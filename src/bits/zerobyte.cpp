@@ -2,6 +2,9 @@
 
 #include <array>
 
+#include "bits/avx2.hpp"
+#include "common/cpu.hpp"
+
 namespace repro::bits {
 namespace {
 
@@ -38,6 +41,11 @@ void build_repeat_bitmap(const u8* data, std::size_t n, std::vector<u8>& bitmap,
 }  // namespace
 
 void zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out) {
+  if (common::has_avx2()) return avx2::zerobyte_encode(data, n, out);
+  scalar::zerobyte_encode(data, n, out);
+}
+
+void scalar::zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out) {
   // Level 0: zero-byte bitmap over the data.
   std::array<std::vector<u8>, kZeroByteLevels + 1> bitmaps;
   std::array<std::vector<u8>, kZeroByteLevels> repeats;  // R_k = survivors of B_k

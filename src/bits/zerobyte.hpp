@@ -11,6 +11,11 @@
 //   [top-level bitmap B3] [R2] [R1] [R0] [NZ]
 // where B_{k+1} is the repeat-bitmap of B_k, R_k holds the non-repeating
 // bytes of B_k, and NZ holds the nonzero data bytes.
+//
+// zerobyte_encode() runs the AVX2 tier (lossless_avx2.cpp) when the CPU has
+// AVX2 and scalar::zerobyte_encode() otherwise; both append the same bytes
+// for every input, and the scalar function is the reference. The decoder has
+// one tier, the scalar loop.
 #pragma once
 
 #include <cstddef>
@@ -34,5 +39,12 @@ void zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out);
 /// available). Returns the number of input bytes consumed.
 /// Throws CompressionError if the stream is truncated.
 std::size_t zerobyte_decode(const u8* in, std::size_t in_size, u8* data, std::size_t n);
+
+namespace scalar {
+
+/// The reference tier, one byte and one bitmap bit at a time.
+void zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out);
+
+}  // namespace scalar
 
 }  // namespace repro::bits

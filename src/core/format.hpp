@@ -51,4 +51,11 @@ inline Header read_header(const Bytes& in) {
   return h;
 }
 
+/// A chunk's size-table entry must equal the bytes its decoder consumed. The
+/// encoder writes no slack, so any difference means a damaged table or chunk.
+inline void check_chunk_consumed(std::size_t used, std::size_t table_size) {
+  if (used != table_size)
+    throw CompressionError("PFPL stream: chunk size table disagrees with chunk payload");
+}
+
 }  // namespace repro::pfpl

@@ -149,10 +149,11 @@ std::vector<u8> decompress_typed(const Bytes& in, const Header& h, const Q& q,
     if (off + csize > in.size()) throw CompressionError("PFPL stream: truncated chunk");
     bool compressed = (sizes[c] & kRawChunkFlag) == 0;
     std::vector<Bits> words(k);
-    if (exec == Executor::GpuSim)
-      sim::gpu_chunk_decode(in.data() + off, csize, compressed, words.data(), k);
-    else
-      chunk_decode(in.data() + off, csize, compressed, words.data(), k);
+    const std::size_t used =
+        exec == Executor::GpuSim
+            ? sim::gpu_chunk_decode(in.data() + off, csize, compressed, words.data(), k)
+            : chunk_decode(in.data() + off, csize, compressed, words.data(), k);
+    check_chunk_consumed(used, csize);
     {
       OBS_SPAN("pfpl.dequantize");
       obs::KernelTimer kt(obs::Kernel::Dequantize, k * sizeof(T));

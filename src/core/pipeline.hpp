@@ -96,15 +96,18 @@ std::size_t chunk_decode(const u8* in, std::size_t in_size, bool compressed, U* 
   std::vector<U> buf(padded);
   std::size_t used;
   {
+    OBS_SPAN("pfpl.zerobyte");
     obs::KernelTimer kt(obs::Kernel::ZerobyteDec, kbytes);
     used = bits::zerobyte_decode(in, in_size, reinterpret_cast<u8*>(buf.data()),
                                  padded * sizeof(U));
   }
   {
+    OBS_SPAN("pfpl.bitshuffle");
     obs::KernelTimer kt(obs::Kernel::BitshuffleDec, kbytes);
     bits::bitshuffle(buf.data(), padded);
   }
   {
+    OBS_SPAN("pfpl.delta_nb");
     obs::KernelTimer kt(obs::Kernel::DeltaNbDec, kbytes);
     bits::delta_negabinary_decode(buf.data(), padded);
   }

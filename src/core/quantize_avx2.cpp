@@ -349,14 +349,6 @@ PFPL_AVX2 void rel_decode(const RelQuantizer<T>& q, RelConsts c, const BitsOf<T>
 
 }  // namespace
 
-bool available() {
-  static const bool has = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
-  return has;
-}
-
 template <typename Q>
 void Kernels::encode(const Q& q, const typename Q::Value* in, typename Q::Bits* out,
                      std::size_t k) {
@@ -387,8 +379,6 @@ void Kernels::decode(const Q& q, const typename Q::Bits* in, typename Q::Value* 
 #else  // no x86: the scalar loops are the only tier
 
 namespace repro::pfpl::avx2 {
-
-bool available() { return false; }
 
 template <typename Q>
 void Kernels::encode(const Q& q, const typename Q::Value* in, typename Q::Bits* out,

@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "common/cpu.hpp"
 #include "common/types.hpp"
 #include "fpmath/det_math.hpp"
 #include "fpmath/traits.hpp"
@@ -38,12 +39,9 @@ using VerifyReal = std::conditional_t<std::is_same_v<T, float>, double, long dou
 
 namespace avx2 {
 
-/// True when this CPU and OS run AVX2; resolved once per process.
-bool available();
-
 /// The AVX2 block kernels (quantize_avx2.cpp), instantiated for the four
 /// quantizer types. Output word i equals q.encode(in[i]) (resp. q.decode),
-/// bit for bit, for any input. Call only when available() is true.
+/// bit for bit, for any input. Call only when common::has_avx2() is true.
 struct Kernels {
   template <typename Q>
   static void encode(const Q& q, const typename Q::Value* in, typename Q::Bits* out,
@@ -113,13 +111,13 @@ class AbsQuantizer {
 
   /// out[i] = encode(in[i]) for i < k.
   void encode_block(const T* in, Bits* out, std::size_t k) const {
-    if (avx2::available()) return avx2::Kernels::encode(*this, in, out, k);
+    if (common::has_avx2()) return avx2::Kernels::encode(*this, in, out, k);
     for (std::size_t i = 0; i < k; ++i) out[i] = encode(in[i]);
   }
 
   /// out[i] = decode(in[i]) for i < k.
   void decode_block(const Bits* in, T* out, std::size_t k) const {
-    if (avx2::available()) return avx2::Kernels::decode(*this, in, out, k);
+    if (common::has_avx2()) return avx2::Kernels::decode(*this, in, out, k);
     for (std::size_t i = 0; i < k; ++i) out[i] = decode(in[i]);
   }
 
@@ -218,13 +216,13 @@ class RelQuantizer {
 
   /// out[i] = encode(in[i]) for i < k.
   void encode_block(const T* in, Bits* out, std::size_t k) const {
-    if (avx2::available()) return avx2::Kernels::encode(*this, in, out, k);
+    if (common::has_avx2()) return avx2::Kernels::encode(*this, in, out, k);
     for (std::size_t i = 0; i < k; ++i) out[i] = encode(in[i]);
   }
 
   /// out[i] = decode(in[i]) for i < k.
   void decode_block(const Bits* in, T* out, std::size_t k) const {
-    if (avx2::available()) return avx2::Kernels::decode(*this, in, out, k);
+    if (common::has_avx2()) return avx2::Kernels::decode(*this, in, out, k);
     for (std::size_t i = 0; i < k; ++i) out[i] = decode(in[i]);
   }
 

@@ -161,8 +161,9 @@ class StreamDecoderImpl {
         if (off + csize > stream_.size())
           throw CompressionError("PFPL stream: truncated chunk");
         std::vector<Bits> words(k);
-        chunk_decode(stream_.data() + off, csize, (sizes_[chunk_] & kRawChunkFlag) == 0,
-                     words.data(), k);
+        check_chunk_consumed(chunk_decode(stream_.data() + off, csize,
+                                          (sizes_[chunk_] & kRawChunkFlag) == 0, words.data(), k),
+                             csize);
         staging_.resize(k * sizeof(T));
         T* vals = reinterpret_cast<T*>(staging_.data());
         std::visit([&](const auto& q) { q.decode_block(words.data(), vals, k); }, st.quant);

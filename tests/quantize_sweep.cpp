@@ -66,7 +66,7 @@ u64 sweep(const Q& q, unsigned threads) {
 int main(int argc, char** argv) {
   unsigned threads = std::max(1u, std::thread::hardware_concurrency());
   if (argc > 1) threads = static_cast<unsigned>(std::max(1, std::atoi(argv[1])));
-  if (!avx2::available()) {
+  if (!common::has_avx2()) {
     std::printf("quantize_sweep: this CPU has no AVX2; only the scalar tier runs\n");
     return 0;
   }

@@ -1,12 +1,16 @@
 // Tests for the bit-level kernels of the lossless pipeline (paper III-D).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <numeric>
+#include <string>
 
 #include "bits/bitshuffle.hpp"
 #include "bits/delta.hpp"
 #include "bits/negabinary.hpp"
 #include "bits/zerobyte.hpp"
+#include "common/cpu.hpp"
 #include "data/rng.hpp"
 
 using namespace repro;
@@ -194,4 +198,119 @@ TEST(ZeroByte, TruncatedStreamThrows) {
   std::vector<u8> dec(d.size());
   EXPECT_THROW(zerobyte_decode(enc.data(), enc.size() / 2, dec.data(), d.size()),
                CompressionError);
+}
+
+// --- SIMD tier equivalence ------------------------------------------------------
+// bitshuffle() and zerobyte_encode() run the AVX2 tier on CPUs that have it;
+// these compare them with the scalar:: reference on inputs chosen to reach
+// every branch of the tier: bit-permutation bases, every length around the
+// vector widths, and bitmaps that repeat across vector boundaries.
+
+namespace {
+
+#define SKIP_WITHOUT_AVX2() \
+  if (!common::has_avx2()) GTEST_SKIP() << "this CPU has no AVX2"
+
+/// Runs the transpose of one tile through both tiers and compares.
+template <typename U>
+void expect_tiers_agree(const std::vector<U>& w, const char* what) {
+  std::vector<U> ref = w, got = w;
+  scalar::bitshuffle(ref.data(), ref.size());
+  bitshuffle(got.data(), got.size());
+  ASSERT_EQ(got, ref) << what;
+}
+
+template <typename U>
+void transpose_basis() {
+  constexpr int kBits = sizeof(U) * 8;
+  for (int r = 0; r < kBits; ++r)
+    for (int c = 0; c < kBits; ++c) {
+      std::vector<U> w(kBits, U{0});
+      w[r] = U{1} << c;
+      expect_tiers_agree(w, ("r=" + std::to_string(r) + " c=" + std::to_string(c)).c_str());
+    }
+}
+
+/// `n` bytes of which about `zeros` (a fraction) are zero.
+std::vector<u8> sparse_bytes(data::Rng& rng, std::size_t n, double zeros) {
+  std::vector<u8> d(n);
+  for (auto& b : d) b = rng.uniform() < zeros ? u8{0} : static_cast<u8>(rng.next_u64() | 1);
+  return d;
+}
+
+/// A heap copy of exactly v.size() bytes, so a sanitizer build reports any
+/// read past its end.
+std::unique_ptr<u8[]> exact_copy(const std::vector<u8>& v) {
+  std::unique_ptr<u8[]> p(new u8[v.size()]);
+  std::copy(v.begin(), v.end(), p.get());
+  return p;
+}
+
+/// Both encode tiers, appended to a non-empty prefix, must agree byte for
+/// byte; the scalar decoder must then give back `d` and consume exactly the
+/// encoded bytes.
+void expect_encode_agrees(const std::vector<u8>& d, const std::string& what) {
+  const std::size_t n = d.size();
+  const std::unique_ptr<u8[]> src = exact_copy(d);
+  std::vector<u8> ref{0xAB, 0xCD}, got{0xAB, 0xCD};
+  scalar::zerobyte_encode(src.get(), n, ref);
+  zerobyte_encode(src.get(), n, got);
+  ASSERT_EQ(got, ref) << what;
+
+  const std::vector<u8> enc(got.begin() + 2, got.end());
+  const std::unique_ptr<u8[]> in = exact_copy(enc);
+  const std::unique_ptr<u8[]> back(new u8[n]);
+  ASSERT_EQ(zerobyte_decode(in.get(), enc.size(), back.get(), n), enc.size()) << what;
+  ASSERT_TRUE(std::equal(d.begin(), d.end(), back.get())) << what;
+}
+
+}  // namespace
+
+TEST(BitsTiers, Transpose32SingleBitBasis) {
+  SKIP_WITHOUT_AVX2();
+  transpose_basis<u32>();  // 1,024 inputs: fixes the bit permutation
+}
+
+TEST(BitsTiers, Transpose64SingleBitBasis) {
+  SKIP_WITHOUT_AVX2();
+  transpose_basis<u64>();  // 4,096 inputs
+}
+
+TEST(BitsTiers, TransposeRandomTiles) {
+  SKIP_WITHOUT_AVX2();
+  data::Rng rng(20);
+  for (int t = 0; t < 200; ++t) {
+    std::vector<u32> w32(32 * (1 + t % 5));
+    for (auto& x : w32) x = static_cast<u32>(rng.next_u64());
+    expect_tiers_agree(w32, "u32");
+    std::vector<u64> w64(64 * (1 + t % 3));
+    for (auto& x : w64) x = rng.next_u64() & (t % 2 ? ~u64{0} : u64{0xFFFF});
+    expect_tiers_agree(w64, "u64");
+  }
+}
+
+TEST(BitsTiers, ZeroByteEncodeEveryLengthAndDensity) {
+  SKIP_WITHOUT_AVX2();
+  data::Rng rng(21);
+  std::vector<std::size_t> sizes(1101);
+  std::iota(sizes.begin(), sizes.end(), std::size_t{0});
+  for (std::size_t n : {16383, 16384, 16385}) sizes.push_back(n);
+  for (std::size_t n : sizes)
+    for (double zeros : {0.0, 0.5, 0.9, 1.0})
+      expect_encode_agrees(sparse_bytes(rng, n, zeros),
+                           "n=" + std::to_string(n) + " zeros=" + std::to_string(zeros));
+}
+
+TEST(BitsTiers, ZeroByteEncodeRepeatingBitmaps) {
+  SKIP_WITHOUT_AVX2();
+  // Periodic zero patterns make bitmap bytes repeat, so the upper levels keep
+  // few bytes; runs of one bitmap byte cross the 32-byte vector boundaries.
+  data::Rng rng(22);
+  for (std::size_t period : {1, 3, 8, 16, 24, 64, 200, 512, 4096})
+    for (std::size_t n : {1000, 4096, 16384, 16385}) {
+      std::vector<u8> d(n);
+      for (std::size_t i = 0; i < n; ++i)
+        d[i] = (i % period) < period / 2 ? u8{0} : static_cast<u8>(1 + rng.next_u64() % 255);
+      expect_encode_agrees(d, "period=" + std::to_string(period) + " n=" + std::to_string(n));
+    }
 }

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 
 #include "baselines/registry.hpp"
 #include "core/pfpl.hpp"
+#include "core/stream.hpp"
 #include "data/rng.hpp"
 #include "lossless/huffman.hpp"
 #include "lossless/lz.hpp"
@@ -38,7 +41,54 @@ void expect_graceful(Fn&& decode) {
   }
 }
 
+/// Inserts one junk byte after chunk c's payload and adds 1 to its
+/// size-table entry, leaving every other chunk where the table says.
+Bytes with_chunk_slack(const Bytes& s, std::size_t c) {
+  const pfpl::Header h = pfpl::peek_header(s);
+  const std::size_t table = sizeof(pfpl::Header);
+  std::vector<u32> sizes(h.chunk_count);
+  std::memcpy(sizes.data(), s.data() + table, sizes.size() * sizeof(u32));
+  std::size_t end = table + sizes.size() * sizeof(u32);
+  for (std::size_t i = 0; i <= c; ++i) end += sizes[i] & ~pfpl::kRawChunkFlag;
+  Bytes bad(s.begin(), s.begin() + static_cast<std::ptrdiff_t>(end));
+  bad.push_back(0x5A);
+  bad.insert(bad.end(), s.begin() + static_cast<std::ptrdiff_t>(end), s.end());
+  const u32 grown = sizes[c] + 1;  // the raw flag is the top bit: unchanged
+  std::memcpy(bad.data() + table + c * sizeof(u32), &grown, sizeof(u32));
+  return bad;
+}
+
 }  // namespace
+
+TEST(Fuzz, PfplChunkSlackRejected) {
+  // A size-table entry longer than what its chunk's decoder consumes is
+  // damage, not padding: every executor and the stream reader must refuse
+  // it, for a compressed chunk (smooth data) and a raw one (random bits).
+  std::vector<float> smooth = field_3d(20000, 14), noise(20000);
+  data::Rng rng(15);
+  for (auto& x : noise) {
+    const u32 bits = static_cast<u32>(rng.next_u64());
+    std::memcpy(&x, &bits, sizeof(x));
+  }
+  for (const auto* v : {&smooth, &noise}) {
+    const Bytes c = pfpl::compress(Field(v->data(), v->size()), {1e-3, EbType::ABS});
+    const pfpl::Header h = pfpl::peek_header(c);
+    u32 first_entry;
+    std::memcpy(&first_entry, c.data() + sizeof(pfpl::Header), sizeof(u32));
+    ASSERT_EQ((first_entry & pfpl::kRawChunkFlag) != 0, v == &noise);
+    for (std::size_t chunk : {std::size_t{0}, std::size_t{h.chunk_count - 1}}) {
+      const Bytes bad = with_chunk_slack(c, chunk);
+      for (pfpl::Executor exec :
+           {pfpl::Executor::Serial, pfpl::Executor::OpenMP, pfpl::Executor::GpuSim}) {
+        EXPECT_NO_THROW(pfpl::decompress(c, exec));
+        EXPECT_THROW(pfpl::decompress(bad, exec), CompressionError) << "chunk " << chunk;
+      }
+      std::vector<float> out(v->size());
+      EXPECT_THROW(pfpl::StreamDecoder(bad).read(std::span<float>(out)), CompressionError);
+      EXPECT_EQ(pfpl::StreamDecoder(c).read(std::span<float>(out)), out.size());
+    }
+  }
+}
 
 TEST(Fuzz, PfplTruncationsAllLengths) {
   auto v = field_3d(20000, 1);

@@ -317,7 +317,7 @@ INSTANTIATE_TEST_SUITE_P(Bounds, QuantizerSweep,
 namespace {
 
 #define SKIP_WITHOUT_AVX2() \
-  if (!avx2::available()) GTEST_SKIP() << "this CPU has no AVX2"
+  if (!common::has_avx2()) GTEST_SKIP() << "this CPU has no AVX2"
 
 /// Mismatches between the AVX2 tier and the scalar functions over `vals`:
 /// encode of every value, and decode of the encoder's words and of the raw
