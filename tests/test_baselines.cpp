@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "baselines/cuszp_like.hpp"
 #include "baselines/fzgpu_like.hpp"
@@ -14,6 +15,7 @@
 #include "baselines/sz2.hpp"
 #include "baselines/sz3.hpp"
 #include "baselines/zfp_like.hpp"
+#include "common/hash.hpp"
 #include "data/rng.hpp"
 #include "data/synthetic.hpp"
 #include "metrics/error_stats.hpp"
@@ -225,6 +227,111 @@ TEST(ZfpLike, CompressesSmoothData) {
   ZfpLikeCompressor zfp;
   Bytes c = zfp.compress(Field(v.data(), {32, 32, 32}), 1e-2, EbType::ABS);
   EXPECT_LT(c.size(), v.size() * 4 / 3);  // > 3x ratio
+}
+
+/// libm-free ZFP_like inputs: a smooth polynomial field with small noise, and
+/// values spread over 40 binades so the lifting transform sees wide blocks.
+template <typename T>
+std::vector<T> zfp_smooth(std::size_t n, u64 seed, double offset) {
+  data::Rng rng(seed);
+  std::vector<T> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(i % 97) / 97.0, y = static_cast<double>(i % 31) / 31.0;
+    v[i] = static_cast<T>(offset + x * x - 0.5 * y + 0.25 * x * y + 1e-3 * rng.uniform(-1, 1));
+  }
+  return v;
+}
+
+template <typename T>
+std::vector<T> zfp_wide(std::size_t n, u64 seed) {
+  data::Rng rng(seed);
+  std::vector<T> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double m = rng.uniform(-1, 1);
+    v[i] = static_cast<T>(std::ldexp(m, static_cast<int>(rng.next_u64() % 40) - 20));
+  }
+  return v;
+}
+
+struct ZfpDigest {
+  const char* name;
+  const char* stream;
+  const char* values;
+};
+
+// Digests of ZFP_like streams and reconstructions, taken before the lifting
+// transform moved to unsigned arithmetic; the "flips" rows decode 64
+// single-bit corruptions of a stream, whose blocks overflow the transform.
+const ZfpDigest kZfpGolden[] = {
+    {"f32/smooth3d/ABS", "6d2f604e4a4064ce81fc953cc78c9237", "7e9a1c1329515481b37fa8b0605c2a66"},
+    {"f32/smooth3d/REL", "7a78ea92fee2557a494a1543e660ddbc", "4b795e87961b4ac83a35d3060ee87025"},
+    {"f32/smooth1d/ABS", "e98586af89f449af7ddd5312c97e6efc", "525c732a7a3b974595d855e33437551e"},
+    {"f32/smooth2d/ABS", "56bdf1cc0f2d2760eab314a48cc0d471", "576bd0c310ddf6e46c85cc8f713642c0"},
+    {"f64/wide3d/ABS", "210227686c6a5401e2286cdf723c84d2", "23ab4aab0e78ee0e3b5dbe7cbc114f76"},
+    {"f64/wide3d/REL", "d3a960c792bcd359c9d7d671a9fed92c", "a1c992ccbe7fac2a99b45074f3147b6e"},
+    {"f32/wide3d/flips", "6789eee54b7e5a0226e380d52dd2e6ae", "20414b5af6ed654f88ae0ed2e1fcae22"},
+    {"f64/wide3d/flips", "a9fe58fcc01d06d79a432288dc1e290d", "cc9de286e80726ed3d793c63c69ee83c"},
+};
+
+void expect_zfp_digest(const std::string& name, const Bytes& stream,
+                       const std::vector<u8>& values) {
+  const ZfpDigest* want = nullptr;
+  for (const auto& g : kZfpGolden)
+    if (name == g.name) want = &g;
+  const std::string sh = common::hash128(stream.data(), stream.size()).hex();
+  const std::string vh = common::hash128(values.data(), values.size()).hex();
+  ASSERT_NE(want, nullptr) << "missing golden entry: {\"" << name << "\", \"" << sh
+                           << "\", \"" << vh << "\"},";
+  EXPECT_EQ(sh, want->stream) << name;
+  EXPECT_EQ(vh, want->values) << name;
+}
+
+template <typename T>
+void check_zfp_golden(const std::string& name, const std::vector<T>& v,
+                      std::array<std::size_t, 3> dims, double eps, EbType eb) {
+  ZfpLikeCompressor zfp;
+  const Bytes c = zfp.compress(Field(v.data(), dims), eps, eb);
+  expect_zfp_digest(name, c, zfp.decompress(c));
+}
+
+template <typename T>
+void check_zfp_flips(const std::string& name, const std::vector<T>& v,
+                     std::array<std::size_t, 3> dims) {
+  ZfpLikeCompressor zfp;
+  const Bytes c = zfp.compress(Field(v.data(), dims), 1e-3, EbType::ABS);
+  // Flips land past the 56-byte header, so the block decoder sees every
+  // corruption; a rejected stream contributes one marker byte.
+  data::Rng rng(97);
+  std::vector<u8> decoded;
+  for (int t = 0; t < 64; ++t) {
+    Bytes bad = c;
+    const std::size_t at = 64 + rng.next_u64() % (bad.size() - 64);
+    bad[at] ^= static_cast<u8>(1u << (rng.next_u64() % 8));
+    try {
+      const std::vector<u8> back = zfp.decompress(bad);
+      decoded.insert(decoded.end(), back.begin(), back.end());
+    } catch (const CompressionError&) {
+      decoded.push_back(0xEE);
+    }
+  }
+  expect_zfp_digest(name, c, decoded);
+}
+
+TEST(ZfpLike, GoldenDigests) {
+  check_zfp_golden("f32/smooth3d/ABS", zfp_smooth<float>(16 * 32 * 32, 91, 0.0), {16, 32, 32},
+                   1e-3, EbType::ABS);
+  check_zfp_golden("f32/smooth3d/REL", zfp_smooth<float>(8 * 16 * 16, 92, 2.0), {8, 16, 16},
+                   1e-3, EbType::REL);
+  check_zfp_golden("f32/smooth1d/ABS", zfp_smooth<float>(1000, 93, 0.0), {1, 1, 1000}, 1e-2,
+                   EbType::ABS);
+  check_zfp_golden("f32/smooth2d/ABS", zfp_smooth<float>(48 * 64, 94, 0.0), {1, 48, 64}, 1e-3,
+                   EbType::ABS);
+  check_zfp_golden("f64/wide3d/ABS", zfp_wide<double>(8 * 16 * 16, 95), {8, 16, 16}, 1e-4,
+                   EbType::ABS);
+  check_zfp_golden("f64/wide3d/REL", zfp_wide<double>(8 * 16 * 16, 96), {8, 16, 16}, 1e-2,
+                   EbType::REL);
+  check_zfp_flips("f32/wide3d/flips", zfp_wide<float>(16 * 16 * 16, 98), {16, 16, 16});
+  check_zfp_flips("f64/wide3d/flips", zfp_wide<double>(16 * 16 * 16, 99), {16, 16, 16});
 }
 
 // --- cuSZp-like -----------------------------------------------------------------

@@ -167,3 +167,58 @@ TEST(Harness, ParetoIsPerBound) {
   EXPECT_TRUE(rows[0].pareto_compress);
   EXPECT_TRUE(rows[1].pareto_compress);
 }
+
+// The former bench_regress sweep (PFPL_Serial, 1 file per suite, 1<<14
+// values, bounds 1e-2 and 1e-3). Ratio and PSNR are deterministic — seeded
+// generators, byte-identical streams on every executor and tier — so they
+// are pinned to the values this sweep produced before the bench/ gate was
+// retired, and every row must hold its bound exactly.
+TEST(Harness, RegressSweepRowsArePinned) {
+  struct Pin {
+    EbType eb;
+    DType dtype;
+    double eps, ratio, psnr_db;
+  };
+  const Pin kPins[] = {
+      {EbType::ABS, DType::F32, 1e-2, 5.0720979286645704, 65.682344759952841},
+      {EbType::ABS, DType::F32, 1e-3, 3.3585391616144289, 86.752152975671962},
+      {EbType::ABS, DType::F64, 1e-2, 13.561909245936805, 57.323346010164137},
+      {EbType::ABS, DType::F64, 1e-3, 8.4071958813398702, 78.165073216159257},
+      {EbType::REL, DType::F32, 1e-2, 6.9274827601789255, 56.949749819035141},
+      {EbType::REL, DType::F32, 1e-3, 4.0990061533829705, 76.635773936018722},
+      {EbType::REL, DType::F64, 1e-2, 15.283966958391359, 51.975266626154699},
+      {EbType::REL, DType::F64, 1e-3, 8.9172630991285882, 72.145030872765005},
+      {EbType::NOA, DType::F32, 1e-2, 11.898767780133127, 44.800642733966917},
+      {EbType::NOA, DType::F32, 1e-3, 6.2962144583828987, 64.747193248241942},
+      {EbType::NOA, DType::F64, 1e-2, 22.32367653496323, 44.611179580963423},
+      {EbType::NOA, DType::F64, 1e-3, 11.753628369406082, 64.768034135967426},
+  };
+  std::size_t checked = 0;
+  for (EbType eb : {EbType::ABS, EbType::REL, EbType::NOA}) {
+    for (DType dtype : {DType::F32, DType::F64}) {
+      SweepConfig cfg;
+      cfg.eb = eb;
+      cfg.dtype = dtype;
+      cfg.bounds = {1e-2, 1e-3};
+      cfg.target_values = 1 << 14;
+      cfg.max_files = 1;
+      cfg.runs = 1;
+      cfg.only_compressors = {"PFPL_Serial"};
+      const std::vector<Row> rows = run_sweep(cfg);
+      ASSERT_EQ(rows.size(), 2u) << to_string(eb) << " " << to_string(dtype);
+      for (const Row& r : rows) {
+        const Pin* pin = nullptr;
+        for (const Pin& p : kPins)
+          if (p.eb == eb && p.dtype == dtype && p.eps == r.eb) pin = &p;
+        ASSERT_NE(pin, nullptr) << r.eb;
+        const std::string where =
+            std::string(to_string(eb)) + "_" + to_string(dtype) + "@" + std::to_string(r.eb);
+        EXPECT_NEAR(r.ratio, pin->ratio, 1e-9 * pin->ratio) << where;
+        EXPECT_NEAR(r.psnr_db, pin->psnr_db, 1e-9 * pin->psnr_db) << where;
+        EXPECT_EQ(r.violations, 0u) << where;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 12u);
+}

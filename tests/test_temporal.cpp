@@ -200,6 +200,52 @@ TEST(Temporal, RegimeChangeTriggersPerChunkFallback) {
       << "chaotic half should force per-chunk intra fallback";
 }
 
+/// Ratio of `seq` coded as one session under `cfg`; every frame is decoded
+/// and its violations added to `violations`.
+double session_ratio(const data::FrameSequence& seq,
+                     const temporal::SessionConfig& cfg, std::size_t& violations) {
+  temporal::FrameEncoder enc(cfg);
+  temporal::FrameDecoder dec(cfg);
+  std::size_t stream_bytes = 0;
+  for (std::size_t t = 0; t < seq.frames(); ++t) {
+    const temporal::EncodedFrame ef = enc.encode(seq.frame(t), t);
+    stream_bytes += ef.byte_size();
+    violations += audit_frame(cfg, frame_bytes(seq, t), dec.decode(ef).data());
+  }
+  const std::size_t raw_bytes =
+      seq.frames() * seq.frame_values() * dtype_size(seq.dtype);
+  return static_cast<double>(raw_bytes) / static_cast<double>(stream_bytes);
+}
+
+TEST(Temporal, SuiteRatiosArePinned) {
+  // The former bench_temporal protocol: 32 frames of ~16k values per suite,
+  // a keyframe every 16 frames, against the same frames coded all-intra.
+  // Ratios are deterministic, so both are pinned to the values this protocol
+  // produced before the bench/ gate was retired. The correlated suites must
+  // beat intra by 1.3x; on regime, where correlation is killed mid-stream,
+  // per-chunk fallback must keep temporal within 5% of intra.
+  struct Pin {
+    const char* suite;
+    EbType eb;
+    double eps, temporal_ratio, intra_ratio, min_win;
+  };
+  const Pin kPins[] = {
+      {"advect", EbType::ABS, 1e-3, 2.5184389932258062, 1.8312587266644953, 1.3},
+      {"diffuse", EbType::NOA, 1e-4, 9.4385738299964661, 6.2323051914281553, 1.3},
+      {"regime", EbType::ABS, 1e-3, 2.3144154344980721, 1.8349118964894213, 0.95},
+  };
+  for (const Pin& p : kPins) {
+    const auto seq = data::generate_evolving(data::find_evolving(p.suite), 16384, 32);
+    std::size_t violations = 0;
+    const double t_ratio = session_ratio(seq, config_for(seq, p.eb, p.eps, 16), violations);
+    const double i_ratio = session_ratio(seq, config_for(seq, p.eb, p.eps, 1), violations);
+    EXPECT_NEAR(t_ratio, p.temporal_ratio, 1e-9 * p.temporal_ratio) << p.suite;
+    EXPECT_NEAR(i_ratio, p.intra_ratio, 1e-9 * p.intra_ratio) << p.suite;
+    EXPECT_GE(t_ratio / i_ratio, p.min_win) << p.suite;
+    EXPECT_EQ(violations, 0u) << p.suite;
+  }
+}
+
 TEST(Temporal, DecoderRequiresKeyframeFirst) {
   const auto seq = data::generate_evolving(data::find_evolving("advect"), 1024, 3);
   const auto cfg = config_for(seq, EbType::ABS, 1e-3);
