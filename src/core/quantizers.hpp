@@ -21,6 +21,12 @@
 // quantize_avx2.cpp, whose every output word equals the per-value word.
 #pragma once
 
+// Embedders compile this header with their own flags. Fast math may assume
+// no NaNs (the REL bins are NaN patterns) and rewrite the exact re-check.
+#if defined(__FAST_MATH__) || (defined(__FINITE_MATH_ONLY__) && __FINITE_MATH_ONLY__)
+#error "core/quantizers.hpp needs IEEE semantics: build without -ffast-math and -ffinite-math-only"
+#endif
+
 #include <cmath>
 #include <cstddef>
 
