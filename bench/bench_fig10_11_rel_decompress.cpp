@@ -13,5 +13,5 @@ int main(int argc, char** argv) {
 
   cfg.dtype = DType::F64;
   bench::print_rows("Fig11_REL_decompress_f64", bench::run_sweep(cfg));
-  return bench::finish();
+  return 0;
 }

@@ -18,5 +18,5 @@ int main(int argc, char** argv) {
 
   cfg.dtype = DType::F64;
   bench::print_rows("Fig13_NOA_compress_f64", bench::run_sweep(cfg));
-  return bench::finish();
+  return 0;
 }

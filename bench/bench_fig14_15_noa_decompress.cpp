@@ -16,5 +16,5 @@ int main(int argc, char** argv) {
 
   cfg.dtype = DType::F64;
   bench::print_rows("Fig15_NOA_decompress_f64", bench::run_sweep(cfg));
-  return bench::finish();
+  return 0;
 }

@@ -15,5 +15,5 @@ int main(int argc, char** argv) {
 
   cfg.dtype = DType::F64;
   bench::print_rows("Fig9_REL_compress_f64", bench::run_sweep(cfg));
-  return bench::finish();
+  return 0;
 }

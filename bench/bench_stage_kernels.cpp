@@ -1,25 +1,13 @@
-// Section V-F analogue: per-stage micro-benchmarks (google-benchmark), plus
-// a harness-mode kernel sweep for the regression baseline.
+// Section V-F analogue: per-stage micro-benchmarks (google-benchmark).
 //
 // The paper profiles the CUDA kernels and finds PFPL compute-bound with the
 // quantizer doing only a few FP operations. These micro-benchmarks measure
 // each pipeline stage and the fused end-to-end paths on this host, giving
 // the per-stage cost breakdown behind the Figure 6/7 throughput numbers.
-//
-// Two modes share the binary:
-//
-//   default              google-benchmark micro-benchmarks (BM_* below)
-//   --kernel-sweep, or any of --baseline / --update-baseline / --json /
-//   --gate               harness mode: run the full encode+decode path with
-//                        kernel attribution enabled and emit one bench::Row
-//                        per pipeline kernel ("Kernel/<name>@<eps>/..."), so
-//                        per-kernel MB/s rides BENCH_baseline.json and the
-//                        perf-smoke gate alongside the end-to-end figures.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <vector>
 
 #include "bits/bitshuffle.hpp"
@@ -29,10 +17,6 @@
 #include "core/pipeline.hpp"
 #include "core/quantizers.hpp"
 #include "data/rng.hpp"
-#include "harness.hpp"
-#include "obs/control.hpp"
-#include "obs/kernels.hpp"
-#include "obs/metrics.hpp"
 
 using namespace repro;
 
@@ -167,74 +151,6 @@ void BM_PfplDecompressSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_PfplDecompressSerial);
 
-/// Harness mode: run the end-to-end encode+decode path `runs` times with the
-/// metrics registry reset per rep, and convert each rep's kernel attribution
-/// (obs::kernel_stats) into per-kernel MB/s samples. Encode kernels report
-/// under comp_MBps, decode kernels under decomp_MBps; ratio/PSNR/violations
-/// are structurally unmeasured for a kernel row and are skipped.
-int kernel_sweep_main(int argc, char** argv) {
-  bench::SweepConfig cfg = bench::parse_args(argc, argv, bench::SweepConfig{});
-  obs::set_enabled(true);  // kernel timers are obs-gated
-  const int runs = std::max(3, cfg.runs);
-  const double eps = 1e-3;
-  const std::size_t n = std::max<std::size_t>(cfg.target_values, 1 << 16);
-
-  auto v = smooth_input(n);
-  Field field(v.data(), v.size());
-
-  // samples[kernel] = one MB/s sample per rep.
-  std::vector<std::vector<double>> samples(obs::kKernelCount);
-  for (int rep = 0; rep < runs; ++rep) {
-    obs::MetricsRegistry::global().reset();
-    Bytes c = pfpl::compress(field, {eps, EbType::ABS, pfpl::Executor::Serial});
-    auto raw = pfpl::decompress(c);
-    benchmark::DoNotOptimize(raw.data());
-    const std::vector<obs::KernelStat> stats = obs::kernel_stats();
-    for (std::size_t k = 0; k < stats.size() && k < samples.size(); ++k)
-      if (stats[k].calls > 0 && stats[k].mbps > 0) samples[k].push_back(stats[k].mbps);
-  }
-
-  std::vector<bench::Row> rows;
-  const std::vector<obs::KernelStat> order = obs::kernel_stats();
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    if (samples[k].empty()) continue;
-    std::vector<double> s = samples[k];
-    std::sort(s.begin(), s.end());
-    const double med = s[s.size() / 2];
-    bench::Row row;
-    row.compressor = order[k].name;
-    row.eb = eps;
-    row.has_ratio = row.has_psnr = row.has_violations = false;
-    if (order[k].encode) {
-      row.comp_mbps = med;
-      row.comp_run_mbps = samples[k];
-      row.has_decomp = false;
-    } else {
-      row.decomp_mbps = med;
-      row.decomp_run_mbps = samples[k];
-      row.has_comp = false;
-    }
-    rows.push_back(row);
-  }
-  bench::print_rows("Kernel", rows);
-  std::fprintf(stderr, "%s", obs::kernel_table_text().c_str());
-  return bench::finish();
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Harness flags switch the binary into the kernel sweep; everything else
-  // goes to google-benchmark untouched.
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--kernel-sweep") || !std::strcmp(argv[i], "--baseline") ||
-        !std::strcmp(argv[i], "--update-baseline") || !std::strcmp(argv[i], "--json") ||
-        !std::strcmp(argv[i], "--gate"))
-      return kernel_sweep_main(argc, argv);
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -12,8 +12,8 @@
 //
 // and reports the compression-ratio win and both encode throughputs. The
 // correlated suites (advect, diffuse) gate the win: temporal must beat intra
-// by --min-ratio-win (default 1.3x, the ISSUE acceptance bar) and must not
-// cost more than --max-tput-loss of intra's encode throughput. The regime
+// by --min-ratio-win (default 1.3x) and must not cost more than
+// --max-tput-loss of intra's encode throughput. The regime
 // suite — which deliberately kills temporal correlation mid-stream — is
 // reported but never gated on the win: its job is proving the per-chunk
 // intra fallback keeps the encoder from losing to intra outright.
@@ -25,10 +25,11 @@
 //
 //   bench_temporal                       # 32 frames x ~16k values, 3 reps
 //   bench_temporal --frames 64 --values 65536 --runs 5
-//   bench_temporal --update-baseline --baseline BENCH_baseline.json
 //
-// Exit codes: 0 ok, 1 bound violation / ratio or throughput gate miss,
-// 3 failed --gate against the baseline.
+// The default protocol's ratios, win and violation count are pinned in
+// ctest (Temporal.SuiteRatiosArePinned); this binary adds the throughput.
+//
+// Exit codes: 0 ok, 1 bound violation / ratio or throughput gate miss.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -161,8 +162,6 @@ bench::Row make_row(const std::string& name, double eps, const PassResult& r,
   row.eb = eps;
   row.ratio = r.stream_bytes ? static_cast<double>(raw_bytes) / r.stream_bytes : 0.0;
   const double mb = static_cast<double>(raw_bytes) / (1024.0 * 1024.0);
-  for (double s : r.times)
-    if (s > 0) row.comp_run_mbps.push_back(mb / s);
   const double med = median(r.times);
   row.comp_mbps = med > 0 ? mb / med : 0.0;
   row.violations = r.violations;
@@ -247,9 +246,8 @@ int main(int argc, char** argv) {
     rows.push_back(make_row(std::string("Temporal_") + c.name, c.eps, temporal,
                             raw_bytes));
     rows.push_back(make_row(std::string("Intra_") + c.name, c.eps, intra, raw_bytes));
-    // The headline acceptance number as its own baseline metric: the win is
-    // what the ISSUE gates, so regressions in it must be visible even when
-    // both absolute ratios drift together.
+    // The headline number as its own row: the win is what the bench gates,
+    // so a change in it is visible even when both ratios drift together.
     bench::Row win_row;
     win_row.compressor = std::string("TemporalWin_") + c.name;
     win_row.eb = c.eps;
@@ -260,8 +258,5 @@ int main(int argc, char** argv) {
   }
 
   bench::print_rows("Temporal", rows);
-
-  const int gate_rc = bench::finish();
-  if (failures) return 1;
-  return gate_rc;
+  return failures ? 1 : 0;
 }

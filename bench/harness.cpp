@@ -1,22 +1,16 @@
 #include "harness.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <set>
-#include <thread>
 
 #include "baselines/registry.hpp"
 #include "common/timer.hpp"
 #include "metrics/error_stats.hpp"
-#include "obs/baseline.hpp"
 #include "obs/control.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 
@@ -31,20 +25,7 @@ struct FileResult {
   double ratio = 0, comp_mbps = 0, decomp_mbps = 0, psnr = 0;
   std::size_t violations = 0;
   bool ok = false;
-  std::vector<double> comp_run_mbps, decomp_run_mbps;  ///< per run, obs only
 };
-
-/// Test-only slowdown hook: PFPL_TEST_SLEEP_US injects a sleep into every
-/// measured compress call, so the regression gate's fail path can be
-/// exercised deterministically (see tests + ISSUE acceptance criteria).
-/// Unset in any real benchmark run.
-long injected_sleep_us() {
-  static const long us = [] {
-    const char* e = std::getenv("PFPL_TEST_SLEEP_US");
-    return e ? std::atol(e) : 0L;
-  }();
-  return us;
-}
 
 /// Push per-run wall times (seconds) into the RunReport as milliseconds.
 void report_runs(const std::string& label, const std::vector<double>& secs) {
@@ -64,13 +45,7 @@ FileResult measure_file(const Compressor& c, const data::SyntheticFile& f, doubl
     std::vector<double> comp_runs, decomp_runs;
     std::vector<double>* cap = obs::enabled() ? &comp_runs : nullptr;
     Bytes stream;
-    const long sleep_us = injected_sleep_us();
-    double tc = median_runtime(
-        [&] {
-          if (sleep_us > 0) std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
-          stream = c.compress(field, eps, eb);
-        },
-        runs, cap);
+    double tc = median_runtime([&] { stream = c.compress(field, eps, eb); }, runs, cap);
     std::vector<u8> raw;
     double td = median_runtime([&] { raw = c.decompress(stream); }, runs,
                                cap ? &decomp_runs : nullptr);
@@ -80,10 +55,6 @@ FileResult measure_file(const Compressor& c, const data::SyntheticFile& f, doubl
       const std::string base = c.name() + "/" + f.name + "@" + eps_buf;
       report_runs(base + "/compress", comp_runs);
       report_runs(base + "/decompress", decomp_runs);
-      for (double t : comp_runs)
-        r.comp_run_mbps.push_back(throughput_mbps(field.byte_size(), t));
-      for (double t : decomp_runs)
-        r.decomp_run_mbps.push_back(throughput_mbps(field.byte_size(), t));
     }
     r.ratio = metrics::compression_ratio(field.byte_size(), stream.size());
     r.comp_mbps = throughput_mbps(field.byte_size(), tc);
@@ -158,35 +129,6 @@ void register_sink_flush() {
   }
 }
 
-/// Baseline/gate state for the process: where the baseline lives, whether we
-/// are writing or comparing, and every metric sample print_rows collected.
-struct GateState {
-  std::string baseline_path;
-  bool update = false;
-  double gate_pct = 0;
-  std::map<std::string, std::vector<double>> samples;
-  /// Advisory latency samples (µs) from record_advisory_us — summarized
-  /// lower-is-better + advisory, so they warn but never fail the gate.
-  std::map<std::string, std::vector<double>> advisory;
-  /// Figures this process actually ran (first key segment) — the update path
-  /// uses it to retire stale keys without clobbering other benches' figures.
-  std::set<std::string> figures;
-
-  bool active() const { return update || !baseline_path.empty(); }
-};
-
-GateState& gate_state() {
-  static GateState g;
-  return g;
-}
-
-void record_sample(const std::string& key, double v) { gate_state().samples[key].push_back(v); }
-
-void record_samples(const std::string& key, const std::vector<double>& vs) {
-  auto& dst = gate_state().samples[key];
-  dst.insert(dst.end(), vs.begin(), vs.end());
-}
-
 }  // namespace
 
 SweepConfig parse_args(int argc, char** argv, SweepConfig cfg) {
@@ -206,17 +148,6 @@ SweepConfig parse_args(int argc, char** argv, SweepConfig cfg) {
     } else if (a == "--csv-header") {
       std::printf("%s\n", csv_header());
       std::exit(0);
-    } else if (a == "--baseline") {
-      cfg.baseline_path = next();
-      gate_state().baseline_path = cfg.baseline_path;
-      obs::set_enabled(true);  // per-run capture feeds the MAD summaries
-    } else if (a == "--update-baseline") {
-      cfg.update_baseline = true;
-      gate_state().update = true;
-      obs::set_enabled(true);
-    } else if (a == "--gate") {
-      cfg.gate_pct = std::atof(next());
-      gate_state().gate_pct = cfg.gate_pct;
     } else if (a == "--full") {
       cfg.runs = 9;
       cfg.target_values = 1 << 20;
@@ -245,15 +176,10 @@ std::vector<Row> run_sweep(const SweepConfig& cfg) {
     if (!cfg.only_compressors.empty() && !contains(cfg.only_compressors, comp->name()))
       continue;
     for (double eps : cfg.bounds) {
-      const std::size_t runs = cfg.runs > 0 ? static_cast<std::size_t>(cfg.runs) : 1;
       std::vector<double> suite_ratio, suite_comp, suite_decomp, suite_psnr;
-      // Per-run row samples: the same nested geomean the median columns use,
-      // computed per run index r — [run][suite geomeans].
-      std::vector<std::vector<double>> run_comp(runs), run_decomp(runs);
       std::size_t violations = 0;
       for (const auto& suite : suites) {
         std::vector<double> fr, fc, fd, fp;
-        std::vector<std::vector<double>> frun_c(runs), frun_d(runs);
         for (const auto& file : suite.files) {
           FileResult r = measure_file(*comp, file, eps, cfg.eb, cfg.runs);
           if (!r.ok) continue;
@@ -262,22 +188,12 @@ std::vector<Row> run_sweep(const SweepConfig& cfg) {
           fd.push_back(r.decomp_mbps);
           if (std::isfinite(r.psnr)) fp.push_back(r.psnr);
           violations += r.violations;
-          if (r.comp_run_mbps.size() == runs && r.decomp_run_mbps.size() == runs) {
-            for (std::size_t i = 0; i < runs; ++i) {
-              frun_c[i].push_back(r.comp_run_mbps[i]);
-              frun_d[i].push_back(r.decomp_run_mbps[i]);
-            }
-          }
         }
         if (fr.empty()) continue;
         suite_ratio.push_back(metrics::geomean(fr));
         suite_comp.push_back(metrics::geomean(fc));
         suite_decomp.push_back(metrics::geomean(fd));
         if (!fp.empty()) suite_psnr.push_back(metrics::geomean(fp));
-        for (std::size_t i = 0; i < runs; ++i) {
-          if (!frun_c[i].empty()) run_comp[i].push_back(metrics::geomean(frun_c[i]));
-          if (!frun_d[i].empty()) run_decomp[i].push_back(metrics::geomean(frun_d[i]));
-        }
       }
       if (suite_ratio.empty()) continue;
       Row row;
@@ -288,11 +204,6 @@ std::vector<Row> run_sweep(const SweepConfig& cfg) {
       row.decomp_mbps = metrics::geomean(suite_decomp);
       row.psnr_db = metrics::geomean(suite_psnr);
       row.violations = violations;
-      for (std::size_t i = 0; i < runs; ++i) {
-        if (!run_comp[i].empty()) row.comp_run_mbps.push_back(metrics::geomean(run_comp[i]));
-        if (!run_decomp[i].empty())
-          row.decomp_run_mbps.push_back(metrics::geomean(run_decomp[i]));
-      }
       rows.push_back(row);
     }
   }
@@ -352,33 +263,6 @@ void print_rows(const std::string& figure, const std::vector<Row>& rows) {
   JsonSink& sink = json_sink();
   if (!sink.path.empty())
     for (const Row& r : rows) sink.rows.emplace_back(figure, r);
-  if (gate_state().active()) {
-    // Accumulate baseline samples keyed "<figure>/<compressor>@<eps>/<metric>".
-    // Metrics the row didn't measure are skipped entirely: a dead key in the
-    // baseline would compare 0 against 0 forever and dilute the gate table.
-    gate_state().figures.insert(figure);
-    for (const Row& r : rows) {
-      char eps_buf[32];
-      std::snprintf(eps_buf, sizeof(eps_buf), "%g", r.eb);
-      const std::string base = figure + "/" + r.compressor + "@" + eps_buf + "/";
-      if (r.has_ratio) record_sample(base + "ratio", r.ratio);
-      if (r.has_psnr) record_sample(base + "psnr_dB", r.psnr_db);
-      if (r.has_violations)
-        record_sample(base + "violations", static_cast<double>(r.violations));
-      if (r.has_comp) {
-        if (!r.comp_run_mbps.empty())
-          record_samples(base + "comp_MBps", r.comp_run_mbps);
-        else
-          record_sample(base + "comp_MBps", r.comp_mbps);
-      }
-      if (r.has_decomp) {
-        if (!r.decomp_run_mbps.empty())
-          record_samples(base + "decomp_MBps", r.decomp_run_mbps);
-        else
-          record_sample(base + "decomp_MBps", r.decomp_mbps);
-      }
-    }
-  }
 }
 
 std::string rows_json(const std::vector<FigureRow>& rows) {
@@ -406,119 +290,6 @@ void set_json_output(const std::string& path) {
   json_sink().path = path;
   obs::set_enabled(true);
   register_sink_flush();
-}
-
-void record_advisory_us(const std::string& key, const std::vector<double>& us) {
-  if (!gate_state().active() || us.empty()) return;
-  auto& dst = gate_state().advisory["adv/" + key];
-  dst.insert(dst.end(), us.begin(), us.end());
-}
-
-namespace {
-
-/// Direction of "better" for a row-metric key suffix.
-obs::Better better_of(const std::string& key) {
-  // Bound violations and latencies regress upward; everything else
-  // (throughput, ratio, PSNR) regresses downward.
-  if (key.size() >= 11 && key.compare(key.size() - 11, 11, "/violations") == 0)
-    return obs::Better::Lower;
-  return obs::Better::Higher;
-}
-
-std::string unit_of(const std::string& key) {
-  auto ends_with = [&](const char* s) {
-    const std::size_t n = std::strlen(s);
-    return key.size() >= n && key.compare(key.size() - n, n, s) == 0;
-  };
-  if (ends_with("MBps")) return "MB/s";
-  if (ends_with("ratio")) return "x";
-  if (ends_with("psnr_dB")) return "dB";
-  return "";
-}
-
-/// Current-run metric summaries: every row sample print_rows collected plus
-/// p50/p95/p99 of the microsecond latency histograms (advisory — the coarse
-/// exponential buckets make the estimates indicative, so they warn, never
-/// fail).
-std::map<std::string, obs::BaselineMetric> current_metrics() {
-  std::map<std::string, obs::BaselineMetric> out;
-  for (const auto& [key, samples] : gate_state().samples)
-    out[key] = obs::summarize_samples(samples, better_of(key), unit_of(key));
-  for (const auto& [key, samples] : gate_state().advisory)
-    out[key] = obs::summarize_samples(samples, obs::Better::Lower, "us",
-                                      /*advisory=*/true);
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  for (const std::string& name : reg.histogram_names()) {
-    if (name.size() < 3 || name.compare(name.size() - 3, 3, "_us") != 0) continue;
-    obs::Histogram& h = reg.histogram(name);
-    if (h.count() == 0) continue;
-    const std::pair<const char*, double> quantiles[] = {
-        {"p50", h.p50()}, {"p95", h.p95()}, {"p99", h.p99()}};
-    for (const auto& [q, v] : quantiles)
-      out["hist/" + name + "/" + q] =
-          obs::summarize_samples({v}, obs::Better::Lower, "us", /*advisory=*/true);
-  }
-  return out;
-}
-
-}  // namespace
-
-int finish() {
-  GateState& g = gate_state();
-  if (!g.active()) return 0;
-  std::map<std::string, obs::BaselineMetric> current = current_metrics();
-
-  if (g.update) {
-    obs::BaselineDoc doc;
-    const std::string path = g.baseline_path.empty() ? "BENCH_baseline.json" : g.baseline_path;
-    doc.tag = "baseline";
-    doc.meta["schema_note"] = "medians+MAD of bench rows; hist/* are latency quantiles";
-    doc.meta["csv_header"] = csv_header();
-    // The committed baseline is the union of several bench binaries'
-    // figures, but BaselineStore::save rewrites the whole file — so merge:
-    // keys from figures this process re-ran are replaced wholesale (stale
-    // rows retire), every other bench's keys are carried forward, and the
-    // current run wins on collision. hist/* and adv/* keys merge
-    // current-wins the same way.
-    try {
-      obs::BaselineDoc old = obs::BaselineStore::load(path);
-      for (const auto& [key, m] : old.metrics) {
-        if (current.count(key)) continue;
-        const std::string fig = key.substr(0, key.find('/'));
-        if (g.figures.count(fig)) continue;  // re-run figure: key retired
-        current[key] = m;
-      }
-    } catch (const std::exception&) {
-      // No previous baseline (or unreadable): write the current run alone.
-    }
-    doc.metrics = std::move(current);
-    try {
-      obs::BaselineStore::save(path, doc);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench: %s\n", e.what());
-      return 1;
-    }
-    std::fprintf(stderr, "bench: wrote baseline '%s' (%zu metrics)\n", path.c_str(),
-                 doc.metrics.size());
-    return 0;
-  }
-
-  obs::BaselineDoc baseline;
-  try {
-    baseline = obs::BaselineStore::load(g.baseline_path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench: %s\n", e.what());
-    return 1;
-  }
-  obs::GateConfig cfg;
-  if (g.gate_pct > 0) cfg.pct = g.gate_pct;
-  obs::GateResult res = obs::RegressionGate(cfg).compare(baseline, current);
-  // Verdict table to stderr (stdout stays pure CSV); JSON verdicts ride the
-  // RunReport so a --json document carries them under "report"."sections".
-  std::fprintf(stderr, "%s", res.table().c_str());
-  obs::RunReport::global().add_section("gate", res.json());
-  if (g.gate_pct <= 0) return 0;  // informational comparison only
-  return res.exit_code();
 }
 
 }  // namespace repro::bench

@@ -27,9 +27,6 @@ struct SweepConfig {
   int max_files = 2;                          ///< per suite
   int runs = 3;  ///< medians over this many runs (paper: 9)
   std::string json_path;  ///< --json FILE: machine-readable rows + RunReport
-  std::string baseline_path;     ///< --baseline FILE: compare against / write to
-  bool update_baseline = false;  ///< --update-baseline: write instead of compare
-  double gate_pct = 0;           ///< --gate PCT: enforce (exit 3 on fail)
 };
 
 /// Parse common CLI flags: --target N --files N --runs N --full (paper-scale
@@ -37,9 +34,7 @@ struct SweepConfig {
 /// obs RunReport to FILE at process exit; also enables observability so
 /// per-run times and stage metrics are captured), --csv-header (print the
 /// CSV header line and exit — lets scripts fetch the schema without running
-/// a sweep), --trace FILE (write a Chrome trace of the sweep at exit),
-/// --baseline FILE / --update-baseline / --gate PCT (perf-regression gating,
-/// evaluated by finish()).
+/// a sweep), --trace FILE (write a Chrome trace of the sweep at exit).
 SweepConfig parse_args(int argc, char** argv, SweepConfig base);
 
 struct Row {
@@ -52,18 +47,11 @@ struct Row {
   std::size_t violations = 0;  ///< total bound violations observed
   bool pareto_compress = false;
   bool pareto_decompress = false;
-  /// Which columns this row actually measured. A throughput-only bench (the
-  /// ingest/store/kernel rows) has no decompression pass, PSNR, or violation
-  /// count — those cells print empty in the CSV and are never recorded as
-  /// baseline samples, so the regression gate never "passes" on a metric
-  /// that is structurally always zero.
+  /// Which columns this row actually measured. An encode-only bench (the
+  /// temporal rows) has no decompression pass or PSNR — those cells print
+  /// empty in the CSV rather than a fake 0.
   bool has_ratio = true, has_comp = true, has_decomp = true;
   bool has_psnr = true, has_violations = true;
-  /// Per-run row-level throughput samples (same nested-geomean aggregation
-  /// as the median columns, computed per run index). Only populated while
-  /// observability is on — they feed the baseline's median/MAD summaries.
-  std::vector<double> comp_run_mbps;
-  std::vector<double> decomp_run_mbps;
 };
 
 /// Run the full sweep: every registered compressor that supports the
@@ -94,24 +82,5 @@ std::string rows_json(const std::vector<FigureRow>& rows);
 /// `path` at process exit ({"rows":[...], "report": <obs RunReport>}).
 /// Enables observability (obs::set_enabled) so the report has content.
 void set_json_output(const std::string& path);
-
-/// Record client-observed latency samples (microseconds) under "adv/<key>".
-/// finish() summarizes them (median + MAD) into the baseline as ADVISORY
-/// lower-is-better metrics: a regression prints a warning in the gate table
-/// but never fails the run, and exact samples beat the coarse exponential
-/// buckets the automatic hist/* capture works from. No-op unless
-/// --baseline/--update-baseline is active (matches the row-sample
-/// accumulation in print_rows).
-void record_advisory_us(const std::string& key, const std::vector<double>& us);
-
-/// Finalize the run for baseline/gate purposes; every bench main returns
-/// finish() as its exit code. When `--update-baseline` was given, writes the
-/// accumulated row metrics (plus latency-histogram quantiles) to the
-/// baseline file and returns 0. When `--baseline FILE` was given, compares
-/// the current run against it, prints the verdict table to stderr, folds the
-/// JSON verdicts into the RunReport ("gate" section), and returns 3 if
-/// `--gate PCT` was given and any metric failed. Without baseline flags it
-/// is a no-op returning 0.
-int finish();
 
 }  // namespace repro::bench

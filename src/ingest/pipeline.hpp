@@ -103,10 +103,8 @@ class IngestPipeline {
     /// Optional PFPS chunk store (borrowed; must outlive the pipeline).
     store::ChunkStore* store = nullptr;
     /// Injected per-stage cost in microseconds {read, hash, encode, append},
-    /// applied once per item per stage. bench_ingest sets this identically
-    /// for its serial and pipelined passes, so the measured speedup isolates
-    /// the structural overlap (wall = max stage vs. sum of stages) from the
-    /// machine's core count.
+    /// applied once per item per stage. Tests use it to slow one stage down
+    /// so queues fill and batching shows, whatever the machine's speed.
     u64 stage_cost_us[4] = {0, 0, 0, 0};
     /// In-order completion callback (fires on the append-stage thread).
     std::function<void(const Result&, std::size_t index, std::size_t total)> progress;

@@ -36,10 +36,6 @@ KernelHandles& handles() {
 
 }  // namespace
 
-const char* kernel_name(Kernel k) { return kNames[static_cast<int>(k)]; }
-
-bool kernel_is_encode(Kernel k) { return static_cast<int>(k) < 4; }
-
 void record_kernel(Kernel k, u64 bytes, u64 us) {
   if (!enabled()) return;
   KernelHandles& h = handles();

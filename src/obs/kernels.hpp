@@ -46,11 +46,6 @@ enum class Kernel : int {
 
 inline constexpr int kKernelCount = 8;
 
-/// Metric-name stem: "quantize", "delta_nb", ... "dequantize".
-const char* kernel_name(Kernel k);
-/// True for the four encode-path kernels.
-bool kernel_is_encode(Kernel k);
-
 /// Record one kernel invocation: `bytes` processed in `us` microseconds.
 /// Gated on obs::enabled() like every registry update.
 void record_kernel(Kernel k, u64 bytes, u64 us);

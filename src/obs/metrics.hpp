@@ -136,8 +136,7 @@ class Histogram {
   /// containing bucket, clamped to [min(), max()] so the estimate can never
   /// leave the observed range. 0 when the histogram is empty. Exponential
   /// buckets make this coarse in the tail — treat p95/p99 as indicative, not
-  /// exact (the RegressionGate marks quantile metrics advisory for this
-  /// reason).
+  /// exact.
   double quantile(double q) const;
   double p50() const { return quantile(0.50); }
   double p95() const { return quantile(0.95); }
