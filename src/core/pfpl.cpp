@@ -7,6 +7,7 @@
 #include <exception>
 #include <cstring>
 #include <numeric>
+#include <type_traits>
 
 #include "core/chunked.hpp"
 #include "core/pipeline.hpp"
@@ -63,14 +64,56 @@ double finite_range(const T* d, std::size_t n) {
   return any ? static_cast<double>(mx) - static_cast<double>(mn) : 0.0;
 }
 
-/// Quantize one chunk's slice and run the (CPU or GPU-sim) lossless pipeline.
+/// The one place a quantizer type is chosen: calls f with the header's
+/// quantizer. ABS and NOA both bin with AbsQuantizer over recon_param. The
+/// constructors reject invalid bounds.
+template <typename T, typename F>
+auto with_quantizer_typed(const Header& h, F& f) {
+  switch (h.eb_type) {
+    case EbType::ABS:
+    case EbType::NOA: return f(AbsQuantizer<T>(h.recon_param));
+    case EbType::REL: return f(RelQuantizer<T>(h.eps, h.recon_param));
+  }
+  throw CompressionError("PFPL: unknown error-bound type");
+}
+
+template <typename F>
+auto with_quantizer(const Header& h, F&& f) {
+  if (h.dtype == DType::F32) return with_quantizer_typed<float>(h, f);
+  return with_quantizer_typed<double>(h, f);
+}
+
+/// The one chunk loop. OpenMP hands chunks out dynamically, as the paper does
+/// for load balance (chunks differ in compressibility). No exception may
+/// escape the parallel region, so the first one is rethrown after it.
+template <typename F>
+void for_each_chunk(std::size_t nchunks, Executor exec, const F& f) {
+  if (exec != Executor::OpenMP) {
+    for (std::size_t c = 0; c < nchunks; ++c) f(c);
+    return;
+  }
+  std::exception_ptr err;
+#pragma omp parallel for schedule(dynamic)
+  for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(nchunks); ++c) {
+    try {
+      f(static_cast<std::size_t>(c));
+    } catch (...) {
+#pragma omp critical
+      if (!err) err = std::current_exception();
+    }
+  }
+  if (err) std::rethrow_exception(err);
+}
+
+/// Quantize one chunk's `k` values and run the (CPU or GPU-sim) lossless
+/// pipeline, appending the payload to `payload`; returns the size word.
 /// The quantizer is fused into the chunk loop exactly as in the paper
 /// ("the most important optimization is fusing all four stages ... including
 /// the quantizer"): the input slice is read once, everything else happens in
 /// chunk-local buffers.
 template <typename T, typename Q>
-u32 encode_one_chunk(const T* data, std::size_t beg, std::size_t k, const Q& q,
-                     Executor exec, std::vector<u8>& payload) {
+u32 encode_one_chunk(const T* data, std::size_t k, const Q& q, Executor exec,
+                     std::vector<u8>& payload) {
   OBS_SPAN("pfpl.encode_chunk");
   const u64 t0 = obs::enabled() ? obs::TraceRecorder::global().now_ns() : 0;
   using Bits = typename fpmath::FloatTraits<T>::Bits;
@@ -78,12 +121,13 @@ u32 encode_one_chunk(const T* data, std::size_t beg, std::size_t k, const Q& q,
   {
     OBS_SPAN("pfpl.quantize");
     obs::KernelTimer kt(obs::Kernel::Quantize, k * sizeof(T));
-    q.encode_block(data + beg, words.data(), k);
+    q.encode_block(data, words.data(), k);
   }
+  const std::size_t start = payload.size();
   bool compressed = exec == Executor::GpuSim
                         ? sim::gpu_chunk_encode(words.data(), k, payload)
                         : chunk_encode(words.data(), k, payload);
-  u32 sz = static_cast<u32>(payload.size());
+  u32 sz = static_cast<u32>(payload.size() - start);
   if (obs::enabled()) {
     CoreMetrics& m = CoreMetrics::get();
     m.chunks_encoded.add(1);
@@ -95,136 +139,37 @@ u32 encode_one_chunk(const T* data, std::size_t beg, std::size_t k, const Q& q,
   return compressed ? sz : (sz | kRawChunkFlag);
 }
 
-template <typename T>
-u32 encode_chunk_typed(const T* data, const Header& h, std::size_t c, Executor exec,
-                       std::vector<u8>& payload) {
-  using Bits = typename fpmath::FloatTraits<T>::Bits;
-  constexpr std::size_t cw = chunk_words<Bits>();
-  const std::size_t n = h.value_count;
-  const std::size_t beg = c * cw;
-  const std::size_t k = std::min(cw, n - beg);
-  if (h.eb_type == EbType::REL) {
-    RelQuantizer<T> q(h.eps, h.recon_param);
-    return encode_one_chunk(data, beg, k, q, exec, payload);
-  }
-  AbsQuantizer<T> q(h.recon_param);
-  return encode_one_chunk(data, beg, k, q, exec, payload);
-}
-
+/// Decode one chunk (`size_word` from the table, payload at `in`) into `k`
+/// values: lossless decode, consumed-size check, dequantize.
 template <typename T, typename Q>
-std::vector<u8> decompress_typed(const Bytes& in, const Header& h, const Q& q,
-                                 Executor exec) {
-  using Bits = typename fpmath::FloatTraits<T>::Bits;
-  constexpr std::size_t cw = chunk_words<Bits>();
-  const std::size_t n = h.value_count;
+void decode_one_chunk(const u8* in, u32 size_word, const Q& q, Executor exec, T* values,
+                      std::size_t k) {
+  OBS_SPAN("pfpl.decode_chunk");
+  const std::size_t csize = size_word & ~kRawChunkFlag;
+  const bool compressed = (size_word & kRawChunkFlag) == 0;
+  std::vector<typename fpmath::FloatTraits<T>::Bits> words(k);
+  const std::size_t used = exec == Executor::GpuSim
+                               ? sim::gpu_chunk_decode(in, csize, compressed, words.data(), k)
+                               : chunk_decode(in, csize, compressed, words.data(), k);
+  check_chunk_consumed(used, csize);
+  {
+    OBS_SPAN("pfpl.dequantize");
+    obs::KernelTimer kt(obs::Kernel::Dequantize, k * sizeof(T));
+    q.decode_block(words.data(), values, k);
+  }
+  CoreMetrics::get().chunks_decoded.add(1);
+}
+
+/// A stream's header and chunk table, with room reserved for `payload_bytes`
+/// of chunk payloads after them.
+Bytes stream_prefix(const Header& h, const std::vector<u32>& sizes, u64 payload_bytes) {
   const std::size_t nchunks = h.chunk_count;
-  // Header consistency: the chunk count is fully determined by the value
-  // count, so a corrupted header cannot drive a bogus allocation (the
-  // overflow-safe division avoids wrap-around on adversarial counts).
-  if (n / cw + (n % cw != 0 ? 1 : 0) != nchunks)
-    throw CompressionError("PFPL stream: header value/chunk count mismatch");
-  const std::size_t table_off = sizeof(Header);
-  if (in.size() < table_off + nchunks * sizeof(u32))
-    throw CompressionError("PFPL stream: truncated chunk table");
-  std::vector<u32> sizes(nchunks);
-  if (nchunks > 0)  // an empty field has no table (and sizes.data() may be null)
-    std::memcpy(sizes.data(), in.data() + table_off, nchunks * sizeof(u32));
-
-  // Prefix sum over chunk sizes locates every chunk (paper: "the decoder
-  // computes a prefix sum over the stored chunk sizes").
-  std::vector<u64> offsets(nchunks, 0);
-  for (std::size_t c = 1; c < nchunks; ++c)
-    offsets[c] = offsets[c - 1] + (sizes[c - 1] & ~kRawChunkFlag);
-  const std::size_t payload_off = table_off + nchunks * sizeof(u32);
-
-  std::vector<u8> out(n * sizeof(T));
-  T* values = reinterpret_cast<T*>(out.data());
-
-  auto do_chunk = [&](std::size_t c) {
-    OBS_SPAN("pfpl.decode_chunk");
-    std::size_t beg = c * cw;
-    std::size_t k = std::min(cw, n - beg);
-    std::size_t off = payload_off + offsets[c];
-    std::size_t csize = sizes[c] & ~kRawChunkFlag;
-    if (off + csize > in.size()) throw CompressionError("PFPL stream: truncated chunk");
-    bool compressed = (sizes[c] & kRawChunkFlag) == 0;
-    std::vector<Bits> words(k);
-    const std::size_t used =
-        exec == Executor::GpuSim
-            ? sim::gpu_chunk_decode(in.data() + off, csize, compressed, words.data(), k)
-            : chunk_decode(in.data() + off, csize, compressed, words.data(), k);
-    check_chunk_consumed(used, csize);
-    {
-      OBS_SPAN("pfpl.dequantize");
-      obs::KernelTimer kt(obs::Kernel::Dequantize, k * sizeof(T));
-      q.decode_block(words.data(), values + beg, k);
-    }
-    CoreMetrics::get().chunks_decoded.add(1);
-  };
-
-  if (exec == Executor::OpenMP) {
-    // Exceptions (corrupt chunks) must not escape the parallel region.
-    std::exception_ptr err;
-#pragma omp parallel for schedule(dynamic)
-    for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(nchunks); ++c) {
-      try {
-        do_chunk(static_cast<std::size_t>(c));
-      } catch (...) {
-#pragma omp critical
-        if (!err) err = std::current_exception();
-      }
-    }
-    if (err) std::rethrow_exception(err);
-  } else {
-    for (std::size_t c = 0; c < nchunks; ++c) do_chunk(c);
-  }
+  Bytes out;
+  out.reserve(sizeof(Header) + nchunks * sizeof(u32) + payload_bytes);
+  write_header(h, out);
+  const u8* sp = reinterpret_cast<const u8*>(sizes.data());
+  out.insert(out.end(), sp, sp + nchunks * sizeof(u32));
   return out;
-}
-
-template <typename T>
-std::vector<u8> decompress_dispatch_eb(const Bytes& in, const Header& h, Executor exec) {
-  switch (h.eb_type) {
-    case EbType::ABS: {
-      AbsQuantizer<T> q(h.recon_param);
-      return decompress_typed<T>(in, h, q, exec);
-    }
-    case EbType::NOA: {
-      AbsQuantizer<T> q(h.recon_param);
-      return decompress_typed<T>(in, h, q, exec);
-    }
-    case EbType::REL: {
-      RelQuantizer<T> q(h.eps, h.recon_param);
-      return decompress_typed<T>(in, h, q, exec);
-    }
-  }
-  throw CompressionError("PFPL stream: unknown error-bound type");
-}
-
-template <typename T>
-void plan_header_typed(const T* data, std::size_t n, const Params& p, Header& h) {
-  switch (p.eb) {
-    case EbType::ABS: {
-      h.recon_param = p.eps;
-      AbsQuantizer<T> validate(p.eps);  // throws on invalid bound
-      (void)validate;
-      return;
-    }
-    case EbType::NOA: {
-      if (!(p.eps >= 0.0) || !std::isfinite(p.eps))
-        throw CompressionError("NOA error bound must be finite and non-negative");
-      h.recon_param = p.eps * finite_range(data, n);
-      AbsQuantizer<T> validate(h.recon_param);
-      (void)validate;
-      return;
-    }
-    case EbType::REL: {
-      h.recon_param = fpmath::det_log1p(p.eps);
-      RelQuantizer<T> validate(p.eps, h.recon_param);  // throws on invalid bound
-      (void)validate;
-      return;
-    }
-  }
-  throw CompressionError("unknown error-bound type");
 }
 
 }  // namespace
@@ -233,17 +178,31 @@ std::size_t chunk_values(DType dtype) {
   return dtype == DType::F32 ? chunk_words<u32>() : chunk_words<u64>();
 }
 
+Header plan_bound(DType dtype, EbType eb, double eps, double noa_range) {
+  Header h;
+  h.dtype = dtype;
+  h.eb_type = eb;
+  h.eps = eps;
+  h.recon_param = eb == EbType::REL ? fpmath::det_log1p(eps) : eps;
+  if (eb == EbType::NOA) {
+    if (!(eps >= 0.0) || !std::isfinite(eps))
+      throw CompressionError("NOA error bound must be finite and non-negative");
+    if (!(noa_range >= 0.0) || !std::isfinite(noa_range))
+      throw CompressionError("NOA value range must be finite and non-negative");
+    h.recon_param = eps * noa_range;
+  }
+  with_quantizer(h, [](const auto&) {});  // throws on an invalid bound
+  return h;
+}
+
 Header plan_header(const Field& in, const Params& p) {
   OBS_SPAN("pfpl.plan");
-  Header h;
-  h.dtype = in.dtype;
-  h.eb_type = p.eb;
-  h.eps = p.eps;
   const std::size_t n = in.count();
-  if (in.dtype == DType::F32)
-    plan_header_typed(static_cast<const float*>(in.data), n, p, h);
-  else
-    plan_header_typed(static_cast<const double*>(in.data), n, p, h);
+  double range = 0.0;
+  if (p.eb == EbType::NOA)
+    range = in.dtype == DType::F32 ? finite_range(static_cast<const float*>(in.data), n)
+                                   : finite_range(static_cast<const double*>(in.data), n);
+  Header h = plan_bound(in.dtype, p.eb, p.eps, range);
   const std::size_t cw = chunk_values(in.dtype);
   h.value_count = n;
   h.chunk_count = static_cast<u32>((n + cw - 1) / cw);
@@ -252,9 +211,13 @@ Header plan_header(const Field& in, const Params& p) {
 
 u32 encode_chunk(const Field& in, const Header& h, std::size_t c, Executor exec,
                  std::vector<u8>& out) {
-  if (in.dtype == DType::F32)
-    return encode_chunk_typed(static_cast<const float*>(in.data), h, c, exec, out);
-  return encode_chunk_typed(static_cast<const double*>(in.data), h, c, exec, out);
+  if (in.dtype != h.dtype) throw CompressionError("PFPL: field dtype does not match the plan");
+  const std::size_t cw = chunk_values(h.dtype);
+  const std::size_t k = std::min(cw, in.count() - c * cw);
+  return with_quantizer(h, [&](const auto& q) {
+    using T = typename std::decay_t<decltype(q)>::Value;
+    return encode_one_chunk(static_cast<const T*>(in.data) + c * cw, k, q, exec, out);
+  });
 }
 
 Bytes assemble_stream(const Header& h, const std::vector<u32>& sizes,
@@ -275,11 +238,7 @@ Bytes assemble_stream(const Header& h, const std::vector<u32>& sizes,
   }
   u64 total = nchunks ? offsets.back() + plain.back() : 0;
 
-  Bytes out;
-  out.reserve(sizeof(Header) + nchunks * sizeof(u32) + total);
-  write_header(h, out);
-  const u8* sp = reinterpret_cast<const u8*>(sizes.data());
-  out.insert(out.end(), sp, sp + nchunks * sizeof(u32));
+  Bytes out = stream_prefix(h, sizes, total);
   std::size_t base = out.size();
   out.resize(base + total);
   for (std::size_t c = 0; c < nchunks; ++c)
@@ -287,32 +246,70 @@ Bytes assemble_stream(const Header& h, const std::vector<u32>& sizes,
   return out;
 }
 
+Bytes assemble_stream(const Header& h, const std::vector<u32>& sizes, const Bytes& payload) {
+  Bytes out = stream_prefix(h, sizes, payload.size());
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+ChunkTable read_chunk_table(const Bytes& stream) {
+  ChunkTable t;
+  t.header = read_header(stream);
+  const Header& h = t.header;
+  with_quantizer(h, [](const auto&) {});  // throws on an unknown type or invalid bound
+  // The chunk count is fully determined by the value count (the division
+  // cannot wrap on hostile counts).
+  const u64 cw = chunk_values(h.dtype), n = h.value_count;
+  if (n / cw + (n % cw != 0 ? 1 : 0) != h.chunk_count)
+    throw CompressionError("PFPL stream: header value/chunk count mismatch");
+  // In size_t: in 32 bits, chunk_count * 4 wraps for counts >= 2^30.
+  const std::size_t nchunks = h.chunk_count;
+  if (stream.size() - sizeof(Header) < nchunks * sizeof(u32))
+    throw CompressionError("PFPL stream: truncated chunk table");
+  t.sizes.resize(nchunks);
+  if (nchunks > 0)  // an empty field has no table (and sizes.data() may be null)
+    std::memcpy(t.sizes.data(), stream.data() + sizeof(Header), nchunks * sizeof(u32));
+  // Prefix sum over chunk sizes locates every chunk (paper: "the decoder
+  // computes a prefix sum over the stored chunk sizes").
+  t.offsets.resize(nchunks);
+  u64 end = sizeof(Header) + nchunks * sizeof(u32);
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    t.offsets[c] = end;
+    end += t.sizes[c] & ~kRawChunkFlag;
+    if (end > stream.size()) throw CompressionError("PFPL stream: truncated chunk");
+  }
+  return t;
+}
+
+void decode_chunk(const Bytes& stream, const ChunkTable& t, std::size_t c, Executor exec,
+                  void* values) {
+  const u64 cw = chunk_values(t.header.dtype);
+  const std::size_t k = std::min(cw, t.header.value_count - c * cw);
+  with_quantizer(t.header, [&](const auto& q) {
+    using T = typename std::decay_t<decltype(q)>::Value;
+    decode_one_chunk(stream.data() + t.offsets[c], t.sizes[c], q, exec, static_cast<T*>(values),
+                     k);
+  });
+}
+
 Bytes compress(const Field& in, const Params& p) {
   OBS_SPAN("pfpl.compress");
   Header h = plan_header(in, p);
-  const std::size_t nchunks = h.chunk_count;
-  std::vector<Bytes> payloads(nchunks);
-  std::vector<u32> sizes(nchunks, 0);
-
-  if (p.exec == Executor::OpenMP) {
-    // Dynamic scheduling mirrors the paper's dynamic chunk assignment for
-    // load balance (chunks differ in compressibility).
-#pragma omp parallel for schedule(dynamic)
-    for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(nchunks); ++c) {
-      sizes[c] = encode_chunk(in, h, static_cast<std::size_t>(c), p.exec, payloads[c]);
-    }
-  } else {
-    for (std::size_t c = 0; c < nchunks; ++c)
-      sizes[c] = encode_chunk(in, h, c, p.exec, payloads[c]);
-  }
+  std::vector<Bytes> payloads(h.chunk_count);
+  std::vector<u32> sizes(h.chunk_count, 0);
+  for_each_chunk(h.chunk_count, p.exec,
+                 [&](std::size_t c) { sizes[c] = encode_chunk(in, h, c, p.exec, payloads[c]); });
   return assemble_stream(h, sizes, payloads, p.exec);
 }
 
 std::vector<u8> decompress(const Bytes& stream, Executor exec) {
   OBS_SPAN("pfpl.decompress");
-  Header h = read_header(stream);
-  if (h.dtype == DType::F32) return decompress_dispatch_eb<float>(stream, h, exec);
-  return decompress_dispatch_eb<double>(stream, h, exec);
+  const ChunkTable t = read_chunk_table(stream);
+  std::vector<u8> out(t.header.value_count * dtype_size(t.header.dtype));
+  for_each_chunk(t.sizes.size(), exec, [&](std::size_t c) {
+    decode_chunk(stream, t, c, exec, out.data() + c * kChunkBytes);
+  });
+  return out;
 }
 
 Header peek_header(const Bytes& stream) { return read_header(stream); }

@@ -3,8 +3,8 @@
 // Large simulations cannot always hold a whole snapshot in memory next to
 // its compressed form. Because PFPL's chunks are fully independent
 // (Section III-E), compression can proceed incrementally: append values,
-// and every completed 16 KiB chunk is quantized, transformed, and appended
-// to the output immediately. finish() writes the header and chunk table and
+// and every completed 16 KiB chunk goes through the one-shot chunk encoder
+// (core/chunked.hpp) immediately. finish() writes the header and chunk table and
 // returns a stream *byte-identical* to the one-shot pfpl::compress() — the
 // decoder cannot tell them apart, and StreamDecoder can likewise hand back
 // values chunk by chunk without materializing the full output.
@@ -32,7 +32,8 @@ class StreamEncoder {
   struct Options {
     double eps = 1e-3;
     EbType eb = EbType::ABS;
-    /// Required for NOA: the (max - min) of the full dataset.
+    /// Required for NOA: the (max - min) of the full dataset. Like the range
+    /// compress() computes, it must be finite and non-negative.
     std::optional<double> noa_range;
   };
 

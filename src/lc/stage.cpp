@@ -246,7 +246,8 @@ std::vector<u8> Pipeline::decode(std::vector<u8> data, std::size_t original_size
   if (data.size() < 4 + std::size_t{cnt} * 4)
     throw CompressionError("lc pipeline: truncated size table");
   std::vector<u32> sizes(cnt);
-  std::memcpy(sizes.data(), data.data() + 4, cnt * 4);
+  if (cnt > 0)  // an empty table has no storage (and sizes.data() may be null)
+    std::memcpy(sizes.data(), data.data() + 4, cnt * 4);
   data.erase(data.begin(), data.begin() + 4 + cnt * 4);
   std::size_t next_size = cnt;  // consume sizes from the back
   for (std::size_t i = stages_.size(); i-- > 0;) {

@@ -3,16 +3,47 @@
 // reproduce values exactly under arbitrary read granularities.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <new>
+#include <string>
 
 #include "core/pfpl.hpp"
+#include "core/pipeline.hpp"
 #include "core/stream.hpp"
 #include "data/rng.hpp"
 
 using namespace repro;
 using pfpl::StreamDecoder;
 using pfpl::StreamEncoder;
+
+// Live bytes allocated through the global operator new in this binary, so a
+// test can measure what an object keeps allocated. Each block carries its
+// size in a prefix that keeps the default new alignment.
+namespace {
+std::atomic<std::ptrdiff_t> g_live_heap_bytes{0};
+constexpr std::size_t kSizePrefix = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  void* p = std::malloc(n + kSizePrefix);
+  if (!p) throw std::bad_alloc();
+  *static_cast<std::size_t*>(p) = n;
+  g_live_heap_bytes += static_cast<std::ptrdiff_t>(n);
+  return static_cast<char*>(p) + kSizePrefix;
+}
+
+void operator delete(void* p) noexcept {
+  if (!p) return;
+  char* block = static_cast<char*>(p) - kSizePrefix;
+  g_live_heap_bytes -= static_cast<std::ptrdiff_t>(*reinterpret_cast<std::size_t*>(block));
+  std::free(block);
+}
+
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace {
 
@@ -169,33 +200,132 @@ TEST(Stream, CompressedSizeGrowsMonotonically) {
   EXPECT_GT(last, 0u);
 }
 
-TEST(Stream, CorruptStreamsThrowNotCrash) {
-  auto v = wave(30000, 9);
-  Bytes c = pfpl::compress(Field(v.data(), v.size()), {1e-3, EbType::ABS});
-  data::Rng rng(10);
+TEST(Stream, EncoderRetainsCompressedNotRawBytes) {
+  // The encoder appends every chunk to one growing buffer, so between
+  // appends it holds about the compressed bytes, not the raw values: the
+  // full dataset never has to exist in memory.
+  auto v = wave(1 << 19, 13);
+  const std::size_t raw = v.size() * sizeof(float);
+  StreamEncoder enc(DType::F32, {.eps = 1e-2, .eb = EbType::ABS});
+  const std::ptrdiff_t before = g_live_heap_bytes.load();
+  for (std::size_t i = 0; i < v.size(); i += 10000)
+    enc.append(std::span<const float>(v.data() + i, std::min<std::size_t>(10000, v.size() - i)));
+  const std::ptrdiff_t retained = g_live_heap_bytes.load() - before;
+  const std::size_t compressed = enc.compressed_size_so_far();
+  ASSERT_LT(compressed, raw / 4) << "the input must compress for this check to mean anything";
+  // Vector growth can double the buffer, and one chunk's encoder may reserve
+  // its worst case; the chunk table adds 4 bytes a chunk.
+  EXPECT_LE(retained, static_cast<std::ptrdiff_t>(2 * compressed + 4 * pfpl::kChunkBytes))
+      << "raw bytes appended: " << raw;
+  Bytes c = enc.finish();
+  EXPECT_EQ(c, pfpl::compress(Field(v.data(), v.size()), {1e-2, EbType::ABS}));
+}
+
+namespace {
+
+/// Reads all of `c` through StreamDecoder in `batch`-value pieces, and
+/// through one-shot decompress(): both must throw CompressionError or both
+/// must return the same bytes. Any other exception fails the test.
+template <typename T>
+void expect_stream_matches_oneshot(const Bytes& c, std::size_t batch) {
+  bool stream_threw = false, oneshot_threw = false;
+  std::vector<T> got;
+  try {
+    StreamDecoder dec(c);
+    std::vector<T> buf(batch);
+    while (std::size_t n = dec.read(std::span<T>(buf)))
+      got.insert(got.end(), buf.begin(), buf.begin() + n);
+  } catch (const CompressionError&) {
+    stream_threw = true;
+  }
+  std::vector<u8> want;
+  try {
+    want = pfpl::decompress(c);
+  } catch (const CompressionError&) {
+    oneshot_threw = true;
+  }
+  ASSERT_EQ(stream_threw, oneshot_threw);
+  if (stream_threw) return;
+  ASSERT_EQ(got.size() * sizeof(T), want.size());
+  // Bytewise: a damaged payload may decode to NaNs.
+  EXPECT_EQ(0, want.empty() ? 0 : std::memcmp(got.data(), want.data(), want.size()));
+}
+
+template <typename T>
+void corrupt_and_compare(const Bytes& c, u64 seed) {
+  data::Rng rng(seed);
   // Truncations.
   for (int t = 0; t < 100; ++t) {
     Bytes cut(c.begin(), c.begin() + rng.next_u64() % c.size());
-    try {
-      StreamDecoder dec(cut);
-      std::vector<float> buf(1024);
-      while (dec.read(std::span<float>(buf)) > 0) {
-      }
-    } catch (const CompressionError&) {
-    }
+    SCOPED_TRACE("truncated to " + std::to_string(cut.size()) + " bytes");
+    expect_stream_matches_oneshot<T>(cut, 1024);
   }
   // Bit flips.
   for (int t = 0; t < 200; ++t) {
     Bytes bad = c;
-    bad[rng.next_u64() % bad.size()] ^= static_cast<u8>(1u << (rng.next_u64() % 8));
+    const u8 bit = static_cast<u8>(1u << (rng.next_u64() % 8));
+    const std::size_t at = rng.next_u64() % bad.size();
+    bad[at] ^= bit;
+    SCOPED_TRACE("bit flip in byte " + std::to_string(at));
+    expect_stream_matches_oneshot<T>(bad, 4096);
+  }
+}
+
+}  // namespace
+
+TEST(Stream, CorruptStreamsThrowNotCrash) {
+  // The stream reader and the one-shot decoder share the chunk-table reader
+  // and chunk decoder, so on damaged bytes they must agree exactly.
+  auto v = wave(30000, 9);
+  corrupt_and_compare<float>(pfpl::compress(Field(v.data(), v.size()), {1e-3, EbType::ABS}), 10);
+  std::vector<double> d(v.begin(), v.end());
+  corrupt_and_compare<double>(pfpl::compress(Field(d.data(), d.size()), {1e-3, EbType::REL}),
+                              11);
+}
+
+TEST(Stream, HostileChunkCountRejected) {
+  // Counts that agree, but a 4 GiB chunk table that is not there: the reader
+  // must refuse the header before sizing anything from it.
+  pfpl::Header h;
+  h.dtype = DType::F32;
+  h.eps = h.recon_param = 1e-3;
+  h.chunk_count = u32{1} << 30;
+  h.value_count = (u64{1} << 30) * 4096;
+  Bytes c;
+  pfpl::write_header(h, c);
+  ASSERT_EQ(c.size(), 40u);
+  EXPECT_THROW({ StreamDecoder dec(c); }, CompressionError);
+  EXPECT_THROW(pfpl::decompress(c), CompressionError);
+}
+
+TEST(Stream, NoaBoundParityWithOneShot) {
+  // The stream encoder plans with the one-shot planner: a NOA eps that
+  // compress() rejects is rejected with the same error, whatever the range.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const float v[] = {0.0f, 1.0f};
+  for (double eps : {-1.0, nan, inf}) {
+    std::string oneshot;
     try {
-      StreamDecoder dec(bad);
-      std::vector<float> buf(4096);
-      while (dec.read(std::span<float>(buf)) > 0) {
+      pfpl::compress(Field(v, 2), {eps, EbType::NOA});
+    } catch (const CompressionError& e) {
+      oneshot = e.what();
+    }
+    ASSERT_FALSE(oneshot.empty()) << "compress accepted NOA eps " << eps;
+    for (double range : {0.0, -1.0, 1.0}) {
+      try {
+        StreamEncoder(DType::F32, {.eps = eps, .eb = EbType::NOA, .noa_range = range});
+        ADD_FAILURE() << "StreamEncoder accepted NOA eps " << eps << " range " << range;
+      } catch (const CompressionError& e) {
+        EXPECT_EQ(e.what(), oneshot) << "eps " << eps << " range " << range;
       }
-    } catch (const CompressionError&) {
     }
   }
+  // A one-shot range is always finite and >= 0; a streamed one must be too.
+  for (double range : {-1.0, nan, inf, -inf})
+    EXPECT_THROW(StreamEncoder(DType::F64, {.eps = 1e-2, .eb = EbType::NOA, .noa_range = range}),
+                 CompressionError)
+        << range;
 }
 
 TEST(Stream, DtypeMismatchThrows) {
