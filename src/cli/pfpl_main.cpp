@@ -120,7 +120,7 @@ namespace {
                "  pfpl store put <in1.raw> [in2.raw ...] --store DIR --dtype f32|f64\n"
                "       --eb abs|rel|noa --eps <e> [--exec serial|omp|gpusim]\n"
                "       [--threads N] [--audit] [--progress]  # multi-file runs the\n"
-               "       staged ingest pipeline (read/dedup/encode/append overlapped)\n"
+               "       ingest pipeline (dedup probe, parallel encode, group commits)\n"
                "  pfpl store get <key> <out.pfpl> --store DIR\n"
                "  pfpl store ls --store DIR\n"
                "  pfpl store compact --store DIR\n"
@@ -426,8 +426,8 @@ int cmd_pack(const std::vector<std::string>& positional, const Flags& fl) {
     chunk_store = std::make_unique<store::ChunkStore>(so);
   }
 
-  // The staged ingest pipeline overlaps reading, dedup probing, encoding,
-  // and the batched segment appends.
+  // The ingest pipeline reads, probes and submits chunks on a producer thread
+  // while this thread assembles the archive entries in order.
   ingest::IngestPipeline::Options po;
   po.dtype = fl.dtype;
   po.params = fl.params;
@@ -436,7 +436,7 @@ int cmd_pack(const std::vector<std::string>& positional, const Flags& fl) {
   po.store = chunk_store.get();
   if (fl.progress)
     po.progress = [](const ingest::Result& r, std::size_t i, std::size_t n) {
-      if (r.failed || r.cancelled) {
+      if (r.failed) {
         std::fprintf(stderr, "pfpl: [%zu/%zu] %s: %s\n", i + 1, n, r.name.c_str(),
                      r.error.c_str());
       } else {
@@ -476,7 +476,7 @@ int cmd_pack(const std::vector<std::string>& positional, const Flags& fl) {
   u64 audit_violations = 0;
   svc::ArchiveWriter writer(out_path);
   for (const ingest::Result& r : results) {
-    if (r.failed || r.cancelled) {
+    if (r.failed) {
       std::fprintf(stderr, "pfpl: %s: %s\n", r.name.c_str(), r.error.c_str());
       ++failed;
       continue;
@@ -1198,9 +1198,9 @@ int cmd_store(const std::vector<std::string>& positional, const Flags& fl) {
                                        static_cast<double>(stream.size()));
       return 0;
     }
-    // Multiple files: the staged ingest pipeline (read / dedup probe /
-    // encode / batched store appends overlapped) — the same machinery as
-    // `pfpl pack`, with the store itself as the sink (no archive).
+    // Multiple files: the ingest pipeline (dedup probe, chunk-parallel
+    // encode, group commits) — the same machinery as `pfpl pack`, with the
+    // store itself as the sink (no archive).
     ingest::IngestPipeline::Options po;
     po.dtype = fl.dtype;
     po.params = fl.params;
@@ -1210,9 +1210,9 @@ int cmd_store(const std::vector<std::string>& positional, const Flags& fl) {
     if (fl.progress)
       po.progress = [](const ingest::Result& r, std::size_t i, std::size_t n) {
         std::fprintf(stderr, "pfpl: [%zu/%zu] %s: %s\n", i + 1, n, r.name.c_str(),
-                     r.failed || r.cancelled ? r.error.c_str()
-                     : r.reused             ? "already stored"
-                                            : "stored");
+                     r.failed   ? r.error.c_str()
+                     : r.reused ? "already stored"
+                                : "stored");
       };
     std::vector<ingest::Item> items;
     items.reserve(positional.size() - 1);
@@ -1224,7 +1224,7 @@ int cmd_store(const std::vector<std::string>& positional, const Flags& fl) {
     int failed = 0;
     u64 reused = 0, stored_bytes = 0, raw_bytes = 0, audit_violations = 0;
     for (const ingest::Result& r : results) {
-      if (r.failed || r.cancelled) {
+      if (r.failed) {
         std::fprintf(stderr, "pfpl: %s: %s\n", r.name.c_str(), r.error.c_str());
         ++failed;
         continue;

@@ -4,9 +4,9 @@
 // is planned — which fixes the quantizer constants, including the NOA range
 // reduction — every chunk can be encoded by any thread in any order and the
 // assembled stream is byte-identical to the one-shot pfpl::compress(). These
-// three functions are that decomposition, factored out of pfpl.cpp so other
-// schedulers (the svc batch-compression service, future async backends) can
-// drive the same code instead of re-implementing it:
+// three functions are that decomposition, so other schedulers (the ingest
+// pipeline, the streaming codec) drive the same code instead of
+// re-implementing it:
 //
 //   Header h = plan_header(field, params);          // sequential, cheap
 //   for each chunk c (any order, any thread):

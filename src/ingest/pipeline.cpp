@@ -1,23 +1,22 @@
 #include "ingest/pipeline.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <exception>
 #include <future>
-#include <mutex>
+#include <stop_token>
 #include <thread>
 #include <utility>
 
 #include "common/timer.hpp"
 #include "core/chunked.hpp"
 #include "ingest/queue.hpp"
-#include "io/buffered_reader.hpp"
+#include "io/raw_file.hpp"
 #include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 #include "store/store.hpp"
-#include "svc/byte_budget.hpp"
 #include "svc/thread_pool.hpp"
 
 namespace repro::ingest {
@@ -28,9 +27,6 @@ namespace {
 struct IngestMetrics {
   obs::Counter& probe_hits;
   obs::Counter& probe_misses;
-  obs::Gauge& q_hash_depth;
-  obs::Gauge& q_encode_depth;
-  obs::Gauge& q_append_depth;
   obs::Histogram& read_us;
   obs::Histogram& hash_us;
   obs::Histogram& encode_us;
@@ -41,9 +37,6 @@ struct IngestMetrics {
     static IngestMetrics m{
         r.counter("ingest.probe_hits"),
         r.counter("ingest.probe_misses"),
-        r.gauge("ingest.q_hash_depth"),
-        r.gauge("ingest.q_encode_depth"),
-        r.gauge("ingest.q_append_depth"),
         r.histogram("ingest.read_us", obs::Histogram::default_latency_bounds_us()),
         r.histogram("ingest.hash_us", obs::Histogram::default_latency_bounds_us()),
         r.histogram("ingest.encode_us", obs::Histogram::default_latency_bounds_us()),
@@ -53,22 +46,17 @@ struct IngestMetrics {
   }
 };
 
-void stage_sleep(u64 us) {
-  if (us) std::this_thread::sleep_for(std::chrono::microseconds(us));
-}
-
-/// Slow-consumer test hook: PFPL_INGEST_TEST_SLOW_STAGE_US stalls the append
-/// stage per item, so upstream queues fill and the byte-budget backpressure
-/// test can observe the high-water marks. Read once per run.
-u64 slow_stage_us() {
-  const char* e = std::getenv("PFPL_INGEST_TEST_SLOW_STAGE_US");
-  return e ? std::strtoull(e, nullptr, 10) : 0ull;
-}
-
 Field make_field(const Bytes& raw, DType dtype) {
   if (dtype == DType::F32)
     return Field(reinterpret_cast<const float*>(raw.data()), raw.size() / 4);
   return Field(reinterpret_cast<const double*>(raw.data()), raw.size() / 8);
+}
+
+/// Milliseconds since `t` started; also recorded (in us) into `h`.
+double lap_ms(const Timer& t, obs::Histogram& h) {
+  const double ms = t.seconds() * 1e3;
+  h.record(static_cast<u64>(ms * 1e3));
+  return ms;
 }
 
 }  // namespace
@@ -84,22 +72,39 @@ ProbeResult probe_compress(store::ChunkStore& cs, const void* raw, std::size_t n
   return pr;
 }
 
-/// The unit flowing through the stage queues. Failed items keep flowing —
-/// every stage forwards them untouched — so completion order and accounting
-/// stay trivially correct.
+/// One in-flight item: its input, the chunk tasks encoding it, and its
+/// outcome. The destructor waits for every chunk task still running, so no
+/// pool task outlives the raw bytes or payload slots it uses, on any exit
+/// path.
 struct IngestPipeline::Work {
   std::size_t index = 0;
   Item item;
+  u64 raw_bytes = 0;
   common::Hash128 key{};
-  Bytes stream;
   pfpl::Header header{};
+  std::vector<Bytes> payloads;
+  std::vector<std::future<u32>> futures;
+  Bytes stream;
   bool reused = false;
   bool failed = false;
   std::string error;
   bool audited = false;
   u64 audit_violations = 0;
 
-  std::size_t queue_bytes() const { return item.raw.size() + stream.size(); }
+  Work() = default;
+  Work(const Work&) = delete;
+  Work& operator=(const Work&) = delete;
+  ~Work() { wait_all(); }
+
+  void wait_all() {
+    for (auto& f : futures)
+      if (f.valid()) f.wait();
+  }
+  bool ready() const {
+    return std::all_of(futures.begin(), futures.end(), [](const std::future<u32>& f) {
+      return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+    });
+  }
   void fail(const std::string& why) {
     failed = true;
     error = why;
@@ -121,339 +126,178 @@ std::vector<Result> IngestPipeline::run(std::vector<Item> items) {
   stats_.files = items.size();
   stats_.threads = pool_->worker_count();
   const std::size_t total = items.size();
-
   std::vector<Result> results(total);
-  // unsigned char, not bool: the fail_fast path delivers from a stage thread
-  // while the append thread delivers other indices — vector<bool>'s packed
-  // bits would make those writes race.
-  std::vector<unsigned char> delivered(total, 0);
-  // Names are recorded up front: items are moved into the pipeline, and a
-  // cancelled item's Work (name included) may be dropped inside a queue.
-  for (std::size_t i = 0; i < total; ++i) results[i].name = items[i].name;
-
   IngestMetrics& im = IngestMetrics::get();
+
+  // Watchdog slots, one per thread, shared by every pipeline instance (the
+  // names are stable and slots are never recycled). Inert until armed.
+  static const int wd_produce = obs::Watchdog::global().register_slot("ingest.produce");
+  static const int wd_commit = obs::Watchdog::global().register_slot("ingest.commit");
+
   using WorkPtr = std::unique_ptr<Work>;
-  BoundedQueue<WorkPtr> q_hash(opts_.queue_items, opts_.queue_bytes, &im.q_hash_depth);
-  BoundedQueue<WorkPtr> q_encode(opts_.queue_items, opts_.queue_bytes,
-                                 &im.q_encode_depth);
-  BoundedQueue<WorkPtr> q_append(opts_.queue_items, opts_.queue_bytes,
-                                 &im.q_append_depth);
+  BoundedQueue<WorkPtr> inflight(stats_.threads + 1);
 
-  std::atomic<bool> abort{false};
-  // First-error cancellation (fail_fast): drop everything still queued
-  // upstream and wake any blocked stage. The append queue is NEVER
-  // cancelled — the failing item itself still drains through it, so the
-  // caller sees the error, and the append thread is the single exit point.
-  auto cancel_upstream = [&] {
-    abort.store(true, std::memory_order_relaxed);
-    q_hash.cancel();
-    q_encode.cancel();
-  };
-  auto on_item_error = [&](Work& w, const std::string& why) {
-    w.fail(why);
-    if (opts_.fail_fast) cancel_upstream();
-  };
-
-  // The single definition of "this item is done": fills the caller-visible
-  // Result, the run counters, and fires the progress callback. Normally only
-  // the append thread delivers (batch-by-batch, in index order); the
-  // fail_fast error path in the read/hash stages delivers the failing item
-  // directly — its output queue was just cancelled, so pushing would drop
-  // the error on the floor. The mutex keeps the shared counters and the
-  // progress callback serialized across those two callers.
-  std::mutex deliver_mu;
-  auto deliver = [&](WorkPtr w) {
-    std::lock_guard<std::mutex> lk(deliver_mu);
-    Result& r = results[w->index];
-    r.name = std::move(w->item.name);
-    r.raw_bytes = w->item.raw.size();
-    r.failed = w->failed;
-    r.error = std::move(w->error);
-    r.reused = w->reused;
-    r.audited = w->audited;
-    r.audit_violations = w->audit_violations;
-    if (!w->failed) {
-      r.header = w->header;
-      r.stream = std::move(w->stream);
-      stats_.bytes_out += r.stream.size();
-    }
-    stats_.bytes_in += r.raw_bytes;
-    if (w->failed) ++stats_.files_failed;
-    if (w->reused) ++stats_.files_reused;
-    delivered[w->index] = 1;
-    if (opts_.progress) opts_.progress(r, w->index, total);
-  };
-
-  const u64 slow_us = slow_stage_us();
-
-  // Watchdog slots, one per stage, shared by every pipeline instance (the
-  // names are stable and slots are never recycled). Each stage marks itself
-  // busy per item — including queue pushes, so a stage wedged on a full
-  // queue behind a stuck consumer is flagged too. Inert until armed.
-  static const int wd_read = obs::Watchdog::global().register_slot("ingest.read");
-  static const int wd_hash = obs::Watchdog::global().register_slot("ingest.hash");
-  static const int wd_encode = obs::Watchdog::global().register_slot("ingest.encode");
-  static const int wd_append = obs::Watchdog::global().register_slot("ingest.append");
-
-  // ---- stage 1: read -----------------------------------------------------
-  std::thread read_thread([&] {
-    double stage_ms = 0;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (abort.load(std::memory_order_relaxed)) break;
-      obs::StallScope stall(wd_read, i);
-      auto w = std::make_unique<Work>();
-      w->index = i;
-      w->item = std::move(items[i]);
-      Timer t;
-      if (!w->item.path.empty()) {
+  // ---- producer: read, dedup probe, plan, submit every chunk -------------
+  // It writes only `items` and these locals, which run() reads after the join.
+  double read_ms = 0, hash_ms = 0, plan_ms = 0;
+  u64 hits = 0, misses = 0, chunks = 0;
+  std::exception_ptr producer_error;
+  // If run() leaves early (the progress callback threw), the jthread's
+  // destructor requests a stop, which closes the queue so a blocked push
+  // returns, then joins before the queue and `items` go away.
+  std::jthread producer([&](std::stop_token stop) {
+    std::stop_callback close_on_stop(stop, [&] { inflight.close(); });
+    try {
+      for (std::size_t i = 0; i < total; ++i) {
+        obs::StallScope stall(wd_produce, i);
+        auto w = std::make_unique<Work>();
+        w->index = i;
+        w->item = std::move(items[i]);
         try {
-          io::DoubleBufferedReader rd(w->item.path, opts_.read_buffer_bytes);
-          for (std::span<const u8> sp = rd.next(); !sp.empty(); sp = rd.next())
-            w->item.raw.insert(w->item.raw.end(), sp.begin(), sp.end());
-        } catch (const std::exception& e) {
-          on_item_error(*w, e.what());
-        }
-      }
-      stage_sleep(opts_.stage_cost_us[0]);
-      const double ms = t.seconds() * 1e3;
-      stage_ms += ms;
-      im.read_us.record(static_cast<u64>(ms * 1e3));
-      if (w->failed && opts_.fail_fast) {
-        // q_hash was just cancelled by on_item_error; pushing would drop the
-        // error. Deliver the failing item directly and stop reading.
-        deliver(std::move(w));
-        break;
-      }
-      const std::size_t bytes = w->queue_bytes();
-      if (!q_hash.push(std::move(w), bytes)) break;
-    }
-    q_hash.close();
-    stats_.read_ms = stage_ms;  // joined before run() reads stats_
-  });
-
-  // ---- stage 2: content hash + dedup probe -------------------------------
-  std::thread hash_thread([&] {
-    double stage_ms = 0;
-    u64 hits = 0, misses = 0;
-    WorkPtr w;
-    while (q_hash.pop(w)) {
-      obs::StallScope stall(wd_hash, w->index);
-      if (!w->failed && !abort.load(std::memory_order_relaxed)) {
-        Timer t;
-        try {
+          Timer t;
+          if (!w->item.path.empty()) w->item.raw = io::read_file(w->item.path);
+          w->raw_bytes = w->item.raw.size();
+          read_ms += lap_ms(t, im.read_us);
           if (opts_.store) {
-            ProbeResult pr =
-                probe_compress(*opts_.store, w->item.raw.data(), w->item.raw.size(),
+            Timer th;
+            const ProbeResult pr =
+                probe_compress(*opts_.store, w->item.raw.data(), w->raw_bytes,
                                opts_.dtype, opts_.params.eb, opts_.params.eps,
                                w->stream);
             w->key = pr.key;
-            if (pr.hit) {
-              w->reused = true;
-              w->header = pfpl::peek_header(w->stream);
-              ++hits;
-            } else {
-              ++misses;
-            }
+            w->reused = pr.hit;
+            if (pr.hit) w->header = pfpl::peek_header(w->stream);
+            ++(pr.hit ? hits : misses);
+            hash_ms += lap_ms(th, im.hash_us);
           }
-        } catch (const std::exception& e) {
-          on_item_error(*w, e.what());
-        }
-        stage_sleep(opts_.stage_cost_us[1]);
-        const double ms = t.seconds() * 1e3;
-        stage_ms += ms;
-        im.hash_us.record(static_cast<u64>(ms * 1e3));
-        if (w->failed && opts_.fail_fast) {
-          // Same as the read stage: our output queue is already cancelled.
-          deliver(std::move(w));
-          break;
-        }
-      }
-      const std::size_t bytes = w->queue_bytes();
-      if (!q_encode.push(std::move(w), bytes)) break;
-    }
-    q_encode.close();
-    stats_.hash_ms = stage_ms;
-    stats_.probe_hits = hits;
-    stats_.probe_misses = misses;
-  });
-
-  // ---- stage 3: encode (chunk fan-out on the svc pool) -------------------
-  std::thread encode_thread([&] {
-    double stage_ms = 0;
-    u64 chunks = 0, audited = 0, violations = 0;
-    svc::ByteBudget budget(opts_.max_inflight_bytes);
-    WorkPtr w;
-    while (q_encode.pop(w)) {
-      obs::StallScope stall(wd_encode, w->index);
-      // After a fail_fast abort, drop unencoded items: forwarding them would
-      // deliver them as completed with no stream. Dropped items come back
-      // `cancelled`; already-failed items still flow on to report their error.
-      if (!w->failed && abort.load(std::memory_order_relaxed)) continue;
-      if (!w->failed) {
-        Timer t;
-        if (!w->reused) {
-          // Same plan / per-chunk code / slot-ordered assembly as
-          // pfpl::compress — the output is byte-identical to it by
-          // construction, whatever order the chunks finish in.
-          try {
+          if (!w->reused) {
+            // Same plan and per-chunk code as pfpl::compress; the caller
+            // assembles the slots in chunk order.
+            Timer tp;
             const Field field = make_field(w->item.raw, opts_.dtype);
             w->header = pfpl::plan_header(field, opts_.params);
-            std::vector<Bytes> payloads(w->header.chunk_count);
-            std::vector<u32> sizes(w->header.chunk_count, 0);
-            std::vector<std::future<u32>> futures;
-            futures.reserve(w->header.chunk_count);
-            const pfpl::Executor exec = opts_.params.exec;
-            const std::size_t chunk_bytes =
-                pfpl::chunk_values(opts_.dtype) * dtype_size(opts_.dtype);
-            const pfpl::Header* h = &w->header;
-            for (std::size_t c = 0; c < w->header.chunk_count; ++c) {
-              budget.acquire(chunk_bytes);
-              Bytes* slot = &payloads[c];
-              futures.push_back(pool_->submit([&field, h, c, exec, slot, &budget,
-                                               chunk_bytes]() -> u32 {
-                struct Release {
-                  svc::ByteBudget* b;
-                  std::size_t n;
-                  ~Release() { b->release(n); }
-                } release{&budget, chunk_bytes};
-                return pfpl::encode_chunk(field, *h, c, exec, *slot);
-              }));
-              ++chunks;
-            }
-            try {
-              for (std::size_t c = 0; c < futures.size(); ++c)
-                sizes[c] = futures[c].get();
-              w->stream =
-                  pfpl::assemble_stream(w->header, sizes, payloads, exec);
-            } catch (...) {
-              // Drain remaining futures so no task outlives its slots.
-              for (auto& f : futures)
-                if (f.valid()) f.wait();
-              throw;
-            }
-          } catch (const std::exception& e) {
-            on_item_error(*w, e.what());
+            w->payloads.resize(w->header.chunk_count);
+            w->futures.reserve(w->header.chunk_count);
+            for (std::size_t c = 0; c < w->header.chunk_count; ++c)
+              w->futures.push_back(pool_->submit(
+                  [field, h = &w->header, c, exec = opts_.params.exec,
+                   slot = &w->payloads[c]] {
+                    return pfpl::encode_chunk(field, *h, c, exec, *slot);
+                  }));
+            chunks += w->header.chunk_count;
+            plan_ms += tp.seconds() * 1e3;
           }
+        } catch (const std::exception& e) {
+          w->fail(e.what());
         }
-        if (!w->failed && opts_.audit) {
-          // Audit covers reused streams too: the probe's promise is
-          // byte-identity, so a stored stream must satisfy the same bound.
-          try {
-            const Field field = make_field(w->item.raw, opts_.dtype);
-            const std::vector<u8> raw_back =
-                pfpl::decompress(w->stream, opts_.params.exec);
-            const obs::AuditCase ac = obs::ErrorBoundAuditor::verify_field(
-                field, raw_back, opts_.params.eb, opts_.params.eps, "ingest",
-                w->item.name, /*seed=*/0, w->stream.size());
-            w->audited = true;
-            w->audit_violations = ac.violations;
-            ++audited;
-            violations += ac.violations;
-          } catch (const std::exception& e) {
-            on_item_error(*w, e.what());
-          }
-        }
-        stage_sleep(opts_.stage_cost_us[2]);
-        const double ms = t.seconds() * 1e3;
-        stage_ms += ms;
-        im.encode_us.record(static_cast<u64>(ms * 1e3));
+        const std::size_t bytes = w->raw_bytes;
+        if (!inflight.push(std::move(w), bytes)) break;
       }
-      const std::size_t bytes = w->queue_bytes();
-      if (!q_append.push(std::move(w), bytes)) break;
+    } catch (...) {
+      producer_error = std::current_exception();
     }
-    q_append.close();
-    stats_.encode_ms = stage_ms;
-    stats_.chunks = chunks;
-    stats_.audited = audited;
-    stats_.audit_violations = violations;
+    inflight.close();
   });
 
-  // ---- stage 4: batched append + in-order completion ---------------------
-  std::thread append_thread([&] {
-    double stage_ms = 0;
-    u64 batches = 0, appended = 0;
-    std::vector<WorkPtr> batch;
-    std::size_t batch_payload = 0;
-
-    auto flush_batch = [&] {
-      if (batch.empty()) return;
-      Timer t;
-      if (opts_.store) {
-        std::vector<store::SegmentStore::BatchEntry> entries;
-        entries.reserve(batch.size());
-        for (const WorkPtr& w : batch)
-          if (!w->failed && !w->reused && !w->stream.empty())
-            entries.push_back({w->key, &w->stream,
-                               store::ChunkMeta{opts_.dtype, opts_.params.eb,
-                                                opts_.params.eps,
-                                                w->item.raw.size()}});
-        if (!entries.empty()) {
-          try {
-            appended += opts_.store->put_batch(entries);
-            ++batches;
-            im.batch_items.record(entries.size());
-          } catch (const std::exception& e) {
-            // Store I/O failure taints the whole group: the streams are
-            // still correct, but their durability promise is broken.
-            for (WorkPtr& w : batch)
-              if (!w->failed && !w->reused) on_item_error(*w, e.what());
-          }
+  // ---- caller: commit retired items, then wait for and finish the next ---
+  // Only this thread writes stats_ until the producer is joined.
+  std::vector<WorkPtr> retired;
+  // One group commit for every retired item, then in-order delivery.
+  auto commit = [&] {
+    if (opts_.store) {
+      std::vector<store::SegmentStore::BatchEntry> entries;
+      for (const WorkPtr& w : retired)
+        if (!w->failed && !w->reused)
+          entries.push_back({w->key, &w->stream,
+                             store::ChunkMeta{opts_.dtype, opts_.params.eb,
+                                              opts_.params.eps, w->raw_bytes}});
+      if (!entries.empty()) {
+        Timer t;
+        try {
+          stats_.appended += opts_.store->put_batch(entries);
+          ++stats_.append_batches;
+          im.batch_items.record(entries.size());
+        } catch (const std::exception& e) {
+          // A store I/O failure taints the whole group: the streams are
+          // still correct, but their durability promise is broken.
+          for (WorkPtr& w : retired)
+            if (!w->failed && !w->reused) w->fail(e.what());
         }
+        stats_.append_ms += lap_ms(t, im.append_us);
       }
-      const double ms = t.seconds() * 1e3;
-      stage_ms += ms;
-      im.append_us.record(static_cast<u64>(ms * 1e3));
-      // Completion is delivered batch-by-batch, still in index order (the
-      // queues are FIFO and every stage is a single thread).
-      for (WorkPtr& w : batch) deliver(std::move(w));
-      batch.clear();
-      batch_payload = 0;
-    };
-
-    WorkPtr w;
-    while (q_append.pop(w)) {
-      obs::StallScope stall(wd_append, w->index);
-      stage_sleep(slow_us);
-      stage_sleep(opts_.stage_cost_us[3]);
-      batch_payload += w->stream.size();
-      batch.push_back(std::move(w));
-      // Greedy batching: keep pulling while work is immediately available,
-      // cut the group at either batch bound. An idle queue flushes right
-      // away so a trickle of items never waits on a half-full batch.
-      while (batch.size() < opts_.batch_items && batch_payload < opts_.batch_bytes &&
-             q_append.try_pop(w)) {
-        stage_sleep(slow_us);
-        stage_sleep(opts_.stage_cost_us[3]);
-        batch_payload += w->stream.size();
-        batch.push_back(std::move(w));
-      }
-      flush_batch();
     }
-    flush_batch();
-    stats_.append_ms = stage_ms;
-    stats_.append_batches = batches;
-    stats_.appended = appended;
-  });
+    for (WorkPtr& w : retired) {
+      Result& r = results[w->index];
+      r.name = std::move(w->item.name);
+      r.raw_bytes = w->raw_bytes;
+      r.failed = w->failed;
+      r.error = std::move(w->error);
+      r.reused = w->reused;
+      r.audited = w->audited;
+      r.audit_violations = w->audit_violations;
+      if (!w->failed) {
+        r.header = w->header;
+        r.stream = std::move(w->stream);
+        stats_.bytes_out += r.stream.size();
+      }
+      stats_.bytes_in += r.raw_bytes;
+      if (w->failed) ++stats_.files_failed;
+      if (w->reused) ++stats_.files_reused;
+      if (opts_.progress) opts_.progress(r, w->index, total);
+    }
+    retired.clear();
+  };
 
-  read_thread.join();
-  hash_thread.join();
-  encode_thread.join();
-  append_thread.join();
-
-  // Anything not delivered was dropped by cancellation (or never read
-  // because the read loop aborted): mark it so the caller can tell "failed"
-  // from "never attempted".
-  for (std::size_t i = 0; i < total; ++i) {
-    if (delivered[i]) continue;
-    results[i].cancelled = true;
-    results[i].error = "cancelled after earlier error";
-    ++stats_.files_cancelled;
+  WorkPtr w;
+  while (inflight.pop(w)) {
+    obs::StallScope stall(wd_commit, w->index);
+    if (!retired.empty() && !w->ready()) commit();  // commit before blocking
+    Timer t;
+    if (!w->failed && !w->reused) {
+      try {
+        std::vector<u32> sizes(w->futures.size());
+        for (std::size_t c = 0; c < sizes.size(); ++c) sizes[c] = w->futures[c].get();
+        w->stream =
+            pfpl::assemble_stream(w->header, sizes, w->payloads, opts_.params.exec);
+      } catch (const std::exception& e) {
+        w->fail(e.what());
+      }
+    }
+    if (!w->failed && opts_.audit) {
+      // Reused streams are audited too: the probe promises byte-identity,
+      // so a stored stream must satisfy the same bound.
+      try {
+        const std::vector<u8> raw_back = pfpl::decompress(w->stream, opts_.params.exec);
+        const obs::AuditCase ac = obs::ErrorBoundAuditor::verify_field(
+            make_field(w->item.raw, opts_.dtype), raw_back, opts_.params.eb,
+            opts_.params.eps, "ingest", w->item.name, /*seed=*/0, w->stream.size());
+        w->audited = true;
+        w->audit_violations = ac.violations;
+        ++stats_.audited;
+        stats_.audit_violations += ac.violations;
+      } catch (const std::exception& e) {
+        w->fail(e.what());
+      }
+    }
+    // Retired items wait for the next commit holding only their stream.
+    w->wait_all();
+    w->item.raw = {};
+    w->payloads = {};
+    stats_.encode_ms += lap_ms(t, im.encode_us);
+    retired.push_back(std::move(w));
   }
+  commit();
+  producer.join();
+  if (producer_error) std::rethrow_exception(producer_error);
 
-  stats_.peak_queue_bytes = std::max({q_hash.peak_bytes(), q_encode.peak_bytes(),
-                                      q_append.peak_bytes()});
-  stats_.peak_queue_items = std::max({q_hash.peak_items(), q_encode.peak_items(),
-                                      q_append.peak_items()});
+  stats_.read_ms = read_ms;
+  stats_.hash_ms = hash_ms;
+  stats_.encode_ms += plan_ms;
+  stats_.chunks = chunks;
+  stats_.probe_hits = hits;
+  stats_.probe_misses = misses;
+  stats_.peak_queue_bytes = inflight.peak_bytes();
+  stats_.peak_queue_items = inflight.peak_items();
   pool_->drain();
   stats_.wall_ms = wall.seconds() * 1e3;
   stats_.publish(obs::MetricsRegistry::global());

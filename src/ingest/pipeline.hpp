@@ -1,32 +1,27 @@
-// IngestPipeline — asynchronous staged ingest (DESIGN.md §ingest), and the
-// repo's only multi-field, chunk-parallel compression driver (`pfpl pack`,
-// `pfpl store put`, the benches).
+// IngestPipeline — the repo's one multi-field, chunk-parallel compression
+// path (`pfpl pack`, `pfpl store put`, the `pack` benchmark workload).
 //
-// Restructures file/stream ingest from a synchronous
-// read → hash → encode → append loop (throughput = SUM of the stages) into
-// four explicit stages connected by bounded byte-budgeted queues
-// (throughput = the SLOWEST stage):
+// PFPL's chunks are independent, so it only has to keep the svc pool fed and
+// commit results in order. It runs on two threads:
 //
-//   read    double-buffered chunked file reads (io::DoubleBufferedReader)
-//   hash    content key + store dedup probe: a hit skips encoding entirely
-//   encode  plan the header, fan the chunks out across the svc ThreadPool
-//           (any idle worker takes the next chunk), assemble in slot order —
-//           so the output stream is byte-identical to single-threaded
-//           pfpl::compress whatever the worker count or finishing order
-//   append  batched ChunkStore::put_batch with one group fsync per batch
+//   producer  reads each file whole, runs the store dedup probe, plans the
+//             header and submits every chunk's encode_chunk to the pool,
+//             then pushes the in-flight item onto a FIFO of at most
+//             threads + 1 items
+//   caller    pops items in order; when the next item's chunks are not all
+//             done yet, it first commits the items it has already retired
+//             (one ChunkStore::put_batch) and delivers them, then waits for
+//             the item's chunks and assembles (and optionally audits) it
 //
-// Each stage runs on its own thread; queues are FIFO, so items complete in
-// submission order — the progress callback fires in order, and run()'s
-// result vector is index-aligned with its input.
+// Assembly is in chunk-slot order, so every stream is byte-identical to
+// single-threaded pfpl::compress whatever the worker count or finishing
+// order. The FIFO makes completion order structural: the progress callback
+// fires in submission order and run()'s result vector is index-aligned with
+// its input.
 //
-// Error semantics: a per-item failure marks that item's Result and flows
-// through (matching `pfpl pack`: pack the rest, report the failures).
-// Options::fail_fast instead cancels the upstream stages on first error —
-// queued items are dropped, blocked stages wake immediately, the failing
-// item's Result is still delivered with its real error (directly from the
-// failing stage when its output queue is already cancelled, through the
-// append stage otherwise), and every undelivered item comes back marked
-// `cancelled`.
+// Errors: a per-item failure (unreadable file, invalid bound, store I/O)
+// marks that item's Result and the rest of the run continues, matching
+// `pfpl pack`: pack the rest, report the failures.
 #pragma once
 
 #include <functional>
@@ -49,7 +44,7 @@ class ThreadPool;
 namespace repro::ingest {
 
 /// One unit of ingest: a named payload, either on disk (path) or in memory
-/// (raw). When `path` is non-empty the read stage loads it; otherwise `raw`
+/// (raw). When `path` is non-empty the producer loads it; otherwise `raw`
 /// is used as-is (the in-memory form the tests and the server use).
 struct Item {
   std::string name;
@@ -59,18 +54,18 @@ struct Item {
 
 struct Result {
   std::string name;
-  Bytes stream;         ///< empty when failed/cancelled
-  pfpl::Header header;  ///< valid when !failed && !cancelled
+  Bytes stream;         ///< empty when failed
+  pfpl::Header header;  ///< valid when !failed
   u64 raw_bytes = 0;
   bool failed = false;
-  bool cancelled = false;  ///< dropped by first-error cancellation
+  bool cancelled = false;  ///< always false (nothing cancels items); benchmark/pack.cpp reads it
   std::string error;
   bool reused = false;  ///< stream came from the store's dedup probe
   bool audited = false;
   u64 audit_violations = 0;
 };
 
-/// Dedup probe shared by the pipeline's hash stage and the network server's
+/// Dedup probe shared by the pipeline's producer and the network server's
 /// COMPRESS path: compute the request's content key and look it up in the
 /// store. On a hit, `stream_out` holds the stored (byte-identical) stream.
 /// Records the ingest.probe_hits / ingest.probe_misses counters.
@@ -87,26 +82,10 @@ class IngestPipeline {
     DType dtype = DType::F32;
     pfpl::Params params;
     unsigned threads = 0;  ///< encode pool; 0 = hardware concurrency
-    /// Per-queue bounds (three queues: read→hash, hash→encode,
-    /// encode→append). Backpressure: a push blocks while the queue holds
-    /// `queue_items` items or `queue_bytes` bytes.
-    std::size_t queue_items = 4;
-    std::size_t queue_bytes = 256u << 20;
-    std::size_t read_buffer_bytes = 4u << 20;  ///< double-buffer size
-    /// Append batching: group commits are cut at whichever bound trips
-    /// first (or when the append queue momentarily runs dry).
-    std::size_t batch_items = 16;
-    std::size_t batch_bytes = 32u << 20;
-    std::size_t max_inflight_bytes = 256u << 20;  ///< encode chunk admission
-    bool audit = false;      ///< re-verify every stream against its bound
-    bool fail_fast = false;  ///< first error cancels upstream stages
+    bool audit = false;    ///< re-verify every stream against its bound
     /// Optional PFPS chunk store (borrowed; must outlive the pipeline).
     store::ChunkStore* store = nullptr;
-    /// Injected per-stage cost in microseconds {read, hash, encode, append},
-    /// applied once per item per stage. Tests use it to slow one stage down
-    /// so queues fill and batching shows, whatever the machine's speed.
-    u64 stage_cost_us[4] = {0, 0, 0, 0};
-    /// In-order completion callback (fires on the append-stage thread).
+    /// In-order completion callback (fires on the thread that called run()).
     std::function<void(const Result&, std::size_t index, std::size_t total)> progress;
   };
 
@@ -127,7 +106,6 @@ class IngestPipeline {
 
  private:
   struct Work;
-  struct RunState;
 
   Options opts_;
   std::unique_ptr<svc::ThreadPool> pool_;

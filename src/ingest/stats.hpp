@@ -1,9 +1,9 @@
-// Metrics for one IngestPipeline::run() — the per-stage decomposition that
-// makes "which stage is the bottleneck" attributable at a glance. Stage
-// times are SUMS of per-item stage durations: on the serial path they add up
-// to the wall time; on the pipelined path the wall tracks the slowest stage
-// (the whole point of the overlap), so stage_ms / wall_ms reads as that
-// stage's utilization.
+// Metrics for one IngestPipeline::run(). Stage times are SUMS of per-item
+// durations: read_ms and hash_ms (file read, dedup probe) run on the
+// producer thread, encode_ms is the producer's plan-and-submit time plus the
+// caller's wait, assembly and audit time, and append_ms is the caller's group
+// commits. Chunk encoding runs on the pool beside them, so stage_ms / wall_ms
+// reads as that stage's share of the wall time.
 #pragma once
 
 #include <string>
@@ -17,19 +17,18 @@ namespace repro::ingest {
 struct IngestStats {
   u64 files = 0;            ///< items submitted to run()
   u64 files_failed = 0;     ///< items that ended with an error
-  u64 files_cancelled = 0;  ///< items dropped by first-error cancellation
   u64 files_reused = 0;     ///< items answered by the store's dedup probe
-  u64 chunks = 0;           ///< encode-stage chunk tasks executed
+  u64 chunks = 0;           ///< chunk tasks submitted to the pool
   u64 bytes_in = 0;         ///< raw bytes across all items
   u64 bytes_out = 0;        ///< compressed stream bytes across all items
   u64 probe_hits = 0;       ///< dedup-probe store hits
   u64 probe_misses = 0;
-  u64 append_batches = 0;   ///< group commits issued by the append stage
+  u64 append_batches = 0;   ///< group commits (ChunkStore::put_batch calls)
   u64 appended = 0;         ///< chunks newly written to the persistent tier
   u64 audited = 0;
   u64 audit_violations = 0;
-  u64 peak_queue_bytes = 0;  ///< max over the three inter-stage queues
-  u64 peak_queue_items = 0;
+  u64 peak_queue_bytes = 0;  ///< raw bytes of the queued in-flight items, at peak
+  u64 peak_queue_items = 0;  ///< queued in-flight items at peak (<= threads + 1)
   unsigned threads = 0;      ///< encode pool worker count
   double read_ms = 0;        ///< per-stage per-item sums (see header comment)
   double hash_ms = 0;
@@ -51,7 +50,6 @@ struct IngestStats {
   std::string summary() const {
     std::string extra;
     if (files_failed) extra += " failed=" + std::to_string(files_failed);
-    if (files_cancelled) extra += " cancelled=" + std::to_string(files_cancelled);
     if (audited)
       extra += " audited=" + std::to_string(audited) +
                " audit_viol=" + std::to_string(audit_violations);
@@ -73,7 +71,6 @@ struct IngestStats {
     w.begin_object();
     w.kv("files", static_cast<unsigned long long>(files));
     w.kv("files_failed", static_cast<unsigned long long>(files_failed));
-    w.kv("files_cancelled", static_cast<unsigned long long>(files_cancelled));
     w.kv("files_reused", static_cast<unsigned long long>(files_reused));
     w.kv("chunks", static_cast<unsigned long long>(chunks));
     w.kv("bytes_in", static_cast<unsigned long long>(bytes_in));
@@ -103,7 +100,6 @@ struct IngestStats {
   void publish(obs::MetricsRegistry& r) const {
     r.counter("ingest.files").add(files);
     r.counter("ingest.files_failed").add(files_failed);
-    r.counter("ingest.files_cancelled").add(files_cancelled);
     r.counter("ingest.files_reused").add(files_reused);
     r.counter("ingest.chunks").add(chunks);
     r.counter("ingest.bytes_in").add(bytes_in);

@@ -19,7 +19,7 @@
 //     `max_inflight_bytes` of dispatched-but-unanswered payload, the loop
 //     parks its parsed-but-undispatched frames and stops polling it for
 //     reads. A single request larger than the whole budget is admitted alone
-//     (mirroring svc's ByteBudget) so it cannot deadlock.
+//     so it cannot deadlock.
 //   * Graceful drain (SIGINT via request_stop(), or a SHUTDOWN frame): stop
 //     accepting connections, answer new COMPRESS, DECOMPRESS, STREAM_OPEN
 //     and STREAM_FRAME requests with a typed Draining error, let in-flight

@@ -106,20 +106,7 @@ void FlightRecorder::run_loop() {
       next_sample_ms = now + static_cast<u64>(opts_.interval_ms);
     } else if (opts_.stall_ms > 0) {
       // Off-cadence tick: watchdog check only (sample_now also checks).
-      const std::vector<Watchdog::Stall> stalls = Watchdog::global().check();
-      if (!stalls.empty() && !opts_.crash_dir.empty()) {
-        JsonWriter w;
-        w.begin_array();
-        for (const Watchdog::Stall& st : stalls) {
-          w.begin_object();
-          w.kv("slot", st.slot);
-          w.kv("busy_ms", static_cast<unsigned long long>(st.busy_ms));
-          w.kv("detail", static_cast<unsigned long long>(st.detail));
-          w.end_object();
-        }
-        w.end_array();
-        write_stall_dump(w.take());
-      }
+      check_stalls();
     }
   }
 }
@@ -141,20 +128,7 @@ void FlightRecorder::sample_now() {
   }
   if (!crash_body.empty()) set_crash_body(crash_body);
 
-  const std::vector<Watchdog::Stall> stalls = Watchdog::global().check();
-  if (!stalls.empty() && !opts_.crash_dir.empty()) {
-    JsonWriter w;
-    w.begin_array();
-    for (const Watchdog::Stall& st : stalls) {
-      w.begin_object();
-      w.kv("slot", st.slot);
-      w.kv("busy_ms", static_cast<unsigned long long>(st.busy_ms));
-      w.kv("detail", static_cast<unsigned long long>(st.detail));
-      w.end_object();
-    }
-    w.end_array();
-    write_stall_dump(w.take());
-  }
+  check_stalls();
 }
 
 void FlightRecorder::append_snapshots_locked(std::string& out,
@@ -191,13 +165,25 @@ std::string FlightRecorder::render_crash_body_locked() const {
   return body;
 }
 
-void FlightRecorder::write_stall_dump(const std::string& stalls_json) {
+void FlightRecorder::check_stalls() {
+  const std::vector<Watchdog::Stall> stalls = Watchdog::global().check();
+  if (stalls.empty() || opts_.crash_dir.empty()) return;
+  JsonWriter w;
+  w.begin_array();
+  for (const Watchdog::Stall& st : stalls) {
+    w.begin_object();
+    w.kv("slot", st.slot);
+    w.kv("busy_ms", static_cast<unsigned long long>(st.busy_ms));
+    w.kv("detail", static_cast<unsigned long long>(st.detail));
+    w.end_object();
+  }
+  w.end_array();
   std::string path;
   {
     std::lock_guard<std::mutex> lock(m_);
     path = opts_.crash_dir + "/stall-" + std::to_string(++stall_dumps_) + ".json";
   }
-  std::string doc = "{\"schema\":\"pfpl-stall/1\",\"stalls\":" + stalls_json +
+  std::string doc = "{\"schema\":\"pfpl-stall/1\",\"stalls\":" + w.take() +
                     ",\"history\":" + history_json() + "}\n";
   std::error_code ec;
   std::filesystem::create_directories(opts_.crash_dir, ec);

@@ -78,7 +78,9 @@ class FlightRecorder {
   /// snapshots + the trace tail. Caller must hold m_.
   std::string render_crash_body_locked() const;
   void append_snapshots_locked(std::string& out, std::size_t max_snapshots) const;
-  void write_stall_dump(const std::string& stalls_json);
+  /// Run the watchdog check; with a crash_dir, write any stalls it reports
+  /// to a new `stall-<n>.json` dump beside the flight history.
+  void check_stalls();
 
   mutable std::mutex m_;
   std::condition_variable cv_;

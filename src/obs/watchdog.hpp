@@ -1,7 +1,7 @@
 // Watchdog — stall detection for long-running workers.
 //
 // A *slot* is one unit of execution that is supposed to make progress: a
-// thread-pool worker executing a task, an ingest stage processing one item.
+// thread-pool worker executing a task, an ingest thread handling one item.
 // The worker marks the start of each unit (StallScope) and the watchdog
 // checker — driven by the FlightRecorder's sampler thread — flags any slot
 // that has been busy on the *same* unit longer than the armed threshold.
@@ -29,7 +29,7 @@ class Watchdog {
 
   static Watchdog& global();
 
-  /// Register a named slot (e.g. "svc.worker.3", "ingest.read"). Returns the
+  /// Register a named slot (e.g. "svc.worker.3", "ingest.commit"). Returns the
   /// slot id, or -1 when the table is full (StallScope treats -1 as inert).
   /// Slots are never unregistered; re-registering a name returns a new slot.
   int register_slot(const std::string& name);

@@ -138,12 +138,12 @@ class SegmentStore {
 
   /// Append a group of chunks under ONE lock acquisition, ONE stdio flush,
   /// and (when Options::fsync_each_append is set) ONE fsync for the whole
-  /// batch — the group-commit the ingest pipeline's append stage batches
-  /// into. Duplicate keys (against the index or earlier entries of the same
-  /// batch) are skipped exactly like put(). Frames are written in entry
-  /// order, so a crash mid-batch can only lose a suffix: the reopen scan
-  /// truncates the torn frame and everything after it, never surfacing entry
-  /// i+1 without entry i. Returns the number of entries newly stored.
+  /// batch — the ingest pipeline's group commit. Duplicate keys (against
+  /// the index or earlier entries of the same batch) are skipped exactly
+  /// like put(). Frames are written in entry order, so a crash mid-batch can
+  /// only lose a suffix: the reopen scan truncates the torn frame and
+  /// everything after it, never surfacing entry i+1 without entry i.
+  /// Returns the number of entries newly stored.
   std::size_t append_batch(const std::vector<BatchEntry>& entries);
 
   std::vector<StoredChunk> entries() const;

@@ -58,7 +58,7 @@ class ChunkStore {
   /// Group insert: every entry lands in the cache, and the persistent tier
   /// takes them all through SegmentStore::append_batch — one lock, one
   /// flush, one fsync for the whole group. This is the ingest pipeline's
-  /// append stage. Payloads are borrowed for the duration of the call.
+  /// group commit. Payloads are borrowed for the duration of the call.
   /// Returns the number of entries newly written to the persistent tier
   /// (0 when cache-only).
   std::size_t put_batch(const std::vector<SegmentStore::BatchEntry>& entries);

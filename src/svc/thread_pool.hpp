@@ -1,4 +1,4 @@
-// Thread pool for chunk-parallel work: the ingest pipeline's encode stage
+// Thread pool for chunk-parallel work: the ingest pipeline's chunk encodes
 // and pfpld's request dispatch (DESIGN.md §svc).
 //
 // Design:

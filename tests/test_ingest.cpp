@@ -1,17 +1,14 @@
-// Tests for the asynchronous staged ingest pipeline — the repo's one
-// multi-field, chunk-parallel driver: byte-identity with the serial
-// compressor at every worker count and under a tiny in-flight budget,
-// in-order completion, dedup-probe reuse, bounded-queue backpressure (byte
-// budget held under a slow consumer), per-item errors, first-error
-// cancellation without deadlock, and the audit hook.
+// Tests for the ingest pipeline — the repo's one multi-field, chunk-parallel
+// compression path: byte-identity with the serial compressor at every worker
+// count, in-order completion, dedup-probe reuse, group commits, the in-flight
+// item bound, per-item errors, unwinding when the caller's callback throws,
+// and the audit hook.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/pfpl.hpp"
@@ -113,23 +110,6 @@ TEST(IngestPipeline, StreamsByteIdenticalToSerialCompress) {
   }
 }
 
-TEST(IngestPipeline, TinyInflightBudgetStillDeterministic) {
-  // A budget smaller than one chunk admits chunks one at a time (the
-  // oversized-acquisition escape hatch); bytes must still be identical.
-  const std::size_t kValues = 4096 * 8;
-  ingest::IngestPipeline::Options o = base_options();
-  o.threads = 4;
-  o.max_inflight_bytes = 1024;
-  ingest::IngestPipeline pipe(o);
-  std::vector<ingest::Result> rs = pipe.run(memory_items(2, kValues));
-  ASSERT_EQ(rs.size(), 2u);
-  for (std::size_t i = 0; i < rs.size(); ++i) {
-    ASSERT_FALSE(rs[i].failed) << rs[i].error;
-    EXPECT_EQ(rs[i].stream, serial_stream(kValues, unsigned(i)));
-  }
-  EXPECT_EQ(pipe.stats().chunks, 16u);
-}
-
 TEST(IngestPipeline, InvalidBoundFailsEachItemWithoutThrowing) {
   ingest::IngestPipeline::Options o = base_options();
   o.params.eps = -1.0;
@@ -159,9 +139,7 @@ TEST(IngestPipeline, FileItemsMatchMemoryItems) {
     std::fclose(out);
     items.push_back(ingest::Item{"f" + std::to_string(i), p.string(), {}});
   }
-  ingest::IngestPipeline::Options o = base_options();
-  o.read_buffer_bytes = 1024;  // force many buffer seams per file
-  ingest::IngestPipeline pipe(o);
+  ingest::IngestPipeline pipe(base_options());
   std::vector<ingest::Result> rs = pipe.run(std::move(items));
   ASSERT_EQ(rs.size(), 3u);
   for (unsigned i = 0; i < 3; ++i) {
@@ -236,11 +214,6 @@ TEST(IngestPipeline, AppendBatchingGroupsItems) {
 
   ingest::IngestPipeline::Options o = base_options();
   o.store = &cs;
-  o.batch_items = 4;
-  // Stall the encode stage feed so the append queue accumulates and the
-  // greedy batcher actually groups (without it, a fast consumer can drain
-  // item-by-item and legitimately produce one batch per item).
-  o.stage_cost_us[3] = 2000;
   ingest::IngestPipeline pipe(o);
   std::vector<ingest::Result> rs = pipe.run(memory_items(8, 2000));
   for (const ingest::Result& r : rs) ASSERT_FALSE(r.failed) << r.error;
@@ -257,49 +230,26 @@ TEST(IngestPipeline, AppendBatchingGroupsItems) {
 
 // ------------------------------------------------------------- backpressure
 
-TEST(IngestPipeline, ByteBudgetHoldsUnderSlowConsumer) {
-  // Append stage stalled 3ms/item via the test hook; reader would otherwise
-  // race ahead and buffer the whole input set.
-  ::setenv("PFPL_INGEST_TEST_SLOW_STAGE_US", "3000", 1);
-  ingest::IngestPipeline::Options o = base_options();
-  const std::size_t kValues = 8192;                   // 32 KiB raw per item
+TEST(IngestPipeline, InflightItemsBoundedByThreads) {
+  // The producer runs ahead of the caller by at most threads + 1 items, so
+  // at most that many raw inputs wait in the queue, whatever the item count.
+  const std::size_t kValues = 64 * 1024;  // 256 KiB raw, 16 chunks per item
   const std::size_t item_bytes = kValues * sizeof(float);
-  o.queue_items = 64;                                 // items bound never trips
-  o.queue_bytes = 3 * item_bytes;                     // bytes bound does
-  ingest::IngestPipeline pipe(o);
-  std::vector<ingest::Result> rs = pipe.run(memory_items(10, kValues));
-  ::unsetenv("PFPL_INGEST_TEST_SLOW_STAGE_US");
-  for (const ingest::Result& r : rs) ASSERT_FALSE(r.failed) << r.error;
-  const ingest::IngestStats& st = pipe.stats();
-  EXPECT_GT(st.peak_queue_bytes, 0u);
-  EXPECT_LE(st.peak_queue_bytes, o.queue_bytes);
-  EXPECT_LE(st.peak_queue_items, 3u);
-}
-
-TEST(BoundedQueue, AdmitsOneOversizedItemWhenEmpty) {
-  ingest::BoundedQueue<int> q(4, 100);
-  EXPECT_TRUE(q.push(1, 1000));  // larger than the whole budget, queue empty
-  int v = 0;
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 1);
-}
-
-TEST(BoundedQueue, CancelWakesBlockedPusher) {
-  ingest::BoundedQueue<int> q(1, 100);
-  ASSERT_TRUE(q.push(1, 10));
-  std::thread t([&] {
-    // Blocks: item bound is full. Must wake with false on cancel, not hang.
-    EXPECT_FALSE(q.push(2, 10));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  q.cancel();
-  t.join();
-  int v = 0;
-  EXPECT_FALSE(q.pop(v));  // cancelled queues drop their contents
+  for (unsigned threads : {1u, 2u, 4u}) {
+    ingest::IngestPipeline::Options o = base_options();
+    o.threads = threads;
+    ingest::IngestPipeline pipe(o);
+    std::vector<ingest::Result> rs = pipe.run(memory_items(10, kValues));
+    for (const ingest::Result& r : rs) ASSERT_FALSE(r.failed) << r.error;
+    const ingest::IngestStats& st = pipe.stats();
+    EXPECT_GE(st.peak_queue_items, 1u);
+    EXPECT_LE(st.peak_queue_items, threads + 1u) << "threads=" << threads;
+    EXPECT_LE(st.peak_queue_bytes, (threads + 1u) * item_bytes) << "threads=" << threads;
+  }
 }
 
 TEST(BoundedQueue, CloseDrainsThenEnds) {
-  ingest::BoundedQueue<int> q(8, 1 << 20);
+  ingest::BoundedQueue<int> q(8);
   ASSERT_TRUE(q.push(1, 4));
   ASSERT_TRUE(q.push(2, 4));
   q.close();
@@ -312,7 +262,7 @@ TEST(BoundedQueue, CloseDrainsThenEnds) {
   EXPECT_FALSE(q.pop(v));
 }
 
-// ------------------------------------------------------- error / cancellation
+// ------------------------------------------------------------------ errors
 
 TEST(IngestPipeline, SoftErrorContinuesRemainingItems) {
   std::vector<ingest::Item> items = memory_items(4, 2000);
@@ -328,66 +278,28 @@ TEST(IngestPipeline, SoftErrorContinuesRemainingItems) {
     EXPECT_FALSE(rs[i].stream.empty());
   }
   EXPECT_EQ(pipe.stats().files_failed, 1u);
-  EXPECT_EQ(pipe.stats().files_cancelled, 0u);
 }
 
-TEST(IngestPipeline, FailFastCancelsUpstreamWithoutDeadlock) {
-  // Item 0 fails in the read stage immediately; with fail_fast every later
-  // item must come back `cancelled`, the failing item must keep its real
-  // error, and run() must return (no stage may deadlock on a cancelled
-  // queue). The slow-append hook widens the window where items would be
-  // in-flight if cancellation failed to drop them.
-  ::setenv("PFPL_INGEST_TEST_SLOW_STAGE_US", "2000", 1);
-  std::vector<ingest::Item> items = memory_items(6, 2000);
-  items[0] = ingest::Item{"missing", "/nonexistent/pfpl-test-input.raw", {}};
+TEST(IngestPipeline, ThrowingProgressUnwindsWithoutDeadlock) {
+  // The first delivery throws while the producer is still reading and
+  // submitting: run() must rethrow, after stopping the producer and waiting
+  // out every chunk task that still uses an item's buffers.
+  bool throw_once = true;
   ingest::IngestPipeline::Options o = base_options();
-  o.fail_fast = true;
-  ingest::IngestPipeline pipe(o);
-  std::vector<ingest::Result> rs = pipe.run(std::move(items));
-  ::unsetenv("PFPL_INGEST_TEST_SLOW_STAGE_US");
-  ASSERT_EQ(rs.size(), 6u);
-  EXPECT_TRUE(rs[0].failed);
-  EXPECT_FALSE(rs[0].cancelled);
-  EXPECT_NE(rs[0].error.find("nonexistent"), std::string::npos) << rs[0].error;
-  for (std::size_t i = 1; i < rs.size(); ++i) {
-    EXPECT_TRUE(rs[i].cancelled) << "item " << i;
-    EXPECT_TRUE(rs[i].stream.empty());
-    EXPECT_EQ(rs[i].name, "item" + std::to_string(i));  // names survive drops
-  }
-  EXPECT_EQ(pipe.stats().files_failed, 1u);
-  EXPECT_EQ(pipe.stats().files_cancelled, 5u);
-}
-
-TEST(IngestPipeline, MidStreamFailFastDeliversEarlierItems) {
-  // The bad item sits in the middle: items before it complete normally,
-  // items after it are cancelled. Exercises the cancel path while every
-  // queue is actively carrying work.
-  std::vector<ingest::Item> items = memory_items(8, 2000);
-  items[4] = ingest::Item{"missing", "/nonexistent/pfpl-test-input.raw", {}};
-  ingest::IngestPipeline::Options o = base_options();
-  o.fail_fast = true;
-  o.queue_items = 1;  // tight queues: the reader cannot race far ahead
-  ingest::IngestPipeline pipe(o);
-  std::vector<ingest::Result> rs = pipe.run(std::move(items));
-  ASSERT_EQ(rs.size(), 8u);
-  int failed = 0, cancelled = 0, completed = 0;
-  for (const ingest::Result& r : rs) {
-    if (r.failed) ++failed;
-    else if (r.cancelled) ++cancelled;
-    else {
-      ++completed;
-      EXPECT_FALSE(r.stream.empty());
+  o.threads = 1;
+  o.progress = [&](const ingest::Result&, std::size_t, std::size_t) {
+    if (throw_once) {
+      throw_once = false;
+      throw std::runtime_error("progress sink failed");
     }
-  }
-  EXPECT_EQ(failed, 1);
-  EXPECT_GE(cancelled, 1);  // at least the items the reader never reached
-  EXPECT_EQ(failed + cancelled + completed, 8);
-  // Completed items are still byte-identical to the serial compressor.
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (!rs[i].failed && !rs[i].cancelled) {
-      EXPECT_EQ(rs[i].stream, serial_stream(2000, unsigned(i)));
-    }
-  }
+  };
+  ingest::IngestPipeline pipe(o);
+  EXPECT_THROW(pipe.run(memory_items(16, 64 * 1024)), std::runtime_error);
+  // The same pipeline runs again normally.
+  const std::vector<ingest::Result> rs = pipe.run(memory_items(3, 2000));
+  ASSERT_EQ(rs.size(), 3u);
+  for (std::size_t i = 0; i < rs.size(); ++i)
+    EXPECT_EQ(rs[i].stream, serial_stream(2000, unsigned(i)));
 }
 
 // ------------------------------------------------------------------- audit

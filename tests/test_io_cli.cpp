@@ -4,20 +4,15 @@
 
 #include <sys/wait.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
-#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "data/rng.hpp"
-#include "io/buffered_reader.hpp"
 #include "io/raw_file.hpp"
 
 using namespace repro;
@@ -128,108 +123,6 @@ TEST(RawFile, ReadRangeOnEmptyFile) {
   EXPECT_THROW(io::read_file_range(path, 0, 1), CompressionError);
   EXPECT_THROW(io::read_file_range(path, 1, 0), CompressionError);
   fs::remove(path);
-}
-
-// -------------------------------------------------- DoubleBufferedReader
-
-namespace {
-
-/// Drain a reader into one contiguous byte vector.
-std::vector<u8> drain(io::DoubleBufferedReader& rd) {
-  std::vector<u8> all;
-  for (std::span<const u8> sp = rd.next(); !sp.empty(); sp = rd.next())
-    all.insert(all.end(), sp.begin(), sp.end());
-  return all;
-}
-
-std::vector<u8> pattern_bytes(std::size_t n) {
-  std::vector<u8> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<u8>((i * 31 + 7) & 0xFF);
-  return v;
-}
-
-}  // namespace
-
-TEST(DoubleBufferedReader, ZeroLengthFile) {
-  std::string path = tmp_path("dbr_empty.bin");
-  io::write_file(path, nullptr, 0);
-  io::DoubleBufferedReader rd(path, 64);
-  EXPECT_TRUE(rd.next().empty());
-  EXPECT_TRUE(rd.next().empty());  // EOF is sticky
-  EXPECT_EQ(rd.bytes_read(), 0u);
-  fs::remove(path);
-}
-
-TEST(DoubleBufferedReader, FileSmallerThanOneBuffer) {
-  std::string path = tmp_path("dbr_small.bin");
-  const std::vector<u8> data = pattern_bytes(37);
-  io::write_file(path, data.data(), data.size());
-  io::DoubleBufferedReader rd(path, 4096);
-  std::span<const u8> sp = rd.next();
-  ASSERT_EQ(sp.size(), 37u);
-  EXPECT_TRUE(std::equal(sp.begin(), sp.end(), data.begin()));
-  EXPECT_TRUE(rd.next().empty());
-  EXPECT_EQ(rd.bytes_read(), 37u);
-  fs::remove(path);
-}
-
-TEST(DoubleBufferedReader, ExactBufferMultipleEndsCleanly) {
-  // EOF lands exactly on a buffer seam: the final buffer is full, and the
-  // NEXT call must report a clean empty span (not a zero-length "buffer").
-  std::string path = tmp_path("dbr_exact.bin");
-  const std::vector<u8> data = pattern_bytes(4 * 64);
-  io::write_file(path, data.data(), data.size());
-  io::DoubleBufferedReader rd(path, 64);
-  std::size_t buffers = 0;
-  for (std::span<const u8> sp = rd.next(); !sp.empty(); sp = rd.next()) {
-    EXPECT_EQ(sp.size(), 64u);  // never a short buffer mid-file
-    ++buffers;
-  }
-  EXPECT_EQ(buffers, 4u);
-  EXPECT_EQ(rd.bytes_read(), data.size());
-  fs::remove(path);
-}
-
-TEST(DoubleBufferedReader, SeamCrossingSizesMatchReadFile) {
-  // Odd buffer size x file sizes around every seam: content must always
-  // equal the one-shot read, with the short buffer only ever last.
-  std::string path = tmp_path("dbr_seam.bin");
-  for (std::size_t n : {1u, 6u, 7u, 8u, 13u, 14u, 20u, 21u, 22u, 48u}) {
-    const std::vector<u8> data = pattern_bytes(n);
-    io::write_file(path, data.data(), data.size());
-    io::DoubleBufferedReader rd(path, 7);
-    const std::vector<u8> got = drain(rd);
-    EXPECT_EQ(got, data) << "file size " << n;
-    EXPECT_EQ(rd.bytes_read(), n) << "file size " << n;
-    EXPECT_EQ(got, io::read_file(path)) << "file size " << n;
-  }
-  fs::remove(path);
-}
-
-TEST(DoubleBufferedReader, SpanValidUntilNextCall) {
-  // The handed-out buffer must not be refilled underneath the caller: copy
-  // taken BEFORE the subsequent next() must match the file contents.
-  std::string path = tmp_path("dbr_stable.bin");
-  const std::vector<u8> data = pattern_bytes(256);
-  io::write_file(path, data.data(), data.size());
-  io::DoubleBufferedReader rd(path, 32);
-  std::vector<u8> all;
-  std::span<const u8> sp = rd.next();
-  while (!sp.empty()) {
-    std::vector<u8> copy(sp.begin(), sp.end());
-    // Give the prefetch thread time to (incorrectly) overwrite the slot.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    EXPECT_TRUE(std::equal(copy.begin(), copy.end(), sp.begin()));
-    all.insert(all.end(), sp.begin(), sp.end());
-    sp = rd.next();
-  }
-  EXPECT_EQ(all, data);
-  fs::remove(path);
-}
-
-TEST(DoubleBufferedReader, MissingFileThrows) {
-  EXPECT_THROW(io::DoubleBufferedReader("/nonexistent/pfpl-dbr.bin", 64),
-               CompressionError);
 }
 
 class CliTest : public ::testing::Test {

@@ -1,6 +1,6 @@
 // Tests for the svc layer: the FIFO thread pool (bounded queue, graceful
 // shutdown, submission-order dispatch), the chunked primitives the ingest
-// pipeline's encode stage builds on, and the PFPA archive container
+// pipeline's chunk fan-out builds on, and the PFPA archive container
 // (round-trip, random access, corruption rejection). The pipeline's byte
 // identity to single-threaded pfpl::compress is pinned in test_ingest.cpp.
 #include <gtest/gtest.h>
@@ -141,7 +141,7 @@ TEST(ThreadPool, SingleWorkerRunsTasksInSubmissionOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunked primitives (the contract the ingest encode stage builds on)
+// Chunked primitives (the contract the ingest chunk fan-out builds on)
 // ---------------------------------------------------------------------------
 
 TEST(Chunked, ManualChunkLoopMatchesOneShot) {
