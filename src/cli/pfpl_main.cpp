@@ -1,46 +1,7 @@
-// pfpl — command-line front end for the PFPL compressor.
-//
-// Single-field streams:
-//   pfpl c <in.raw> <out.pfpl> --dtype f32|f64 --eb abs|rel|noa --eps 1e-3
-//        [--exec serial|omp|gpusim]
-//   pfpl d <in.pfpl> <out.raw> [--exec serial|omp|gpusim]
-//   pfpl info <in.pfpl>
-//   pfpl verify <original.raw> <in.pfpl>     # re-check the error bound
-//
-// Multi-field PFPA archives (the svc batch-compression service):
-//   pfpl pack <out.pfpa> <in1.raw> [in2.raw ...] --dtype f32|f64
-//        --eb abs|rel|noa --eps 1e-3 [--threads N] [--exec serial|omp|gpusim]
-//   pfpl unpack <in.pfpa> <outdir> [--entry NAME]
-//   pfpl list <in.pfpa>
-//   pfpl stats <in.pfpa|in.pfpl> [--json]      # machine-readable stats
-//
-// Continuous error-bound audit (src/obs/audit.hpp):
-//   pfpl audit [--full] [--json] [--suite NAME] [--dtype f32|f64]
-//        [--eb abs|rel|noa] [--eps 1e-3] [--exec serial|omp|gpusim]
-//   sweeps the synthetic suites through compress -> decompress and re-checks
-//   every reconstructed value; exits 3 if any bound violation is found.
-//
-// PFPN/1 network service (src/net):
-//   pfpl serve [--port N] [--bind ADDR] [--threads N] [--max-inflight BYTES]
-//        [--exec serial|omp|gpusim]
-//   runs the pfpld compression server until SIGINT/SIGTERM or a SHUTDOWN
-//   frame, then drains gracefully.
-//   pfpl remote compress <in.raw> <out.pfpl> --host H:P --dtype ... --eb ... --eps ...
-//   pfpl remote decompress <in.pfpl> <out.raw> --host H:P
-//   pfpl remote stats|ping|shutdown --host H:P [--timeout-ms N]
-//   pfpl remote metrics --host H:P [--prom]   # registry dump (JSON or Prometheus)
-//   pfpl top --host H:P [--interval-ms N] [--count N]
-//   polls the METRICS op and renders rate-converted req/s, MB/s, latency
-//   quantiles, store hit ratio, and pool queue depth — one line per tick.
-//
-// Observability (valid on every verb, parsed before dispatch):
-//   --trace FILE    record spans and write a Chrome trace_event JSON
-//                   (chrome://tracing / Perfetto loadable)
-//   --metrics       print the metrics registry to stderr on exit
-//   --report FILE   write the obs RunReport JSON artifact
-//
-// Exit codes: 0 ok, 1 error (bad/corrupt input, I/O failure), 2 usage,
-// 3 verify/audit found a bound violation.
+// pfpl — command-line front end for the PFPL compressor. usage() lists every
+// verb and flag. main() reads argv once against kFlags and dispatches through
+// kVerbs. Exit codes: 0 ok, 1 error, 2 usage, 3 bound violation.
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <csignal>
@@ -62,7 +23,6 @@
 #include "net/backoff.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
-#include "metrics/error_stats.hpp"
 #include "obs/audit.hpp"
 #include "obs/event_log.hpp"
 #include "obs/json.hpp"
@@ -140,63 +100,6 @@ namespace {
   std::exit(2);
 }
 
-/// Observability flags, stripped from argv before verb dispatch so every
-/// command accepts them uniformly.
-struct ObsFlags {
-  std::string trace_path;
-  std::string report_path;
-  bool metrics = false;
-  bool any() const { return metrics || !trace_path.empty() || !report_path.empty(); }
-};
-
-ObsFlags strip_obs_flags(int& argc, char** argv) {
-  ObsFlags fl;
-  int w = 1;
-  for (int i = 1; i < argc; ++i) {
-    std::string a = argv[i];
-    if (a == "--trace" || a == "--report") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", a.c_str());
-        usage();
-      }
-      (a == "--trace" ? fl.trace_path : fl.report_path) = argv[++i];
-    } else if (a == "--metrics") {
-      fl.metrics = true;
-    } else {
-      argv[w++] = argv[i];
-    }
-  }
-  argc = w;
-  if (fl.any()) obs::set_enabled(true);
-  return fl;
-}
-
-/// Emit the requested observability artifacts (called on every exit path
-/// that ran a command, including failures — a trace of a failed run is
-/// exactly what you want on the operator's desk).
-void flush_obs(const ObsFlags& fl) {
-  if (!fl.any()) return;
-  try {
-    if (fl.metrics)
-      std::fprintf(stderr, "%s", obs::MetricsRegistry::global().text().c_str());
-    if (!fl.report_path.empty()) {
-      obs::RunReport::global().set_meta("tool", "pfpl");
-      obs::RunReport::global().write(fl.report_path);
-    }
-    if (!fl.trace_path.empty())
-      obs::TraceRecorder::global().write_chrome_json(fl.trace_path);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "pfpl: obs: %s\n", e.what());
-  }
-}
-
-pfpl::Executor parse_exec(const std::string& s) {
-  if (s == "serial") return pfpl::Executor::Serial;
-  if (s == "omp") return pfpl::Executor::OpenMP;
-  if (s == "gpusim") return pfpl::Executor::GpuSim;
-  usage();
-}
-
 struct Flags {
   DType dtype = DType::F32;
   pfpl::Params params;
@@ -212,28 +115,22 @@ struct Flags {
   bool dtype_set = false, eb_set = false, eps_set = false;
   // Network verbs (`pfpl serve` / `pfpl remote`).
   std::string host;                 ///< `pfpl remote --host H:P`
-  std::string bind = "127.0.0.1";   ///< `pfpl serve --bind ADDR`
-  unsigned port = 0;                ///< `pfpl serve --port N` (0 = ephemeral)
   std::size_t max_inflight = 0;     ///< `pfpl serve --max-inflight BYTES` (0 = default)
   int timeout_ms = 0;               ///< `pfpl remote --timeout-ms N` (0 = default)
+  /// `pfpl serve` flags stored straight into the server's options: --bind,
+  /// --port, --slow-ms, --metrics-port, --flight-ms, --flight-depth,
+  /// --stall-ms, --crash-dir, --max-conns, --max-sessions, --session-idle-ms.
+  net::Server::Options serve;
   // PFPS chunk store (`pfpl serve|pack|store`).
   std::string store_dir;            ///< `--store DIR` (empty = no persistence)
   unsigned cache_mb = 0;            ///< `--cache-mb N` (0 = default 64)
   // Live introspection (`pfpl serve` / `pfpl remote metrics` / `pfpl top`).
-  int slow_ms = 0;                  ///< `pfpl serve --slow-ms N` (0 = off)
   std::string slow_log;             ///< `pfpl serve --slow-log FILE` (empty = stderr)
-  int metrics_port = -1;            ///< `pfpl serve --metrics-port N` (-1 = off)
-  // Flight recorder / crash diagnostics (`pfpl serve`).
-  int flight_ms = 0;                ///< `--flight-ms N` snapshot cadence (0 = off)
-  int flight_depth = 32;            ///< `--flight-depth N` ring capacity
-  u64 stall_ms = 0;                 ///< `--stall-ms N` watchdog threshold (0 = off)
-  std::string crash_dir;            ///< `--crash-dir DIR` (empty = no crash reports)
   bool prom = false;                ///< `pfpl remote metrics --prom`
   bool history = false;             ///< `pfpl remote metrics --history`
   int interval_ms = 1000;           ///< `pfpl top --interval-ms N`
   int count = 0;                    ///< `pfpl top --count N` (0 = until ^C)
-  std::size_t max_conns = 0;        ///< `pfpl serve --max-conns N` (0 = unlimited)
-  // Temporal stream verbs (`pfpl stream` / `pfpl serve`).
+  // Temporal stream verbs (`pfpl stream pack`).
   std::string dims;                 ///< `pfpl stream pack --dims ZxYxX`
   std::size_t frames = 0;           ///< `--frames N` (0 = suite default)
   std::size_t values = 0;           ///< `--values N` per frame (0 = default)
@@ -241,9 +138,31 @@ struct Flags {
   u64 seed = 0;                     ///< `--seed S` (0 = suite default)
   std::string dump_raw;             ///< `--dump-raw DIR`: original frames
   std::string dump_recon;           ///< `--dump-recon DIR`: decoded frames
-  std::size_t max_sessions = 64;    ///< `pfpl serve --max-sessions N`
-  int session_idle_ms = 60000;      ///< `pfpl serve --session-idle-ms N`
+  // Observability (any verb).
+  std::string trace_path;           ///< `--trace FILE`: Chrome trace_event JSON
+  std::string report_path;          ///< `--report FILE`: obs RunReport JSON
+  bool metrics = false;             ///< `--metrics`: registry dump on stderr
+  bool obs_any() const { return metrics || !trace_path.empty() || !report_path.empty(); }
 };
+
+/// Emit the requested observability artifacts (called on every exit path
+/// that ran a command, including failures — a trace of a failed run is
+/// exactly what you want on the operator's desk).
+void flush_obs(const Flags& fl) {
+  if (!fl.obs_any()) return;
+  try {
+    if (fl.metrics)
+      std::fprintf(stderr, "%s", obs::MetricsRegistry::global().text().c_str());
+    if (!fl.report_path.empty()) {
+      obs::RunReport::global().set_meta("tool", "pfpl");
+      obs::RunReport::global().write(fl.report_path);
+    }
+    if (!fl.trace_path.empty())
+      obs::TraceRecorder::global().write_chrome_json(fl.trace_path);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "pfpl: obs: %s\n", e.what());
+  }
+}
 
 /// The value of a numeric flag: a plain base-10 integer in [lo, hi], with no
 /// sign and no trailing characters. Anything else is a usage error (exit 2).
@@ -260,246 +179,281 @@ u64 flag_uint(const char* flag, const std::string& v, u64 lo, u64 hi) {
   return n;
 }
 
-/// Parse `--flag value` pairs from argv[first..); non-flag arguments are
-/// appended to `positional`.
-Flags parse_flags(int argc, char** argv, int first, std::vector<std::string>* positional) {
-  constexpr u64 kMaxThreads = 1024;
-  constexpr u64 kInt = std::numeric_limits<int>::max();
-  constexpr u64 kUint = std::numeric_limits<unsigned>::max();
-  constexpr u64 kU64 = std::numeric_limits<u64>::max();
+/// The index of `v` in `names`; anything else is a usage error (exit 2).
+std::size_t flag_choice(const char* flag, const std::string& v,
+                        std::initializer_list<const char*> names) {
+  std::size_t i = 0;
+  std::string expected;
+  for (const char* n : names) {
+    if (v == n) return i;
+    if (i++) expected += '|';
+    expected += n;
+  }
+  std::fprintf(stderr, "unknown %s '%s' (expected %s)\n", flag, v.c_str(), expected.c_str());
+  usage();
+}
+
+void set_dtype(Flags& fl, const char* flag, const std::string& v) {
+  constexpr DType kTypes[] = {DType::F32, DType::F64};
+  fl.dtype = kTypes[flag_choice(flag, v, {"f32", "f64"})];
+  fl.dtype_set = true;
+}
+
+void set_eb(Flags& fl, const char* flag, const std::string& v) {
+  constexpr EbType kTypes[] = {EbType::ABS, EbType::REL, EbType::NOA};
+  fl.params.eb = kTypes[flag_choice(flag, v, {"abs", "rel", "noa"})];
+  fl.eb_set = true;
+}
+
+void set_exec(Flags& fl, const char* flag, const std::string& v) {
+  constexpr pfpl::Executor kExecs[] = {pfpl::Executor::Serial, pfpl::Executor::OpenMP,
+                                       pfpl::Executor::GpuSim};
+  fl.params.exec = kExecs[flag_choice(flag, v, {"serial", "omp", "gpusim"})];
+}
+
+void set_eps(Flags& fl, const char*, const std::string& v) {
+  fl.eps_set = true;
+  try {
+    fl.params.eps = std::stod(v);
+  } catch (const std::exception&) {
+    throw CompressionError("invalid value for --eps: '" + v + "'");
+  }
+}
+
+/// The field at the end of a member-pointer path from Flags, such as
+/// `&Flags::serve, &net::Server::Options::port`.
+template <auto... Path>
+auto& field(Flags& fl) {
+  return (fl .* ... .* Path);
+}
+
+template <auto... Path>
+void set_switch(Flags& fl, const char*, const std::string&) {
+  field<Path...>(fl) = true;
+}
+
+template <auto... Path>
+void set_text(Flags& fl, const char*, const std::string& v) {
+  field<Path...>(fl) = v;
+}
+
+template <u64 Lo, u64 Hi, auto... Path>
+void set_uint(Flags& fl, const char* flag, const std::string& v) {
+  auto& f = field<Path...>(fl);
+  f = static_cast<std::remove_reference_t<decltype(f)>>(flag_uint(flag, v, Lo, Hi));
+}
+
+/// One row per flag. A switch takes no value; every other row consumes the
+/// next argument and stores it through `store`.
+struct FlagRow {
+  const char* name;
+  bool takes_value;
+  void (*store)(Flags& fl, const char* flag, const std::string& value);
+};
+
+using Serve = net::Server::Options;
+constexpr u64 kInt = std::numeric_limits<int>::max();
+constexpr u64 kUint = std::numeric_limits<unsigned>::max();
+constexpr u64 kU64 = std::numeric_limits<u64>::max();
+
+constexpr FlagRow kFlags[] = {
+    {"--dtype", true, set_dtype},
+    {"--eb", true, set_eb},
+    {"--eps", true, set_eps},
+    {"--exec", true, set_exec},
+    {"--threads", true, set_uint<0, 1024, &Flags::threads>},
+    {"--entry", true, set_text<&Flags::entry>},
+    {"--host", true, set_text<&Flags::host>},
+    {"--bind", true, set_text<&Flags::serve, &Serve::bind_host>},
+    {"--port", true, set_uint<0, 65535, &Flags::serve, &Serve::port>},
+    {"--max-inflight", true, set_uint<0, kU64, &Flags::max_inflight>},
+    {"--store", true, set_text<&Flags::store_dir>},
+    {"--cache-mb", true, set_uint<1, kUint, &Flags::cache_mb>},
+    {"--timeout-ms", true, set_uint<0, kInt, &Flags::timeout_ms>},
+    {"--slow-ms", true, set_uint<0, kInt, &Flags::serve, &Serve::slow_ms>},
+    {"--slow-log", true, set_text<&Flags::slow_log>},
+    {"--flight-ms", true, set_uint<0, kInt, &Flags::serve, &Serve::flight_ms>},
+    {"--flight-depth", true, set_uint<1, kInt, &Flags::serve, &Serve::flight_depth>},
+    {"--stall-ms", true, set_uint<0, kU64, &Flags::serve, &Serve::stall_ms>},
+    {"--crash-dir", true, set_text<&Flags::serve, &Serve::crash_dir>},
+    {"--metrics-port", true, set_uint<0, 65535, &Flags::serve, &Serve::metrics_port>},
+    {"--interval-ms", true, set_uint<1, kInt, &Flags::interval_ms>},
+    {"--count", true, set_uint<0, kInt, &Flags::count>},
+    {"--max-conns", true, set_uint<0, kU64, &Flags::serve, &Serve::max_conns>},
+    {"--dims", true, set_text<&Flags::dims>},
+    {"--frames", true, set_uint<1, kU64, &Flags::frames>},
+    {"--values", true, set_uint<1, kU64, &Flags::values>},
+    {"--keyframe-interval", true, set_uint<0, kUint, &Flags::keyframe_interval>},
+    {"--seed", true, set_uint<0, kU64, &Flags::seed>},
+    {"--dump-raw", true, set_text<&Flags::dump_raw>},
+    {"--dump-recon", true, set_text<&Flags::dump_recon>},
+    {"--max-sessions", true, set_uint<0, kU64, &Flags::serve, &Serve::max_sessions>},
+    {"--session-idle-ms", true, set_uint<0, kInt, &Flags::serve, &Serve::session_idle_ms>},
+    {"--suite", true, set_text<&Flags::suite>},
+    {"--trace", true, set_text<&Flags::trace_path>},
+    {"--report", true, set_text<&Flags::report_path>},
+    {"--prom", false, set_switch<&Flags::prom>},
+    {"--history", false, set_switch<&Flags::history>},
+    {"--json", false, set_switch<&Flags::json>},
+    {"--audit", false, set_switch<&Flags::audit>},
+    {"--progress", false, set_switch<&Flags::progress>},
+    {"--full", false, set_switch<&Flags::full>},
+    {"--metrics", false, set_switch<&Flags::metrics>},
+};
+
+/// The one pass over argv: every flag goes through kFlags, wherever it
+/// stands; everything else is positional (the verb first).
+Flags parse_args(int argc, char** argv, std::vector<std::string>& positional) {
   Flags fl;
-  for (int i = first; i < argc; ++i) {
-    std::string a = argv[i];
-    auto need = [&](const char* what) -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        usage();
-      }
-      return argv[++i];
-    };
-    auto num = [&](u64 lo, u64 hi) {
-      return flag_uint(a.c_str(), need(a.c_str()), lo, hi);
-    };
-    if (a == "--dtype") {
-      std::string v = need("--dtype");
-      fl.dtype_set = true;
-      if (v == "f32") {
-        fl.dtype = DType::F32;
-      } else if (v == "f64") {
-        fl.dtype = DType::F64;
-      } else {
-        std::fprintf(stderr, "unknown --dtype '%s' (expected f32|f64)\n", v.c_str());
-        usage();
-      }
-    } else if (a == "--eb") {
-      std::string v = need("--eb");
-      fl.eb_set = true;
-      if (v == "abs") {
-        fl.params.eb = EbType::ABS;
-      } else if (v == "rel") {
-        fl.params.eb = EbType::REL;
-      } else if (v == "noa") {
-        fl.params.eb = EbType::NOA;
-      } else {
-        std::fprintf(stderr, "unknown --eb '%s' (expected abs|rel|noa)\n", v.c_str());
-        usage();
-      }
-    } else if (a == "--eps") {
-      std::string v = need("--eps");
-      fl.eps_set = true;
-      try {
-        fl.params.eps = std::stod(v);
-      } catch (const std::exception&) {
-        throw CompressionError("invalid value for --eps: '" + v + "'");
-      }
-    } else if (a == "--exec") {
-      fl.params.exec = parse_exec(need("--exec"));
-    } else if (a == "--threads") {
-      fl.threads = static_cast<unsigned>(num(0, kMaxThreads));
-    } else if (a == "--entry") {
-      fl.entry = need("--entry");
-    } else if (a == "--host") {
-      fl.host = need("--host");
-    } else if (a == "--bind") {
-      fl.bind = need("--bind");
-    } else if (a == "--port") {
-      fl.port = static_cast<unsigned>(num(0, 65535));
-    } else if (a == "--max-inflight") {
-      fl.max_inflight = static_cast<std::size_t>(num(0, kU64));
-    } else if (a == "--store") {
-      fl.store_dir = need("--store");
-    } else if (a == "--cache-mb") {
-      fl.cache_mb = static_cast<unsigned>(num(1, kUint));
-    } else if (a == "--timeout-ms") {
-      fl.timeout_ms = static_cast<int>(num(0, kInt));
-    } else if (a == "--slow-ms") {
-      fl.slow_ms = static_cast<int>(num(0, kInt));
-    } else if (a == "--slow-log") {
-      fl.slow_log = need("--slow-log");
-    } else if (a == "--flight-ms") {
-      fl.flight_ms = static_cast<int>(num(0, kInt));
-    } else if (a == "--flight-depth") {
-      fl.flight_depth = static_cast<int>(num(1, kInt));
-    } else if (a == "--stall-ms") {
-      fl.stall_ms = num(0, kU64);
-    } else if (a == "--crash-dir") {
-      fl.crash_dir = need("--crash-dir");
-    } else if (a == "--metrics-port") {
-      fl.metrics_port = static_cast<int>(num(0, 65535));
-    } else if (a == "--interval-ms") {
-      fl.interval_ms = static_cast<int>(num(1, kInt));
-    } else if (a == "--count") {
-      fl.count = static_cast<int>(num(0, kInt));
-    } else if (a == "--max-conns") {
-      fl.max_conns = static_cast<std::size_t>(num(0, kU64));
-    } else if (a == "--dims") {
-      fl.dims = need("--dims");
-    } else if (a == "--frames") {
-      fl.frames = static_cast<std::size_t>(num(1, kU64));
-    } else if (a == "--values") {
-      fl.values = static_cast<std::size_t>(num(1, kU64));
-    } else if (a == "--keyframe-interval") {
-      fl.keyframe_interval = static_cast<unsigned>(num(0, kUint));
-    } else if (a == "--seed") {
-      fl.seed = num(0, kU64);
-    } else if (a == "--dump-raw") {
-      fl.dump_raw = need("--dump-raw");
-    } else if (a == "--dump-recon") {
-      fl.dump_recon = need("--dump-recon");
-    } else if (a == "--max-sessions") {
-      fl.max_sessions = static_cast<std::size_t>(num(0, kU64));
-    } else if (a == "--session-idle-ms") {
-      fl.session_idle_ms = static_cast<int>(num(0, kInt));
-    } else if (a == "--prom") {
-      fl.prom = true;
-    } else if (a == "--history") {
-      fl.history = true;
-    } else if (a == "--suite") {
-      fl.suite = need("--suite");
-    } else if (a == "--json") {
-      fl.json = true;
-    } else if (a == "--audit") {
-      fl.audit = true;
-    } else if (a == "--progress") {
-      fl.progress = true;
-    } else if (a == "--full") {
-      fl.full = true;
-    } else if (!a.empty() && a[0] == '-') {
-      usage();
-    } else if (positional) {
-      positional->push_back(a);
-    } else {
-      usage();
+  for (int i = 1; i < argc; ++i) {
+    const std::string a = argv[i];
+    if (a.empty() || a[0] != '-') {
+      positional.push_back(a);
+      continue;
     }
+    const FlagRow* row = std::find_if(std::begin(kFlags), std::end(kFlags),
+                                      [&](const FlagRow& r) { return a == r.name; });
+    if (row == std::end(kFlags)) usage();
+    std::string value;
+    if (row->takes_value) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "missing value for %s\n", row->name);
+        usage();
+      }
+      value = argv[++i];
+    }
+    row->store(fl, row->name, value);
   }
   return fl;
 }
 
-Field make_field(const std::vector<u8>& raw, DType dtype) {
-  if (dtype == DType::F32)
-    return Field(reinterpret_cast<const float*>(raw.data()), raw.size() / 4);
-  return Field(reinterpret_cast<const double*>(raw.data()), raw.size() / 8);
+/// The scalars in `bytes` raw bytes at `p`, as a 1-D field.
+Field make_field(const u8* p, std::size_t bytes, DType dtype) {
+  if (dtype == DType::F32) return Field(reinterpret_cast<const float*>(p), bytes / 4);
+  return Field(reinterpret_cast<const double*>(p), bytes / 8);
 }
 
-int cmd_pack(const std::vector<std::string>& positional, const Flags& fl) {
-  if (positional.size() < 2) usage();
-  const std::string& out_path = positional[0];
-  // Entries are named after input basenames; reject collisions up front,
-  // before any compression work, so a clash cannot leave a partial archive
-  // on disk (ArchiveWriter::add would throw mid-write otherwise).
-  std::vector<std::string> names;
-  names.reserve(positional.size() - 1);
-  for (std::size_t i = 1; i < positional.size(); ++i) {
-    std::string name = std::filesystem::path(positional[i]).filename().string();
-    for (std::size_t j = 0; j < names.size(); ++j)
-      if (names[j] == name)
-        throw CompressionError("pack: inputs '" + positional[j + 1] + "' and '" +
-                               positional[i] + "' both map to entry name '" + name +
-                               "'; basenames must be unique");
-    names.push_back(std::move(name));
-  }
-  std::unique_ptr<store::ChunkStore> chunk_store;
-  if (!fl.store_dir.empty()) {
-    store::ChunkStore::Options so;
-    so.dir = fl.store_dir;
-    if (fl.cache_mb) so.cache.byte_budget = static_cast<std::size_t>(fl.cache_mb) << 20;
-    chunk_store = std::make_unique<store::ChunkStore>(so);
-  }
+/// `raw / packed` bytes, 0 for an empty output.
+double ratio(double raw, double packed) { return packed > 0 ? raw / packed : 0.0; }
 
-  // The ingest pipeline reads, probes and submits chunks on a producer thread
-  // while this thread assembles the archive entries in order.
+/// The client of `--host H:P` (with `--timeout-ms`); `verb` requires the host.
+net::Client::Options client_options(const Flags& fl, const char* verb) {
+  if (fl.host.empty()) {
+    std::fprintf(stderr, "pfpl %s: --host H:P is required\n", verb);
+    usage();
+  }
+  net::Client::Options copts;
+  net::split_host_port(fl.host, copts.host, copts.port);
+  if (fl.timeout_ms > 0) {
+    copts.connect_timeout_ms = fl.timeout_ms;
+    copts.request_timeout_ms = fl.timeout_ms;
+  }
+  return copts;
+}
+
+/// The chunk store of `--store DIR` (with `--cache-mb`).
+store::ChunkStore::Options store_options(const Flags& fl) {
+  store::ChunkStore::Options so;
+  so.dir = fl.store_dir;
+  if (fl.cache_mb) so.cache.byte_budget = static_cast<std::size_t>(fl.cache_mb) << 20;
+  return so;
+}
+
+/// What `pfpl pack` and multi-file `pfpl store put` keep of an ingest run.
+struct IngestRun {
+  std::vector<ingest::Result> stored;  ///< the items that did not fail, in order
+  std::size_t failed = 0;
+  u64 audit_violations = 0;
+  std::string summary;                 ///< IngestStats::summary()
+  /// 1 if an item failed, else 3 on an audit violation.
+  int exit_code() const { return failed ? 1 : audit_violations ? 3 : 0; }
+};
+
+/// Run the ingest pipeline over `items` into `cs` (may be null). Failed items
+/// and audit violations are reported on stderr, `--progress` adds one line
+/// per item and the stage timings.
+IngestRun run_ingest(std::vector<ingest::Item> items, const Flags& fl, store::ChunkStore* cs) {
   ingest::IngestPipeline::Options po;
   po.dtype = fl.dtype;
   po.params = fl.params;
   po.threads = fl.threads;
   po.audit = fl.audit;
-  po.store = chunk_store.get();
+  po.store = cs;
   if (fl.progress)
     po.progress = [](const ingest::Result& r, std::size_t i, std::size_t n) {
-      if (r.failed) {
+      if (r.failed)
         std::fprintf(stderr, "pfpl: [%zu/%zu] %s: %s\n", i + 1, n, r.name.c_str(),
                      r.error.c_str());
-      } else {
+      else
         std::fprintf(stderr, "pfpl: [%zu/%zu] %s: %llu -> %zu bytes (ratio %.2f)%s\n",
-                     i + 1, n, r.name.c_str(),
-                     static_cast<unsigned long long>(r.raw_bytes), r.stream.size(),
-                     r.stream.empty() ? 0.0
-                                      : static_cast<double>(r.raw_bytes) /
-                                            static_cast<double>(r.stream.size()),
+                     i + 1, n, r.name.c_str(), static_cast<unsigned long long>(r.raw_bytes),
+                     r.stream.size(), ratio(r.raw_bytes, r.stream.size()),
                      r.reused ? " [reused]" : "");
-      }
     };
-  std::vector<ingest::Item> items;
-  items.reserve(positional.size() - 1);
-  for (std::size_t i = 1; i < positional.size(); ++i)
-    items.push_back(ingest::Item{names[i - 1], positional[i], {}});
   ingest::IngestPipeline pipe(po);
-  const std::vector<ingest::Result> results = pipe.run(std::move(items));
-  if (fl.progress) {
-    const ingest::IngestStats& st = pipe.stats();
+  std::vector<ingest::Result> results = pipe.run(std::move(items));
+  const ingest::IngestStats& st = pipe.stats();
+  if (fl.progress)
     std::fprintf(stderr,
                  "pfpl: stages read/hash/encode/append = %.1f/%.1f/%.1f/%.1f ms, "
                  "wall %.1f ms, %llu append batch(es), peak queue %.1f MB\n",
                  st.read_ms, st.hash_ms, st.encode_ms, st.append_ms, st.wall_ms,
                  static_cast<unsigned long long>(st.append_batches),
                  st.peak_queue_bytes / 1e6);
+  if (obs::enabled()) obs::RunReport::global().add_section("ingest", st.json());
+  if (cs) {
+    cs->sync();
+    if (obs::enabled()) obs::RunReport::global().add_section("store", cs->stats_json());
   }
-  if (obs::enabled())
-    obs::RunReport::global().add_section("ingest", pipe.stats().json());
-  if (chunk_store) {
-    chunk_store->sync();
-    if (obs::enabled())
-      obs::RunReport::global().add_section("store", chunk_store->stats_json());
-  }
-
-  int failed = 0;
-  u64 audit_violations = 0;
-  svc::ArchiveWriter writer(out_path);
-  for (const ingest::Result& r : results) {
+  IngestRun run;
+  run.summary = st.summary();
+  for (ingest::Result& r : results) {
     if (r.failed) {
       std::fprintf(stderr, "pfpl: %s: %s\n", r.name.c_str(), r.error.c_str());
-      ++failed;
+      ++run.failed;
       continue;
     }
-    if (r.audited && r.audit_violations) {
+    if (r.audit_violations)
       std::fprintf(stderr, "pfpl: %s: audit found %llu bound violation(s)\n",
                    r.name.c_str(), static_cast<unsigned long long>(r.audit_violations));
-      audit_violations += r.audit_violations;
-    }
-    writer.add(r.name, r.header, r.stream, r.raw_bytes);
+    run.audit_violations += r.audit_violations;
+    run.stored.push_back(std::move(r));
   }
+  return run;
+}
+
+int cmd_pack(const std::vector<std::string>& positional, const Flags& fl) {
+  const std::string& out_path = positional[0];
+  // Entries are named after input basenames; reject collisions up front,
+  // before any compression work, so a clash cannot leave a partial archive
+  // on disk (ArchiveWriter::add would throw mid-write otherwise).
+  std::vector<ingest::Item> items;
+  items.reserve(positional.size() - 1);
+  for (std::size_t i = 1; i < positional.size(); ++i) {
+    std::string name = std::filesystem::path(positional[i]).filename().string();
+    for (std::size_t j = 0; j < items.size(); ++j)
+      if (items[j].name == name)
+        throw CompressionError("pack: inputs '" + positional[j + 1] + "' and '" +
+                               positional[i] + "' both map to entry name '" + name +
+                               "'; basenames must be unique");
+    items.push_back(ingest::Item{std::move(name), positional[i], {}});
+  }
+  std::unique_ptr<store::ChunkStore> chunk_store;
+  if (!fl.store_dir.empty()) chunk_store = std::make_unique<store::ChunkStore>(store_options(fl));
+  // The ingest pipeline reads, probes and submits chunks on a producer thread
+  // while this thread assembles the archive entries in order.
+  const IngestRun run = run_ingest(std::move(items), fl, chunk_store.get());
+  svc::ArchiveWriter writer(out_path);
+  for (const ingest::Result& r : run.stored) writer.add(r.name, r.header, r.stream, r.raw_bytes);
   writer.finish();
-  std::printf("%s: %zu entries\n%s\n", out_path.c_str(), results.size() - failed,
-              pipe.stats().summary().c_str());
-  if (failed) return 1;
-  return audit_violations ? 3 : 0;
+  std::printf("%s: %zu entries\n%s\n", out_path.c_str(), run.stored.size(), run.summary.c_str());
+  return run.exit_code();
 }
 
 /// `pfpl audit` — run the continuous error-bound audit sweep. The shared
 /// --dtype/--eb/--eps flags narrow the sweep along that axis only when given;
 /// the default covers every suite x {f32,f64} x {abs,rel,noa} x two bounds.
-int cmd_audit(const std::vector<std::string>& positional, const Flags& fl) {
-  if (!positional.empty()) usage();
+int cmd_audit(const std::vector<std::string>&, const Flags& fl) {
   obs::AuditConfig cfg;
   if (fl.full) cfg.scale_full();
   if (fl.dtype_set) cfg.dtypes = {fl.dtype};
@@ -518,7 +472,6 @@ int cmd_audit(const std::vector<std::string>& positional, const Flags& fl) {
 }
 
 int cmd_unpack(const std::vector<std::string>& positional, const Flags& fl) {
-  if (positional.size() != 2) usage();
   svc::ArchiveReader reader(positional[0]);
   std::filesystem::create_directories(positional[1]);
   std::size_t n = 0;
@@ -536,8 +489,7 @@ int cmd_unpack(const std::vector<std::string>& positional, const Flags& fl) {
   return 0;
 }
 
-int cmd_list(const std::vector<std::string>& positional) {
-  if (positional.size() != 1) usage();
+int cmd_list(const std::vector<std::string>& positional, const Flags&) {
   svc::ArchiveReader reader(positional[0]);
   std::printf("%-24s %-5s %-4s %-10s %12s %12s %8s\n", "name", "dtype", "eb", "eps",
               "raw", "compressed", "ratio");
@@ -546,7 +498,7 @@ int cmd_list(const std::vector<std::string>& positional) {
                 to_string(e.dtype), to_string(e.eb_type), e.eps,
                 static_cast<unsigned long long>(e.raw_size),
                 static_cast<unsigned long long>(e.size),
-                e.size ? static_cast<double>(e.raw_size) / static_cast<double>(e.size) : 0.0);
+                ratio(e.raw_size, e.size));
   }
   std::printf("%zu entries\n", reader.entries().size());
   return 0;
@@ -554,8 +506,8 @@ int cmd_list(const std::vector<std::string>& positional) {
 
 /// First 4 bytes of `path` as a little-endian u32 (0 when shorter).
 u32 peek_magic(const std::string& path) {
-  std::vector<u8> head = io::read_file(path);
-  if (head.size() < 4) return 0;
+  if (io::file_size(path) < 4) return 0;
+  const std::vector<u8> head = io::read_file_range(path, 0, 4);
   return static_cast<u32>(head[0]) | static_cast<u32>(head[1]) << 8 |
          static_cast<u32>(head[2]) << 16 | static_cast<u32>(head[3]) << 24;
 }
@@ -563,20 +515,13 @@ u32 peek_magic(const std::string& path) {
 /// Exit 2 with a clear message for a container whose magic `verb` does not
 /// handle — never fall through to misparsing it as something else.
 [[noreturn]] void reject_magic(const char* verb, const std::string& path, u32 magic) {
-  const u8 b[4] = {static_cast<u8>(magic), static_cast<u8>(magic >> 8),
-                   static_cast<u8>(magic >> 16), static_cast<u8>(magic >> 24)};
-  auto printable = [](u8 c) { return c >= 0x20 && c < 0x7F; };
-  char tag[5] = {0};
-  bool text = true;
-  for (int i = 0; i < 4; ++i) {
-    tag[i] = static_cast<char>(b[i]);
-    text = text && printable(b[i]);
-  }
-  std::fprintf(stderr,
-               "pfpl %s: %s: unhandled container magic 0x%08X%s%s%s "
-               "(handled here: %s)\n",
-               verb, path.c_str(), magic, text ? " ('" : "", text ? tag : "",
-               text ? "')" : "",
+  std::string tag;  // the four bytes, quoted when all are printable
+  for (int i = 0; i < 4; ++i) tag += static_cast<char>(magic >> (8 * i));
+  tag = std::all_of(tag.begin(), tag.end(), [](char c) { return c >= 0x20 && c < 0x7F; })
+            ? " ('" + tag + "')"
+            : "";
+  std::fprintf(stderr, "pfpl %s: %s: unhandled container magic 0x%08X%s (handled here: %s)\n",
+               verb, path.c_str(), magic, tag.c_str(),
                std::string(verb) == "stats" ? "PFPA, PFPL, PFPV" : "PFPV");
   std::exit(2);
 }
@@ -597,7 +542,7 @@ int pfpv_stats(const std::string& path, bool json) {
   const double raw_bytes =
       static_cast<double>(reader.frame_count()) * static_cast<double>(cfg.frame_bytes());
   const std::uintmax_t file_bytes = std::filesystem::file_size(path);
-  const double ratio = file_bytes ? raw_bytes / static_cast<double>(file_bytes) : 0.0;
+  const double r = ratio(raw_bytes, file_bytes);
   if (json) {
     obs::JsonWriter w;
     w.begin_object();
@@ -619,7 +564,7 @@ int pfpv_stats(const std::string& path, bool json) {
     w.kv("raw_bytes", raw_bytes);
     w.kv("file_bytes", static_cast<unsigned long long>(file_bytes));
     w.kv("payload_bytes", static_cast<unsigned long long>(payload_bytes));
-    w.kv("ratio", ratio);
+    w.kv("ratio", r);
     w.kv("truncated", reader.truncated());
     w.kv("truncated_bytes", static_cast<unsigned long long>(reader.truncated_bytes()));
     w.end_object();
@@ -637,7 +582,7 @@ int pfpv_stats(const std::string& path, bool json) {
                 static_cast<unsigned long long>(intra_chunks),
                 reader.keyframes().size());
     std::printf("raw=%.0f file=%llu bytes ratio=%.3f\n", raw_bytes,
-                static_cast<unsigned long long>(file_bytes), ratio);
+                static_cast<unsigned long long>(file_bytes), r);
     if (reader.truncated())
       std::printf("TRUNCATED: recovered %zu complete frame(s), discarded %zu torn "
                   "byte(s)\n",
@@ -646,85 +591,92 @@ int pfpv_stats(const std::string& path, bool json) {
   return 0;
 }
 
+/// `pfpl stats` on a PFPA archive.
+int pfpa_stats(const std::string& path, bool json) {
+  svc::ArchiveReader reader(path);
+  u64 total_raw = 0, total_comp = 0;
+  for (const svc::ArchiveEntry& e : reader.entries()) {
+    total_raw += e.raw_size;
+    total_comp += e.size;
+  }
+  if (!json) {
+    std::printf("%s: pfpa archive, %zu entries, raw=%llu compressed=%llu ratio=%.3f\n",
+                path.c_str(), reader.entries().size(),
+                static_cast<unsigned long long>(total_raw),
+                static_cast<unsigned long long>(total_comp), ratio(total_raw, total_comp));
+    return 0;
+  }
+  obs::JsonWriter w;
+  w.begin_object();
+  w.kv("file", path);
+  w.kv("kind", "pfpa");
+  w.key("entries").begin_array();
+  for (const svc::ArchiveEntry& e : reader.entries()) {
+    w.begin_object();
+    w.kv("name", e.name);
+    w.kv("dtype", to_string(e.dtype));
+    w.kv("eb", to_string(e.eb_type));
+    w.kv("eps", e.eps);
+    w.kv("raw_bytes", static_cast<unsigned long long>(e.raw_size));
+    w.kv("compressed_bytes", static_cast<unsigned long long>(e.size));
+    w.kv("ratio", ratio(e.raw_size, e.size));
+    w.end_object();
+  }
+  w.end_array();
+  w.key("totals").begin_object();
+  w.kv("entries", static_cast<unsigned long long>(reader.entries().size()));
+  w.kv("raw_bytes", static_cast<unsigned long long>(total_raw));
+  w.kv("compressed_bytes", static_cast<unsigned long long>(total_comp));
+  w.kv("ratio", ratio(total_raw, total_comp));
+  w.end_object();
+  w.end_object();
+  std::printf("%s\n", w.str().c_str());
+  return 0;
+}
+
+/// `pfpl stats` and `pfpl info` on a PFPL stream.
+int pfpl_stats(const std::string& path, bool json) {
+  const Bytes in = io::read_file(path);
+  const pfpl::Header h = pfpl::peek_header(in);
+  const double r = ratio(static_cast<double>(h.value_count) * dtype_size(h.dtype), in.size());
+  if (!json) {
+    std::printf("%s: pfpl stream, dtype=%s eb=%s eps=%g recon_param=%g values=%llu chunks=%u "
+                "compressed=%zu ratio=%.3f\n",
+                path.c_str(), to_string(h.dtype), to_string(h.eb_type), h.eps, h.recon_param,
+                static_cast<unsigned long long>(h.value_count), h.chunk_count, in.size(), r);
+    return 0;
+  }
+  obs::JsonWriter w;
+  w.begin_object();
+  w.kv("file", path);
+  w.kv("kind", "pfpl");
+  w.kv("dtype", to_string(h.dtype));
+  w.kv("eb", to_string(h.eb_type));
+  w.kv("eps", h.eps);
+  w.kv("recon_param", h.recon_param);
+  w.kv("values", static_cast<unsigned long long>(h.value_count));
+  w.kv("chunks", static_cast<unsigned long long>(h.chunk_count));
+  w.kv("compressed_bytes", static_cast<unsigned long long>(in.size()));
+  w.kv("ratio", r);
+  w.end_object();
+  std::printf("%s\n", w.str().c_str());
+  return 0;
+}
+
 int cmd_stats(const std::vector<std::string>& positional, const Flags& fl) {
-  if (positional.size() != 1) usage();
   const std::string& path = positional[0];
   // Dispatch on the container magic up front: a file none of the handled
   // formats claims is rejected (exit 2) instead of misparsed by whichever
   // parser happens to throw last.
   const u32 magic = peek_magic(path);
   if (magic == temporal::kPfpvMagic) return pfpv_stats(path, fl.json);
-  if (magic != svc::kArchiveMagic && magic != pfpl::kMagic)
-    reject_magic("stats", path, magic);
-  if (magic == svc::kArchiveMagic) {
-    svc::ArchiveReader reader(path);
-    u64 total_raw = 0, total_comp = 0;
-    for (const svc::ArchiveEntry& e : reader.entries()) {
-      total_raw += e.raw_size;
-      total_comp += e.size;
-    }
-    double ratio = total_comp ? static_cast<double>(total_raw) / total_comp : 0.0;
-    if (fl.json) {
-      obs::JsonWriter w;
-      w.begin_object();
-      w.kv("file", path);
-      w.kv("kind", "pfpa");
-      w.key("entries").begin_array();
-      for (const svc::ArchiveEntry& e : reader.entries()) {
-        w.begin_object();
-        w.kv("name", e.name);
-        w.kv("dtype", to_string(e.dtype));
-        w.kv("eb", to_string(e.eb_type));
-        w.kv("eps", e.eps);
-        w.kv("raw_bytes", static_cast<unsigned long long>(e.raw_size));
-        w.kv("compressed_bytes", static_cast<unsigned long long>(e.size));
-        w.kv("ratio", e.size ? static_cast<double>(e.raw_size) / e.size : 0.0);
-        w.end_object();
-      }
-      w.end_array();
-      w.key("totals").begin_object();
-      w.kv("entries", static_cast<unsigned long long>(reader.entries().size()));
-      w.kv("raw_bytes", static_cast<unsigned long long>(total_raw));
-      w.kv("compressed_bytes", static_cast<unsigned long long>(total_comp));
-      w.kv("ratio", ratio);
-      w.end_object();
-      w.end_object();
-      std::printf("%s\n", w.str().c_str());
-    } else {
-      std::printf("%s: pfpa archive, %zu entries, raw=%llu compressed=%llu ratio=%.3f\n",
-                  path.c_str(), reader.entries().size(),
-                  static_cast<unsigned long long>(total_raw),
-                  static_cast<unsigned long long>(total_comp), ratio);
-    }
-    return 0;
-  }
-  Bytes in = io::read_file(path);
-  pfpl::Header h = pfpl::peek_header(in);
-  double raw = static_cast<double>(h.value_count) * dtype_size(h.dtype);
-  double ratio = in.size() ? raw / static_cast<double>(in.size()) : 0.0;
-  if (fl.json) {
-    obs::JsonWriter w;
-    w.begin_object();
-    w.kv("file", path);
-    w.kv("kind", "pfpl");
-    w.kv("dtype", to_string(h.dtype));
-    w.kv("eb", to_string(h.eb_type));
-    w.kv("eps", h.eps);
-    w.kv("recon_param", h.recon_param);
-    w.kv("values", static_cast<unsigned long long>(h.value_count));
-    w.kv("chunks", static_cast<unsigned long long>(h.chunk_count));
-    w.kv("compressed_bytes", static_cast<unsigned long long>(in.size()));
-    w.kv("ratio", ratio);
-    w.end_object();
-    std::printf("%s\n", w.str().c_str());
-  } else {
-    std::printf("%s: pfpl stream, dtype=%s eb=%s eps=%g values=%llu chunks=%u "
-                "compressed=%zu ratio=%.3f\n",
-                path.c_str(), to_string(h.dtype), to_string(h.eb_type), h.eps,
-                static_cast<unsigned long long>(h.value_count), h.chunk_count, in.size(),
-                ratio);
-  }
-  return 0;
+  if (magic == svc::kArchiveMagic) return pfpa_stats(path, fl.json);
+  if (magic == pfpl::kMagic) return pfpl_stats(path, fl.json);
+  reject_magic("stats", path, magic);
+}
+
+int cmd_info(const std::vector<std::string>& positional, const Flags& fl) {
+  return pfpl_stats(positional[0], fl.json);
 }
 
 // SIGINT/SIGTERM handler target for `pfpl serve`. request_stop() is
@@ -735,23 +687,11 @@ extern "C" void serve_signal_handler(int) {
   if (g_serving) g_serving->request_stop();
 }
 
-int cmd_serve(const std::vector<std::string>& positional, const Flags& fl) {
-  if (!positional.empty()) usage();
-  net::Server::Options opts;
-  opts.bind_host = fl.bind;
-  opts.port = static_cast<u16>(fl.port);
+int cmd_serve(const std::vector<std::string>&, const Flags& fl) {
+  net::Server::Options opts = fl.serve;
   opts.threads = fl.threads;
   if (fl.max_inflight) opts.max_inflight_bytes = fl.max_inflight;
   opts.exec = fl.params.exec;
-  opts.slow_ms = fl.slow_ms;
-  opts.metrics_port = fl.metrics_port;
-  opts.flight_ms = fl.flight_ms;
-  opts.flight_depth = fl.flight_depth;
-  opts.stall_ms = fl.stall_ms;
-  opts.crash_dir = fl.crash_dir;
-  opts.max_conns = fl.max_conns;
-  opts.max_sessions = fl.max_sessions;
-  opts.session_idle_ms = fl.session_idle_ms;
   if (!fl.slow_log.empty()) {
     // Route slow-request events (and any other EventLog traffic) to a file
     // instead of stderr. Deliberately independent of --trace/--metrics: the
@@ -763,10 +703,7 @@ int cmd_serve(const std::vector<std::string>& positional, const Flags& fl) {
   if (!fl.store_dir.empty() || fl.cache_mb) {
     // --store DIR enables the persistent tier; --cache-mb alone runs a
     // memory-only result cache in front of the workers.
-    store::ChunkStore::Options so;
-    so.dir = fl.store_dir;
-    if (fl.cache_mb) so.cache.byte_budget = static_cast<std::size_t>(fl.cache_mb) << 20;
-    opts.store = std::make_shared<store::ChunkStore>(so);
+    opts.store = std::make_shared<store::ChunkStore>(store_options(fl));
   }
   net::Server server(opts);
   g_serving = &server;
@@ -783,18 +720,18 @@ int cmd_serve(const std::vector<std::string>& positional, const Flags& fl) {
                 opts.store->persistent() ? " dir=" : " (memory only)",
                 fl.store_dir.c_str());
   // Same contract as the serving line: parseable, flushed before the loop.
-  if (fl.metrics_port >= 0)
+  if (opts.metrics_port >= 0)
     std::printf("pfpl: metrics on %s:%u (GET /metrics, /metrics.json, /stats, /history)\n",
                 opts.bind_host.c_str(), static_cast<unsigned>(server.metrics_port()));
-  if (fl.slow_ms > 0)
-    std::printf("pfpl: slow-request capture: threshold=%dms log=%s\n", fl.slow_ms,
+  if (opts.slow_ms > 0)
+    std::printf("pfpl: slow-request capture: threshold=%dms log=%s\n", opts.slow_ms,
                 fl.slow_log.empty() ? "stderr" : fl.slow_log.c_str());
-  if (fl.flight_ms > 0 || fl.stall_ms > 0 || !fl.crash_dir.empty())
+  if (opts.flight_ms > 0 || opts.stall_ms > 0 || !opts.crash_dir.empty())
     std::printf("pfpl: flight recorder: interval=%dms depth=%d stall=%llums "
                 "crash-dir=%s\n",
-                fl.flight_ms > 0 ? fl.flight_ms : 1000, fl.flight_depth,
-                static_cast<unsigned long long>(fl.stall_ms),
-                fl.crash_dir.empty() ? "(none)" : fl.crash_dir.c_str());
+                opts.flight_ms > 0 ? opts.flight_ms : 1000, opts.flight_depth,
+                static_cast<unsigned long long>(opts.stall_ms),
+                opts.crash_dir.empty() ? "(none)" : opts.crash_dir.c_str());
   std::printf("pfpl: stream sessions: max=%zu idle-timeout=%dms\n", opts.max_sessions,
               opts.session_idle_ms);
   std::fflush(stdout);
@@ -829,63 +766,50 @@ int cmd_serve(const std::vector<std::string>& positional, const Flags& fl) {
   return 0;
 }
 
-int cmd_remote(const std::vector<std::string>& positional, const Flags& fl) {
-  if (positional.empty()) usage();
-  const std::string& verb = positional[0];
-  if (fl.host.empty()) {
-    std::fprintf(stderr, "pfpl remote: --host H:P is required\n");
-    usage();
-  }
-  net::Client::Options copts;
-  net::split_host_port(fl.host, copts.host, copts.port);
-  if (fl.timeout_ms > 0) {
-    copts.connect_timeout_ms = fl.timeout_ms;
-    copts.request_timeout_ms = fl.timeout_ms;
-  }
-  net::Client client(copts);
-  if (verb == "compress") {
-    if (positional.size() != 3) usage();
-    std::vector<u8> raw = io::read_file(positional[1]);
-    Bytes out = client.compress(raw.data(), raw.size(), fl.dtype, fl.params.eb,
-                                fl.params.eps);
-    io::write_file(positional[2], out.data(), out.size());
-    std::printf("%zu -> %zu bytes (ratio %.3f)\n", raw.size(), out.size(),
-                out.empty() ? 0.0
-                            : static_cast<double>(raw.size()) /
-                                  static_cast<double>(out.size()));
-    return 0;
-  }
-  if (verb == "decompress") {
-    if (positional.size() != 3) usage();
-    Bytes in = io::read_file(positional[1]);
-    std::vector<u8> raw = client.decompress(in);
-    io::write_file(positional[2], raw.data(), raw.size());
-    std::printf("%zu -> %zu bytes\n", in.size(), raw.size());
-    return 0;
-  }
-  if (positional.size() != 1) usage();
-  if (verb == "stats") {
-    std::printf("%s\n", client.stats().c_str());
-    return 0;
-  }
-  if (verb == "metrics") {
-    // Prometheus text already ends in '\n'; the JSON documents do not.
-    const std::string doc = fl.history ? client.metrics_fmt("history")
-                                       : client.metrics(fl.prom);
-    std::printf(fl.prom ? "%s" : "%s\n", doc.c_str());
-    return 0;
-  }
-  if (verb == "ping") {
-    client.ping();
-    std::printf("pfpl: %s is alive\n", fl.host.c_str());
-    return 0;
-  }
-  if (verb == "shutdown") {
-    client.shutdown_server();
-    std::printf("pfpl: %s is draining\n", fl.host.c_str());
-    return 0;
-  }
-  usage();
+int cmd_remote_compress(const std::vector<std::string>& positional, const Flags& fl) {
+  net::Client client(client_options(fl, "remote"));
+  const std::vector<u8> raw = io::read_file(positional[0]);
+  const Bytes out =
+      client.compress(raw.data(), raw.size(), fl.dtype, fl.params.eb, fl.params.eps);
+  io::write_file(positional[1], out.data(), out.size());
+  std::printf("%zu -> %zu bytes (ratio %.3f)\n", raw.size(), out.size(),
+              ratio(raw.size(), out.size()));
+  return 0;
+}
+
+int cmd_remote_decompress(const std::vector<std::string>& positional, const Flags& fl) {
+  net::Client client(client_options(fl, "remote"));
+  const Bytes in = io::read_file(positional[0]);
+  const std::vector<u8> raw = client.decompress(in);
+  io::write_file(positional[1], raw.data(), raw.size());
+  std::printf("%zu -> %zu bytes\n", in.size(), raw.size());
+  return 0;
+}
+
+int cmd_remote_stats(const std::vector<std::string>&, const Flags& fl) {
+  net::Client client(client_options(fl, "remote"));
+  std::printf("%s\n", client.stats().c_str());
+  return 0;
+}
+
+int cmd_remote_metrics(const std::vector<std::string>&, const Flags& fl) {
+  net::Client client(client_options(fl, "remote"));
+  // Prometheus text already ends in '\n'; the JSON documents do not.
+  const std::string doc = fl.history ? client.metrics_fmt("history") : client.metrics(fl.prom);
+  std::printf(fl.prom ? "%s" : "%s\n", doc.c_str());
+  return 0;
+}
+
+int cmd_remote_ping(const std::vector<std::string>&, const Flags& fl) {
+  net::Client(client_options(fl, "remote")).ping();
+  std::printf("pfpl: %s is alive\n", fl.host.c_str());
+  return 0;
+}
+
+int cmd_remote_shutdown(const std::vector<std::string>&, const Flags& fl) {
+  net::Client(client_options(fl, "remote")).shutdown_server();
+  std::printf("pfpl: %s is draining\n", fl.host.c_str());
+  return 0;
 }
 
 /// Scrape one server's METRICS document into a TopSample.
@@ -935,19 +859,8 @@ cli::TopSample scrape_metrics(net::Client& client) {
 /// quantiles on the first tick or when the window saw no requests. Columns
 /// show '-' when the server has span/metric recording disabled (the stats
 /// block is always live, so throughput still renders).
-int cmd_top(const std::vector<std::string>& positional, const Flags& fl) {
-  if (!positional.empty()) usage();
-  if (fl.host.empty()) {
-    std::fprintf(stderr, "pfpl top: --host H:P is required\n");
-    usage();
-  }
-  net::Client::Options copts;
-  net::split_host_port(fl.host, copts.host, copts.port);
-  if (fl.timeout_ms > 0) {
-    copts.connect_timeout_ms = fl.timeout_ms;
-    copts.request_timeout_ms = fl.timeout_ms;
-  }
-  net::Client client(copts);
+int cmd_top(const std::vector<std::string>&, const Flags& fl) {
+  net::Client client(client_options(fl, "top"));
 
   auto scrape = [&]() -> cli::TopSample { return scrape_metrics(client); };
 
@@ -1005,8 +918,7 @@ int cmd_top(const std::vector<std::string>& positional, const Flags& fl) {
 /// table per group, with a consistency line against the whole-chunk timer
 /// (attributed kernel time can never exceed core.encode_chunk_us — per-call
 /// durations are floored to whole microseconds).
-int cmd_profile(const std::vector<std::string>& positional, const Flags& fl) {
-  if (!positional.empty()) usage();
+int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
   // Validate --suite against BOTH suite families up front: an unknown name
   // exits 2 with the full roster instead of silently profiling nothing.
   bool suite_is_evolving = false;
@@ -1160,157 +1072,124 @@ int cmd_profile(const std::vector<std::string>& positional, const Flags& fl) {
   return 0;
 }
 
-/// `pfpl store put/get/ls/compact/verify` — operate a PFPS store directly.
-int cmd_store(const std::vector<std::string>& positional, const Flags& fl) {
-  if (positional.empty()) usage();
-  const std::string& verb = positional[0];
+/// The PFPS store every `pfpl store` verb operates on.
+store::ChunkStore open_store(const Flags& fl) {
   if (fl.store_dir.empty()) {
     std::fprintf(stderr, "pfpl store: --store DIR is required\n");
     usage();
   }
-  store::ChunkStore::Options so;
-  so.dir = fl.store_dir;
-  if (fl.cache_mb) so.cache.byte_budget = static_cast<std::size_t>(fl.cache_mb) << 20;
-  store::ChunkStore cs(so);
-  store::SegmentStore& log = *cs.log();
+  return store::ChunkStore(store_options(fl));
+}
 
-  if (verb == "put") {
-    if (positional.size() < 2) usage();
-    if (positional.size() == 2) {
-      // Single file: the synchronous path, which can print the content key
-      // (the pipeline's probe computes keys internally).
-      std::vector<u8> raw = io::read_file(positional[1]);
-      const common::Hash128 key = store::compress_key(raw.data(), raw.size(), fl.dtype,
-                                                      fl.params.eb, fl.params.eps);
-      Bytes cached;
-      if (cs.get(key, cached)) {
-        std::printf("%s: already stored (%zu bytes)\n", key.hex().c_str(), cached.size());
-        return 0;
-      }
-      Bytes stream = pfpl::compress(make_field(raw, fl.dtype), fl.params);
-      cs.put(key, stream,
-             store::ChunkMeta{fl.dtype, fl.params.eb, fl.params.eps, raw.size()});
-      cs.sync();
-      std::printf("%s: stored %zu -> %zu bytes (ratio %.3f)\n", key.hex().c_str(),
-                  raw.size(), stream.size(),
-                  stream.empty() ? 0.0
-                                 : static_cast<double>(raw.size()) /
-                                       static_cast<double>(stream.size()));
+int cmd_store_put(const std::vector<std::string>& positional, const Flags& fl) {
+  store::ChunkStore cs = open_store(fl);
+  if (positional.size() == 1) {
+    // Single file: the synchronous path, which can print the content key
+    // (the pipeline's probe computes keys internally).
+    const std::vector<u8> raw = io::read_file(positional[0]);
+    const common::Hash128 key =
+        store::compress_key(raw.data(), raw.size(), fl.dtype, fl.params.eb, fl.params.eps);
+    Bytes cached;
+    if (cs.get(key, cached)) {
+      std::printf("%s: already stored (%zu bytes)\n", key.hex().c_str(), cached.size());
       return 0;
     }
-    // Multiple files: the ingest pipeline (dedup probe, chunk-parallel
-    // encode, group commits) — the same machinery as `pfpl pack`, with the
-    // store itself as the sink (no archive).
-    ingest::IngestPipeline::Options po;
-    po.dtype = fl.dtype;
-    po.params = fl.params;
-    po.threads = fl.threads;
-    po.audit = fl.audit;
-    po.store = &cs;
-    if (fl.progress)
-      po.progress = [](const ingest::Result& r, std::size_t i, std::size_t n) {
-        std::fprintf(stderr, "pfpl: [%zu/%zu] %s: %s\n", i + 1, n, r.name.c_str(),
-                     r.failed   ? r.error.c_str()
-                     : r.reused ? "already stored"
-                                : "stored");
-      };
-    std::vector<ingest::Item> items;
-    items.reserve(positional.size() - 1);
-    for (std::size_t i = 1; i < positional.size(); ++i)
-      items.push_back(ingest::Item{positional[i], positional[i], {}});
-    ingest::IngestPipeline pipe(po);
-    const std::vector<ingest::Result> results = pipe.run(std::move(items));
+    const Bytes stream = pfpl::compress(make_field(raw.data(), raw.size(), fl.dtype), fl.params);
+    cs.put(key, stream, store::ChunkMeta{fl.dtype, fl.params.eb, fl.params.eps, raw.size()});
     cs.sync();
-    int failed = 0;
-    u64 reused = 0, stored_bytes = 0, raw_bytes = 0, audit_violations = 0;
-    for (const ingest::Result& r : results) {
-      if (r.failed) {
-        std::fprintf(stderr, "pfpl: %s: %s\n", r.name.c_str(), r.error.c_str());
-        ++failed;
-        continue;
-      }
-      reused += r.reused ? 1 : 0;
-      stored_bytes += r.stream.size();
-      raw_bytes += r.raw_bytes;
-      audit_violations += r.audit_violations;
-    }
-    std::printf("stored %zu file(s) (%llu deduped): %llu -> %llu bytes "
-                "(ratio %.3f)\n%s\n",
-                results.size() - static_cast<std::size_t>(failed),
-                static_cast<unsigned long long>(reused),
-                static_cast<unsigned long long>(raw_bytes),
-                static_cast<unsigned long long>(stored_bytes),
-                stored_bytes ? static_cast<double>(raw_bytes) / stored_bytes : 0.0,
-                pipe.stats().summary().c_str());
-    if (obs::enabled())
-      obs::RunReport::global().add_section("ingest", pipe.stats().json());
-    if (failed) return 1;
-    return audit_violations ? 3 : 0;
-  }
-  if (verb == "get") {
-    if (positional.size() != 3) usage();
-    common::Hash128 key;
-    if (!common::Hash128::parse(positional[1], key))
-      throw CompressionError("store: '" + positional[1] +
-                             "' is not a 32-hex-digit chunk key");
-    Bytes payload;
-    if (!cs.get(key, payload))
-      throw CompressionError("store: no chunk with key " + positional[1]);
-    io::write_file(positional[2], payload.data(), payload.size());
-    std::printf("%s: %zu bytes -> %s\n", positional[1].c_str(), payload.size(),
-                positional[2].c_str());
+    std::printf("%s: stored %zu -> %zu bytes (ratio %.3f)\n", key.hex().c_str(), raw.size(),
+                stream.size(), ratio(raw.size(), stream.size()));
     return 0;
   }
-  if (positional.size() != 1) usage();
-  if (verb == "ls") {
-    std::printf("%-32s %-5s %-4s %-10s %12s %10s %8s\n", "key", "dtype", "eb", "eps",
-                "raw", "stored", "segment");
-    u64 total_payload = 0;
-    for (const store::StoredChunk& e : log.entries()) {
-      std::printf("%-32s %-5s %-4s %-10g %12llu %10llu %8llu\n", e.key.hex().c_str(),
-                  to_string(e.meta.dtype), to_string(e.meta.eb), e.meta.eps,
-                  static_cast<unsigned long long>(e.meta.raw_size),
-                  static_cast<unsigned long long>(e.payload_len),
-                  static_cast<unsigned long long>(e.segment));
-      total_payload += e.payload_len;
-    }
-    std::printf("%zu entries, %llu payload bytes, %llu live + %llu dead frame bytes, "
-                "generation %llu\n",
-                log.entry_count(), static_cast<unsigned long long>(total_payload),
-                static_cast<unsigned long long>(log.live_bytes()),
-                static_cast<unsigned long long>(log.dead_bytes()),
-                static_cast<unsigned long long>(log.generation()));
-    return 0;
+  // Multiple files: the ingest pipeline (dedup probe, chunk-parallel
+  // encode, group commits) — the same machinery as `pfpl pack`, with the
+  // store itself as the sink (no archive).
+  std::vector<ingest::Item> items;
+  items.reserve(positional.size());
+  for (const std::string& path : positional) items.push_back(ingest::Item{path, path, {}});
+  const IngestRun run = run_ingest(std::move(items), fl, &cs);
+  u64 reused = 0, stored_bytes = 0, raw_bytes = 0;
+  for (const ingest::Result& r : run.stored) {
+    reused += r.reused ? 1 : 0;
+    stored_bytes += r.stream.size();
+    raw_bytes += r.raw_bytes;
   }
-  if (verb == "compact") {
-    const store::SegmentStore::CompactReport rep = log.compact();
-    std::printf("compacted %llu -> %llu segments, %llu -> %llu bytes "
-                "(%llu reclaimed), %llu live entries\n",
-                static_cast<unsigned long long>(rep.segments_before),
-                static_cast<unsigned long long>(rep.segments_after),
-                static_cast<unsigned long long>(rep.bytes_before),
-                static_cast<unsigned long long>(rep.bytes_after),
-                static_cast<unsigned long long>(rep.reclaimed_bytes),
-                static_cast<unsigned long long>(rep.live_entries));
-    return 0;
+  std::printf("stored %zu file(s) (%llu deduped): %llu -> %llu bytes (ratio %.3f)\n%s\n",
+              run.stored.size(), static_cast<unsigned long long>(reused),
+              static_cast<unsigned long long>(raw_bytes),
+              static_cast<unsigned long long>(stored_bytes), ratio(raw_bytes, stored_bytes),
+              run.summary.c_str());
+  return run.exit_code();
+}
+
+int cmd_store_get(const std::vector<std::string>& positional, const Flags& fl) {
+  store::ChunkStore cs = open_store(fl);
+  common::Hash128 key;
+  if (!common::Hash128::parse(positional[0], key))
+    throw CompressionError("store: '" + positional[0] + "' is not a 32-hex-digit chunk key");
+  Bytes payload;
+  if (!cs.get(key, payload)) throw CompressionError("store: no chunk with key " + positional[0]);
+  io::write_file(positional[1], payload.data(), payload.size());
+  std::printf("%s: %zu bytes -> %s\n", positional[0].c_str(), payload.size(),
+              positional[1].c_str());
+  return 0;
+}
+
+int cmd_store_ls(const std::vector<std::string>&, const Flags& fl) {
+  store::ChunkStore cs = open_store(fl);
+  store::SegmentStore& log = *cs.log();
+  std::printf("%-32s %-5s %-4s %-10s %12s %10s %8s\n", "key", "dtype", "eb", "eps",
+              "raw", "stored", "segment");
+  u64 total_payload = 0;
+  for (const store::StoredChunk& e : log.entries()) {
+    std::printf("%-32s %-5s %-4s %-10g %12llu %10llu %8llu\n", e.key.hex().c_str(),
+                to_string(e.meta.dtype), to_string(e.meta.eb), e.meta.eps,
+                static_cast<unsigned long long>(e.meta.raw_size),
+                static_cast<unsigned long long>(e.payload_len),
+                static_cast<unsigned long long>(e.segment));
+    total_payload += e.payload_len;
   }
-  if (verb == "verify") {
-    const store::SegmentStore::OpenReport& orep = log.open_report();
-    if (orep.torn_bytes)
-      std::printf("recovery: truncated %llu torn byte(s) off the active segment\n",
-                  static_cast<unsigned long long>(orep.torn_bytes));
-    if (orep.manifest_recovered)
-      std::printf("recovery: manifest was missing/corrupt, rebuilt from scan\n");
-    const store::SegmentStore::VerifyReport rep = log.verify();
-    std::printf("%llu segment(s), %llu frame(s) ok, %llu corrupt, %llu bytes scanned\n",
-                static_cast<unsigned long long>(rep.segments),
-                static_cast<unsigned long long>(rep.frames_ok),
-                static_cast<unsigned long long>(rep.corrupt_frames),
-                static_cast<unsigned long long>(rep.bytes_scanned));
-    std::printf("store: %s\n", rep.ok() ? "OK" : "CORRUPT");
-    return rep.ok() ? 0 : 1;
-  }
-  usage();
+  std::printf("%zu entries, %llu payload bytes, %llu live + %llu dead frame bytes, "
+              "generation %llu\n",
+              log.entry_count(), static_cast<unsigned long long>(total_payload),
+              static_cast<unsigned long long>(log.live_bytes()),
+              static_cast<unsigned long long>(log.dead_bytes()),
+              static_cast<unsigned long long>(log.generation()));
+  return 0;
+}
+
+int cmd_store_compact(const std::vector<std::string>&, const Flags& fl) {
+  store::ChunkStore cs = open_store(fl);
+  store::SegmentStore& log = *cs.log();
+  const store::SegmentStore::CompactReport rep = log.compact();
+  std::printf("compacted %llu -> %llu segments, %llu -> %llu bytes "
+              "(%llu reclaimed), %llu live entries\n",
+              static_cast<unsigned long long>(rep.segments_before),
+              static_cast<unsigned long long>(rep.segments_after),
+              static_cast<unsigned long long>(rep.bytes_before),
+              static_cast<unsigned long long>(rep.bytes_after),
+              static_cast<unsigned long long>(rep.reclaimed_bytes),
+              static_cast<unsigned long long>(rep.live_entries));
+  return 0;
+}
+
+int cmd_store_verify(const std::vector<std::string>&, const Flags& fl) {
+  store::ChunkStore cs = open_store(fl);
+  store::SegmentStore& log = *cs.log();
+  const store::SegmentStore::OpenReport& orep = log.open_report();
+  if (orep.torn_bytes)
+    std::printf("recovery: truncated %llu torn byte(s) off the active segment\n",
+                static_cast<unsigned long long>(orep.torn_bytes));
+  if (orep.manifest_recovered)
+    std::printf("recovery: manifest was missing/corrupt, rebuilt from scan\n");
+  const store::SegmentStore::VerifyReport rep = log.verify();
+  std::printf("%llu segment(s), %llu frame(s) ok, %llu corrupt, %llu bytes scanned\n",
+              static_cast<unsigned long long>(rep.segments),
+              static_cast<unsigned long long>(rep.frames_ok),
+              static_cast<unsigned long long>(rep.corrupt_frames),
+              static_cast<unsigned long long>(rep.bytes_scanned));
+  std::printf("store: %s\n", rep.ok() ? "OK" : "CORRUPT");
+  return rep.ok() ? 0 : 1;
 }
 
 /// Parse `--dims ZxYxX` (slowest-first, matching temporal::SessionConfig).
@@ -1323,16 +1202,23 @@ std::array<u32, 3> parse_stream_dims(const std::string& s) {
   return {z, y, x};
 }
 
+/// Print a violating case's first offending value on stderr, so the failure
+/// is immediately reproducible.
+void print_first_violation(const char* who, const std::string& label, const obs::AuditCase& c) {
+  if (c.violations && c.has_first)
+    std::fprintf(stderr,
+                 "%s: FIRST VIOLATION in %s: chunk=%zu index=%zu "
+                 "orig=%.17g recon=%.17g err=%.3e allowed=%.3e\n",
+                 who, label.c_str(), c.first.chunk, c.first.index, c.first.original,
+                 c.first.reconstructed, c.first.error, c.first.allowed);
+}
+
 /// Bound-check one decoded frame through the shared audit verifier
 /// (obs::ErrorBoundAuditor::verify_field) — the same external judge, audit.*
-/// counters, and drill-down the snapshot paths use. A violating frame prints
-/// its first offending value so the failure is immediately reproducible.
+/// counters, and drill-down the snapshot paths use.
 std::size_t stream_audit_frame(const temporal::SessionConfig& cfg, u64 frame_index,
                                const u8* orig, const u8* recon) {
-  const std::array<std::size_t, 3> dims{cfg.dims[0], cfg.dims[1], cfg.dims[2]};
-  const Field field = cfg.dtype == DType::F32
-                          ? Field(reinterpret_cast<const float*>(orig), dims)
-                          : Field(reinterpret_cast<const double*>(orig), dims);
+  const Field field = make_field(orig, cfg.frame_bytes(), cfg.dtype);
   std::vector<u8> recon_raw(recon, recon + cfg.frame_bytes());
   char label[32];
   std::snprintf(label, sizeof label, "frame-%06llu",
@@ -1340,12 +1226,7 @@ std::size_t stream_audit_frame(const temporal::SessionConfig& cfg, u64 frame_ind
   const obs::AuditCase c = obs::ErrorBoundAuditor::verify_field(
       field, recon_raw, cfg.eb, cfg.eps, "stream", label, /*seed=*/0,
       /*compressed_bytes=*/0);
-  if (c.violations && c.has_first)
-    std::fprintf(stderr,
-                 "pfpl stream: FIRST VIOLATION in %s: chunk=%zu index=%zu "
-                 "orig=%.17g recon=%.17g err=%.3e allowed=%.3e\n",
-                 label, c.first.chunk, c.first.index, c.first.original,
-                 c.first.reconstructed, c.first.error, c.first.allowed);
+  print_first_violation("pfpl stream", label, c);
   return c.violations;
 }
 
@@ -1357,50 +1238,45 @@ void write_frame_file(const std::string& dir, u64 index, const void* p,
   io::write_file((std::filesystem::path(dir) / name).string(), p, n);
 }
 
-/// `pfpl stream pack|unpack|info` — author, expand, and inspect PFPV frame
-/// streams (docs/FORMAT.md §PFPV). pack sources frames either from raw files
-/// (--dims) or from an evolving suite generator (--suite), encodes locally,
-/// or — with --host — pushes every frame through a pfpld temporal session
-/// and appends the returned records. On session loss (idle eviction, server
-/// restart, drain) the remote path reopens a session and resumes: the
-/// server's fresh encoder emits a keyframe, so the stream stays decodable.
-int cmd_stream(const std::vector<std::string>& positional, const Flags& fl) {
-  if (positional.empty()) usage();
-  const std::string& verb = positional[0];
+/// Exit 2 unless `path` is a PFPV stream.
+void require_pfpv(const char* verb, const std::string& path) {
+  const u32 magic = peek_magic(path);
+  if (magic != temporal::kPfpvMagic) reject_magic(verb, path, magic);
+}
 
-  if (verb == "info") {
-    if (positional.size() != 2) usage();
-    const u32 magic = peek_magic(positional[1]);
-    if (magic != temporal::kPfpvMagic) reject_magic("stream info", positional[1], magic);
-    return pfpv_stats(positional[1], fl.json);
+int cmd_stream_info(const std::vector<std::string>& positional, const Flags& fl) {
+  require_pfpv("stream info", positional[0]);
+  return pfpv_stats(positional[0], fl.json);
+}
+
+int cmd_stream_unpack(const std::vector<std::string>& positional, const Flags&) {
+  require_pfpv("stream unpack", positional[0]);
+  temporal::StreamReader reader(positional[0]);
+  std::filesystem::create_directories(positional[1]);
+  temporal::FrameDecoder dec(reader.config());
+  for (std::size_t i = 0; i < reader.frame_count(); ++i) {
+    const temporal::EncodedFrame f = reader.frame(i);
+    const std::vector<u8>& raw = dec.decode(f);
+    write_frame_file(positional[1], f.frame_index, raw.data(), raw.size());
   }
+  std::printf("%s: %zu frame(s) -> %s (%zu bytes each)\n", positional[0].c_str(),
+              reader.frame_count(), positional[1].c_str(), reader.config().frame_bytes());
+  if (reader.truncated())
+    std::printf("TRUNCATED source: %zu torn byte(s) were discarded at pack time "
+                "or on recovery\n",
+                reader.truncated_bytes());
+  return 0;
+}
 
-  if (verb == "unpack") {
-    if (positional.size() != 3) usage();
-    const u32 magic = peek_magic(positional[1]);
-    if (magic != temporal::kPfpvMagic)
-      reject_magic("stream unpack", positional[1], magic);
-    temporal::StreamReader reader(positional[1]);
-    std::filesystem::create_directories(positional[2]);
-    temporal::FrameDecoder dec(reader.config());
-    for (std::size_t i = 0; i < reader.frame_count(); ++i) {
-      const temporal::EncodedFrame f = reader.frame(i);
-      const std::vector<u8>& raw = dec.decode(f);
-      write_frame_file(positional[2], f.frame_index, raw.data(), raw.size());
-    }
-    std::printf("%s: %zu frame(s) -> %s (%zu bytes each)\n", positional[1].c_str(),
-                reader.frame_count(), positional[2].c_str(),
-                reader.config().frame_bytes());
-    if (reader.truncated())
-      std::printf("TRUNCATED source: %zu torn byte(s) were discarded at pack time "
-                  "or on recovery\n",
-                  reader.truncated_bytes());
-    return 0;
-  }
-
-  if (verb != "pack") usage();
-  if (positional.size() < 2) usage();
-  const std::string& out_path = positional[1];
+/// `pfpl stream pack` — author a PFPV frame stream (docs/FORMAT.md §PFPV).
+/// Frames come either from raw files (--dims) or from an evolving suite
+/// generator (--suite). They are encoded locally or, with --host, pushed
+/// through a pfpld temporal session whose returned records are appended. On
+/// session loss (idle eviction, server restart, drain) the remote path
+/// reopens a session and resumes: the server's fresh encoder emits a
+/// keyframe, so the stream stays decodable.
+int cmd_stream_pack(const std::vector<std::string>& positional, const Flags& fl) {
+  const std::string& out_path = positional[0];
 
   // -- assemble the frame source ---------------------------------------------
   temporal::SessionConfig cfg;
@@ -1412,7 +1288,7 @@ int cmd_stream(const std::vector<std::string>& positional, const Flags& fl) {
   std::vector<std::vector<u8>> raws;  // file mode: one raw buffer per frame
   std::size_t n_frames = 0;
   if (!fl.suite.empty()) {
-    if (positional.size() != 2) usage();
+    if (positional.size() != 1) usage();
     data::EvolvingSpec spec;
     try {
       spec = data::find_evolving(fl.suite);
@@ -1431,13 +1307,13 @@ int cmd_stream(const std::vector<std::string>& positional, const Flags& fl) {
                 static_cast<u32>(seq.dims[2])};
     n_frames = seq.frames();
   } else {
-    if (positional.size() < 3) usage();
+    if (positional.size() < 2) usage();
     if (fl.dims.empty())
       throw CompressionError("stream pack: --dims ZxYxX is required for raw-file "
                              "frames (or use --suite)");
     cfg.dtype = fl.dtype;
     cfg.dims = parse_stream_dims(fl.dims);
-    for (std::size_t i = 2; i < positional.size(); ++i) {
+    for (std::size_t i = 1; i < positional.size(); ++i) {
       raws.push_back(io::read_file(positional[i]));
       if (raws.back().size() != cfg.frame_bytes())
         throw CompressionError("stream pack: " + positional[i] + " is " +
@@ -1480,23 +1356,13 @@ int cmd_stream(const std::vector<std::string>& positional, const Flags& fl) {
   if (fl.host.empty()) {
     temporal::FrameEncoder enc(cfg);
     for (std::size_t i = 0; i < n_frames; ++i) {
-      Field field = cfg.dtype == DType::F32
-                        ? Field(reinterpret_cast<const float*>(frame_ptr(i)),
-                                cfg.frame_values())
-                        : Field(reinterpret_cast<const double*>(frame_ptr(i)),
-                                cfg.frame_values());
-      const temporal::EncodedFrame ef = enc.encode(field, i);
+      const temporal::EncodedFrame ef =
+          enc.encode(make_field(frame_ptr(i), cfg.frame_bytes(), cfg.dtype), i);
       writer.append(ef);
       account(ef, i);
     }
   } else {
-    net::Client::Options copts;
-    net::split_host_port(fl.host, copts.host, copts.port);
-    if (fl.timeout_ms > 0) {
-      copts.connect_timeout_ms = fl.timeout_ms;
-      copts.request_timeout_ms = fl.timeout_ms;
-    }
-    net::Client client(copts);
+    net::Client client(client_options(fl, "stream pack"));
     auto open_session = [&]() {
       return client.stream_open(cfg.dtype, cfg.eb, cfg.eps, cfg.dims,
                                 cfg.keyframe_interval);
@@ -1566,8 +1432,7 @@ int cmd_stream(const std::vector<std::string>& positional, const Flags& fl) {
                               : " via " + fl.host + ", " + std::to_string(reopens) +
                                     " session reopen(s)";
   std::printf("raw=%.0f -> file=%llu bytes (ratio %.3f)%s\n", raw_bytes,
-              static_cast<unsigned long long>(file_bytes),
-              file_bytes ? raw_bytes / static_cast<double>(file_bytes) : 0.0,
+              static_cast<unsigned long long>(file_bytes), ratio(raw_bytes, file_bytes),
               via.c_str());
   if (fl.audit)
     std::printf("audit: %llu violation(s) across %zu decoded frame(s)%s\n",
@@ -1576,108 +1441,112 @@ int cmd_stream(const std::vector<std::string>& positional, const Flags& fl) {
   return violations ? 3 : 0;
 }
 
-int run_command(int argc, char** argv) {
-  if (argc < 2) usage();
-  std::string mode = argv[1];
-  // `audit`, `serve`, `top`, and `profile` take no positional arguments;
-  // every other verb needs at least one.
-  if (mode != "audit" && mode != "serve" && mode != "top" && mode != "profile" &&
-      argc < 3)
-    usage();
-  try {
-    if (mode == "pack" || mode == "unpack" || mode == "list" || mode == "stats" ||
-        mode == "audit" || mode == "serve" || mode == "remote" || mode == "store" ||
-        mode == "top" || mode == "profile" || mode == "stream") {
-      std::vector<std::string> positional;
-      Flags fl = parse_flags(argc, argv, 2, &positional);
-      if (mode == "pack") return cmd_pack(positional, fl);
-      if (mode == "unpack") return cmd_unpack(positional, fl);
-      if (mode == "stats") return cmd_stats(positional, fl);
-      if (mode == "audit") return cmd_audit(positional, fl);
-      if (mode == "serve") return cmd_serve(positional, fl);
-      if (mode == "remote") return cmd_remote(positional, fl);
-      if (mode == "store") return cmd_store(positional, fl);
-      if (mode == "top") return cmd_top(positional, fl);
-      if (mode == "profile") return cmd_profile(positional, fl);
-      if (mode == "stream") return cmd_stream(positional, fl);
-      return cmd_list(positional);
-    }
-    if (mode == "info") {
-      Bytes in = io::read_file(argv[2]);
-      pfpl::Header h = pfpl::peek_header(in);
-      std::printf("dtype=%s eb=%s eps=%g recon_param=%g values=%llu chunks=%u\n",
-                  to_string(h.dtype), to_string(h.eb_type), h.eps, h.recon_param,
-                  static_cast<unsigned long long>(h.value_count), h.chunk_count);
-      std::printf("compressed=%zu bytes  ratio=%.3f\n", in.size(),
-                  static_cast<double>(h.value_count) * dtype_size(h.dtype) /
-                      static_cast<double>(in.size()));
-      return 0;
-    }
-    if (mode == "verify") {
-      if (argc < 4) usage();
-      std::vector<u8> orig = io::read_file(argv[2]);
-      Bytes comp = io::read_file(argv[3]);
-      pfpl::Header h = pfpl::peek_header(comp);
-      std::vector<u8> back = pfpl::decompress(comp);
-      std::size_t bad = 0;
-      double max_abs = 0, max_rel = 0, psnr = 0;
-      if (h.dtype == DType::F32) {
-        std::span<const float> o(reinterpret_cast<const float*>(orig.data()), orig.size() / 4);
-        std::span<const float> r(reinterpret_cast<const float*>(back.data()), back.size() / 4);
-        bad = metrics::count_violations(o, r, h.eps, h.eb_type);
-        auto st = metrics::compute_stats(o, r);
-        max_abs = st.max_abs;
-        max_rel = st.max_rel;
-        psnr = st.psnr;
-      } else {
-        std::span<const double> o(reinterpret_cast<const double*>(orig.data()), orig.size() / 8);
-        std::span<const double> r(reinterpret_cast<const double*>(back.data()), back.size() / 8);
-        bad = metrics::count_violations(o, r, h.eps, h.eb_type);
-        auto st = metrics::compute_stats(o, r);
-        max_abs = st.max_abs;
-        max_rel = st.max_rel;
-        psnr = st.psnr;
-      }
-      std::printf("eb=%s eps=%g  max_abs_err=%.6g max_rel_err=%.6g psnr=%.2f dB\n",
-                  to_string(h.eb_type), h.eps, max_abs, max_rel, psnr);
-      std::printf("violations: %zu %s\n", bad, bad == 0 ? "(bound holds)" : "(BOUND VIOLATED)");
-      return bad == 0 ? 0 : 3;
-    }
-    if (argc < 4) usage();
-    std::string in_path = argv[2], out_path = argv[3];
-    Flags fl = parse_flags(argc, argv, 4, nullptr);
-    if (mode == "c") {
-      std::vector<u8> raw = io::read_file(in_path);
-      Bytes out = pfpl::compress(make_field(raw, fl.dtype), fl.params);
-      io::write_file(out_path, out.data(), out.size());
-      std::printf("%zu -> %zu bytes (ratio %.3f)\n", raw.size(), out.size(),
-                  static_cast<double>(raw.size()) / static_cast<double>(out.size()));
-      return 0;
-    }
-    if (mode == "d") {
-      Bytes in = io::read_file(in_path);
-      std::vector<u8> raw = pfpl::decompress(in, fl.params.exec);
-      io::write_file(out_path, raw.data(), raw.size());
-      std::printf("%zu -> %zu bytes\n", in.size(), raw.size());
-      return 0;
-    }
-    usage();
-  } catch (const CompressionError& e) {
-    // Truncated/corrupt streams, bad bounds, archive checksum failures:
-    // report cleanly, never let the exception escape as a crash.
-    std::fprintf(stderr, "pfpl: %s\n", e.what());
-    return 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "pfpl: %s\n", e.what());
-    return 1;
-  }
+int cmd_compress(const std::vector<std::string>& positional, const Flags& fl) {
+  const std::vector<u8> raw = io::read_file(positional[0]);
+  const Bytes out = pfpl::compress(make_field(raw.data(), raw.size(), fl.dtype), fl.params);
+  io::write_file(positional[1], out.data(), out.size());
+  std::printf("%zu -> %zu bytes (ratio %.3f)\n", raw.size(), out.size(),
+              ratio(raw.size(), out.size()));
+  return 0;
 }
+
+int cmd_decompress(const std::vector<std::string>& positional, const Flags& fl) {
+  const Bytes in = io::read_file(positional[0]);
+  const std::vector<u8> raw = pfpl::decompress(in, fl.params.exec);
+  io::write_file(positional[1], raw.data(), raw.size());
+  std::printf("%zu -> %zu bytes\n", in.size(), raw.size());
+  return 0;
+}
+
+/// `pfpl verify` — re-check the stream's bound against the original with the
+/// audit's judge (obs::ErrorBoundAuditor::verify_field).
+int cmd_verify(const std::vector<std::string>& positional, const Flags&) {
+  const std::string& orig_path = positional[0];
+  const std::vector<u8> orig = io::read_file(orig_path);
+  const Bytes comp = io::read_file(positional[1]);
+  const pfpl::Header h = pfpl::peek_header(comp);
+  // Judge every value of the stream, never a prefix of it.
+  const std::size_t width = dtype_size(h.dtype);
+  if (orig.size() % width || orig.size() / width != h.value_count)
+    throw CompressionError("verify: " + orig_path + " is " + std::to_string(orig.size()) +
+                           " bytes (" + std::to_string(orig.size() / width) + " " +
+                           to_string(h.dtype) + " values), " + positional[1] + " holds " +
+                           std::to_string(h.value_count) + " values");
+  const std::vector<u8> back = pfpl::decompress(comp);
+  const obs::AuditCase c = obs::ErrorBoundAuditor::verify_field(
+      make_field(orig.data(), orig.size(), h.dtype), back, h.eb_type, h.eps, "verify",
+      positional[1], /*seed=*/0, comp.size());
+  print_first_violation("pfpl verify", positional[1], c);
+  std::printf("eb=%s eps=%g  values=%zu max_err=%.6g allowed=%.6g psnr=%.2f dB\n",
+              to_string(h.eb_type), h.eps, c.values, c.max_err, c.allowed, c.psnr_db);
+  std::printf("violations: %llu %s\n", static_cast<unsigned long long>(c.violations),
+              c.violations ? "(BOUND VIOLATED)" : "(bound holds)");
+  return c.violations ? 3 : 0;
+}
+
+/// One row per verb. A row with a sub-verb ("store", "put") takes two words
+/// of argv; the counts are of the positionals after them.
+struct VerbRow {
+  const char* verb;
+  const char* sub;  ///< "" for a verb without sub-verbs
+  std::size_t min_args, max_args;
+  int (*run)(const std::vector<std::string>& positional, const Flags& fl);
+};
+
+constexpr std::size_t kAny = std::numeric_limits<std::size_t>::max();
+
+constexpr VerbRow kVerbs[] = {
+    {"c", "", 2, 2, cmd_compress},
+    {"d", "", 2, 2, cmd_decompress},
+    {"info", "", 1, 1, cmd_info},
+    {"verify", "", 2, 2, cmd_verify},
+    {"pack", "", 2, kAny, cmd_pack},
+    {"unpack", "", 2, 2, cmd_unpack},
+    {"list", "", 1, 1, cmd_list},
+    {"stats", "", 1, 1, cmd_stats},
+    {"audit", "", 0, 0, cmd_audit},
+    {"profile", "", 0, 0, cmd_profile},
+    {"serve", "", 0, 0, cmd_serve},
+    {"top", "", 0, 0, cmd_top},
+    {"remote", "compress", 2, 2, cmd_remote_compress},
+    {"remote", "decompress", 2, 2, cmd_remote_decompress},
+    {"remote", "stats", 0, 0, cmd_remote_stats},
+    {"remote", "metrics", 0, 0, cmd_remote_metrics},
+    {"remote", "ping", 0, 0, cmd_remote_ping},
+    {"remote", "shutdown", 0, 0, cmd_remote_shutdown},
+    {"store", "put", 1, kAny, cmd_store_put},
+    {"store", "get", 2, 2, cmd_store_get},
+    {"store", "ls", 0, 0, cmd_store_ls},
+    {"store", "compact", 0, 0, cmd_store_compact},
+    {"store", "verify", 0, 0, cmd_store_verify},
+    {"stream", "pack", 1, kAny, cmd_stream_pack},
+    {"stream", "unpack", 2, 2, cmd_stream_unpack},
+    {"stream", "info", 1, 1, cmd_stream_info},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  ObsFlags obs_fl = strip_obs_flags(argc, argv);
-  int rc = run_command(argc, argv);
-  flush_obs(obs_fl);
+  Flags fl;
+  int rc = 1;
+  try {
+    std::vector<std::string> args;
+    fl = parse_args(argc, argv, args);
+    const VerbRow* verb =
+        std::find_if(std::begin(kVerbs), std::end(kVerbs), [&](const VerbRow& v) {
+          return !args.empty() && args[0] == v.verb &&
+                 (!*v.sub || (args.size() > 1 && args[1] == v.sub));
+        });
+    if (verb == std::end(kVerbs)) usage();
+    args.erase(args.begin(), args.begin() + (*verb->sub ? 2 : 1));
+    if (args.size() < verb->min_args || args.size() > verb->max_args) usage();
+    if (fl.obs_any()) obs::set_enabled(true);
+    rc = verb->run(args, fl);
+  } catch (const std::exception& e) {
+    // Truncated/corrupt streams, bad bounds, archive checksum failures, I/O:
+    // report cleanly, never let the exception escape as a crash.
+    std::fprintf(stderr, "pfpl: %s\n", e.what());
+  }
+  flush_obs(fl);
   return rc;
 }
