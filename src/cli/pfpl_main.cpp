@@ -25,6 +25,7 @@
 #include "net/server.hpp"
 #include "obs/audit.hpp"
 #include "obs/event_log.hpp"
+#include "obs/exposition.hpp"
 #include "obs/json.hpp"
 #include "obs/kernels.hpp"
 #include "obs/metrics.hpp"
@@ -141,7 +142,7 @@ struct Flags {
   // Observability (any verb).
   std::string trace_path;           ///< `--trace FILE`: Chrome trace_event JSON
   std::string report_path;          ///< `--report FILE`: obs RunReport JSON
-  bool metrics = false;             ///< `--metrics`: registry dump on stderr
+  bool metrics = false;             ///< `--metrics`: pfpl-metrics/1 snapshot on stderr
   bool obs_any() const { return metrics || !trace_path.empty() || !report_path.empty(); }
 };
 
@@ -152,7 +153,7 @@ void flush_obs(const Flags& fl) {
   if (!fl.obs_any()) return;
   try {
     if (fl.metrics)
-      std::fprintf(stderr, "%s", obs::MetricsRegistry::global().text().c_str());
+      std::fprintf(stderr, "%s\n", obs::metrics_json_doc().c_str());
     if (!fl.report_path.empty()) {
       obs::RunReport::global().set_meta("tool", "pfpl");
       obs::RunReport::global().write(fl.report_path);

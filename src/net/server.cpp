@@ -278,7 +278,7 @@ struct Server::Impl {
 
   /// Slow-request ring, sorted by total_us descending, capped at
   /// opts.slow_capacity. Written on the loop thread; the mutex covers
-  /// external stats_json()/metrics_json() readers.
+  /// external stats_json() readers.
   mutable std::mutex slow_m;
   std::vector<SlowRequest> slow;
 
@@ -453,7 +453,12 @@ struct Server::Impl {
       w.kv("max_conns", static_cast<unsigned long long>(opts.max_conns));
     w.kv("slow_ms", opts.slow_ms);
     w.kv("slow_requests_captured", static_cast<unsigned long long>(s.slow_requests));
-    w.key("slow_requests").raw(slow_json());
+    {
+      std::lock_guard<std::mutex> lk(slow_m);  // the ring, slowest first
+      w.key("slow_requests").begin_array();
+      for (const SlowRequest& row : slow) write_slow_row(w, row);
+      w.end_array();
+    }
     if (opts.store) {
       w.kv("store_hits", static_cast<unsigned long long>(s.store_hits));
       w.kv("store_misses", static_cast<unsigned long long>(s.store_misses));
@@ -472,23 +477,6 @@ struct Server::Impl {
     w.end_object();
     w.end_object();
     return w.take();
-  }
-
-  /// The slow-request ring as a JSON array, slowest first.
-  std::string slow_json() const {
-    std::lock_guard<std::mutex> lk(slow_m);
-    obs::JsonWriter w;
-    w.begin_array();
-    for (const SlowRequest& s : slow) write_slow_row(w, s);
-    w.end_array();
-    return w.take();
-  }
-
-  /// The METRICS-op JSON document: registry + live stats + slow ring.
-  std::string metrics_doc() const {
-    const std::string extra =
-        "\"stats\":" + stats_json() + ",\"slow_requests\":" + slow_json();
-    return obs::metrics_json_doc(extra);
   }
 
   /// Loop-thread only (process_completions): admit a finished request to the
@@ -842,7 +830,7 @@ struct Server::Impl {
     if (fmt == "prom") {
       doc = obs::prometheus_text();
     } else if (fmt.empty() || fmt == "json") {
-      doc = metrics_doc();
+      doc = obs::metrics_json_doc(stats_json());
     } else if (fmt == "history") {
       doc = obs::FlightRecorder::global().history_json();
     } else {
@@ -1096,7 +1084,7 @@ struct Server::Impl {
       body = obs::prometheus_text();
       ctype = "text/plain; version=0.0.4; charset=utf-8";
     } else if (path == "/metrics.json") {
-      body = metrics_doc();
+      body = obs::metrics_json_doc(stats_json());
       ctype = "application/json";
     } else if (path == "/stats") {
       body = stats_json();
@@ -1201,10 +1189,7 @@ struct Server::Impl {
       fo.depth = opts.flight_depth;
       fo.stall_ms = opts.stall_ms;
       fo.crash_dir = opts.crash_dir;
-      fo.extra = [this] {
-        return "{\"stats\":" + stats_json() +
-               ",\"slow_requests\":" + slow_json() + "}";
-      };
+      fo.stats = [this] { return stats_json(); };
       obs::FlightRecorder& fr = obs::FlightRecorder::global();
       fr.configure(std::move(fo));
       fr.start();
@@ -1352,8 +1337,6 @@ void Server::request_stop() {
 Server::Stats Server::stats() const { return impl_->snapshot(); }
 
 std::string Server::stats_json() const { return impl_->stats_json(); }
-
-std::string Server::metrics_json() const { return impl_->metrics_doc(); }
 
 }  // namespace repro::net
 

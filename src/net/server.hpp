@@ -150,9 +150,6 @@ class Server {
   Stats stats() const;
   /// The STATS-op payload: stats + config as a JSON object.
   std::string stats_json() const;
-  /// The METRICS-op JSON payload: pfpl-metrics/1 envelope around the global
-  /// registry plus live stats and the slow-request ring.
-  std::string metrics_json() const;
 
  private:
   struct Impl;

@@ -1,8 +1,10 @@
 #include "obs/exposition.hpp"
 
 #include <cctype>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <mutex>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -45,37 +47,32 @@ std::string prometheus_family(const std::string& name) {
   return out;
 }
 
-std::string prometheus_text() { return prometheus_text(MetricsRegistry::global()); }
-
-std::string prometheus_text(MetricsRegistry& reg) {
-  // The registry only ever grows, so taking the three name snapshots
-  // separately (three short critical sections) still yields a consistent
-  // document: a metric present in a snapshot is present for good.
+std::string prometheus_text() {
+  const MetricsRegistry& reg = MetricsRegistry::global();
+  std::lock_guard<std::mutex> lk(reg.m_);
   std::string out;
-  for (const std::string& name : reg.counter_names()) {
+  for (const auto& [name, c] : reg.counters_) {
     const std::string fam = prometheus_family(name) + "_total";
     out += "# TYPE " + fam + " counter\n";
     out += fam + " ";
-    append_u64(out, reg.counter(name).value());
+    append_u64(out, c->value());
     out += "\n";
   }
-  for (const std::string& name : reg.gauge_names()) {
-    Gauge& g = reg.gauge(name);
+  for (const auto& [name, g] : reg.gauges_) {
     const std::string fam = prometheus_family(name);
     out += "# TYPE " + fam + " gauge\n";
     out += fam + " ";
-    append_num(out, static_cast<double>(g.value()));
+    append_num(out, static_cast<double>(g->value()));
     out += "\n# TYPE " + fam + "_peak gauge\n";
     out += fam + "_peak ";
-    append_num(out, static_cast<double>(g.peak()));
+    append_num(out, static_cast<double>(g->peak()));
     out += "\n";
   }
-  for (const std::string& name : reg.histogram_names()) {
-    Histogram& h = reg.histogram(name);
+  for (const auto& [name, h] : reg.histograms_) {
     const std::string fam = prometheus_family(name);
     out += "# TYPE " + fam + " histogram\n";
-    const std::vector<u64>& bounds = h.bounds();
-    const std::vector<u64> counts = h.bucket_counts();
+    const std::vector<u64>& bounds = h->bounds();
+    const std::vector<u64> counts = h->bucket_counts();
     u64 cum = 0;
     for (std::size_t i = 0; i < bounds.size(); ++i) {
       cum += counts[i];
@@ -89,31 +86,27 @@ std::string prometheus_text(MetricsRegistry& reg) {
     out += fam + "_bucket{le=\"+Inf\"} ";
     append_u64(out, cum);
     out += "\n" + fam + "_sum ";
-    append_u64(out, h.sum());
+    append_u64(out, h->sum());
     out += "\n" + fam + "_count ";
-    append_u64(out, h.count());
+    append_u64(out, h->count());
     out += "\n";
   }
   return out;
 }
 
-std::string metrics_json_doc(const std::string& extra_sections) {
-  return metrics_json_doc(MetricsRegistry::global(), extra_sections);
-}
-
-std::string metrics_json_doc(const MetricsRegistry& reg,
-                             const std::string& extra_sections) {
+std::string metrics_json_doc(const std::string& stats) {
+  const u64 ts_ms = static_cast<u64>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
   JsonWriter w;
   w.begin_object();
   w.kv("schema", "pfpl-metrics/1");
-  w.key("metrics").raw(reg.json());
+  w.kv("ts_ms", static_cast<unsigned long long>(ts_ms));
+  w.key("metrics").raw(MetricsRegistry::global().json());
+  if (!stats.empty()) w.key("stats").raw(stats);
   w.end_object();
-  std::string doc = w.take();
-  if (!extra_sections.empty()) {
-    // Splice the caller's `"key":value` fragments before the closing brace.
-    doc.insert(doc.size() - 1, "," + extra_sections);
-  }
-  return doc;
+  return w.take();
 }
 
 }  // namespace repro::obs

@@ -6,39 +6,32 @@
 //     ("net.request_us" -> "pfpl_net_request_us"), counters suffixed
 //     `_total`, gauges as-is plus a `_peak` companion family, histograms as
 //     cumulative `_bucket{le="..."}` series with `+Inf`, `_sum`, `_count`.
-//   * JSON (`metrics_json_doc()`): the registry's native JSON dump wrapped in
-//     a `pfpl-metrics/1` schema envelope with room for server-supplied extra
-//     sections (slow requests, live stats).
+//   * JSON (`metrics_json_doc()`): the one `pfpl-metrics/1` snapshot. The
+//     METRICS op, `/metrics.json`, every flight-recorder ring entry and
+//     `pfpl --metrics` all write this document.
 //
-// Both renderers read the registry's merged snapshots; they take no global
-// locks beyond the registry's own registration mutex and are safe to call
-// while worker threads are recording. With observability disabled the output
-// is still a well-formed document — values simply stay at zero.
+// Both renderers read the registry's merged snapshots under the registry's
+// own mutex and are safe to call while worker threads are recording. With
+// observability disabled the output is still a well-formed document — values
+// simply stay at zero.
 #pragma once
 
 #include <string>
 
 namespace repro::obs {
 
-class MetricsRegistry;
-
 /// Sanitized Prometheus family name: lowercase [a-z0-9_] with a `pfpl_`
 /// prefix; every other character becomes '_' ("net.request_us" ->
 /// "pfpl_net_request_us").
 std::string prometheus_family(const std::string& name);
 
-/// Render `reg` (default: the global registry) in Prometheus text format.
-/// Non-const because name lookup is get-or-create; only names already in the
-/// registry are looked up, so nothing is created.
+/// The global registry in Prometheus text format.
 std::string prometheus_text();
-std::string prometheus_text(MetricsRegistry& reg);
 
-/// JSON document {"schema":"pfpl-metrics/1","metrics":<registry json>,...}.
-/// `extra_sections`, when non-empty, must be a comma-joined sequence of
-/// `"key":value` JSON fragments spliced into the top-level object (the
-/// server uses this for its live stats and slow-request ring).
-std::string metrics_json_doc(const std::string& extra_sections = "");
-std::string metrics_json_doc(const MetricsRegistry& reg,
-                             const std::string& extra_sections);
+/// The snapshot document
+/// {"schema":"pfpl-metrics/1","ts_ms":…,"metrics":<registry json>}, plus
+/// "stats":<stats> when `stats` (a complete JSON value, the server's
+/// STATS-op object) is non-empty.
+std::string metrics_json_doc(const std::string& stats = "");
 
 }  // namespace repro::obs

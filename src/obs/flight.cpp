@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "obs/crash.hpp"
+#include "obs/exposition.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 
@@ -112,79 +112,33 @@ void FlightRecorder::run_loop() {
 }
 
 void FlightRecorder::sample_now() {
-  Snapshot s;
-  s.wall_ms = wall_ms_now();
-  s.metrics = MetricsRegistry::global().json();
-  if (opts_.extra) s.extra = opts_.extra();
-
-  std::string crash_body;
+  // The ring entry is the snapshot document with its seq spliced in first.
+  const std::string doc = metrics_json_doc(opts_.stats ? opts_.stats() : "");
   {
     std::lock_guard<std::mutex> lock(m_);
-    s.seq = ++seq_;
-    ring_.push_back(std::move(s));
+    ring_.push_back("{\"seq\":" + std::to_string(++seq_) + "," + doc.substr(1));
     while (ring_.size() > static_cast<std::size_t>(std::max(opts_.depth, 1)))
       ring_.pop_front();
-    if (!opts_.crash_dir.empty()) crash_body = render_crash_body_locked();
   }
-  if (!crash_body.empty()) set_crash_body(crash_body);
+  // The crash body carries the last few snapshots, not the whole ring: the
+  // handler's write must stay bounded, and /history serves the full depth.
+  if (!opts_.crash_dir.empty())
+    set_crash_body(minimal_crash_body() + ",\"flight\":" + history_json(3) +
+                   ",\"trace_tail\":" + trace_tail_json(32));
 
   check_stalls();
 }
 
-void FlightRecorder::append_snapshots_locked(std::string& out,
-                                             std::size_t max_snapshots) const {
-  JsonWriter w;
-  w.begin_array();
-  const std::size_t skip =
-      ring_.size() > max_snapshots ? ring_.size() - max_snapshots : 0;
-  std::size_t i = 0;
-  for (const Snapshot& s : ring_) {
-    if (i++ < skip) continue;
-    w.begin_object();
-    w.kv("seq", static_cast<unsigned long long>(s.seq));
-    w.kv("ts_ms", static_cast<unsigned long long>(s.wall_ms));
-    w.key("metrics").raw(s.metrics);
-    if (!s.extra.empty()) w.key("extra").raw(s.extra);
-    w.end_object();
-  }
-  w.end_array();
-  out += w.take();
-}
-
-std::string FlightRecorder::render_crash_body_locked() const {
-  std::string body = minimal_crash_body();
-  body += ",\"flight\":{\"interval_ms\":" + std::to_string(opts_.interval_ms) +
-          ",\"depth\":" + std::to_string(opts_.depth) +
-          ",\"stall_ms\":" + std::to_string(opts_.stall_ms) +
-          ",\"stalls_detected\":" + std::to_string(Watchdog::global().stalls_detected()) +
-          "},\"snapshots\":";
-  // The crash body carries the last few snapshots, not the whole ring: the
-  // handler's write must stay bounded, and /history serves the full depth.
-  append_snapshots_locked(body, 3);
-  body += ",\"trace_tail\":" + trace_tail_json(32);
-  return body;
-}
-
 void FlightRecorder::check_stalls() {
-  const std::vector<Watchdog::Stall> stalls = Watchdog::global().check();
-  if (stalls.empty() || opts_.crash_dir.empty()) return;
-  JsonWriter w;
-  w.begin_array();
-  for (const Watchdog::Stall& st : stalls) {
-    w.begin_object();
-    w.kv("slot", st.slot);
-    w.kv("busy_ms", static_cast<unsigned long long>(st.busy_ms));
-    w.kv("detail", static_cast<unsigned long long>(st.detail));
-    w.end_object();
-  }
-  w.end_array();
+  // Watchdog::check() logs each stall row as a `stall` event; the dump is
+  // the history document, whose stalls_detected counts them.
+  if (Watchdog::global().check().empty() || opts_.crash_dir.empty()) return;
   std::string path;
   {
     std::lock_guard<std::mutex> lock(m_);
     path = opts_.crash_dir + "/stall-" + std::to_string(++stall_dumps_) + ".json";
   }
-  std::string doc = "{\"schema\":\"pfpl-stall/1\",\"stalls\":" + w.take() +
-                    ",\"history\":" + history_json() + "}\n";
+  const std::string doc = history_json() + "\n";
   std::error_code ec;
   std::filesystem::create_directories(opts_.crash_dir, ec);
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -193,7 +147,7 @@ void FlightRecorder::check_stalls() {
   std::fclose(f);
 }
 
-std::string FlightRecorder::history_json() const {
+std::string FlightRecorder::history_json(std::size_t max_snapshots) const {
   std::lock_guard<std::mutex> lock(m_);
   JsonWriter w;
   w.begin_object();
@@ -205,13 +159,13 @@ std::string FlightRecorder::history_json() const {
   w.kv("stall_ms", static_cast<unsigned long long>(opts_.stall_ms));
   w.kv("stalls_detected",
        static_cast<unsigned long long>(Watchdog::global().stalls_detected()));
+  w.key("snapshots").begin_array();
+  const std::size_t skip = ring_.size() > max_snapshots ? ring_.size() - max_snapshots : 0;
+  for (auto it = ring_.begin() + static_cast<std::ptrdiff_t>(skip); it != ring_.end(); ++it)
+    w.raw(*it);
+  w.end_array();
   w.end_object();
-  std::string head = w.take();
-  head.pop_back();  // replace the closing brace with the snapshot array
-  head += ",\"snapshots\":";
-  append_snapshots_locked(head, ring_.size());
-  head += "}";
-  return head;
+  return w.take();
 }
 
 std::size_t FlightRecorder::snapshot_count() const {

@@ -1,14 +1,15 @@
 // FlightRecorder — a black-box ring of periodic metric snapshots.
 //
-// A lock-light sampler thread wakes every `interval_ms`, snapshots the full
-// MetricsRegistry (plus an optional caller-provided "extra" fragment — the
-// server contributes its always-live stats + slow-request ring) into a
-// fixed-depth in-memory ring, refreshes the pre-rendered crash-report body
+// A lock-light sampler thread wakes every `interval_ms`, renders one
+// `pfpl-metrics/1` snapshot (obs/exposition.hpp: the registry plus the
+// caller's `stats` object — the server's STATS-op JSON) into a fixed-depth
+// in-memory ring, refreshes the pre-rendered crash-report body
 // (obs/crash.hpp), and runs the watchdog stall check (obs/watchdog.hpp).
-// The ring is exposed live as `/history` on the metrics HTTP listener and
-// via the PFPN METRICS "history" selector, and post-mortem inside crash
-// reports — so a pfpld that dies under load leaves its last N seconds of
-// metric movement behind instead of nothing.
+// One renderer, history_json(), writes the ring as a `pfpl-flight/1`
+// document: live as `/history` on the metrics HTTP listener and the PFPN
+// METRICS "history" selector, as every `stall-<n>.json` dump, and (its last
+// three snapshots) inside the crash report — so a pfpld that dies under load
+// leaves its last N seconds of metric movement behind instead of nothing.
 //
 // Zero-footprint discipline: nothing here runs unless configure()+start()
 // are called (the `serve --flight-ms/--stall-ms/--crash-dir` flags). An
@@ -17,6 +18,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -34,9 +36,9 @@ class FlightRecorder {
     int depth = 32;          ///< ring capacity (oldest snapshot evicted)
     u64 stall_ms = 0;        ///< watchdog threshold; 0 = no stall checks
     std::string crash_dir;   ///< non-empty: refresh crash body + stall dumps
-    /// Pre-rendered JSON object attached to every snapshot under "extra"
-    /// (and to the crash body). Called on the sampler thread.
-    std::function<std::string()> extra;
+    /// JSON object attached to every snapshot under "stats" (the server
+    /// passes its stats_json()). Called on the sampler thread.
+    std::function<std::string()> stats;
   };
 
   static FlightRecorder& global();
@@ -56,8 +58,9 @@ class FlightRecorder {
   /// cadence; tests and on-demand dumps call it directly.
   void sample_now();
 
-  /// The ring as one JSON document ({"schema":"pfpl-flight/1", ...}).
-  std::string history_json() const;
+  /// The recorder's config and the newest `max_snapshots` ring entries as
+  /// one {"schema":"pfpl-flight/1", ...} document.
+  std::string history_json(std::size_t max_snapshots = SIZE_MAX) const;
   std::size_t snapshot_count() const;
 
   /// Test hook: drop all snapshots (does not touch options or the thread).
@@ -66,26 +69,15 @@ class FlightRecorder {
  private:
   FlightRecorder() = default;
 
-  struct Snapshot {
-    u64 seq = 0;
-    u64 wall_ms = 0;  ///< system_clock ms since epoch (operator-correlatable)
-    std::string metrics;  ///< MetricsRegistry::json() at sample time
-    std::string extra;    ///< opts.extra() at sample time ("" = none)
-  };
-
   void run_loop();
-  /// Render the crash-report body (without closing brace) from the last few
-  /// snapshots + the trace tail. Caller must hold m_.
-  std::string render_crash_body_locked() const;
-  void append_snapshots_locked(std::string& out, std::size_t max_snapshots) const;
-  /// Run the watchdog check; with a crash_dir, write any stalls it reports
-  /// to a new `stall-<n>.json` dump beside the flight history.
+  /// Run the watchdog check; with a crash_dir, write the history document
+  /// to a new `stall-<n>.json` whenever it reports a stall.
   void check_stalls();
 
   mutable std::mutex m_;
   std::condition_variable cv_;
   Options opts_;
-  std::deque<Snapshot> ring_;
+  std::deque<std::string> ring_;  ///< metrics_json_doc() entries with their seq
   u64 seq_ = 0;
   u64 stall_dumps_ = 0;
   std::thread thread_;

@@ -129,30 +129,6 @@ Histogram& MetricsRegistry::histogram(const std::string& name, std::vector<u64> 
   return *slot;
 }
 
-std::vector<std::string> MetricsRegistry::histogram_names() const {
-  std::lock_guard<std::mutex> lk(m_);
-  std::vector<std::string> names;
-  names.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> MetricsRegistry::counter_names() const {
-  std::lock_guard<std::mutex> lk(m_);
-  std::vector<std::string> names;
-  names.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> MetricsRegistry::gauge_names() const {
-  std::lock_guard<std::mutex> lk(m_);
-  std::vector<std::string> names;
-  names.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) names.push_back(name);
-  return names;
-}
-
 void MetricsRegistry::reset() {
   std::lock_guard<std::mutex> lk(m_);
   for (auto& [name, c] : counters_) c->reset();
@@ -163,27 +139,6 @@ void MetricsRegistry::reset() {
 std::size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lk(m_);
   return counters_.size() + gauges_.size() + histograms_.size();
-}
-
-std::string MetricsRegistry::text() const {
-  std::lock_guard<std::mutex> lk(m_);
-  std::string out;
-  for (const auto& [name, c] : counters_)
-    out += name + " counter " + std::to_string(c->value()) + "\n";
-  for (const auto& [name, g] : gauges_)
-    out += name + " gauge " + std::to_string(g->value()) + " peak=" +
-           std::to_string(g->peak()) + "\n";
-  for (const auto& [name, h] : histograms_) {
-    u64 c = h->count();
-    out += name + " histogram count=" + std::to_string(c) + " sum=" +
-           std::to_string(h->sum());
-    if (c)
-      out += " min=" + std::to_string(h->min()) + " max=" + std::to_string(h->max()) +
-             " mean=" + std::to_string(h->mean()) + " p50=" + std::to_string(h->p50()) +
-             " p95=" + std::to_string(h->p95()) + " p99=" + std::to_string(h->p99());
-    out += "\n";
-  }
-  return out;
 }
 
 std::string MetricsRegistry::json() const {

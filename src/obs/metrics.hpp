@@ -32,8 +32,6 @@
 
 namespace repro::obs {
 
-class JsonWriter;
-
 namespace detail {
 /// Shard index of the calling thread (stable per thread, hashed once).
 inline std::size_t shard_index(std::size_t nshards) {
@@ -186,24 +184,17 @@ class MetricsRegistry {
   /// Get-or-create; `bounds` is only used on first creation.
   Histogram& histogram(const std::string& name, std::vector<u64> bounds = {});
 
-  /// Snapshot of the registered histogram names (sorted). For exporters that
-  /// want to walk histograms without parsing the JSON dump.
-  std::vector<std::string> histogram_names() const;
-  /// Same, for counters and gauges (the Prometheus exporter walks all three).
-  std::vector<std::string> counter_names() const;
-  std::vector<std::string> gauge_names() const;
-
   /// Zero every metric (keeps registrations and references valid).
   void reset();
 
-  /// Human-readable dump, one metric per line, sorted by name.
-  std::string text() const;
   /// JSON object {"counters":{...},"gauges":{...},"histograms":{...}}.
   std::string json() const;
 
   std::size_t size() const;
 
  private:
+  friend std::string prometheus_text();  // obs/exposition.hpp walks the maps too
+
   mutable std::mutex m_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

@@ -36,9 +36,10 @@ ThreadPool::ThreadPool(unsigned threads, std::size_t queue_capacity)
 ThreadPool::~ThreadPool() { shutdown(); }
 
 void ThreadPool::enqueue(std::function<void()> f) {
-  const bool obs_on = obs::enabled();
-  Task t{std::move(f), obs_on ? obs::TraceRecorder::global().now_ns() : 0,
-         obs_on ? obs::TraceContext::current() : 0};
+  // The request id is a thread-local read and rides along even with obs off:
+  // the watchdog reports it as a stall's detail.
+  Task t{std::move(f), obs::enabled() ? obs::TraceRecorder::global().now_ns() : 0,
+         obs::TraceContext::current()};
   std::unique_lock<std::mutex> lk(state_m_);
   space_cv_.wait(lk, [&] { return stopping_ || draining_ || queue_.size() < capacity_; });
   if (stopping_) throw CompressionError("svc::ThreadPool: submit after shutdown");

@@ -87,8 +87,9 @@ class ThreadPool {
   /// 0 when observability is disabled). The timestamp is what turns into the
   /// svc.pool.task_wait_us histogram — time spent queued before a worker
   /// picked the task up, the service's scheduling-delay signal. `trace_ctx`
-  /// carries the submitter's obs::TraceContext id across the queue so spans
-  /// recorded while the task runs are tagged with the originating request.
+  /// carries the submitter's obs::TraceContext id across the queue (obs on
+  /// or off) so spans recorded while the task runs are tagged with the
+  /// originating request and a stalled task names it.
   struct Task {
     std::function<void()> fn;
     u64 enqueue_ns = 0;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -753,7 +754,8 @@ TEST(NetIntrospection, MetricsOpJsonPromAndHttpConsistent) {
   EXPECT_EQ(doc.at("schema").str, "pfpl-metrics/1");
   ASSERT_TRUE(doc.has("metrics"));
   ASSERT_TRUE(doc.has("stats"));
-  ASSERT_TRUE(doc.has("slow_requests"));
+  ASSERT_TRUE(doc.at("stats").has("slow_requests"));
+  EXPECT_FALSE(doc.has("slow_requests"));  // serialized once, inside stats
   EXPECT_GE(doc.at("stats").at("requests_compress").num, 1.0);
   const double json_requests =
       doc.at("metrics").at("counters").at("net.requests").num;
@@ -1048,9 +1050,11 @@ TEST(NetServer, AcceptShedsGracefullyOnFdExhaustion) {
   net::Client ok(ts.client_options());
   ok.ping();  // an established connection keeps working throughout
 
-  // Hoard every spare fd, then hand exactly one back so the client can
+  // Hoard every spare fd, then hand exactly one back so the victim can
   // connect — the server's accept() then fails with EMFILE and must shed
-  // (close the new conn) instead of dying or spinning.
+  // (close the new conn) instead of dying or spinning. Nothing may throw
+  // while the hoard is held: sanitizer runtimes need a free fd to report,
+  // so only plain syscalls run until the hoard is released.
   std::vector<int> hoard;
   for (;;) {
     const int fd = ::open("/dev/null", O_RDONLY);
@@ -1061,22 +1065,30 @@ TEST(NetServer, AcceptShedsGracefullyOnFdExhaustion) {
   ::close(hoard.back());
   hoard.pop_back();
 
-  bool shed_seen = false;
+  net::Socket victim;
+  bool connected = false;
   try {
-    net::Client::Options o = ts.client_options();
-    o.max_attempts = 1;
-    o.request_timeout_ms = 2000;
-    net::Client victim(o);
-    victim.ping();
-  } catch (const net::NetError&) {
-    shed_seen = true;  // connection closed/refused by the shed path
+    victim = net::tcp_connect("127.0.0.1", ts.server.port(), 2000);
+    connected = true;
+  } catch (...) {
   }
-  // Give the loop a beat to log the overload, then release the fds.
-  for (int i = 0; i < 200 && ts.server.stats().accept_overloads == 0; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // The shed closes the server's end: the victim reads EOF or ECONNRESET.
+  ssize_t got = -1;
+  int err = 0;
+  if (connected) {
+    pollfd p{victim.fd(), POLLIN, 0};
+    if (::poll(&p, 1, 2000) == 1) {
+      char byte;
+      got = ::recv(victim.fd(), &byte, 1, 0);
+      err = got < 0 ? errno : 0;
+    }
+  }
   for (int fd : hoard) ::close(fd);
 
-  EXPECT_TRUE(shed_seen);
+  ASSERT_TRUE(connected);
+  EXPECT_TRUE(got == 0 || (got < 0 && err == ECONNRESET)) << got << " " << err;
+  for (int i = 0; i < 200 && ts.server.stats().accept_overloads == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_GE(ts.server.stats().accept_overloads, 1u);
   // The server survived: existing and brand-new connections both work.
   ok.ping();

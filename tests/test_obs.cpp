@@ -463,15 +463,17 @@ TEST(ObsExposition, PrometheusTextWellFormed) {
 }
 
 TEST(ObsExposition, MetricsJsonDocParsesWithExtras) {
-  const std::string doc = obs::metrics_json_doc("\"extra\":{\"x\":1}");
+  const std::string doc = obs::metrics_json_doc("{\"x\":1}");
   obs::JsonValue v = obs::parse_json(doc);
   EXPECT_EQ(v.at("schema").str, "pfpl-metrics/1");
+  EXPECT_GT(v.at("ts_ms").num, 0);
   ASSERT_TRUE(v.at("metrics").is_object());
   EXPECT_TRUE(v.at("metrics").has("counters"));
-  EXPECT_DOUBLE_EQ(v.at("extra").at("x").num, 1);
-  // And without extras the document is still a valid close.
+  EXPECT_DOUBLE_EQ(v.at("stats").at("x").num, 1);
+  // Without stats the document has no "stats" key and is still valid.
   obs::JsonValue bare = obs::parse_json(obs::metrics_json_doc());
   EXPECT_TRUE(bare.has("metrics"));
+  EXPECT_FALSE(bare.has("stats"));
 }
 
 TEST(ObsExposition, ZeroObservationHistogramStaysWellFormed) {

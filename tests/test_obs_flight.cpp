@@ -1,7 +1,7 @@
 // Tests for the flight-recorder subsystem added with kernel attribution:
 // per-kernel byte/time accounting, the stall watchdog, the async-signal-safe
-// crash reporter (validated by actually crashing a forked child), and the
-// FlightRecorder ring + /history document round-trip.
+// crash reporter (validated by actually crashing a forked child), the
+// FlightRecorder ring + /history document round-trip, and the stall dump.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
@@ -13,6 +13,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,7 +26,9 @@
 #include "obs/json.hpp"
 #include "obs/kernels.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
+#include "svc/thread_pool.hpp"
 
 using namespace repro;
 
@@ -158,6 +162,32 @@ TEST(Watchdog, DisarmedScopeIsInert) {
   wd.reset_for_tests();
 }
 
+// A pool task names the request it serves even with obs off: the pool
+// carries the submitter's TraceContext id, and the watchdog reports it as
+// the stall's detail.
+TEST(Watchdog, StallDetailIsRequestIdWithObsOff) {
+  ObsGuard guard(false);
+  obs::Watchdog& wd = obs::Watchdog::global();
+  wd.reset_for_tests();
+  wd.arm(20);
+  svc::ThreadPool pool(1);
+  std::future<void> done;
+  {
+    obs::TraceContext::Scope ctx(42);
+    done = pool.submit([] { std::this_thread::sleep_for(std::chrono::milliseconds(100)); });
+  }
+  std::vector<obs::Watchdog::Stall> stalls;
+  for (int i = 0; i < 200 && stalls.empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    stalls = wd.check();
+  }
+  done.get();
+  ASSERT_EQ(stalls.size(), 1u);
+  EXPECT_EQ(stalls[0].slot, "svc.worker.0");
+  EXPECT_EQ(stalls[0].detail, 42u);
+  wd.reset_for_tests();
+}
+
 // ------------------------------------------------------------ crash report --
 
 TEST(CrashHandler, ForkedChildCrashWritesParseableReport) {
@@ -223,7 +253,7 @@ TEST(FlightRecorder, HistoryDocumentRoundTripsAndRingIsBounded) {
   obs::FlightRecorder::Options o;
   o.interval_ms = 10;
   o.depth = 4;
-  o.extra = [] { return std::string("{\"probe\":123}"); };
+  o.stats = [] { return std::string("{\"probe\":123}"); };
   fr.configure(o);
 
   obs::MetricsRegistry::global().reset();
@@ -250,12 +280,53 @@ TEST(FlightRecorder, HistoryDocumentRoundTripsAndRingIsBounded) {
     EXPECT_GT(s.at("seq").num, prev_seq);
     prev_seq = s.at("seq").num;
     EXPECT_GT(s.at("ts_ms").num, 0);
-    // The registry snapshot and the caller-supplied extra both ride along.
+    // Each entry is a metrics snapshot: the registry and the caller's stats.
+    EXPECT_EQ(s.at("schema").str, "pfpl-metrics/1");
     EXPECT_DOUBLE_EQ(s.at("metrics").at("counters").at("flight.test.count").num, 7);
-    EXPECT_DOUBLE_EQ(s.at("extra").at("probe").num, 123);
+    EXPECT_DOUBLE_EQ(s.at("stats").at("probe").num, 123);
   }
   fr.clear();
   EXPECT_EQ(fr.snapshot_count(), 0u);
+}
+
+// A stall dump is the history document at full depth, so the snapshots in it
+// are metrics snapshots and its stalls_detected counts the stall.
+TEST(FlightRecorder, StallDumpIsTheHistoryDocument) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "pfpl_stall_dump_test";
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  obs::Watchdog& wd = obs::Watchdog::global();
+  wd.reset_for_tests();
+  obs::FlightRecorder& fr = obs::FlightRecorder::global();
+  fr.clear();
+  obs::FlightRecorder::Options o;
+  o.stall_ms = 20;
+  o.crash_dir = dir.string();
+  fr.configure(o);
+
+  fr.sample_now();  // one snapshot before the stall
+  const int slot = wd.register_slot("test.stalled");
+  {
+    obs::StallScope scope(slot, 7);
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    fr.sample_now();
+  }
+
+  std::ifstream in(dir / "stall-1.json");
+  ASSERT_TRUE(in.good());
+  const std::string doc((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  obs::JsonValue v = obs::parse_json(doc);
+  EXPECT_EQ(v.at("schema").str, "pfpl-flight/1");
+  EXPECT_GE(v.at("stalls_detected").num, 1);
+  const auto& snaps = v.at("snapshots").arr;
+  ASSERT_EQ(snaps.size(), 2u);
+  for (const obs::JsonValue& s : snaps) EXPECT_EQ(s.at("schema").str, "pfpl-metrics/1");
+
+  fr.configure({});
+  fr.clear();
+  wd.reset_for_tests();
+  fs::remove_all(dir, ec);
 }
 
 TEST(FlightRecorder, SamplerThreadSamplesOnItsOwn) {
