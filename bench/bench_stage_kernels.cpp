@@ -104,6 +104,33 @@ void BM_ZeroByteEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_ZeroByteEncode);
 
+/// Decodes the BM_ZeroByteEncode stream with `decode`.
+void zerobyte_decode_bench(benchmark::State& state,
+                           std::size_t (*decode)(const u8*, std::size_t, u8*, std::size_t)) {
+  auto w = quantized_words(kN);
+  bits::delta_negabinary_encode(w.data(), kN);
+  bits::bitshuffle(w.data(), kN);
+  std::vector<u8> enc;
+  bits::zerobyte_encode(reinterpret_cast<const u8*>(w.data()), kN * 4, enc);
+  std::vector<u8> out(kN * 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(decode(enc.data(), enc.size(), out.data(), out.size()));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * kN * 4);
+}
+
+void BM_ZeroByteDecode(benchmark::State& state) {
+  zerobyte_decode_bench(state, bits::zerobyte_decode);
+}
+BENCHMARK(BM_ZeroByteDecode);
+
+void BM_ZeroByteDecodeScalar(benchmark::State& state) {
+  zerobyte_decode_bench(state, bits::scalar::zerobyte_decode);
+}
+BENCHMARK(BM_ZeroByteDecodeScalar);
+
 void BM_ChunkPipeline(benchmark::State& state) {
   auto w = quantized_words(kN);
   constexpr std::size_t cw = pfpl::chunk_words<u32>();

@@ -89,8 +89,9 @@ std::vector<u8> decompress_f32(const Bytes& in, const BaselineHeader& h) {
       std::size_t off = pos + offsets[c];
       if (off + sizes[c] > in.size()) throw CompressionError("fzgpu: truncated chunk");
       std::vector<u32> w(padded);
-      bits::zerobyte_decode(in.data() + off, sizes[c], reinterpret_cast<u8*>(w.data()),
-                            padded * 4);
+      if (bits::zerobyte_decode(in.data() + off, sizes[c], reinterpret_cast<u8*>(w.data()),
+                                padded * 4) != sizes[c])
+        throw CompressionError("fzgpu: chunk size table disagrees with chunk payload");
       bits::bitshuffle(w.data(), padded);
       i32 q = 0;
       for (std::size_t i = 0; i < len; ++i) {

@@ -1,12 +1,13 @@
-// AVX2 tier of the lossless encode stages: the bit-shuffle tile transpose
-// and zero-byte elimination (bitshuffle.hpp, zerobyte.hpp).
+// AVX2 tier of the lossless stages: the bit-shuffle tile transpose and
+// zero-byte elimination, encode and decode (bitshuffle.hpp, zerobyte.hpp).
 //
 // The scalar:: functions are the specification. For every input these
-// kernels write the same bytes, so streams stay identical on every host and
-// tier. The kernels carry target("avx2") and no other ISA extension (the
-// exported wrappers at the bottom carry none); the tier is picked once per
-// process by common::has_avx2(). The transpose is self-inverse, so the
-// decoder's unshuffle runs this kernel too; zero-byte decode stays scalar.
+// kernels write the same bytes, return the same consumed count and throw the
+// same CompressionError, so streams stay identical on every host and tier.
+// The kernels carry target("avx2") and no other ISA extension (the exported
+// wrappers at the bottom carry none); the tier is picked once per process by
+// common::has_avx2(). The transpose is self-inverse, so the decoder's
+// unshuffle runs this kernel too.
 //
 // Bit shuffle. A 32x32 tile is first transposed bytewise: plane b holds byte
 // b of rows 31..0. Bit 7-s of plane b's byte j is then bit 8b+7-s of row
@@ -21,6 +22,16 @@
 // repeat levels. Survivors are packed 8 bytes at a time with a pshufb table
 // indexed by the bitmap byte, straight into the output. BMI2 pext would do
 // the same but is microcoded on AMD Zen 1/2, and the tier asks for AVX2 only.
+//
+// Zero-byte decode. Each level's survivor count is a popcount over exactly
+// the bitmap bits the scalar loop visits, and the survivors are taken with
+// the scalar bounds check and message, so a hostile stream fails at the same
+// point. Levels and data are then rebuilt 8 bytes at a time with two more
+// pshufb tables (kUnpackRepeat, kUnpackZero), the inverse of pack; pdep would
+// do the same and is microcoded on the same CPUs. A vector step reads 8
+// survivor bytes only while 8 remain before in + in_size and writes 8 bytes
+// only while 8 remain before the level's (or the data's) end; the rest of a
+// level runs the scalar loop. DESIGN.md §8.2 has the proof obligations.
 #include "bits/avx2.hpp"
 
 #include "bits/bitshuffle.hpp"
@@ -133,7 +144,27 @@ constexpr ShuffleTable make_pack() {
   return t;
 }
 
+/// Unpack zeros: lane j takes the next survivor where bit j is set and 0
+/// (index 0x80) elsewhere.
+constexpr ShuffleTable make_unpack_zero() {
+  ShuffleTable t{};
+  for (int m = 0; m < 256; ++m)
+    for (int j = 0, c = 0; j < 8; ++j) t.v[m][j] = (m >> j) & 1 ? static_cast<u8>(c++) : 0x80;
+  return t;
+}
+
+/// Unpack repeats, from [prev, r0, r1, ...]: lane j takes entry
+/// popcount(bits 0..j), the last byte taken at or before j.
+constexpr ShuffleTable make_unpack_repeat() {
+  ShuffleTable t{};
+  for (int m = 0; m < 256; ++m)
+    for (int j = 0, c = 0; j < 8; ++j) t.v[m][j] = static_cast<u8>(c += (m >> j) & 1);
+  return t;
+}
+
 constexpr ShuffleTable kPack = make_pack();
+constexpr ShuffleTable kUnpackZero = make_unpack_zero();
+constexpr ShuffleTable kUnpackRepeat = make_unpack_repeat();
 
 constexpr int kLevels = kZeroByteLevels;
 using LevelSizes = std::array<std::size_t, kLevels + 1>;
@@ -202,6 +233,55 @@ BITS_AVX2_INLINE u8* pack(const u8* src, std::size_t m, const u8* keep, u8* dst)
   return dst;
 }
 
+/// Set bits among the first `bits` bits of b. Reads whole words:
+/// round_up(bits, 64) / 8 bytes.
+BITS_AVX2_INLINE std::size_t count_bits(const u8* b, std::size_t bits) {
+  std::size_t c = 0, i = 0;
+  u64 w;
+  for (; i + 64 <= bits; i += 64) {
+    std::memcpy(&w, b + i / 8, 8);
+    c += static_cast<std::size_t>(std::popcount(w));
+  }
+  if (i < bits) {
+    std::memcpy(&w, b + i / 8, 8);
+    c += static_cast<std::size_t>(std::popcount(w & ((u64{1} << (bits - i)) - 1)));
+  }
+  return c;
+}
+
+/// Rebuilds bitmap level `cur` (m bytes) from its repeat bitmap `keep` and
+/// its non-repeating bytes r: byte i is the last r byte taken at or before i,
+/// 0 before the first. Reads r only below r + avail.
+BITS_AVX2_INLINE void unpack_repeat(const u8* keep, std::size_t m, const u8* r, std::size_t avail,
+                                    u8* cur) {
+  std::size_t i = 0, ri = 0;
+  for (; i + 8 <= m && ri + 8 <= avail; i += 8) {
+    const unsigned k = keep[i / 8];
+    const u8 prev = ri ? r[ri - 1] : u8{0};
+    const __m128i from = _mm_insert_epi8(_mm_slli_si128(load8(r + ri), 1), prev, 0);
+    store8(cur + i, _mm_shuffle_epi8(from, load8(kUnpackRepeat.v[k])));
+    ri += static_cast<std::size_t>(std::popcount(k));
+  }
+  u8 prev = ri ? r[ri - 1] : u8{0};
+  for (; i < m; ++i) {
+    if ((keep[i >> 3] >> (i & 7)) & 1u) prev = r[ri++];
+    cur[i] = prev;
+  }
+}
+
+/// Rebuilds n data bytes from B0 (`keep`) and the nonzero bytes z. Reads z
+/// only below z + avail.
+BITS_AVX2_INLINE void unpack_zero(const u8* keep, std::size_t n, const u8* z, std::size_t avail,
+                                  u8* data) {
+  std::size_t i = 0, zi = 0;
+  for (; i + 8 <= n && zi + 8 <= avail; i += 8) {
+    const unsigned k = keep[i / 8];
+    store8(data + i, _mm_shuffle_epi8(load8(z + zi), load8(kUnpackZero.v[k])));
+    zi += static_cast<std::size_t>(std::popcount(k));
+  }
+  for (; i < n; ++i) data[i] = ((keep[i >> 3] >> (i & 7)) & 1u) ? z[zi++] : u8{0};
+}
+
 BITS_AVX2 void shuffle_tiles(u32* w, std::size_t n) {
   for (std::size_t i = 0; i + 32 <= n; i += 32) tile32(w + i);
 }
@@ -238,12 +318,47 @@ BITS_AVX2 void encode(const u8* data, std::size_t n, std::vector<u8>& out) {
   out.resize(static_cast<std::size_t>(p - out.data()));
 }
 
+BITS_AVX2 std::size_t decode(const u8* in, std::size_t in_size, u8* data, std::size_t n) {
+  const LevelSizes size = level_sizes(n);
+  std::size_t pos = 0;
+  auto take = [&](std::size_t k) {
+    if (pos + k > in_size) throw CompressionError("zerobyte_decode: truncated stream");
+    const u8* p = in + pos;
+    pos += k;
+    return p;
+  };
+  // Bitmap B_k starts at at[k], zero-padded to a multiple of 8 bytes so that
+  // count_bits may read whole words.
+  LevelSizes at{};
+  std::size_t total = 0;
+  for (int k = 0; k <= kLevels; ++k) {
+    at[k] = total;
+    total += round_up(size[k], 8);
+  }
+  std::vector<u8> scratch(total, 0);
+  u8* const base = scratch.data();
+
+  const u8* top = take(size[kLevels]);
+  std::copy_n(top, size[kLevels], base + at[kLevels]);
+  for (int k = kLevels - 1; k >= 0; --k) {
+    const u8* r = take(count_bits(base + at[k + 1], size[k]));
+    unpack_repeat(base + at[k + 1], size[k], r, in_size - static_cast<std::size_t>(r - in),
+                  base + at[k]);
+  }
+  const u8* z = take(count_bits(base + at[0], n));
+  unpack_zero(base + at[0], n, z, in_size - static_cast<std::size_t>(z - in), data);
+  return pos;
+}
+
 }  // namespace
 
 void bitshuffle(u32* w, std::size_t n) { shuffle_tiles(w, n); }
 void bitshuffle(u64* w, std::size_t n) { shuffle_tiles(w, n); }
 void zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out) {
   encode(data, n, out);
+}
+std::size_t zerobyte_decode(const u8* in, std::size_t in_size, u8* data, std::size_t n) {
+  return decode(in, in_size, data, n);
 }
 
 }  // namespace repro::bits::avx2
@@ -256,6 +371,9 @@ void bitshuffle(u32* w, std::size_t n) { scalar::bitshuffle(w, n); }
 void bitshuffle(u64* w, std::size_t n) { scalar::bitshuffle(w, n); }
 void zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out) {
   scalar::zerobyte_encode(data, n, out);
+}
+std::size_t zerobyte_decode(const u8* in, std::size_t in_size, u8* data, std::size_t n) {
+  return scalar::zerobyte_decode(in, in_size, data, n);
 }
 
 }  // namespace repro::bits::avx2

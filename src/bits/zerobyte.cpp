@@ -45,6 +45,11 @@ void zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out) {
   scalar::zerobyte_encode(data, n, out);
 }
 
+std::size_t zerobyte_decode(const u8* in, std::size_t in_size, u8* data, std::size_t n) {
+  if (common::has_avx2()) return avx2::zerobyte_decode(in, in_size, data, n);
+  return scalar::zerobyte_decode(in, in_size, data, n);
+}
+
 void scalar::zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out) {
   // Level 0: zero-byte bitmap over the data.
   std::array<std::vector<u8>, kZeroByteLevels + 1> bitmaps;
@@ -64,7 +69,8 @@ void scalar::zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out
   out.insert(out.end(), nonzero.begin(), nonzero.end());
 }
 
-std::size_t zerobyte_decode(const u8* in, std::size_t in_size, u8* data, std::size_t n) {
+std::size_t scalar::zerobyte_decode(const u8* in, std::size_t in_size, u8* data,
+                                     std::size_t n) {
   // Sizes of every bitmap level are derivable from n alone.
   std::array<std::size_t, kZeroByteLevels + 1> sizes;
   sizes[0] = bitmap_bytes(n);

@@ -12,10 +12,11 @@
 // where B_{k+1} is the repeat-bitmap of B_k, R_k holds the non-repeating
 // bytes of B_k, and NZ holds the nonzero data bytes.
 //
-// zerobyte_encode() runs the AVX2 tier (lossless_avx2.cpp) when the CPU has
-// AVX2 and scalar::zerobyte_encode() otherwise; both append the same bytes
-// for every input, and the scalar function is the reference. The decoder has
-// one tier, the scalar loop.
+// zerobyte_encode() and zerobyte_decode() run the AVX2 tier
+// (lossless_avx2.cpp) when the CPU has AVX2 and the scalar:: functions
+// otherwise. For every input both tiers write the same bytes, return the same
+// consumed count and throw the same CompressionError; the scalar functions
+// are the reference.
 #pragma once
 
 #include <cstddef>
@@ -36,14 +37,16 @@ inline constexpr int kZeroByteLevels = 3;
 void zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out);
 
 /// Decode exactly `n` bytes into `data` from `in` (at most `in_size` bytes
-/// available). Returns the number of input bytes consumed.
-/// Throws CompressionError if the stream is truncated.
+/// available). Returns the number of input bytes consumed; the stream holds
+/// no length of its own, so a caller that knows its size must compare the
+/// two. Throws CompressionError if the stream is truncated.
 std::size_t zerobyte_decode(const u8* in, std::size_t in_size, u8* data, std::size_t n);
 
 namespace scalar {
 
 /// The reference tier, one byte and one bitmap bit at a time.
 void zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out);
+std::size_t zerobyte_decode(const u8* in, std::size_t in_size, u8* data, std::size_t n);
 
 }  // namespace scalar
 

@@ -157,7 +157,8 @@ class ZeroByteStage final : public Stage {
   }
   void decode(std::vector<u8>& d, std::size_t original_size) const override {
     std::vector<u8> out(original_size);
-    bits::zerobyte_decode(d.data(), d.size(), out.data(), original_size);
+    if (bits::zerobyte_decode(d.data(), d.size(), out.data(), original_size) != d.size())
+      throw CompressionError("zbe stage: trailing bytes after the stream");
     d = std::move(out);
   }
 };

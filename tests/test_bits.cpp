@@ -12,9 +12,12 @@
 #include "bits/zerobyte.hpp"
 #include "common/cpu.hpp"
 #include "data/rng.hpp"
+#include "zerobyte_tiers.hpp"
 
 using namespace repro;
 using namespace repro::bits;
+using repro::tiers::exact_copy;
+using repro::tiers::expect_decode_agrees;
 
 // --- negabinary ------------------------------------------------------------
 
@@ -201,10 +204,11 @@ TEST(ZeroByte, TruncatedStreamThrows) {
 }
 
 // --- SIMD tier equivalence ------------------------------------------------------
-// bitshuffle() and zerobyte_encode() run the AVX2 tier on CPUs that have it;
-// these compare them with the scalar:: reference on inputs chosen to reach
-// every branch of the tier: bit-permutation bases, every length around the
-// vector widths, and bitmaps that repeat across vector boundaries.
+// bitshuffle() and zerobyte_*() run the AVX2 tier on CPUs that have it; these
+// compare them with the scalar:: reference on inputs chosen to reach every
+// branch of the tier: bit-permutation bases, every length around the vector
+// widths, bitmaps that repeat across vector boundaries, and hostile streams
+// for the decoder.
 
 namespace {
 
@@ -238,14 +242,6 @@ std::vector<u8> sparse_bytes(data::Rng& rng, std::size_t n, double zeros) {
   return d;
 }
 
-/// A heap copy of exactly v.size() bytes, so a sanitizer build reports any
-/// read past its end.
-std::unique_ptr<u8[]> exact_copy(const std::vector<u8>& v) {
-  std::unique_ptr<u8[]> p(new u8[v.size()]);
-  std::copy(v.begin(), v.end(), p.get());
-  return p;
-}
-
 /// Both encode tiers, appended to a non-empty prefix, must agree byte for
 /// byte; the scalar decoder must then give back `d` and consume exactly the
 /// encoded bytes.
@@ -260,8 +256,14 @@ void expect_encode_agrees(const std::vector<u8>& d, const std::string& what) {
   const std::vector<u8> enc(got.begin() + 2, got.end());
   const std::unique_ptr<u8[]> in = exact_copy(enc);
   const std::unique_ptr<u8[]> back(new u8[n]);
-  ASSERT_EQ(zerobyte_decode(in.get(), enc.size(), back.get(), n), enc.size()) << what;
+  ASSERT_EQ(scalar::zerobyte_decode(in.get(), enc.size(), back.get(), n), enc.size()) << what;
   ASSERT_TRUE(std::equal(d.begin(), d.end(), back.get())) << what;
+}
+
+std::vector<u8> scalar_encoding(const std::vector<u8>& d) {
+  std::vector<u8> enc;
+  scalar::zerobyte_encode(d.data(), d.size(), enc);
+  return enc;
 }
 
 }  // namespace
@@ -296,9 +298,12 @@ TEST(BitsTiers, ZeroByteEncodeEveryLengthAndDensity) {
   std::iota(sizes.begin(), sizes.end(), std::size_t{0});
   for (std::size_t n : {16383, 16384, 16385}) sizes.push_back(n);
   for (std::size_t n : sizes)
-    for (double zeros : {0.0, 0.5, 0.9, 1.0})
-      expect_encode_agrees(sparse_bytes(rng, n, zeros),
-                           "n=" + std::to_string(n) + " zeros=" + std::to_string(zeros));
+    for (double zeros : {0.0, 0.5, 0.9, 1.0}) {
+      const std::vector<u8> d = sparse_bytes(rng, n, zeros);
+      const std::string what = "n=" + std::to_string(n) + " zeros=" + std::to_string(zeros);
+      expect_encode_agrees(d, what);
+      expect_decode_agrees(scalar_encoding(d), n, what);
+    }
 }
 
 TEST(BitsTiers, ZeroByteEncodeRepeatingBitmaps) {
@@ -311,6 +316,58 @@ TEST(BitsTiers, ZeroByteEncodeRepeatingBitmaps) {
       std::vector<u8> d(n);
       for (std::size_t i = 0; i < n; ++i)
         d[i] = (i % period) < period / 2 ? u8{0} : static_cast<u8>(1 + rng.next_u64() % 255);
-      expect_encode_agrees(d, "period=" + std::to_string(period) + " n=" + std::to_string(n));
+      const std::string what = "period=" + std::to_string(period) + " n=" + std::to_string(n);
+      expect_encode_agrees(d, what);
+      expect_decode_agrees(scalar_encoding(d), n, what);
     }
+}
+
+TEST(BitsTiers, ZeroByteDecodeEveryTruncation) {
+  SKIP_WITHOUT_AVX2();
+  data::Rng rng(23);
+  for (std::size_t n : {std::size_t{37}, std::size_t{1001}, std::size_t{16384}}) {
+    const std::vector<u8> enc = scalar_encoding(sparse_bytes(rng, n, 0.6));
+    for (std::size_t len = 0; len <= enc.size(); ++len)
+      expect_decode_agrees(std::vector<u8>(enc.begin(), enc.begin() + len), n,
+                           "n=" + std::to_string(n) + " len=" + std::to_string(len));
+  }
+}
+
+TEST(BitsTiers, ZeroByteDecodeRandomFlips) {
+  SKIP_WITHOUT_AVX2();
+  data::Rng rng(24);
+  for (std::size_t n : {std::size_t{100}, std::size_t{1003}, std::size_t{16384}}) {
+    const std::vector<u8> enc = scalar_encoding(sparse_bytes(rng, n, 0.7));
+    for (int t = 0; t < 1000; ++t) {
+      std::vector<u8> bad = enc;
+      // Most flips land in the bitmaps at the front, which change the parse.
+      const std::size_t span = t % 2 ? bad.size() : std::min<std::size_t>(bad.size(), 300);
+      for (int f = 0; f < 1 + t % 4; ++f)
+        bad[rng.next_u64() % span] ^= static_cast<u8>(1u << (rng.next_u64() % 8));
+      // Slack or shortfall at the end, as a damaged chunk table would give.
+      if (t % 3 == 1) bad.push_back(static_cast<u8>(rng.next_u64()));
+      if (t % 3 == 2) bad.resize(bad.size() - 1);
+      expect_decode_agrees(bad, n, "n=" + std::to_string(n) + " t=" + std::to_string(t));
+    }
+  }
+}
+
+TEST(BitsTiers, ZeroByteDecodeIgnoresPaddingBits) {
+  SKIP_WITHOUT_AVX2();
+  // All-ones input: every bitmap bit is set, including the bits of each
+  // level's last byte that lie beyond the level (or beyond n). Both tiers
+  // must ignore those bits and consume the same count.
+  data::Rng rng(25);
+  for (std::size_t n : {1, 7, 9, 63, 65, 1001, 16383, 16385}) {
+    std::size_t need = n, s = n;
+    for (int k = 0; k <= kZeroByteLevels; ++k) need += s = (s + 7) / 8;
+    std::vector<u8> ones(need + 5, 0xFF);
+    expect_decode_agrees(ones, n, "ones n=" + std::to_string(n));
+    std::vector<u8> junk(need + 5);
+    for (auto& b : junk) b = static_cast<u8>(rng.next_u64());
+    expect_decode_agrees(junk, n, "junk n=" + std::to_string(n));
+    for (std::size_t len : {std::size_t{0}, need / 2, need - 1, need})
+      expect_decode_agrees(std::vector<u8>(ones.begin(), ones.begin() + len), n,
+                           "ones n=" + std::to_string(n) + " len=" + std::to_string(len));
+  }
 }

@@ -9,11 +9,17 @@
 #include <span>
 
 #include "baselines/registry.hpp"
+#include "baselines/sz_common.hpp"
+#include "common/cpu.hpp"
 #include "core/pfpl.hpp"
+#include "core/pipeline.hpp"
 #include "core/stream.hpp"
 #include "data/rng.hpp"
+#include "data/synthetic.hpp"
+#include "lc/stage.hpp"
 #include "lossless/huffman.hpp"
 #include "lossless/lz.hpp"
+#include "zerobyte_tiers.hpp"
 
 using namespace repro;
 
@@ -41,13 +47,19 @@ void expect_graceful(Fn&& decode) {
   }
 }
 
+/// The u32 size table of `nchunks` chunks at byte `table` of s, as stored:
+/// PFPL entries keep their raw flag.
+std::vector<u32> chunk_sizes(const Bytes& s, std::size_t table, std::size_t nchunks) {
+  std::vector<u32> sizes(nchunks);
+  std::memcpy(sizes.data(), s.data() + table, nchunks * sizeof(u32));
+  return sizes;
+}
+
 /// Inserts one junk byte after chunk c's payload and adds 1 to its
-/// size-table entry, leaving every other chunk where the table says.
-Bytes with_chunk_slack(const Bytes& s, std::size_t c) {
-  const pfpl::Header h = pfpl::peek_header(s);
-  const std::size_t table = sizeof(pfpl::Header);
-  std::vector<u32> sizes(h.chunk_count);
-  std::memcpy(sizes.data(), s.data() + table, sizes.size() * sizeof(u32));
+/// size-table entry (`nchunks` u32 entries at byte `table`), leaving every
+/// other chunk where the table says.
+Bytes with_chunk_slack(const Bytes& s, std::size_t table, std::size_t nchunks, std::size_t c) {
+  const std::vector<u32> sizes = chunk_sizes(s, table, nchunks);
   std::size_t end = table + sizes.size() * sizeof(u32);
   for (std::size_t i = 0; i <= c; ++i) end += sizes[i] & ~pfpl::kRawChunkFlag;
   Bytes bad(s.begin(), s.begin() + static_cast<std::ptrdiff_t>(end));
@@ -56,6 +68,11 @@ Bytes with_chunk_slack(const Bytes& s, std::size_t c) {
   const u32 grown = sizes[c] + 1;  // the raw flag is the top bit: unchanged
   std::memcpy(bad.data() + table + c * sizeof(u32), &grown, sizeof(u32));
   return bad;
+}
+
+/// with_chunk_slack for a PFPL stream.
+Bytes with_pfpl_chunk_slack(const Bytes& s, std::size_t c) {
+  return with_chunk_slack(s, sizeof(pfpl::Header), pfpl::peek_header(s).chunk_count, c);
 }
 
 }  // namespace
@@ -77,7 +94,7 @@ TEST(Fuzz, PfplChunkSlackRejected) {
     std::memcpy(&first_entry, c.data() + sizeof(pfpl::Header), sizeof(u32));
     ASSERT_EQ((first_entry & pfpl::kRawChunkFlag) != 0, v == &noise);
     for (std::size_t chunk : {std::size_t{0}, std::size_t{h.chunk_count - 1}}) {
-      const Bytes bad = with_chunk_slack(c, chunk);
+      const Bytes bad = with_pfpl_chunk_slack(c, chunk);
       for (pfpl::Executor exec :
            {pfpl::Executor::Serial, pfpl::Executor::OpenMP, pfpl::Executor::GpuSim}) {
         EXPECT_NO_THROW(pfpl::decompress(c, exec));
@@ -88,6 +105,86 @@ TEST(Fuzz, PfplChunkSlackRejected) {
       EXPECT_EQ(pfpl::StreamDecoder(c).read(std::span<float>(out)), out.size());
     }
   }
+}
+
+TEST(Fuzz, FzGpuChunkSlackRejected) {
+  // The FZ-GPU-like baseline's chunks are bare zero-byte streams: a size
+  // entry longer than its chunk's stream must be refused like PFPL's.
+  auto v = field_3d(24 * 24 * 24, 16);
+  const Field field(v.data(), {24, 24, 24});
+  const auto fz = baselines::find_compressor("FZ-GPU_CUDAsim");
+  const Bytes c = fz->compress(field, 1e-3, EbType::NOA);
+  const std::size_t nchunks = (v.size() + 4095) / 4096;
+  ASSERT_GT(nchunks, 1u);
+  EXPECT_NO_THROW(fz->decompress(c));
+  for (std::size_t chunk : {std::size_t{0}, nchunks - 1})
+    EXPECT_THROW(fz->decompress(with_chunk_slack(c, sizeof(baselines::BaselineHeader), nchunks,
+                                                 chunk)),
+                 CompressionError)
+        << "chunk " << chunk;
+}
+
+TEST(Fuzz, LcZeroByteStageSlackRejected) {
+  // In an LC pipeline the last stage's payload is the rest of the buffer, so
+  // one junk byte at the end lengthens the zbe stage's input by one.
+  auto v = field_3d(8192, 17);
+  std::vector<u8> raw(v.size() * sizeof(float));
+  std::memcpy(raw.data(), v.data(), raw.size());
+  const lc::Pipeline p(
+      {lc::make_diff_negabinary(32), lc::make_bitshuffle(32), lc::make_zerobyte()});
+  std::vector<u8> enc = p.encode(raw);
+  EXPECT_EQ(p.decode(enc, raw.size()), raw);
+  enc.push_back(0x5A);
+  EXPECT_THROW(p.decode(enc, raw.size()), CompressionError);
+}
+
+TEST(Fuzz, ZeroByteTiersAgreeOnMutatedSuiteChunks) {
+  if (!common::has_avx2()) GTEST_SKIP() << "this CPU has no AVX2";
+  // Every compressed chunk of one small file per paper suite, under bounded
+  // seeded damage: bit flips in the front of the chunk, where the top bitmap
+  // and the repeat bytes sit; truncation by 1..8 bytes; one slack byte.
+  data::Rng rng(18);
+  const std::vector<data::SuiteSpec> specs = data::paper_suites();
+  std::size_t compressed = 0;
+  for (std::size_t si = 0; si < specs.size(); ++si) {
+    const data::Suite suite = data::generate(specs[si], 1 << 14, 1);
+    const data::SyntheticFile& file = suite.files.at(0);
+    const EbType eb = si % 3 == 0 ? EbType::ABS : si % 3 == 1 ? EbType::REL : EbType::NOA;
+    const Bytes c = pfpl::compress(file.field(), {1e-3, eb});
+    const pfpl::Header h = pfpl::peek_header(c);
+    const std::size_t width = h.dtype == DType::F32 ? 4 : 8;
+    const std::size_t per_chunk = pfpl::kChunkBytes / width;
+    const std::size_t table = sizeof(pfpl::Header);
+    const std::vector<u32> sizes = chunk_sizes(c, table, h.chunk_count);
+    std::size_t off = table + sizes.size() * sizeof(u32);
+    for (std::size_t ci = 0; ci < sizes.size(); ++ci) {
+      const std::size_t at = off, csize = sizes[ci] & ~pfpl::kRawChunkFlag;
+      off += csize;
+      if (sizes[ci] & pfpl::kRawChunkFlag) continue;
+      ++compressed;
+      const std::vector<u8> payload(c.begin() + static_cast<std::ptrdiff_t>(at),
+                                    c.begin() + static_cast<std::ptrdiff_t>(at + csize));
+      const std::size_t k = std::min(per_chunk, h.value_count - ci * per_chunk);
+      const std::size_t n = (width == 4 ? pfpl::padded_words<u32>(k)
+                                        : pfpl::padded_words<u64>(k)) * width;
+      const std::string what = specs[si].name + " chunk " + std::to_string(ci);
+      tiers::expect_decode_agrees(payload, n, what);
+      const std::size_t front = std::min<std::size_t>(payload.size(), 256);
+      for (int t = 0; t < 8; ++t) {
+        std::vector<u8> bad = payload;
+        for (int f = 0; f <= t % 3; ++f)
+          bad[rng.next_u64() % front] ^= static_cast<u8>(1u << (rng.next_u64() % 8));
+        tiers::expect_decode_agrees(bad, n, what + " flip " + std::to_string(t));
+      }
+      for (std::size_t cut = 1; cut <= std::min<std::size_t>(8, payload.size()); ++cut)
+        tiers::expect_decode_agrees(std::vector<u8>(payload.begin(), payload.end() - cut), n,
+                                    what + " cut " + std::to_string(cut));
+      std::vector<u8> slack = payload;
+      slack.push_back(static_cast<u8>(rng.next_u64()));
+      tiers::expect_decode_agrees(slack, n, what + " slack");
+    }
+  }
+  EXPECT_GE(compressed, specs.size()) << "too few compressed chunks to compare";
 }
 
 TEST(Fuzz, PfplTruncationsAllLengths) {
