@@ -130,17 +130,11 @@ Bytes compress_typed(const Field& in, double eps, EbType eb) {
 template <typename T>
 std::vector<u8> decompress_typed(const Bytes& in, const BaselineHeader& h) {
   const std::size_t n = h.count;
-  std::size_t pos = sizeof(BaselineHeader);
-  if (pos + 8 > in.size()) throw CompressionError("sperr: truncated correction table");
-  u64 ncorr;
-  std::memcpy(&ncorr, in.data() + pos, 8);
-  pos += 8;
-  const std::size_t corr_bytes = ncorr * (8 + sizeof(T));
-  if (pos + corr_bytes > in.size()) throw CompressionError("sperr: truncated corrections");
-  const u8* corr = in.data() + pos;
-  pos += corr_bytes;
-
-  SzPayload p = sz_unpack(in.data() + pos, in.size() - pos);
+  common::ByteReader r(in, "sperr");
+  r.take_bytes(sizeof(BaselineHeader));
+  const u64 ncorr = r.take<u64>();
+  const u8* corr = r.take_bytes(r.size_for(ncorr, 8 + sizeof(T), "truncated corrections"));
+  SzPayload p = sz_unpack(in.data() + r.offset(), r.remaining());
   if (p.codes.size() != n) throw CompressionError("sperr: code count mismatch");
   SzQuantizer<double> q(h.eps / 4.0);
   std::vector<double> coeffs(n);
@@ -153,9 +147,8 @@ std::vector<u8> decompress_typed(const Bytes& in, const BaselineHeader& h) {
   T* values = reinterpret_cast<T*>(out.data());
   for (std::size_t i = 0; i < n; ++i) values[i] = static_cast<T>(coeffs[i]);
   for (u64 c = 0; c < ncorr; ++c) {
-    u64 idx;
+    const u64 idx = common::get_le<u64>(corr + c * (8 + sizeof(T)));
     T v;
-    std::memcpy(&idx, corr + c * (8 + sizeof(T)), 8);
     std::memcpy(&v, corr + c * (8 + sizeof(T)) + 8, sizeof(T));
     if (idx < n) values[idx] = v;
   }

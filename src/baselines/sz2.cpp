@@ -323,24 +323,15 @@ Bytes rel_compress(const T* d, std::array<std::size_t, 3> dims, double eps,
 template <typename T>
 std::vector<u8> rel_decompress(const Bytes& in, const BaselineHeader& h) {
   const std::size_t n = h.count;
-  std::size_t pos = sizeof(BaselineHeader);
-  auto read_u64 = [&]() {
-    if (pos + 8 > in.size()) throw CompressionError("sz2: truncated");
-    u64 v;
-    std::memcpy(&v, in.data() + pos, 8);
-    pos += 8;
-    return v;
-  };
-  u64 mask_size = read_u64(), signs_size = read_u64(), specials_size = read_u64();
-  if (pos + mask_size + signs_size + specials_size > in.size())
-    throw CompressionError("sz2: truncated side data");
-  std::vector<u8> mask = lossless::lz_decode(in.data() + pos, mask_size);
-  pos += mask_size;
-  std::vector<u8> signs = lossless::lz_decode(in.data() + pos, signs_size);
-  pos += signs_size;
-  std::span<const u8> specials(in.data() + pos, specials_size);
-  pos += specials_size;
-  SzPayload p = sz_unpack(in.data() + pos, in.size() - pos);
+  common::ByteReader r(in, "sz2");
+  r.take_bytes(sizeof(BaselineHeader));
+  const u64 mask_size = r.take<u64>(), signs_size = r.take<u64>(), specials_size = r.take<u64>();
+  const u8* mask_at = r.take_bytes(mask_size, "truncated side data");
+  const u8* signs_at = r.take_bytes(signs_size, "truncated side data");
+  std::span<const u8> specials(r.take_bytes(specials_size, "truncated side data"), specials_size);
+  std::vector<u8> mask = lossless::lz_decode(mask_at, mask_size);
+  std::vector<u8> signs = lossless::lz_decode(signs_at, signs_size);
+  SzPayload p = sz_unpack(in.data() + r.offset(), r.remaining());
   std::vector<T> logs = lorenzo_decode<T>(p, {1, 1, n}, h.derived);
   std::vector<u8> out(n * sizeof(T));
   T* values = reinterpret_cast<T*>(out.data());
@@ -400,18 +391,12 @@ std::vector<u8> decompress_typed(const Bytes& in, const BaselineHeader& h) {
   std::array<std::size_t, 3> dims{h.dims[0], h.dims[1], h.dims[2]};
   std::vector<T> recon;
   if (dims[0] > 1 && dims[1] > 1 && dims[2] > 1) {
-    std::size_t pos = sizeof(BaselineHeader);
-    if (pos + 16 > in.size()) throw CompressionError("sz2: truncated block tables");
-    u64 flag_size, coeff_size;
-    std::memcpy(&flag_size, in.data() + pos, 8);
-    std::memcpy(&coeff_size, in.data() + pos + 8, 8);
-    pos += 16;
-    if (pos + flag_size + coeff_size > in.size())
-      throw CompressionError("sz2: truncated block tables");
-    std::span<const u8> flags(in.data() + pos, flag_size);
-    std::span<const u8> coeffs(in.data() + pos + flag_size, coeff_size);
-    pos += flag_size + coeff_size;
-    SzPayload p = sz_unpack(in.data() + pos, in.size() - pos);
+    common::ByteReader r(in, "sz2");
+    r.take_bytes(sizeof(BaselineHeader));
+    const u64 flag_size = r.take<u64>(), coeff_size = r.take<u64>();
+    std::span<const u8> flags(r.take_bytes(flag_size, "truncated block tables"), flag_size);
+    std::span<const u8> coeffs(r.take_bytes(coeff_size, "truncated block tables"), coeff_size);
+    SzPayload p = sz_unpack(in.data() + r.offset(), r.remaining());
     recon = lorenzo_regression_decode<T>(p, dims, h.derived, flags, coeffs);
   } else {
     SzPayload p =

@@ -13,6 +13,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/types.hpp"
 #include "lossless/huffman.hpp"
 #include "lossless/lz.hpp"
@@ -67,26 +68,22 @@ struct SzPayload {
 inline Bytes sz_pack(const SzPayload& p) {
   Bytes body = lossless::lz_encode(lossless::huffman_encode(p.codes));
   Bytes out;
-  u64 body_size = body.size(), outlier_size = p.outlier_bytes.size();
-  out.insert(out.end(), reinterpret_cast<u8*>(&body_size),
-             reinterpret_cast<u8*>(&body_size) + 8);
-  out.insert(out.end(), reinterpret_cast<u8*>(&outlier_size),
-             reinterpret_cast<u8*>(&outlier_size) + 8);
+  common::append_le(out, u64{body.size()});
+  common::append_le(out, u64{p.outlier_bytes.size()});
   out.insert(out.end(), body.begin(), body.end());
   out.insert(out.end(), p.outlier_bytes.begin(), p.outlier_bytes.end());
   return out;
 }
 
 inline SzPayload sz_unpack(const u8* data, std::size_t size, std::size_t* consumed = nullptr) {
-  if (size < 16) throw CompressionError("sz: truncated payload");
-  u64 body_size, outlier_size;
-  std::memcpy(&body_size, data, 8);
-  std::memcpy(&outlier_size, data + 8, 8);
-  if (16 + body_size + outlier_size > size) throw CompressionError("sz: truncated payload");
+  common::ByteReader r(data, size, "sz");
+  const u64 body_size = r.take<u64>(), outlier_size = r.take<u64>();
+  const u8* body = r.take_bytes(body_size, "truncated payload");
+  const u8* outliers = r.take_bytes(outlier_size, "truncated payload");
   SzPayload p;
-  p.codes = lossless::huffman_decode(lossless::lz_decode(data + 16, body_size));
-  p.outlier_bytes.assign(data + 16 + body_size, data + 16 + body_size + outlier_size);
-  if (consumed) *consumed = 16 + body_size + outlier_size;
+  p.codes = lossless::huffman_decode(lossless::lz_decode(body, body_size));
+  p.outlier_bytes.assign(outliers, outliers + outlier_size);
+  if (consumed) *consumed = r.offset();
   return p;
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cli/top_window.hpp"
+#include "common/bytes.hpp"
 #include "core/pfpl.hpp"
 #include "data/evolving.hpp"
 #include "data/synthetic.hpp"
@@ -508,9 +509,7 @@ int cmd_list(const std::vector<std::string>& positional, const Flags&) {
 /// First 4 bytes of `path` as a little-endian u32 (0 when shorter).
 u32 peek_magic(const std::string& path) {
   if (io::file_size(path) < 4) return 0;
-  const std::vector<u8> head = io::read_file_range(path, 0, 4);
-  return static_cast<u32>(head[0]) | static_cast<u32>(head[1]) << 8 |
-         static_cast<u32>(head[2]) << 16 | static_cast<u32>(head[3]) << 24;
+  return common::get_le<u32>(io::read_file_range(path, 0, 4).data());
 }
 
 /// Exit 2 with a clear message for a container whose magic `verb` does not

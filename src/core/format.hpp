@@ -12,8 +12,7 @@
 // decoder, on any device, reconstructs with the identical constant.
 #pragma once
 
-#include <cstring>
-
+#include "common/bytes.hpp"
 #include "common/types.hpp"
 
 namespace repro::pfpl {
@@ -36,18 +35,37 @@ struct Header {
 
 static_assert(sizeof(Header) == 40);
 
+// Wire layout of the header (docs/FORMAT.md §PFPL), the struct's own order:
+//   0 u32 magic   4 u16 version   6 u8 dtype   7 u8 eb_type   8 f64 eps
+//  16 f64 recon_param   24 u64 value_count   32 u32 chunk_count   36 u32 reserved
 inline void write_header(const Header& h, Bytes& out) {
-  std::size_t off = out.size();
-  out.resize(off + sizeof(Header));
-  std::memcpy(out.data() + off, &h, sizeof(Header));
+  common::append_le(out, h.magic);
+  common::append_le(out, h.version);
+  common::append_le(out, static_cast<u8>(h.dtype));
+  common::append_le(out, static_cast<u8>(h.eb_type));
+  common::append_le(out, h.eps);
+  common::append_le(out, h.recon_param);
+  common::append_le(out, h.value_count);
+  common::append_le(out, h.chunk_count);
+  common::append_le(out, h.reserved);
 }
 
-inline Header read_header(const Bytes& in) {
-  if (in.size() < sizeof(Header)) throw CompressionError("PFPL stream: truncated header");
+/// Reads the header at the front of `r`; the chunk table follows it.
+inline Header read_header(common::ByteReader& r) {
+  r.need(sizeof(Header), "truncated header");
   Header h;
-  std::memcpy(&h, in.data(), sizeof(Header));
-  if (h.magic != kMagic) throw CompressionError("PFPL stream: bad magic");
-  if (h.version != kVersion) throw CompressionError("PFPL stream: unsupported version");
+  h.magic = r.take<u32>();
+  if (h.magic != kMagic) r.fail("bad magic");
+  h.version = r.take<u16>();
+  if (h.version != kVersion) r.fail("unsupported version");
+  // Unchecked here: read_chunk_table() rejects an unknown dtype or bound.
+  h.dtype = static_cast<DType>(r.take<u8>());
+  h.eb_type = static_cast<EbType>(r.take<u8>());
+  h.eps = r.take<double>();
+  h.recon_param = r.take<double>();
+  h.value_count = r.take<u64>();
+  h.chunk_count = r.take<u32>();
+  h.reserved = r.take<u32>();
   return h;
 }
 

@@ -167,8 +167,7 @@ Bytes stream_prefix(const Header& h, const std::vector<u32>& sizes, u64 payload_
   Bytes out;
   out.reserve(sizeof(Header) + nchunks * sizeof(u32) + payload_bytes);
   write_header(h, out);
-  const u8* sp = reinterpret_cast<const u8*>(sizes.data());
-  out.insert(out.end(), sp, sp + nchunks * sizeof(u32));
+  for (std::size_t c = 0; c < nchunks; ++c) common::append_le(out, sizes[c]);
   return out;
 }
 
@@ -253,26 +252,24 @@ Bytes assemble_stream(const Header& h, const std::vector<u32>& sizes, const Byte
 }
 
 ChunkTable read_chunk_table(const Bytes& stream) {
+  common::ByteReader r(stream, "PFPL stream");
   ChunkTable t;
-  t.header = read_header(stream);
+  t.header = read_header(r);
   const Header& h = t.header;
   with_quantizer(h, [](const auto&) {});  // throws on an unknown type or invalid bound
   // The chunk count is fully determined by the value count (the division
   // cannot wrap on hostile counts).
   const u64 cw = chunk_values(h.dtype), n = h.value_count;
   if (n / cw + (n % cw != 0 ? 1 : 0) != h.chunk_count)
-    throw CompressionError("PFPL stream: header value/chunk count mismatch");
-  // In size_t: in 32 bits, chunk_count * 4 wraps for counts >= 2^30.
+    r.fail("header value/chunk count mismatch");
   const std::size_t nchunks = h.chunk_count;
-  if (stream.size() - sizeof(Header) < nchunks * sizeof(u32))
-    throw CompressionError("PFPL stream: truncated chunk table");
+  const u8* table = r.take_bytes(r.size_for(nchunks, sizeof(u32), "truncated chunk table"));
   t.sizes.resize(nchunks);
-  if (nchunks > 0)  // an empty field has no table (and sizes.data() may be null)
-    std::memcpy(t.sizes.data(), stream.data() + sizeof(Header), nchunks * sizeof(u32));
+  for (std::size_t c = 0; c < nchunks; ++c) t.sizes[c] = common::get_le<u32>(table + 4 * c);
   // Prefix sum over chunk sizes locates every chunk (paper: "the decoder
   // computes a prefix sum over the stored chunk sizes").
   t.offsets.resize(nchunks);
-  u64 end = sizeof(Header) + nchunks * sizeof(u32);
+  u64 end = r.offset();
   for (std::size_t c = 0; c < nchunks; ++c) {
     t.offsets[c] = end;
     end += t.sizes[c] & ~kRawChunkFlag;
@@ -312,6 +309,9 @@ std::vector<u8> decompress(const Bytes& stream, Executor exec) {
   return out;
 }
 
-Header peek_header(const Bytes& stream) { return read_header(stream); }
+Header peek_header(const Bytes& stream) {
+  common::ByteReader r(stream, "PFPL stream");
+  return read_header(r);
+}
 
 }  // namespace repro::pfpl

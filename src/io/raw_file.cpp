@@ -1,5 +1,7 @@
 #include "io/raw_file.hpp"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -28,7 +30,16 @@ FilePtr open_or_throw(const std::string& path, const char* mode, const char* ver
 /// it is trusted (a >2 GiB file on a 32-bit `long` makes ftell fail or go
 /// negative rather than silently truncate the read).
 u64 stream_size(std::FILE* f, const std::string& path) {
+  // fopen succeeds on a directory, whose "size" from ftell is huge: refuse
+  // anything but a regular file before that size is trusted.
+  struct stat st;
   errno = 0;
+  if (::fstat(::fileno(f), &st) != 0)
+    throw CompressionError("cannot stat " + path + ": " + errno_text());
+  if (!S_ISREG(st.st_mode)) {
+    errno = S_ISDIR(st.st_mode) ? EISDIR : EINVAL;
+    throw CompressionError("cannot read " + path + ": " + errno_text());
+  }
   if (std::fseek(f, 0, SEEK_END) != 0)
     throw CompressionError("cannot seek " + path + ": " + errno_text());
   long size = std::ftell(f);

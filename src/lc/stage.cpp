@@ -6,6 +6,7 @@
 #include "bits/delta.hpp"
 #include "bits/negabinary.hpp"
 #include "bits/zerobyte.hpp"
+#include "common/bytes.hpp"
 #include "lossless/lz.hpp"
 
 namespace repro::lc {
@@ -231,24 +232,18 @@ std::vector<u8> Pipeline::encode(std::vector<u8> data) const {
   }
   std::vector<u8> out;
   out.reserve(4 + sizes.size() * 4 + data.size());
-  u32 cnt = static_cast<u32>(sizes.size());
-  const u8* p = reinterpret_cast<const u8*>(&cnt);
-  out.insert(out.end(), p, p + 4);
-  p = reinterpret_cast<const u8*>(sizes.data());
-  out.insert(out.end(), p, p + sizes.size() * 4);
+  common::append_le(out, static_cast<u32>(sizes.size()));
+  for (u32 size : sizes) common::append_le(out, size);
   out.insert(out.end(), data.begin(), data.end());
   return out;
 }
 
 std::vector<u8> Pipeline::decode(std::vector<u8> data, std::size_t original_size) const {
-  if (data.size() < 4) throw CompressionError("lc pipeline: truncated header");
-  u32 cnt;
-  std::memcpy(&cnt, data.data(), 4);
-  if (data.size() < 4 + std::size_t{cnt} * 4)
-    throw CompressionError("lc pipeline: truncated size table");
+  common::ByteReader r(data, "lc pipeline");
+  const u32 cnt = r.take<u32>();
+  const u8* table = r.take_bytes(r.size_for(cnt, 4, "truncated size table"));
   std::vector<u32> sizes(cnt);
-  if (cnt > 0)  // an empty table has no storage (and sizes.data() may be null)
-    std::memcpy(sizes.data(), data.data() + 4, cnt * 4);
+  for (u32 i = 0; i < cnt; ++i) sizes[i] = common::get_le<u32>(table + 4 * i);
   data.erase(data.begin(), data.begin() + 4 + cnt * 4);
   std::size_t next_size = cnt;  // consume sizes from the back
   for (std::size_t i = stages_.size(); i-- > 0;) {

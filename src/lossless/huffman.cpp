@@ -4,6 +4,7 @@
 #include <cstring>
 #include <queue>
 
+#include "common/bytes.hpp"
 #include "lossless/bitio.hpp"
 
 namespace repro::lossless {
@@ -104,20 +105,16 @@ Bytes huffman_encode(std::span<const u16> syms) {
   CanonicalCode cc = canonicalize(len);
 
   Bytes out;
-  u64 count = syms.size();
-  u32 alphabet = static_cast<u32>(freq.size());
-  out.insert(out.end(), reinterpret_cast<u8*>(&count), reinterpret_cast<u8*>(&count) + 8);
-  out.insert(out.end(), reinterpret_cast<u8*>(&alphabet),
-             reinterpret_cast<u8*>(&alphabet) + 4);
+  const u32 alphabet = static_cast<u32>(freq.size());
+  common::append_le(out, u64{syms.size()});
+  common::append_le(out, alphabet);
   // Table: (symbol u16, len u8) for present symbols.
   u32 present = 0;
   for (u8 l : len) present += l > 0;
-  out.insert(out.end(), reinterpret_cast<u8*>(&present), reinterpret_cast<u8*>(&present) + 4);
+  common::append_le(out, present);
   for (u32 s = 0; s < alphabet; ++s)
     if (len[s]) {
-      u16 s16 = static_cast<u16>(s);
-      out.push_back(static_cast<u8>(s16 & 0xFF));
-      out.push_back(static_cast<u8>(s16 >> 8));
+      common::append_le(out, static_cast<u16>(s));
       out.push_back(len[s]);
     }
   BitWriter bw(out);
@@ -131,23 +128,19 @@ Bytes huffman_encode(std::span<const u16> syms) {
 }
 
 std::vector<u16> huffman_decode(const u8* data, std::size_t size, std::size_t* consumed) {
-  if (size < 16) throw CompressionError("huffman: truncated header");
-  u64 count;
-  u32 alphabet, present;
-  std::memcpy(&count, data, 8);
-  std::memcpy(&alphabet, data + 8, 4);
-  std::memcpy(&present, data + 12, 4);
-  std::size_t pos = 16;
-  if (size < pos + static_cast<std::size_t>(present) * 3)
-    throw CompressionError("huffman: truncated table");
+  common::ByteReader r(data, size, "huffman");
+  r.need(16, "truncated header");
+  const u64 count = r.take<u64>();
+  const u32 alphabet = r.take<u32>(), present = r.take<u32>();
+  if (alphabet > 0x10000) r.fail("corrupt table");  // symbols are u16
+  const u8* table = r.take_bytes(r.size_for(present, 3, "truncated table"));
   std::vector<u8> len(alphabet, 0);
-  for (u32 i = 0; i < present; ++i) {
-    u16 sym = static_cast<u16>(data[pos] | (data[pos + 1] << 8));
-    u8 l = data[pos + 2];
-    pos += 3;
-    if (sym >= alphabet || l > kHuffMaxBits) throw CompressionError("huffman: corrupt table");
-    len[sym] = l;
+  for (u32 i = 0; i < present; ++i, table += 3) {
+    const u16 sym = common::get_le<u16>(table);
+    if (sym >= alphabet || table[2] > kHuffMaxBits) r.fail("corrupt table");
+    len[sym] = table[2];
   }
+  const std::size_t pos = r.offset();
   CanonicalCode cc = canonicalize(len);
   // Build (first_code, first_index) per length plus a (length,symbol)-sorted
   // symbol list for canonical decoding.

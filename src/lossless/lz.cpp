@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/bytes.hpp"
+
 namespace repro::lossless {
 namespace {
 
@@ -38,9 +40,8 @@ std::size_t get_varlen(const u8* data, std::size_t size, std::size_t& pos) {
 
 Bytes lz_encode(std::span<const u8> in) {
   Bytes out;
-  u64 n = in.size();
-  out.insert(out.end(), reinterpret_cast<u8*>(&n), reinterpret_cast<u8*>(&n) + 8);
-  if (n == 0) return out;
+  common::append_le(out, u64{in.size()});
+  if (in.empty()) return out;
 
   std::vector<u32> head(std::size_t{1} << kHashBits, 0xFFFFFFFFu);
   std::size_t pos = 0, literal_start = 0;
@@ -93,8 +94,7 @@ Bytes lz_encode(std::span<const u8> in) {
 
 std::vector<u8> lz_decode(const u8* data, std::size_t size) {
   if (size < 8) throw CompressionError("lz: truncated header");
-  u64 n;
-  std::memcpy(&n, data, 8);
+  const u64 n = common::get_le<u64>(data);
   // Cap the up-front reservation: a corrupted header must not drive a giant
   // allocation (the decode loop's own bounds checks catch the corruption).
   std::vector<u8> out;

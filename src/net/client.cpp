@@ -7,6 +7,7 @@
 
 #include <thread>
 
+#include "common/bytes.hpp"
 #include "common/checksum.hpp"
 #include "common/hash.hpp"
 #include "net/backoff.hpp"
@@ -14,6 +15,9 @@
 
 namespace repro::net {
 namespace {
+
+using common::get_le;
+using common::put_le;
 
 /// Client-side latency histogram (microseconds, whole round trip).
 obs::Histogram& client_request_us() {
@@ -187,8 +191,8 @@ u64 Client::stream_open(DType dtype, EbType eb, double eps,
   h.eb_type = static_cast<u8>(eb);
   h.eps = eps;
   u8 body[16];
-  for (std::size_t d = 0; d < 3; ++d) put_le<u32>(body + 4 * d, dims[d]);
-  put_le<u32>(body + 12, keyframe_interval);
+  for (std::size_t d = 0; d < 3; ++d) put_le(body + 4 * d, dims[d]);
+  put_le(body + 12, keyframe_interval);
   Frame f = roundtrip(h, body, sizeof body);
   if (f.payload.size() != 8)
     throw NetError("PFPN: STREAM_OPEN response is not a session id");
@@ -199,8 +203,8 @@ Bytes Client::stream_frame(u64 sid, u64 frame_index, const void* raw, std::size_
   FrameHeader h;
   h.op = static_cast<u8>(Op::StreamFrame);
   Bytes body(16 + n);
-  put_le<u64>(body.data(), sid);
-  put_le<u64>(body.data() + 8, frame_index);
+  put_le(body.data(), sid);
+  put_le(body.data() + 8, frame_index);
   std::memcpy(body.data() + 16, raw, n);
   return roundtrip(h, body.data(), body.size()).payload;
 }
@@ -209,7 +213,7 @@ void Client::stream_close(u64 sid) {
   FrameHeader h;
   h.op = static_cast<u8>(Op::StreamClose);
   u8 body[8];
-  put_le<u64>(body, sid);
+  put_le(body, sid);
   roundtrip(h, body, sizeof body);
 }
 

@@ -2,23 +2,13 @@
 
 #include <cstring>
 
+#include "common/bytes.hpp"
 #include "common/checksum.hpp"
 
 namespace repro::net {
 namespace {
 
-void put_f64(u8* p, double v) {
-  u64 bits;
-  std::memcpy(&bits, &v, 8);
-  put_le<u64>(p, bits);
-}
-
-double get_f64(const u8* p) {
-  u64 bits = get_le<u64>(p);
-  double v;
-  std::memcpy(&v, &bits, 8);
-  return v;
-}
+using common::put_le;
 
 // Wire layout of the 40-byte frame header (docs/FORMAT.md §PFPN):
 //   0  u32 magic        4  u16 version    6  u8 op        7  u8 dtype
@@ -26,17 +16,17 @@ double get_f64(const u8* p) {
 //  12  u32 payload_crc 16  f64 eps       24  u64 request_id
 //  32  u64 payload_len
 void encode_header(u8* p, const FrameHeader& h) {
-  put_le<u32>(p + 0, kFrameMagic);
-  put_le<u16>(p + 4, kProtocolVersion);
+  put_le(p + 0, kFrameMagic);
+  put_le(p + 4, kProtocolVersion);
   p[6] = h.op;
   p[7] = h.dtype;
-  put_le<u16>(p + 8, h.status);
+  put_le(p + 8, h.status);
   p[10] = h.eb_type;
   p[11] = 0;
-  put_le<u32>(p + 12, h.payload_crc);
-  put_f64(p + 16, h.eps);
-  put_le<u64>(p + 24, h.request_id);
-  put_le<u64>(p + 32, h.payload_len);
+  put_le(p + 12, h.payload_crc);
+  put_le(p + 16, h.eps);
+  put_le(p + 24, h.request_id);
+  put_le(p + 32, h.payload_len);
 }
 
 }  // namespace
@@ -95,20 +85,21 @@ Bytes encode_error_frame(u64 request_id, u8 request_op, Status st,
 }
 
 FrameHeader decode_frame_header(const u8* p) {
-  if (get_le<u32>(p) != kFrameMagic)
-    throw NetError("PFPN: bad frame magic");
-  const u16 version = get_le<u16>(p + 4);
+  common::ByteReader r(p, kFrameHeaderSize, "PFPN");
+  if (r.take<u32>() != kFrameMagic) throw NetError("PFPN: bad frame magic");
+  const u16 version = r.take<u16>();
   if (version != kProtocolVersion)
     throw NetError("PFPN: unsupported protocol version " + std::to_string(version));
   FrameHeader h;
-  h.op = p[6];
-  h.dtype = p[7];
-  h.status = get_le<u16>(p + 8);
-  h.eb_type = p[10];
-  h.payload_crc = get_le<u32>(p + 12);
-  h.eps = get_f64(p + 16);
-  h.request_id = get_le<u64>(p + 24);
-  h.payload_len = get_le<u64>(p + 32);
+  h.op = r.take<u8>();
+  h.dtype = r.take<u8>();
+  h.status = r.take<u16>();
+  h.eb_type = r.take<u8>();
+  r.take<u8>();  // reserved
+  h.payload_crc = r.take<u32>();
+  h.eps = r.take<double>();
+  h.request_id = r.take<u64>();
+  h.payload_len = r.take<u64>();
   return h;
 }
 

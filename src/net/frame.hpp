@@ -53,21 +53,6 @@ inline constexpr u32 kFrameMagic = 0x4E504650;  // "PFPN" little-endian
 inline constexpr u16 kProtocolVersion = 1;
 inline constexpr std::size_t kFrameHeaderSize = 40;
 
-/// Little-endian wire primitives (byte-portable: no host-order assumptions)
-/// for the frame header and the op payload layouts (STREAM_OPEN dims,
-/// session ids, frame indices).
-template <typename T>
-void put_le(u8* p, T v) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) p[i] = static_cast<u8>(v >> (8 * i));
-}
-
-template <typename T>
-T get_le(const u8* p) {
-  T v = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) v |= static_cast<T>(p[i]) << (8 * i);
-  return v;
-}
-
 /// Request operations. A response echoes the op with kResponseBit set.
 enum class Op : u8 {
   Compress = 1,    ///< payload: raw scalars; response payload: PFPL stream

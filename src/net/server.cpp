@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "ingest/pipeline.hpp"
 #include "net/poller.hpp"
 #include "obs/crash.hpp"
@@ -36,6 +37,9 @@
 
 namespace repro::net {
 namespace {
+
+using common::get_le;
+using common::put_le;
 
 /// An always-live Server::Stats count and the obs-gated registry counter
 /// that mirrors it (none when `metric` is null): one add() moves both.
@@ -854,8 +858,9 @@ struct Server::Impl {
     cfg.dtype = static_cast<DType>(h.dtype);
     cfg.eb = static_cast<EbType>(h.eb_type);
     cfg.eps = h.eps;
-    for (std::size_t d = 0; d < 3; ++d) cfg.dims[d] = get_le<u32>(f.payload.data() + 4 * d);
-    cfg.keyframe_interval = get_le<u32>(f.payload.data() + 12);
+    common::ByteReader r(f.payload, "PFPN STREAM_OPEN");
+    for (u32& d : cfg.dims) d = r.take<u32>();
+    cfg.keyframe_interval = r.take<u32>();
     cfg.exec = opts.exec;
     u64 sid = 0;
     {
@@ -876,7 +881,7 @@ struct Server::Impl {
     st.sessions_opened.add(1);
     st.sessions.add(1);
     u8 body[8];
-    put_le<u64>(body, sid);
+    put_le(body, sid);
     reply(c, h, body, sizeof body, h);
   }
 

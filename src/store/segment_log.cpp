@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "common/bytes.hpp"
 #include "common/checksum.hpp"
 #include "io/raw_file.hpp"
 #include "obs/metrics.hpp"
@@ -19,6 +20,8 @@ namespace repro::store {
 namespace {
 
 namespace fs = std::filesystem;
+using common::get_le;
+using common::put_le;
 
 /// store.log.* metric handles, resolved once.
 struct LogMetrics {
@@ -42,41 +45,26 @@ struct LogMetrics {
   }
 };
 
-void put_le16(u8* p, u16 v) {
-  for (int i = 0; i < 2; ++i) p[i] = static_cast<u8>(v >> (8 * i));
-}
-void put_le32(u8* p, u32 v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<u8>(v >> (8 * i));
-}
-void put_le64(u8* p, u64 v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<u8>(v >> (8 * i));
-}
-u16 get_le16(const u8* p) {
-  u16 v = 0;
-  for (int i = 0; i < 2; ++i) v = static_cast<u16>(v | (static_cast<u16>(p[i]) << (8 * i)));
-  return v;
-}
-u32 get_le32(const u8* p) {
-  u32 v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<u32>(p[i]) << (8 * i);
-  return v;
-}
-u64 get_le64(const u8* p) {
-  u64 v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<u64>(p[i]) << (8 * i);
-  return v;
-}
-
 [[noreturn]] void throw_errno(const std::string& what) {
   throw CompressionError(what + ": " + std::strerror(errno));
 }
 
 /// Segment file header: magic, version, reserved, segment id.
 void encode_segment_header(u8* p, u64 id) {
-  put_le32(p + 0, kSegmentMagic);
-  put_le16(p + 4, kStoreVersion);
-  put_le16(p + 6, 0);
-  put_le64(p + 8, id);
+  put_le(p + 0, kSegmentMagic);
+  put_le(p + 4, kStoreVersion);
+  put_le(p + 6, u16{0});
+  put_le(p + 8, id);
+}
+
+/// Whether `data` starts with segment `id`'s header.
+bool segment_header_ok(const Bytes& data, u64 id) {
+  if (data.size() < kSegmentHeaderSize) return false;
+  common::ByteReader r(data, "PFPS segment");
+  const u32 magic = r.take<u32>();
+  const u16 version = r.take<u16>();
+  r.take<u16>();  // reserved
+  return magic == kSegmentMagic && version == kStoreVersion && r.take<u64>() == id;
 }
 
 /// Chunk frame header layout (little-endian, kChunkFrameHeaderSize bytes):
@@ -91,45 +79,50 @@ void encode_segment_header(u8* p, u64 id) {
 ///   [48] u64 payload_len
 void encode_frame_header(u8* p, const common::Hash128& key, const ChunkMeta& meta,
                          u32 payload_crc, u64 payload_len) {
-  put_le32(p + 0, kFrameMagic);
-  put_le64(p + 8, key.hi);
-  put_le64(p + 16, key.lo);
+  put_le(p + 0, kFrameMagic);
+  put_le(p + 8, key.hi);
+  put_le(p + 16, key.lo);
   p[24] = static_cast<u8>(meta.dtype);
   p[25] = static_cast<u8>(meta.eb);
-  put_le16(p + 26, 0);
-  put_le32(p + 28, payload_crc);
-  u64 eps_bits;
-  std::memcpy(&eps_bits, &meta.eps, sizeof eps_bits);
-  put_le64(p + 32, eps_bits);
-  put_le64(p + 40, meta.raw_size);
-  put_le64(p + 48, payload_len);
-  put_le32(p + 4, common::crc32(p + 8, kChunkFrameHeaderSize - 8));
+  put_le(p + 26, u16{0});
+  put_le(p + 28, payload_crc);
+  put_le(p + 32, meta.eps);
+  put_le(p + 40, meta.raw_size);
+  put_le(p + 48, payload_len);
+  put_le(p + 4, common::crc32(p + 8, kChunkFrameHeaderSize - 8));
 }
 
 struct DecodedFrame {
   common::Hash128 key;
   ChunkMeta meta;
-  u32 payload_crc = 0;
   u64 payload_len = 0;
 };
 
-/// Validate and decode a frame header. Returns false on any mismatch (bad
-/// magic, bad header CRC, implausible dtype/eb) — the caller treats that as
-/// torn tail or corruption depending on context.
-bool decode_frame_header(const u8* p, DecodedFrame& out) {
-  if (get_le32(p + 0) != kFrameMagic) return false;
-  if (get_le32(p + 4) != common::crc32(p + 8, kChunkFrameHeaderSize - 8)) return false;
-  out.key.hi = get_le64(p + 8);
-  out.key.lo = get_le64(p + 16);
-  if (p[24] > 1 || p[25] > 2) return false;
-  out.meta.dtype = static_cast<DType>(p[24]);
-  out.meta.eb = static_cast<EbType>(p[25]);
-  out.payload_crc = get_le32(p + 28);
-  const u64 eps_bits = get_le64(p + 32);
-  std::memcpy(&out.meta.eps, &eps_bits, sizeof out.meta.eps);
-  out.meta.raw_size = get_le64(p + 40);
-  out.payload_len = get_le64(p + 48);
-  return true;
+/// Decode the frame at byte `off` of segment bytes `data` into `out` and
+/// return its total size, or 0 when the bytes there are not one whole valid
+/// frame (short, bad magic, bad header or payload CRC, implausible dtype/eb)
+/// — the caller treats that as torn tail or corruption depending on context.
+std::size_t read_frame(const Bytes& data, std::size_t off, DecodedFrame& out) {
+  common::ByteReader r(data.data() + off, data.size() - off, "PFPS segment", off);
+  if (r.remaining() < kChunkFrameHeaderSize) return 0;
+  if (r.take<u32>() != kFrameMagic) return 0;
+  if (r.take<u32>() != common::crc32(data.data() + off + 8, kChunkFrameHeaderSize - 8))
+    return 0;
+  out.key.hi = r.take<u64>();
+  out.key.lo = r.take<u64>();
+  const u8 dtype = r.take<u8>(), eb = r.take<u8>();
+  if (dtype > 1 || eb > 2) return 0;
+  out.meta.dtype = static_cast<DType>(dtype);
+  out.meta.eb = static_cast<EbType>(eb);
+  r.take<u16>();  // reserved
+  const u32 payload_crc = r.take<u32>();
+  out.meta.eps = r.take<double>();
+  out.meta.raw_size = r.take<u64>();
+  out.payload_len = r.take<u64>();
+  if (out.payload_len > r.remaining()) return 0;
+  const std::size_t n = static_cast<std::size_t>(out.payload_len);
+  if (common::crc32(r.take_bytes(n), n) != payload_crc) return 0;
+  return kChunkFrameHeaderSize + n;
 }
 
 void fsync_fd_or_throw(int fd, const std::string& what) {
@@ -191,13 +184,15 @@ SegmentStore::SegmentStore(const Options& opts) : opts_(opts) {
       have = false;
     }
     bool ok = false;
-    if (have && mf.size() >= 24 + 4 && get_le32(mf.data()) == kManifestMagic &&
-        get_le16(mf.data() + 4) == kStoreVersion) {
-      const u32 crc = get_le32(mf.data() + mf.size() - 4);
-      if (crc == common::crc32(mf.data(), mf.size() - 4)) {
-        generation_ = get_le64(mf.data() + 8);
-        ok = true;
-      }
+    if (have && mf.size() >= 24 + 4) {
+      common::ByteReader r(mf, "PFPS manifest");
+      const u32 magic = r.take<u32>();
+      const u16 version = r.take<u16>();
+      r.take<u16>();  // reserved
+      const u64 generation = r.take<u64>();
+      ok = magic == kManifestMagic && version == kStoreVersion &&
+           get_le<u32>(mf.data() + mf.size() - 4) == common::crc32(mf.data(), mf.size() - 4);
+      if (ok) generation_ = generation;
     }
     manifest_ok = ok;
     open_report_.manifest_recovered = have && !ok;
@@ -274,11 +269,7 @@ void SegmentStore::scan_segment_locked(Segment& seg, bool active) {
   seg.file_bytes = data.size();
   seg.valid_bytes = 0;
 
-  const bool header_ok = data.size() >= kSegmentHeaderSize &&
-                         get_le32(data.data()) == kSegmentMagic &&
-                         get_le16(data.data() + 4) == kStoreVersion &&
-                         get_le64(data.data() + 8) == seg.id;
-  if (!header_ok) {
+  if (!segment_header_ok(data, seg.id)) {
     // Unusable from byte 0. Active: rewrite a fresh header so appends can
     // resume; sealed: all bytes are dead, verify() will flag it.
     if (active) {
@@ -298,14 +289,8 @@ void SegmentStore::scan_segment_locked(Segment& seg, bool active) {
   std::size_t off = kSegmentHeaderSize;
   while (off < data.size()) {
     DecodedFrame f;
-    bool ok = data.size() - off >= kChunkFrameHeaderSize &&
-              decode_frame_header(data.data() + off, f);
-    if (ok) {
-      ok = f.payload_len <= data.size() - off - kChunkFrameHeaderSize &&
-           common::crc32(data.data() + off + kChunkFrameHeaderSize, f.payload_len) ==
-               f.payload_crc;
-    }
-    if (!ok) {
+    const std::size_t frame_bytes = read_frame(data, off, f);
+    if (frame_bytes == 0) {
       if (active) {
         // Torn tail of an interrupted append: drop it and resume here.
         const u64 torn = data.size() - off;
@@ -321,7 +306,6 @@ void SegmentStore::scan_segment_locked(Segment& seg, bool active) {
       }
       break;
     }
-    const u64 frame_bytes = kChunkFrameHeaderSize + f.payload_len;
     if (index_.find(f.key) == index_.end()) {
       index_.emplace(f.key, IndexEntry{seg.id, off, f.payload_len, f.meta});
       live_bytes_ += frame_bytes;
@@ -361,19 +345,19 @@ void SegmentStore::open_active_locked(u64 id, bool create) {
 void SegmentStore::write_manifest_locked() {
   ++generation_;
   Bytes buf(24 + segments_.size() * 24 + 4);
-  put_le32(buf.data() + 0, kManifestMagic);
-  put_le16(buf.data() + 4, kStoreVersion);
-  put_le16(buf.data() + 6, 0);
-  put_le64(buf.data() + 8, generation_);
-  put_le64(buf.data() + 16, segments_.size());
+  put_le(buf.data() + 0, kManifestMagic);
+  put_le(buf.data() + 4, kStoreVersion);
+  put_le(buf.data() + 6, u16{0});
+  put_le(buf.data() + 8, generation_);
+  put_le(buf.data() + 16, static_cast<u64>(segments_.size()));
   std::size_t off = 24;
   for (const auto& [id, seg] : segments_) {
-    put_le64(buf.data() + off, id);
-    put_le64(buf.data() + off + 8, seg.valid_bytes);
-    put_le64(buf.data() + off + 16, seg.sealed ? 1 : 0);
+    put_le(buf.data() + off, id);
+    put_le(buf.data() + off + 8, seg.valid_bytes);
+    put_le(buf.data() + off + 16, u64{seg.sealed ? 1u : 0u});
     off += 24;
   }
-  put_le32(buf.data() + off, common::crc32(buf.data(), off));
+  put_le(buf.data() + off, common::crc32(buf.data(), off));
 
   // tmp + fsync + rename + fsync(dir): a crash leaves either the previous
   // generation or this one, never a torn manifest.
@@ -420,10 +404,7 @@ bool SegmentStore::get(const common::Hash128& key, Bytes& out, ChunkMeta* meta) 
   Bytes frame = io::read_file_range(segment_path(seg_id), e.offset,
                                     kChunkFrameHeaderSize + e.payload_len);
   DecodedFrame f;
-  if (!decode_frame_header(frame.data(), f) || f.key != key ||
-      f.payload_len != e.payload_len ||
-      common::crc32(frame.data() + kChunkFrameHeaderSize, f.payload_len) !=
-          f.payload_crc)
+  if (read_frame(frame, 0, f) != frame.size() || f.key != key)
     throw CompressionError("store: frame for " + key.hex() +
                            " failed CRC verification (corrupt segment)");
   out.assign(frame.begin() + static_cast<std::ptrdiff_t>(kChunkFrameHeaderSize),
@@ -579,26 +560,22 @@ SegmentStore::VerifyReport SegmentStore::verify() const {
     ++rep.segments;
     Bytes data = io::read_file(segment_path(id));
     rep.bytes_scanned += data.size();
-    if (data.size() < kSegmentHeaderSize || get_le32(data.data()) != kSegmentMagic) {
+    if (data.size() < kSegmentHeaderSize || get_le<u32>(data.data()) != kSegmentMagic) {
       ++rep.corrupt_frames;
       continue;
     }
     std::size_t off = kSegmentHeaderSize;
     while (off < data.size()) {
       DecodedFrame f;
-      bool ok = data.size() - off >= kChunkFrameHeaderSize &&
-                decode_frame_header(data.data() + off, f) &&
-                f.payload_len <= data.size() - off - kChunkFrameHeaderSize &&
-                common::crc32(data.data() + off + kChunkFrameHeaderSize,
-                              f.payload_len) == f.payload_crc;
-      if (!ok) {
+      const std::size_t frame_bytes = read_frame(data, off, f);
+      if (frame_bytes == 0) {
         // Frames are variable-length: nothing after an invalid frame can be
         // trusted, so count the rest of the segment as one corrupt region.
         ++rep.corrupt_frames;
         break;
       }
       ++rep.frames_ok;
-      off += kChunkFrameHeaderSize + f.payload_len;
+      off += frame_bytes;
     }
   }
   return rep;

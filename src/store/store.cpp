@@ -1,8 +1,8 @@
 #include "store/store.hpp"
 
 #include <chrono>
-#include <cstring>
 
+#include "common/bytes.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -35,26 +35,18 @@ common::Hash128 compress_key(const void* raw, std::size_t n, DType dtype, EbType
   // Hash the (potentially large) raw bytes once, then fold the request
   // parameters and a domain tag into a fixed-size second pass.
   const common::Hash128 rh = common::hash128(raw, n);
-  u8 buf[32];
-  buf[0] = 'C';  // domain tag: compress entry
-  buf[1] = static_cast<u8>(dtype);
-  buf[2] = static_cast<u8>(eb);
-  buf[3] = 0;
-  u32 pad = 0;
-  std::memcpy(buf + 4, &pad, 4);
-  std::memcpy(buf + 8, &eps, 8);
-  std::memcpy(buf + 16, &rh.hi, 8);
-  std::memcpy(buf + 24, &rh.lo, 8);
+  u8 buf[32] = {'C', static_cast<u8>(dtype), static_cast<u8>(eb)};  // domain tag: compress entry
+  common::put_le(buf + 8, eps);
+  common::put_le(buf + 16, rh.hi);
+  common::put_le(buf + 24, rh.lo);
   return common::hash128(buf, sizeof buf);
 }
 
 common::Hash128 decompress_key(const void* stream, std::size_t n) {
   const common::Hash128 sh = common::hash128(stream, n);
-  u8 buf[24];
-  buf[0] = 'D';  // domain tag: decompress entry
-  std::memset(buf + 1, 0, 7);
-  std::memcpy(buf + 8, &sh.hi, 8);
-  std::memcpy(buf + 16, &sh.lo, 8);
+  u8 buf[24] = {'D'};  // domain tag: decompress entry
+  common::put_le(buf + 8, sh.hi);
+  common::put_le(buf + 16, sh.lo);
   return common::hash128(buf, sizeof buf);
 }
 

@@ -3,8 +3,9 @@
 #include <cerrno>
 #include <cstring>
 
-#include "io/raw_file.hpp"
+#include "common/bytes.hpp"
 #include "common/checksum.hpp"
+#include "io/raw_file.hpp"
 
 namespace repro::svc {
 namespace {
@@ -22,89 +23,58 @@ bool valid_entry_name(const std::string& name) {
          name.find('/') == std::string::npos && name.find('\\') == std::string::npos;
 }
 
-// ---------------------------------------------------------------------------
-// Little-endian (de)serialization of the index. Records are variable-length
-// (name), so the index is parsed with an explicit bounds-checked cursor —
-// any overrun means a corrupt index and throws, never reads past the buffer.
-// ---------------------------------------------------------------------------
-
-template <typename V>
-void put(Bytes& out, V v) {
-  const u8* p = reinterpret_cast<const u8*>(&v);
-  out.insert(out.end(), p, p + sizeof(V));
-}
-
-struct Cursor {
-  const u8* p;
-  std::size_t left;
-
-  template <typename V>
-  V take() {
-    if (left < sizeof(V)) throw CompressionError("PFPA: corrupted index (truncated record)");
-    V v;
-    std::memcpy(&v, p, sizeof(V));
-    p += sizeof(V);
-    left -= sizeof(V);
-    return v;
-  }
-  std::string take_string(std::size_t n) {
-    if (left < n) throw CompressionError("PFPA: corrupted index (truncated name)");
-    std::string s(reinterpret_cast<const char*>(p), n);
-    p += n;
-    left -= n;
-    return s;
-  }
-};
+// Index records are variable-length (the name); common::ByteReader turns any
+// overrun into a typed error instead of a read past the buffer.
+constexpr std::size_t kMinIndexRecord = 53;  // a record with a 1-byte name
 
 Bytes serialize_index(const std::vector<ArchiveEntry>& entries) {
   Bytes out;
   for (const ArchiveEntry& e : entries) {
-    put<u16>(out, static_cast<u16>(e.name.size()));
+    common::append_le(out, static_cast<u16>(e.name.size()));
     out.insert(out.end(), e.name.begin(), e.name.end());
-    put<u8>(out, static_cast<u8>(e.dtype));
-    put<u8>(out, static_cast<u8>(e.eb_type));
-    put<double>(out, e.eps);
-    put<u64>(out, e.offset);
-    put<u64>(out, e.size);
-    put<u64>(out, e.value_count);
-    put<u64>(out, e.raw_size);
-    put<u32>(out, e.crc32);
-    put<u32>(out, 0);  // reserved
+    common::append_le(out, static_cast<u8>(e.dtype));
+    common::append_le(out, static_cast<u8>(e.eb_type));
+    common::append_le(out, e.eps);
+    common::append_le(out, e.offset);
+    common::append_le(out, e.size);
+    common::append_le(out, e.value_count);
+    common::append_le(out, e.raw_size);
+    common::append_le(out, e.crc32);
+    common::append_le(out, u32{0});  // reserved
   }
   return out;
 }
 
-std::vector<ArchiveEntry> parse_index(const Bytes& raw, u32 entry_count, u64 file_size) {
+std::vector<ArchiveEntry> parse_index(common::ByteReader& r, u32 entry_count, u64 file_size) {
+  // entry_count has no CRC of its own: bound it by the index bytes first.
+  r.size_for(entry_count, kMinIndexRecord, "corrupted index (entry count exceeds index size)");
   std::vector<ArchiveEntry> entries;
   entries.reserve(entry_count);
-  Cursor cur{raw.data(), raw.size()};
   for (u32 i = 0; i < entry_count; ++i) {
     ArchiveEntry e;
-    u16 name_len = cur.take<u16>();
-    e.name = cur.take_string(name_len);
+    const u16 name_len = r.take<u16>();
+    e.name.assign(reinterpret_cast<const char*>(r.take_bytes(name_len)), name_len);
     if (!valid_entry_name(e.name))
-      throw CompressionError("PFPA: corrupted index (unsafe entry name '" + e.name +
-                             "' in entry " + std::to_string(i) + ")");
-    u8 dtype = cur.take<u8>();
-    u8 eb = cur.take<u8>();
+      r.fail("corrupted index (unsafe entry name '" + e.name + "' in entry " +
+             std::to_string(i) + ")");
+    const u8 dtype = r.take<u8>();
+    const u8 eb = r.take<u8>();
     if (dtype > 1 || eb > 2)
-      throw CompressionError("PFPA: corrupted index (bad dtype/eb in entry " +
-                             std::to_string(i) + ")");
+      r.fail("corrupted index (bad dtype/eb in entry " + std::to_string(i) + ")");
     e.dtype = static_cast<DType>(dtype);
     e.eb_type = static_cast<EbType>(eb);
-    e.eps = cur.take<double>();
-    e.offset = cur.take<u64>();
-    e.size = cur.take<u64>();
-    e.value_count = cur.take<u64>();
-    e.raw_size = cur.take<u64>();
-    e.crc32 = cur.take<u32>();
-    cur.take<u32>();  // reserved
+    e.eps = r.take<double>();
+    e.offset = r.take<u64>();
+    e.size = r.take<u64>();
+    e.value_count = r.take<u64>();
+    e.raw_size = r.take<u64>();
+    e.crc32 = r.take<u32>();
+    r.take<u32>();  // reserved
     if (e.offset < kArchiveHeaderSize || e.size > file_size || e.offset > file_size - e.size)
-      throw CompressionError("PFPA: corrupted index (entry '" + e.name +
-                             "' out of bounds)");
+      r.fail("corrupted index (entry '" + e.name + "' out of bounds)");
     entries.push_back(std::move(e));
   }
-  if (cur.left != 0) throw CompressionError("PFPA: corrupted index (trailing bytes)");
+  if (r.remaining() != 0) r.fail("corrupted index (trailing bytes)");
   return entries;
 }
 
@@ -118,11 +88,11 @@ ArchiveWriter::ArchiveWriter(const std::string& path) : path_(path) {
   errno = 0;
   f_ = std::fopen(path.c_str(), "wb");
   if (!f_) throw CompressionError("cannot create " + path + ": " + errno_text());
-  Bytes header;
-  put<u32>(header, kArchiveMagic);
-  put<u16>(header, kArchiveVersion);
-  put<u16>(header, 0);  // reserved
-  write_raw(header.data(), header.size());
+  u8 header[kArchiveHeaderSize];
+  common::put_le(header, kArchiveMagic);
+  common::put_le(header + 4, kArchiveVersion);
+  common::put_le(header + 6, u16{0});  // reserved
+  write_raw(header, sizeof header);
 }
 
 ArchiveWriter::~ArchiveWriter() {
@@ -163,13 +133,13 @@ void ArchiveWriter::finish() {
   const u64 index_offset = offset_;
   Bytes index = serialize_index(entries_);
   write_raw(index.data(), index.size());
-  Bytes footer;
-  put<u64>(footer, index_offset);
-  put<u64>(footer, static_cast<u64>(index.size()));
-  put<u32>(footer, static_cast<u32>(entries_.size()));
-  put<u32>(footer, common::crc32(index.data(), index.size()));
-  put<u32>(footer, kArchiveMagic);
-  write_raw(footer.data(), footer.size());
+  u8 footer[kArchiveFooterSize];
+  common::put_le(footer, index_offset);
+  common::put_le(footer + 8, static_cast<u64>(index.size()));
+  common::put_le(footer + 16, static_cast<u32>(entries_.size()));
+  common::put_le(footer + 20, common::crc32(index.data(), index.size()));
+  common::put_le(footer + 24, kArchiveMagic);
+  write_raw(footer, sizeof footer);
   errno = 0;
   std::FILE* f = f_;
   f_ = nullptr;
@@ -186,32 +156,31 @@ ArchiveReader::ArchiveReader(const std::string& path) : path_(path) {
   if (total < kArchiveHeaderSize + kArchiveFooterSize)
     throw CompressionError("PFPA: " + path + " is truncated (no footer)");
 
-  Bytes head = io::read_file_range(path, 0, kArchiveHeaderSize);
-  Cursor hc{head.data(), head.size()};
-  if (hc.take<u32>() != kArchiveMagic)
-    throw CompressionError("PFPA: " + path + ": bad magic");
-  u16 version = hc.take<u16>();
-  if (version != kArchiveVersion)
-    throw CompressionError("PFPA: " + path + ": unsupported version " +
-                           std::to_string(version));
+  const std::string what = "PFPA: " + path;
+  const Bytes head = io::read_file_range(path, 0, kArchiveHeaderSize);
+  common::ByteReader hr(head, what);
+  if (hr.take<u32>() != kArchiveMagic) hr.fail("bad magic");
+  const u16 version = hr.take<u16>();
+  if (version != kArchiveVersion) hr.fail("unsupported version " + std::to_string(version));
 
-  Bytes foot = io::read_file_range(path, total - kArchiveFooterSize, kArchiveFooterSize);
-  Cursor fc{foot.data(), foot.size()};
-  const u64 index_offset = fc.take<u64>();
-  const u64 index_size = fc.take<u64>();
-  const u32 entry_count = fc.take<u32>();
-  const u32 index_crc = fc.take<u32>();
-  if (fc.take<u32>() != kArchiveMagic)
-    throw CompressionError("PFPA: " + path + ": bad footer magic");
-  if (index_offset < kArchiveHeaderSize || index_size > total ||
-      index_offset > total - kArchiveFooterSize - index_size ||
-      index_offset + index_size + kArchiveFooterSize != total)
-    throw CompressionError("PFPA: " + path + ": corrupted index (bad extent)");
+  const u64 foot_at = total - kArchiveFooterSize;
+  const Bytes foot = io::read_file_range(path, foot_at, kArchiveFooterSize);
+  common::ByteReader fr(foot.data(), foot.size(), what, foot_at);
+  const u64 index_offset = fr.take<u64>();
+  const u64 index_size = fr.take<u64>();
+  const u32 entry_count = fr.take<u32>();
+  const u32 index_crc = fr.take<u32>();
+  if (fr.take<u32>() != kArchiveMagic) fr.fail("bad footer magic");
+  if (index_offset < kArchiveHeaderSize || index_size > foot_at ||
+      index_offset != foot_at - index_size)
+    fr.fail("corrupted index (bad extent)");
 
-  Bytes index = io::read_file_range(path, index_offset, static_cast<std::size_t>(index_size));
+  const Bytes index =
+      io::read_file_range(path, index_offset, static_cast<std::size_t>(index_size));
   if (common::crc32(index.data(), index.size()) != index_crc)
-    throw CompressionError("PFPA: " + path + ": corrupted index (checksum mismatch)");
-  entries_ = parse_index(index, entry_count, index_offset);
+    fr.fail("corrupted index (checksum mismatch)");
+  common::ByteReader ir(index.data(), index.size(), what + " index", index_offset);
+  entries_ = parse_index(ir, entry_count, index_offset);
 }
 
 const ArchiveEntry& ArchiveReader::find(const std::string& name) const {

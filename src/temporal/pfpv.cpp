@@ -2,45 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
+#include "common/bytes.hpp"
 #include "common/checksum.hpp"
+#include "io/raw_file.hpp"
 
 namespace repro::temporal {
-namespace {
 
-template <typename T>
-void put_le(u8* p, T v) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) p[i] = static_cast<u8>(v >> (8 * i));
-}
-
-template <typename T>
-T get_le(const u8* p) {
-  T v = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) v |= static_cast<T>(p[i]) << (8 * i);
-  return v;
-}
-
-void put_f64(u8* p, double v) {
-  u64 bits;
-  std::memcpy(&bits, &v, 8);
-  put_le<u64>(p, bits);
-}
-
-double get_f64(const u8* p) {
-  const u64 bits = get_le<u64>(p);
-  double v;
-  std::memcpy(&v, &bits, 8);
-  return v;
-}
-
-/// CRC of a bitmap and a payload as one logical body, without concatenating.
-u32 body_crc(const Bytes& bitmap, const Bytes& payload) {
-  const u32 crc = common::crc32(bitmap.data(), bitmap.size());
-  return common::crc32(payload.data(), payload.size(), crc);
-}
-
-}  // namespace
+using common::get_le;
+using common::put_le;
 
 // Session header wire layout (40 bytes, docs/FORMAT.md §PFPV):
 //   0 u32 magic  4 u16 version  6 u8 dtype  7 u8 eb_type  8 f64 eps
@@ -49,37 +19,37 @@ u32 body_crc(const Bytes& bitmap, const Bytes& payload) {
 Bytes encode_stream_header(const SessionConfig& cfg) {
   Bytes out(kPfpvHeaderSize);
   u8* p = out.data();
-  put_le<u32>(p + 0, kPfpvMagic);
-  put_le<u16>(p + 4, kPfpvVersion);
+  put_le(p + 0, kPfpvMagic);
+  put_le(p + 4, kPfpvVersion);
   p[6] = static_cast<u8>(cfg.dtype);
   p[7] = static_cast<u8>(cfg.eb);
-  put_f64(p + 8, cfg.eps);
-  put_le<u32>(p + 16, cfg.dims[0]);
-  put_le<u32>(p + 20, cfg.dims[1]);
-  put_le<u32>(p + 24, cfg.dims[2]);
-  put_le<u32>(p + 28, cfg.keyframe_interval);
-  put_le<u32>(p + 32, 0);
-  put_le<u32>(p + 36, common::crc32(p, 36));
+  put_le(p + 8, cfg.eps);
+  put_le(p + 16, cfg.dims[0]);
+  put_le(p + 20, cfg.dims[1]);
+  put_le(p + 24, cfg.dims[2]);
+  put_le(p + 28, cfg.keyframe_interval);
+  put_le(p + 32, u32{0});
+  put_le(p + 36, common::crc32(p, 36));
   return out;
 }
 
 SessionConfig decode_stream_header(const u8* p, std::size_t n) {
-  if (n < kPfpvHeaderSize) throw CompressionError("PFPV: truncated session header");
-  if (get_le<u32>(p) != kPfpvMagic) throw CompressionError("PFPV: bad magic");
-  const u16 version = get_le<u16>(p + 4);
-  if (version != kPfpvVersion)
-    throw CompressionError("PFPV: unsupported version " + std::to_string(version));
-  if (get_le<u32>(p + 36) != common::crc32(p, 36))
-    throw CompressionError("PFPV: session header CRC mismatch");
+  common::ByteReader r(p, n, "PFPV");
+  r.need(kPfpvHeaderSize, "truncated session header");
+  if (r.take<u32>() != kPfpvMagic) r.fail("bad magic");
+  const u16 version = r.take<u16>();
+  if (version != kPfpvVersion) r.fail("unsupported version " + std::to_string(version));
+  if (get_le<u32>(p + 36) != common::crc32(p, 36)) r.fail("session header CRC mismatch");
+  const u8 dtype = r.take<u8>(), eb = r.take<u8>();
+  if (dtype > 1) r.fail("bad dtype");
+  if (eb > 2) r.fail("bad eb_type");
   SessionConfig cfg;
-  if (p[6] > 1) throw CompressionError("PFPV: bad dtype");
-  if (p[7] > 2) throw CompressionError("PFPV: bad eb_type");
-  cfg.dtype = static_cast<DType>(p[6]);
-  cfg.eb = static_cast<EbType>(p[7]);
-  cfg.eps = get_f64(p + 8);
-  cfg.dims = {get_le<u32>(p + 16), get_le<u32>(p + 20), get_le<u32>(p + 24)};
-  cfg.keyframe_interval = get_le<u32>(p + 28);
-  if (cfg.frame_values() == 0) throw CompressionError("PFPV: zero-value frame shape");
+  cfg.dtype = static_cast<DType>(dtype);
+  cfg.eb = static_cast<EbType>(eb);
+  cfg.eps = r.take<double>();
+  for (u32& d : cfg.dims) d = r.take<u32>();
+  cfg.keyframe_interval = r.take<u32>();
+  if (cfg.frame_values() == 0) r.fail("zero-value frame shape");
   return cfg;
 }
 
@@ -91,40 +61,44 @@ SessionConfig decode_stream_header(const u8* p, std::size_t n) {
 Bytes encode_frame_record(const EncodedFrame& f) {
   Bytes out(kPfpvRecordHeaderSize + f.chunk_modes.size() + f.payload.size());
   u8* p = out.data();
-  put_le<u32>(p + 0, kPfpvRecordMagic);
-  put_le<u64>(p + 8, f.frame_index);
-  p[16] = static_cast<u8>(f.type);
-  p[17] = p[18] = p[19] = 0;
-  put_f64(p + 20, f.abs_bound);
-  put_le<u32>(p + 28, static_cast<u32>(f.chunk_modes.size()));
-  put_le<u32>(p + 32, static_cast<u32>(f.payload.size()));
-  put_le<u32>(p + 36, body_crc(f.chunk_modes, f.payload));
-  put_le<u32>(p + 4, common::crc32(p + 8, kPfpvRecordHeaderSize - 8));
   // std::copy, not memcpy: an all-intra frame has no bitmap, and memcpy from
   // an empty vector's null data() is undefined even for zero bytes.
   u8* body =
       std::copy(f.chunk_modes.begin(), f.chunk_modes.end(), p + kPfpvRecordHeaderSize);
   std::copy(f.payload.begin(), f.payload.end(), body);
+  put_le(p + 0, kPfpvRecordMagic);
+  put_le(p + 8, f.frame_index);
+  p[16] = static_cast<u8>(f.type);
+  p[17] = p[18] = p[19] = 0;
+  put_le(p + 20, f.abs_bound);
+  put_le(p + 28, static_cast<u32>(f.chunk_modes.size()));
+  put_le(p + 32, static_cast<u32>(f.payload.size()));
+  put_le(p + 36, common::crc32(p + kPfpvRecordHeaderSize, out.size() - kPfpvRecordHeaderSize));
+  put_le(p + 4, common::crc32(p + 8, kPfpvRecordHeaderSize - 8));
   return out;
 }
 
 std::size_t decode_frame_record(const u8* p, std::size_t n, EncodedFrame& out) {
-  if (n < kPfpvRecordHeaderSize) return 0;
-  if (get_le<u32>(p) != kPfpvRecordMagic) return 0;
-  if (get_le<u32>(p + 4) != common::crc32(p + 8, kPfpvRecordHeaderSize - 8)) return 0;
-  if (p[16] > 1) return 0;
-  const std::size_t bitmap_len = get_le<u32>(p + 28);
-  const std::size_t payload_len = get_le<u32>(p + 32);
-  const std::size_t total = kPfpvRecordHeaderSize + bitmap_len + payload_len;
-  if (n < total) return 0;
-  Bytes bitmap(p + kPfpvRecordHeaderSize, p + kPfpvRecordHeaderSize + bitmap_len);
-  Bytes payload(p + kPfpvRecordHeaderSize + bitmap_len, p + total);
-  if (get_le<u32>(p + 36) != body_crc(bitmap, payload)) return 0;
-  out.frame_index = get_le<u64>(p + 8);
-  out.type = static_cast<FrameType>(p[16]);
-  out.abs_bound = get_f64(p + 20);
-  out.chunk_modes = std::move(bitmap);
-  out.payload = std::move(payload);
+  common::ByteReader r(p, n, "PFPV record");
+  if (r.remaining() < kPfpvRecordHeaderSize) return 0;
+  if (r.take<u32>() != kPfpvRecordMagic) return 0;
+  if (r.take<u32>() != common::crc32(p + 8, kPfpvRecordHeaderSize - 8)) return 0;
+  const u64 frame_index = r.take<u64>();
+  const u8 type = r.take<u8>();
+  if (type > 1) return 0;
+  r.take_bytes(3);  // reserved
+  const double abs_bound = r.take<double>();
+  const std::size_t bitmap_len = r.take<u32>();
+  const std::size_t payload_len = r.take<u32>();
+  const u32 body_crc = r.take<u32>();
+  if (r.remaining() < bitmap_len + payload_len) return 0;
+  const u8* body = r.take_bytes(bitmap_len + payload_len);
+  if (body_crc != common::crc32(body, bitmap_len + payload_len)) return 0;
+  out.frame_index = frame_index;
+  out.type = static_cast<FrameType>(type);
+  out.abs_bound = abs_bound;
+  out.chunk_modes.assign(body, body + bitmap_len);
+  out.payload.assign(body + bitmap_len, body + bitmap_len + payload_len);
   // Rebuild the chunk-mode tallies from the bitmap + the payload's own PFPL
   // header, so readers (stats, `pfpl stream info`) see the same numbers the
   // encoder reported.
@@ -138,7 +112,7 @@ std::size_t decode_frame_record(const u8* p, std::size_t n, EncodedFrame& out) {
     // Valid record framing around an unparsable payload: leave the tallies
     // best-effort and let the decoder produce the real error.
   }
-  return total;
+  return kPfpvRecordHeaderSize + bitmap_len + payload_len;
 }
 
 StreamWriter::StreamWriter(const std::string& path, const SessionConfig& cfg)
@@ -181,34 +155,25 @@ void StreamWriter::finish() {
   if (finished_) return;
   const u64 index_offset = offset_;
   Bytes index(8 + keyframes_.size() * 16);
-  put_le<u32>(index.data(), kPfpvIndexMagic);
-  put_le<u32>(index.data() + 4, static_cast<u32>(keyframes_.size()));
+  put_le(index.data(), kPfpvIndexMagic);
+  put_le(index.data() + 4, static_cast<u32>(keyframes_.size()));
   for (std::size_t i = 0; i < keyframes_.size(); ++i) {
-    put_le<u64>(index.data() + 8 + i * 16, keyframes_[i].frame_index);
-    put_le<u64>(index.data() + 16 + i * 16, keyframes_[i].file_offset);
+    put_le(index.data() + 8 + i * 16, keyframes_[i].frame_index);
+    put_le(index.data() + 16 + i * 16, keyframes_[i].file_offset);
   }
-  Bytes footer(kPfpvFooterSize);
-  put_le<u64>(footer.data(), index_offset);
-  put_le<u64>(footer.data() + 8, frames_);
-  put_le<u32>(footer.data() + 16, common::crc32(index.data(), index.size()));
-  put_le<u32>(footer.data() + 20, kPfpvIndexMagic);
+  u8 footer[kPfpvFooterSize];
+  put_le(footer, index_offset);
+  put_le(footer + 8, frames_);
+  put_le(footer + 16, common::crc32(index.data(), index.size()));
+  put_le(footer + 20, kPfpvIndexMagic);
   write_bytes(index.data(), index.size());
-  write_bytes(footer.data(), footer.size());
+  write_bytes(footer, sizeof footer);
   std::fclose(f_);
   f_ = nullptr;
   finished_ = true;
 }
 
-StreamReader::StreamReader(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw CompressionError("PFPV: cannot open " + path);
-  Bytes bytes;
-  u8 buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.insert(bytes.end(), buf, buf + n);
-  std::fclose(f);
-  open(std::move(bytes));
-}
+StreamReader::StreamReader(const std::string& path) { open(io::read_file(path)); }
 
 StreamReader::StreamReader(Bytes bytes) { open(std::move(bytes)); }
 
@@ -223,25 +188,25 @@ void StreamReader::open(Bytes bytes) {
   u64 trailer_frames = 0;
   std::vector<KeyframeEntry> trailer_keyframes;
   if (data_.size() >= kPfpvHeaderSize + 8 + kPfpvFooterSize) {
-    const u8* foot = data_.data() + data_.size() - kPfpvFooterSize;
-    if (get_le<u32>(foot + 20) == kPfpvIndexMagic) {
-      const u64 index_offset = get_le<u64>(foot);
-      const u64 index_end = data_.size() - kPfpvFooterSize;
-      if (index_offset >= kPfpvHeaderSize && index_offset + 8 <= index_end) {
-        const u8* idx = data_.data() + index_offset;
-        const std::size_t index_size = static_cast<std::size_t>(index_end - index_offset);
-        const u32 entries = get_le<u32>(idx + 4);
-        if (get_le<u32>(idx) == kPfpvIndexMagic &&
-            index_size == 8 + static_cast<std::size_t>(entries) * 16 &&
-            get_le<u32>(foot + 16) == common::crc32(idx, index_size)) {
-          trailer_ok = true;
-          trailer_frames = get_le<u64>(foot + 8);
-          records_end = static_cast<std::size_t>(index_offset);
-          trailer_keyframes.reserve(entries);
-          for (u32 i = 0; i < entries; ++i)
-            trailer_keyframes.push_back({get_le<u64>(idx + 8 + i * 16),
-                                         get_le<u64>(idx + 16 + i * 16)});
-        }
+    const std::size_t index_end = data_.size() - kPfpvFooterSize;
+    common::ByteReader fr(data_.data() + index_end, kPfpvFooterSize, "PFPV", index_end);
+    const u64 index_offset = fr.take<u64>();
+    const u64 frames = fr.take<u64>();
+    const u32 index_crc = fr.take<u32>();
+    if (fr.take<u32>() == kPfpvIndexMagic && index_offset >= kPfpvHeaderSize &&
+        index_offset <= index_end - 8) {
+      const std::size_t at = static_cast<std::size_t>(index_offset);
+      common::ByteReader ir(data_.data() + at, index_end - at, "PFPV", at);
+      const u32 magic = ir.take<u32>();
+      const u32 entries = ir.take<u32>();
+      if (magic == kPfpvIndexMagic && ir.remaining() == u64{entries} * 16 &&
+          index_crc == common::crc32(data_.data() + at, index_end - at)) {
+        trailer_ok = true;
+        trailer_frames = frames;
+        records_end = at;
+        trailer_keyframes.reserve(entries);
+        for (u32 i = 0; i < entries; ++i)
+          trailer_keyframes.push_back({ir.take<u64>(), ir.take<u64>()});
       }
     }
   }

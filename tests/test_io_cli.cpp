@@ -4,9 +4,11 @@
 
 #include <sys/wait.h>
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <string>
@@ -91,6 +93,25 @@ TEST(RawFile, FileSize) {
   EXPECT_EQ(io::file_size(path), 0u);
   fs::remove(path);
   EXPECT_THROW(io::file_size(path), CompressionError);
+}
+
+TEST(RawFile, DirectoryIsTypedError) {
+  // fopen succeeds on a directory and ftell reports a huge size: the read
+  // must refuse it with errno's text and the path, before allocating.
+  const std::string dir = tmp_path("io_dir");
+  fs::create_directories(dir);
+  for (auto read : {+[](const std::string& p) { io::read_file(p); },
+                    +[](const std::string& p) { io::read_file_range(p, 0, 4); }}) {
+    try {
+      read(dir);
+      ADD_FAILURE() << "reading a directory did not throw";
+    } catch (const CompressionError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(dir), std::string::npos) << what;
+      EXPECT_NE(what.find(std::strerror(EISDIR)), std::string::npos) << what;
+    }
+  }
+  fs::remove_all(dir);
 }
 
 // Exhaustive edge cases for the random-access range read: every failure mode
@@ -449,6 +470,20 @@ TEST_F(CliTest, StatsRejectsShortAndJunkFiles) {
   fs::remove(f);
 }
 
+TEST_F(CliTest, DirectoryInputExitsOne) {
+  const std::string dir = tmp_path("cli_dir_input");
+  fs::create_directories(dir);
+  for (const std::string& args : {" d " + dir + " " + out, " info " + dir}) {
+    std::string text;
+    const int status = run_out(cli + args + " 2>&1", text);
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << args;
+    EXPECT_EQ(text.find("bad_alloc"), std::string::npos) << text;
+    EXPECT_NE(text.find(dir), std::string::npos) << text;
+  }
+  fs::remove_all(dir);
+}
+
 TEST_F(CliTest, StoreRoundTrip) {
   const std::string dir = tmp_path("store_rt");
   fs::remove_all(dir);
@@ -519,6 +554,45 @@ TEST_F(CliTest, StreamRoundTrip) {
   EXPECT_TRUE(fs::exists(fs::path(dir) / "frame-000007.raw"));
   fs::remove(pfpv);
   fs::remove_all(dir);
+}
+
+TEST_F(CliTest, TornStreamRecoversRecordPrefix) {
+  // A .pfpv cut short loses its trailer and part of its last records: info
+  // flags it, unpack recovers a strict prefix whose every frame equals the
+  // reconstruction audited at pack time, and junk bytes are a usage error.
+  const std::string pfpv = tmp_path("torn.pfpv"), recon = tmp_path("torn_recon"),
+                    frames = tmp_path("torn_frames"), junk = tmp_path("torn_junk.bin");
+  fs::remove_all(recon);
+  fs::remove_all(frames);
+  constexpr std::size_t kFrames = 16;
+  std::string text;
+  ASSERT_EQ(run_out(cli + " stream pack " + pfpv + " --suite advect --frames " +
+                        std::to_string(kFrames) + " --values 4096 --eps 1e-3 --audit" +
+                        " --dump-recon " + recon,
+                    text),
+            0);
+  fs::resize_file(pfpv, fs::file_size(pfpv) - 2000);
+  ASSERT_EQ(run_out(cli + " stream info " + pfpv, text), 0);
+  EXPECT_NE(text.find("TRUNCATED"), std::string::npos) << text;
+  ASSERT_EQ(run(cli + " stream unpack " + pfpv + " " + frames), 0);
+  std::size_t recovered = 0;
+  for (const auto& f : fs::directory_iterator(frames)) {
+    const fs::path ref = fs::path(recon) / f.path().filename();
+    ASSERT_TRUE(fs::exists(ref)) << ref;
+    EXPECT_EQ(slurp(f.path().string()), slurp(ref.string())) << f.path();
+    ++recovered;
+  }
+  EXPECT_GE(recovered, 1u);
+  EXPECT_LT(recovered, kFrames);
+  std::vector<u8> bytes(4096);
+  data::Rng rng(27);
+  for (u8& b : bytes) b = static_cast<u8>(rng.next_u64());
+  io::write_file(junk, bytes.data(), bytes.size());
+  EXPECT_EQ(exit_code(cli + " stats " + junk), 2);
+  fs::remove(pfpv);
+  fs::remove(junk);
+  fs::remove_all(recon);
+  fs::remove_all(frames);
 }
 
 TEST_F(CliTest, AuditJsonReportsOk) {

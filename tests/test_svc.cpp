@@ -293,6 +293,17 @@ TEST_F(ArchiveTest, BadFooterMagicIsRejected) {
   EXPECT_THROW(svc::ArchiveReader reader(path), CompressionError);
 }
 
+TEST_F(ArchiveTest, HostileEntryCountIsTypedError) {
+  // The footer's entry count has no CRC of its own. 0xFFFFFFFF records of at
+  // least 53 bytes cannot fit the index, so the reader must refuse the count
+  // before it sizes anything from it.
+  Bytes raw = io::read_file(path);
+  const u32 hostile = 0xFFFFFFFFu;
+  std::memcpy(raw.data() + raw.size() - svc::kArchiveFooterSize + 16, &hostile, 4);
+  io::write_file(path, raw.data(), raw.size());
+  EXPECT_THROW(svc::ArchiveReader reader(path), CompressionError);
+}
+
 TEST(Archive, WriterRejectsBadNames) {
   std::string path = tmp_path("badnames.pfpa");
   auto v = wave_f32(100, 13);
