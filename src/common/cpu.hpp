@@ -1,8 +1,9 @@
-// Run-time CPU feature check shared by every SIMD tier.
+// Run-time CPU feature checks shared by every SIMD tier.
 //
-// The quantizer (core/quantize_avx2.cpp) and the lossless stages
-// (bits/lossless_avx2.cpp) each keep a scalar reference and an AVX2 tier that
-// writes the same bytes; this one check picks the tier for the whole process.
+// The quantizer (core/quantize_avx2.cpp), the lossless stages
+// (bits/lossless_avx2.cpp) and the CRC-32 (common/checksum.hpp) each keep a
+// scalar reference and a SIMD tier that produces the same bytes; these checks
+// pick the tier for the whole process.
 #pragma once
 
 namespace repro::common {
@@ -13,6 +14,20 @@ inline bool has_avx2() {
   static const bool has = [] {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+/// True when this CPU runs PCLMULQDQ and SSE4.1 (the CRC-32 folding tier);
+/// resolved once per process.
+inline bool has_pclmul() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("pclmul") != 0 && __builtin_cpu_supports("sse4.1") != 0;
   }();
   return has;
 #else

@@ -1,4 +1,4 @@
-// Kernel-level performance attribution (ROADMAP item 1 groundwork).
+// Kernel-level performance attribution.
 //
 // The core pipeline is four hot kernels per direction:
 //

@@ -1,4 +1,4 @@
-// src/temporal — streaming frame-sequence compression (ROADMAP item 5).
+// src/temporal — streaming frame-sequence compression.
 //
 // A FrameEncoder holds the previously *decoded* frame as its reference and
 // encodes each new frame as either
