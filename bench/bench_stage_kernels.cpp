@@ -48,16 +48,35 @@ void BM_QuantizeAbs(benchmark::State& state) {
   pfpl::AbsQuantizer<float> q(1e-3);
   std::vector<u32> w(kN);
   for (auto _ : state) {
-    for (std::size_t i = 0; i < kN; ++i) w[i] = q.encode(v[i]);
+    q.encode_block(v.data(), w.data(), kN);
     benchmark::DoNotOptimize(w.data());
   }
   state.SetBytesProcessed(state.iterations() * kN * 4);
 }
 BENCHMARK(BM_QuantizeAbs);
 
-void BM_QuantizeRel(benchmark::State& state) {
-  auto v = smooth_input(kN);
+/// Positive inputs for the REL benches (away from the zero bin).
+std::vector<float> rel_input(std::size_t n) {
+  auto v = smooth_input(n);
   for (auto& x : v) x += 2.0f;
+  return v;
+}
+
+void BM_QuantizeRel(benchmark::State& state) {
+  auto v = rel_input(kN);
+  pfpl::RelQuantizer<float> q(1e-3);
+  std::vector<u32> w(kN);
+  for (auto _ : state) {
+    q.encode_block(v.data(), w.data(), kN);
+    benchmark::DoNotOptimize(w.data());
+  }
+  state.SetBytesProcessed(state.iterations() * kN * 4);
+}
+BENCHMARK(BM_QuantizeRel);
+
+/// The per-value encode() the block kernels must match word for word.
+void BM_QuantizeRelScalar(benchmark::State& state) {
+  auto v = rel_input(kN);
   pfpl::RelQuantizer<float> q(1e-3);
   std::vector<u32> w(kN);
   for (auto _ : state) {
@@ -66,7 +85,20 @@ void BM_QuantizeRel(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * kN * 4);
 }
-BENCHMARK(BM_QuantizeRel);
+BENCHMARK(BM_QuantizeRelScalar);
+
+void BM_DequantizeRel(benchmark::State& state) {
+  auto v = rel_input(kN);
+  pfpl::RelQuantizer<float> q(1e-3);
+  std::vector<u32> w(kN);
+  q.encode_block(v.data(), w.data(), kN);
+  for (auto _ : state) {
+    q.decode_block(w.data(), v.data(), kN);
+    benchmark::DoNotOptimize(v.data());
+  }
+  state.SetBytesProcessed(state.iterations() * kN * 4);
+}
+BENCHMARK(BM_DequantizeRel);
 
 void BM_DeltaNegabinary(benchmark::State& state) {
   auto w = quantized_words(kN);

@@ -6,14 +6,20 @@
 // streams stay byte-identical on every host, tier and executor.
 //
 // How the lanes keep that promise:
-//   * Four values per step, as 4 x double lanes. f32 input is widened to
-//     double exactly as the scalar path does; IEEE words ride along in 64-bit
-//     integer lanes. Branches of the scalar code become lane masks.
+//   * Values travel as 4 x double lanes. f32 input is widened to double
+//     exactly as the scalar path does; IEEE words ride along in 64-bit
+//     integer lanes. Branches of the scalar code become lane masks. ABS/NOA
+//     run one 4-lane group per step. REL runs kGroups groups per step as a
+//     Lanes<kGroups>, so the long det_log/det_exp Horner chains of the groups
+//     overlap; then one 4-lane group per step for the remainder.
 //   * Only IEEE basic operations in the scalar order. The det_log/det_exp
 //     polynomials are the very templates the scalar functions use
-//     (fpmath/det_poly.hpp). Functions carry target("avx2") and never "fma",
-//     and the build's -ffp-contract=off keeps a*b+c as two roundings.
-//   * Lanes the vector code cannot decide re-run the scalar function:
+//     (fpmath/det_poly.hpp), instantiated for Lanes<G>: each operation runs
+//     on all G groups before the next, so no value's sequence changes.
+//     Functions carry target("avx2") and never "fma", and the build's
+//     -ffp-contract=off keeps a*b+c as two roundings.
+//   * Lanes the vector code cannot decide re-run the scalar function for
+//     their own value, in whichever group they sit:
 //       - det_exp leaves its single-multiply scale range (k < -1021 or
 //         k > 1023), where the scalar code scales in several steps;
 //       - f64 lanes inside the guard band of the long double check (below);
@@ -171,36 +177,83 @@ PFPL_AVX2_INLINE I value_bits(D x) {
     return as_int(x);
 }
 
+// --- Lanes<G>: G independent 4-lane groups ----------------------------------
+
+/// G groups of four double lanes. Each operator applies one IEEE operation to
+/// every group before the caller's next operation starts, so the det_poly
+/// templates instantiated for Lanes<G> run G independent Horner chains side
+/// by side while every value still sees the scalar operation sequence. Like
+/// those templates, the operators carry no target attribute and are always
+/// inlined into the target("avx2") kernels.
+template <int G>
+struct Lanes {
+  D g[G];
+};
+
+#define PFPL_LANES_OP(op)                                                                     \
+  template <int G>                                                                            \
+  [[gnu::always_inline]] inline Lanes<G> operator op(const Lanes<G>& a, const Lanes<G>& b) {   \
+    Lanes<G> r;                                                                               \
+    for (int j = 0; j < G; ++j) r.g[j] = a.g[j] op b.g[j];                                    \
+    return r;                                                                                 \
+  }                                                                                           \
+  template <int G>                                                                            \
+  [[gnu::always_inline]] inline Lanes<G> operator op(const Lanes<G>& a, double b) {           \
+    Lanes<G> r;                                                                               \
+    for (int j = 0; j < G; ++j) r.g[j] = a.g[j] op b;                                         \
+    return r;                                                                                 \
+  }                                                                                           \
+  template <int G>                                                                            \
+  [[gnu::always_inline]] inline Lanes<G> operator op(double a, const Lanes<G>& b) {           \
+    Lanes<G> r;                                                                               \
+    for (int j = 0; j < G; ++j) r.g[j] = a op b.g[j];                                         \
+    return r;                                                                                 \
+  }
+PFPL_LANES_OP(+)
+PFPL_LANES_OP(-)
+PFPL_LANES_OP(*)
+PFPL_LANES_OP(/)
+#undef PFPL_LANES_OP
+
 // --- det_log / det_exp lanes (range handling around the shared cores) -------
 
 /// fpmath::det_log for positive finite lanes, bit for bit.
-PFPL_AVX2_INLINE D det_log(D x) {
+template <int G>
+PFPL_AVX2_INLINE Lanes<G> det_log(const Lanes<G>& x) {
   const I zero = _mm256_setzero_si256();
-  const D denormal = as_dbl(_mm256_cmpeq_epi64(_mm256_srli_epi64(as_int(x), 52), zero));
-  const D xs = select(denormal, x * 0x1p54, x);
-  const D extra = select(denormal, splat(-54.0), splat(0.0));
-  const I bits = as_int(xs);
-  D de = to_f64(_mm256_srli_epi64(bits, 52)) - 1023.0 + extra;
-  D m = as_dbl(_mm256_or_si256(_mm256_and_si256(bits, splat64(FloatTraits<double>::mantissa_mask)),
-                               splat64(0x3FF0000000000000ull)));
-  const D big = gt(m, splat(fpmath::poly::kSqrt2));
-  m = select(big, m * 0.5, m);
-  de = select(big, de + 1.0, de);
-  D out;
+  Lanes<G> m, de, out;
+  for (int j = 0; j < G; ++j) {
+    const D denormal = as_dbl(_mm256_cmpeq_epi64(_mm256_srli_epi64(as_int(x.g[j]), 52), zero));
+    const D xs = select(denormal, x.g[j] * 0x1p54, x.g[j]);
+    const D extra = select(denormal, splat(-54.0), splat(0.0));
+    const I bits = as_int(xs);
+    const D e = to_f64(_mm256_srli_epi64(bits, 52)) - 1023.0 + extra;
+    const D mr = as_dbl(_mm256_or_si256(
+        _mm256_and_si256(bits, splat64(FloatTraits<double>::mantissa_mask)),
+        splat64(0x3FF0000000000000ull)));
+    const D big = gt(mr, splat(fpmath::poly::kSqrt2));
+    m.g[j] = select(big, mr * 0.5, mr);
+    de.g[j] = select(big, e + 1.0, e);
+  }
   fpmath::poly::log_reduced(m, de, out);
   return out;
 }
 
 /// fpmath::det_exp, bit for bit, on lanes where `in_range` comes back set
 /// (2^k is one exact multiply); other lanes must re-run the scalar function.
-PFPL_AVX2_INLINE D det_exp(D x, D& in_range) {
-  const D dk = round_ne(x * fpmath::poly::kInvLn2);
-  in_range = both(ge(dk, splat(-1021.0)), le(dk, splat(1023.0)));
-  D p;
+template <int G>
+PFPL_AVX2_INLINE Lanes<G> det_exp(const Lanes<G>& x, Lanes<G>& in_range) {
+  Lanes<G> dk, p;
+  for (int j = 0; j < G; ++j) {
+    dk.g[j] = round_ne(x.g[j] * fpmath::poly::kInvLn2);
+    in_range.g[j] = both(ge(dk.g[j], splat(-1021.0)), le(dk.g[j], splat(1023.0)));
+  }
   fpmath::poly::exp_reduced(x, dk, p);
-  const I k = to_i64(dk);
-  const D scale = as_dbl(_mm256_slli_epi64(_mm256_add_epi64(k, splat64(1023)), 52));
-  return p * scale;
+  for (int j = 0; j < G; ++j) {
+    const I k = to_i64(dk.g[j]);
+    p.g[j] = p.g[j] * as_dbl(_mm256_slli_epi64(_mm256_add_epi64(k, splat64(1023)), 52));
+  }
+  return p;
 }
 
 /// Re-run `scalar` for the lanes set in `mask`.
@@ -266,12 +319,20 @@ PFPL_AVX2 void abs_decode(const AbsQuantizer<T>& q, AbsConsts c, const BitsOf<T>
 
 // --- REL --------------------------------------------------------------------
 
-template <typename T>
-PFPL_AVX2 void rel_encode(const RelQuantizer<T>& q, RelConsts c, const T* in, BitsOf<T>* out,
-                          std::size_t k) {
+/// Groups per REL step, chosen by measurement (EXPERIMENTS.md): G independent
+/// Horner chains hide the det_log/det_exp latency, f32 quantize runs ~1.7x
+/// faster at G = 4 and ~2.1x at G = 8, and past 8 the kernels are bound by
+/// the FP ports instead, so G = 12 gains nothing.
+constexpr int kGroups = 8;
+
+/// rel_encode on the 4*G values at `in`: G groups through det_log/det_exp
+/// together, then each group's verify, store and fallback on its own.
+template <typename T, int G>
+PFPL_AVX2_INLINE void rel_encode_step(const RelQuantizer<T>& q, const RelConsts& c, const T* in,
+                                      BitsOf<T>* out) {
   using Q = RelQuantizer<T>;
   using FT = FloatTraits<T>;
-  const D scale = splat(c.scale), two_log = splat(c.two_log);
+  const D scale = splat(c.scale);
   const D lo_bin = splat(static_cast<double>(1 - Q::bias));
   const D hi_bin = splat(static_cast<double>(Q::u_max - Q::bias));
   const D bias = splat(static_cast<double>(Q::bias));
@@ -280,70 +341,96 @@ PFPL_AVX2 void rel_encode(const RelQuantizer<T>& q, RelConsts c, const T* in, Bi
   const D g_up = splat(1.0 + 0x1p-49), g_dn = splat(1.0 - 0x1p-49);
   const I sign_mask = splat64(FT::sign_mask), ones = splat64(kOnes<T>);
   const auto scalar = [&q](T v) { return q.encode(v); };
-  std::size_t i = 0;
-  for (; i + 4 <= k; i += 4) {
+  Lanes<G> av, bd, exp_ok;
+  for (int j = 0; j < G; ++j) {
     I b;
-    const D v = load_values(in + i, b);
-    const D av = absval(v);
+    av.g[j] = absval(load_values(in + 4 * j, b));
+  }
+  const Lanes<G> lg = det_log(av);
+  for (int j = 0; j < G; ++j) bd.g[j] = round_ne(lg.g[j] * scale);
+  const Lanes<G> rec = det_exp(bd * c.two_log, exp_ok);
+  for (int j = 0; j < G; ++j) {
+    I b;
+    const D v = load_values(in + 4 * j, b), a = av.g[j];
     const D is_nan = _mm256_cmp_pd(v, v, _CMP_UNORD_Q);
-    const D is_zero = eq(av, _mm256_setzero_pd());
+    const D is_zero = eq(a, _mm256_setzero_pd());
     const I sign = _mm256_srli_epi64(b, FT::total_bits - 1);
     // NaNs are made positive before the inversion; infinities just inverted.
     const I raw =
         _mm256_xor_si256(select(as_int(is_nan), _mm256_andnot_si256(sign_mask, b), b), ones);
-    const D bd = round_ne(det_log(av) * scale);
     // Finite nonzero values whose bin is representable.
-    const D in_range = a_not_b(both(both(lt(av, inf), ge(bd, lo_bin)), le(bd, hi_bin)), is_zero);
-    D exp_ok;
-    const D r = to_value<T>(det_exp(bd * two_log, exp_ok));
-    D ok, undecided = a_not_b(in_range, exp_ok);
+    const D in_range =
+        a_not_b(both(both(lt(a, inf), ge(bd.g[j], lo_bin)), le(bd.g[j], hi_bin)), is_zero);
+    const D r = to_value<T>(rec.g[j]);
+    D ok, undecided = a_not_b(in_range, exp_ok.g[j]);
     if constexpr (std::is_same_v<T, float>) {
-      ok = both(both(lt(r, inf), ge(r * op, av)), le(r, av * op));
+      ok = both(both(lt(r, inf), ge(r * op, a)), le(r, a * op));
     } else {
       // The guard band (see the file comment); r is normal and finite here.
-      const D rop = r * op, vop = av * op, v_up = av * g_up, r_up = r * g_up;
-      const D c1_true = ge(rop, v_up), c1_false = le(rop, av * g_dn);
+      const D rop = r * op, vop = a * op, v_up = a * g_up, r_up = r * g_up;
+      const D c1_true = ge(rop, v_up), c1_false = le(rop, a * g_dn);
       const D c2_true = le(r_up, vop), c2_false = ge(r * g_dn, vop);
       const D biggest = _mm256_max_pd(_mm256_max_pd(rop, vop), _mm256_max_pd(v_up, r_up));
-      const D safe = both(ge(av, splat(0x1p-1021)), lt(biggest, inf));
+      const D safe = both(ge(a, splat(0x1p-1021)), lt(biggest, inf));
       const D decided =
           both(safe, both(either(c1_true, c1_false), either(c2_true, c2_false)));
       ok = both(c1_true, c2_true);
       undecided = either(undecided, a_not_b(in_range, decided));
     }
-    const I u = to_i64(bd + bias);
+    const I u = to_i64(bd.g[j] + bias);
     const I word = _mm256_or_si256(_mm256_slli_epi64(u, 1), sign);
     const I res = select(as_int(is_zero), sign, select(as_int(both(in_range, ok)), word, raw));
-    store_words<T>(out + i, res);
-    rerun(undecided, in + i, out + i, scalar);
+    store_words<T>(out + 4 * j, res);
+    rerun(undecided, in + 4 * j, out + 4 * j, scalar);
   }
+}
+
+/// rel_decode on the 4*G words at `in`, grouped as rel_encode_step.
+template <typename T, int G>
+PFPL_AVX2_INLINE void rel_decode_step(const RelQuantizer<T>& q, const RelConsts& c,
+                                      const BitsOf<T>* in, T* out) {
+  using Q = RelQuantizer<T>;
+  using FT = FloatTraits<T>;
+  const D two_log = splat(c.two_log), bias = splat(static_cast<double>(Q::bias));
+  const I one = splat64(1), zero = _mm256_setzero_si256(), ones = splat64(kOnes<T>);
+  const auto scalar = [&q](BitsOf<T> w) { return q.decode(w); };
+  Lanes<G> arg, exp_ok;
+  for (int j = 0; j < G; ++j) {
+    // double(u - bias): both terms are integers below 2^51, so exact.
+    const I u = _mm256_srli_epi64(load_words(in + 4 * j), 1);
+    arg.g[j] = (to_f64(u) - bias) * two_log;
+  }
+  const Lanes<G> mag = det_exp(arg, exp_ok);
+  for (int j = 0; j < G; ++j) {
+    const I w = load_words(in + 4 * j);
+    const I is_bin = lt_u64(w, splat64(FT::denormal_limit - 1));
+    const I u_zero = _mm256_cmpeq_epi64(_mm256_srli_epi64(w, 1), zero);
+    const I mag_bits = _mm256_andnot_si256(u_zero, value_bits<T>(mag.g[j]));
+    const I sign = _mm256_slli_epi64(_mm256_and_si256(w, one), FT::total_bits - 1);
+    const I res = _mm256_or_si256(mag_bits, sign);
+    store_words<T>(out + 4 * j, select(is_bin, res, _mm256_xor_si256(w, ones)));
+    const D undecided = a_not_b(as_dbl(_mm256_andnot_si256(u_zero, is_bin)), exp_ok.g[j]);
+    rerun(undecided, in + 4 * j, out + 4 * j, scalar);
+  }
+}
+
+template <typename T>
+PFPL_AVX2 void rel_encode(const RelQuantizer<T>& q, RelConsts c, const T* in, BitsOf<T>* out,
+                          std::size_t k) {
+  std::size_t i = 0;
+  for (; i + 4 * kGroups <= k; i += 4 * kGroups)
+    rel_encode_step<T, kGroups>(q, c, in + i, out + i);
+  for (; i + 4 <= k; i += 4) rel_encode_step<T, 1>(q, c, in + i, out + i);
   for (; i < k; ++i) out[i] = q.encode(in[i]);
 }
 
 template <typename T>
 PFPL_AVX2 void rel_decode(const RelQuantizer<T>& q, RelConsts c, const BitsOf<T>* in, T* out,
                           std::size_t k) {
-  using Q = RelQuantizer<T>;
-  using FT = FloatTraits<T>;
-  const D two_log = splat(c.two_log), bias = splat(static_cast<double>(Q::bias));
-  const I one = splat64(1), zero = _mm256_setzero_si256(), ones = splat64(kOnes<T>);
-  const auto scalar = [&q](BitsOf<T> w) { return q.decode(w); };
   std::size_t i = 0;
-  for (; i + 4 <= k; i += 4) {
-    const I w = load_words(in + i);
-    const I is_bin = lt_u64(w, splat64(FT::denormal_limit - 1));
-    const I u = _mm256_srli_epi64(w, 1);
-    const I u_zero = _mm256_cmpeq_epi64(u, zero);
-    // double(u - bias): both terms are integers below 2^51, so exact.
-    D exp_ok;
-    const D mag = det_exp((to_f64(u) - bias) * two_log, exp_ok);
-    const I mag_bits = _mm256_andnot_si256(u_zero, value_bits<T>(mag));
-    const I sign = _mm256_slli_epi64(_mm256_and_si256(w, one), FT::total_bits - 1);
-    const I res = _mm256_or_si256(mag_bits, sign);
-    store_words<T>(out + i, select(is_bin, res, _mm256_xor_si256(w, ones)));
-    const D undecided = a_not_b(as_dbl(_mm256_andnot_si256(u_zero, is_bin)), exp_ok);
-    rerun(undecided, in + i, out + i, scalar);
-  }
+  for (; i + 4 * kGroups <= k; i += 4 * kGroups)
+    rel_decode_step<T, kGroups>(q, c, in + i, out + i);
+  for (; i + 4 <= k; i += 4) rel_decode_step<T, 1>(q, c, in + i, out + i);
   for (; i < k; ++i) out[i] = q.decode(in[i]);
 }
 

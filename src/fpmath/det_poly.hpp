@@ -3,10 +3,14 @@
 //
 // det_math.cpp instantiates them for `double`: that is the scalar det_log /
 // det_exp every codec path treats as the specification. The AVX2 quantizer
-// kernels (core/quantize_avx2.cpp) instantiate them for 4 x double lanes
-// (`__m256d`, operated on with GCC/Clang vector operators). Both therefore
-// run the same sequence of IEEE operations on every value by construction;
-// only the range handling around these cores differs between the two.
+// kernels (core/quantize_avx2.cpp) instantiate them for `Lanes<G>`: G
+// independent groups of 4 x double lanes, whose operators apply each IEEE
+// operation to all G groups before the next one. Every value therefore runs
+// the same sequence of IEEE operations as in the scalar function, by
+// construction; the G groups only give the CPU G independent chains to
+// overlap. Nothing here may be re-associated or split (no Estrin, no FMA),
+// since that would change the rounding. Only the range handling around
+// these cores differs between the instantiations.
 //
 // Results come back through a reference so that no 256-bit vector is passed
 // by value across a function without AVX enabled (which would change the

@@ -577,12 +577,75 @@ TEST(QuantizerTiers, F64GuardBandValues) {
                        "f64 REL guard band");
 }
 
+namespace {
+
+/// Whether the long double REL check of `v` is decided within 2^-49 relative,
+/// so that an f64 lane must hand `v` to the scalar check. Bins `v` with the
+/// quantizer's own arithmetic.
+bool rel_in_guard_band(double eps, double v) {
+  const double l = fpmath::det_log1p(eps);
+  const double av = std::fabs(v);
+  const double bd = fpmath::round_nearest_even(fpmath::det_log(av) * (0.5 / l));
+  const long double r = fpmath::det_exp(bd * (2.0 * l));
+  const long double op = 1.0L + eps, lv = av, g = std::ldexp(1.0L, -49);
+  return std::fabs(r * op - lv) <= lv * g || std::fabs(r - lv * op) <= lv * op * g;
+}
+
+}  // namespace
+
+TEST(QuantizerTiers, FallbackLaneAtEveryGroupPosition) {
+  // One value a lane cannot decide on its own, or a special value, at every
+  // position of a 40-value block of moderate values: it lands in each group
+  // of a full step, in the 4-lane remainder and in the scalar tail, and
+  // exactly its own lane must take the scalar word.
+  SKIP_WITHOUT_AVX2();
+  constexpr std::size_t kBlock = 40;
+  auto each_position = [](const auto& q, const auto& base, const auto& odd,
+                          const std::string& what) {
+    for (const auto x : odd)
+      for (std::size_t p = 0; p < kBlock; ++p) {
+        auto vals = base;
+        vals[p] = x;
+        expect_tiers_agree(q, vals, what + " at " + std::to_string(p));
+      }
+  };
+  using L64 = std::numeric_limits<double>;
+  using L32 = std::numeric_limits<float>;
+  const auto f64 = random_moderate<double>(kBlock, 3, 61);
+  const auto f32 = random_moderate<float>(kBlock, 3, 62);
+
+  // det_exp outside its one-multiply range: reconstructions near the
+  // denormals and near DBL_MAX.
+  const std::vector<double> extremes = {1e-310, -1.2e-310, L64::max(), -1.6e308};
+  // Values inside the f64 guard band, from the REL edge windows.
+  std::vector<double> band;
+  for (double v : rel_edge_values<double>(1e-2))
+    if (band.size() < 6 && rel_in_guard_band(1e-2, v)) band.push_back(v);
+  ASSERT_FALSE(band.empty());
+  // f32 at a huge bound: bins sit ~199 binades apart, so the raw pattern of
+  // a denormal, read back as a bin word, reconstructs far outside the range.
+  const std::vector<float> f32_odd = {fpmath::from_bits<float>(2u),
+                                      fpmath::from_bits<float>(0x00654321u),
+                                      fpmath::from_bits<float>(0x007FFFFDu)};
+  const std::vector<double> specials64 = {L64::quiet_NaN(), -L64::quiet_NaN(), L64::infinity(),
+                                          -L64::infinity(), 0.0, -0.0};
+  const std::vector<float> specials32 = {L32::quiet_NaN(), -L32::quiet_NaN(), L32::infinity(),
+                                         -L32::infinity(), 0.0f, -0.0f};
+
+  each_position(RelQuantizer<double>(1e-3), f64, extremes, "f64 REL extreme");
+  each_position(RelQuantizer<double>(1e-2), f64, band, "f64 REL guard band");
+  each_position(RelQuantizer<float>(1e30), f32, f32_odd, "f32 REL 1e30");
+  each_position(RelQuantizer<double>(1e-3), f64, specials64, "f64 REL special");
+  each_position(RelQuantizer<float>(1e-3), f32, specials32, "f32 REL special");
+  each_position(RelQuantizer<float>(1e30), f32, specials32, "f32 REL 1e30 special");
+}
+
 TEST(QuantizerTiers, BlockLengthsAndUnalignedPointers) {
   SKIP_WITHOUT_AVX2();
   const auto vals = random_moderate<float>(4096 + 8, 3, 58);
   const auto vals64 = random_moderate<double>(4096 + 8, 3, 59);
   std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 9; ++n) lengths.push_back(n);
+  for (std::size_t n = 0; n <= 40; ++n) lengths.push_back(n);
   for (std::size_t n = 4093; n <= 4096; ++n) lengths.push_back(n);
   auto run = [&](const auto& q, const auto& src) {
     using Q = std::decay_t<decltype(q)>;
