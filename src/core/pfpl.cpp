@@ -43,27 +43,6 @@ struct CoreMetrics {
   }
 };
 
-/// Min/max reduction over the finite values of the input (NOA needs the value
-/// range, Section III-A; the reduction result is stored in the header so the
-/// decoder never recomputes it).
-template <typename T>
-double finite_range(const T* d, std::size_t n) {
-  bool any = false;
-  T mn{}, mx{};
-  for (std::size_t i = 0; i < n; ++i) {
-    T v = d[i];
-    if (!std::isfinite(v)) continue;
-    if (!any) {
-      mn = mx = v;
-      any = true;
-    } else {
-      mn = std::min(mn, v);
-      mx = std::max(mx, v);
-    }
-  }
-  return any ? static_cast<double>(mx) - static_cast<double>(mn) : 0.0;
-}
-
 /// The one place a quantizer type is chosen: calls f with the header's
 /// quantizer. ABS and NOA both bin with AbsQuantizer over recon_param. The
 /// constructors reject invalid bounds.
@@ -199,8 +178,8 @@ Header plan_header(const Field& in, const Params& p) {
   const std::size_t n = in.count();
   double range = 0.0;
   if (p.eb == EbType::NOA)
-    range = in.dtype == DType::F32 ? finite_range(static_cast<const float*>(in.data), n)
-                                   : finite_range(static_cast<const double*>(in.data), n);
+    range = in.dtype == DType::F32 ? fpmath::finite_range(in.as<float>())
+                                   : fpmath::finite_range(in.as<double>());
   Header h = plan_bound(in.dtype, p.eb, p.eps, range);
   const std::size_t cw = chunk_values(in.dtype);
   h.value_count = n;

@@ -18,37 +18,22 @@
 //     on all G groups before the next, so no value's sequence changes.
 //     Functions carry target("avx2") and never "fma", and the build's
 //     -ffp-contract=off keeps a*b+c as two roundings.
+//   * The bound check is the fast path of fpmath/bound.hpp, the same few
+//     operations for f32 and f64: ABS s = |v - r| against eps; REL
+//     p = lo*eps against d = hi - lo with lo, hi = min, max(r, |v|). A
+//     comparison of rounded values is exact unless they are equal.
+//     An ABS tie s == eps always holds, because v - r is then exact: r = 0,
+//     or v lies within a factor 2 of r (Sterbenz). The only way out would
+//     be bin +-1 with |v| just below eps, and there |v - r| = eps + ulp(eps)
+//     exactly (v in eps's binade) or the bin is 0 (v below it).
 //   * Lanes the vector code cannot decide re-run the scalar function for
 //     their own value, in whichever group they sit:
 //       - det_exp leaves its single-multiply scale range (k < -1021 or
 //         k > 1023), where the scalar code scales in several steps;
-//       - f64 lanes inside the guard band of the long double check (below);
+//       - a REL check ties (p == d), where the scalar predicate compares
+//         the exact rounding errors;
 //     plus the k mod 4 tail, and every value when the ABS quantizer is in
 //     degenerate mode (eps below the smallest normal: only exact zeros bin).
-//
-// The f64 guard band. For T = double the scalar encoder verifies in long
-// double (x87 on x86-64), which has no lane form. The lanes evaluate the same
-// comparisons in double and accept the answer only when it holds with margin
-// g = 2^-49 relative:
-//   ABS: accept if |v-r| < eps*(1-g), reject if |v-r| > eps*(1+g).
-//   REL: C1 = r*(1+eps) >= |v|: true if r*op >= |v|*(1+g), false if
-//        r*op <= |v|*(1-g);  C2 = r <= |v|*(1+eps): true if r*(1+g) <= |v|*op,
-//        false if r*(1-g) >= |v|*op;  op = fl(1+eps).
-// Proof. v, r and eps are doubles, so both sides start from exact operands.
-// Each long double operation rounds to 64 bits (relative error <= 2^-64) and
-// each double operation to 53 bits (<= 2^-53), provided its result is finite
-// and not subnormal. A difference that lands in the subnormal range is exact.
-// So every double operand above is within 2^-53 of the exact value, and so is
-// every long double operand. The REL products carry two such roundings each
-// (1+eps, then the multiply), so the double and long double products differ
-// by a factor within 1 +- 2^-51. The margin g = 2^-49 is larger than all of
-// these errors together, and each accepted or rejected comparison has the
-// same truth value in long double. REL lanes whose products could overflow,
-// or whose |v| is below 2^-1021 (products near the subnormal range), are
-// counted as inside the band. Lanes inside the band re-run the scalar check,
-// so the x87 check keeps its meaning. f32 is verified in double by the scalar
-// code as well, so its lanes evaluate the identical expressions and need no
-// band.
 #include "core/quantizers.hpp"
 
 #include <type_traits>
@@ -271,8 +256,6 @@ PFPL_AVX2 void abs_encode(const AbsQuantizer<T>& q, AbsConsts c, const T* in, Bi
                           std::size_t k) {
   const double lim = static_cast<double>(AbsQuantizer<T>::max_bin);
   const D inv = splat(c.inv), two_eps = splat(c.two_eps), eps = splat(c.eps);
-  const D band_lo = splat(c.eps * (1.0 - 0x1p-49)), band_hi = splat(c.eps * (1.0 + 0x1p-49));
-  const auto scalar = [&q](T v) { return q.encode(v); };
   std::size_t i = 0;
   for (; i + 4 <= k; i += 4) {
     I b;
@@ -281,19 +264,13 @@ PFPL_AVX2 void abs_encode(const AbsQuantizer<T>& q, AbsConsts c, const T* in, Bi
     // NaN/inf inputs give NaN/inf bins, which fail the range test.
     const D in_range = both(ge(bd, splat(-lim)), le(bd, splat(lim)));
     const D r = to_value<T>(bd * two_eps);
+    // A tie err == eps holds (see the file comment), so le, not lt.
     const D err = absval(v - r);
-    D ok, band = _mm256_setzero_pd();
-    if constexpr (std::is_same_v<T, float>) {
-      ok = both(in_range, le(err, eps));
-    } else {
-      ok = both(in_range, lt(err, band_lo));
-      band = a_not_b(in_range, either(lt(err, band_lo), gt(err, band_hi)));
-    }
+    const D ok = both(in_range, le(err, eps));
     // bd is integral, never -0.0, and negative exactly when the bin is.
     const I mag = to_i64(absval(bd));
     const I word = _mm256_or_si256(_mm256_slli_epi64(mag, 1), _mm256_srli_epi64(as_int(bd), 63));
     store_words<T>(out + i, select(as_int(ok), word, b));
-    rerun(band, in + i, out + i, scalar);
   }
   for (; i < k; ++i) out[i] = q.encode(in[i]);
 }
@@ -337,9 +314,8 @@ PFPL_AVX2_INLINE void rel_encode_step(const RelQuantizer<T>& q, const RelConsts&
   const D hi_bin = splat(static_cast<double>(Q::u_max - Q::bias));
   const D bias = splat(static_cast<double>(Q::bias));
   const D inf = splat(fpmath::from_bits<double>(FloatTraits<double>::pos_inf));
-  const D op = splat(1.0 + c.eps);  // the scalar check's 1 + eps
-  const D g_up = splat(1.0 + 0x1p-49), g_dn = splat(1.0 - 0x1p-49);
   const I sign_mask = splat64(FT::sign_mask), ones = splat64(kOnes<T>);
+  const I zero64 = _mm256_setzero_si256();
   const auto scalar = [&q](T v) { return q.encode(v); };
   Lanes<G> av, bd, exp_ok;
   for (int j = 0; j < G; ++j) {
@@ -353,7 +329,8 @@ PFPL_AVX2_INLINE void rel_encode_step(const RelQuantizer<T>& q, const RelConsts&
     I b;
     const D v = load_values(in + 4 * j, b), a = av.g[j];
     const D is_nan = _mm256_cmp_pd(v, v, _CMP_UNORD_Q);
-    const D is_zero = eq(a, _mm256_setzero_pd());
+    // From the word, as the scalar code does: under DAZ a subnormal == 0.
+    const D is_zero = as_dbl(_mm256_cmpeq_epi64(_mm256_andnot_si256(sign_mask, b), zero64));
     const I sign = _mm256_srli_epi64(b, FT::total_bits - 1);
     // NaNs are made positive before the inversion; infinities just inverted.
     const I raw =
@@ -362,21 +339,11 @@ PFPL_AVX2_INLINE void rel_encode_step(const RelQuantizer<T>& q, const RelConsts&
     const D in_range =
         a_not_b(both(both(lt(a, inf), ge(bd.g[j], lo_bin)), le(bd.g[j], hi_bin)), is_zero);
     const D r = to_value<T>(rec.g[j]);
-    D ok, undecided = a_not_b(in_range, exp_ok.g[j]);
-    if constexpr (std::is_same_v<T, float>) {
-      ok = both(both(lt(r, inf), ge(r * op, a)), le(r, a * op));
-    } else {
-      // The guard band (see the file comment); r is normal and finite here.
-      const D rop = r * op, vop = a * op, v_up = a * g_up, r_up = r * g_up;
-      const D c1_true = ge(rop, v_up), c1_false = le(rop, a * g_dn);
-      const D c2_true = le(r_up, vop), c2_false = ge(r * g_dn, vop);
-      const D biggest = _mm256_max_pd(_mm256_max_pd(rop, vop), _mm256_max_pd(v_up, r_up));
-      const D safe = both(ge(a, splat(0x1p-1021)), lt(biggest, inf));
-      const D decided =
-          both(safe, both(either(c1_true, c1_false), either(c2_true, c2_false)));
-      ok = both(c1_true, c2_true);
-      undecided = either(undecided, a_not_b(in_range, decided));
-    }
+    // fpmath::rel_bound_holds; an inf r gives d = inf, so p < d or a tie.
+    const D lo = _mm256_min_pd(r, a), hi = _mm256_max_pd(a, r);
+    const D p = lo * c.eps, d = hi - lo;
+    const D ok = gt(p, d);
+    const D undecided = either(a_not_b(in_range, exp_ok.g[j]), both(in_range, eq(p, d)));
     const I u = to_i64(bd.g[j] + bias);
     const I word = _mm256_or_si256(_mm256_slli_epi64(u, 1), sign);
     const I res = select(as_int(is_zero), sign, select(as_int(both(in_range, ok)), word, raw));

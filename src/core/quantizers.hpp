@@ -11,10 +11,11 @@
 //
 // THE GUARANTEE: after computing a candidate bin, the encoder immediately
 // decodes it with the exact same arithmetic the decompressor will use and
-// checks the reconstruction against the bound. Any value that fails — due to
-// FP rounding, bin-range overflow, NaN/inf, or approximation error in the
-// deterministic log/exp — is emitted losslessly. The bound therefore holds
-// unconditionally, by construction.
+// checks the reconstruction against the bound with the exact predicate of
+// fpmath/bound.hpp (double operations only, the same answer on every host).
+// Any value that fails — due to FP rounding, bin-range overflow, NaN/inf, or
+// approximation error in the deterministic log/exp — is emitted losslessly.
+// The bound therefore holds unconditionally, by construction.
 //
 // encode()/decode() are the specification. encode_block()/decode_block() run
 // them over a slice; on CPUs with AVX2 they use the lane kernels of
@@ -32,16 +33,11 @@
 
 #include "common/cpu.hpp"
 #include "common/types.hpp"
+#include "fpmath/bound.hpp"
 #include "fpmath/det_math.hpp"
 #include "fpmath/traits.hpp"
 
 namespace repro::pfpl {
-
-/// Verification precision: float data is checked in double (every float op
-/// involved is exact in double); double data is checked in long double.
-/// The test-suite verifier uses the same convention.
-template <typename T>
-using VerifyReal = std::conditional_t<std::is_same_v<T, float>, double, long double>;
 
 namespace avx2 {
 
@@ -98,9 +94,7 @@ class AbsQuantizer {
     i64 bin = static_cast<i64>(bd);
     T r = reconstruct(bin);
     // Immediate decode-verify (the error-bound guarantee).
-    VerifyReal<T> err = static_cast<VerifyReal<T>>(v) - static_cast<VerifyReal<T>>(r);
-    if (err < 0) err = -err;
-    if (err <= static_cast<VerifyReal<T>>(eps_)) {
+    if (fpmath::abs_bound_holds(v, r, eps_)) {
       Bits mag = static_cast<Bits>(bin < 0 ? -bin : bin);
       return static_cast<Bits>((mag << 1) | Bits{bin < 0});
     }
@@ -193,18 +187,8 @@ class RelQuantizer {
     if (bd < static_cast<double>(1 - bias) || bd > static_cast<double>(u_max - bias))
       return static_cast<Bits>(~b);
     i64 bin = static_cast<i64>(bd);
-    T r = reconstruct_abs(bin);
-    Bits rb = fpmath::to_bits(r);
-    // Verify |v|/(1+eps) <= |r| <= |v|*(1+eps) in the higher verification
-    // precision (same convention the test verifier uses); reject infinities
-    // (an overflowed reconstruction could spuriously pass when v*(1+eps)
-    // overflows too).
-    using V = VerifyReal<T>;
-    V vav = static_cast<V>(fpmath::from_bits<T>(b & ~FT::sign_mask));
-    V vdr = static_cast<V>(r);
-    V vop = V(1) + static_cast<V>(eps_);
-    bool ok = fpmath::is_finite_bits<T>(rb) && vdr * vop >= vav && vdr <= vav * vop;
-    if (!ok) return static_cast<Bits>(~b);
+    // Verify |v|/(1+eps) <= r <= |v|*(1+eps); an overflowed r fails.
+    if (!fpmath::rel_bound_holds(av, reconstruct_abs(bin), eps_)) return static_cast<Bits>(~b);
     Bits u = static_cast<Bits>(bin + bias);
     return static_cast<Bits>((u << 1) | sign);
   }

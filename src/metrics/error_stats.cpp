@@ -1,20 +1,17 @@
 #include "metrics/error_stats.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
+
+#include "fpmath/bound.hpp"
 
 namespace repro::metrics {
 namespace {
 
 template <typename T>
-using VerifyReal = std::conditional_t<std::is_same_v<T, float>, double, long double>;
-
-template <typename T>
 ErrorStats compute_stats_impl(std::span<const T> orig, std::span<const T> recon) {
   ErrorStats s;
   s.count = orig.size();
-  bool any = false;
-  double mn = 0, mx = 0;
   double sum_sq = 0.0;
   std::size_t finite_pairs = 0;
   for (std::size_t i = 0; i < orig.size(); ++i) {
@@ -28,13 +25,6 @@ ErrorStats compute_stats_impl(std::span<const T> orig, std::span<const T> recon)
       if (r != o) ++s.nonfinite_mismatches;
       continue;
     }
-    if (!any) {
-      mn = mx = static_cast<double>(o);
-      any = true;
-    } else {
-      mn = std::min(mn, static_cast<double>(o));
-      mx = std::max(mx, static_cast<double>(o));
-    }
     if (!std::isfinite(r)) {
       ++s.nonfinite_mismatches;
       continue;
@@ -46,7 +36,7 @@ ErrorStats compute_stats_impl(std::span<const T> orig, std::span<const T> recon)
     if (o != T(0)) s.max_rel = std::max(s.max_rel, d / std::abs(static_cast<double>(o)));
     if ((o > T(0) && r < T(0)) || (o < T(0) && r > T(0))) ++s.sign_flips;
   }
-  s.value_range = any ? mx - mn : 0.0;
+  s.value_range = fpmath::finite_range(orig);
   s.zero_range = s.value_range == 0.0;
   s.mse = finite_pairs ? sum_sq / static_cast<double>(finite_pairs) : 0.0;
   // Always-finite PSNR: exact reconstruction hits the cap; a constant
@@ -64,68 +54,19 @@ ErrorStats compute_stats_impl(std::span<const T> orig, std::span<const T> recon)
 }
 
 template <typename T>
-double finite_range_of(std::span<const T> v) {
-  bool any = false;
-  double mn = 0, mx = 0;
-  for (T x : v) {
-    if (!std::isfinite(x)) continue;
-    double d = static_cast<double>(x);
-    if (!any) {
-      mn = mx = d;
-      any = true;
-    } else {
-      mn = std::min(mn, d);
-      mx = std::max(mx, d);
-    }
-  }
-  return any ? mx - mn : 0.0;
-}
-
-template <typename T>
 std::size_t count_violations_impl(std::span<const T> orig, std::span<const T> recon,
                                   double eps, EbType eb) {
-  using V = VerifyReal<T>;
+  const double bound = eb == EbType::NOA ? eps * fpmath::finite_range(orig) : eps;
   std::size_t bad = 0;
-  V bound = static_cast<V>(eps);
-  if (eb == EbType::NOA) bound = static_cast<V>(eps) * static_cast<V>(finite_range_of(orig));
-  const V one_plus = V(1) + static_cast<V>(eps);
   for (std::size_t i = 0; i < orig.size(); ++i) {
-    T o = orig[i];
-    T r = i < recon.size() ? recon[i] : T(0);
-    if (std::isnan(o)) {
+    const T o = orig[i];
+    const T r = i < recon.size() ? recon[i] : T(0);
+    if (std::isnan(o))
       bad += !std::isnan(r);
-      continue;
-    }
-    if (eb == EbType::ABS || eb == EbType::NOA) {
-      if (std::isinf(o)) {
-        bad += r != o;
-        continue;
-      }
-      if (!std::isfinite(r)) {
-        ++bad;
-        continue;
-      }
-      V d = static_cast<V>(o) - static_cast<V>(r);
-      if (d < 0) d = -d;
-      bad += !(d <= bound);
-    } else {  // REL
-      if (std::isinf(o)) {
-        bad += r != o;
-        continue;
-      }
-      if (o == T(0)) {
-        bad += r != T(0);
-        continue;
-      }
-      bool same_sign = (o > T(0)) == (r > T(0)) && r != T(0);
-      if (!same_sign || !std::isfinite(r)) {
-        ++bad;
-        continue;
-      }
-      V ao = static_cast<V>(o < T(0) ? -o : o);
-      V ar = static_cast<V>(r < T(0) ? -r : r);
-      bad += !(ar * one_plus >= ao && ar <= ao * one_plus);
-    }
+    else if (std::isinf(o))
+      bad += r != o;
+    else
+      bad += !fpmath::bound_holds(o, r, bound, eb);
   }
   return bad;
 }

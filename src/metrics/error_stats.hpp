@@ -3,9 +3,8 @@
 // This is the *external* judge used by the test suite and by the Table III
 // bound-violation probe: it re-checks every reconstructed value against the
 // requested bound, independent of any compressor's internal bookkeeping.
-// Verification precision follows the same convention as the PFPL quantizers
-// (double for float data, long double for double data) — see
-// core/quantizers.hpp.
+// Each value is judged by fpmath::bound_holds (fpmath/bound.hpp), the exact
+// predicate the PFPL quantizers decide their bins with.
 //
 // PSNR is computed the way lossy-compression papers (and Figure 16) do:
 //   PSNR = 20*log10(value_range) - 10*log10(MSE)
@@ -48,7 +47,9 @@ ErrorStats compute_stats(std::span<const double> orig, std::span<const double> r
 ///   ABS: |o - r| <= eps
 ///   REL: same sign and |o|/(1+eps) <= |r| <= |o|*(1+eps)
 ///        (zero must reconstruct to zero, NaN to NaN, inf to same-signed inf)
-///   NOA: |o - r| <= eps * (max_finite(o) - min_finite(o))
+///   NOA: |o - r| <= fl(eps * fpmath::finite_range(o)), the bound the PFPL
+///        header stores
+/// Each comparison is exact (real-number arithmetic on the IEEE values).
 std::size_t count_violations(std::span<const float> orig, std::span<const float> recon,
                              double eps, EbType eb);
 std::size_t count_violations(std::span<const double> orig, std::span<const double> recon,

@@ -8,17 +8,13 @@
 
 #include "core/chunked.hpp"
 #include "data/synthetic.hpp"
+#include "fpmath/bound.hpp"
 #include "metrics/error_stats.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace repro::obs {
 namespace {
-
-// Verification precision convention shared with src/metrics and the PFPL
-// quantizers: double for float data, long double for double data.
-template <typename T>
-using VerifyReal = std::conditional_t<std::is_same_v<T, float>, double, long double>;
 
 Counter& audit_counter(const char* name) { return MetricsRegistry::global().counter(name); }
 
@@ -41,65 +37,25 @@ Histogram& psnr_hist() {
       "audit.psnr_db", {20, 40, 60, 80, 100, 120, 150, 200, 400, 999});
 }
 
+/// Check one value pair with fpmath::bound_holds; `bound` is the absolute
+/// bound for ABS/NOA and eps for REL. Returns the measured error in the
+/// bound's unit (absolute for ABS/NOA, relative deviation for REL; +inf for
+/// structural mismatches such as NaN<->number) and sets `violated`.
 template <typename T>
-double finite_range_of(std::span<const T> v) {
-  bool any = false;
-  double mn = 0, mx = 0;
-  for (T x : v) {
-    if (!std::isfinite(x)) continue;
-    const double d = static_cast<double>(x);
-    if (!any) {
-      mn = mx = d;
-      any = true;
-    } else {
-      mn = std::min(mn, d);
-      mx = std::max(mx, d);
-    }
-  }
-  return any ? mx - mn : 0.0;
-}
-
-/// Check one value pair. Returns the measured error in the bound's unit
-/// (absolute for ABS/NOA, relative deviation for REL; +inf for structural
-/// mismatches such as NaN<->number) and sets `violated`.
-template <typename T>
-double check_value(T o, T r, EbType eb, double eps, VerifyReal<T> abs_bound,
-                   bool& violated) {
+double check_value(T o, T r, EbType eb, double bound, bool& violated) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  if (std::isnan(o)) {
-    violated = !std::isnan(r);
+  if (std::isnan(o) || std::isinf(o)) {
+    violated = std::isnan(o) ? !std::isnan(r) : r != o;
     return violated ? kInf : 0.0;
   }
-  if (std::isinf(o)) {
-    violated = r != o;
-    return violated ? kInf : 0.0;
-  }
-  if (eb == EbType::ABS || eb == EbType::NOA) {
-    if (!std::isfinite(r)) {
-      violated = true;
-      return kInf;
-    }
-    VerifyReal<T> d = static_cast<VerifyReal<T>>(o) - static_cast<VerifyReal<T>>(r);
-    if (d < 0) d = -d;
-    violated = !(d <= abs_bound);
-    return static_cast<double>(d);
-  }
-  // REL: same sign and ao/(1+eps) <= ar <= ao*(1+eps); zero maps to zero.
-  if (o == T(0)) {
-    violated = r != T(0);
-    return violated ? kInf : 0.0;
-  }
-  const bool same_sign = (o > T(0)) == (r > T(0)) && r != T(0);
-  if (!same_sign || !std::isfinite(r)) {
-    violated = true;
-    return kInf;
-  }
-  const VerifyReal<T> one_plus = VerifyReal<T>(1) + static_cast<VerifyReal<T>>(eps);
-  const VerifyReal<T> ao = static_cast<VerifyReal<T>>(o < T(0) ? -o : o);
-  const VerifyReal<T> ar = static_cast<VerifyReal<T>>(r < T(0) ? -r : r);
-  violated = !(ar * one_plus >= ao && ar <= ao * one_plus);
-  const VerifyReal<T> dev = (ao > ar ? ao / ar : ar / ao) - VerifyReal<T>(1);
-  return static_cast<double>(dev);
+  violated = !fpmath::bound_holds(o, r, bound, eb);
+  if (!std::isfinite(r)) return kInf;
+  const double od = o, rd = r;
+  if (eb != EbType::REL) return std::fabs(od - rd);
+  if (o == T(0)) return violated ? kInf : 0.0;
+  if (r == T(0) || (o < T(0)) != (r < T(0))) return kInf;
+  const double ao = std::fabs(od), ar = std::fabs(rd);
+  return (ao > ar ? ao / ar : ar / ao) - 1.0;
 }
 
 template <typename T>
@@ -109,10 +65,7 @@ void verify_span(std::span<const T> orig, std::span<const T> recon, EbType eb, d
   c.values = orig.size();
   c.chunks = (orig.size() + per_chunk - 1) / per_chunk;
 
-  VerifyReal<T> abs_bound = static_cast<VerifyReal<T>>(eps);
-  if (eb == EbType::NOA)
-    abs_bound = static_cast<VerifyReal<T>>(eps) * static_cast<VerifyReal<T>>(finite_range_of(orig));
-  c.allowed = eb == EbType::REL ? eps : static_cast<double>(abs_bound);
+  c.allowed = eb == EbType::NOA ? eps * fpmath::finite_range(orig) : eps;
 
   Histogram& chunk_hist = chunk_utilization_hist();
   for (std::size_t chunk = 0; chunk < c.chunks; ++chunk) {
@@ -123,7 +76,7 @@ void verify_span(std::span<const T> orig, std::span<const T> recon, EbType eb, d
       const T o = orig[i];
       const T r = i < recon.size() ? recon[i] : T(0);
       bool violated = false;
-      const double err = check_value(o, r, eb, eps, abs_bound, violated);
+      const double err = check_value(o, r, eb, c.allowed, violated);
       chunk_max = std::max(chunk_max, err);
       if (violated) {
         ++c.violations;

@@ -9,6 +9,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "bound_oracle.hpp"
 #include "core/quantizers.hpp"
 #include "data/rng.hpp"
 #include "fpmath/det_math.hpp"
@@ -32,10 +33,7 @@ void check_abs_bound(T v, double eps) {
     EXPECT_EQ(r, v);
     return;
   }
-  using V = VerifyReal<T>;
-  V err = static_cast<V>(v) - static_cast<V>(r);
-  if (err < 0) err = -err;
-  EXPECT_LE(err, static_cast<V>(eps)) << "v=" << v << " r=" << r << " eps=" << eps;
+  EXPECT_TRUE(oracle::abs_holds(v, r, eps)) << "v=" << v << " r=" << r << " eps=" << eps;
 }
 
 template <typename T>
@@ -56,11 +54,7 @@ void check_rel_bound(T v, double eps) {
     return;
   }
   ASSERT_TRUE((v > T(0)) == (r > T(0)) && r != T(0)) << "sign flip: v=" << v << " r=" << r;
-  using V = VerifyReal<T>;
-  V av = static_cast<V>(v < T(0) ? -v : v);
-  V ar = static_cast<V>(r < T(0) ? -r : r);
-  V op = V(1) + static_cast<V>(eps);
-  EXPECT_TRUE(ar * op >= av && ar <= av * op) << "v=" << v << " r=" << r << " eps=" << eps;
+  EXPECT_TRUE(oracle::rel_holds(v, r, eps)) << "v=" << v << " r=" << r << " eps=" << eps;
 }
 
 template <typename T>
@@ -550,48 +544,95 @@ TEST(QuantizerTiers, RelReconstructionOutsideOneMultiplyRange) {
     expect_tiers_agree(RelQuantizer<float>(eps), f32, "f32 REL huge bound");
 }
 
-TEST(QuantizerTiers, F64GuardBandValues) {
-  // Values whose long double check is decided within 2^-49 relative: the
-  // lanes must hand them to the scalar check. ABS: |v - r| next to eps for
-  // the first bins (larger bins have ulp(v) > 2^-49 eps). REL: the windows
-  // around r*(1+eps) and r/(1+eps) from rel_edge_values.
-  SKIP_WITHOUT_AVX2();
-  std::size_t in_band = 0;
-  for (double eps : {0.1, 1e-3, 2.5e-7, 7e-200}) {
-    AbsQuantizer<double> q(eps);
-    std::vector<double> vals;
-    for (int b = 0; b <= 4; ++b) {
-      add_window(vals, 2 * b * eps + eps, 32);
-      add_window(vals, 2 * b * eps - eps, 32);
-    }
-    for (double v : vals) {
-      const long double r = (long double)std::round(v / (2 * eps)) * (2 * eps);
-      const long double gap = std::fabs(std::fabs((long double)v - r) - eps);
-      if (gap <= std::ldexp((long double)eps, -49)) ++in_band;
-    }
-    expect_tiers_agree(q, vals, "f64 ABS guard band");
-  }
-  EXPECT_GT(in_band, 0u);
-  for (double eps : {1e-2, 1e-9})
-    expect_tiers_agree(RelQuantizer<double>(eps), rel_edge_values<double>(eps),
-                       "f64 REL guard band");
-}
-
 namespace {
 
-/// Whether the long double REL check of `v` is decided within 2^-49 relative,
-/// so that an f64 lane must hand `v` to the scalar check. Bins `v` with the
-/// quantizer's own arithmetic.
-bool rel_in_guard_band(double eps, double v) {
-  const double l = fpmath::det_log1p(eps);
-  const double av = std::fabs(v);
+/// Whether the ABS check of `v` ties (|fl(v - r)| == eps). Bins `v` with the
+/// quantizer's arithmetic.
+template <typename T>
+bool abs_check_ties(double eps, T v) {
+  const double bd = fpmath::round_nearest_even(static_cast<double>(v) * (0.5 / eps));
+  const double r = static_cast<T>(bd * (2.0 * eps));
+  return std::fabs(v - r) == eps;
+}
+
+/// Whether the REL check of `v` ties (fl(lo*eps) == fl(hi - lo) with lo, hi
+/// = min, max(r, |v|)); sets `holds` to the exact answer.
+template <typename T>
+bool rel_check_ties(const RelQuantizer<T>& q, T v, bool& holds) {
+  const double l = q.log1p_eps(), av = std::fabs(static_cast<double>(v));
   const double bd = fpmath::round_nearest_even(fpmath::det_log(av) * (0.5 / l));
-  const long double r = fpmath::det_exp(bd * (2.0 * l));
-  const long double op = 1.0L + eps, lv = av, g = std::ldexp(1.0L, -49);
-  return std::fabs(r * op - lv) <= lv * g || std::fabs(r - lv * op) <= lv * op * g;
+  const double r = static_cast<T>(fpmath::det_exp(bd * (2.0 * l)));
+  const double lo = std::min(r, av), hi = std::max(r, av);
+  holds = oracle::rel_holds(av, r, q.eps());
+  return lo * q.eps() == hi - lo;
+}
+
+/// Values whose REL check ties, for random bins: |v| near r + fl(r*eps)
+/// (lo = r) and near r/(1+eps) (lo = |v|), where r is the bin's
+/// reconstruction. A tie needs fl(r*eps) to land on the grid of |v|, so many
+/// bins are tried and only tying values are kept.
+template <typename T>
+std::vector<T> rel_tie_values(const RelQuantizer<T>& q, u64 seed, std::size_t* rejected) {
+  const double l = q.log1p_eps(), eps = q.eps();
+  data::Rng rng(seed);
+  std::vector<T> ties;
+  // Bins whose reconstruction stays normal: |2*b*l| < 0.9 * log(max).
+  const double span = 0.9 * std::log(static_cast<double>(std::numeric_limits<T>::max())) / (2 * l);
+  for (int i = 0; i < 20000; ++i) {
+    const double b = std::round((rng.uniform(0, 2) - 1) * span);
+    const T r = static_cast<T>(fpmath::det_exp(2 * b * l));
+    std::vector<T> cand;
+    add_window(cand, static_cast<T>(r + r * eps), 8);
+    add_window(cand, static_cast<T>(r / (1 + eps)), 8);
+    for (T v : cand) {
+      bool holds = false;
+      if (!rel_check_ties(q, v, holds)) continue;
+      ties.push_back(v);
+      *rejected += !holds;
+    }
+  }
+  return ties;
 }
 
 }  // namespace
+
+TEST(QuantizerTiers, RoundedTieValues) {
+  // Values whose bound check ties: ABS |fl(v - r)| == eps at the bin edges
+  // (2b+-1)*eps, which always hold, so the lanes must accept them; REL
+  // fl(lo*eps) == fl(hi - lo), which the lanes hand to the scalar
+  // predicate. Some f64 REL ties fail the bound, so a lane that accepted
+  // REL ties would emit a different word.
+  SKIP_WITHOUT_AVX2();
+  std::size_t abs32 = 0, abs64 = 0;
+  for (double eps : {0.5, 0x1p-10, 0.1, 1e-3}) {
+    const auto f32 = abs_edge_values<float>(eps);
+    const auto f64 = abs_edge_values<double>(eps);
+    for (float v : f32) abs32 += abs_check_ties(eps, v);
+    for (double v : f64) abs64 += abs_check_ties(eps, v);
+    expect_tiers_agree(AbsQuantizer<float>(eps), f32, "f32 ABS ties");
+    expect_tiers_agree(AbsQuantizer<double>(eps), f64, "f64 ABS ties");
+  }
+  EXPECT_GT(abs32, 0u);
+  EXPECT_GT(abs64, 0u);
+  std::size_t rel32 = 0, rel64 = 0, rejected32 = 0, rejected64 = 0;
+  for (double eps : {0.0625, 0x1.8p-7}) {
+    const RelQuantizer<float> q(eps);
+    const auto ties = rel_tie_values(q, 71, &rejected32);
+    rel32 += ties.size();
+    expect_tiers_agree(q, ties, "f32 REL ties");
+  }
+  for (double eps : {1e-2, 1e-3, 1e-4}) {
+    const RelQuantizer<double> q(eps);
+    const auto ties = rel_tie_values(q, 72, &rejected64);
+    rel64 += ties.size();
+    expect_tiers_agree(q, ties, "f64 REL ties");
+  }
+  EXPECT_GT(rel32, 0u);
+  EXPECT_GT(rel64, 0u);
+  EXPECT_GT(rejected64, 0u);
+  std::printf("ties: ABS f32 %zu f64 %zu; REL f32 %zu (%zu fail) f64 %zu (%zu fail)\n", abs32,
+              abs64, rel32, rejected32, rel64, rejected64);
+}
 
 TEST(QuantizerTiers, FallbackLaneAtEveryGroupPosition) {
   // One value a lane cannot decide on its own, or a special value, at every
@@ -617,11 +658,11 @@ TEST(QuantizerTiers, FallbackLaneAtEveryGroupPosition) {
   // det_exp outside its one-multiply range: reconstructions near the
   // denormals and near DBL_MAX.
   const std::vector<double> extremes = {1e-310, -1.2e-310, L64::max(), -1.6e308};
-  // Values inside the f64 guard band, from the REL edge windows.
-  std::vector<double> band;
-  for (double v : rel_edge_values<double>(1e-2))
-    if (band.size() < 6 && rel_in_guard_band(1e-2, v)) band.push_back(v);
-  ASSERT_FALSE(band.empty());
+  // Values whose REL check ties.
+  std::size_t rejected = 0;
+  auto ties = rel_tie_values(RelQuantizer<double>(1e-2), 73, &rejected);
+  ASSERT_FALSE(ties.empty());
+  ties.resize(std::min<std::size_t>(ties.size(), 6));
   // f32 at a huge bound: bins sit ~199 binades apart, so the raw pattern of
   // a denormal, read back as a bin word, reconstructs far outside the range.
   const std::vector<float> f32_odd = {fpmath::from_bits<float>(2u),
@@ -633,7 +674,7 @@ TEST(QuantizerTiers, FallbackLaneAtEveryGroupPosition) {
                                          -L32::infinity(), 0.0f, -0.0f};
 
   each_position(RelQuantizer<double>(1e-3), f64, extremes, "f64 REL extreme");
-  each_position(RelQuantizer<double>(1e-2), f64, band, "f64 REL guard band");
+  each_position(RelQuantizer<double>(1e-2), f64, ties, "f64 REL tie");
   each_position(RelQuantizer<float>(1e30), f32, f32_odd, "f32 REL 1e30");
   each_position(RelQuantizer<double>(1e-3), f64, specials64, "f64 REL special");
   each_position(RelQuantizer<float>(1e-3), f32, specials32, "f32 REL special");
