@@ -2,9 +2,6 @@
 
 #include <cassert>
 
-#include "bits/avx2.hpp"
-#include "common/cpu.hpp"
-
 namespace repro::bits {
 
 void transpose_bits_32(u32* a) {
@@ -27,18 +24,6 @@ void transpose_bits_64(u64* a) {
       a[k + j] ^= (t << j);
     }
   }
-}
-
-void bitshuffle(u32* w, std::size_t n) {
-  assert(n % 32 == 0);
-  if (common::has_avx2()) return avx2::bitshuffle(w, n);
-  scalar::bitshuffle(w, n);
-}
-
-void bitshuffle(u64* w, std::size_t n) {
-  assert(n % 64 == 0);
-  if (common::has_avx2()) return avx2::bitshuffle(w, n);
-  scalar::bitshuffle(w, n);
 }
 
 namespace scalar {

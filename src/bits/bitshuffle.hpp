@@ -8,9 +8,10 @@
 // bytes. A tile is a square bit matrix (32x32 or 64x64) and transposition is
 // its own inverse.
 //
-// bitshuffle() runs the AVX2 tier (lossless_avx2.cpp) when the CPU has AVX2
-// and scalar::bitshuffle() otherwise; both write the same words for every
-// input. The scalar functions are the reference the tier is tested against.
+// bitshuffle() (defined in lossless_avx2.cpp) runs the AVX2 tier from the
+// Avx2 rung of common::isa() up and scalar::bitshuffle() below it; both
+// write the same words for every input. The scalar functions are the tier's
+// reference.
 #pragma once
 
 #include <cstddef>

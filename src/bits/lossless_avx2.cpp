@@ -1,12 +1,13 @@
 // AVX2 tier of the lossless stages: the bit-shuffle tile transpose and
-// zero-byte elimination, encode and decode (bitshuffle.hpp, zerobyte.hpp).
+// zero-byte elimination, encode and decode (bitshuffle.hpp, zerobyte.hpp),
+// and the entry points at the bottom, which run it from the Avx2 rung of
+// common::isa() up and the scalar:: functions below it.
 //
 // The scalar:: functions are the specification. For every input these
 // kernels write the same bytes, return the same consumed count and throw the
 // same CompressionError, so streams stay identical on every host and tier.
-// The kernels carry target("avx2") and no other ISA extension (the exported
-// wrappers at the bottom carry none); the tier is picked once per process by
-// common::has_avx2(). The transpose is self-inverse, so the decoder's
+// The kernels carry target("avx2") and no other ISA extension (the entry
+// points carry none). The transpose is self-inverse, so the decoder's
 // unshuffle runs this kernel too.
 //
 // Bit shuffle. A 32x32 tile is first transposed bytewise: plane b holds byte
@@ -32,10 +33,9 @@
 // survivor bytes only while 8 remain before in + in_size and writes 8 bytes
 // only while 8 remain before the level's (or the data's) end; the rest of a
 // level runs the scalar loop. DESIGN.md §8.2 has the proof obligations.
-#include "bits/avx2.hpp"
-
 #include "bits/bitshuffle.hpp"
 #include "bits/zerobyte.hpp"
+#include "common/cpu.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 
@@ -44,6 +44,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cstring>
 
 #define BITS_AVX2 __attribute__((target("avx2")))
@@ -351,21 +352,37 @@ BITS_AVX2 std::size_t decode(const u8* in, std::size_t in_size, u8* data, std::s
 }
 
 }  // namespace
-
-void bitshuffle(u32* w, std::size_t n) { shuffle_tiles(w, n); }
-void bitshuffle(u64* w, std::size_t n) { shuffle_tiles(w, n); }
-void zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out) {
-  encode(data, n, out);
-}
-std::size_t zerobyte_decode(const u8* in, std::size_t in_size, u8* data, std::size_t n) {
-  return decode(in, in_size, data, n);
-}
-
 }  // namespace repro::bits::avx2
+
+namespace repro::bits {
+
+void bitshuffle(u32* w, std::size_t n) {
+  assert(n % 32 == 0);
+  if (common::isa() >= common::Isa::Avx2) return avx2::shuffle_tiles(w, n);
+  scalar::bitshuffle(w, n);
+}
+
+void bitshuffle(u64* w, std::size_t n) {
+  assert(n % 64 == 0);
+  if (common::isa() >= common::Isa::Avx2) return avx2::shuffle_tiles(w, n);
+  scalar::bitshuffle(w, n);
+}
+
+void zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out) {
+  if (common::isa() >= common::Isa::Avx2) return avx2::encode(data, n, out);
+  scalar::zerobyte_encode(data, n, out);
+}
+
+std::size_t zerobyte_decode(const u8* in, std::size_t in_size, u8* data, std::size_t n) {
+  if (common::isa() >= common::Isa::Avx2) return avx2::decode(in, in_size, data, n);
+  return scalar::zerobyte_decode(in, in_size, data, n);
+}
+
+}  // namespace repro::bits
 
 #else  // no x86: the scalar loops are the only tier
 
-namespace repro::bits::avx2 {
+namespace repro::bits {
 
 void bitshuffle(u32* w, std::size_t n) { scalar::bitshuffle(w, n); }
 void bitshuffle(u64* w, std::size_t n) { scalar::bitshuffle(w, n); }
@@ -376,6 +393,6 @@ std::size_t zerobyte_decode(const u8* in, std::size_t in_size, u8* data, std::si
   return scalar::zerobyte_decode(in, in_size, data, n);
 }
 
-}  // namespace repro::bits::avx2
+}  // namespace repro::bits
 
 #endif

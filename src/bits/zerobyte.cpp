@@ -2,9 +2,6 @@
 
 #include <array>
 
-#include "bits/avx2.hpp"
-#include "common/cpu.hpp"
-
 namespace repro::bits {
 namespace {
 
@@ -39,16 +36,6 @@ void build_repeat_bitmap(const u8* data, std::size_t n, std::vector<u8>& bitmap,
 }
 
 }  // namespace
-
-void zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out) {
-  if (common::has_avx2()) return avx2::zerobyte_encode(data, n, out);
-  scalar::zerobyte_encode(data, n, out);
-}
-
-std::size_t zerobyte_decode(const u8* in, std::size_t in_size, u8* data, std::size_t n) {
-  if (common::has_avx2()) return avx2::zerobyte_decode(in, in_size, data, n);
-  return scalar::zerobyte_decode(in, in_size, data, n);
-}
 
 void scalar::zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out) {
   // Level 0: zero-byte bitmap over the data.

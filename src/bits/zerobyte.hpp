@@ -12,11 +12,11 @@
 // where B_{k+1} is the repeat-bitmap of B_k, R_k holds the non-repeating
 // bytes of B_k, and NZ holds the nonzero data bytes.
 //
-// zerobyte_encode() and zerobyte_decode() run the AVX2 tier
-// (lossless_avx2.cpp) when the CPU has AVX2 and the scalar:: functions
-// otherwise. For every input both tiers write the same bytes, return the same
-// consumed count and throw the same CompressionError; the scalar functions
-// are the reference.
+// zerobyte_encode() and zerobyte_decode() (defined in lossless_avx2.cpp) run
+// the AVX2 tier from the Avx2 rung of common::isa() up and the scalar::
+// functions below it. For every input both tiers write the same bytes,
+// return the same consumed count and throw the same CompressionError; the
+// scalar functions are the reference.
 #pragma once
 
 #include <cstddef>

@@ -16,6 +16,7 @@
 
 #include "cli/top_window.hpp"
 #include "common/bytes.hpp"
+#include "common/cpu.hpp"
 #include "core/pfpl.hpp"
 #include "data/evolving.hpp"
 #include "data/synthetic.hpp"
@@ -940,6 +941,7 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
   obs::set_enabled(true);  // attribution is the whole point of the verb
   const std::size_t target_values = fl.full ? (1u << 20) : (1u << 16);
   const int max_files = fl.full ? 2 : 1;
+  const char* isa = common::isa_name(common::isa());  // the rung every table measured
 
   obs::JsonWriter jw;
   jw.begin_object();
@@ -947,6 +949,7 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
   jw.kv("eb", to_string(fl.params.eb));
   jw.kv("eps", fl.params.eps);
   jw.kv("exec", pfpl::to_string(fl.params.exec));
+  jw.kv("isa", isa);
   jw.key("groups").begin_array();
 
   bool ran_any = false;
@@ -982,10 +985,10 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
     last_report = obs::kernel_report_json();
 
     if (!fl.json) {
-      std::printf("== %s: %zu suite(s), %.1f MB, eb=%s eps=%g exec=%s ==\n",
+      std::printf("== %s: %zu suite(s), %.1f MB, eb=%s eps=%g exec=%s isa=%s ==\n",
                   to_string(dtype), suites.size(), total_bytes / 1e6,
                   to_string(fl.params.eb), fl.params.eps,
-                  pfpl::to_string(fl.params.exec));
+                  pfpl::to_string(fl.params.exec), isa);
       std::printf("%s", obs::kernel_table_text().c_str());
       std::printf("encode: %llu us in kernels of %llu us per-chunk total (%.1f%% "
                   "attributed)\n\n",
@@ -1041,11 +1044,11 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
     const std::size_t raw_bytes = seq.frames() * cfg.frame_bytes();
     if (!fl.json) {
       std::printf("== temporal/%s: %zu frame(s), %.1f MB raw, %llu I + %llu P, "
-                  "ratio %.2f ==\n",
+                  "ratio %.2f isa=%s ==\n",
                   spec.name.c_str(), seq.frames(), raw_bytes / 1e6,
                   static_cast<unsigned long long>(enc.intra_frames()),
                   static_cast<unsigned long long>(enc.predicted_frames()),
-                  stream_bytes ? static_cast<double>(raw_bytes) / stream_bytes : 0.0);
+                  stream_bytes ? static_cast<double>(raw_bytes) / stream_bytes : 0.0, isa);
       std::printf("%s\n", obs::kernel_table_text().c_str());
     }
     jw.begin_object();

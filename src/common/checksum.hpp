@@ -6,8 +6,8 @@
 //
 // Two tiers compute the same value. `scalar::crc32`, one table lookup per
 // byte, is the specification. `crc32` folds every whole 16-byte block of an
-// input of 64 bytes or more with carry-less multiplies on PCLMULQDQ hosts
-// (`has_pclmul()`, the only switch) and hands the rest to the scalar loop
+// input of 64 bytes or more with carry-less multiplies from the Clmul rung of
+// `isa()` up (common/cpu.hpp, the only switch) and hands the rest to the scalar loop
 // (DESIGN.md §8.3).
 #pragma once
 
@@ -113,7 +113,7 @@ REPRO_PCLMUL inline u32 fold(const u8* p, std::size_t n, u32 c) {
 /// Equal to `scalar::crc32` for every input.
 inline u32 crc32(const void* data, std::size_t n, u32 seed = 0) {
 #if defined(__x86_64__) || defined(__i386__)
-  if (n >= 64 && has_pclmul()) {
+  if (n >= 64 && isa() >= Isa::Clmul) {
     const u8* p = static_cast<const u8*>(data);
     const std::size_t blocks = n & ~std::size_t{15};
     const u32 c = pclmul::fold(p, blocks, ~seed);

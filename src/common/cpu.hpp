@@ -1,38 +1,64 @@
-// Run-time CPU feature checks shared by every SIMD tier.
+// The ISA ladder: the one place that decides which SIMD tier runs.
 //
-// The quantizer (core/quantize_avx2.cpp), the lossless stages
+// The quantizers (core/quantize_avx2.cpp), the lossless stages
 // (bits/lossless_avx2.cpp) and the CRC-32 (common/checksum.hpp) each keep a
-// scalar reference and a SIMD tier that produces the same bytes; these checks
-// pick the tier for the whole process.
+// scalar reference and SIMD tiers that write the same bytes. Each tier is a
+// rung of one ordered ladder, and every dispatch site asks `isa() >= rung`.
+// The rung is this CPU's, resolved once per process; no env var, flag or
+// build option moves it. Tests lower it with ScopedIsaCeiling (DESIGN.md §8).
 #pragma once
+
+#include <algorithm>
+#include <atomic>
 
 namespace repro::common {
 
-/// True when this CPU and OS run AVX2; resolved once per process.
-inline bool has_avx2() {
+/// Each rung needs everything below it. Clmul is PCLMULQDQ + SSE4.1 (the
+/// folded CRC-32): a rung of its own, since some CPUs have it without AVX2.
+enum class Isa { Scalar, Clmul, Avx2 };
+inline constexpr Isa kTopIsa = Isa::Avx2;
+
+inline const char* isa_name(Isa i) {
+  return i == Isa::Avx2 ? "avx2" : i == Isa::Clmul ? "clmul" : "scalar";
+}
+
+namespace detail {
+
+/// The highest rung this CPU and OS run.
+inline Isa native_isa() {
 #if defined(__x86_64__) || defined(__i386__)
-  static const bool has = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
-  return has;
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("pclmul") || !__builtin_cpu_supports("sse4.1")) return Isa::Scalar;
+  return __builtin_cpu_supports("avx2") ? Isa::Avx2 : Isa::Clmul;
 #else
-  return false;
+  return Isa::Scalar;
 #endif
 }
 
-/// True when this CPU runs PCLMULQDQ and SSE4.1 (the CRC-32 folding tier);
-/// resolved once per process.
-inline bool has_pclmul() {
-#if defined(__x86_64__) || defined(__i386__)
-  static const bool has = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("pclmul") != 0 && __builtin_cpu_supports("sse4.1") != 0;
-  }();
-  return has;
-#else
-  return false;
-#endif
+/// Process-wide, so OpenMP and pool workers see a test's ceiling too.
+inline std::atomic<Isa>& rung() {
+  static std::atomic<Isa> r{native_isa()};
+  return r;
 }
+
+}  // namespace detail
+
+/// The rung in force: this CPU's, unless a ScopedIsaCeiling lowered it.
+inline Isa isa() { return detail::rung().load(); }
+
+/// For tests: sets the rung to `ceiling`, clamped to this CPU's, until
+/// destruction restores the previous rung.
+class ScopedIsaCeiling {
+ public:
+  explicit ScopedIsaCeiling(Isa ceiling) : saved_(isa()) {
+    detail::rung().store(std::min(ceiling, detail::native_isa()));
+  }
+  ~ScopedIsaCeiling() { detail::rung().store(saved_); }
+  ScopedIsaCeiling(const ScopedIsaCeiling&) = delete;
+  ScopedIsaCeiling& operator=(const ScopedIsaCeiling&) = delete;
+
+ private:
+  Isa saved_;
+};
 
 }  // namespace repro::common

@@ -18,7 +18,7 @@
 // The bound therefore holds unconditionally, by construction.
 //
 // encode()/decode() are the specification. encode_block()/decode_block() run
-// them over a slice; on CPUs with AVX2 they use the lane kernels of
+// them over a slice; from the Avx2 rung up they use the lane kernels of
 // quantize_avx2.cpp, whose every output word equals the per-value word.
 #pragma once
 
@@ -43,7 +43,7 @@ namespace avx2 {
 
 /// The AVX2 block kernels (quantize_avx2.cpp), instantiated for the four
 /// quantizer types. Output word i equals q.encode(in[i]) (resp. q.decode),
-/// bit for bit, for any input. Call only when common::has_avx2() is true.
+/// bit for bit, for any input. Call only at the Avx2 rung of common::isa().
 struct Kernels {
   template <typename Q>
   static void encode(const Q& q, const typename Q::Value* in, typename Q::Bits* out,
@@ -111,13 +111,13 @@ class AbsQuantizer {
 
   /// out[i] = encode(in[i]) for i < k.
   void encode_block(const T* in, Bits* out, std::size_t k) const {
-    if (common::has_avx2()) return avx2::Kernels::encode(*this, in, out, k);
+    if (common::isa() >= common::Isa::Avx2) return avx2::Kernels::encode(*this, in, out, k);
     for (std::size_t i = 0; i < k; ++i) out[i] = encode(in[i]);
   }
 
   /// out[i] = decode(in[i]) for i < k.
   void decode_block(const Bits* in, T* out, std::size_t k) const {
-    if (common::has_avx2()) return avx2::Kernels::decode(*this, in, out, k);
+    if (common::isa() >= common::Isa::Avx2) return avx2::Kernels::decode(*this, in, out, k);
     for (std::size_t i = 0; i < k; ++i) out[i] = decode(in[i]);
   }
 
@@ -206,13 +206,13 @@ class RelQuantizer {
 
   /// out[i] = encode(in[i]) for i < k.
   void encode_block(const T* in, Bits* out, std::size_t k) const {
-    if (common::has_avx2()) return avx2::Kernels::encode(*this, in, out, k);
+    if (common::isa() >= common::Isa::Avx2) return avx2::Kernels::encode(*this, in, out, k);
     for (std::size_t i = 0; i < k; ++i) out[i] = encode(in[i]);
   }
 
   /// out[i] = decode(in[i]) for i < k.
   void decode_block(const Bits* in, T* out, std::size_t k) const {
-    if (common::has_avx2()) return avx2::Kernels::decode(*this, in, out, k);
+    if (common::isa() >= common::Isa::Avx2) return avx2::Kernels::decode(*this, in, out, k);
     for (std::size_t i = 0; i < k; ++i) out[i] = decode(in[i]);
   }
 

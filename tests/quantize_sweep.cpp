@@ -1,8 +1,11 @@
-// Exhaustive f32 check of the AVX2 quantizer tier against the scalar
-// specification: all 2^32 float bit patterns are encoded by the lane kernels
-// and by encode(), for ABS and REL at eps 1e-3, and decoded as words (both
-// the raw pattern and the encoder's word) by the lane kernels and decode().
-// Prints the mismatch count per bound type; exits 1 if any word differs.
+// Exhaustive f32 check of the quantizer block API, at this CPU's rung of the
+// ISA ladder (common/cpu.hpp), against the scalar specification: all 2^32
+// float bit patterns are encoded by encode_block() and by encode(), for ABS
+// and REL at eps 1e-3, and decoded as words (both the raw pattern and the
+// encoder's word) by decode_block() and decode(). Prints the rung it swept
+// and the mismatch count per bound type; exits 1 if any word differs, and 2
+// below the Avx2 rung, where the block API is the scalar loop and the sweep
+// would compare the reference with itself.
 //
 //   quantize_sweep [threads]    (default: all hardware threads)
 //
@@ -15,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cpu.hpp"
 #include "core/quantizers.hpp"
 
 using namespace repro;
@@ -33,10 +37,10 @@ u64 batch_mismatches(const Q& q, u32 base, std::vector<float>& vals, std::vector
     raw[j] = base + j;
     vals[j] = fpmath::from_bits<float>(raw[j]);
   }
-  avx2::Kernels::encode(q, vals.data(), words.data(), kBatch);
+  q.encode_block(vals.data(), words.data(), kBatch);
   for (u32 j = 0; j < kBatch; ++j) bad += words[j] != q.encode(vals[j]);
   for (const auto* src : {&raw, &words}) {
-    avx2::Kernels::decode(q, src->data(), dec.data(), kBatch);
+    q.decode_block(src->data(), dec.data(), kBatch);
     for (u32 j = 0; j < kBatch; ++j)
       bad += fpmath::to_bits(dec[j]) != fpmath::to_bits(q.decode((*src)[j]));
   }
@@ -66,9 +70,11 @@ u64 sweep(const Q& q, unsigned threads) {
 int main(int argc, char** argv) {
   unsigned threads = std::max(1u, std::thread::hardware_concurrency());
   if (argc > 1) threads = static_cast<unsigned>(std::max(1, std::atoi(argv[1])));
-  if (!common::has_avx2()) {
-    std::printf("quantize_sweep: this CPU has no AVX2; only the scalar tier runs\n");
-    return 0;
+  const common::Isa rung = common::isa();
+  std::printf("quantize_sweep: rung %s\n", common::isa_name(rung));
+  if (rung < common::Isa::Avx2) {
+    std::fprintf(stderr, "quantize_sweep: no quantizer kernel below the avx2 rung\n");
+    return 2;
   }
   const double eps = 1e-3;
   const u64 abs_bad = sweep(AbsQuantizer<float>(eps), threads);

@@ -10,14 +10,15 @@
 #include "bits/delta.hpp"
 #include "bits/negabinary.hpp"
 #include "bits/zerobyte.hpp"
-#include "common/cpu.hpp"
 #include "data/rng.hpp"
-#include "zerobyte_tiers.hpp"
+#include "tiers.hpp"
 
 using namespace repro;
 using namespace repro::bits;
 using repro::tiers::exact_copy;
 using repro::tiers::expect_decode_agrees;
+using repro::tiers::for_each_rung;
+using Isa = repro::common::Isa;
 
 // --- negabinary ------------------------------------------------------------
 
@@ -204,16 +205,13 @@ TEST(ZeroByte, TruncatedStreamThrows) {
 }
 
 // --- SIMD tier equivalence ------------------------------------------------------
-// bitshuffle() and zerobyte_*() run the AVX2 tier on CPUs that have it; these
-// compare them with the scalar:: reference on inputs chosen to reach every
-// branch of the tier: bit-permutation bases, every length around the vector
-// widths, bitmaps that repeat across vector boundaries, and hostile streams
-// for the decoder.
+// bitshuffle() and zerobyte_*() run the AVX2 tier from the Avx2 rung up; these
+// compare them, at each such rung (tests/tiers.hpp), with the scalar::
+// reference on inputs chosen to reach every branch of the tier:
+// bit-permutation bases, every length around the vector widths, bitmaps that
+// repeat across vector boundaries, and hostile streams for the decoder.
 
 namespace {
-
-#define SKIP_WITHOUT_AVX2() \
-  if (!common::has_avx2()) GTEST_SKIP() << "this CPU has no AVX2"
 
 /// Runs the transpose of one tile through both tiers and compares.
 template <typename U>
@@ -269,105 +267,113 @@ std::vector<u8> scalar_encoding(const std::vector<u8>& d) {
 }  // namespace
 
 TEST(BitsTiers, Transpose32SingleBitBasis) {
-  SKIP_WITHOUT_AVX2();
-  transpose_basis<u32>();  // 1,024 inputs: fixes the bit permutation
+  for_each_rung(Isa::Avx2, [&] {
+    transpose_basis<u32>();  // 1,024 inputs: fixes the bit permutation
+  });
 }
 
 TEST(BitsTiers, Transpose64SingleBitBasis) {
-  SKIP_WITHOUT_AVX2();
-  transpose_basis<u64>();  // 4,096 inputs
+  for_each_rung(Isa::Avx2, [&] {
+    transpose_basis<u64>();  // 4,096 inputs
+  });
 }
 
 TEST(BitsTiers, TransposeRandomTiles) {
-  SKIP_WITHOUT_AVX2();
-  data::Rng rng(20);
-  for (int t = 0; t < 200; ++t) {
-    std::vector<u32> w32(32 * (1 + t % 5));
-    for (auto& x : w32) x = static_cast<u32>(rng.next_u64());
-    expect_tiers_agree(w32, "u32");
-    std::vector<u64> w64(64 * (1 + t % 3));
-    for (auto& x : w64) x = rng.next_u64() & (t % 2 ? ~u64{0} : u64{0xFFFF});
-    expect_tiers_agree(w64, "u64");
-  }
+  for_each_rung(Isa::Avx2, [&] {
+    data::Rng rng(20);
+    for (int t = 0; t < 200; ++t) {
+      std::vector<u32> w32(32 * (1 + t % 5));
+      for (auto& x : w32) x = static_cast<u32>(rng.next_u64());
+      expect_tiers_agree(w32, "u32");
+      std::vector<u64> w64(64 * (1 + t % 3));
+      for (auto& x : w64) x = rng.next_u64() & (t % 2 ? ~u64{0} : u64{0xFFFF});
+      expect_tiers_agree(w64, "u64");
+    }
+  });
 }
 
 TEST(BitsTiers, ZeroByteEncodeEveryLengthAndDensity) {
-  SKIP_WITHOUT_AVX2();
-  data::Rng rng(21);
-  std::vector<std::size_t> sizes(1101);
-  std::iota(sizes.begin(), sizes.end(), std::size_t{0});
-  for (std::size_t n : {16383, 16384, 16385}) sizes.push_back(n);
-  for (std::size_t n : sizes)
-    for (double zeros : {0.0, 0.5, 0.9, 1.0}) {
-      const std::vector<u8> d = sparse_bytes(rng, n, zeros);
-      const std::string what = "n=" + std::to_string(n) + " zeros=" + std::to_string(zeros);
-      expect_encode_agrees(d, what);
-      expect_decode_agrees(scalar_encoding(d), n, what);
-    }
+  for_each_rung(Isa::Avx2, [&] {
+    data::Rng rng(21);
+    std::vector<std::size_t> sizes(1101);
+    std::iota(sizes.begin(), sizes.end(), std::size_t{0});
+    for (std::size_t n : {16383, 16384, 16385}) sizes.push_back(n);
+    for (std::size_t n : sizes)
+      for (double zeros : {0.0, 0.5, 0.9, 1.0}) {
+        const std::vector<u8> d = sparse_bytes(rng, n, zeros);
+        const std::string what = "n=" + std::to_string(n) + " zeros=" + std::to_string(zeros);
+        expect_encode_agrees(d, what);
+        expect_decode_agrees(scalar_encoding(d), n, what);
+      }
+  });
 }
 
 TEST(BitsTiers, ZeroByteEncodeRepeatingBitmaps) {
-  SKIP_WITHOUT_AVX2();
-  // Periodic zero patterns make bitmap bytes repeat, so the upper levels keep
-  // few bytes; runs of one bitmap byte cross the 32-byte vector boundaries.
-  data::Rng rng(22);
-  for (std::size_t period : {1, 3, 8, 16, 24, 64, 200, 512, 4096})
-    for (std::size_t n : {1000, 4096, 16384, 16385}) {
-      std::vector<u8> d(n);
-      for (std::size_t i = 0; i < n; ++i)
-        d[i] = (i % period) < period / 2 ? u8{0} : static_cast<u8>(1 + rng.next_u64() % 255);
-      const std::string what = "period=" + std::to_string(period) + " n=" + std::to_string(n);
-      expect_encode_agrees(d, what);
-      expect_decode_agrees(scalar_encoding(d), n, what);
-    }
+  for_each_rung(Isa::Avx2, [&] {
+    // Periodic zero patterns make bitmap bytes repeat, so the upper levels keep
+    // few bytes; runs of one bitmap byte cross the 32-byte vector boundaries.
+    data::Rng rng(22);
+    for (std::size_t period : {1, 3, 8, 16, 24, 64, 200, 512, 4096})
+      for (std::size_t n : {1000, 4096, 16384, 16385}) {
+        std::vector<u8> d(n);
+        for (std::size_t i = 0; i < n; ++i)
+          d[i] = (i % period) < period / 2 ? u8{0} : static_cast<u8>(1 + rng.next_u64() % 255);
+        const std::string what = "period=" + std::to_string(period) + " n=" + std::to_string(n);
+        expect_encode_agrees(d, what);
+        expect_decode_agrees(scalar_encoding(d), n, what);
+      }
+  });
 }
 
 TEST(BitsTiers, ZeroByteDecodeEveryTruncation) {
-  SKIP_WITHOUT_AVX2();
-  data::Rng rng(23);
-  for (std::size_t n : {std::size_t{37}, std::size_t{1001}, std::size_t{16384}}) {
-    const std::vector<u8> enc = scalar_encoding(sparse_bytes(rng, n, 0.6));
-    for (std::size_t len = 0; len <= enc.size(); ++len)
-      expect_decode_agrees(std::vector<u8>(enc.begin(), enc.begin() + len), n,
-                           "n=" + std::to_string(n) + " len=" + std::to_string(len));
-  }
+  for_each_rung(Isa::Avx2, [&] {
+    data::Rng rng(23);
+    for (std::size_t n : {std::size_t{37}, std::size_t{1001}, std::size_t{16384}}) {
+      const std::vector<u8> enc = scalar_encoding(sparse_bytes(rng, n, 0.6));
+      for (std::size_t len = 0; len <= enc.size(); ++len)
+        expect_decode_agrees(std::vector<u8>(enc.begin(), enc.begin() + len), n,
+                             "n=" + std::to_string(n) + " len=" + std::to_string(len));
+    }
+  });
 }
 
 TEST(BitsTiers, ZeroByteDecodeRandomFlips) {
-  SKIP_WITHOUT_AVX2();
-  data::Rng rng(24);
-  for (std::size_t n : {std::size_t{100}, std::size_t{1003}, std::size_t{16384}}) {
-    const std::vector<u8> enc = scalar_encoding(sparse_bytes(rng, n, 0.7));
-    for (int t = 0; t < 1000; ++t) {
-      std::vector<u8> bad = enc;
-      // Most flips land in the bitmaps at the front, which change the parse.
-      const std::size_t span = t % 2 ? bad.size() : std::min<std::size_t>(bad.size(), 300);
-      for (int f = 0; f < 1 + t % 4; ++f)
-        bad[rng.next_u64() % span] ^= static_cast<u8>(1u << (rng.next_u64() % 8));
-      // Slack or shortfall at the end, as a damaged chunk table would give.
-      if (t % 3 == 1) bad.push_back(static_cast<u8>(rng.next_u64()));
-      if (t % 3 == 2) bad.resize(bad.size() - 1);
-      expect_decode_agrees(bad, n, "n=" + std::to_string(n) + " t=" + std::to_string(t));
+  for_each_rung(Isa::Avx2, [&] {
+    data::Rng rng(24);
+    for (std::size_t n : {std::size_t{100}, std::size_t{1003}, std::size_t{16384}}) {
+      const std::vector<u8> enc = scalar_encoding(sparse_bytes(rng, n, 0.7));
+      for (int t = 0; t < 1000; ++t) {
+        std::vector<u8> bad = enc;
+        // Most flips land in the bitmaps at the front, which change the parse.
+        const std::size_t span = t % 2 ? bad.size() : std::min<std::size_t>(bad.size(), 300);
+        for (int f = 0; f < 1 + t % 4; ++f)
+          bad[rng.next_u64() % span] ^= static_cast<u8>(1u << (rng.next_u64() % 8));
+        // Slack or shortfall at the end, as a damaged chunk table would give.
+        if (t % 3 == 1) bad.push_back(static_cast<u8>(rng.next_u64()));
+        if (t % 3 == 2) bad.resize(bad.size() - 1);
+        expect_decode_agrees(bad, n, "n=" + std::to_string(n) + " t=" + std::to_string(t));
+      }
     }
-  }
+  });
 }
 
 TEST(BitsTiers, ZeroByteDecodeIgnoresPaddingBits) {
-  SKIP_WITHOUT_AVX2();
-  // All-ones input: every bitmap bit is set, including the bits of each
-  // level's last byte that lie beyond the level (or beyond n). Both tiers
-  // must ignore those bits and consume the same count.
-  data::Rng rng(25);
-  for (std::size_t n : {1, 7, 9, 63, 65, 1001, 16383, 16385}) {
-    std::size_t need = n, s = n;
-    for (int k = 0; k <= kZeroByteLevels; ++k) need += s = (s + 7) / 8;
-    std::vector<u8> ones(need + 5, 0xFF);
-    expect_decode_agrees(ones, n, "ones n=" + std::to_string(n));
-    std::vector<u8> junk(need + 5);
-    for (auto& b : junk) b = static_cast<u8>(rng.next_u64());
-    expect_decode_agrees(junk, n, "junk n=" + std::to_string(n));
-    for (std::size_t len : {std::size_t{0}, need / 2, need - 1, need})
-      expect_decode_agrees(std::vector<u8>(ones.begin(), ones.begin() + len), n,
-                           "ones n=" + std::to_string(n) + " len=" + std::to_string(len));
-  }
+  for_each_rung(Isa::Avx2, [&] {
+    // All-ones input: every bitmap bit is set, including the bits of each
+    // level's last byte that lie beyond the level (or beyond n). Both tiers
+    // must ignore those bits and consume the same count.
+    data::Rng rng(25);
+    for (std::size_t n : {1, 7, 9, 63, 65, 1001, 16383, 16385}) {
+      std::size_t need = n, s = n;
+      for (int k = 0; k <= kZeroByteLevels; ++k) need += s = (s + 7) / 8;
+      std::vector<u8> ones(need + 5, 0xFF);
+      expect_decode_agrees(ones, n, "ones n=" + std::to_string(n));
+      std::vector<u8> junk(need + 5);
+      for (auto& b : junk) b = static_cast<u8>(rng.next_u64());
+      expect_decode_agrees(junk, n, "junk n=" + std::to_string(n));
+      for (std::size_t len : {std::size_t{0}, need / 2, need - 1, need})
+        expect_decode_agrees(std::vector<u8>(ones.begin(), ones.begin() + len), n,
+                             "ones n=" + std::to_string(n) + " len=" + std::to_string(len));
+    }
+  });
 }

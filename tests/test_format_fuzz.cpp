@@ -20,7 +20,6 @@
 #include "baselines/sz_common.hpp"
 #include "common/bytes.hpp"
 #include "common/checksum.hpp"
-#include "common/cpu.hpp"
 #include "common/hash.hpp"
 #include "core/pfpl.hpp"
 #include "core/pipeline.hpp"
@@ -38,7 +37,7 @@
 #include "svc/archive.hpp"
 #include "temporal/pfpv.hpp"
 #include "temporal/temporal.hpp"
-#include "zerobyte_tiers.hpp"
+#include "tiers.hpp"
 
 using namespace repro;
 namespace fs = std::filesystem;
@@ -159,52 +158,53 @@ TEST(Fuzz, LcZeroByteStageSlackRejected) {
 }
 
 TEST(Fuzz, ZeroByteTiersAgreeOnMutatedSuiteChunks) {
-  if (!common::has_avx2()) GTEST_SKIP() << "this CPU has no AVX2";
-  // Every compressed chunk of one small file per paper suite, under bounded
-  // seeded damage: bit flips in the front of the chunk, where the top bitmap
-  // and the repeat bytes sit; truncation by 1..8 bytes; one slack byte.
-  data::Rng rng(18);
-  const std::vector<data::SuiteSpec> specs = data::paper_suites();
-  std::size_t compressed = 0;
-  for (std::size_t si = 0; si < specs.size(); ++si) {
-    const data::Suite suite = data::generate(specs[si], 1 << 14, 1);
-    const data::SyntheticFile& file = suite.files.at(0);
-    const EbType eb = si % 3 == 0 ? EbType::ABS : si % 3 == 1 ? EbType::REL : EbType::NOA;
-    const Bytes c = pfpl::compress(file.field(), {1e-3, eb});
-    const pfpl::Header h = pfpl::peek_header(c);
-    const std::size_t width = h.dtype == DType::F32 ? 4 : 8;
-    const std::size_t per_chunk = pfpl::kChunkBytes / width;
-    const std::size_t table = sizeof(pfpl::Header);
-    const std::vector<u32> sizes = chunk_sizes(c, table, h.chunk_count);
-    std::size_t off = table + sizes.size() * sizeof(u32);
-    for (std::size_t ci = 0; ci < sizes.size(); ++ci) {
-      const std::size_t at = off, csize = sizes[ci] & ~pfpl::kRawChunkFlag;
-      off += csize;
-      if (sizes[ci] & pfpl::kRawChunkFlag) continue;
-      ++compressed;
-      const std::vector<u8> payload(c.begin() + static_cast<std::ptrdiff_t>(at),
-                                    c.begin() + static_cast<std::ptrdiff_t>(at + csize));
-      const std::size_t k = std::min(per_chunk, h.value_count - ci * per_chunk);
-      const std::size_t n = (width == 4 ? pfpl::padded_words<u32>(k)
-                                        : pfpl::padded_words<u64>(k)) * width;
-      const std::string what = specs[si].name + " chunk " + std::to_string(ci);
-      tiers::expect_decode_agrees(payload, n, what);
-      const std::size_t front = std::min<std::size_t>(payload.size(), 256);
-      for (int t = 0; t < 8; ++t) {
-        std::vector<u8> bad = payload;
-        for (int f = 0; f <= t % 3; ++f)
-          bad[rng.next_u64() % front] ^= static_cast<u8>(1u << (rng.next_u64() % 8));
-        tiers::expect_decode_agrees(bad, n, what + " flip " + std::to_string(t));
+  tiers::for_each_rung(common::Isa::Avx2, [&] {
+    // Every compressed chunk of one small file per paper suite, under bounded
+    // seeded damage: bit flips in the front of the chunk, where the top bitmap
+    // and the repeat bytes sit; truncation by 1..8 bytes; one slack byte.
+    data::Rng rng(18);
+    const std::vector<data::SuiteSpec> specs = data::paper_suites();
+    std::size_t compressed = 0;
+    for (std::size_t si = 0; si < specs.size(); ++si) {
+      const data::Suite suite = data::generate(specs[si], 1 << 14, 1);
+      const data::SyntheticFile& file = suite.files.at(0);
+      const EbType eb = si % 3 == 0 ? EbType::ABS : si % 3 == 1 ? EbType::REL : EbType::NOA;
+      const Bytes c = pfpl::compress(file.field(), {1e-3, eb});
+      const pfpl::Header h = pfpl::peek_header(c);
+      const std::size_t width = h.dtype == DType::F32 ? 4 : 8;
+      const std::size_t per_chunk = pfpl::kChunkBytes / width;
+      const std::size_t table = sizeof(pfpl::Header);
+      const std::vector<u32> sizes = chunk_sizes(c, table, h.chunk_count);
+      std::size_t off = table + sizes.size() * sizeof(u32);
+      for (std::size_t ci = 0; ci < sizes.size(); ++ci) {
+        const std::size_t at = off, csize = sizes[ci] & ~pfpl::kRawChunkFlag;
+        off += csize;
+        if (sizes[ci] & pfpl::kRawChunkFlag) continue;
+        ++compressed;
+        const std::vector<u8> payload(c.begin() + static_cast<std::ptrdiff_t>(at),
+                                      c.begin() + static_cast<std::ptrdiff_t>(at + csize));
+        const std::size_t k = std::min(per_chunk, h.value_count - ci * per_chunk);
+        const std::size_t n = (width == 4 ? pfpl::padded_words<u32>(k)
+                                          : pfpl::padded_words<u64>(k)) * width;
+        const std::string what = specs[si].name + " chunk " + std::to_string(ci);
+        tiers::expect_decode_agrees(payload, n, what);
+        const std::size_t front = std::min<std::size_t>(payload.size(), 256);
+        for (int t = 0; t < 8; ++t) {
+          std::vector<u8> bad = payload;
+          for (int f = 0; f <= t % 3; ++f)
+            bad[rng.next_u64() % front] ^= static_cast<u8>(1u << (rng.next_u64() % 8));
+          tiers::expect_decode_agrees(bad, n, what + " flip " + std::to_string(t));
+        }
+        for (std::size_t cut = 1; cut <= std::min<std::size_t>(8, payload.size()); ++cut)
+          tiers::expect_decode_agrees(std::vector<u8>(payload.begin(), payload.end() - cut), n,
+                                      what + " cut " + std::to_string(cut));
+        std::vector<u8> slack = payload;
+        slack.push_back(static_cast<u8>(rng.next_u64()));
+        tiers::expect_decode_agrees(slack, n, what + " slack");
       }
-      for (std::size_t cut = 1; cut <= std::min<std::size_t>(8, payload.size()); ++cut)
-        tiers::expect_decode_agrees(std::vector<u8>(payload.begin(), payload.end() - cut), n,
-                                    what + " cut " + std::to_string(cut));
-      std::vector<u8> slack = payload;
-      slack.push_back(static_cast<u8>(rng.next_u64()));
-      tiers::expect_decode_agrees(slack, n, what + " slack");
     }
-  }
-  EXPECT_GE(compressed, specs.size()) << "too few compressed chunks to compare";
+    EXPECT_GE(compressed, specs.size()) << "too few compressed chunks to compare";
+  });
 }
 
 TEST(Fuzz, PfplTruncationsAllLengths) {
@@ -362,6 +362,9 @@ TEST(Fuzz, WrongMagicCrossDecoding) {
 // nor does PFPV open past an intact session header); whatever decodes keeps
 // the original's bound whenever the mutation left the value bytes alone; and
 // no input makes the process hold more than kAllocCap bytes.
+//
+// Every target runs at every rung of the ISA ladder, its seed built at that
+// rung too; each rung is its own test (TEST_PER_RUNG, tests/tiers.hpp).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -567,13 +570,16 @@ void pfpl_layout(const Bytes& s, std::size_t at, Target& t) {
   t.values.push_back({payload, end - payload});
 }
 
+/// A scratch path of the running test: each rung's test is its own ctest
+/// entry, and ctest may run them at once.
 std::string fuzz_dir(const std::string& name) {
-  return (fs::temp_directory_path() / ("pfpl_fuzz_" + name)).string();
+  const std::string test = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  return (fs::temp_directory_path() / ("pfpl_fuzz_" + test + "_" + name)).string();
 }
 
 }  // namespace
 
-TEST(ContainerFuzz, Pfpl) {
+TEST_PER_RUNG(ContainerFuzz, Pfpl) {
   const data::SyntheticFile a = suite_file(DType::F32, 3 * 4096);
   const data::SyntheticFile b = suite_file(DType::F64, 2 * 2048);
   for (const auto& [file, eb] : {std::pair{&a, EbType::ABS}, std::pair{&b, EbType::REL}}) {
@@ -586,7 +592,7 @@ TEST(ContainerFuzz, Pfpl) {
   }
 }
 
-TEST(ContainerFuzz, Pfpa) {
+TEST_PER_RUNG(ContainerFuzz, Pfpa) {
   const std::string path = fuzz_dir("archive.pfpa");
   std::vector<Original> originals;
   std::vector<data::SyntheticFile> files = {suite_file(DType::F32, 1024),
@@ -631,7 +637,7 @@ TEST(ContainerFuzz, Pfpa) {
   fs::remove(path);
 }
 
-TEST(ContainerFuzz, Pfps) {
+TEST_PER_RUNG(ContainerFuzz, Pfps) {
   // Two segments of two frames each plus the manifest; each file is its own
   // target, written beside pristine copies of the other two.
   const std::string dir = fuzz_dir("store");
@@ -703,7 +709,7 @@ TEST(ContainerFuzz, Pfps) {
   fs::remove_all(dir);
 }
 
-TEST(ContainerFuzz, Pfpv) {
+TEST_PER_RUNG(ContainerFuzz, Pfpv) {
   const data::FrameSequence seq =
       data::generate_evolving(data::find_evolving("advect"), 512, 6);
   temporal::SessionConfig cfg;
@@ -766,7 +772,7 @@ TEST(ContainerFuzz, Pfpv) {
   fuzz(t, originals);
 }
 
-TEST(ContainerFuzz, Pfpn) {
+TEST_PER_RUNG(ContainerFuzz, Pfpn) {
   // A request/response exchange as one byte stream: COMPRESS both ways, a
   // STREAM_OPEN, a typed error and a PING.
   const data::SyntheticFile f = suite_file(DType::F32, 512);

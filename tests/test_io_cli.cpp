@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cpu.hpp"
 #include "data/rng.hpp"
 #include "io/raw_file.hpp"
 #include "obs/json.hpp"
@@ -611,6 +612,8 @@ TEST_F(CliTest, ProfileJsonSchema) {
   ASSERT_EQ(run_out(cli + " profile --json --suite CESM-ATM", out), 0);
   const obs::JsonValue doc = obs::parse_json(out);
   EXPECT_EQ(doc.at("schema").str, "pfpl-profile/1");
+  // The rung the tables measured: this CPU's, as the CLI has no knob to move it.
+  EXPECT_EQ(doc.at("isa").str, common::isa_name(common::isa()));
   ASSERT_EQ(doc.at("groups").arr.size(), 1u);
   EXPECT_EQ(doc.at("groups").arr[0].at("dtype").str, "f32");
 }

@@ -16,6 +16,7 @@
 #include "fpmath/traits.hpp"
 #include "data/synthetic.hpp"
 #include "metrics/error_stats.hpp"
+#include "tiers.hpp"
 
 using namespace repro;
 using pfpl::Executor;
@@ -347,16 +348,19 @@ void check_golden(const std::string& name, const std::vector<T>& data, double ep
   const GoldenDigest* want = nullptr;
   for (const auto& g : kGolden)
     if (name == g.name) want = &g;
-  for (Executor exec : {Executor::Serial, Executor::OpenMP, Executor::GpuSim}) {
-    Bytes c = pfpl::compress(Field(data.data(), data.size()), Params{eps, eb, exec});
-    std::vector<u8> back = pfpl::decompress(c, exec);
-    const std::string sh = common::hash128(c.data(), c.size()).hex();
-    const std::string vh = common::hash128(back.data(), back.size()).hex();
-    ASSERT_NE(want, nullptr) << "missing golden entry: {\"" << name << "\", \"" << sh
-                             << "\", \"" << vh << "\"},";
-    EXPECT_EQ(sh, want->stream) << name << " exec=" << static_cast<int>(exec);
-    EXPECT_EQ(vh, want->values) << name << " exec=" << static_cast<int>(exec);
-  }
+  // Every rung the CPU has must give the pinned bytes (tests/tiers.hpp).
+  tiers::for_each_rung([&] {
+    for (Executor exec : {Executor::Serial, Executor::OpenMP, Executor::GpuSim}) {
+      Bytes c = pfpl::compress(Field(data.data(), data.size()), Params{eps, eb, exec});
+      std::vector<u8> back = pfpl::decompress(c, exec);
+      const std::string sh = common::hash128(c.data(), c.size()).hex();
+      const std::string vh = common::hash128(back.data(), back.size()).hex();
+      ASSERT_NE(want, nullptr) << "missing golden entry: {\"" << name << "\", \"" << sh
+                               << "\", \"" << vh << "\"},";
+      EXPECT_EQ(sh, want->stream) << name << " exec=" << static_cast<int>(exec);
+      EXPECT_EQ(vh, want->values) << name << " exec=" << static_cast<int>(exec);
+    }
+  });
 }
 
 std::string eps_tag(double eps) {

@@ -13,10 +13,13 @@
 #include "core/quantizers.hpp"
 #include "data/rng.hpp"
 #include "fpmath/det_math.hpp"
+#include "tiers.hpp"
 
 using namespace repro;
 using namespace repro::pfpl;
 using repro::fpmath::FloatTraits;
+using repro::tiers::for_each_rung;
+using Isa = repro::common::Isa;
 
 namespace {
 
@@ -303,19 +306,17 @@ TEST_P(QuantizerSweep, RelBoundHolds) {
 INSTANTIATE_TEST_SUITE_P(Bounds, QuantizerSweep,
                          ::testing::Values(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 0.5, 2.0e-38));
 
-// --- AVX2 tier equivalence ----------------------------------------------------
-// The lane kernels must give, word for word, what the scalar encode()/decode()
-// give: they are called directly here, so these tests check the AVX2 tier even
-// where encode_block() would pick it anyway.
+// --- SIMD tier equivalence ----------------------------------------------------
+// encode_block()/decode_block() run the lane kernels from the Avx2 rung up;
+// at each such rung (tests/tiers.hpp) they must give, word for word, what the
+// scalar encode()/decode() give.
 
 namespace {
 
-#define SKIP_WITHOUT_AVX2() \
-  if (!common::has_avx2()) GTEST_SKIP() << "this CPU has no AVX2"
-
-/// Mismatches between the AVX2 tier and the scalar functions over `vals`:
-/// encode of every value, and decode of the encoder's words and of the raw
-/// input patterns (any word must decode the same way).
+/// Mismatches between encode_block()/decode_block() at the rung in force and
+/// the scalar functions over `vals`: encode of every value, and decode of the
+/// encoder's words and of the raw input patterns (any word must decode the
+/// same way).
 template <typename Q>
 std::size_t tier_mismatches(const Q& q, const typename Q::Value* vals, std::size_t n,
                             std::string* first = nullptr) {
@@ -330,7 +331,7 @@ std::size_t tier_mismatches(const Q& q, const typename Q::Value* vals, std::size
     }
   };
   std::vector<Bits> words(n), raw(n);
-  avx2::Kernels::encode(q, vals, words.data(), n);
+  q.encode_block(vals, words.data(), n);
   for (std::size_t i = 0; i < n; ++i) {
     raw[i] = fpmath::to_bits(vals[i]);
     const Bits want = q.encode(vals[i]);
@@ -338,7 +339,7 @@ std::size_t tier_mismatches(const Q& q, const typename Q::Value* vals, std::size
   }
   std::vector<T> dec(n);
   for (const auto* src : {&words, &raw}) {
-    avx2::Kernels::decode(q, src->data(), dec.data(), n);
+    q.decode_block(src->data(), dec.data(), n);
     for (std::size_t i = 0; i < n; ++i) {
       const Bits want = fpmath::to_bits(q.decode((*src)[i]));
       if (fpmath::to_bits(dec[i]) != want)
@@ -470,78 +471,85 @@ std::vector<T> random_moderate(std::size_t n, int e_range, u64 seed) {
 }  // namespace
 
 TEST(QuantizerTiers, StridedF32PatternsAbs) {
-  SKIP_WITHOUT_AVX2();
-  for (double eps : {1e-2, 1e-5})
-    expect_strided_f32_agree(AbsQuantizer<float>(eps), "ABS " + std::to_string(eps));
+  for_each_rung(Isa::Avx2, [&] {
+    for (double eps : {1e-2, 1e-5})
+      expect_strided_f32_agree(AbsQuantizer<float>(eps), "ABS " + std::to_string(eps));
+  });
 }
 
 TEST(QuantizerTiers, StridedF32PatternsRel) {
-  SKIP_WITHOUT_AVX2();
-  for (double eps : {1e-2, 1e-5})
-    expect_strided_f32_agree(RelQuantizer<float>(eps), "REL " + std::to_string(eps));
+  for_each_rung(Isa::Avx2, [&] {
+    for (double eps : {1e-2, 1e-5})
+      expect_strided_f32_agree(RelQuantizer<float>(eps), "REL " + std::to_string(eps));
+  });
 }
 
 TEST(QuantizerTiers, RandomPatternsAllBounds) {
-  SKIP_WITHOUT_AVX2();
-  const auto f32 = random_patterns<float>(1 << 18, 51);
-  const auto f64 = random_patterns<double>(1 << 18, 52);
-  const auto f32m = random_moderate<float>(1 << 17, 30, 53);
-  const auto f64m = random_moderate<double>(1 << 17, 60, 54);
-  for (double eps : {0.5, 1e-2, 1e-4, 1e-7, 1e-12}) {
-    const std::string tag = std::to_string(eps);
-    expect_tiers_agree(AbsQuantizer<float>(eps), f32, "f32 ABS bits " + tag);
-    expect_tiers_agree(AbsQuantizer<double>(eps), f64, "f64 ABS bits " + tag);
-    expect_tiers_agree(RelQuantizer<float>(eps), f32, "f32 REL bits " + tag);
-    expect_tiers_agree(RelQuantizer<double>(eps), f64, "f64 REL bits " + tag);
-    expect_tiers_agree(AbsQuantizer<float>(eps), f32m, "f32 ABS moderate " + tag);
-    expect_tiers_agree(AbsQuantizer<double>(eps), f64m, "f64 ABS moderate " + tag);
-    expect_tiers_agree(RelQuantizer<float>(eps), f32m, "f32 REL moderate " + tag);
-    expect_tiers_agree(RelQuantizer<double>(eps), f64m, "f64 REL moderate " + tag);
-  }
+  for_each_rung(Isa::Avx2, [&] {
+    const auto f32 = random_patterns<float>(1 << 18, 51);
+    const auto f64 = random_patterns<double>(1 << 18, 52);
+    const auto f32m = random_moderate<float>(1 << 17, 30, 53);
+    const auto f64m = random_moderate<double>(1 << 17, 60, 54);
+    for (double eps : {0.5, 1e-2, 1e-4, 1e-7, 1e-12}) {
+      const std::string tag = std::to_string(eps);
+      expect_tiers_agree(AbsQuantizer<float>(eps), f32, "f32 ABS bits " + tag);
+      expect_tiers_agree(AbsQuantizer<double>(eps), f64, "f64 ABS bits " + tag);
+      expect_tiers_agree(RelQuantizer<float>(eps), f32, "f32 REL bits " + tag);
+      expect_tiers_agree(RelQuantizer<double>(eps), f64, "f64 REL bits " + tag);
+      expect_tiers_agree(AbsQuantizer<float>(eps), f32m, "f32 ABS moderate " + tag);
+      expect_tiers_agree(AbsQuantizer<double>(eps), f64m, "f64 ABS moderate " + tag);
+      expect_tiers_agree(RelQuantizer<float>(eps), f32m, "f32 REL moderate " + tag);
+      expect_tiers_agree(RelQuantizer<double>(eps), f64m, "f64 REL moderate " + tag);
+    }
+  });
 }
 
 TEST(QuantizerTiers, DegenerateAbsIsScalar) {
-  SKIP_WITHOUT_AVX2();
-  for (double eps : {0.0, 1e-40}) {
-    expect_tiers_agree(AbsQuantizer<float>(eps), random_patterns<float>(1 << 14, 55),
-                       "f32 degenerate");
-  }
-  expect_tiers_agree(AbsQuantizer<double>(1e-310), random_patterns<double>(1 << 14, 56),
-                     "f64 degenerate");
+  for_each_rung(Isa::Avx2, [&] {
+    for (double eps : {0.0, 1e-40}) {
+      expect_tiers_agree(AbsQuantizer<float>(eps), random_patterns<float>(1 << 14, 55),
+                         "f32 degenerate");
+    }
+    expect_tiers_agree(AbsQuantizer<double>(1e-310), random_patterns<double>(1 << 14, 56),
+                       "f64 degenerate");
+  });
 }
 
 TEST(QuantizerTiers, AbsBinEdgesAndMaxBin) {
-  SKIP_WITHOUT_AVX2();
-  for (double eps : {1e-1, 1e-3, 3.7e-6}) {
-    expect_tiers_agree(AbsQuantizer<float>(eps), abs_edge_values<float>(eps), "f32 ABS edges");
-    expect_tiers_agree(AbsQuantizer<double>(eps), abs_edge_values<double>(eps),
-                       "f64 ABS edges");
-  }
+  for_each_rung(Isa::Avx2, [&] {
+    for (double eps : {1e-1, 1e-3, 3.7e-6}) {
+      expect_tiers_agree(AbsQuantizer<float>(eps), abs_edge_values<float>(eps), "f32 ABS edges");
+      expect_tiers_agree(AbsQuantizer<double>(eps), abs_edge_values<double>(eps),
+                         "f64 ABS edges");
+    }
+  });
 }
 
 TEST(QuantizerTiers, RelBinEdgesAndUmax) {
-  SKIP_WITHOUT_AVX2();
-  for (double eps : {1e-1, 1e-3, 3.7e-6}) {
-    expect_tiers_agree(RelQuantizer<float>(eps), rel_edge_values<float>(eps), "f32 REL edges");
-    expect_tiers_agree(RelQuantizer<double>(eps), rel_edge_values<double>(eps),
-                       "f64 REL edges");
-  }
+  for_each_rung(Isa::Avx2, [&] {
+    for (double eps : {1e-1, 1e-3, 3.7e-6}) {
+      expect_tiers_agree(RelQuantizer<float>(eps), rel_edge_values<float>(eps), "f32 REL edges");
+      expect_tiers_agree(RelQuantizer<double>(eps), rel_edge_values<double>(eps),
+                         "f64 REL edges");
+    }
+  });
 }
 
 TEST(QuantizerTiers, RelReconstructionOutsideOneMultiplyRange) {
   // det_exp scales by 2^k in one multiply only for k in [-1021, 1023]; these
   // bins reconstruct outside that range (f64 values near the denormals and
   // near DBL_MAX, f32 bins of a huge bound), so their lanes re-run encode().
-  SKIP_WITHOUT_AVX2();
-  std::vector<double> f64;
-  for (double c : {std::numeric_limits<double>::min(), std::numeric_limits<double>::denorm_min(),
-                   1e-310, 4e-320, 3e-308, std::numeric_limits<double>::max(), 8e307, 1.6e308})
-    add_window(f64, c, 64);
-  for (double eps : {1e-1, 1e-3, 1e-6})
-    expect_tiers_agree(RelQuantizer<double>(eps), f64, "f64 REL extremes");
-  const auto f32 = random_patterns<float>(1 << 14, 57);
-  for (double eps : {1e30, 1e200})
-    expect_tiers_agree(RelQuantizer<float>(eps), f32, "f32 REL huge bound");
+  for_each_rung(Isa::Avx2, [&] {
+    std::vector<double> f64;
+    for (double c : {std::numeric_limits<double>::min(), std::numeric_limits<double>::denorm_min(),
+                     1e-310, 4e-320, 3e-308, std::numeric_limits<double>::max(), 8e307, 1.6e308})
+      add_window(f64, c, 64);
+    for (double eps : {1e-1, 1e-3, 1e-6})
+      expect_tiers_agree(RelQuantizer<double>(eps), f64, "f64 REL extremes");
+    const auto f32 = random_patterns<float>(1 << 14, 57);
+    for (double eps : {1e30, 1e200})
+      expect_tiers_agree(RelQuantizer<float>(eps), f32, "f32 REL huge bound");
+  });
 }
 
 namespace {
@@ -602,36 +610,37 @@ TEST(QuantizerTiers, RoundedTieValues) {
   // fl(lo*eps) == fl(hi - lo), which the lanes hand to the scalar
   // predicate. Some f64 REL ties fail the bound, so a lane that accepted
   // REL ties would emit a different word.
-  SKIP_WITHOUT_AVX2();
-  std::size_t abs32 = 0, abs64 = 0;
-  for (double eps : {0.5, 0x1p-10, 0.1, 1e-3}) {
-    const auto f32 = abs_edge_values<float>(eps);
-    const auto f64 = abs_edge_values<double>(eps);
-    for (float v : f32) abs32 += abs_check_ties(eps, v);
-    for (double v : f64) abs64 += abs_check_ties(eps, v);
-    expect_tiers_agree(AbsQuantizer<float>(eps), f32, "f32 ABS ties");
-    expect_tiers_agree(AbsQuantizer<double>(eps), f64, "f64 ABS ties");
-  }
-  EXPECT_GT(abs32, 0u);
-  EXPECT_GT(abs64, 0u);
-  std::size_t rel32 = 0, rel64 = 0, rejected32 = 0, rejected64 = 0;
-  for (double eps : {0.0625, 0x1.8p-7}) {
-    const RelQuantizer<float> q(eps);
-    const auto ties = rel_tie_values(q, 71, &rejected32);
-    rel32 += ties.size();
-    expect_tiers_agree(q, ties, "f32 REL ties");
-  }
-  for (double eps : {1e-2, 1e-3, 1e-4}) {
-    const RelQuantizer<double> q(eps);
-    const auto ties = rel_tie_values(q, 72, &rejected64);
-    rel64 += ties.size();
-    expect_tiers_agree(q, ties, "f64 REL ties");
-  }
-  EXPECT_GT(rel32, 0u);
-  EXPECT_GT(rel64, 0u);
-  EXPECT_GT(rejected64, 0u);
-  std::printf("ties: ABS f32 %zu f64 %zu; REL f32 %zu (%zu fail) f64 %zu (%zu fail)\n", abs32,
-              abs64, rel32, rejected32, rel64, rejected64);
+  for_each_rung(Isa::Avx2, [&] {
+    std::size_t abs32 = 0, abs64 = 0;
+    for (double eps : {0.5, 0x1p-10, 0.1, 1e-3}) {
+      const auto f32 = abs_edge_values<float>(eps);
+      const auto f64 = abs_edge_values<double>(eps);
+      for (float v : f32) abs32 += abs_check_ties(eps, v);
+      for (double v : f64) abs64 += abs_check_ties(eps, v);
+      expect_tiers_agree(AbsQuantizer<float>(eps), f32, "f32 ABS ties");
+      expect_tiers_agree(AbsQuantizer<double>(eps), f64, "f64 ABS ties");
+    }
+    EXPECT_GT(abs32, 0u);
+    EXPECT_GT(abs64, 0u);
+    std::size_t rel32 = 0, rel64 = 0, rejected32 = 0, rejected64 = 0;
+    for (double eps : {0.0625, 0x1.8p-7}) {
+      const RelQuantizer<float> q(eps);
+      const auto ties = rel_tie_values(q, 71, &rejected32);
+      rel32 += ties.size();
+      expect_tiers_agree(q, ties, "f32 REL ties");
+    }
+    for (double eps : {1e-2, 1e-3, 1e-4}) {
+      const RelQuantizer<double> q(eps);
+      const auto ties = rel_tie_values(q, 72, &rejected64);
+      rel64 += ties.size();
+      expect_tiers_agree(q, ties, "f64 REL ties");
+    }
+    EXPECT_GT(rel32, 0u);
+    EXPECT_GT(rel64, 0u);
+    EXPECT_GT(rejected64, 0u);
+    std::printf("ties: ABS f32 %zu f64 %zu; REL f32 %zu (%zu fail) f64 %zu (%zu fail)\n", abs32,
+                abs64, rel32, rejected32, rel64, rejected64);
+  });
 }
 
 TEST(QuantizerTiers, FallbackLaneAtEveryGroupPosition) {
@@ -639,94 +648,99 @@ TEST(QuantizerTiers, FallbackLaneAtEveryGroupPosition) {
   // position of a 40-value block of moderate values: it lands in each group
   // of a full step, in the 4-lane remainder and in the scalar tail, and
   // exactly its own lane must take the scalar word.
-  SKIP_WITHOUT_AVX2();
-  constexpr std::size_t kBlock = 40;
-  auto each_position = [](const auto& q, const auto& base, const auto& odd,
-                          const std::string& what) {
-    for (const auto x : odd)
-      for (std::size_t p = 0; p < kBlock; ++p) {
-        auto vals = base;
-        vals[p] = x;
-        expect_tiers_agree(q, vals, what + " at " + std::to_string(p));
-      }
-  };
-  using L64 = std::numeric_limits<double>;
-  using L32 = std::numeric_limits<float>;
-  const auto f64 = random_moderate<double>(kBlock, 3, 61);
-  const auto f32 = random_moderate<float>(kBlock, 3, 62);
+  for_each_rung(Isa::Avx2, [&] {
+    constexpr std::size_t kBlock = 40;
+    auto each_position = [](const auto& q, const auto& base, const auto& odd,
+                            const std::string& what) {
+      for (const auto x : odd)
+        for (std::size_t p = 0; p < kBlock; ++p) {
+          auto vals = base;
+          vals[p] = x;
+          expect_tiers_agree(q, vals, what + " at " + std::to_string(p));
+        }
+    };
+    using L64 = std::numeric_limits<double>;
+    using L32 = std::numeric_limits<float>;
+    const auto f64 = random_moderate<double>(kBlock, 3, 61);
+    const auto f32 = random_moderate<float>(kBlock, 3, 62);
 
-  // det_exp outside its one-multiply range: reconstructions near the
-  // denormals and near DBL_MAX.
-  const std::vector<double> extremes = {1e-310, -1.2e-310, L64::max(), -1.6e308};
-  // Values whose REL check ties.
-  std::size_t rejected = 0;
-  auto ties = rel_tie_values(RelQuantizer<double>(1e-2), 73, &rejected);
-  ASSERT_FALSE(ties.empty());
-  ties.resize(std::min<std::size_t>(ties.size(), 6));
-  // f32 at a huge bound: bins sit ~199 binades apart, so the raw pattern of
-  // a denormal, read back as a bin word, reconstructs far outside the range.
-  const std::vector<float> f32_odd = {fpmath::from_bits<float>(2u),
-                                      fpmath::from_bits<float>(0x00654321u),
-                                      fpmath::from_bits<float>(0x007FFFFDu)};
-  const std::vector<double> specials64 = {L64::quiet_NaN(), -L64::quiet_NaN(), L64::infinity(),
-                                          -L64::infinity(), 0.0, -0.0};
-  const std::vector<float> specials32 = {L32::quiet_NaN(), -L32::quiet_NaN(), L32::infinity(),
-                                         -L32::infinity(), 0.0f, -0.0f};
+    // det_exp outside its one-multiply range: reconstructions near the
+    // denormals and near DBL_MAX.
+    const std::vector<double> extremes = {1e-310, -1.2e-310, L64::max(), -1.6e308};
+    // Values whose REL check ties.
+    std::size_t rejected = 0;
+    auto ties = rel_tie_values(RelQuantizer<double>(1e-2), 73, &rejected);
+    ASSERT_FALSE(ties.empty());
+    ties.resize(std::min<std::size_t>(ties.size(), 6));
+    // f32 at a huge bound: bins sit ~199 binades apart, so the raw pattern of
+    // a denormal, read back as a bin word, reconstructs far outside the range.
+    const std::vector<float> f32_odd = {fpmath::from_bits<float>(2u),
+                                        fpmath::from_bits<float>(0x00654321u),
+                                        fpmath::from_bits<float>(0x007FFFFDu)};
+    const std::vector<double> specials64 = {L64::quiet_NaN(), -L64::quiet_NaN(), L64::infinity(),
+                                            -L64::infinity(), 0.0, -0.0};
+    const std::vector<float> specials32 = {L32::quiet_NaN(), -L32::quiet_NaN(), L32::infinity(),
+                                           -L32::infinity(), 0.0f, -0.0f};
 
-  each_position(RelQuantizer<double>(1e-3), f64, extremes, "f64 REL extreme");
-  each_position(RelQuantizer<double>(1e-2), f64, ties, "f64 REL tie");
-  each_position(RelQuantizer<float>(1e30), f32, f32_odd, "f32 REL 1e30");
-  each_position(RelQuantizer<double>(1e-3), f64, specials64, "f64 REL special");
-  each_position(RelQuantizer<float>(1e-3), f32, specials32, "f32 REL special");
-  each_position(RelQuantizer<float>(1e30), f32, specials32, "f32 REL 1e30 special");
+    each_position(RelQuantizer<double>(1e-3), f64, extremes, "f64 REL extreme");
+    each_position(RelQuantizer<double>(1e-2), f64, ties, "f64 REL tie");
+    each_position(RelQuantizer<float>(1e30), f32, f32_odd, "f32 REL 1e30");
+    each_position(RelQuantizer<double>(1e-3), f64, specials64, "f64 REL special");
+    each_position(RelQuantizer<float>(1e-3), f32, specials32, "f32 REL special");
+    each_position(RelQuantizer<float>(1e30), f32, specials32, "f32 REL 1e30 special");
+  });
 }
 
 TEST(QuantizerTiers, BlockLengthsAndUnalignedPointers) {
-  SKIP_WITHOUT_AVX2();
-  const auto vals = random_moderate<float>(4096 + 8, 3, 58);
-  const auto vals64 = random_moderate<double>(4096 + 8, 3, 59);
-  std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 40; ++n) lengths.push_back(n);
-  for (std::size_t n = 4093; n <= 4096; ++n) lengths.push_back(n);
-  auto run = [&](const auto& q, const auto& src) {
-    using Q = std::decay_t<decltype(q)>;
-    using Bits = typename Q::Bits;
-    using T = typename Q::Value;
-    constexpr Bits kSentinel = static_cast<Bits>(0xA5A5A5A5A5A5A5A5ull);
-    for (std::size_t n : lengths) {
-      for (std::size_t off = 0; off < 4; ++off) {
-        const T* in = src.data() + off;
-        std::vector<Bits> words(n + 8, kSentinel);
-        avx2::Kernels::encode(q, in, words.data() + off, n);
-        for (std::size_t i = 0; i < n; ++i)
-          ASSERT_EQ(words[off + i], q.encode(in[i])) << "n=" << n << " off=" << off;
-        for (std::size_t i = 0; i < off; ++i) ASSERT_EQ(words[i], kSentinel);
-        for (std::size_t i = off + n; i < words.size(); ++i) ASSERT_EQ(words[i], kSentinel);
-        std::vector<T> back(n + 8, T(-7));
-        avx2::Kernels::decode(q, words.data() + off, back.data() + (3 - off), n);
-        for (std::size_t i = 0; i < n; ++i)
-          ASSERT_EQ(fpmath::to_bits(back[3 - off + i]), fpmath::to_bits(q.decode(words[off + i])));
-        for (std::size_t i = 3 - off + n; i < back.size(); ++i) ASSERT_EQ(back[i], T(-7));
+  for_each_rung(Isa::Avx2, [&] {
+    const auto vals = random_moderate<float>(4096 + 8, 3, 58);
+    const auto vals64 = random_moderate<double>(4096 + 8, 3, 59);
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 0; n <= 40; ++n) lengths.push_back(n);
+    for (std::size_t n = 4093; n <= 4096; ++n) lengths.push_back(n);
+    auto run = [&](const auto& q, const auto& src) {
+      using Q = std::decay_t<decltype(q)>;
+      using Bits = typename Q::Bits;
+      using T = typename Q::Value;
+      constexpr Bits kSentinel = static_cast<Bits>(0xA5A5A5A5A5A5A5A5ull);
+      for (std::size_t n : lengths) {
+        for (std::size_t off = 0; off < 4; ++off) {
+          const T* in = src.data() + off;
+          std::vector<Bits> words(n + 8, kSentinel);
+          q.encode_block(in, words.data() + off, n);
+          for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(words[off + i], q.encode(in[i])) << "n=" << n << " off=" << off;
+          for (std::size_t i = 0; i < off; ++i) ASSERT_EQ(words[i], kSentinel);
+          for (std::size_t i = off + n; i < words.size(); ++i) ASSERT_EQ(words[i], kSentinel);
+          std::vector<T> back(n + 8, T(-7));
+          q.decode_block(words.data() + off, back.data() + (3 - off), n);
+          for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(fpmath::to_bits(back[3 - off + i]),
+                      fpmath::to_bits(q.decode(words[off + i])));
+          for (std::size_t i = 3 - off + n; i < back.size(); ++i) ASSERT_EQ(back[i], T(-7));
+        }
       }
-    }
-  };
-  run(AbsQuantizer<float>(1e-3), vals);
-  run(RelQuantizer<float>(1e-3), vals);
-  run(AbsQuantizer<double>(1e-3), vals64);
-  run(RelQuantizer<double>(1e-3), vals64);
+    };
+    run(AbsQuantizer<float>(1e-3), vals);
+    run(RelQuantizer<float>(1e-3), vals);
+    run(AbsQuantizer<double>(1e-3), vals64);
+    run(RelQuantizer<double>(1e-3), vals64);
+  });
 }
 
 TEST(QuantizerTiers, BlockApiMatchesPerValue) {
-  // encode_block()/decode_block() pick a tier at run time; either way the
+  // encode_block()/decode_block() pick a tier by rung; at every rung the
   // words are the per-value words.
-  const auto vals = random_patterns<double>(10007, 60);
-  RelQuantizer<double> q(1e-3);
-  std::vector<u64> words(vals.size());
-  q.encode_block(vals.data(), words.data(), vals.size());
-  std::vector<double> back(vals.size());
-  q.decode_block(words.data(), back.data(), words.size());
-  for (std::size_t i = 0; i < vals.size(); ++i) {
-    ASSERT_EQ(words[i], q.encode(vals[i]));
-    ASSERT_EQ(fpmath::to_bits(back[i]), fpmath::to_bits(q.decode(words[i])));
-  }
+  for_each_rung([&] {
+    const auto vals = random_patterns<double>(10007, 60);
+    RelQuantizer<double> q(1e-3);
+    std::vector<u64> words(vals.size());
+    q.encode_block(vals.data(), words.data(), vals.size());
+    std::vector<double> back(vals.size());
+    q.decode_block(words.data(), back.data(), words.size());
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+      ASSERT_EQ(words[i], q.encode(vals[i]));
+      ASSERT_EQ(fpmath::to_bits(back[i]), fpmath::to_bits(q.decode(words[i])));
+    }
+  });
 }

@@ -16,6 +16,7 @@
 #include "sim/gpu_pipeline.hpp"
 #include "sim/lookback.hpp"
 #include "sim/warp.hpp"
+#include "tiers.hpp"
 
 using namespace repro;
 using pfpl::Executor;
@@ -72,17 +73,19 @@ TEST(SimLookback, MatchesExclusiveScan) {
 
 template <typename U>
 void chunk_identity_case(std::vector<U> words) {
-  std::vector<u8> cpu, gpu;
-  bool c1 = pfpl::chunk_encode(words.data(), words.size(), cpu);
-  bool c2 = sim::gpu_chunk_encode(words.data(), words.size(), gpu);
-  EXPECT_EQ(c1, c2);
-  ASSERT_EQ(cpu, gpu);
-  // Cross decode: CPU decodes the GPU bytes, GPU decodes the CPU bytes.
-  std::vector<U> back_cpu(words.size()), back_gpu(words.size());
-  pfpl::chunk_decode(gpu.data(), gpu.size(), c2, back_cpu.data(), words.size());
-  sim::gpu_chunk_decode(cpu.data(), cpu.size(), c1, back_gpu.data(), words.size());
-  EXPECT_EQ(back_cpu, words);
-  EXPECT_EQ(back_gpu, words);
+  tiers::for_each_rung([&] {
+    std::vector<u8> cpu, gpu;
+    bool c1 = pfpl::chunk_encode(words.data(), words.size(), cpu);
+    bool c2 = sim::gpu_chunk_encode(words.data(), words.size(), gpu);
+    EXPECT_EQ(c1, c2);
+    ASSERT_EQ(cpu, gpu);
+    // Cross decode: CPU decodes the GPU bytes, GPU decodes the CPU bytes.
+    std::vector<U> back_cpu(words.size()), back_gpu(words.size());
+    pfpl::chunk_decode(gpu.data(), gpu.size(), c2, back_cpu.data(), words.size());
+    sim::gpu_chunk_decode(cpu.data(), cpu.size(), c1, back_gpu.data(), words.size());
+    EXPECT_EQ(back_cpu, words);
+    EXPECT_EQ(back_gpu, words);
+  });
 }
 
 TEST(SimChunk, ByteIdentitySmoothU32) {
@@ -137,19 +140,21 @@ TEST(SimStream, CompressedStreamsIdenticalAcrossExecutors) {
     acc += 0.01 * rng.gaussian();
     x = static_cast<float>(acc);
   }
-  for (EbType eb : {EbType::ABS, EbType::REL, EbType::NOA}) {
-    Bytes serial = pfpl::compress(Field(v.data(), v.size()), Params{1e-3, eb, Executor::Serial});
-    Bytes omp = pfpl::compress(Field(v.data(), v.size()), Params{1e-3, eb, Executor::OpenMP});
-    Bytes gpu = pfpl::compress(Field(v.data(), v.size()), Params{1e-3, eb, Executor::GpuSim});
-    EXPECT_EQ(serial, omp) << to_string(eb);
-    EXPECT_EQ(serial, gpu) << to_string(eb);
-    // Decompressed bytes identical on every executor too.
-    auto d_serial = pfpl::decompress(serial, Executor::Serial);
-    auto d_omp = pfpl::decompress(serial, Executor::OpenMP);
-    auto d_gpu = pfpl::decompress(serial, Executor::GpuSim);
-    EXPECT_EQ(d_serial, d_omp);
-    EXPECT_EQ(d_serial, d_gpu);
-  }
+  tiers::for_each_rung([&] {
+    for (EbType eb : {EbType::ABS, EbType::REL, EbType::NOA}) {
+      Bytes serial = pfpl::compress(Field(v.data(), v.size()), Params{1e-3, eb, Executor::Serial});
+      Bytes omp = pfpl::compress(Field(v.data(), v.size()), Params{1e-3, eb, Executor::OpenMP});
+      Bytes gpu = pfpl::compress(Field(v.data(), v.size()), Params{1e-3, eb, Executor::GpuSim});
+      EXPECT_EQ(serial, omp) << to_string(eb);
+      EXPECT_EQ(serial, gpu) << to_string(eb);
+      // Decompressed bytes identical on every executor too.
+      auto d_serial = pfpl::decompress(serial, Executor::Serial);
+      auto d_omp = pfpl::decompress(serial, Executor::OpenMP);
+      auto d_gpu = pfpl::decompress(serial, Executor::GpuSim);
+      EXPECT_EQ(d_serial, d_omp);
+      EXPECT_EQ(d_serial, d_gpu);
+    }
+  });
 }
 
 TEST(SimStream, DoublePrecisionIdentity) {
@@ -161,14 +166,16 @@ TEST(SimStream, DoublePrecisionIdentity) {
     x = acc;
   }
   // All three bound types: the 64-bit warp path must match the CPU bytes.
-  for (EbType eb : {EbType::ABS, EbType::REL, EbType::NOA}) {
-    Bytes serial =
-        pfpl::compress(Field(v.data(), v.size()), Params{1e-4, eb, Executor::Serial});
-    Bytes gpu =
-        pfpl::compress(Field(v.data(), v.size()), Params{1e-4, eb, Executor::GpuSim});
-    EXPECT_EQ(serial, gpu) << to_string(eb);
-    EXPECT_EQ(pfpl::decompress(serial, Executor::Serial),
-              pfpl::decompress(serial, Executor::GpuSim))
-        << to_string(eb);
-  }
+  tiers::for_each_rung([&] {
+    for (EbType eb : {EbType::ABS, EbType::REL, EbType::NOA}) {
+      Bytes serial =
+          pfpl::compress(Field(v.data(), v.size()), Params{1e-4, eb, Executor::Serial});
+      Bytes gpu =
+          pfpl::compress(Field(v.data(), v.size()), Params{1e-4, eb, Executor::GpuSim});
+      EXPECT_EQ(serial, gpu) << to_string(eb);
+      EXPECT_EQ(pfpl::decompress(serial, Executor::Serial),
+                pfpl::decompress(serial, Executor::GpuSim))
+          << to_string(eb);
+    }
+  });
 }

@@ -5,12 +5,18 @@
 // identity to single-threaded pfpl::compress is pinned in test_ingest.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <mutex>
 #include <numeric>
+#include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/chunked.hpp"
@@ -21,6 +27,7 @@
 #include "common/checksum.hpp"
 #include "common/cpu.hpp"
 #include "svc/thread_pool.hpp"
+#include "tiers.hpp"
 
 using namespace repro;
 namespace fs = std::filesystem;
@@ -391,13 +398,12 @@ TEST(Crc32, SplitAnywhereEqualsOneShot) {
 
 // --- CRC-32 tiers: the PCLMULQDQ folding tier against the scalar spec --------
 //
-// Every buffer is a vector of exactly the bytes under test, so an
-// AddressSanitizer build reports any read past p + n.
+// common::crc32 folds from the Clmul rung up; each test compares it with
+// common::scalar::crc32 at each such rung (tests/tiers.hpp). Every buffer is
+// a vector of exactly the bytes under test, so an AddressSanitizer build
+// reports any read past p + n.
 
 namespace {
-
-#define SKIP_WITHOUT_PCLMUL() \
-  if (!common::has_pclmul()) GTEST_SKIP() << "this CPU has no PCLMULQDQ"
 
 std::vector<u8> random_block(std::size_t n, data::Rng& rng) {
   std::vector<u8> b(n);
@@ -408,67 +414,124 @@ std::vector<u8> random_block(std::size_t n, data::Rng& rng) {
 }  // namespace
 
 TEST(Crc32Tiers, EveryLengthAtEveryOffset) {
-  SKIP_WITHOUT_PCLMUL();
-  data::Rng rng(28);
-  for (std::size_t offset = 0; offset < 16; ++offset)
-    for (std::size_t n = 0; n <= 1100; ++n) {
-      // p sits `offset` bytes past the heap block's 16-byte-aligned start; the block ends at p + n.
-      const auto block = random_block(offset + n, rng);
-      const u8* p = block.data() + offset;
-      ASSERT_EQ(common::crc32(p, n), common::scalar::crc32(p, n))
-          << "n=" << n << " offset=" << offset;
-    }
+  tiers::for_each_rung(common::Isa::Clmul, [&] {
+    data::Rng rng(28);
+    for (std::size_t offset = 0; offset < 16; ++offset)
+      for (std::size_t n = 0; n <= 1100; ++n) {
+        // p sits `offset` bytes past the heap block's 16-byte-aligned start;
+        // the block ends at p + n.
+        const auto block = random_block(offset + n, rng);
+        const u8* p = block.data() + offset;
+        ASSERT_EQ(common::crc32(p, n), common::scalar::crc32(p, n))
+            << "n=" << n << " offset=" << offset;
+      }
+  });
 }
 
 TEST(Crc32Tiers, ChainedSeeds) {
-  SKIP_WITHOUT_PCLMUL();
-  data::Rng rng(29);
-  u32 fast = 0, spec = 0;
-  for (std::size_t n = 0; n <= 1100; n += 7) {
-    const auto block = random_block(n, rng);
-    fast = common::crc32(block.data(), n, fast);
-    spec = common::scalar::crc32(block.data(), n, spec);
-    ASSERT_EQ(fast, spec) << "n=" << n;
-    // An arbitrary seed, not just a previous result.
-    const u32 seed = static_cast<u32>(rng.next_u64());
-    ASSERT_EQ(common::crc32(block.data(), n, seed), common::scalar::crc32(block.data(), n, seed))
-        << "n=" << n << " seed=" << seed;
-  }
+  tiers::for_each_rung(common::Isa::Clmul, [&] {
+    data::Rng rng(29);
+    u32 fast = 0, spec = 0;
+    for (std::size_t n = 0; n <= 1100; n += 7) {
+      const auto block = random_block(n, rng);
+      fast = common::crc32(block.data(), n, fast);
+      spec = common::scalar::crc32(block.data(), n, spec);
+      ASSERT_EQ(fast, spec) << "n=" << n;
+      // An arbitrary seed, not just a previous result.
+      const u32 seed = static_cast<u32>(rng.next_u64());
+      ASSERT_EQ(common::crc32(block.data(), n, seed), common::scalar::crc32(block.data(), n, seed))
+          << "n=" << n << " seed=" << seed;
+    }
+  });
 }
 
 TEST(Crc32Tiers, SplitAtEveryCut) {
-  SKIP_WITHOUT_PCLMUL();
-  data::Rng rng(30);
-  constexpr std::size_t kN = 300;
-  const auto block = random_block(kN, rng);
-  const u32 whole = common::scalar::crc32(block.data(), kN);
-  ASSERT_EQ(common::crc32(block.data(), kN), whole);
-  for (std::size_t cut = 0; cut <= kN; ++cut) {
-    const std::vector<u8> head(block.begin(), block.begin() + cut);
-    const std::vector<u8> tail(block.begin() + cut, block.end());
-    EXPECT_EQ(common::crc32(tail.data(), tail.size(), common::crc32(head.data(), cut)), whole)
-        << "cut=" << cut;
-  }
+  tiers::for_each_rung(common::Isa::Clmul, [&] {
+    data::Rng rng(30);
+    constexpr std::size_t kN = 300;
+    const auto block = random_block(kN, rng);
+    const u32 whole = common::scalar::crc32(block.data(), kN);
+    ASSERT_EQ(common::crc32(block.data(), kN), whole);
+    for (std::size_t cut = 0; cut <= kN; ++cut) {
+      const std::vector<u8> head(block.begin(), block.begin() + cut);
+      const std::vector<u8> tail(block.begin() + cut, block.end());
+      EXPECT_EQ(common::crc32(tail.data(), tail.size(), common::crc32(head.data(), cut)), whole)
+          << "cut=" << cut;
+    }
+  });
 }
 
 TEST(Crc32Tiers, OneMebibytePlusThirteen) {
-  SKIP_WITHOUT_PCLMUL();
-  data::Rng rng(31);
-  constexpr std::size_t kN = (std::size_t{1} << 20) + 13;
-  const auto block = random_block(kN, rng);
-  EXPECT_EQ(common::crc32(block.data(), kN), common::scalar::crc32(block.data(), kN));
+  tiers::for_each_rung(common::Isa::Clmul, [&] {
+    data::Rng rng(31);
+    constexpr std::size_t kN = (std::size_t{1} << 20) + 13;
+    const auto block = random_block(kN, rng);
+    EXPECT_EQ(common::crc32(block.data(), kN), common::scalar::crc32(block.data(), kN));
+  });
 }
 
 TEST(Crc32Tiers, AllZeroAndAllOnes) {
-  SKIP_WITHOUT_PCLMUL();
-  for (const u8 fill : {u8{0x00}, u8{0xFF}})
-    for (const std::size_t n : {std::size_t{64}, std::size_t{79}, std::size_t{128},
-                                std::size_t{1000}, std::size_t{65536 + 3}}) {
-      const std::vector<u8> block(n, fill);
-      EXPECT_EQ(common::crc32(block.data(), n), common::scalar::crc32(block.data(), n))
-          << "fill=" << int{fill} << " n=" << n;
-      EXPECT_EQ(common::crc32(block.data(), n, 0xFFFFFFFFu),
-                common::scalar::crc32(block.data(), n, 0xFFFFFFFFu))
-          << "fill=" << int{fill} << " n=" << n;
-    }
+  tiers::for_each_rung(common::Isa::Clmul, [&] {
+    for (const u8 fill : {u8{0x00}, u8{0xFF}})
+      for (const std::size_t n : {std::size_t{64}, std::size_t{79}, std::size_t{128},
+                                  std::size_t{1000}, std::size_t{65536 + 3}}) {
+        const std::vector<u8> block(n, fill);
+        EXPECT_EQ(common::crc32(block.data(), n), common::scalar::crc32(block.data(), n))
+            << "fill=" << int{fill} << " n=" << n;
+        EXPECT_EQ(common::crc32(block.data(), n, 0xFFFFFFFFu),
+                  common::scalar::crc32(block.data(), n, 0xFFFFFFFFu))
+            << "fill=" << int{fill} << " n=" << n;
+      }
+  });
 }
+
+// --- The ISA ladder (common/cpu.hpp) -------------------------------------------
+
+namespace {
+
+using common::Isa;
+
+const char* rung_name() { return common::isa_name(common::isa()); }
+
+}  // namespace
+
+TEST(IsaLadder, CeilingAboveNativeClampsToNative) {
+  const Isa native = common::isa();
+  const common::ScopedIsaCeiling above(static_cast<Isa>(static_cast<int>(common::kTopIsa) + 1));
+  EXPECT_STREQ(rung_name(), common::isa_name(native));
+}
+
+TEST(IsaLadder, NestedCeilingsRestoreInOrder) {
+  const Isa native = common::isa();
+  const Isa clmul = std::min(Isa::Clmul, native);
+  {
+    const common::ScopedIsaCeiling outer(Isa::Scalar);
+    EXPECT_STREQ(rung_name(), "scalar");
+    {
+      const common::ScopedIsaCeiling inner(Isa::Clmul);
+      EXPECT_STREQ(rung_name(), common::isa_name(clmul));
+      // Process-wide: another thread runs at the same rung.
+      const char* seen = nullptr;
+      std::thread([&] { seen = rung_name(); }).join();
+      EXPECT_STREQ(seen, common::isa_name(clmul));
+    }
+    EXPECT_STREQ(rung_name(), "scalar");
+  }
+  EXPECT_STREQ(rung_name(), common::isa_name(native));
+}
+
+#if defined(__linux__) && defined(__x86_64__)
+TEST(IsaLadder, NativeRungMatchesProcCpuinfo) {
+  // The kernel's reading of CPUID and XCR0, independent of __builtin_cpu_*.
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line) && line.rfind("flags", 0) != 0) {
+  }
+  ASSERT_EQ(line.rfind("flags", 0), 0u) << "no flags line in /proc/cpuinfo";
+  std::istringstream words(line.substr(line.find(':') + 1));
+  const std::set<std::string> flags{std::istream_iterator<std::string>(words), {}};
+  const bool clmul = flags.count("pclmulqdq") && flags.count("sse4_1");
+  const Isa want = !clmul ? Isa::Scalar : flags.count("avx2") ? Isa::Avx2 : Isa::Clmul;
+  EXPECT_STREQ(rung_name(), common::isa_name(want));
+}
+#endif

@@ -24,6 +24,7 @@
 #include "net/server.hpp"
 #include "temporal/pfpv.hpp"
 #include "temporal/temporal.hpp"
+#include "tiers.hpp"
 
 using namespace repro;
 namespace fs = std::filesystem;
@@ -234,16 +235,18 @@ TEST(Temporal, SuiteRatiosArePinned) {
       {"diffuse", EbType::NOA, 1e-4, 9.4385738299964661, 6.2323051914281553, 1.3},
       {"regime", EbType::ABS, 1e-3, 2.3144154344980721, 1.8349118964894213, 0.95},
   };
-  for (const Pin& p : kPins) {
-    const auto seq = data::generate_evolving(data::find_evolving(p.suite), 16384, 32);
-    std::size_t violations = 0;
-    const double t_ratio = session_ratio(seq, config_for(seq, p.eb, p.eps, 16), violations);
-    const double i_ratio = session_ratio(seq, config_for(seq, p.eb, p.eps, 1), violations);
-    EXPECT_NEAR(t_ratio, p.temporal_ratio, 1e-9 * p.temporal_ratio) << p.suite;
-    EXPECT_NEAR(i_ratio, p.intra_ratio, 1e-9 * p.intra_ratio) << p.suite;
-    EXPECT_GE(t_ratio / i_ratio, p.min_win) << p.suite;
-    EXPECT_EQ(violations, 0u) << p.suite;
-  }
+  tiers::for_each_rung([&] {
+    for (const Pin& p : kPins) {
+      const auto seq = data::generate_evolving(data::find_evolving(p.suite), 16384, 32);
+      std::size_t violations = 0;
+      const double t_ratio = session_ratio(seq, config_for(seq, p.eb, p.eps, 16), violations);
+      const double i_ratio = session_ratio(seq, config_for(seq, p.eb, p.eps, 1), violations);
+      EXPECT_NEAR(t_ratio, p.temporal_ratio, 1e-9 * p.temporal_ratio) << p.suite;
+      EXPECT_NEAR(i_ratio, p.intra_ratio, 1e-9 * p.intra_ratio) << p.suite;
+      EXPECT_GE(t_ratio / i_ratio, p.min_win) << p.suite;
+      EXPECT_EQ(violations, 0u) << p.suite;
+    }
+  });
 }
 
 TEST(Temporal, DecoderRequiresKeyframeFirst) {
