@@ -1,7 +1,9 @@
 // AVX2 tier of the lossless stages: the bit-shuffle tile transpose and
 // zero-byte elimination, encode and decode (bitshuffle.hpp, zerobyte.hpp),
 // and the entry points at the bottom, which run it from the Avx2 rung of
-// common::isa() up and the scalar:: functions below it.
+// common::isa() up and the scalar:: functions below it. From the Avx512 rung
+// the zero-byte entry points run lossless_avx512.cpp instead. Bitmap levels
+// live in this thread's ChunkScratch (chunk_scratch.hpp).
 //
 // The scalar:: functions are the specification. For every input these
 // kernels write the same bytes, return the same consumed count and throw the
@@ -34,7 +36,9 @@
 // only while 8 remain before the level's (or the data's) end; the rest of a
 // level runs the scalar loop. DESIGN.md §8.2 has the proof obligations.
 #include "bits/bitshuffle.hpp"
+#include "bits/chunk_scratch.hpp"
 #include "bits/zerobyte.hpp"
+#include "bits/zerobyte_tiers.hpp"
 #include "common/cpu.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -42,7 +46,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cassert>
 #include <cstring>
@@ -167,18 +170,8 @@ constexpr ShuffleTable kPack = make_pack();
 constexpr ShuffleTable kUnpackZero = make_unpack_zero();
 constexpr ShuffleTable kUnpackRepeat = make_unpack_repeat();
 
-constexpr int kLevels = kZeroByteLevels;
-using LevelSizes = std::array<std::size_t, kLevels + 1>;
-
-constexpr std::size_t round_up(std::size_t x, std::size_t m) { return (x + m - 1) / m * m; }
-
-/// Bytes of bitmap B_k for n data bytes, k = 0..kLevels.
-LevelSizes level_sizes(std::size_t n) {
-  LevelSizes s{};
-  s[0] = (n + 7) / 8;
-  for (int k = 1; k <= kLevels; ++k) s[k] = (s[k - 1] + 7) / 8;
-  return s;
-}
+using levels::kLevels;
+using levels::LevelSizes;
 
 BITS_AVX2_INLINE __m128i load8(const u8* p) {
   return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
@@ -234,22 +227,6 @@ BITS_AVX2_INLINE u8* pack(const u8* src, std::size_t m, const u8* keep, u8* dst)
   return dst;
 }
 
-/// Set bits among the first `bits` bits of b. Reads whole words:
-/// round_up(bits, 64) / 8 bytes.
-BITS_AVX2_INLINE std::size_t count_bits(const u8* b, std::size_t bits) {
-  std::size_t c = 0, i = 0;
-  u64 w;
-  for (; i + 64 <= bits; i += 64) {
-    std::memcpy(&w, b + i / 8, 8);
-    c += static_cast<std::size_t>(std::popcount(w));
-  }
-  if (i < bits) {
-    std::memcpy(&w, b + i / 8, 8);
-    c += static_cast<std::size_t>(std::popcount(w & ((u64{1} << (bits - i)) - 1)));
-  }
-  return c;
-}
-
 /// Rebuilds bitmap level `cur` (m bytes) from its repeat bitmap `keep` and
 /// its non-repeating bytes r: byte i is the last r byte taken at or before i,
 /// 0 before the first. Reads r only below r + avail.
@@ -292,35 +269,31 @@ BITS_AVX2 void shuffle_tiles(u64* w, std::size_t n) {
 }
 
 BITS_AVX2 void encode(const u8* data, std::size_t n, std::vector<u8>& out) {
-  const LevelSizes size = level_sizes(n);
+  const LevelSizes size = levels::sizes(n);
   // Bitmap B_k starts at at[k], after one zero byte (the predecessor of its
-  // byte 0) and is zero-padded to a multiple of 32 bytes.
+  // byte 0), and is padded to a multiple of 32 bytes. The vector steps mask
+  // every bit beyond a level, so the padding needs no zeroing.
   LevelSizes at{};
-  std::size_t total = 0;
-  for (int k = 0; k <= kLevels; ++k) {
-    at[k] = total + 1;
-    total += 1 + round_up(size[k], 32);
-  }
-  std::vector<u8> scratch(total, 0);
-  u8* const base = scratch.data();
+  u8* const base = chunk_scratch().bitmaps(levels::layout(size, 1, 32, at));
+  for (int k = 0; k <= kLevels; ++k) base[at[k] - 1] = 0;
   zero_bitmap(data, n, base + at[0]);
   for (int k = 0; k < kLevels; ++k) repeat_bitmap(base + at[k], size[k], base + at[k + 1]);
 
-  // Worst case: every byte of every level survives. pack() stays inside the
-  // worst case of the level it packs, so this also bounds its 8-byte stores.
+  // Worst case: every byte of every level survives. The levels are packed
+  // into this thread's payload scratch, which pack() never writes past, and
+  // appended to `out` once, so `out` grows by exactly the encoded size.
   std::size_t worst = n;
   for (std::size_t s : size) worst += s;
-  const std::size_t start = out.size();
-  out.resize(start + worst);
-  u8* p = std::copy_n(base + at[kLevels], size[kLevels], out.data() + start);
+  u8* const staged = chunk_scratch().payload(worst);
+  u8* p = std::copy_n(base + at[kLevels], size[kLevels], staged);
   for (int k = kLevels - 1; k >= 0; --k)
     p = pack(base + at[k], size[k], base + at[k + 1], p);
   p = pack(data, n, base + at[0], p);
-  out.resize(static_cast<std::size_t>(p - out.data()));
+  out.insert(out.end(), staged, p);
 }
 
 BITS_AVX2 std::size_t decode(const u8* in, std::size_t in_size, u8* data, std::size_t n) {
-  const LevelSizes size = level_sizes(n);
+  const LevelSizes size = levels::sizes(n);
   std::size_t pos = 0;
   auto take = [&](std::size_t k) {
     if (pos + k > in_size) throw CompressionError("zerobyte_decode: truncated stream");
@@ -328,25 +301,19 @@ BITS_AVX2 std::size_t decode(const u8* in, std::size_t in_size, u8* data, std::s
     pos += k;
     return p;
   };
-  // Bitmap B_k starts at at[k], zero-padded to a multiple of 8 bytes so that
-  // count_bits may read whole words.
+  // Bitmap B_k starts at at[k], padded to a multiple of 8 bytes so that
+  // count_bits may read whole words; it masks the bits beyond the level.
   LevelSizes at{};
-  std::size_t total = 0;
-  for (int k = 0; k <= kLevels; ++k) {
-    at[k] = total;
-    total += round_up(size[k], 8);
-  }
-  std::vector<u8> scratch(total, 0);
-  u8* const base = scratch.data();
+  u8* const base = chunk_scratch().bitmaps(levels::layout(size, 0, 8, at));
 
   const u8* top = take(size[kLevels]);
   std::copy_n(top, size[kLevels], base + at[kLevels]);
   for (int k = kLevels - 1; k >= 0; --k) {
-    const u8* r = take(count_bits(base + at[k + 1], size[k]));
+    const u8* r = take(levels::count_bits(base + at[k + 1], size[k]));
     unpack_repeat(base + at[k + 1], size[k], r, in_size - static_cast<std::size_t>(r - in),
                   base + at[k]);
   }
-  const u8* z = take(count_bits(base + at[0], n));
+  const u8* z = take(levels::count_bits(base + at[0], n));
   unpack_zero(base + at[0], n, z, in_size - static_cast<std::size_t>(z - in), data);
   return pos;
 }
@@ -369,12 +336,16 @@ void bitshuffle(u64* w, std::size_t n) {
 }
 
 void zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out) {
-  if (common::isa() >= common::Isa::Avx2) return avx2::encode(data, n, out);
+  const common::Isa rung = common::isa();
+  if (rung >= common::Isa::Avx512) return avx512::encode(data, n, out);
+  if (rung >= common::Isa::Avx2) return avx2::encode(data, n, out);
   scalar::zerobyte_encode(data, n, out);
 }
 
 std::size_t zerobyte_decode(const u8* in, std::size_t in_size, u8* data, std::size_t n) {
-  if (common::isa() >= common::Isa::Avx2) return avx2::decode(in, in_size, data, n);
+  const common::Isa rung = common::isa();
+  if (rung >= common::Isa::Avx512) return avx512::decode(in, in_size, data, n);
+  if (rung >= common::Isa::Avx2) return avx2::decode(in, in_size, data, n);
   return scalar::zerobyte_decode(in, in_size, data, n);
 }
 

@@ -13,10 +13,10 @@
 // bytes of B_k, and NZ holds the nonzero data bytes.
 //
 // zerobyte_encode() and zerobyte_decode() (defined in lossless_avx2.cpp) run
-// the AVX2 tier from the Avx2 rung of common::isa() up and the scalar::
-// functions below it. For every input both tiers write the same bytes,
-// return the same consumed count and throw the same CompressionError; the
-// scalar functions are the reference.
+// the AVX-512 tier from the Avx512 rung of common::isa(), the AVX2 tier from
+// Avx2, and the scalar:: functions below it. All tiers write the same bytes,
+// return the same consumed count and throw the same CompressionError for
+// every input; the scalar functions are the reference.
 #pragma once
 
 #include <cstddef>

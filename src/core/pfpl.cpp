@@ -9,6 +9,7 @@
 #include <numeric>
 #include <type_traits>
 
+#include "bits/chunk_scratch.hpp"
 #include "core/chunked.hpp"
 #include "core/pipeline.hpp"
 #include "core/quantizers.hpp"
@@ -89,23 +90,22 @@ void for_each_chunk(std::size_t nchunks, Executor exec, const F& f) {
 /// The quantizer is fused into the chunk loop exactly as in the paper
 /// ("the most important optimization is fusing all four stages ... including
 /// the quantizer"): the input slice is read once, everything else happens in
-/// chunk-local buffers.
+/// this thread's chunk scratch.
 template <typename T, typename Q>
 u32 encode_one_chunk(const T* data, std::size_t k, const Q& q, Executor exec,
                      std::vector<u8>& payload) {
   OBS_SPAN("pfpl.encode_chunk");
   const u64 t0 = obs::enabled() ? obs::TraceRecorder::global().now_ns() : 0;
   using Bits = typename fpmath::FloatTraits<T>::Bits;
-  std::vector<Bits> words(k);
+  Bits* const words = bits::chunk_scratch().quantized<Bits>(k);
   {
     OBS_SPAN("pfpl.quantize");
     obs::KernelTimer kt(obs::Kernel::Quantize, k * sizeof(T));
-    q.encode_block(data, words.data(), k);
+    q.encode_block(data, words, k);
   }
   const std::size_t start = payload.size();
-  bool compressed = exec == Executor::GpuSim
-                        ? sim::gpu_chunk_encode(words.data(), k, payload)
-                        : chunk_encode(words.data(), k, payload);
+  bool compressed = exec == Executor::GpuSim ? sim::gpu_chunk_encode(words, k, payload)
+                                             : chunk_encode(words, k, payload);
   u32 sz = static_cast<u32>(payload.size() - start);
   if (obs::enabled()) {
     CoreMetrics& m = CoreMetrics::get();
@@ -126,15 +126,16 @@ void decode_one_chunk(const u8* in, u32 size_word, const Q& q, Executor exec, T*
   OBS_SPAN("pfpl.decode_chunk");
   const std::size_t csize = size_word & ~kRawChunkFlag;
   const bool compressed = (size_word & kRawChunkFlag) == 0;
-  std::vector<typename fpmath::FloatTraits<T>::Bits> words(k);
+  using Bits = typename fpmath::FloatTraits<T>::Bits;
+  Bits* const words = bits::chunk_scratch().quantized<Bits>(k);
   const std::size_t used = exec == Executor::GpuSim
-                               ? sim::gpu_chunk_decode(in, csize, compressed, words.data(), k)
-                               : chunk_decode(in, csize, compressed, words.data(), k);
+                               ? sim::gpu_chunk_decode(in, csize, compressed, words, k)
+                               : chunk_decode(in, csize, compressed, words, k);
   check_chunk_consumed(used, csize);
   {
     OBS_SPAN("pfpl.dequantize");
     obs::KernelTimer kt(obs::Kernel::Dequantize, k * sizeof(T));
-    q.decode_block(words.data(), values, k);
+    q.decode_block(words, values, k);
   }
   CoreMetrics::get().chunks_decoded.add(1);
 }

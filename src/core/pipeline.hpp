@@ -10,10 +10,12 @@
 // chunk is flagged as uncompressed").
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "bits/bitshuffle.hpp"
+#include "bits/chunk_scratch.hpp"
 #include "bits/delta.hpp"
 #include "bits/zerobyte.hpp"
 #include "common/types.hpp"
@@ -53,23 +55,24 @@ bool chunk_encode(const U* words, std::size_t k, std::vector<u8>& out) {
   // not the tile-padded footprint, so per-kernel MB/s is comparable across
   // stages and sums against core.bytes_in.
   const std::size_t kbytes = k * sizeof(U);
-  std::vector<U> buf(padded, U{0});
-  std::memcpy(buf.data(), words, kbytes);
+  U* const buf = bits::chunk_scratch().padded<U>(padded);
+  std::memcpy(buf, words, kbytes);
+  std::fill(buf + k, buf + padded, U{0});
   {
     OBS_SPAN("pfpl.delta_nb");
     obs::KernelTimer kt(obs::Kernel::DeltaNb, kbytes);
-    bits::delta_negabinary_encode(buf.data(), padded);
+    bits::delta_negabinary_encode(buf, padded);
   }
   {
     OBS_SPAN("pfpl.bitshuffle");
     obs::KernelTimer kt(obs::Kernel::Bitshuffle, kbytes);
-    bits::bitshuffle(buf.data(), padded);
+    bits::bitshuffle(buf, padded);
   }
   const std::size_t start = out.size();
   {
     OBS_SPAN("pfpl.zerobyte");
     obs::KernelTimer kt(obs::Kernel::Zerobyte, kbytes);
-    bits::zerobyte_encode(reinterpret_cast<const u8*>(buf.data()), padded * sizeof(U), out);
+    bits::zerobyte_encode(reinterpret_cast<const u8*>(buf), padded * sizeof(U), out);
   }
   if (out.size() - start >= k * sizeof(U)) {
     // Incompressible: replace with the raw words.
@@ -93,25 +96,26 @@ std::size_t chunk_decode(const u8* in, std::size_t in_size, bool compressed, U* 
   }
   const std::size_t padded = padded_words<U>(k);
   const std::size_t kbytes = k * sizeof(U);
-  std::vector<U> buf(padded);
+  // A whole number of tiles decodes in place; a partial last tile through
+  // the padded scratch.
+  U* const buf = padded == k ? words : bits::chunk_scratch().padded<U>(padded);
   std::size_t used;
   {
     OBS_SPAN("pfpl.zerobyte");
     obs::KernelTimer kt(obs::Kernel::ZerobyteDec, kbytes);
-    used = bits::zerobyte_decode(in, in_size, reinterpret_cast<u8*>(buf.data()),
-                                 padded * sizeof(U));
+    used = bits::zerobyte_decode(in, in_size, reinterpret_cast<u8*>(buf), padded * sizeof(U));
   }
   {
     OBS_SPAN("pfpl.bitshuffle");
     obs::KernelTimer kt(obs::Kernel::BitshuffleDec, kbytes);
-    bits::bitshuffle(buf.data(), padded);
+    bits::bitshuffle(buf, padded);
   }
   {
     OBS_SPAN("pfpl.delta_nb");
     obs::KernelTimer kt(obs::Kernel::DeltaNbDec, kbytes);
-    bits::delta_negabinary_decode(buf.data(), padded);
+    bits::delta_negabinary_decode(buf, padded);
   }
-  std::memcpy(words, buf.data(), kbytes);
+  if (buf != words) std::memcpy(words, buf, kbytes);
   return used;
 }
 

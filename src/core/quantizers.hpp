@@ -19,7 +19,8 @@
 //
 // encode()/decode() are the specification. encode_block()/decode_block() run
 // them over a slice; from the Avx2 rung up they use the lane kernels of
-// quantize_avx2.cpp, whose every output word equals the per-value word.
+// quantize_avx2.cpp or, from the Avx512 rung, quantize_avx512.cpp, whose
+// every output word equals the per-value word.
 #pragma once
 
 // Embedders compile this header with their own flags. Fast math may assume
@@ -39,21 +40,27 @@
 
 namespace repro::pfpl {
 
+// The lane block kernels of the Avx2 and Avx512 rungs (quantize_avx2.cpp,
+// quantize_avx512.cpp; one body for both in quantize_lanes.hpp), each
+// instantiated for the four quantizer types. Output word i equals
+// q.encode(in[i]) (resp. q.decode), bit for bit, for any input. Call each
+// only at its rung of common::isa() or above.
+#define PFPL_LANE_KERNELS                                                                  \
+  struct Kernels {                                                                         \
+    template <typename Q>                                                                  \
+    static void encode(const Q& q, const typename Q::Value* in, typename Q::Bits* out,     \
+                       std::size_t k);                                                     \
+    template <typename Q>                                                                  \
+    static void decode(const Q& q, const typename Q::Bits* in, typename Q::Value* out,     \
+                       std::size_t k);                                                     \
+  }
 namespace avx2 {
-
-/// The AVX2 block kernels (quantize_avx2.cpp), instantiated for the four
-/// quantizer types. Output word i equals q.encode(in[i]) (resp. q.decode),
-/// bit for bit, for any input. Call only at the Avx2 rung of common::isa().
-struct Kernels {
-  template <typename Q>
-  static void encode(const Q& q, const typename Q::Value* in, typename Q::Bits* out,
-                     std::size_t k);
-  template <typename Q>
-  static void decode(const Q& q, const typename Q::Bits* in, typename Q::Value* out,
-                     std::size_t k);
-};
-
-}  // namespace avx2
+PFPL_LANE_KERNELS;
+}
+namespace avx512 {
+PFPL_LANE_KERNELS;
+}
+#undef PFPL_LANE_KERNELS
 
 // ---------------------------------------------------------------------------
 // ABS quantizer (also used by NOA with the range-derived bound).
@@ -111,13 +118,17 @@ class AbsQuantizer {
 
   /// out[i] = encode(in[i]) for i < k.
   void encode_block(const T* in, Bits* out, std::size_t k) const {
-    if (common::isa() >= common::Isa::Avx2) return avx2::Kernels::encode(*this, in, out, k);
+    const common::Isa rung = common::isa();
+    if (rung >= common::Isa::Avx512) return avx512::Kernels::encode(*this, in, out, k);
+    if (rung >= common::Isa::Avx2) return avx2::Kernels::encode(*this, in, out, k);
     for (std::size_t i = 0; i < k; ++i) out[i] = encode(in[i]);
   }
 
   /// out[i] = decode(in[i]) for i < k.
   void decode_block(const Bits* in, T* out, std::size_t k) const {
-    if (common::isa() >= common::Isa::Avx2) return avx2::Kernels::decode(*this, in, out, k);
+    const common::Isa rung = common::isa();
+    if (rung >= common::Isa::Avx512) return avx512::Kernels::decode(*this, in, out, k);
+    if (rung >= common::Isa::Avx2) return avx2::Kernels::decode(*this, in, out, k);
     for (std::size_t i = 0; i < k; ++i) out[i] = decode(in[i]);
   }
 
@@ -128,6 +139,7 @@ class AbsQuantizer {
 
  private:
   friend struct avx2::Kernels;
+  friend struct avx512::Kernels;
 
   T reconstruct(i64 bin) const {
     // The decoder performs this exact computation; verifying against it is
@@ -206,13 +218,17 @@ class RelQuantizer {
 
   /// out[i] = encode(in[i]) for i < k.
   void encode_block(const T* in, Bits* out, std::size_t k) const {
-    if (common::isa() >= common::Isa::Avx2) return avx2::Kernels::encode(*this, in, out, k);
+    const common::Isa rung = common::isa();
+    if (rung >= common::Isa::Avx512) return avx512::Kernels::encode(*this, in, out, k);
+    if (rung >= common::Isa::Avx2) return avx2::Kernels::encode(*this, in, out, k);
     for (std::size_t i = 0; i < k; ++i) out[i] = encode(in[i]);
   }
 
   /// out[i] = decode(in[i]) for i < k.
   void decode_block(const Bits* in, T* out, std::size_t k) const {
-    if (common::isa() >= common::Isa::Avx2) return avx2::Kernels::decode(*this, in, out, k);
+    const common::Isa rung = common::isa();
+    if (rung >= common::Isa::Avx512) return avx512::Kernels::decode(*this, in, out, k);
+    if (rung >= common::Isa::Avx2) return avx2::Kernels::decode(*this, in, out, k);
     for (std::size_t i = 0; i < k; ++i) out[i] = decode(in[i]);
   }
 
@@ -222,6 +238,7 @@ class RelQuantizer {
 
  private:
   friend struct avx2::Kernels;
+  friend struct avx512::Kernels;
 
   T reconstruct_abs(i64 bin) const {
     return static_cast<T>(fpmath::det_exp(static_cast<double>(bin) * two_log_));

@@ -1,7 +1,7 @@
 // The error-bound predicate: one exact check of a reconstruction against the
 // point-wise bound (paper Section III-B), in double arithmetic only.
 //
-// The quantizers decide every bin with it, the AVX2 lanes evaluate its fast
+// The quantizers decide every bin with it, the SIMD lanes evaluate its fast
 // path in lanes, and metrics::count_violations and obs::audit judge streams
 // with it. The answer is exact for every double (so for every float, widened)
 // and the same on every host: no wider type and no FMA hardware enter it.
@@ -86,7 +86,7 @@ inline bool abs_bound_holds(double v, double r, double e) {
 }
 
 /// a/(1+eps) <= r <= a*(1+eps), exactly, for a > 0 finite and r >= 0 (r may
-/// be inf). NaN in a or r gives false. The AVX2 lanes compute the same
+/// be inf). NaN in a or r gives false. The SIMD lanes compute the same
 /// min, max, product, difference and compare (lo = minpd(r, a),
 /// hi = maxpd(a, r)) and send p == d lanes to the scalar encoder.
 inline bool rel_bound_holds(double a, double r, double eps) {

@@ -2,9 +2,9 @@
 // the value type.
 //
 // det_math.cpp instantiates them for `double`: that is the scalar det_log /
-// det_exp every codec path treats as the specification. The AVX2 quantizer
-// kernels (core/quantize_avx2.cpp) instantiate them for `Lanes<G>`: G
-// independent groups of 4 x double lanes, whose operators apply each IEEE
+// det_exp every codec path treats as the specification. The quantizer lane
+// kernels (core/quantize_lanes.hpp) instantiate them for `Lanes<G>`: G
+// independent groups of 4 or 8 double lanes, whose operators apply each IEEE
 // operation to all G groups before the next one. Every value therefore runs
 // the same sequence of IEEE operations as in the scalar function, by
 // construction; the G groups only give the CPU G independent chains to

@@ -1,11 +1,13 @@
-// Exhaustive f32 check of the quantizer block API, at this CPU's rung of the
-// ISA ladder (common/cpu.hpp), against the scalar specification: all 2^32
-// float bit patterns are encoded by encode_block() and by encode(), for ABS
-// and REL at eps 1e-3, and decoded as words (both the raw pattern and the
-// encoder's word) by decode_block() and decode(). Prints the rung it swept
-// and the mismatch count per bound type; exits 1 if any word differs, and 2
-// below the Avx2 rung, where the block API is the scalar loop and the sweep
-// would compare the reference with itself.
+// Exhaustive f32 check of the quantizer block API, at every lane rung of the
+// ISA ladder (common/cpu.hpp) this CPU has, against the scalar
+// specification: all 2^32 float bit patterns are encoded by encode_block()
+// and by encode(), for ABS and REL at eps 1e-3, and decoded as words (both
+// the raw pattern and the encoder's word) by decode_block() and decode().
+// Each rung from Avx2 up is swept with the ceiling lowered to it, so an
+// Avx512 CPU sweeps the AVX2 lanes too. Prints the mismatch count per rung
+// and bound type; exits 1 if any word differs, and 2 below the Avx2 rung,
+// where the block API is the scalar loop and the sweep would compare the
+// reference with itself.
 //
 //   quantize_sweep [threads]    (default: all hardware threads)
 //
@@ -16,6 +18,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cpu.hpp"
@@ -70,18 +73,24 @@ u64 sweep(const Q& q, unsigned threads) {
 int main(int argc, char** argv) {
   unsigned threads = std::max(1u, std::thread::hardware_concurrency());
   if (argc > 1) threads = static_cast<unsigned>(std::max(1, std::atoi(argv[1])));
-  const common::Isa rung = common::isa();
-  std::printf("quantize_sweep: rung %s\n", common::isa_name(rung));
-  if (rung < common::Isa::Avx2) {
+  const common::Isa native = common::isa();
+  std::printf("quantize_sweep: this CPU's rung is %s\n", common::isa_name(native));
+  if (native < common::Isa::Avx2) {
     std::fprintf(stderr, "quantize_sweep: no quantizer kernel below the avx2 rung\n");
     return 2;
   }
   const double eps = 1e-3;
-  const u64 abs_bad = sweep(AbsQuantizer<float>(eps), threads);
-  std::printf("ABS eps=%g: %llu mismatches over %llu f32 patterns\n", eps,
-              static_cast<unsigned long long>(abs_bad), static_cast<unsigned long long>(kPatterns));
-  const u64 rel_bad = sweep(RelQuantizer<float>(eps), threads);
-  std::printf("REL eps=%g: %llu mismatches over %llu f32 patterns\n", eps,
-              static_cast<unsigned long long>(rel_bad), static_cast<unsigned long long>(kPatterns));
-  return abs_bad + rel_bad == 0 ? 0 : 1;
+  u64 bad = 0;
+  for (int r = static_cast<int>(common::Isa::Avx2); r <= static_cast<int>(native); ++r) {
+    const auto rung = static_cast<common::Isa>(r);
+    const common::ScopedIsaCeiling ceiling(rung);
+    const u64 abs_bad = sweep(AbsQuantizer<float>(eps), threads);
+    const u64 rel_bad = sweep(RelQuantizer<float>(eps), threads);
+    for (const auto& [name, n] : {std::pair{"ABS", abs_bad}, std::pair{"REL", rel_bad}})
+      std::printf("rung %s %s eps=%g: %llu mismatches over %llu f32 patterns\n",
+                  common::isa_name(rung), name, eps, static_cast<unsigned long long>(n),
+                  static_cast<unsigned long long>(kPatterns));
+    bad += abs_bad + rel_bad;
+  }
+  return bad == 0 ? 0 : 1;
 }

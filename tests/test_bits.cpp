@@ -297,7 +297,9 @@ TEST(BitsTiers, ZeroByteEncodeEveryLengthAndDensity) {
     data::Rng rng(21);
     std::vector<std::size_t> sizes(1101);
     std::iota(sizes.begin(), sizes.end(), std::size_t{0});
-    for (std::size_t n : {16383, 16384, 16385}) sizes.push_back(n);
+    // Past 64 KiB, with a tail that fills no vector: whole buffers, as LC's
+    // zbe stage passes them.
+    for (std::size_t n : {16383, 16384, 16385, 65536 + 4097}) sizes.push_back(n);
     for (std::size_t n : sizes)
       for (double zeros : {0.0, 0.5, 0.9, 1.0}) {
         const std::vector<u8> d = sparse_bytes(rng, n, zeros);
@@ -340,7 +342,8 @@ TEST(BitsTiers, ZeroByteDecodeEveryTruncation) {
 TEST(BitsTiers, ZeroByteDecodeRandomFlips) {
   for_each_rung(Isa::Avx2, [&] {
     data::Rng rng(24);
-    for (std::size_t n : {std::size_t{100}, std::size_t{1003}, std::size_t{16384}}) {
+    for (std::size_t n : {std::size_t{100}, std::size_t{1003}, std::size_t{16384},
+                          std::size_t{65536 + 4097}}) {
       const std::vector<u8> enc = scalar_encoding(sparse_bytes(rng, n, 0.7));
       for (int t = 0; t < 1000; ++t) {
         std::vector<u8> bad = enc;

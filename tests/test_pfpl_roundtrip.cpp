@@ -3,14 +3,18 @@
 // container-format behaviour.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <string>
 #include <type_traits>
 #include <utility>
 
 #include "common/hash.hpp"
+#include "core/chunked.hpp"
 #include "core/pfpl.hpp"
 #include "data/rng.hpp"
 #include "fpmath/traits.hpp"
@@ -21,6 +25,23 @@
 using namespace repro;
 using pfpl::Executor;
 using pfpl::Params;
+
+// Heap allocations through the global operator new in this binary, so a test
+// can count what one call allocates. Not inlined: GCC's
+// -Wmismatched-new-delete misreads an inlined free().
+namespace {
+std::atomic<std::size_t> g_heap_allocations{0};
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++g_heap_allocations;
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+
+void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace {
 
@@ -409,4 +430,52 @@ TEST(PfplGolden, ConstantFieldNoa) {
                EbType::NOA);
   check_golden("f64/const/NOA/1e-03", std::vector<double>(kGoldenCount<double>, -7.25), 1e-3,
                EbType::NOA);
+}
+
+// --- per-thread chunk scratch ------------------------------------------------
+
+namespace {
+
+/// Heap allocations made by f().
+template <typename F>
+std::size_t allocations_of(F&& f) {
+  const std::size_t before = g_heap_allocations.load();
+  f();
+  return g_heap_allocations.load() - before;
+}
+
+template <typename T>
+void expect_chunk_buffers_reused(EbType eb, const std::string& what) {
+  const std::size_t cw = pfpl::chunk_values(Field(static_cast<const T*>(nullptr), 0).dtype);
+  std::vector<T> many(64 * cw);
+  data::Rng rng(31);
+  double acc = 0;
+  for (auto& v : many) v = static_cast<T>(std::sin(acc += 0.01 * rng.gaussian()) * 100);
+  const std::vector<T> one(many.begin(), many.begin() + static_cast<std::ptrdiff_t>(cw));
+  const Params p{1e-3, eb};
+  const Field f1(one.data(), one.size()), f64(many.data(), many.size());
+  const Bytes c1 = pfpl::compress(f1, p), c64 = pfpl::compress(f64, p);
+  pfpl::decompress(c64);  // this thread's scratch has grown to a chunk's needs
+
+  // Serial compress allocates once more per chunk, for the chunk's payload.
+  const std::size_t compress1 = allocations_of([&] { pfpl::compress(f1, p); });
+  const std::size_t compress64 = allocations_of([&] { pfpl::compress(f64, p); });
+  EXPECT_EQ(compress64, compress1 + 63) << what;
+  // Serial decompress allocates nothing per chunk.
+  const std::size_t decompress1 = allocations_of([&] { pfpl::decompress(c1); });
+  const std::size_t decompress64 = allocations_of([&] { pfpl::decompress(c64); });
+  EXPECT_EQ(decompress64, decompress1) << what;
+}
+
+}  // namespace
+
+TEST(PfplAllocations, ChunkBuffersComeFromThreadScratch) {
+  // From the Avx2 rung up; the scalar zero-byte reference allocates its
+  // bitmaps on every call.
+  tiers::for_each_rung(common::Isa::Avx2, [&] {
+    for (EbType eb : {EbType::ABS, EbType::REL, EbType::NOA}) {
+      expect_chunk_buffers_reused<float>(eb, "f32 " + std::string(to_string(eb)));
+      expect_chunk_buffers_reused<double>(eb, "f64 " + std::string(to_string(eb)));
+    }
+  });
 }

@@ -645,11 +645,13 @@ TEST(QuantizerTiers, RoundedTieValues) {
 
 TEST(QuantizerTiers, FallbackLaneAtEveryGroupPosition) {
   // One value a lane cannot decide on its own, or a special value, at every
-  // position of a 40-value block of moderate values: it lands in each group
-  // of a full step, in the 4-lane remainder and in the scalar tail, and
-  // exactly its own lane must take the scalar word.
+  // position of a 75-value block of moderate values: it lands in each group
+  // of a full step, in the remainder steps and in the scalar tail, and
+  // exactly its own lane must take the scalar word. At the Avx2 rung that
+  // is two 32-value steps, two 4-lane steps and 3 tail values; at Avx512
+  // one 64-value step, one 8-lane step and 3 tail values.
   for_each_rung(Isa::Avx2, [&] {
-    constexpr std::size_t kBlock = 40;
+    constexpr std::size_t kBlock = 75;
     auto each_position = [](const auto& q, const auto& base, const auto& odd,
                             const std::string& what) {
       for (const auto x : odd)
@@ -696,7 +698,9 @@ TEST(QuantizerTiers, BlockLengthsAndUnalignedPointers) {
     const auto vals = random_moderate<float>(4096 + 8, 3, 58);
     const auto vals64 = random_moderate<double>(4096 + 8, 3, 59);
     std::vector<std::size_t> lengths;
-    for (std::size_t n = 0; n <= 40; ++n) lengths.push_back(n);
+    // Every remainder count and tail of both lane rungs (32 and 64 values per
+    // full step), a full step before them, and 4093-4096.
+    for (std::size_t n = 0; n <= 72; ++n) lengths.push_back(n);
     for (std::size_t n = 4093; n <= 4096; ++n) lengths.push_back(n);
     auto run = [&](const auto& q, const auto& src) {
       using Q = std::decay_t<decltype(q)>;

@@ -530,8 +530,17 @@ TEST(IsaLadder, NativeRungMatchesProcCpuinfo) {
   ASSERT_EQ(line.rfind("flags", 0), 0u) << "no flags line in /proc/cpuinfo";
   std::istringstream words(line.substr(line.find(':') + 1));
   const std::set<std::string> flags{std::istream_iterator<std::string>(words), {}};
-  const bool clmul = flags.count("pclmulqdq") && flags.count("sse4_1");
-  const Isa want = !clmul ? Isa::Scalar : flags.count("avx2") ? Isa::Avx2 : Isa::Clmul;
+  // The flags each rung adds to the one below it, from Clmul up.
+  const std::vector<std::vector<std::string>> adds = {
+      {"pclmulqdq", "sse4_1"},
+      {"avx2"},
+      {"avx512f", "avx512bw", "avx512vl", "avx512dq", "avx512vbmi", "avx512_vbmi2"}};
+  Isa want = Isa::Scalar;
+  for (const auto& need : adds) {
+    if (!std::all_of(need.begin(), need.end(), [&](const auto& f) { return flags.count(f); }))
+      break;
+    want = static_cast<Isa>(static_cast<int>(want) + 1);
+  }
   EXPECT_STREQ(rung_name(), common::isa_name(want));
 }
 #endif
