@@ -10,8 +10,8 @@
 #include "common/timer.hpp"
 #include "metrics/error_stats.hpp"
 #include "obs/control.hpp"
+#include "obs/exposition.hpp"
 #include "obs/json.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 
 namespace repro::bench {
@@ -27,35 +27,16 @@ struct FileResult {
   bool ok = false;
 };
 
-/// Push per-run wall times (seconds) into the RunReport as milliseconds.
-void report_runs(const std::string& label, const std::vector<double>& secs) {
-  std::vector<double> ms(secs.size());
-  for (std::size_t i = 0; i < secs.size(); ++i) ms[i] = secs[i] * 1e3;
-  obs::RunReport::global().add_run_times(label, ms);
-}
-
 FileResult measure_file(const Compressor& c, const data::SyntheticFile& f, double eps,
                         EbType eb, int runs) {
   FileResult r;
   Field field = f.field();
   try {
     obs::ScopedSpan span(obs::enabled() ? "bench.measure:" + c.name() : std::string());
-    // Per-run times feed the RunReport's variance series (only captured when
-    // observability is on — an ordinary CSV run allocates nothing extra).
-    std::vector<double> comp_runs, decomp_runs;
-    std::vector<double>* cap = obs::enabled() ? &comp_runs : nullptr;
     Bytes stream;
-    double tc = median_runtime([&] { stream = c.compress(field, eps, eb); }, runs, cap);
+    double tc = median_runtime([&] { stream = c.compress(field, eps, eb); }, runs);
     std::vector<u8> raw;
-    double td = median_runtime([&] { raw = c.decompress(stream); }, runs,
-                               cap ? &decomp_runs : nullptr);
-    if (cap) {
-      char eps_buf[32];
-      std::snprintf(eps_buf, sizeof(eps_buf), "%g", eps);
-      const std::string base = c.name() + "/" + f.name + "@" + eps_buf;
-      report_runs(base + "/compress", comp_runs);
-      report_runs(base + "/decompress", decomp_runs);
-    }
+    double td = median_runtime([&] { raw = c.decompress(stream); }, runs);
     r.ratio = metrics::compression_ratio(field.byte_size(), stream.size());
     r.comp_mbps = throughput_mbps(field.byte_size(), tc);
     r.decomp_mbps = throughput_mbps(field.byte_size(), td);
@@ -108,7 +89,7 @@ void flush_json_sink() {
   obs::JsonWriter w;
   w.begin_object();
   w.key("rows").raw(rows_json(s.rows));
-  w.key("report").raw(obs::RunReport::global().json());
+  w.key("report").raw(obs::metrics_json_doc());
   w.end_object();
   std::string doc = w.take();
   std::FILE* f = std::fopen(s.path.c_str(), "wb");

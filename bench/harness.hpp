@@ -26,13 +26,13 @@ struct SweepConfig {
   std::size_t target_values = 1 << 16;        ///< per generated file
   int max_files = 2;                          ///< per suite
   int runs = 3;  ///< medians over this many runs (paper: 9)
-  std::string json_path;  ///< --json FILE: machine-readable rows + RunReport
+  std::string json_path;  ///< --json FILE: machine-readable rows + metrics document
 };
 
 /// Parse common CLI flags: --target N --files N --runs N --full (paper-scale
 /// protocol: runs=9, larger inputs), --json FILE (write every row plus the
-/// obs RunReport to FILE at process exit; also enables observability so
-/// per-run times and stage metrics are captured), --csv-header (print the
+/// pfpl-metrics/1 document to FILE at process exit; also enables
+/// observability so stage metrics are captured), --csv-header (print the
 /// CSV header line and exit — lets scripts fetch the schema without running
 /// a sweep), --trace FILE (write a Chrome trace of the sweep at exit).
 SweepConfig parse_args(int argc, char** argv, SweepConfig base);
@@ -79,7 +79,7 @@ using FigureRow = std::pair<std::string, Row>;  // (figure, row)
 std::string rows_json(const std::vector<FigureRow>& rows);
 
 /// Route subsequent print_rows() calls into a JSON document written to
-/// `path` at process exit ({"rows":[...], "report": <obs RunReport>}).
+/// `path` at process exit ({"rows":[...], "report": <pfpl-metrics/1 document>}).
 /// Enables observability (obs::set_enabled) so the report has content.
 void set_json_output(const std::string& path);
 

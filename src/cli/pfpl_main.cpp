@@ -14,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "cli/top_window.hpp"
 #include "common/bytes.hpp"
 #include "common/cpu.hpp"
 #include "core/pfpl.hpp"
@@ -31,7 +30,6 @@
 #include "obs/json.hpp"
 #include "obs/kernels.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "store/store.hpp"
 #include "svc/archive.hpp"
@@ -76,7 +74,6 @@ namespace {
                "  pfpl remote decompress <in.pfpl> <out.raw> --host H:P\n"
                "  pfpl remote stats|ping|shutdown --host H:P [--timeout-ms N]\n"
                "  pfpl remote metrics --host H:P [--prom | --history]\n"
-               "  pfpl top --host H:P [--interval-ms N] [--count N]\n"
                "  pfpl profile [--json] [--suite NAME] [--dtype f32|f64] [--full]\n"
                "       [--eb abs|rel|noa] [--eps <e>] [--exec serial|omp|gpusim]\n"
                "       per-kernel throughput attribution over the synthetic suites\n"
@@ -99,7 +96,7 @@ namespace {
                "                     # at a keyframe\n"
                "  pfpl stream unpack <in.pfpv> <outdir>   # frame-NNNNNN.raw per frame\n"
                "  pfpl stream info <in.pfpv> [--json]\n"
-               "observability (any verb): --trace FILE  --metrics  --report FILE\n");
+               "observability (any verb): --trace FILE  --report FILE\n");
   std::exit(2);
 }
 
@@ -127,12 +124,10 @@ struct Flags {
   // PFPS chunk store (`pfpl serve|pack|store`).
   std::string store_dir;            ///< `--store DIR` (empty = no persistence)
   unsigned cache_mb = 0;            ///< `--cache-mb N` (0 = default 64)
-  // Live introspection (`pfpl serve` / `pfpl remote metrics` / `pfpl top`).
+  // Live introspection (`pfpl serve` / `pfpl remote metrics`).
   std::string slow_log;             ///< `pfpl serve --slow-log FILE` (empty = stderr)
   bool prom = false;                ///< `pfpl remote metrics --prom`
   bool history = false;             ///< `pfpl remote metrics --history`
-  int interval_ms = 1000;           ///< `pfpl top --interval-ms N`
-  int count = 0;                    ///< `pfpl top --count N` (0 = until ^C)
   // Temporal stream verbs (`pfpl stream pack`).
   std::string dims;                 ///< `pfpl stream pack --dims ZxYxX`
   std::size_t frames = 0;           ///< `--frames N` (0 = suite default)
@@ -143,22 +138,23 @@ struct Flags {
   std::string dump_recon;           ///< `--dump-recon DIR`: decoded frames
   // Observability (any verb).
   std::string trace_path;           ///< `--trace FILE`: Chrome trace_event JSON
-  std::string report_path;          ///< `--report FILE`: obs RunReport JSON
-  bool metrics = false;             ///< `--metrics`: pfpl-metrics/1 snapshot on stderr
-  bool obs_any() const { return metrics || !trace_path.empty() || !report_path.empty(); }
+  std::string report_path;          ///< `--report FILE`: pfpl-metrics/1 document
+  bool obs_any() const { return !trace_path.empty() || !report_path.empty(); }
 };
+
+/// The verb's own object (a complete JSON value) for the --report document's
+/// "stats": pack's {"ingest","store"}, the audit result, the server's STATS
+/// object, profile's groups. Empty for every other verb.
+std::string g_report_stats;
 
 /// Emit the requested observability artifacts (called on every exit path
 /// that ran a command, including failures — a trace of a failed run is
 /// exactly what you want on the operator's desk).
 void flush_obs(const Flags& fl) {
-  if (!fl.obs_any()) return;
   try {
-    if (fl.metrics)
-      std::fprintf(stderr, "%s\n", obs::metrics_json_doc().c_str());
     if (!fl.report_path.empty()) {
-      obs::RunReport::global().set_meta("tool", "pfpl");
-      obs::RunReport::global().write(fl.report_path);
+      const std::string doc = obs::metrics_json_doc(g_report_stats);
+      io::write_file(fl.report_path, doc.data(), doc.size());
     }
     if (!fl.trace_path.empty())
       obs::TraceRecorder::global().write_chrome_json(fl.trace_path);
@@ -280,8 +276,6 @@ constexpr FlagRow kFlags[] = {
     {"--stall-ms", true, set_uint<0, kU64, &Flags::serve, &Serve::stall_ms>},
     {"--crash-dir", true, set_text<&Flags::serve, &Serve::crash_dir>},
     {"--metrics-port", true, set_uint<0, 65535, &Flags::serve, &Serve::metrics_port>},
-    {"--interval-ms", true, set_uint<1, kInt, &Flags::interval_ms>},
-    {"--count", true, set_uint<0, kInt, &Flags::count>},
     {"--max-conns", true, set_uint<0, kU64, &Flags::serve, &Serve::max_conns>},
     {"--dims", true, set_text<&Flags::dims>},
     {"--frames", true, set_uint<1, kU64, &Flags::frames>},
@@ -301,7 +295,6 @@ constexpr FlagRow kFlags[] = {
     {"--audit", false, set_switch<&Flags::audit>},
     {"--progress", false, set_switch<&Flags::progress>},
     {"--full", false, set_switch<&Flags::full>},
-    {"--metrics", false, set_switch<&Flags::metrics>},
 };
 
 /// The one pass over argv: every flag goes through kFlags, wherever it
@@ -403,11 +396,14 @@ IngestRun run_ingest(std::vector<ingest::Item> items, const Flags& fl, store::Ch
                  st.read_ms, st.hash_ms, st.encode_ms, st.append_ms, st.wall_ms,
                  static_cast<unsigned long long>(st.append_batches),
                  st.peak_queue_bytes / 1e6);
-  if (obs::enabled()) obs::RunReport::global().add_section("ingest", st.json());
+  obs::JsonWriter report;
+  report.begin_object();
+  report.key("ingest").raw(st.json());
   if (cs) {
     cs->sync();
-    if (obs::enabled()) obs::RunReport::global().add_section("store", cs->stats_json());
+    report.key("store").raw(cs->stats_json());
   }
+  g_report_stats = report.end_object().take();
   IngestRun run;
   run.summary = st.summary();
   for (ingest::Result& r : results) {
@@ -466,9 +462,9 @@ int cmd_audit(const std::vector<std::string>&, const Flags& fl) {
   cfg.exec = fl.params.exec;
   obs::ErrorBoundAuditor auditor(cfg);
   obs::AuditResult res = auditor.run();
-  if (obs::enabled()) obs::RunReport::global().add_section("audit", res.json());
+  g_report_stats = res.json();
   if (fl.json)
-    std::printf("%s\n", res.json().c_str());
+    std::printf("%s\n", g_report_stats.c_str());
   else
     std::printf("%s", res.text().c_str());
   return res.ok() ? 0 : 3;
@@ -695,7 +691,7 @@ int cmd_serve(const std::vector<std::string>&, const Flags& fl) {
   opts.exec = fl.params.exec;
   if (!fl.slow_log.empty()) {
     // Route slow-request events (and any other EventLog traffic) to a file
-    // instead of stderr. Deliberately independent of --trace/--metrics: the
+    // instead of stderr. Deliberately independent of --trace/--report: the
     // slow log is a production artifact, not a span-recording artifact.
     obs::EventLog::Options lo;
     lo.path = fl.slow_log;
@@ -763,7 +759,7 @@ int cmd_serve(const std::vector<std::string>&, const Flags& fl) {
                 static_cast<unsigned long long>(st.sessions_closed),
                 static_cast<unsigned long long>(st.sessions_evicted),
                 static_cast<unsigned long long>(st.stream_frames));
-  if (obs::enabled()) obs::RunReport::global().add_section("net", server.stats_json());
+  g_report_stats = server.stats_json();
   return 0;
 }
 
@@ -813,112 +809,12 @@ int cmd_remote_shutdown(const std::vector<std::string>&, const Flags& fl) {
   return 0;
 }
 
-/// Scrape one server's METRICS document into a TopSample.
-cli::TopSample scrape_metrics(net::Client& client) {
-  auto num = [](const obs::JsonValue& o, const char* k) -> double {
-    return o.has(k) ? o.at(k).num : 0.0;
-  };
-  cli::TopSample s;
-  s.t = std::chrono::duration<double>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-  const obs::JsonValue doc = obs::parse_json(client.metrics(false));
-  const obs::JsonValue& st = doc.at("stats");
-  s.req = num(st, "requests_compress") + num(st, "requests_decompress") +
-          num(st, "requests_other");
-  s.bytes_rx = num(st, "bytes_rx");
-  s.bytes_tx = num(st, "bytes_tx");
-  s.hits = num(st, "store_hits");
-  s.misses = num(st, "store_misses");
-  s.conns = num(st, "connections_current");
-  s.slow = num(st, "slow_requests_captured");
-  s.errors = num(st, "errors");
-  if (st.has("sessions")) s.sessions = num(st.at("sessions"), "current");
-  const obs::JsonValue& m = doc.at("metrics");
-  if (m.has("gauges") && m.at("gauges").has("svc.pool.queue_depth"))
-    s.queue = num(m.at("gauges").at("svc.pool.queue_depth"), "value");
-  if (m.has("histograms") && m.at("histograms").has("net.request_us")) {
-    const obs::JsonValue& h = m.at("histograms").at("net.request_us");
-    if (num(h, "count") > 0) {
-      s.has_hist = true;
-      s.p50 = num(h, "p50");
-      s.p95 = num(h, "p95");
-      s.p99 = num(h, "p99");
-      if (h.has("bounds"))
-        for (const obs::JsonValue& b : h.at("bounds").arr) s.bounds.push_back(b.num);
-      if (h.has("buckets"))
-        for (const obs::JsonValue& b : h.at("buckets").arr) s.buckets.push_back(b.num);
-    }
-  }
-  return s;
-}
-
-/// `pfpl top` — poll the server's METRICS op and render one status line per
-/// tick. Rates (req/s, MB/s, hit ratio) are deltas between consecutive
-/// scrapes; latency quantiles come from the net.request_us histogram bucket
-/// deltas over the same window, falling back to the server's cumulative
-/// quantiles on the first tick or when the window saw no requests. Columns
-/// show '-' when the server has span/metric recording disabled (the stats
-/// block is always live, so throughput still renders).
-int cmd_top(const std::vector<std::string>&, const Flags& fl) {
-  net::Client client(client_options(fl, "top"));
-
-  auto scrape = [&]() -> cli::TopSample { return scrape_metrics(client); };
-
-  const std::string ticks =
-      fl.count ? " (" + std::to_string(fl.count) + " ticks)" : std::string();
-  std::printf("pfpl top: %s every %dms%s\n", fl.host.c_str(), fl.interval_ms,
-              ticks.c_str());
-  std::printf("%10s %10s %10s %9s %9s %9s %6s %6s %6s %6s %6s\n", "req/s",
-              "rx MB/s", "tx MB/s", "p50(us)", "p95(us)", "p99(us)", "hit%", "conns",
-              "sess", "queue", "slow");
-  std::fflush(stdout);
-
-  cli::TopSample prev = scrape();
-  for (int tick = 0; fl.count == 0 || tick < fl.count; ++tick) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(fl.interval_ms));
-    cli::TopSample cur = scrape();
-    const cli::TopWindow w =
-        cli::compute_window(prev, cur, fl.interval_ms / 1000.0);
-    if (w.reset) {
-      // Cumulative counters went backwards: the server restarted between
-      // scrapes. Rates over that window are meaningless — say so and
-      // re-anchor on the new process's counters.
-      std::printf("%10s  -- server restarted, counters reset --\n", "");
-      std::fflush(stdout);
-      prev = cur;
-      continue;
-    }
-
-    char q50[32], q95[32], q99[32], hitbuf[16];
-    auto fmt_q = [](char* buf, std::size_t n, double v) {
-      if (v < 0)
-        std::snprintf(buf, n, "-");
-      else
-        std::snprintf(buf, n, "%.0f", v);
-    };
-    fmt_q(q50, sizeof q50, w.p50);
-    fmt_q(q95, sizeof q95, w.p95);
-    fmt_q(q99, sizeof q99, w.p99);
-    if (w.have_hit)
-      std::snprintf(hitbuf, sizeof hitbuf, "%.1f", w.hit_pct);
-    else
-      std::snprintf(hitbuf, sizeof hitbuf, "-");
-    std::printf("%10.1f %10.2f %10.2f %9s %9s %9s %6s %6.0f %6.0f %6.0f %6.0f\n",
-                w.rps, w.rx_mbps, w.tx_mbps, q50, q95, q99, hitbuf, cur.conns,
-                cur.sessions, cur.queue, cur.slow);
-    std::fflush(stdout);
-    prev = cur;
-  }
-  return 0;
-}
-
 /// `pfpl profile` — per-kernel throughput attribution over the synthetic
 /// suites. Forces metric recording on, runs compress -> decompress for every
 /// (suite, file) of each dtype group, and prints the kernel attribution
-/// table per group, with a consistency line against the whole-chunk timer
-/// (attributed kernel time can never exceed core.encode_chunk_us — per-call
-/// durations are floored to whole microseconds).
+/// table per group, with the share of core.encode_chunk_ns spent in the
+/// encode kernels (their spans nest inside the chunk's, so it is at most
+/// 100%). `--json` prints the pfpl-metrics/1 document `--report` writes.
 int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
   // Validate --suite against BOTH suite families up front: an unknown name
   // exits 2 with the full roster instead of silently profiling nothing.
@@ -945,7 +841,6 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
 
   obs::JsonWriter jw;
   jw.begin_object();
-  jw.kv("schema", "pfpl-profile/1");
   jw.kv("eb", to_string(fl.params.eb));
   jw.kv("eps", fl.params.eps);
   jw.kv("exec", pfpl::to_string(fl.params.exec));
@@ -953,7 +848,6 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
   jw.key("groups").begin_array();
 
   bool ran_any = false;
-  std::string last_report;
   for (DType dtype : {DType::F32, DType::F64}) {
     if (fl.dtype_set && dtype != fl.dtype) continue;
     std::vector<data::Suite> suites;
@@ -977,12 +871,10 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
         (void)back;
       }
 
-    const u64 chunk_us =
-        obs::MetricsRegistry::global().histogram("core.encode_chunk_us").sum();
-    u64 attributed_us = 0;
+    const u64 chunk_ns = obs::encode_chunk_ns();
+    u64 attributed_ns = 0;
     for (const obs::KernelStat& k : obs::kernel_stats())
-      if (k.encode) attributed_us += k.us;
-    last_report = obs::kernel_report_json();
+      if (k.encode) attributed_ns += k.ns;
 
     if (!fl.json) {
       std::printf("== %s: %zu suite(s), %.1f MB, eb=%s eps=%g exec=%s isa=%s ==\n",
@@ -990,12 +882,11 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
                   to_string(fl.params.eb), fl.params.eps,
                   pfpl::to_string(fl.params.exec), isa);
       std::printf("%s", obs::kernel_table_text().c_str());
-      std::printf("encode: %llu us in kernels of %llu us per-chunk total (%.1f%% "
+      std::printf("encode: %.3f ms in kernels of %.3f ms per-chunk total (%.1f%% "
                   "attributed)\n\n",
-                  static_cast<unsigned long long>(attributed_us),
-                  static_cast<unsigned long long>(chunk_us),
-                  chunk_us ? 100.0 * static_cast<double>(attributed_us) /
-                                 static_cast<double>(chunk_us)
+                  attributed_ns / 1e6, chunk_ns / 1e6,
+                  chunk_ns ? 100.0 * static_cast<double>(attributed_ns) /
+                                 static_cast<double>(chunk_ns)
                            : 0.0);
     }
     jw.begin_object();
@@ -1004,9 +895,9 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
     for (const data::Suite& s : suites) jw.value(s.spec.name);
     jw.end_array();
     jw.kv("bytes", static_cast<unsigned long long>(total_bytes));
-    jw.kv("chunk_encode_us", static_cast<unsigned long long>(chunk_us));
-    jw.kv("attributed_encode_us", static_cast<unsigned long long>(attributed_us));
-    jw.key("kernels").raw(last_report);
+    jw.kv("chunk_encode_ns", static_cast<unsigned long long>(chunk_ns));
+    jw.kv("attributed_encode_ns", static_cast<unsigned long long>(attributed_ns));
+    jw.key("kernels").raw(obs::kernel_json());
     jw.end_object();
   }
 
@@ -1038,9 +929,6 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
       stream_bytes += ef.byte_size();
       dec.decode(ef);
     }
-    const u64 chunk_us =
-        obs::MetricsRegistry::global().histogram("core.encode_chunk_us").sum();
-    last_report = obs::kernel_report_json();
     const std::size_t raw_bytes = seq.frames() * cfg.frame_bytes();
     if (!fl.json) {
       std::printf("== temporal/%s: %zu frame(s), %.1f MB raw, %llu I + %llu P, "
@@ -1059,19 +947,18 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
     jw.kv("stream_bytes", static_cast<unsigned long long>(stream_bytes));
     jw.kv("iframes", static_cast<unsigned long long>(enc.intra_frames()));
     jw.kv("pframes", static_cast<unsigned long long>(enc.predicted_frames()));
-    jw.kv("chunk_encode_us", static_cast<unsigned long long>(chunk_us));
-    jw.key("kernels").raw(last_report);
+    jw.kv("chunk_encode_ns", static_cast<unsigned long long>(obs::encode_chunk_ns()));
+    jw.key("kernels").raw(obs::kernel_json());
     jw.end_object();
   }
   jw.end_array();
-  jw.end_object();
+  g_report_stats = jw.end_object().take();
 
   if (!ran_any) {
     std::fprintf(stderr, "pfpl profile: no suite matched the filters\n");
     return 1;
   }
-  if (fl.json) std::printf("%s\n", jw.str().c_str());
-  obs::RunReport::global().add_section("kernels", last_report);
+  if (fl.json) std::printf("%s\n", obs::metrics_json_doc(g_report_stats).c_str());
   return 0;
 }
 
@@ -1510,7 +1397,6 @@ constexpr VerbRow kVerbs[] = {
     {"audit", "", 0, 0, cmd_audit},
     {"profile", "", 0, 0, cmd_profile},
     {"serve", "", 0, 0, cmd_serve},
-    {"top", "", 0, 0, cmd_top},
     {"remote", "compress", 2, 2, cmd_remote_compress},
     {"remote", "decompress", 2, 2, cmd_remote_decompress},
     {"remote", "stats", 0, 0, cmd_remote_stats},

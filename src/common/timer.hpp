@@ -27,11 +27,9 @@ class Timer {
 /// Run `fn` `runs` times and return the median wall-clock seconds, matching
 /// the paper's 9-run median protocol. `fn` is a template parameter (not a
 /// std::function) so the measurement harness adds no indirect-call overhead
-/// to short runs — the callable is inlined into the timing loop. When
-/// `per_run` is non-null, every run's time is appended to it (in run order,
-/// not sorted) so callers can report variance, not just the median.
+/// to short runs — the callable is inlined into the timing loop.
 template <typename F>
-double median_runtime(F&& fn, int runs = 9, std::vector<double>* per_run = nullptr) {
+double median_runtime(F&& fn, int runs = 9) {
   std::vector<double> times;
   times.reserve(static_cast<std::size_t>(runs));
   for (int i = 0; i < runs; ++i) {
@@ -39,7 +37,6 @@ double median_runtime(F&& fn, int runs = 9, std::vector<double>* per_run = nullp
     fn();
     times.push_back(t.seconds());
   }
-  if (per_run) per_run->insert(per_run->end(), times.begin(), times.end());
   std::sort(times.begin(), times.end());
   return times[times.size() / 2];
 }

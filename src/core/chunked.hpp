@@ -24,16 +24,17 @@
 #include "common/types.hpp"
 #include "core/format.hpp"
 #include "core/pfpl.hpp"
+#include "fpmath/bound.hpp"
 
 namespace repro::pfpl {
 
 /// Scalars covered by one chunk of this dtype (4096 for f32, 2048 for f64).
 std::size_t chunk_values(DType dtype);
 
-/// Validate a bound and derive recon_param (ABS: eps; NOA: eps * noa_range,
-/// where noa_range is the data's max - min; REL: log1p(eps)). The counts stay
-/// 0. Throws CompressionError on an invalid bound or range.
-Header plan_bound(DType dtype, EbType eb, double eps, double noa_range);
+/// Validate a bound and derive recon_param (ABS: eps; NOA:
+/// fpmath::noa_bound over the data's finite range; REL: log1p(eps)). The
+/// counts stay 0. Throws CompressionError on an invalid bound or range.
+Header plan_bound(DType dtype, EbType eb, double eps, fpmath::FiniteRange noa_range);
 
 /// Plan a compression job: plan_bound() with, for NOA, the sequential
 /// finite-range reduction over the whole field, then fill

@@ -14,7 +14,6 @@
 #include "core/pipeline.hpp"
 #include "core/quantizers.hpp"
 #include "fpmath/det_math.hpp"
-#include "obs/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/gpu_pipeline.hpp"
@@ -26,20 +25,16 @@ namespace {
 /// Hot-path metric handles, resolved once (registry lookups take a lock;
 /// the add() calls after that are sharded and lock-free — see obs/metrics.hpp).
 struct CoreMetrics {
-  obs::Counter& chunks_encoded;
   obs::Counter& chunks_raw;
   obs::Counter& chunks_decoded;
   obs::Counter& bytes_in;
   obs::Counter& bytes_out;
-  obs::Histogram& encode_chunk_us;
+  obs::Counter& bytes_decoded;
   static CoreMetrics& get() {
     auto& r = obs::MetricsRegistry::global();
-    static CoreMetrics m{r.counter("core.chunks_encoded"),
-                         r.counter("core.chunks_raw"),
-                         r.counter("core.chunks_decoded"),
-                         r.counter("core.bytes_in"),
-                         r.counter("core.bytes_out"),
-                         r.histogram("core.encode_chunk_us")};
+    static CoreMetrics m{r.counter("core.chunks_raw"), r.counter("core.chunks_decoded"),
+                         r.counter("core.bytes_in"), r.counter("core.bytes_out"),
+                         r.counter("core.bytes_decoded")};
     return m;
   }
 };
@@ -94,13 +89,11 @@ void for_each_chunk(std::size_t nchunks, Executor exec, const F& f) {
 template <typename T, typename Q>
 u32 encode_one_chunk(const T* data, std::size_t k, const Q& q, Executor exec,
                      std::vector<u8>& payload) {
-  OBS_SPAN("pfpl.encode_chunk");
-  const u64 t0 = obs::enabled() ? obs::TraceRecorder::global().now_ns() : 0;
+  OBS_SPAN("pfpl.encode_chunk", obs::Kernel::EncodeChunk);
   using Bits = typename fpmath::FloatTraits<T>::Bits;
   Bits* const words = bits::chunk_scratch().quantized<Bits>(k);
   {
-    OBS_SPAN("pfpl.quantize");
-    obs::KernelTimer kt(obs::Kernel::Quantize, k * sizeof(T));
+    OBS_SPAN("pfpl.quantize", obs::Kernel::Quantize);
     q.encode_block(data, words, k);
   }
   const std::size_t start = payload.size();
@@ -109,11 +102,9 @@ u32 encode_one_chunk(const T* data, std::size_t k, const Q& q, Executor exec,
   u32 sz = static_cast<u32>(payload.size() - start);
   if (obs::enabled()) {
     CoreMetrics& m = CoreMetrics::get();
-    m.chunks_encoded.add(1);
     if (!compressed) m.chunks_raw.add(1);
     m.bytes_in.add(k * sizeof(T));
     m.bytes_out.add(sz);
-    m.encode_chunk_us.record((obs::TraceRecorder::global().now_ns() - t0) / 1000);
   }
   return compressed ? sz : (sz | kRawChunkFlag);
 }
@@ -133,11 +124,14 @@ void decode_one_chunk(const u8* in, u32 size_word, const Q& q, Executor exec, T*
                                : chunk_decode(in, csize, compressed, words, k);
   check_chunk_consumed(used, csize);
   {
-    OBS_SPAN("pfpl.dequantize");
-    obs::KernelTimer kt(obs::Kernel::Dequantize, k * sizeof(T));
+    OBS_SPAN("pfpl.dequantize", obs::Kernel::Dequantize);
     q.decode_block(words, values, k);
   }
-  CoreMetrics::get().chunks_decoded.add(1);
+  if (obs::enabled()) {
+    CoreMetrics& m = CoreMetrics::get();
+    m.chunks_decoded.add(1);
+    m.bytes_decoded.add(k * sizeof(T));
+  }
 }
 
 /// A stream's header and chunk table, with room reserved for `payload_bytes`
@@ -157,7 +151,7 @@ std::size_t chunk_values(DType dtype) {
   return dtype == DType::F32 ? chunk_words<u32>() : chunk_words<u64>();
 }
 
-Header plan_bound(DType dtype, EbType eb, double eps, double noa_range) {
+Header plan_bound(DType dtype, EbType eb, double eps, fpmath::FiniteRange noa_range) {
   Header h;
   h.dtype = dtype;
   h.eb_type = eb;
@@ -166,9 +160,10 @@ Header plan_bound(DType dtype, EbType eb, double eps, double noa_range) {
   if (eb == EbType::NOA) {
     if (!(eps >= 0.0) || !std::isfinite(eps))
       throw CompressionError("NOA error bound must be finite and non-negative");
-    if (!(noa_range >= 0.0) || !std::isfinite(noa_range))
+    if (!std::isfinite(noa_range.min) || !std::isfinite(noa_range.max) ||
+        !(noa_range.max >= noa_range.min))
       throw CompressionError("NOA value range must be finite and non-negative");
-    h.recon_param = eps * noa_range;
+    h.recon_param = fpmath::noa_bound(eps, noa_range.min, noa_range.max);
   }
   with_quantizer(h, [](const auto&) {});  // throws on an invalid bound
   return h;
@@ -177,7 +172,7 @@ Header plan_bound(DType dtype, EbType eb, double eps, double noa_range) {
 Header plan_header(const Field& in, const Params& p) {
   OBS_SPAN("pfpl.plan");
   const std::size_t n = in.count();
-  double range = 0.0;
+  fpmath::FiniteRange range;
   if (p.eb == EbType::NOA)
     range = in.dtype == DType::F32 ? fpmath::finite_range(in.as<float>())
                                    : fpmath::finite_range(in.as<double>());

@@ -19,7 +19,6 @@
 #include "bits/delta.hpp"
 #include "bits/zerobyte.hpp"
 #include "common/types.hpp"
-#include "obs/kernels.hpp"
 #include "obs/trace.hpp"
 
 namespace repro::pfpl {
@@ -51,27 +50,21 @@ inline constexpr std::size_t padded_words(std::size_t k) {
 template <typename U>
 bool chunk_encode(const U* words, std::size_t k, std::vector<u8>& out) {
   const std::size_t padded = padded_words<U>(k);
-  // Kernel attribution charges each stage the logical chunk bytes (k words),
-  // not the tile-padded footprint, so per-kernel MB/s is comparable across
-  // stages and sums against core.bytes_in.
   const std::size_t kbytes = k * sizeof(U);
   U* const buf = bits::chunk_scratch().padded<U>(padded);
   std::memcpy(buf, words, kbytes);
   std::fill(buf + k, buf + padded, U{0});
   {
-    OBS_SPAN("pfpl.delta_nb");
-    obs::KernelTimer kt(obs::Kernel::DeltaNb, kbytes);
+    OBS_SPAN("pfpl.delta_nb", obs::Kernel::DeltaNb);
     bits::delta_negabinary_encode(buf, padded);
   }
   {
-    OBS_SPAN("pfpl.bitshuffle");
-    obs::KernelTimer kt(obs::Kernel::Bitshuffle, kbytes);
+    OBS_SPAN("pfpl.bitshuffle", obs::Kernel::Bitshuffle);
     bits::bitshuffle(buf, padded);
   }
   const std::size_t start = out.size();
   {
-    OBS_SPAN("pfpl.zerobyte");
-    obs::KernelTimer kt(obs::Kernel::Zerobyte, kbytes);
+    OBS_SPAN("pfpl.zerobyte", obs::Kernel::Zerobyte);
     bits::zerobyte_encode(reinterpret_cast<const u8*>(buf), padded * sizeof(U), out);
   }
   if (out.size() - start >= k * sizeof(U)) {
@@ -101,18 +94,15 @@ std::size_t chunk_decode(const u8* in, std::size_t in_size, bool compressed, U* 
   U* const buf = padded == k ? words : bits::chunk_scratch().padded<U>(padded);
   std::size_t used;
   {
-    OBS_SPAN("pfpl.zerobyte");
-    obs::KernelTimer kt(obs::Kernel::ZerobyteDec, kbytes);
+    OBS_SPAN("pfpl.zerobyte", obs::Kernel::ZerobyteDec);
     used = bits::zerobyte_decode(in, in_size, reinterpret_cast<u8*>(buf), padded * sizeof(U));
   }
   {
-    OBS_SPAN("pfpl.bitshuffle");
-    obs::KernelTimer kt(obs::Kernel::BitshuffleDec, kbytes);
+    OBS_SPAN("pfpl.bitshuffle", obs::Kernel::BitshuffleDec);
     bits::bitshuffle(buf, padded);
   }
   {
-    OBS_SPAN("pfpl.delta_nb");
-    obs::KernelTimer kt(obs::Kernel::DeltaNbDec, kbytes);
+    OBS_SPAN("pfpl.delta_nb", obs::Kernel::DeltaNbDec);
     bits::delta_negabinary_decode(buf, padded);
   }
   if (buf != words) std::memcpy(words, buf, kbytes);

@@ -27,7 +27,7 @@ class StreamEncoderImpl {
   StreamEncoderImpl(DType dtype, const StreamEncoder::Options& opts) {
     if (opts.eb == EbType::NOA && !opts.noa_range)
       throw CompressionError("streaming NOA needs Options::noa_range (global max - min)");
-    header_ = plan_bound(dtype, opts.eb, opts.eps, opts.noa_range.value_or(0.0));
+    header_ = plan_bound(dtype, opts.eb, opts.eps, {0.0, opts.noa_range.value_or(0.0)});
   }
 
   template <typename T>

@@ -106,12 +106,13 @@ inline bool bound_holds(double v, double r, double e, EbType eb) {
   return rel_bound_holds(std::fabs(v), std::fabs(r), e);
 }
 
-/// max - min over the finite values (0 if there are none): the value range
-/// the NOA bound scales by (Section III-A). The encoder stores the bound,
-/// eps * finite_range, in the header as recon_param; the verifiers recompute
-/// it with the same two roundings.
+/// The smallest and largest finite value (both 0 when there are none).
+struct FiniteRange {
+  double min = 0, max = 0;
+};
+
 template <typename T>
-double finite_range(std::span<const T> v) {
+FiniteRange finite_range(std::span<const T> v) {
   bool any = false;
   T mn{}, mx{};
   for (T x : v) {
@@ -124,7 +125,35 @@ double finite_range(std::span<const T> v) {
       mx = std::max(mx, x);
     }
   }
-  return any ? static_cast<double>(mx) - static_cast<double>(mn) : 0.0;
+  return any ? FiniteRange{static_cast<double>(mn), static_cast<double>(mx)} : FiniteRange{};
+}
+
+/// The NOA bound eps * (max - min) (Section III-A), never rounded up: the
+/// range is rounded toward zero, then the product is, each step taking one
+/// ulp off a result that rounded up (the TwoSum error of the range, the
+/// std::fma residual of the product). When max - min is a double, the result
+/// is the largest double <= eps * (max - min). A range that overflows is
+/// taken at half scale (the halves of operands that large are exact). The
+/// encoder stores this value as recon_param and both verifiers judge against
+/// it, so none of them can accept an error the paper's bound forbids.
+/// Requires finite min <= max and eps >= 0. Below 2^-968 the residual itself
+/// may underflow, so such a product steps down one ulp unconditionally.
+inline double noa_bound(double eps, double min, double max) {
+  double scale = 1, a = max, b = min, d = a - b;
+  if (d > std::numeric_limits<double>::max()) {
+    scale = 2, a *= 0.5, b *= 0.5, d = a - b;
+  }
+  const double bb = d - a;
+  if ((a - (d - bb)) - (b + bb) < 0) d = std::nextafter(d, 0.0);  // TwoSum error of a - b
+  double p = eps * d;
+  if (p < 0x1p-968 || std::fma(eps, d, -p) < 0) p = std::nextafter(p, 0.0);
+  return std::min(p * scale, std::numeric_limits<double>::max());
+}
+
+template <typename T>
+double noa_bound(double eps, std::span<const T> v) {
+  const FiniteRange r = finite_range(v);
+  return noa_bound(eps, r.min, r.max);
 }
 
 }  // namespace repro::fpmath

@@ -25,8 +25,6 @@ namespace {
 /// ingest.* metric handles, resolved once (the registry gates every update
 /// while obs is disabled).
 struct IngestMetrics {
-  obs::Counter& probe_hits;
-  obs::Counter& probe_misses;
   obs::Histogram& read_us;
   obs::Histogram& hash_us;
   obs::Histogram& encode_us;
@@ -35,8 +33,6 @@ struct IngestMetrics {
   static IngestMetrics& get() {
     auto& r = obs::MetricsRegistry::global();
     static IngestMetrics m{
-        r.counter("ingest.probe_hits"),
-        r.counter("ingest.probe_misses"),
         r.histogram("ingest.read_us", obs::Histogram::default_latency_bounds_us()),
         r.histogram("ingest.hash_us", obs::Histogram::default_latency_bounds_us()),
         r.histogram("ingest.encode_us", obs::Histogram::default_latency_bounds_us()),
@@ -67,8 +63,6 @@ ProbeResult probe_compress(store::ChunkStore& cs, const void* raw, std::size_t n
   ProbeResult pr;
   pr.key = store::compress_key(raw, n, dtype, eb, eps);
   pr.hit = cs.get(pr.key, stream_out);
-  IngestMetrics& m = IngestMetrics::get();
-  (pr.hit ? m.probe_hits : m.probe_misses).add(1);
   return pr;
 }
 
@@ -300,7 +294,6 @@ std::vector<Result> IngestPipeline::run(std::vector<Item> items) {
   stats_.peak_queue_items = inflight.peak_items();
   pool_->drain();
   stats_.wall_ms = wall.seconds() * 1e3;
-  stats_.publish(obs::MetricsRegistry::global());
   return results;
 }
 

@@ -68,7 +68,6 @@ struct Result {
 /// Dedup probe shared by the pipeline's producer and the network server's
 /// COMPRESS path: compute the request's content key and look it up in the
 /// store. On a hit, `stream_out` holds the stored (byte-identical) stream.
-/// Records the ingest.probe_hits / ingest.probe_misses counters.
 struct ProbeResult {
   common::Hash128 key;
   bool hit = false;

@@ -10,7 +10,6 @@
 
 #include "common/types.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 
 namespace repro::ingest {
 
@@ -93,21 +92,6 @@ struct IngestStats {
     w.kv("mbps", mbps());
     w.end_object();
     return w.take();
-  }
-
-  /// Publish into the process registry (cumulative across runs; no-op while
-  /// obs is disabled — the registry gates every update).
-  void publish(obs::MetricsRegistry& r) const {
-    r.counter("ingest.files").add(files);
-    r.counter("ingest.files_failed").add(files_failed);
-    r.counter("ingest.files_reused").add(files_reused);
-    r.counter("ingest.chunks").add(chunks);
-    r.counter("ingest.bytes_in").add(bytes_in);
-    r.counter("ingest.bytes_out").add(bytes_out);
-    r.counter("ingest.append_batches").add(append_batches);
-    r.counter("ingest.appended").add(appended);
-    r.gauge("ingest.peak_queue_bytes").set(static_cast<long long>(peak_queue_bytes));
-    r.histogram("ingest.run_wall_us").record(static_cast<u64>(wall_ms * 1e3));
   }
 };
 

@@ -36,7 +36,8 @@ ErrorStats compute_stats_impl(std::span<const T> orig, std::span<const T> recon)
     if (o != T(0)) s.max_rel = std::max(s.max_rel, d / std::abs(static_cast<double>(o)));
     if ((o > T(0) && r < T(0)) || (o < T(0) && r > T(0))) ++s.sign_flips;
   }
-  s.value_range = fpmath::finite_range(orig);
+  const fpmath::FiniteRange range = fpmath::finite_range(orig);
+  s.value_range = range.max - range.min;
   s.zero_range = s.value_range == 0.0;
   s.mse = finite_pairs ? sum_sq / static_cast<double>(finite_pairs) : 0.0;
   // Always-finite PSNR: exact reconstruction hits the cap; a constant
@@ -56,7 +57,7 @@ ErrorStats compute_stats_impl(std::span<const T> orig, std::span<const T> recon)
 template <typename T>
 std::size_t count_violations_impl(std::span<const T> orig, std::span<const T> recon,
                                   double eps, EbType eb) {
-  const double bound = eb == EbType::NOA ? eps * fpmath::finite_range(orig) : eps;
+  const double bound = eb == EbType::NOA ? fpmath::noa_bound(eps, orig) : eps;
   std::size_t bad = 0;
   for (std::size_t i = 0; i < orig.size(); ++i) {
     const T o = orig[i];

@@ -47,8 +47,8 @@ ErrorStats compute_stats(std::span<const double> orig, std::span<const double> r
 ///   ABS: |o - r| <= eps
 ///   REL: same sign and |o|/(1+eps) <= |r| <= |o|*(1+eps)
 ///        (zero must reconstruct to zero, NaN to NaN, inf to same-signed inf)
-///   NOA: |o - r| <= fl(eps * fpmath::finite_range(o)), the bound the PFPL
-///        header stores
+///   NOA: |o - r| <= fpmath::noa_bound(eps, o), the bound the PFPL header
+///        stores, never above eps * (max - min)
 /// Each comparison is exact (real-number arithmetic on the IEEE values).
 std::size_t count_violations(std::span<const float> orig, std::span<const float> recon,
                              double eps, EbType eb);

@@ -65,7 +65,7 @@ void verify_span(std::span<const T> orig, std::span<const T> recon, EbType eb, d
   c.values = orig.size();
   c.chunks = (orig.size() + per_chunk - 1) / per_chunk;
 
-  c.allowed = eb == EbType::NOA ? eps * fpmath::finite_range(orig) : eps;
+  c.allowed = eb == EbType::NOA ? fpmath::noa_bound(eps, orig) : eps;
 
   Histogram& chunk_hist = chunk_utilization_hist();
   for (std::size_t chunk = 0; chunk < c.chunks; ++chunk) {

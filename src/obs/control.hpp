@@ -8,22 +8,11 @@
 #pragma once
 
 #include <atomic>
-#include <cstdlib>
 
 namespace repro::obs {
 
 namespace detail {
-/// Initial state of the switch: PFPL_OBS=1 (any value other than "" / "0")
-/// turns observability on at process start. This is how CI jobs and child
-/// processes get tracing/metrics without every driver growing a
-/// --trace/--metrics flag — the env var is read once, and set_enabled()
-/// still overrides it either way at runtime.
-inline bool env_default() {
-  const char* e = std::getenv("PFPL_OBS");
-  return e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
-}
-
-inline std::atomic<bool> g_enabled{env_default()};
+inline std::atomic<bool> g_enabled{false};
 }
 
 inline bool enabled() { return detail::g_enabled.load(std::memory_order_relaxed); }

@@ -6,9 +6,9 @@
 //     ("net.request_us" -> "pfpl_net_request_us"), counters suffixed
 //     `_total`, gauges as-is plus a `_peak` companion family, histograms as
 //     cumulative `_bucket{le="..."}` series with `+Inf`, `_sum`, `_count`.
-//   * JSON (`metrics_json_doc()`): the one `pfpl-metrics/1` snapshot. The
-//     METRICS op, `/metrics.json`, every flight-recorder ring entry and
-//     `pfpl --metrics` all write this document.
+//   * JSON (`metrics_json_doc()`): the one `pfpl-metrics/1` document. The
+//     METRICS op, `/metrics.json`, every flight-recorder ring entry,
+//     `pfpl --report`, `pfpl profile --json` and bench `--json` all write it.
 //
 // Both renderers read the registry's merged snapshots under the registry's
 // own mutex and are safe to call while worker threads are recording. With
@@ -30,8 +30,8 @@ std::string prometheus_text();
 
 /// The snapshot document
 /// {"schema":"pfpl-metrics/1","ts_ms":…,"metrics":<registry json>}, plus
-/// "stats":<stats> when `stats` (a complete JSON value, the server's
-/// STATS-op object) is non-empty.
+/// "stats":<stats> when `stats` (a complete JSON value: the server's
+/// STATS-op object, or the `pfpl` verb's own object) is non-empty.
 std::string metrics_json_doc(const std::string& stats = "");
 
 }  // namespace repro::obs

@@ -1,20 +1,14 @@
-// Minimal dependency-free JSON writer + parser for the observability layer.
+// Minimal dependency-free JSON writer for the observability layer.
 //
 // The writer streams into a std::string (no DOM) and is what every obs
-// artifact — Chrome traces, metric dumps, RunReports, bench --json rows —
-// is serialized with. The parser is a small recursive-descent reader used
-// by tests to round-trip those artifacts (and by tooling that wants to
-// re-ingest a RunReport); it accepts strict JSON only, with a depth limit
-// so corrupt input cannot blow the stack.
+// artifact — Chrome traces, pfpl-metrics/1 documents, bench --json rows —
+// is serialized with. The tests read those artifacts back with the parser
+// in tests/json_value.hpp.
 #pragma once
 
 #include <cmath>
 #include <cstdio>
-#include <map>
-#include <memory>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace repro::obs {
 
@@ -142,204 +136,5 @@ class JsonWriter {
   bool need_comma_ = false;
   bool just_keyed_ = false;
 };
-
-/// Parsed JSON value (null / bool / number / string / array / object).
-struct JsonValue {
-  enum class Type { Null, Bool, Number, String, Array, Object };
-  Type type = Type::Null;
-  bool b = false;
-  double num = 0;
-  std::string str;
-  std::vector<JsonValue> arr;
-  std::map<std::string, JsonValue> obj;
-
-  bool is_null() const { return type == Type::Null; }
-  bool is_object() const { return type == Type::Object; }
-  bool is_array() const { return type == Type::Array; }
-  bool has(const std::string& k) const { return obj.count(k) != 0; }
-  const JsonValue& at(const std::string& k) const { return obj.at(k); }
-};
-
-namespace detail {
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& s) : s_(s) {}
-
-  JsonValue parse() {
-    JsonValue v = value(0);
-    skip_ws();
-    if (pos_ != s_.size()) fail("trailing characters after JSON value");
-    return v;
-  }
-
- private:
-  static constexpr int kMaxDepth = 64;
-
-  [[noreturn]] void fail(const std::string& why) {
-    throw std::runtime_error("JSON parse error at offset " + std::to_string(pos_) + ": " +
-                             why);
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' || s_[pos_] == '\r'))
-      ++pos_;
-  }
-  char peek() {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-  void expect(char c) {
-    if (pos_ >= s_.size() || s_[pos_] != c)
-      fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-  bool consume_lit(const char* lit) {
-    std::size_t n = std::char_traits<char>::length(lit);
-    if (s_.compare(pos_, n, lit) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-
-  JsonValue value(int depth) {
-    if (depth > kMaxDepth) fail("nesting too deep");
-    skip_ws();
-    char c = peek();
-    JsonValue v;
-    if (c == '{') {
-      v.type = JsonValue::Type::Object;
-      expect('{');
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        return v;
-      }
-      for (;;) {
-        skip_ws();
-        std::string k = string_body();
-        skip_ws();
-        expect(':');
-        v.obj[k] = value(depth + 1);
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect('}');
-        return v;
-      }
-    }
-    if (c == '[') {
-      v.type = JsonValue::Type::Array;
-      expect('[');
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-        return v;
-      }
-      for (;;) {
-        v.arr.push_back(value(depth + 1));
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect(']');
-        return v;
-      }
-    }
-    if (c == '"') {
-      v.type = JsonValue::Type::String;
-      v.str = string_body();
-      return v;
-    }
-    if (consume_lit("true")) {
-      v.type = JsonValue::Type::Bool;
-      v.b = true;
-      return v;
-    }
-    if (consume_lit("false")) {
-      v.type = JsonValue::Type::Bool;
-      v.b = false;
-      return v;
-    }
-    if (consume_lit("null")) return v;
-    // Number.
-    std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start) fail("invalid value");
-    try {
-      v.num = std::stod(s_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("invalid number");
-    }
-    v.type = JsonValue::Type::Number;
-    return v;
-  }
-
-  std::string string_body() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= s_.size()) fail("unterminated string");
-      char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("unterminated escape");
-      char e = s_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = s_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape");
-          }
-          // Obs artifacts only ever emit \u00XX control escapes; encode the
-          // code point as UTF-8 (BMP only, no surrogate-pair handling).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace detail
-
-/// Parse a strict-JSON document. Throws std::runtime_error on malformed input.
-inline JsonValue parse_json(const std::string& s) { return detail::JsonParser(s).parse(); }
 
 }  // namespace repro::obs

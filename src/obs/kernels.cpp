@@ -1,5 +1,6 @@
 #include "obs/kernels.hpp"
 
+#include <array>
 #include <cstdio>
 
 #include "obs/json.hpp"
@@ -8,27 +9,21 @@
 namespace repro::obs {
 namespace {
 
-struct KernelHandles {
-  Counter* bytes[kKernelCount];
-  Histogram* us[kKernelCount];
-};
-
 constexpr const char* kNames[kKernelCount] = {
     "quantize", "delta_nb", "bitshuffle", "zerobyte",
     "zerobyte_dec", "bitshuffle_dec", "delta_nb_dec", "dequantize",
 };
 
-/// Registry handles for all eight kernels, resolved once per process. The
-/// registration mutex is paid on the first recorded kernel, not per chunk.
-KernelHandles& handles() {
-  static KernelHandles h = [] {
-    KernelHandles out;
+/// Registry handles for the eight kernels and the chunk encode, resolved once
+/// per process. The registration mutex is paid on the first recorded stage,
+/// not per chunk.
+std::array<Histogram*, kKernelCount + 1>& handles() {
+  static std::array<Histogram*, kKernelCount + 1> h = [] {
+    std::array<Histogram*, kKernelCount + 1> out;
     MetricsRegistry& reg = MetricsRegistry::global();
-    for (int i = 0; i < kKernelCount; ++i) {
-      const std::string stem = std::string("kernel.") + kNames[i];
-      out.bytes[i] = &reg.counter(stem + ".bytes");
-      out.us[i] = &reg.histogram(stem + "_us");
-    }
+    for (int i = 0; i < kKernelCount; ++i)
+      out[i] = &reg.histogram(std::string("kernel.") + kNames[i] + "_ns");
+    out[kKernelCount] = &reg.histogram("core.encode_chunk_ns");
     return out;
   }();
   return h;
@@ -36,32 +31,30 @@ KernelHandles& handles() {
 
 }  // namespace
 
-void record_kernel(Kernel k, u64 bytes, u64 us) {
-  if (!enabled()) return;
-  KernelHandles& h = handles();
-  const int i = static_cast<int>(k);
-  h.bytes[i]->add(bytes);
-  h.us[i]->record(us);
-}
+void record_stage_ns(Kernel k, u64 ns) { handles()[static_cast<int>(k)]->record(ns); }
+
+u64 encode_chunk_ns() { return handles()[kKernelCount]->sum(); }
 
 std::vector<KernelStat> kernel_stats() {
+  MetricsRegistry& reg = MetricsRegistry::global();
+  const u64 bytes_in = reg.counter("core.bytes_in").value();
+  const u64 bytes_decoded = reg.counter("core.bytes_decoded").value();
   std::vector<KernelStat> out;
   out.reserve(kKernelCount);
-  KernelHandles& h = handles();
   for (int i = 0; i < kKernelCount; ++i) {
     KernelStat s;
     s.name = kNames[i];
     s.encode = i < 4;
-    s.calls = h.us[i]->count();
-    s.bytes = h.bytes[i]->value();
-    s.us = h.us[i]->sum();
-    if (s.us > 0) s.mbps = static_cast<double>(s.bytes) / static_cast<double>(s.us);
+    s.calls = handles()[i]->count();
+    s.bytes = s.encode ? bytes_in : bytes_decoded;
+    s.ns = handles()[i]->sum();
+    if (s.ns > 0) s.mbps = 1e3 * static_cast<double>(s.bytes) / static_cast<double>(s.ns);
     out.push_back(s);
   }
   return out;
 }
 
-std::string kernel_report_json() {
+std::string kernel_json() {
   JsonWriter w;
   w.begin_object();
   for (const bool encode : {true, false}) {
@@ -72,7 +65,7 @@ std::string kernel_report_json() {
       w.kv("name", s.name);
       w.kv("calls", static_cast<unsigned long long>(s.calls));
       w.kv("bytes", static_cast<unsigned long long>(s.bytes));
-      w.kv("us", static_cast<unsigned long long>(s.us));
+      w.kv("ns", static_cast<unsigned long long>(s.ns));
       w.kv("MBps", s.mbps);
       w.end_object();
     }
@@ -96,7 +89,7 @@ std::string kernel_table_text() {
     if (s.calls == 0) continue;
     std::snprintf(line, sizeof line, "%-16s %-6s %10llu %12.2f %12.3f %10.1f\n", s.name,
                   s.encode ? "enc" : "dec", static_cast<unsigned long long>(s.calls),
-                  static_cast<double>(s.bytes) / 1e6, static_cast<double>(s.us) / 1e3,
+                  static_cast<double>(s.bytes) / 1e6, static_cast<double>(s.ns) / 1e6,
                   s.mbps);
     out += line;
   }

@@ -98,8 +98,8 @@ class Gauge {
   std::atomic<long long> peak_{0};
 };
 
-/// Fixed-bucket histogram over u64 samples (latencies in microseconds by
-/// convention). Bucket i counts samples <= bounds[i]; one overflow bucket
+/// Fixed-bucket histogram over u64 samples (latencies, in the unit the
+/// metric name's suffix gives: `_us` or `_ns`). Bucket i counts samples <= bounds[i]; one overflow bucket
 /// holds the rest. Buckets and the sum/count/min/max aggregates are sharded
 /// like Counter.
 class Histogram {

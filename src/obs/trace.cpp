@@ -155,6 +155,7 @@ void ScopedSpan::begin(const char* name) {
 
 void ScopedSpan::end() {
   const u64 dur = TraceRecorder::global().now_ns() - start_ns_;
+  if (timed_) record_stage_ns(kernel_, dur);
   --buf_->depth;
   std::lock_guard<std::mutex> lk(buf_->m);
   buf_->events.push_back(

@@ -27,6 +27,7 @@
 
 #include "common/types.hpp"
 #include "obs/control.hpp"
+#include "obs/kernels.hpp"
 
 namespace repro::obs {
 
@@ -117,9 +118,17 @@ class TraceRecorder {
 /// RAII span. Captures the start time when observability is enabled at
 /// construction; the destructor records the completed event. When disabled,
 /// construction and destruction are a relaxed load + branch each.
+///
+/// A pipeline stage's span also names its Kernel: end() then records the
+/// span's own duration into that stage's nanosecond histogram
+/// (obs/kernels.hpp), so the stage has one instrument and one clock pair.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name) {
+    if (!obs::enabled()) return;
+    begin(name);
+  }
+  ScopedSpan(const char* name, Kernel k) : kernel_(k), timed_(true) {
     if (!obs::enabled()) return;
     begin(name);
   }
@@ -143,11 +152,14 @@ class ScopedSpan {
   u64 start_ns_ = 0;
   u32 depth_ = 0;
   u64 request_id_ = 0;
+  Kernel kernel_ = Kernel::Quantize;
+  bool timed_ = false;  ///< kernel_ names this span's stage
 };
 
 #define OBS_SPAN_CONCAT2(a, b) a##b
 #define OBS_SPAN_CONCAT(a, b) OBS_SPAN_CONCAT2(a, b)
-/// Open a span covering the rest of the enclosing scope.
-#define OBS_SPAN(name) ::repro::obs::ScopedSpan OBS_SPAN_CONCAT(obs_span_, __LINE__)(name)
+/// Open a span covering the rest of the enclosing scope: OBS_SPAN(name), or
+/// OBS_SPAN(name, kernel) for a pipeline stage.
+#define OBS_SPAN(...) ::repro::obs::ScopedSpan OBS_SPAN_CONCAT(obs_span_, __LINE__)(__VA_ARGS__)
 
 }  // namespace repro::obs

@@ -76,7 +76,7 @@ class ChunkStore {
   void sync();
 
   /// JSON object with both tiers' exact stats — spliced into the server's
-  /// STATS response and the svc RunReport section.
+  /// STATS response and `pfpl pack --report`'s "store" object.
   std::string stats_json() const;
 
  private:

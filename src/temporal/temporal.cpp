@@ -6,6 +6,7 @@
 #include <span>
 
 #include "core/chunked.hpp"
+#include "fpmath/bound.hpp"
 #include "metrics/error_stats.hpp"
 #include "obs/metrics.hpp"
 
@@ -113,15 +114,7 @@ EncodedFrame FrameEncoder::encode_typed(const Field& frame, u64 frame_index) {
   // Derive the absolute bound a P frame's mixed stream would be coded under.
   double abs_bound = cfg_.eps;
   if (!want_intra && cfg_.eb == EbType::NOA) {
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < count; ++i) {
-      const double v = static_cast<double>(vals[i]);
-      if (!std::isfinite(v)) continue;
-      if (v < lo) lo = v;
-      if (v > hi) hi = v;
-    }
-    abs_bound = (hi >= lo) ? cfg_.eps * (hi - lo) : 0.0;
+    abs_bound = fpmath::noa_bound(cfg_.eps, std::span<const T>(vals, count));
     if (!(abs_bound >= min_normal<T>())) want_intra = true;  // PFPL ABS floor
   }
 

@@ -12,6 +12,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 
 #include "common/types.hpp"
 
@@ -100,6 +101,37 @@ inline bool rel_holds(double v, double r, double eps) {
   if (zero(r) || std::signbit(v) != std::signbit(r)) return false;
   const Big a = big(v), b = big(r);
   return compare(b + product(r, eps), a) >= 0 && compare(a + product(v, eps), b) >= 0;
+}
+
+/// One signed term of a sum: its sign and exact magnitude.
+struct Term {
+  bool neg;
+  Big mag;
+};
+inline Term term(double x) { return {std::signbit(x), big(x)}; }
+/// e * x for e >= 0.
+inline Term term(double e, double x) { return {std::signbit(x), product(e, x)}; }
+
+/// sum(a) <= sum(b), exactly: every negative term moves to the other side.
+inline bool sum_le(std::initializer_list<Term> a, std::initializer_list<Term> b) {
+  Big l, r;
+  for (const Term& t : a) (t.neg ? r : l) = (t.neg ? r : l) + t.mag;
+  for (const Term& t : b) (t.neg ? l : r) = (t.neg ? l : r) + t.mag;
+  return compare(l, r) <= 0;
+}
+
+/// q <= eps * (max - min) for finite q, eps >= 0 and min <= max: the NOA
+/// bound of a field whose finite values span [min, max], never rounded.
+inline bool noa_within(double q, double eps, double min, double max) {
+  return sum_le({term(q), term(eps, min)}, {term(eps, max)});
+}
+
+/// |v - r| <= eps * (max - min) for finite v, r: v - r and r - v are each
+/// at most eps*max - eps*min.
+inline bool noa_holds(double v, double r, double eps, double min, double max) {
+  if (!finite(v) || !finite(r)) return false;
+  return sum_le({term(v), term(eps, min)}, {term(r), term(eps, max)}) &&
+         sum_le({term(r), term(eps, min)}, {term(v), term(eps, max)});
 }
 
 /// The bound of `eb` for finite v: `e` is the absolute bound for ABS and

@@ -135,8 +135,8 @@ void run_type(Run& run, u64 seed) {
     const std::vector<T> vals = values<T>(eps, seed++);
     run.encode(AbsQuantizer<T>(eps), vals, eps, EbType::ABS);
     run.encode(RelQuantizer<T>(eps), vals, eps, EbType::REL);
-    const double noa = eps * fpmath::finite_range(std::span<const T>(vals));
-    if (std::isfinite(noa)) run.encode(AbsQuantizer<T>(noa), vals, noa, EbType::NOA);
+    const double noa = fpmath::noa_bound(eps, std::span<const T>(vals));
+    run.encode(AbsQuantizer<T>(noa), vals, noa, EbType::NOA);
   }
 }
 

@@ -10,8 +10,8 @@
 #include "core/chunked.hpp"
 #include "core/pfpl.hpp"
 #include "data/synthetic.hpp"
+#include "json_value.hpp"
 #include "obs/audit.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 using namespace repro;
@@ -136,4 +136,18 @@ TEST(Audit, VerifyFieldFlagsTruncatedReconstruction) {
   EXPECT_EQ(cut.violations, 1000u);
   ASSERT_TRUE(cut.has_first);
   EXPECT_EQ(cut.first.index, 9000u);
+}
+
+TEST(Audit, VerifyFieldJudgesTheExactNoaBound) {
+  // fl(1e-3 * range) rounds above the exact product for this range: an error
+  // of that rounded product breaks the NOA bound, and the audit must say so.
+  const double eps = 1e-3, range = 9.0;
+  const std::vector<double> vals = {0.0, range, eps * range};
+  const std::vector<double> back = {0.0, range, 0.0};
+  const std::vector<u8> raw(reinterpret_cast<const u8*>(back.data()),
+                            reinterpret_cast<const u8*>(back.data()) + back.size() * 8);
+  const AuditCase c = ErrorBoundAuditor::verify_field(Field(vals.data(), vals.size()), raw,
+                                                      EbType::NOA, eps, "unit", "f", 1, 0);
+  EXPECT_EQ(c.violations, 1u);
+  EXPECT_LT(c.allowed, eps * range);
 }

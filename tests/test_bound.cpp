@@ -2,18 +2,22 @@
 // oracle of bound_oracle.hpp, on values aimed at the predicate's decisions:
 // both kinds of tie, products in the subnormal range, operands near DBL_MAX,
 // eps >= 1, subnormal eps and eps = 1e30, for f32 and f64 under ABS, REL and
-// NOA.
+// NOA; and fpmath::noa_bound against the exact NOA bound.
 #include <gtest/gtest.h>
 
 #include <cfloat>
 #include <cmath>
 #include <random>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bound_oracle.hpp"
+#include "core/pfpl.hpp"
 #include "core/quantizers.hpp"
 #include "fpmath/bound.hpp"
+#include "metrics/error_stats.hpp"
 
 using namespace repro;
 
@@ -222,8 +226,8 @@ TEST(BoundPredicate, QuantizerRoundTripsHoldExactly) {
     check(pfpl::AbsQuantizer<float>(eps), f32, eps, EbType::ABS, "f32 ABS");
     check(pfpl::RelQuantizer<double>(eps), f64, eps, EbType::REL, "f64 REL");
     check(pfpl::RelQuantizer<float>(eps), f32, eps, EbType::REL, "f32 REL");
-    const double noa64 = eps * fpmath::finite_range(std::span<const double>(f64));
-    const double noa32 = eps * fpmath::finite_range(std::span<const float>(f32));
+    const double noa64 = fpmath::noa_bound(eps, std::span<const double>(f64));
+    const double noa32 = fpmath::noa_bound(eps, std::span<const float>(f32));
     check(pfpl::AbsQuantizer<double>(noa64), f64, noa64, EbType::NOA, "f64 NOA");
     check(pfpl::AbsQuantizer<float>(noa32), f32, noa32, EbType::NOA, "f32 NOA");
   }
@@ -243,4 +247,120 @@ TEST(BoundPredicate, X87AcceptedViolationIsStoredLosslessly) {
   EXPECT_NE(w, 0x800000057fa68ull);  // the x87 build's bin word
   EXPECT_TRUE(oracle::rel_holds(v, q.decode(w), eps));
   EXPECT_EQ(fpmath::to_bits(q.decode(w)), fpmath::to_bits(v));
+}
+
+namespace {
+
+double up(double x, int ulps) {
+  for (int i = 0; i < ulps; ++i) x = std::nextafter(x, HUGE_VAL);
+  return x;
+}
+
+/// Compresses `field` under NOA eps and checks every decoded value against
+/// the exact bound over the field's finite range.
+template <typename T>
+std::size_t noa_round_trip_violations(const std::vector<T>& field, double eps) {
+  const fpmath::FiniteRange range = fpmath::finite_range(std::span<const T>(field));
+  const Bytes c = pfpl::compress(Field(field.data(), field.size()), {eps, EbType::NOA});
+  const std::vector<u8> raw = pfpl::decompress(c);
+  const T* back = reinterpret_cast<const T*>(raw.data());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < field.size(); ++i)
+    if (std::isfinite(field[i]) && !oracle::noa_holds(field[i], back[i], eps, range.min,
+                                                       range.max) && ++bad <= 5)
+      ADD_FAILURE() << std::hexfloat << "eps=" << eps << " v=" << field[i] << " r=" << back[i];
+  return bad;
+}
+
+}  // namespace
+
+TEST(NoaBound, KnownAnswers) {
+  EXPECT_EQ(fpmath::noa_bound(1e-3, 5.0, 5.0), 0.0);
+  EXPECT_EQ(fpmath::noa_bound(0.0, -1.0, 1.0), 0.0);
+  EXPECT_EQ(fpmath::noa_bound(0.25, -1.0, 3.0), 1.0);
+  // 0.5 * (DBL_MAX - -DBL_MAX) is DBL_MAX exactly, though the range overflows.
+  EXPECT_EQ(fpmath::noa_bound(0.5, -DBL_MAX, DBL_MAX), DBL_MAX);
+  const double wide = fpmath::noa_bound(1e-3, -1e308, 1e308);
+  EXPECT_TRUE(std::isfinite(wide));
+  EXPECT_TRUE(oracle::noa_within(wide, 1e-3, -1e308, 1e308));
+  EXPECT_FALSE(oracle::noa_within(up(wide, 3), 1e-3, -1e308, 1e308));
+}
+
+TEST(NoaBound, NeverAboveTheExactProduct) {
+  // Ranges of every magnitude: mixed signs, one end at 0, both positive,
+  // both negative; eps from 0.4 down to the smallest subnormal. The bound
+  // never exceeds eps * (max - min) and is within three ulps of it. With
+  // min = 0 the range is exact and the bound is the largest double below.
+  std::mt19937_64 rng(8);
+  std::size_t checked = 0, largest = 0;
+  for (double eps : {0.4, 1e-1, 1e-3, 0x1p-10, 1e-7, 1e-300, 0x1p-1074})
+    for (int i = 0; i < 4000; ++i) {
+      double lo = random_double(rng, -1074, 1023), hi = random_double(rng, -1074, 1023);
+      if (i % 4 == 0) lo = -lo;
+      if (i % 4 == 1) lo = 0;
+      if (i % 4 == 3) lo = -lo, hi = -hi;
+      if (lo > hi) std::swap(lo, hi);
+      const double q = fpmath::noa_bound(eps, lo, hi);
+      ++checked;
+      EXPECT_TRUE(oracle::noa_within(q, eps, lo, hi))
+          << std::hexfloat << "eps=" << eps << " [" << lo << ", " << hi << "] q=" << q;
+      EXPECT_FALSE(oracle::noa_within(up(q, 3), eps, lo, hi))
+          << std::hexfloat << "eps=" << eps << " [" << lo << ", " << hi << "] q=" << q;
+      if (lo == 0 && q >= 0x1p-968) {
+        ++largest;
+        EXPECT_FALSE(oracle::noa_within(up(q, 1), eps, lo, hi))
+            << std::hexfloat << "eps=" << eps << " hi=" << hi << " q=" << q;
+      }
+    }
+  EXPECT_EQ(checked, 28000u);
+  EXPECT_GT(largest, 1000u);
+}
+
+TEST(NoaBound, RoundedUpProductIsNotAccepted) {
+  // f64, eps = 1e-3, R in [1, 1000]. Where fl(eps * R) rounds above the
+  // exact product, the field {0, R, fl(eps * R)} may decode its third value
+  // to 0: an error past the bound that a check against the same rounded
+  // product accepts. The stored bound and both verifiers must reject it.
+  std::mt19937_64 rng(9);
+  std::uniform_real_distribution<double> dist(1.0, 1000.0);
+  const double eps = 1e-3;
+  std::size_t rounded_up = 0;
+  for (int i = 0; i < 200; ++i) {
+    const double range = dist(rng);
+    if (oracle::noa_within(eps * range, eps, 0, range)) continue;
+    ++rounded_up;
+    const std::vector<double> field = {0.0, range, eps * range};
+    EXPECT_EQ(noa_round_trip_violations(field, eps), 0u) << std::hexfloat << range;
+    const std::vector<double> at_rounded_bound = {0.0, range, 0.0};
+    EXPECT_EQ(metrics::count_violations(std::span<const double>(field),
+                                        std::span<const double>(at_rounded_bound), eps,
+                                        EbType::NOA),
+              1u)
+        << std::hexfloat << range;
+  }
+  EXPECT_GT(rounded_up, 50u);
+}
+
+TEST(NoaBound, EveryFiniteFieldCompresses) {
+  // A span of +-1e308 overflows max - min, but its bound is finite: the
+  // field compresses and every value holds the exact bound.
+  std::mt19937_64 rng(10);
+  std::vector<double> wide = {-1e308, 1e308};
+  for (int i = 0; i < 5000; ++i)
+    wide.push_back(std::ldexp(static_cast<double>(static_cast<i64>(rng() >> 11)) - 0x1p52,
+                              971 + static_cast<int>(rng() % 52)));
+  for (double eps : {1e-1, 1e-3, 1e-6}) EXPECT_EQ(noa_round_trip_violations(wide, eps), 0u);
+
+  // Ordinary fields, f32 and f64, over many magnitudes.
+  std::vector<double> f64;
+  std::vector<float> f32;
+  for (int i = 0; i < 20000; ++i) {
+    const double x = random_double(rng, -20, 20) * ((rng() & 1) ? 1 : -1);
+    f64.push_back(x);
+    f32.push_back(static_cast<float>(x));
+  }
+  for (double eps : {1e-1, 1e-3, 1e-4, 1e-6}) {
+    EXPECT_EQ(noa_round_trip_violations(f64, eps), 0u);
+    EXPECT_EQ(noa_round_trip_violations(f32, eps), 0u);
+  }
 }

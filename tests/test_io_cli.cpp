@@ -17,7 +17,7 @@
 #include "common/cpu.hpp"
 #include "data/rng.hpp"
 #include "io/raw_file.hpp"
-#include "obs/json.hpp"
+#include "json_value.hpp"
 
 using namespace repro;
 namespace fs = std::filesystem;
@@ -611,11 +611,12 @@ TEST_F(CliTest, ProfileJsonSchema) {
   std::string out;
   ASSERT_EQ(run_out(cli + " profile --json --suite CESM-ATM", out), 0);
   const obs::JsonValue doc = obs::parse_json(out);
-  EXPECT_EQ(doc.at("schema").str, "pfpl-profile/1");
+  EXPECT_EQ(doc.at("schema").str, "pfpl-metrics/1");
+  const obs::JsonValue& stats = doc.at("stats");
   // The rung the tables measured: this CPU's, as the CLI has no knob to move it.
-  EXPECT_EQ(doc.at("isa").str, common::isa_name(common::isa()));
-  ASSERT_EQ(doc.at("groups").arr.size(), 1u);
-  EXPECT_EQ(doc.at("groups").arr[0].at("dtype").str, "f32");
+  EXPECT_EQ(stats.at("isa").str, common::isa_name(common::isa()));
+  ASSERT_EQ(stats.at("groups").arr.size(), 1u);
+  EXPECT_EQ(stats.at("groups").arr[0].at("dtype").str, "f32");
 }
 
 TEST_F(CliTest, NumericFlagRanges) {
@@ -644,8 +645,6 @@ TEST_F(CliTest, NumericFlagRanges) {
       {"--flight-depth", "1", kInt, kIntAbove},
       {"--stall-ms", "0", kU64, kU64Above},
       {"--metrics-port", "0", "65535", "65536"},
-      {"--interval-ms", "1", kInt, kIntAbove},
-      {"--count", "0", kInt, kIntAbove},
       {"--max-conns", "0", kU64, kU64Above},
       {"--frames", "1", kU64, kU64Above},
       {"--values", "1", kU64, kU64Above},
@@ -672,6 +671,11 @@ TEST_F(CliTest, MissingValueAndUnknownFlagExitTwo) {
   EXPECT_EQ(exit_code(list + " --store"), 2);
   EXPECT_EQ(exit_code(list + " --trace"), 2);
   EXPECT_EQ(exit_code(list + " --no-such-flag"), 2);
+  // Retired with `pfpl top`: --report FILE and the server's --history cover them.
+  EXPECT_EQ(exit_code(list + " --metrics"), 2);
+  EXPECT_EQ(exit_code(list + " --interval-ms 1"), 2);
+  EXPECT_EQ(exit_code(list + " --count 1"), 2);
+  EXPECT_EQ(exit_code(cli + " top --host 127.0.0.1:1"), 2);
   EXPECT_EQ(exit_code(cli + " c " + in + " " + comp + " --eps"), 2);
   EXPECT_EQ(exit_code(cli + " c " + in + " " + comp + " --eps 1e-3 --no-such-flag"), 2);
   EXPECT_FALSE(fs::exists(comp));
@@ -685,103 +689,49 @@ TEST_F(CliTest, TraceAndReportFromAnyPosition) {
        {cli + " --trace " + trace + " --report " + report + c_args,
         cli + " c " + in + " --trace " + trace + " " + comp + " --report " + report +
             " --eps 1e-3",
-        cli + c_args + "--report " + report + " --trace " + trace + " --metrics"}) {
+        cli + c_args + "--report " + report + " --trace " + trace}) {
     fs::remove(trace);
     fs::remove(report);
     ASSERT_EQ(run(cmd), 0) << cmd;
     ASSERT_TRUE(fs::exists(trace)) << cmd;
     EXPECT_TRUE(obs::parse_json(slurp(trace)).has("traceEvents")) << cmd;
     ASSERT_TRUE(fs::exists(report)) << cmd;
-    EXPECT_TRUE(obs::parse_json(slurp(report)).is_object()) << cmd;
+    EXPECT_EQ(obs::parse_json(slurp(report)).at("schema").str, "pfpl-metrics/1") << cmd;
   }
   fs::remove(trace);
   fs::remove(report);
 }
 
-// ------------------------------------------------- pfpl top rate windows ---
+TEST_F(CliTest, ServeReportIsTheFinalMetricsDocument) {
+  // `pfpl serve --report F` writes the document a final METRICS reply would
+  // carry: schema pfpl-metrics/1 with the server's STATS object.
+  const std::string report = tmp_path("serve.report.json");
+  fs::remove(report);
+  FILE* server = popen(("timeout 60 " + cli + " serve --bind 127.0.0.1 --port 0 --threads 1"
+                        " --report " + report + " 2>/dev/null").c_str(),
+                       "r");
+  ASSERT_NE(server, nullptr);
+  char line[512] = {};
+  ASSERT_NE(std::fgets(line, sizeof line, server), nullptr);
+  unsigned port = 0;
+  ASSERT_EQ(std::sscanf(line, "pfpl: serving on 127.0.0.1:%u", &port), 1) << line;
+  const std::string host = " --host 127.0.0.1:" + std::to_string(port);
+  std::string live;
+  EXPECT_EQ(run(cli + " remote compress " + in + " " + comp + " --eps 1e-3" + host), 0);
+  EXPECT_EQ(run_out(cli + " remote stats" + host, live), 0);
+  EXPECT_EQ(run(cli + " remote shutdown" + host), 0);
+  for (char buf[512]; std::fgets(buf, sizeof buf, server);) {
+  }
+  EXPECT_EQ(pclose(server), 0);
 
-#include "cli/top_window.hpp"
-
-namespace {
-
-cli::TopSample sample_at(double t, double req, double rx, double tx) {
-  cli::TopSample s;
-  s.t = t;
-  s.req = req;
-  s.bytes_rx = rx;
-  s.bytes_tx = tx;
-  return s;
-}
-
-}  // namespace
-
-TEST(TopWindow, ComputesRatesFromCounterDeltas) {
-  cli::TopSample a = sample_at(10.0, 100, 1e6, 2e6);
-  cli::TopSample b = sample_at(12.0, 150, 3e6, 6e6);
-  b.hits = 30;
-  b.misses = 10;
-  cli::TopWindow w = cli::compute_window(a, b, 2.0);
-  EXPECT_FALSE(w.reset);
-  EXPECT_DOUBLE_EQ(w.dt, 2.0);
-  EXPECT_DOUBLE_EQ(w.rps, 25.0);
-  EXPECT_DOUBLE_EQ(w.rx_mbps, 1.0);
-  EXPECT_DOUBLE_EQ(w.tx_mbps, 2.0);
-  EXPECT_TRUE(w.have_hit);
-  EXPECT_DOUBLE_EQ(w.hit_pct, 75.0);
-}
-
-TEST(TopWindow, ServerRestartReAnchorsInsteadOfNegativeRates) {
-  // A restarted server's counters re-start at zero: the raw delta would be
-  // hugely negative. The window must flag the reset and zero the rates.
-  cli::TopSample before = sample_at(10.0, 5000, 8e8, 9e8);
-  cli::TopSample after = sample_at(12.0, 12, 1e4, 2e4);  // fresh process
-  after.has_hist = true;
-  after.p50 = 40;
-  after.p95 = 90;
-  after.p99 = 99;
-  cli::TopWindow w = cli::compute_window(before, after, 2.0);
-  EXPECT_TRUE(w.reset);
-  EXPECT_DOUBLE_EQ(w.rps, 0.0);
-  EXPECT_DOUBLE_EQ(w.rx_mbps, 0.0);
-  // Lifetime quantiles of the NEW process are still meaningful.
-  EXPECT_DOUBLE_EQ(w.p50, 40);
-  EXPECT_DOUBLE_EQ(w.p99, 99);
-
-  // Histogram bucket shrink alone is also a reset, even when the scalar
-  // counters happen to have caught back up.
-  cli::TopSample h1 = sample_at(1.0, 10, 0, 0);
-  h1.has_hist = true;
-  h1.bounds = {10, 100};
-  h1.buckets = {5, 3, 1};
-  cli::TopSample h2 = sample_at(2.0, 20, 0, 0);
-  h2.has_hist = true;
-  h2.bounds = {10, 100};
-  h2.buckets = {2, 0, 0};
-  EXPECT_TRUE(cli::counters_went_backwards(h1, h2));
-  EXPECT_TRUE(cli::compute_window(h1, h2, 1.0).reset);
-}
-
-TEST(TopWindow, WindowedQuantilesFromBucketDeltas) {
-  cli::TopSample a = sample_at(0.0, 0, 0, 0);
-  a.has_hist = true;
-  a.bounds = {10, 100, 1000};
-  a.buckets = {0, 0, 0, 0};
-  cli::TopSample b = sample_at(1.0, 10, 0, 0);
-  b.has_hist = true;
-  b.bounds = a.bounds;
-  b.buckets = {8, 1, 1, 0};  // 10 new samples this window
-  cli::TopWindow w = cli::compute_window(a, b, 1.0);
-  EXPECT_DOUBLE_EQ(w.p50, 10);    // 5th sample in the first bucket
-  EXPECT_DOUBLE_EQ(w.p95, 1000);  // 9.5th sample lands in the third bucket
-  // Idle window (no new samples): fall back to lifetime quantiles.
-  cli::TopSample c = b;
-  c.t = 2.0;
-  c.p50 = 12;
-  c.p95 = 120;
-  c.p99 = 800;
-  cli::TopWindow idle = cli::compute_window(b, c, 1.0);
-  EXPECT_DOUBLE_EQ(idle.p50, 12);
-  EXPECT_DOUBLE_EQ(idle.p95, 120);
-  // Empty-delta quantile helper reports "unavailable" rather than a bound.
-  EXPECT_DOUBLE_EQ(cli::bucket_quantile({10, 100}, {0, 0, 0}, 0.5), -1);
+  const obs::JsonValue doc = obs::parse_json(slurp(report));
+  EXPECT_EQ(doc.at("schema").str, "pfpl-metrics/1");
+  const obs::JsonValue& stats = doc.at("stats");
+  const obs::JsonValue reply = obs::parse_json(live);
+  std::vector<std::string> want, got;
+  for (const auto& [k, v] : reply.obj) want.push_back(k);
+  for (const auto& [k, v] : stats.obj) got.push_back(k);
+  EXPECT_EQ(got, want);
+  EXPECT_GE(stats.at("requests_compress").num, 1);
+  fs::remove(report);
 }

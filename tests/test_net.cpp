@@ -26,13 +26,13 @@
 
 #include "common/checksum.hpp"
 #include "core/pfpl.hpp"
+#include "json_value.hpp"
 #include "net/backoff.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "obs/control.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "store/store.hpp"

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <future>
@@ -17,12 +18,12 @@
 #include <vector>
 
 #include "common/timer.hpp"
+#include "json_value.hpp"
 #include "obs/control.hpp"
 #include "obs/event_log.hpp"
 #include "obs/exposition.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "svc/thread_pool.hpp"
 
@@ -302,40 +303,19 @@ TEST(ObsTrace, DisabledModeRecordsNoSpans) {
   EXPECT_EQ(rec.thread_count(), 0u);
 }
 
-// -------------------------------------------------------------- report -----
-
-TEST(ObsReport, FoldsMetricsSpansAndSections) {
-  ObsGuard guard(true);
-  auto& rec = obs::TraceRecorder::global();
-  rec.clear();
-  obs::RunReport& report = obs::RunReport::global();
-  report.clear();
-  { OBS_SPAN("report_span"); }
-  report.set_meta("tool", "test");
-  report.add_run_times("case/compress", {1.5, 2.5, 2.0});
-  report.add_section("custom", "{\"answer\":42}");
-
-  obs::JsonValue v = obs::parse_json(report.json());
-  EXPECT_EQ(v.at("meta").at("tool").str, "test");
-  ASSERT_TRUE(v.at("spans").has("report_span"));
-  EXPECT_DOUBLE_EQ(v.at("spans").at("report_span").at("count").num, 1);
-  ASSERT_EQ(v.at("run_times_ms").at("case/compress").arr.size(), 3u);
-  EXPECT_DOUBLE_EQ(v.at("sections").at("custom").at("answer").num, 42);
-  report.clear();
-  rec.clear();
-}
-
 // ----------------------------------------------------- timer satellite -----
 
 TEST(ObsTimer, MedianRuntimeRecordsPerRunTimes) {
-  std::vector<double> per_run;
+  // Runs of 0, 60, 0, 60, 0 ms: the median is one of the instant runs.
   int calls = 0;
-  double med = median_runtime([&] { ++calls; }, 5, &per_run);
+  const double med = median_runtime(
+      [&] {
+        if (calls++ % 2) std::this_thread::sleep_for(std::chrono::milliseconds(60));
+      },
+      5);
   EXPECT_EQ(calls, 5);
-  ASSERT_EQ(per_run.size(), 5u);
-  std::vector<double> sorted = per_run;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_DOUBLE_EQ(med, sorted[2]);
+  EXPECT_GE(med, 0.0);
+  EXPECT_LT(med, 0.03);
 }
 
 // ------------------------------------------------- ThreadPool counters -----

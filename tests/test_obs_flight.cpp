@@ -1,5 +1,5 @@
 // Tests for the flight-recorder subsystem added with kernel attribution:
-// per-kernel byte/time accounting, the stall watchdog, the async-signal-safe
+// per-kernel nanosecond accounting, the stall watchdog, the async-signal-safe
 // crash reporter (validated by actually crashing a forked child), the
 // FlightRecorder ring + /history document round-trip, and the stall dump.
 #include <gtest/gtest.h>
@@ -20,10 +20,10 @@
 #include <vector>
 
 #include "core/pfpl.hpp"
+#include "json_value.hpp"
 #include "obs/control.hpp"
 #include "obs/crash.hpp"
 #include "obs/flight.hpp"
-#include "obs/json.hpp"
 #include "obs/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -61,20 +61,18 @@ TEST(ObsKernels, AttributesAllEightKernelsOnRoundTrip) {
 
   const std::vector<obs::KernelStat> stats = obs::kernel_stats();
   ASSERT_EQ(stats.size(), static_cast<std::size_t>(obs::kKernelCount));
-  u64 encode_us = 0;
+  u64 encode_ns = 0;
   for (const obs::KernelStat& st : stats) {
     EXPECT_GT(st.calls, 0u) << st.name;
-    EXPECT_GT(st.bytes, 0u) << st.name;
-    if (st.encode) encode_us += st.us;
+    EXPECT_EQ(st.bytes, v.size() * sizeof(float)) << st.name;
+    if (st.encode) encode_ns += st.ns;
   }
-  // Per-call flooring guarantees the attributed encode time can never exceed
-  // the enclosing per-chunk encode time (the `pfpl profile` invariant).
-  const u64 chunk_us =
-      static_cast<u64>(obs::MetricsRegistry::global().histogram("core.encode_chunk_us").sum());
-  EXPECT_LE(encode_us, chunk_us + 1);  // +1: quantize is timed outside chunks
+  // The kernel spans nest inside the chunk span and share its clock, so the
+  // attributed encode time never exceeds the per-chunk total.
+  EXPECT_LE(encode_ns, obs::encode_chunk_ns());
 
-  // The report JSON parses and covers both directions.
-  obs::JsonValue rep = obs::parse_json(obs::kernel_report_json());
+  // The JSON parses and covers both directions.
+  obs::JsonValue rep = obs::parse_json(obs::kernel_json());
   ASSERT_TRUE(rep.at("encode").is_array());
   ASSERT_TRUE(rep.at("decode").is_array());
   EXPECT_EQ(rep.at("encode").arr.size(), 4u);
@@ -87,6 +85,23 @@ TEST(ObsKernels, AttributesAllEightKernelsOnRoundTrip) {
   EXPECT_FALSE(obs::kernel_table_text().empty());
 }
 
+TEST(ObsKernels, TinyFieldRecordsNanoseconds) {
+  // 64 f32 values: every kernel runs for well under a microsecond, which a
+  // whole-microsecond timer floors to 0. The nanosecond sums stay above 0.
+  ObsGuard guard(true);
+  obs::MetricsRegistry::global().reset();
+  auto v = smooth(64);
+  Bytes c = pfpl::compress(Field(v.data(), v.size()), {1e-3, EbType::ABS});
+  ASSERT_EQ(pfpl::decompress(c).size(), v.size() * sizeof(float));
+  u64 encode_ns = 0;
+  for (const obs::KernelStat& st : obs::kernel_stats()) {
+    EXPECT_EQ(st.calls, 1u) << st.name;
+    EXPECT_GT(st.ns, 0u) << st.name;
+    if (st.encode) encode_ns += st.ns;
+  }
+  EXPECT_LE(encode_ns, obs::encode_chunk_ns());
+}
+
 TEST(ObsKernels, DisabledRecordsNothing) {
   ObsGuard guard(false);
   obs::MetricsRegistry::global().reset();
@@ -95,8 +110,9 @@ TEST(ObsKernels, DisabledRecordsNothing) {
   (void)pfpl::decompress(c);
   for (const obs::KernelStat& st : obs::kernel_stats()) {
     EXPECT_EQ(st.calls, 0u) << st.name;
-    EXPECT_EQ(st.bytes, 0u) << st.name;
+    EXPECT_EQ(st.ns, 0u) << st.name;
   }
+  EXPECT_EQ(obs::encode_chunk_ns(), 0u);
   EXPECT_TRUE(obs::kernel_table_text().empty());
 }
 
