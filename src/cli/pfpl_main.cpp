@@ -635,12 +635,17 @@ int pfpa_stats(const std::string& path, bool json) {
 int pfpl_stats(const std::string& path, bool json) {
   const Bytes in = io::read_file(path);
   const pfpl::Header h = pfpl::peek_header(in);
+  const pfpl::GuaranteeCost g = pfpl::guarantee_cost(in);
   const double r = ratio(static_cast<double>(h.value_count) * dtype_size(h.dtype), in.size());
   if (!json) {
     std::printf("%s: pfpl stream, dtype=%s eb=%s eps=%g recon_param=%g values=%llu chunks=%u "
-                "compressed=%zu ratio=%.3f\n",
+                "compressed=%zu ratio=%.3f values_lossless=%llu chunks_raw=%llu "
+                "first_lossless_chunk=%lld\n",
                 path.c_str(), to_string(h.dtype), to_string(h.eb_type), h.eps, h.recon_param,
-                static_cast<unsigned long long>(h.value_count), h.chunk_count, in.size(), r);
+                static_cast<unsigned long long>(h.value_count), h.chunk_count, in.size(), r,
+                static_cast<unsigned long long>(g.values_lossless),
+                static_cast<unsigned long long>(g.chunks_raw),
+                static_cast<long long>(g.first_lossless_chunk));
     return 0;
   }
   obs::JsonWriter w;
@@ -655,6 +660,9 @@ int pfpl_stats(const std::string& path, bool json) {
   w.kv("chunks", static_cast<unsigned long long>(h.chunk_count));
   w.kv("compressed_bytes", static_cast<unsigned long long>(in.size()));
   w.kv("ratio", r);
+  w.kv("values_lossless", static_cast<unsigned long long>(g.values_lossless));
+  w.kv("chunks_raw", static_cast<unsigned long long>(g.chunks_raw));
+  w.kv("first_lossless_chunk", static_cast<long long>(g.first_lossless_chunk));
   w.end_object();
   std::printf("%s\n", w.str().c_str());
   return 0;

@@ -253,6 +253,29 @@ ChunkTable read_chunk_table(const Bytes& stream) {
   return t;
 }
 
+GuaranteeCost guarantee_cost(const Bytes& stream) {
+  const ChunkTable t = read_chunk_table(stream);
+  const u64 cw = chunk_values(t.header.dtype);
+  GuaranteeCost g;
+  with_quantizer(t.header, [&](const auto& q) {
+    using Q = std::decay_t<decltype(q)>;
+    using Bits = typename Q::Bits;
+    for (std::size_t c = 0; c < t.sizes.size(); ++c) {
+      const std::size_t k = std::min(cw, t.header.value_count - c * cw);
+      const std::size_t csize = t.sizes[c] & ~kRawChunkFlag;
+      const bool compressed = (t.sizes[c] & kRawChunkFlag) == 0;
+      Bits* const words = bits::chunk_scratch().quantized<Bits>(k);
+      check_chunk_consumed(chunk_decode(stream.data() + t.offsets[c], csize, compressed, words, k),
+                           csize);
+      const auto n = std::count_if(words, words + k, [](Bits w) { return !Q::is_bin(w); });
+      if (n > 0 && g.first_lossless_chunk < 0) g.first_lossless_chunk = static_cast<i64>(c);
+      g.values_lossless += static_cast<u64>(n);
+      g.chunks_raw += !compressed;
+    }
+  });
+  return g;
+}
+
 void decode_chunk(const Bytes& stream, const ChunkTable& t, std::size_t c, Executor exec,
                   void* values) {
   const u64 cw = chunk_values(t.header.dtype);

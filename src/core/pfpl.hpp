@@ -59,6 +59,19 @@ std::vector<u8> decompress(const Bytes& stream, Executor exec = Executor::Serial
 /// Header of a compressed stream (for inspecting dtype/eb/count).
 Header peek_header(const Bytes& stream);
 
+/// What the error-bound guarantee cost a stream (paper Section III-B): the
+/// words that hold a value's bit pattern instead of a bin, the chunks stored
+/// raw, and the first chunk with such a word (-1: none).
+struct GuaranteeCost {
+  u64 values_lossless = 0;
+  u64 chunks_raw = 0;
+  i64 first_lossless_chunk = -1;
+};
+
+/// One serial lossless decode of every chunk, without dequantizing. Throws
+/// CompressionError on a stream decompress() would reject.
+GuaranteeCost guarantee_cost(const Bytes& stream);
+
 template <typename T>
 std::vector<T> decompress_as(const Bytes& stream, Executor exec = Executor::Serial) {
   std::vector<u8> raw = decompress(stream, exec);

@@ -44,6 +44,9 @@
 //         the exact rounding errors;
 //     plus the k mod kW tail, and every value when the ABS quantizer is in
 //     degenerate mode (eps below the smallest normal: only exact zeros bin).
+//   * A REL encode step whose in-range lanes all lie inside the quantizer's
+//     RelMargin skips det_exp and the check, which provably pass there
+//     (DESIGN.md §8.1, "The margin path"); any other step runs them all.
 #pragma once
 
 #include <type_traits>
@@ -71,6 +74,7 @@ struct AbsConsts {
 };
 struct RelConsts {
   double eps, scale, two_log;
+  RelMargin margin;
 };
 
 // --- Lanes<G>: G independent groups ------------------------------------------
@@ -217,30 +221,58 @@ PFPL_LANE_KERNEL void abs_decode(const AbsQuantizer<T>& q, AbsConsts c, const Bi
 /// Avx512 rung does twice the work per operation at the same G.
 constexpr int kGroups = 8;
 
-/// rel_encode on the kW*G values at `in`: G groups through det_log/det_exp
-/// together, then each group's verify, store and fallback on its own.
-template <typename T, int G>
+/// The REL lanes that may bin: finite nonzero values whose bin bd is
+/// representable. Zero is read from the word `b`, as the scalar code does:
+/// under DAZ a subnormal == 0.
+template <typename T>
+PFPL_LANE_FN M rel_in_range(D a, D bd, I b) {
+  using Q = RelQuantizer<T>;
+  const D inf = splat(fpmath::from_bits<double>(FloatTraits<double>::pos_inf));
+  const M is_zero = eq64(~splat64(FloatTraits<T>::sign_mask) & b, splat64(0));
+  return a_not_b(both(both(lt(a, inf), ge(bd, splat(static_cast<double>(1 - Q::bias)))),
+                      le(bd, splat(static_cast<double>(Q::u_max - Q::bias)))),
+                 is_zero);
+}
+
+/// rel_encode on the kW*G values at `in`: G groups through det_log together.
+/// With kMargin, every lane's range and margin test follows, and when each
+/// in-range lane of the step lies inside the margin (DESIGN.md §8.1, "The
+/// margin path") the step stores the bins as they are. Otherwise the G
+/// groups run det_exp together, and each group's verify, store and fallback
+/// follow on its own.
+template <typename T, int G, bool kMargin>
 PFPL_LANE_FN void rel_encode_step(const RelQuantizer<T>& q, const RelConsts& c, const T* in,
                                   BitsOf<T>* out) {
   using Q = RelQuantizer<T>;
   using FT = FloatTraits<T>;
   const D scale = splat(c.scale);
-  const D lo_bin = splat(static_cast<double>(1 - Q::bias));
-  const D hi_bin = splat(static_cast<double>(Q::u_max - Q::bias));
+  const D near = splat(c.margin.near), guard_lo = splat(c.margin.lo), guard_hi = splat(c.margin.hi);
   const D bias = splat(static_cast<double>(Q::bias));
-  const D inf = splat(fpmath::from_bits<double>(FloatTraits<double>::pos_inf));
   const I sign_mask = splat64(FT::sign_mask), ones = splat64(kOnes<T>);
   const I zero64 = splat64(0);
   const auto scalar = [&q](T v) { return q.encode(v); };
   Lanes<G> av, bd;
-  Masks<G> exp_ok;
   for (int j = 0; j < G; ++j) {
     I b;
     av.g[j] = absval(load_values(in + kW * j, b));
   }
   const Lanes<G> lg = det_log(av);
-  for (int j = 0; j < G; ++j) bd.g[j] = round_ne(lg.g[j] * scale);
-  const Lanes<G> rec = det_exp(bd * c.two_log, exp_ok);
+  unsigned checked = !kMargin;  // in-range lanes outside the margin
+  for (int j = 0; j < G; ++j) {
+    const D t = lg.g[j] * scale;
+    bd.g[j] = round_ne(t);
+    if constexpr (kMargin) {
+      I b;
+      load_values(in + kW * j, b);
+      // t - bd is exact (Sterbenz, or bd == 0).
+      const M margin = both(le(absval(t - bd.g[j]), near),
+                            both(ge(bd.g[j], guard_lo), le(bd.g[j], guard_hi)));
+      checked |= lane_bits(a_not_b(rel_in_range<T>(av.g[j], bd.g[j], b), margin));
+    }
+  }
+  Lanes<G> rec;
+  Masks<G> exp_ok;
+  if (checked) rec = det_exp(bd * c.two_log, exp_ok);
   for (int j = 0; j < G; ++j) {
     I b;
     const D v = load_values(in + kW * j, b), a = av.g[j];
@@ -249,19 +281,19 @@ PFPL_LANE_FN void rel_encode_step(const RelQuantizer<T>& q, const RelConsts& c, 
     const I sign = shr(b, FT::total_bits - 1);
     // NaNs are made positive before the inversion; infinities just inverted.
     const I raw = select(is_nan(v), ~sign_mask & b, b) ^ ones;
-    // Finite nonzero values whose bin is representable.
-    const M in_range =
-        a_not_b(both(both(lt(a, inf), ge(bd.g[j], lo_bin)), le(bd.g[j], hi_bin)), is_zero);
+    const I word = shl(to_i64(bd.g[j] + bias), 1) | sign;
+    const M in_range = rel_in_range<T>(a, bd.g[j], b);
+    if (!checked) {
+      store_words<T>(out + kW * j, select(is_zero, sign, select(in_range, word, raw)));
+      continue;
+    }
     const D r = to_value<T>(rec.g[j]);
     // fpmath::rel_bound_holds; an inf r gives d = inf, so p < d or a tie.
     const D lo = min_pd(r, a), hi = max_pd(a, r);
     const D p = lo * c.eps, d = hi - lo;
     const M ok = gt(p, d);
     const M undecided = either(a_not_b(in_range, exp_ok.g[j]), both(in_range, eq(p, d)));
-    const I u = to_i64(bd.g[j] + bias);
-    const I word = shl(u, 1) | sign;
-    const I res = select(is_zero, sign, select(both(in_range, ok), word, raw));
-    store_words<T>(out + kW * j, res);
+    store_words<T>(out + kW * j, select(is_zero, sign, select(both(in_range, ok), word, raw)));
     rerun(undecided, in + kW * j, out + kW * j, scalar);
   }
 }
@@ -295,14 +327,29 @@ PFPL_LANE_FN void rel_decode_step(const RelQuantizer<T>& q, const RelConsts& c,
   }
 }
 
+template <typename T, bool kMargin>
+PFPL_LANE_FN void rel_encode_steps(const RelQuantizer<T>& q, const RelConsts& c, const T* in,
+                                   BitsOf<T>* out, std::size_t k) {
+  std::size_t i = 0;
+  for (; i + kW * kGroups <= k; i += kW * kGroups)
+    rel_encode_step<T, kGroups, kMargin>(q, c, in + i, out + i);
+  for (; i + kW <= k; i += kW) rel_encode_step<T, 1, kMargin>(q, c, in + i, out + i);
+  for (; i < k; ++i) out[i] = q.encode(in[i]);
+}
+
+/// The margin test costs 7-15% of a step that runs det_exp anyway
+/// (EXPERIMENTS.md), so it runs only where a step often skips det_exp: with
+/// t's fraction spread evenly, while a full step holds at most one lane
+/// outside the margin on average (2m * kW * kGroups <= 1, m = 0.5 - near).
+/// That keeps f32 at eps 1e-5 (m = 0.003) on it at both rungs, and f32 at
+/// 1e-7 (m = 0.3), where nearly every step runs det_exp, off it.
 template <typename T>
 PFPL_LANE_KERNEL void rel_encode(const RelQuantizer<T>& q, RelConsts c, const T* in,
                                  BitsOf<T>* out, std::size_t k) {
-  std::size_t i = 0;
-  for (; i + kW * kGroups <= k; i += kW * kGroups)
-    rel_encode_step<T, kGroups>(q, c, in + i, out + i);
-  for (; i + kW <= k; i += kW) rel_encode_step<T, 1>(q, c, in + i, out + i);
-  for (; i < k; ++i) out[i] = q.encode(in[i]);
+  if (c.margin.near >= 0 && 2 * (0.5 - c.margin.near) * kW * kGroups <= 1)
+    rel_encode_steps<T, true>(q, c, in, out, k);
+  else
+    rel_encode_steps<T, false>(q, c, in, out, k);
 }
 
 template <typename T>
@@ -328,7 +375,7 @@ void tier::Kernels::encode(const Q& q, const typename Q::Value* in, typename Q::
 #if defined(__x86_64__) || defined(__i386__)
   using T = typename Q::Value;
   if constexpr (std::is_same_v<Q, RelQuantizer<T>>)
-    return rel_encode(q, RelConsts{q.eps_, q.scale_, q.two_log_}, in, out, k);
+    return rel_encode(q, RelConsts{q.eps_, q.scale_, q.two_log_, q.margin_}, in, out, k);
   else if (!q.degenerate_)  // in degenerate mode only exact zeros bin: nothing to vectorise
     return abs_encode(q, AbsConsts{q.eps_, q.inv_, q.two_eps_}, in, out, k);
 #endif
@@ -343,7 +390,7 @@ void tier::Kernels::decode(const Q& q, const typename Q::Bits* in, typename Q::V
   if constexpr (std::is_same_v<Q, AbsQuantizer<T>>)
     return abs_decode(q, AbsConsts{q.eps_, q.inv_, q.two_eps_}, in, out, k);
   else
-    return rel_decode(q, RelConsts{q.eps_, q.scale_, q.two_log_}, in, out, k);
+    return rel_decode(q, RelConsts{q.eps_, q.scale_, q.two_log_, {}}, in, out, k);
 #endif
   for (std::size_t i = 0; i < k; ++i) out[i] = q.decode(in[i]);
 }

@@ -29,13 +29,16 @@
 #error "core/quantizers.hpp needs IEEE semantics: build without -ffast-math and -ffinite-math-only"
 #endif
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 #include "common/cpu.hpp"
 #include "common/types.hpp"
 #include "fpmath/bound.hpp"
 #include "fpmath/det_math.hpp"
+#include "fpmath/det_poly.hpp"
 #include "fpmath/traits.hpp"
 
 namespace repro::pfpl {
@@ -157,6 +160,14 @@ class AbsQuantizer {
 // REL quantizer: logarithmic-space binning (paper Section III-A).
 // ---------------------------------------------------------------------------
 
+/// The margin path of the REL lane kernels (DESIGN.md §8.1): for a finite
+/// nonzero value whose t = det_log(|v|) * scale lies within `near` of its bin
+/// bd = round(t), with lo <= bd <= hi, the bound check of bin bd provably
+/// passes, so the lanes may bin it without det_exp. near < 0: no value.
+struct RelMargin {
+  double near = -1, lo = 0, hi = -1;
+};
+
 template <typename T>
 class RelQuantizer {
   using FT = fpmath::FloatTraits<T>;
@@ -180,9 +191,14 @@ class RelQuantizer {
       : eps_(eps), scale_(0.5 / log1p_eps), two_log_(2.0 * log1p_eps) {
     if (!(eps > 0.0) || !std::isfinite(eps))
       throw CompressionError("REL error bound must be finite and positive");
+    if (!(log1p_eps > 0.0) || !std::isfinite(log1p_eps))
+      throw CompressionError("REL log1p(eps) must be finite and positive");
+    if (log1p_eps == fpmath::det_log1p(eps)) margin_ = make_margin();
   }
 
   double log1p_eps() const { return two_log_ * 0.5; }
+
+  const RelMargin& margin() const { return margin_; }
 
   Bits encode(T v) const {
     Bits b = fpmath::to_bits(v);
@@ -244,9 +260,56 @@ class RelQuantizer {
     return static_cast<T>(fpmath::det_exp(static_cast<double>(bin) * two_log_));
   }
 
+  /// Bin b is guarded when it is a bin of the range, det_exp(b * 2L) scales
+  /// by 2^k in one multiply (k in [-1021, 1023]), and its T is normal and
+  /// finite. The guarded bins are one interval (DESIGN.md §8.1).
+  bool guarded(double b) const {
+    if (b < static_cast<double>(1 - bias) || b > static_cast<double>(u_max - bias)) return false;
+    const double x = b * two_log_;
+    const double k = fpmath::round_nearest_even(x * fpmath::poly::kInvLn2);
+    if (k < -1021 || k > 1023) return false;
+    const T r = static_cast<T>(fpmath::det_exp(x));
+    return r >= FT::min_normal && r <= std::numeric_limits<T>::max();
+  }
+
+  /// The guard range's ends, walked from their estimates to the exact last
+  /// guarded bins, and the margin m of the proof in DESIGN.md §8.1, every
+  /// step rounded up. The path stays off if m >= 0.5 or an end is not found.
+  RelMargin make_margin() const {
+    const auto up = [](double x) { return std::nextafter(x, HUGE_VAL); };
+    // ln of the largest and smallest guarded reconstruction.
+    using fpmath::poly::kLn2Hi, fpmath::poly::kLn2Lo;
+    const double ln_hi = sizeof(T) == 4 ? fpmath::det_log(std::numeric_limits<T>::max())
+                                        : 1023.5 * kLn2Hi + 1023.5 * kLn2Lo;
+    const double ln_lo = sizeof(T) == 4 ? fpmath::det_log(FT::min_normal)
+                                        : -1021.5 * kLn2Hi - 1021.5 * kLn2Lo;
+    const auto clamp = [](double b) {
+      return std::clamp(b, static_cast<double>(1 - bias), static_cast<double>(u_max - bias));
+    };
+    double hi = clamp(fpmath::round_nearest_even(ln_hi * scale_));
+    double lo = clamp(fpmath::round_nearest_even(ln_lo * scale_));
+    int steps = 8;
+    while (steps > 0 && !guarded(hi)) --hi, --steps;
+    while (steps > 0 && guarded(hi + 1)) ++hi, --steps;
+    while (steps > 0 && !guarded(lo)) ++lo, --steps;
+    while (steps > 0 && guarded(lo - 1)) --lo, --steps;
+    if (steps == 0 || lo > hi) return {};
+    // Lambda bounds |ln|v||, |det_log(|v|)| and |b * 2L| on the margin path.
+    const double u = 0x1p-53, ut = sizeof(T) == 4 ? 0x1p-24 : 0x1p-53;
+    const double L = two_log_ * 0.5;
+    const double lam = up(up(up(std::max(std::fabs(lo), std::fabs(hi)) * two_log_) + L) + 1);
+    // 6u*Lambda + 24u + 8u*L + ut*(1 + 2^-20), then / 2L.
+    const double err =
+        up(up(up(6 * u * lam) + 24 * u) + up(up(8 * u * L) + up(ut * (1 + 0x1p-20))));
+    const double m = up(err / two_log_);
+    if (!(m < 0.5)) return {};
+    return {std::nextafter(0.5 - m, 0.0), lo, hi};
+  }
+
   double eps_;
   double scale_;
   double two_log_;
+  RelMargin margin_;
 };
 
 }  // namespace repro::pfpl

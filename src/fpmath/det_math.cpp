@@ -65,6 +65,7 @@ double det_log1p(double x) {
 }
 
 double det_exp(double x) {
+  if (x != x) return x;  // NaN: the range tests below would pass it on
   if (x > 709.782712893384) return from_bits<double>(FloatTraits<double>::pos_inf);
   if (x < -745.2) return 0.0;
   // Argument reduction: x = k*ln2 + r, |r| <= ln2/2.

@@ -32,7 +32,8 @@ double det_log(double x);
 double det_log1p(double x);
 
 /// e^x for finite double x. Returns +inf on overflow and correctly scales
-/// into the denormal range on underflow (returning 0 below it).
+/// into the denormal range on underflow (returning 0 below it). NaN gives
+/// NaN.
 /// Relative error < 4e-16 for results in the normal range.
 double det_exp(double x);
 

@@ -247,6 +247,49 @@ TEST(Fuzz, PfplHeaderFieldCorruption) {
   }
 }
 
+TEST(Fuzz, PfplHeaderFieldCorruptionRelNoaF64) {
+  // The same flips over the other quantizers' headers: f32 REL and NOA, and
+  // f64 REL, whose recon_param is log1p(eps) rather than an absolute bound.
+  auto v = field_3d(5000, 5);
+  std::vector<double> v64(v.begin(), v.end());
+  const Bytes streams[] = {
+      pfpl::compress(Field(v.data(), v.size()), {1e-3, EbType::REL}),
+      pfpl::compress(Field(v.data(), v.size()), {1e-3, EbType::NOA}),
+      pfpl::compress(Field(v64.data(), v64.size()), {1e-3, EbType::REL}),
+  };
+  for (const Bytes& c : streams) {
+    std::size_t scan = std::min<std::size_t>(c.size(), 256);
+    for (std::size_t i = 0; i < scan; ++i) {
+      for (u8 bit = 0; bit < 8; ++bit) {
+        Bytes bad = c;
+        bad[i] ^= static_cast<u8>(1u << bit);
+        expect_graceful([&] { pfpl::decompress(bad); });
+      }
+    }
+  }
+}
+
+TEST(Fuzz, PfplHostileRelReconParamIsTypedError) {
+  // recon_param (bytes 16-23) is log1p(eps) for REL. A NaN there used to
+  // send det_exp into ~10^17 scaling steps per value; every value that is
+  // not finite and positive must be refused instead.
+  auto v = field_3d(5000, 5);
+  std::vector<double> v64(v.begin(), v.end());
+  const Bytes streams[] = {
+      pfpl::compress(Field(v.data(), v.size()), {1e-3, EbType::REL}),
+      pfpl::compress(Field(v64.data(), v64.size()), {1e-3, EbType::REL}),
+  };
+  for (const Bytes& c : streams) {
+    for (double bad_param : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), 0.0, -1e-3}) {
+      Bytes bad = c;
+      common::put_le(bad.data() + 16, bad_param);
+      EXPECT_THROW(pfpl::decompress(bad), CompressionError) << bad_param;
+    }
+  }
+}
+
 TEST(Fuzz, PfplRandomGarbageInput) {
   data::Rng rng(6);
   for (int t = 0; t < 200; ++t) {

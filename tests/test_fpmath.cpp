@@ -155,6 +155,41 @@ TEST(DetExp, DenormalBoundaryContinuity) {
   }
 }
 
+TEST(DetExp, NanGivesNan) {
+  // A NaN used to pass both range tests and scale by 2^INT64_MIN in steps:
+  // ~10^17 iterations.
+  EXPECT_TRUE(std::isnan(det_exp(std::numeric_limits<double>::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(det_exp(-std::numeric_limits<double>::quiet_NaN())));
+}
+
+// The error bounds that the REL margin proof (DESIGN.md §8.1) derives, with
+// u = 2^-53, checked against long double libm on samples. The margin itself
+// uses larger constants.
+namespace {
+constexpr double kU = 0x1p-53;
+}
+
+TEST(DetMathErrors, WithinTheMarginProofBounds) {
+  data::Rng rng(21);
+  for (int i = 0; i < 200000; ++i) {
+    // |det_log(a) - ln a| <= 5u + u*|ln a| over all positive finite doubles.
+    const double a = from_bits<double>(rng.next_u64() % FloatTraits<double>::pos_inf + 1);
+    const long double ln = std::log(static_cast<long double>(a));
+    const double err = static_cast<double>(std::fabs(det_log(a) - ln));
+    ASSERT_LE(err, 5 * kU + kU * static_cast<double>(std::fabs(ln))) << a;
+    // det_exp's relative error <= 3u where 2^k is one multiply.
+    const double x = rng.uniform(-708.0, 709.4);
+    const long double want = std::exp(static_cast<long double>(x));
+    ASSERT_LE(static_cast<double>(std::fabs(det_exp(x) - want) / want), 3 * kU) << x;
+    // |det_log1p(e) - ln(1+e)| <= 5u*ln(1+e) below 0.1, 6u + u*ln(1+e) above.
+    const double e = std::pow(10.0, rng.uniform(-12, 6));
+    const long double l = std::log1p(static_cast<long double>(e));
+    const double ld = static_cast<double>(l);
+    const double bound = e < 0.1 ? 5 * kU * ld : 6 * kU + kU * ld;
+    ASSERT_LE(static_cast<double>(std::fabs(det_log1p(e) - l)), bound) << e;
+  }
+}
+
 TEST(Traits, BitPatternHelpers) {
   EXPECT_TRUE(is_nan_bits<float>(to_bits(std::numeric_limits<float>::quiet_NaN())));
   EXPECT_TRUE(is_inf_bits<float>(to_bits(std::numeric_limits<float>::infinity())));

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/cpu.hpp"
 #include "data/rng.hpp"
 #include "io/raw_file.hpp"
@@ -280,6 +281,44 @@ TEST_F(CliTest, CorruptInputExitsOneNotCrash) {
   status = run(cli + " d " + comp + " " + out);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 1);
+}
+
+TEST_F(CliTest, HostileRelReconParamExitsOne) {
+  // A REL header whose log1p(eps) is not finite and positive is a corrupt
+  // stream (exit 1); a NaN there used to hang `pfpl d`.
+  ASSERT_EQ(run(cli + " c " + in + " " + comp + " --dtype f32 --eb rel --eps 1e-3"), 0);
+  const Bytes full = io::read_file(comp);
+  for (double bad_param : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), 0.0, -1e-3}) {
+    Bytes bad = full;
+    common::put_le(bad.data() + 16, bad_param);
+    io::write_file(comp, bad.data(), bad.size());
+    const int status = run("timeout 60 " + cli + " d " + comp + " " + out);
+    ASSERT_TRUE(WIFEXITED(status)) << bad_param;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << bad_param;
+  }
+}
+
+TEST_F(CliTest, StatsCountsLosslessValues) {
+  // Multiples of 2*eps bin exactly: only the NaN (chunk 0) and the value
+  // beyond the bin range (chunk 2) are stored losslessly.
+  std::vector<float> v(4 * 4096);
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = static_cast<float>(i % 1000) * 0x1p-9f;
+  v[5] = std::numeric_limits<float>::quiet_NaN();
+  v[2 * 4096 + 7] = 1e30f;
+  io::write_file(in, v.data(), v.size() * 4);
+  ASSERT_EQ(run(cli + " c " + in + " " + comp + " --dtype f32 --eb abs --eps 0.0009765625"), 0);
+  std::string text;
+  ASSERT_EQ(run_out(cli + " stats " + comp + " --json", text), 0);
+  const obs::JsonValue doc = obs::parse_json(text);
+  EXPECT_EQ(doc.at("values_lossless").num, 2);
+  EXPECT_EQ(doc.at("chunks_raw").num, 0);
+  EXPECT_EQ(doc.at("first_lossless_chunk").num, 0);
+  ASSERT_EQ(run_out(cli + " info " + comp, text), 0);
+  EXPECT_NE(text.find(" values_lossless=2 chunks_raw=0 first_lossless_chunk=0"),
+            std::string::npos)
+      << text;
 }
 
 TEST_F(CliTest, UnknownFlagValuesAreRejected) {

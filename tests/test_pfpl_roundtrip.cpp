@@ -153,6 +153,34 @@ TEST(PfplRoundtrip, IncompressibleDataUsesRawChunks) {
             0u);
 }
 
+TEST(PfplGuaranteeCost, CountsLosslessWordsAndRawChunks) {
+  // Multiples of 2*eps bin exactly, so only the NaN in chunk 0 and the value
+  // beyond the bin range in chunk 2 are stored losslessly.
+  const double eps = 0x1p-10;
+  std::vector<float> v(4 * 4096);
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = static_cast<float>(i % 1000) * 0x1p-9f;
+  v[5] = std::numeric_limits<float>::quiet_NaN();
+  v[2 * 4096 + 7] = 1e30f;
+  const Bytes c = pfpl::compress(Field(v.data(), v.size()), Params{eps, EbType::ABS});
+  pfpl::GuaranteeCost g = pfpl::guarantee_cost(c);
+  EXPECT_EQ(g.values_lossless, 2u);
+  EXPECT_EQ(g.first_lossless_chunk, 0);
+  EXPECT_EQ(g.chunks_raw, 0u);
+  // Random patterns barely quantize: most words are lossless, chunks raw.
+  data::Rng rng(8);
+  for (auto& x : v) x = fpmath::from_bits<float>(static_cast<u32>(rng.next_u64()) & 0x7F7FFFFFu);
+  g = pfpl::guarantee_cost(pfpl::compress(Field(v.data(), v.size()), Params{1e-10, EbType::REL}));
+  EXPECT_EQ(g.chunks_raw, 4u);
+  EXPECT_GT(g.values_lossless, v.size() / 2);
+  EXPECT_EQ(g.first_lossless_chunk, 0);
+  // No lossless word: -1.
+  std::vector<double> zeros(100, 0.0);
+  g = pfpl::guarantee_cost(
+      pfpl::compress(Field(zeros.data(), zeros.size()), Params{1e-3, EbType::REL}));
+  EXPECT_EQ(g.values_lossless, 0u);
+  EXPECT_EQ(g.first_lossless_chunk, -1);
+}
+
 TEST(PfplRoundtrip, SmoothDataCompressesWell) {
   auto v = smooth_signal(1 << 20, 9);
   Bytes c = pfpl::compress(Field(v.data(), v.size()), Params{1e-2, EbType::ABS});

@@ -2,6 +2,7 @@
 // and special values), bit-pattern encoding invariants, and round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -531,6 +532,87 @@ TEST(QuantizerTiers, RelBinEdgesAndUmax) {
       expect_tiers_agree(RelQuantizer<float>(eps), rel_edge_values<float>(eps), "f32 REL edges");
       expect_tiers_agree(RelQuantizer<double>(eps), rel_edge_values<double>(eps),
                          "f64 REL edges");
+    }
+  });
+}
+
+namespace {
+
+/// The guard premise of the REL margin proof (DESIGN.md §8.1) for bin b: a
+/// bin of the range, det_exp(b * 2L) scales in one multiply, and its T is
+/// normal and finite.
+template <typename T>
+bool guard_premise(const RelQuantizer<T>& q, double b) {
+  using Q = RelQuantizer<T>;
+  if (b < static_cast<double>(1 - Q::bias) || b > static_cast<double>(Q::u_max - Q::bias))
+    return false;
+  const double x = b * (2.0 * q.log1p_eps());
+  const double k = fpmath::round_nearest_even(x * fpmath::poly::kInvLn2);
+  const T r = static_cast<T>(fpmath::det_exp(x));
+  return k >= -1021 && k <= 1023 && r >= FloatTraits<T>::min_normal &&
+         r <= std::numeric_limits<T>::max();
+}
+
+/// Checks one quantizer's margin path: its guard range is exactly the bins
+/// that meet the premise, and values within a few ulps of t = bd +- near
+/// (the margin's edge), of t = bd +- 0.5 (the bin's edge), for bins at
+/// both guard ends, just outside them and across the range, encode at the
+/// lanes as encode() does and decode within the bound (the integer oracle).
+template <typename T>
+void check_margin_edges(double eps, const std::string& what) {
+  const RelQuantizer<T> q(eps);
+  const RelMargin& mg = q.margin();
+  ASSERT_GT(mg.near, 0) << what << ": margin path off";
+  ASSERT_LE(mg.lo, mg.hi) << what;
+  EXPECT_TRUE(guard_premise(q, mg.lo) && guard_premise(q, mg.hi)) << what;
+  EXPECT_FALSE(guard_premise(q, mg.lo - 1) || guard_premise(q, mg.hi + 1)) << what;
+  const double l = q.log1p_eps(), scale = 0.5 / l;
+  std::vector<double> bins = {mg.lo - 1, mg.lo, mg.lo + 1, mg.hi - 1, mg.hi, mg.hi + 1};
+  data::Rng rng(31);
+  for (int i = 0; i < 64; ++i) bins.push_back(std::round(rng.uniform(mg.lo, mg.hi)));
+  // The value whose det_log(|v|) * scale is t: libm's exp, then Newton steps
+  // on det_log itself (exp alone misses by hundreds of f64 ulps at |ln| ~ 700).
+  const auto locate = [&](double t) {
+    double a = std::exp(2 * l * t);
+    for (int i = 0; i < 3 && std::isfinite(a); ++i)
+      a *= 1 + (t - fpmath::det_log(a) * scale) * 2 * l;
+    return static_cast<T>(a);
+  };
+  std::vector<T> vals;
+  for (double b : bins)
+    for (double t : {b - 0.5, b - mg.near, b + mg.near, b + 0.5}) add_window(vals, locate(t), 6);
+  // Values inside the margin go first, so that whole lane steps hold only
+  // them and take the margin path; the rest run the full path. Both sides of
+  // the margin's edge are reached.
+  const auto inside_margin = [&](T v) {
+    if (v == T(0) || !std::isfinite(v)) return false;
+    const double t = fpmath::det_log(std::fabs(static_cast<double>(v))) * scale;
+    const double bd = fpmath::round_nearest_even(t);
+    return std::fabs(t - bd) <= mg.near && bd >= mg.lo && bd <= mg.hi;
+  };
+  const auto inside = static_cast<std::size_t>(
+      std::stable_partition(vals.begin(), vals.end(), inside_margin) - vals.begin());
+  EXPECT_GT(inside, vals.size() / 32) << what;
+  EXPECT_GT(vals.size() - inside, vals.size() / 32) << what;
+  expect_tiers_agree(q, vals, what);
+  std::vector<typename RelQuantizer<T>::Bits> words(vals.size());
+  q.encode_block(vals.data(), words.data(), vals.size());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    if (!RelQuantizer<T>::is_bin(words[i])) continue;
+    const T r = q.decode(words[i]);
+    bad += !oracle::rel_holds(vals[i], r, eps) || (vals[i] < 0) != (r < 0);
+  }
+  EXPECT_EQ(bad, 0u) << what << ": bins the oracle rejects";
+}
+
+}  // namespace
+
+TEST(QuantizerTiers, RelMarginEdges) {
+  for_each_rung(Isa::Avx2, [&] {
+    for (double eps : {1e-1, 1e-3, 1e-5, 1e-7}) {
+      check_margin_edges<float>(eps, "f32 REL margin " + std::to_string(eps));
+      check_margin_edges<double>(eps, "f64 REL margin " + std::to_string(eps));
     }
   });
 }
