@@ -1,12 +1,7 @@
 #include "store/segment_log.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -44,10 +39,6 @@ struct LogMetrics {
     return m;
   }
 };
-
-[[noreturn]] void throw_errno(const std::string& what) {
-  throw CompressionError(what + ": " + std::strerror(errno));
-}
 
 /// Segment file header: magic, version, reserved, segment id.
 void encode_segment_header(u8* p, u64 id) {
@@ -125,43 +116,9 @@ std::size_t read_frame(const Bytes& data, std::size_t off, DecodedFrame& out) {
   return kChunkFrameHeaderSize + n;
 }
 
-void fsync_fd_or_throw(int fd, const std::string& what) {
-  if (::fsync(fd) != 0) throw_errno(what + ": fsync");
-}
-
-void fsync_dir(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) throw_errno(dir + ": open for fsync");
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) throw_errno(dir + ": fsync");
-}
-
-/// Test hook: the PFPL_STORE_TEST_KILL_AT_APPEND-th append in this process
-/// writes a deliberately torn frame and SIGKILLs, simulating a crash
-/// mid-write for the CI store-smoke job. 0 = disabled.
-u64 kill_at_append() {
-  static const u64 v = [] {
-    const char* e = std::getenv("PFPL_STORE_TEST_KILL_AT_APPEND");
-    return e ? std::strtoull(e, nullptr, 10) : 0ull;
-  }();
-  return v;
-}
-
-/// Batch-index variant: the Nth frame *written* through append_batch() in
-/// this process tears and SIGKILLs — cumulative across calls, because a
-/// caller's batching policy (e.g. the ingest pipeline's greedy batcher) may
-/// split one logical batch into several small commits. Read fresh on every
-/// call (no cached static) so a fork()ed test child can setenv() after the
-/// parent process started.
-u64 kill_at_batch_item() {
-  const char* e = std::getenv("PFPL_STORE_TEST_KILL_AT_BATCH_ITEM");
-  return e ? std::strtoull(e, nullptr, 10) : 0ull;
-}
-
 }  // namespace
 
-SegmentStore::SegmentStore(const Options& opts) : opts_(opts) {
+SegmentStore::SegmentStore(const Options& opts, FileOps& ops) : opts_(opts), ops_(ops) {
   if (opts_.dir.empty()) throw CompressionError("store: empty directory path");
   if (opts_.max_segment_bytes < kSegmentHeaderSize + kChunkFrameHeaderSize)
     throw CompressionError("store: max_segment_bytes too small for one frame");
@@ -171,33 +128,26 @@ SegmentStore::SegmentStore(const Options& opts) : opts_(opts) {
 
   std::lock_guard<std::mutex> lk(m_);
 
-  // Manifest first: it carries the generation number. A missing or corrupt
-  // manifest is survivable — the directory scan below rebuilds everything.
-  bool manifest_ok = false;
-  {
-    Bytes mf;
-    bool have = false;
-    try {
-      mf = io::read_file(manifest_path());
-      have = true;
-    } catch (const CompressionError&) {
-      have = false;
-    }
-    bool ok = false;
-    if (have && mf.size() >= 24 + 4) {
+  // Manifest first: open reads only its generation (and checks its CRC). A
+  // missing or corrupt manifest is survivable — the scan below rebuilds it.
+  bool have_manifest = false, manifest_ok = false;
+  try {
+    const Bytes mf = io::read_file(manifest_path());
+    have_manifest = true;
+    if (mf.size() >= 24 + 4) {
       common::ByteReader r(mf, "PFPS manifest");
       const u32 magic = r.take<u32>();
       const u16 version = r.take<u16>();
       r.take<u16>();  // reserved
-      const u64 generation = r.take<u64>();
-      ok = magic == kManifestMagic && version == kStoreVersion &&
-           get_le<u32>(mf.data() + mf.size() - 4) == common::crc32(mf.data(), mf.size() - 4);
-      if (ok) generation_ = generation;
+      generation_ = r.take<u64>();
+      manifest_ok = magic == kManifestMagic && version == kStoreVersion &&
+                    get_le<u32>(mf.data() + mf.size() - 4) ==
+                        common::crc32(mf.data(), mf.size() - 4);
     }
-    manifest_ok = ok;
-    open_report_.manifest_recovered = have && !ok;
-    if (!ok) generation_ = 0;
+  } catch (const CompressionError&) {
   }
+  if (!manifest_ok) generation_ = 0;
+  open_report_.manifest_recovered = have_manifest && !manifest_ok;
 
   // Index every segment file present, in id order, rebuilding the in-memory
   // index from the frames themselves (first occurrence of a key wins).
@@ -217,20 +167,33 @@ SegmentStore::SegmentStore(const Options& opts) : opts_(opts) {
     Segment seg;
     seg.id = ids[i];
     seg.sealed = i + 1 < ids.size();  // highest id is the active segment
-    scan_segment_locked(seg, !seg.sealed);
+    scan_segment_locked(seg);
     segments_.emplace(seg.id, seg);
   }
 
   if (segments_.empty()) {
-    open_active_locked(1, /*create=*/true);
-    write_manifest_locked();
+    active_ = create_segment_locked(1);
+    segments_.emplace(1, Segment{1, kSegmentHeaderSize, kSegmentHeaderSize, false});
+    write_manifest_locked(segments_);
   } else {
     // Segments without a valid manifest (deleted, torn, or corrupt) mean the
     // bookkeeping was lost and rebuilt from the scan — flag it and commit a
     // fresh manifest. A brand-new empty directory is NOT a recovery.
     if (!manifest_ok) open_report_.manifest_recovered = true;
-    open_active_locked(segments_.rbegin()->first, /*create=*/false);
-    if (open_report_.manifest_recovered) write_manifest_locked();
+    // Past the last valid frame of the active segment lies the torn tail of
+    // an interrupted append: drop it and resume there. A segment unusable
+    // from byte 0 gets a fresh header.
+    Segment& act = segments_.rbegin()->second;
+    open_report_.torn_bytes = act.file_bytes - act.valid_bytes;
+    if (act.valid_bytes == 0) {
+      active_ = create_segment_locked(act.id);
+      act.valid_bytes = kSegmentHeaderSize;
+    } else {
+      if (open_report_.torn_bytes) ops_.truncate(segment_path(act.id), act.valid_bytes);
+      active_ = ops_.open_append(segment_path(act.id));
+    }
+    act.file_bytes = act.valid_bytes;
+    if (open_report_.manifest_recovered) write_manifest_locked(segments_);
   }
 
   open_report_.generation = generation_;
@@ -238,7 +201,10 @@ SegmentStore::SegmentStore(const Options& opts) : opts_(opts) {
   open_report_.entries = index_.size();
   open_report_.live_bytes = live_bytes_;
   open_report_.dead_bytes = dead_bytes_;
+  publish_locked();
+}
 
+void SegmentStore::publish_locked() const {
   LogMetrics& m = LogMetrics::get();
   m.live_bytes.set(static_cast<long long>(live_bytes_));
   m.dead_bytes.set(static_cast<long long>(dead_bytes_));
@@ -252,7 +218,6 @@ SegmentStore::~SegmentStore() {
   } catch (...) {
     // Destructor: nothing useful to do with a failed final sync.
   }
-  if (active_) std::fclose(active_);
 }
 
 std::string SegmentStore::segment_path(u64 id) const {
@@ -263,95 +228,58 @@ std::string SegmentStore::segment_path(u64 id) const {
 
 std::string SegmentStore::manifest_path() const { return opts_.dir + "/manifest.pfps"; }
 
-void SegmentStore::scan_segment_locked(Segment& seg, bool active) {
-  const std::string path = segment_path(seg.id);
-  Bytes data = io::read_file(path);
+void SegmentStore::scan_segment_locked(Segment& seg) {
+  const Bytes data = io::read_file(segment_path(seg.id));
   seg.file_bytes = data.size();
-  seg.valid_bytes = 0;
-
-  if (!segment_header_ok(data, seg.id)) {
-    // Unusable from byte 0. Active: rewrite a fresh header so appends can
-    // resume; sealed: all bytes are dead, verify() will flag it.
-    if (active) {
-      u8 hdr[kSegmentHeaderSize];
-      encode_segment_header(hdr, seg.id);
-      io::write_file(path, hdr, sizeof hdr);
-      open_report_.torn_bytes += data.size();
-      seg.file_bytes = kSegmentHeaderSize;
-      seg.valid_bytes = kSegmentHeaderSize;
-    } else {
-      ++open_report_.corrupt_segments;
-      dead_bytes_ += data.size();
-    }
-    return;
-  }
-
-  std::size_t off = kSegmentHeaderSize;
-  while (off < data.size()) {
+  seg.valid_bytes = 0;  // stays 0 when the header is unusable
+  if (segment_header_ok(data, seg.id)) {
+    std::size_t off = kSegmentHeaderSize;
     DecodedFrame f;
-    const std::size_t frame_bytes = read_frame(data, off, f);
-    if (frame_bytes == 0) {
-      if (active) {
-        // Torn tail of an interrupted append: drop it and resume here.
-        const u64 torn = data.size() - off;
-        open_report_.torn_bytes += torn;
-        std::error_code ec;
-        fs::resize_file(path, off, ec);
-        if (ec)
-          throw CompressionError(path + ": truncate torn tail: " + ec.message());
-        seg.file_bytes = off;
+    while (const std::size_t frame_bytes = read_frame(data, off, f)) {
+      if (index_.emplace(f.key, IndexEntry{seg.id, off, f.payload_len, f.meta}).second) {
+        live_bytes_ += frame_bytes;
       } else {
-        ++open_report_.corrupt_segments;
-        dead_bytes_ += data.size() - off;
+        ++open_report_.duplicate_frames;
+        dead_bytes_ += frame_bytes;
       }
-      break;
+      off += frame_bytes;
     }
-    if (index_.find(f.key) == index_.end()) {
-      index_.emplace(f.key, IndexEntry{seg.id, off, f.payload_len, f.meta});
-      live_bytes_ += frame_bytes;
-    } else {
-      ++open_report_.duplicate_frames;
-      dead_bytes_ += frame_bytes;
-    }
-    off += frame_bytes;
     seg.valid_bytes = off;
   }
-  if (seg.valid_bytes == 0) seg.valid_bytes = kSegmentHeaderSize;
-}
-
-void SegmentStore::open_active_locked(u64 id, bool create) {
-  const std::string path = segment_path(id);
-  if (create) {
-    active_ = std::fopen(path.c_str(), "wb");
-    if (!active_) throw_errno(path + ": create segment");
-    u8 hdr[kSegmentHeaderSize];
-    encode_segment_header(hdr, id);
-    if (std::fwrite(hdr, 1, sizeof hdr, active_) != sizeof hdr)
-      throw_errno(path + ": write segment header");
-    if (std::fflush(active_) != 0) throw_errno(path + ": flush");
-    Segment seg;
-    seg.id = id;
-    seg.valid_bytes = kSegmentHeaderSize;
-    seg.file_bytes = kSegmentHeaderSize;
-    segments_.emplace(id, seg);
-  } else {
-    // "ab" appends at end-of-file, which scan_segment_locked has already
-    // truncated back to the last valid frame.
-    active_ = std::fopen(path.c_str(), "ab");
-    if (!active_) throw_errno(path + ": open segment for append");
+  // An invalid frame in a sealed segment is corruption: frames are
+  // variable-length, so nothing after it can be resynchronized.
+  if (seg.sealed && (seg.valid_bytes == 0 || seg.valid_bytes < seg.file_bytes)) {
+    ++open_report_.corrupt_segments;
+    dead_bytes_ += seg.file_bytes - seg.valid_bytes;
   }
 }
 
-void SegmentStore::write_manifest_locked() {
+std::unique_ptr<FileOps::File> SegmentStore::create_segment_locked(u64 id) {
+  std::unique_ptr<FileOps::File> file = ops_.create(segment_path(id));
+  u8 hdr[kSegmentHeaderSize];
+  encode_segment_header(hdr, id);
+  file->append(hdr, sizeof hdr);
+  return file;
+}
+
+void SegmentStore::discard_locked(u64 id) {
+  std::error_code ec;
+  try {
+    if (fs::exists(segment_path(id), ec)) ops_.remove(segment_path(id));
+  } catch (const CompressionError&) {  // a leftover only repeats kept frames
+  }
+}
+
+void SegmentStore::write_manifest_locked(const std::map<u64, Segment>& segments) {
   ++generation_;
-  Bytes buf(24 + segments_.size() * 24 + 4);
+  Bytes buf(24 + segments.size() * 24 + 4);
   put_le(buf.data() + 0, kManifestMagic);
   put_le(buf.data() + 4, kStoreVersion);
   put_le(buf.data() + 6, u16{0});
   put_le(buf.data() + 8, generation_);
-  put_le(buf.data() + 16, static_cast<u64>(segments_.size()));
+  put_le(buf.data() + 16, static_cast<u64>(segments.size()));
   std::size_t off = 24;
-  for (const auto& [id, seg] : segments_) {
+  for (const auto& [id, seg] : segments) {
     put_le(buf.data() + off, id);
     put_le(buf.data() + off + 8, seg.valid_bytes);
     put_le(buf.data() + off + 16, u64{seg.sealed ? 1u : 0u});
@@ -362,23 +290,13 @@ void SegmentStore::write_manifest_locked() {
   // tmp + fsync + rename + fsync(dir): a crash leaves either the previous
   // generation or this one, never a torn manifest.
   const std::string tmp = manifest_path() + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) throw_errno(tmp + ": open");
-  std::size_t done = 0;
-  while (done < buf.size()) {
-    const ssize_t n = ::write(fd, buf.data() + done, buf.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      throw_errno(tmp + ": write");
-    }
-    done += static_cast<std::size_t>(n);
+  {
+    std::unique_ptr<FileOps::File> f = ops_.create(tmp);
+    f->append(buf.data(), buf.size());
+    f->fsync();
   }
-  fsync_fd_or_throw(fd, tmp);
-  ::close(fd);
-  if (std::rename(tmp.c_str(), manifest_path().c_str()) != 0)
-    throw_errno(manifest_path() + ": rename manifest");
-  fsync_dir(opts_.dir);
+  ops_.rename(tmp, manifest_path());
+  ops_.fsync_dir(opts_.dir);
 }
 
 bool SegmentStore::contains(const common::Hash128& key) const {
@@ -388,20 +306,13 @@ bool SegmentStore::contains(const common::Hash128& key) const {
 
 bool SegmentStore::get(const common::Hash128& key, Bytes& out, ChunkMeta* meta) const {
   IndexEntry e;
-  u64 seg_id;
   {
     std::lock_guard<std::mutex> lk(m_);
     auto it = index_.find(key);
     if (it == index_.end()) return false;
     e = it->second;
-    seg_id = e.segment;
-    // Appends go through stdio buffering; make the frame visible to the
-    // read path before leaving the lock.
-    if (active_ && !segments_.rbegin()->second.sealed &&
-        seg_id == segments_.rbegin()->first)
-      std::fflush(active_);
   }
-  Bytes frame = io::read_file_range(segment_path(seg_id), e.offset,
+  Bytes frame = io::read_file_range(segment_path(e.segment), e.offset,
                                     kChunkFrameHeaderSize + e.payload_len);
   DecodedFrame f;
   if (read_frame(frame, 0, f) != frame.size() || f.key != key)
@@ -414,53 +325,65 @@ bool SegmentStore::get(const common::Hash128& key, Bytes& out, ChunkMeta* meta) 
   return true;
 }
 
-void SegmentStore::append_frame_locked(const common::Hash128& key, const Bytes& payload,
-                                       const ChunkMeta& meta, bool flush,
-                                       bool torn_kill) {
+u64 SegmentStore::write_frame_locked(FileOps::File& file, Segment& seg,
+                                     const common::Hash128& key, const Bytes& payload,
+                                     const ChunkMeta& meta) {
   Bytes frame(kChunkFrameHeaderSize + payload.size());
   encode_frame_header(frame.data(), key, meta,
                       common::crc32(payload.data(), payload.size()), payload.size());
   std::memcpy(frame.data() + kChunkFrameHeaderSize, payload.data(), payload.size());
 
-  ++appends_this_process_;
-  const u64 kill_at = kill_at_append();
-  const std::size_t write_n =
-      (torn_kill || (kill_at && appends_this_process_ == kill_at))
-          ? kChunkFrameHeaderSize + payload.size() / 2  // torn: half the payload
-          : frame.size();
-
-  Segment& seg = segments_.rbegin()->second;
-  const std::string path = segment_path(seg.id);
-  if (std::fwrite(frame.data(), 1, write_n, active_) != write_n)
-    throw_errno(path + ": append frame");
-  if (write_n != frame.size()) {
-    // Crash simulation: make the torn frame (and every frame written before
-    // it) visible on disk, then die without updating any bookkeeping.
-    std::fflush(active_);
-    ::fsync(::fileno(active_));
-    std::raise(SIGKILL);
+  try {
+    file.append(frame.data(), frame.size());
+  } catch (const CompressionError&) {
+    // Part of the frame may have landed: cut it off, or the next frame would
+    // land past seg.valid_bytes, where the index does not look. Should the
+    // cut fail too, file_bytes stays past valid_bytes and the next append to
+    // the active segment retries it.
+    seg.file_bytes = seg.valid_bytes + frame.size();
+    ops_.truncate(segment_path(seg.id), seg.valid_bytes);
+    seg.file_bytes = seg.valid_bytes;
+    throw;
   }
-  if (flush) {
-    if (std::fflush(active_) != 0) throw_errno(path + ": flush");
-    if (opts_.fsync_each_append) fsync_fd_or_throw(::fileno(active_), path);
-  }
-
-  index_.emplace(key, IndexEntry{seg.id, seg.valid_bytes, payload.size(), meta});
+  const u64 off = seg.valid_bytes;
   seg.valid_bytes += frame.size();
   seg.file_bytes = seg.valid_bytes;
-  live_bytes_ += frame.size();
+  return off;
+}
+
+void SegmentStore::append_frame_locked(const common::Hash128& key, const Bytes& payload,
+                                       const ChunkMeta& meta) {
+  Segment& act = segments_.rbegin()->second;
+  if (act.file_bytes != act.valid_bytes) {  // a failed append's cut failed too
+    ops_.truncate(segment_path(act.id), act.valid_bytes);
+    act.file_bytes = act.valid_bytes;
+  }
+  if (act.valid_bytes + kChunkFrameHeaderSize + payload.size() > opts_.max_segment_bytes &&
+      act.valid_bytes > kSegmentHeaderSize)
+    rotate_locked();
+  Segment& seg = segments_.rbegin()->second;
+  const u64 off = write_frame_locked(*active_, seg, key, payload, meta);
+  index_.emplace(key, IndexEntry{seg.id, off, payload.size(), meta});
+  live_bytes_ += kChunkFrameHeaderSize + payload.size();
 }
 
 void SegmentStore::rotate_locked() {
   Segment& seg = segments_.rbegin()->second;
-  if (std::fflush(active_) != 0) throw_errno(segment_path(seg.id) + ": flush");
-  fsync_fd_or_throw(::fileno(active_), segment_path(seg.id));
-  std::fclose(active_);
-  active_ = nullptr;
-  seg.sealed = true;
+  active_->fsync();
   const u64 next = seg.id + 1;
-  open_active_locked(next, /*create=*/true);
-  write_manifest_locked();
+  try {
+    std::unique_ptr<FileOps::File> file = create_segment_locked(next);
+    seg.sealed = true;
+    segments_.emplace(next, Segment{next, kSegmentHeaderSize, kSegmentHeaderSize, false});
+    write_manifest_locked(segments_);
+    active_ = std::move(file);
+  } catch (const CompressionError&) {
+    // Keep appending to the old segment, as if the rotation never started.
+    seg.sealed = false;
+    segments_.erase(next);
+    discard_locked(next);
+    throw;
+  }
 }
 
 bool SegmentStore::put(const common::Hash128& key, const Bytes& payload,
@@ -471,22 +394,16 @@ bool SegmentStore::put(const common::Hash128& key, const Bytes& payload,
     m.dedup_hits.add(1);
     return false;
   }
-  if (segments_.rbegin()->second.valid_bytes + kChunkFrameHeaderSize + payload.size() >
-          opts_.max_segment_bytes &&
-      segments_.rbegin()->second.valid_bytes > kSegmentHeaderSize)
-    rotate_locked();
-  append_frame_locked(key, payload, meta, /*flush=*/true);
+  append_frame_locked(key, payload, meta);
+  if (opts_.fsync_each_append) active_->fsync();
   m.appends.add(1);
-  m.live_bytes.set(static_cast<long long>(live_bytes_));
-  m.entries.set(static_cast<long long>(index_.size()));
-  m.segments.set(static_cast<long long>(segments_.size()));
+  publish_locked();
   return true;
 }
 
 std::size_t SegmentStore::append_batch(const std::vector<BatchEntry>& entries) {
   LogMetrics& m = LogMetrics::get();
   std::lock_guard<std::mutex> lk(m_);
-  const u64 kill_item = kill_at_batch_item();
   std::size_t stored = 0;
   for (const BatchEntry& e : entries) {
     if (!e.payload) continue;
@@ -494,32 +411,19 @@ std::size_t SegmentStore::append_batch(const std::vector<BatchEntry>& entries) {
       m.dedup_hits.add(1);
       continue;
     }
-    if (segments_.rbegin()->second.valid_bytes + kChunkFrameHeaderSize +
-                e.payload->size() >
-            opts_.max_segment_bytes &&
-        segments_.rbegin()->second.valid_bytes > kSegmentHeaderSize)
-      rotate_locked();  // flushes + fsyncs the sealed segment
-    ++batch_frames_this_process_;
-    append_frame_locked(e.key, *e.payload, e.meta, /*flush=*/false,
-                        /*torn_kill=*/kill_item &&
-                            batch_frames_this_process_ == kill_item);
+    append_frame_locked(e.key, *e.payload, e.meta);
     ++stored;
     m.appends.add(1);
   }
-  // Group commit: one flush (and at most one fsync) covers the whole batch.
-  // Frames were written in entry order, so durability is prefix-closed — a
-  // crash before this point can only lose a suffix of the batch.
+  // Group commit: at most one fsync covers the whole batch. Frames were
+  // written in entry order, so durability is prefix-closed — a crash before
+  // this point can only lose a suffix of the batch.
   if (stored) {
-    const std::string path = segment_path(segments_.rbegin()->first);
-    if (std::fflush(active_) != 0) throw_errno(path + ": flush");
-    if (opts_.fsync_each_append) fsync_fd_or_throw(::fileno(active_), path);
-    m.live_bytes.set(static_cast<long long>(live_bytes_));
-    m.entries.set(static_cast<long long>(index_.size()));
-    m.segments.set(static_cast<long long>(segments_.size()));
+    if (opts_.fsync_each_append) active_->fsync();
+    publish_locked();
   }
   return stored;
 }
-
 std::vector<StoredChunk> SegmentStore::entries() const {
   std::lock_guard<std::mutex> lk(m_);
   std::vector<StoredChunk> out;
@@ -554,7 +458,6 @@ u64 SegmentStore::generation() const {
 
 SegmentStore::VerifyReport SegmentStore::verify() const {
   std::lock_guard<std::mutex> lk(m_);
-  if (active_) std::fflush(active_);
   VerifyReport rep;
   for (const auto& [id, seg] : segments_) {
     ++rep.segments;
@@ -588,109 +491,75 @@ SegmentStore::CompactReport SegmentStore::compact() {
   for (const auto& [id, seg] : segments_) rep.bytes_before += seg.file_bytes;
   rep.live_entries = index_.size();
 
-  // Seal the world: everything live gets rewritten into fresh segments, the
-  // manifest commits the new layout, and only then do the old files go away.
-  // A crash at any point leaves a readable store (worst case: duplicate
-  // frames across old and new segments, which the next open dedups).
-  if (active_) {
-    std::fflush(active_);
-    std::fclose(active_);
-    active_ = nullptr;
-  }
-
+  // Build the new layout beside the old one: every live entry goes into
+  // fresh segments above the old ids, with an empty active segment on top.
+  // The manifest write commits it; until then the old layout and active
+  // segment stay in use, and a failure removes every new file. A crash at
+  // any point leaves a readable store (worst case: duplicate frames across
+  // old and new segments, which the next open dedups).
   std::vector<std::pair<common::Hash128, IndexEntry>> live(index_.begin(), index_.end());
   std::sort(live.begin(), live.end(), [](const auto& a, const auto& b) {
     return a.second.segment != b.second.segment ? a.second.segment < b.second.segment
                                                 : a.second.offset < b.second.offset;
   });
 
-  const u64 base = segments_.empty() ? 1 : segments_.rbegin()->first + 1;
-  std::vector<u64> old_ids;
-  for (const auto& [id, seg] : segments_) old_ids.push_back(id);
-
-  std::map<u64, Segment> new_segments;
+  const u64 base = segments_.rbegin()->first + 1;
+  u64 cur_id = base;
+  std::map<u64, Segment> layout;
   std::unordered_map<common::Hash128, IndexEntry, common::Hash128Hasher> new_index;
   u64 new_live = 0;
-
-  u64 cur_id = base;
-  std::FILE* out = nullptr;
-  Segment cur;
-  auto open_new = [&](u64 id) {
-    const std::string path = segment_path(id);
-    out = std::fopen(path.c_str(), "wb");
-    if (!out) throw_errno(path + ": create segment");
-    u8 hdr[kSegmentHeaderSize];
-    encode_segment_header(hdr, id);
-    if (std::fwrite(hdr, 1, sizeof hdr, out) != sizeof hdr)
-      throw_errno(path + ": write segment header");
-    cur = Segment{id, kSegmentHeaderSize, kSegmentHeaderSize, /*sealed=*/true};
-  };
-  auto close_cur = [&] {
-    if (!out) return;
-    if (std::fflush(out) != 0) throw_errno(segment_path(cur.id) + ": flush");
-    fsync_fd_or_throw(::fileno(out), segment_path(cur.id));
-    std::fclose(out);
-    out = nullptr;
-    new_segments.emplace(cur.id, cur);
-  };
-
-  open_new(cur_id);
-  for (const auto& [key, e] : live) {
-    Bytes payload = io::read_file_range(segment_path(e.segment),
-                                        e.offset + kChunkFrameHeaderSize, e.payload_len);
-    Bytes frame(kChunkFrameHeaderSize + payload.size());
-    encode_frame_header(frame.data(), key, e.meta,
-                        common::crc32(payload.data(), payload.size()), payload.size());
-    std::memcpy(frame.data() + kChunkFrameHeaderSize, payload.data(), payload.size());
-    if (cur.valid_bytes + frame.size() > opts_.max_segment_bytes &&
-        cur.valid_bytes > kSegmentHeaderSize) {
-      close_cur();
-      open_new(++cur_id);
+  std::unique_ptr<FileOps::File> active;
+  try {
+    std::unique_ptr<FileOps::File> out = create_segment_locked(cur_id);
+    Segment cur{cur_id, kSegmentHeaderSize, kSegmentHeaderSize, /*sealed=*/true};
+    for (const auto& [key, e] : live) {
+      const Bytes payload = io::read_file_range(
+          segment_path(e.segment), e.offset + kChunkFrameHeaderSize, e.payload_len);
+      if (cur.valid_bytes + kChunkFrameHeaderSize + payload.size() > opts_.max_segment_bytes &&
+          cur.valid_bytes > kSegmentHeaderSize) {
+        out->fsync();
+        layout.emplace(cur.id, cur);
+        out = create_segment_locked(++cur_id);
+        cur = Segment{cur_id, kSegmentHeaderSize, kSegmentHeaderSize, /*sealed=*/true};
+      }
+      const u64 off = write_frame_locked(*out, cur, key, payload, e.meta);
+      new_index.emplace(key, IndexEntry{cur.id, off, e.payload_len, e.meta});
+      new_live += kChunkFrameHeaderSize + payload.size();
     }
-    if (std::fwrite(frame.data(), 1, frame.size(), out) != frame.size())
-      throw_errno(segment_path(cur.id) + ": append frame");
-    new_index.emplace(key, IndexEntry{cur.id, cur.valid_bytes, e.payload_len, e.meta});
-    cur.valid_bytes += frame.size();
-    cur.file_bytes = cur.valid_bytes;
-    new_live += frame.size();
+    out->fsync();
+    layout.emplace(cur.id, cur);
+    active = create_segment_locked(cur_id + 1);
+    layout.emplace(cur_id + 1,
+                   Segment{cur_id + 1, kSegmentHeaderSize, kSegmentHeaderSize, false});
+    write_manifest_locked(layout);
+  } catch (const CompressionError&) {
+    for (u64 id = base; id <= cur_id + 1; ++id) discard_locked(id);
+    throw;
   }
-  close_cur();
 
-  // Fresh empty active segment on top of the compacted ones.
-  segments_ = std::move(new_segments);
+  // Committed: switch to the new layout, then delete the old files.
+  std::swap(segments_, layout);
   index_ = std::move(new_index);
   live_bytes_ = new_live;
   dead_bytes_ = 0;
-  open_active_locked(cur_id + 1, /*create=*/true);
-  write_manifest_locked();
-
-  for (u64 id : old_ids) {
-    std::error_code ec;
-    fs::remove(segment_path(id), ec);  // best-effort; leftovers dedup on reopen
-  }
-  fsync_dir(opts_.dir);
+  active_ = std::move(active);
 
   rep.segments_after = segments_.size();
   for (const auto& [id, seg] : segments_) rep.bytes_after += seg.file_bytes;
   rep.reclaimed_bytes =
       rep.bytes_before > rep.bytes_after ? rep.bytes_before - rep.bytes_after : 0;
+  publish_locked();
 
-  LogMetrics& m = LogMetrics::get();
-  m.live_bytes.set(static_cast<long long>(live_bytes_));
-  m.dead_bytes.set(0);
-  m.entries.set(static_cast<long long>(index_.size()));
-  m.segments.set(static_cast<long long>(segments_.size()));
+  // A leftover old file only duplicates frames, so the next open dedups it.
+  for (const auto& [id, seg] : layout) ops_.remove(segment_path(id));
+  ops_.fsync_dir(opts_.dir);
   return rep;
 }
 
 void SegmentStore::sync() {
   std::lock_guard<std::mutex> lk(m_);
-  if (active_) {
-    if (std::fflush(active_) != 0)
-      throw_errno(segment_path(segments_.rbegin()->first) + ": flush");
-    fsync_fd_or_throw(::fileno(active_), segment_path(segments_.rbegin()->first));
-  }
-  write_manifest_locked();
+  active_->fsync();
+  write_manifest_locked(segments_);
 }
 
 }  // namespace repro::store

@@ -9,34 +9,35 @@
 // Writes only ever append to the highest-numbered ("active") segment; once a
 // segment reaches max_segment_bytes it is fsync'd, sealed into the manifest
 // (generation + 1), and a new active segment starts. Every frame carries two
-// CRC-32s — one over the fixed header fields, one over the payload — so a
-// torn write is detectable at the exact frame boundary.
+// CRC-32s (fixed header fields, payload), so a torn write is detectable at
+// the exact frame boundary. Every change to the directory goes through one
+// FileOps (file_ops.hpp).
 //
-// Crash safety: reopening scans every segment front to back. The first
-// invalid frame in the ACTIVE segment marks the torn tail of an interrupted
-// append — the file is truncated back to the last valid frame and appending
-// resumes there, losing at most that single frame. An invalid frame anywhere
-// else is corruption (frames are variable-length, so nothing after it can be
-// resynchronized); the rest of that segment is skipped, counted as dead
-// bytes, and reported by verify(). The manifest is written via
-// write-tmp + fsync + rename + fsync(dir), so a crash leaves either the old
-// or the new generation, never a torn one; a missing or corrupt manifest
-// degrades to a full directory scan, losing nothing but the sealed-size
-// bookkeeping.
+// Crash model: a returned append survives a process kill (no user-space
+// buffer). A power loss keeps what an fsync covered: sealed segments, the
+// active one up to the last sync(), and with fsync_each_append every returned
+// put. Reopen scans every segment; the first invalid frame of the ACTIVE
+// segment starts the torn tail of an interrupted append, which is truncated.
+// One anywhere else is corruption: the rest of that segment is dead and
+// verify() reports it. A failed append truncates its partial frame at once.
+// The manifest is written tmp + fsync + rename + fsync(dir), so a crash
+// leaves the old or the new generation; open reads only the generation, and
+// a missing or corrupt manifest is rebuilt from the scan.
 //
-// Dedup: put() of a key that is already indexed is a no-op (the index is
-// content-addressed). Dead bytes — torn tails, corrupt regions, duplicate
-// frames left behind by an interrupted compact() — are reclaimed by
-// compact(), which rewrites the live entries into fresh segments, commits
-// the new manifest, and only then deletes the old files.
+// Dedup: put() of an indexed key is a no-op (the index is content-addressed).
+// Dead bytes — torn tails, corrupt regions, duplicate frames left by an
+// interrupted compact() — are reclaimed by compact(): it writes the live
+// entries into fresh segments and commits the new manifest before it switches
+// to them and deletes the old files. A failure before the commit removes the
+// new files and changes nothing.
 //
 // Thread safety: all public methods are serialized on one internal mutex
 // (appends are I/O-bound; the hot read path is the in-memory cache tier in
 // front of this class).
 #pragma once
 
-#include <cstdio>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -44,6 +45,7 @@
 
 #include "common/hash.hpp"
 #include "common/types.hpp"
+#include "store/file_ops.hpp"
 
 namespace repro::store {
 
@@ -109,9 +111,10 @@ class SegmentStore {
     u64 live_entries = 0;
   };
 
-  /// Opens (creating the directory if needed) and recovers the store.
+  /// Opens (creating the directory if needed) and recovers the store; every
+  /// change to the directory goes through `ops`.
   /// Throws CompressionError on unrecoverable I/O failure.
-  explicit SegmentStore(const Options& opts);
+  explicit SegmentStore(const Options& opts, FileOps& ops = posix_file_ops());
   ~SegmentStore();
 
   SegmentStore(const SegmentStore&) = delete;
@@ -136,9 +139,9 @@ class SegmentStore {
     ChunkMeta meta;
   };
 
-  /// Append a group of chunks under ONE lock acquisition, ONE stdio flush,
-  /// and (when Options::fsync_each_append is set) ONE fsync for the whole
-  /// batch — the ingest pipeline's group commit. Duplicate keys (against
+  /// Append a group of chunks under ONE lock acquisition and (when
+  /// Options::fsync_each_append is set) ONE fsync for the whole batch — the
+  /// ingest pipeline's group commit. Duplicate keys (against
   /// the index or earlier entries of the same batch) are skipped exactly
   /// like put(). Frames are written in entry order, so a crash mid-batch can
   /// only lose a suffix: the reopen scan truncates the torn frame and
@@ -161,8 +164,8 @@ class SegmentStore {
   /// Rewrite live entries into fresh segments and drop the dead bytes.
   CompactReport compact();
 
-  /// Flush and fsync the active segment and commit a fresh manifest (called
-  /// by the destructor; exposed for deterministic tests).
+  /// Fsync the active segment and commit a fresh manifest (called by the
+  /// destructor; exposed for deterministic tests).
   void sync();
 
  private:
@@ -181,28 +184,32 @@ class SegmentStore {
 
   std::string segment_path(u64 id) const;
   std::string manifest_path() const;
-  void write_manifest_locked();
-  void open_active_locked(u64 id, bool create);
+  void write_manifest_locked(const std::map<u64, Segment>& segments);
+  std::unique_ptr<FileOps::File> create_segment_locked(u64 id);
+  /// Best-effort removal of segment `id`, if present, on a failure path.
+  void discard_locked(u64 id);
   void rotate_locked();
-  void scan_segment_locked(Segment& seg, bool active);
-  /// Write one frame at the active segment's tail. `flush` controls the
-  /// per-frame fflush/fsync (put() flushes each frame; append_batch() defers
-  /// to one group flush). `torn_kill` is the batch kill hook: write half the
-  /// payload, fsync, SIGKILL.
+  void scan_segment_locked(Segment& seg);
+  void publish_locked() const;  ///< the store.log.* gauges
+  /// Append one frame to `file`, the open segment `seg`, and return its
+  /// offset. A failed append truncates the segment back to seg.valid_bytes
+  /// before rethrowing, so the next frame lands where the index says.
+  u64 write_frame_locked(FileOps::File& file, Segment& seg, const common::Hash128& key,
+                         const Bytes& payload, const ChunkMeta& meta);
+  /// Append one indexed frame to the active segment, rotating first if full.
   void append_frame_locked(const common::Hash128& key, const Bytes& payload,
-                           const ChunkMeta& meta, bool flush, bool torn_kill = false);
+                           const ChunkMeta& meta);
 
   Options opts_;
+  FileOps& ops_;
   mutable std::mutex m_;
   std::map<u64, Segment> segments_;  ///< ordered by id; last = active
   std::unordered_map<common::Hash128, IndexEntry, common::Hash128Hasher> index_;
-  std::FILE* active_ = nullptr;  ///< append handle for the active segment
+  std::unique_ptr<FileOps::File> active_;  ///< append handle for the active segment
   u64 generation_ = 0;
   u64 live_bytes_ = 0;
   u64 dead_bytes_ = 0;
   OpenReport open_report_;
-  u64 appends_this_process_ = 0;  ///< drives the PFPL_STORE_TEST_KILL_AT_APPEND hook
-  u64 batch_frames_this_process_ = 0;  ///< PFPL_STORE_TEST_KILL_AT_BATCH_ITEM hook
 };
 
 }  // namespace repro::store

@@ -56,8 +56,8 @@ class ChunkStore {
   void put(const common::Hash128& key, const Bytes& payload, const ChunkMeta& meta);
 
   /// Group insert: every entry lands in the cache, and the persistent tier
-  /// takes them all through SegmentStore::append_batch — one lock, one
-  /// flush, one fsync for the whole group. This is the ingest pipeline's
+  /// takes them all through SegmentStore::append_batch — one lock and at
+  /// most one fsync for the whole group. This is the ingest pipeline's
   /// group commit. Payloads are borrowed for the duration of the call.
   /// Returns the number of entries newly written to the persistent tier
   /// (0 when cache-only).

@@ -6,7 +6,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -14,8 +13,7 @@
 #include <vector>
 
 #ifndef _WIN32
-#include <sys/wait.h>
-#include <unistd.h>
+#include <sys/resource.h>
 #endif
 
 #include "common/hash.hpp"
@@ -517,45 +515,90 @@ TEST(SegmentStore, AppendBatchPersistsAcrossReopenAndRotation) {
 }
 
 #ifndef _WIN32
-TEST(SegmentStore, BatchKillSurfacesOnlyCommittedPrefix) {
-  // Durability ordering under a crash mid-batch: SIGKILL while the 3rd frame
-  // of a 4-entry batch is being written must leave exactly the first two
-  // entries recoverable — never a chunk the recovery scan doesn't cover —
-  // and the torn 3rd frame must be truncated on reopen.
-  StoreDir dir("batch_kill");
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // Child: the env hook tears the 3rd written frame and raises SIGKILL.
-    ::setenv("PFPL_STORE_TEST_KILL_AT_BATCH_ITEM", "3", 1);
-    store::SegmentStore::Options o;
-    o.dir = dir.str();
-    store::SegmentStore log(o);
-    std::vector<Bytes> payloads;
-    for (unsigned i = 0; i < 4; ++i) payloads.push_back(bytes_of(512 + i, u8(i + 1)));
-    std::vector<store::SegmentStore::BatchEntry> entries;
-    for (unsigned i = 0; i < 4; ++i)
-      entries.push_back({key_of(i), &payloads[i], {DType::F32, EbType::ABS, 1e-3, 512}});
-    log.append_batch(entries);  // never returns
-    _exit(0);                   // hook failed: parent sees a clean exit and fails
-  }
-  int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFSIGNALED(status)) << "child exited instead of being killed";
-  ASSERT_EQ(WTERMSIG(status), SIGKILL);
+namespace {
 
+/// Caps the size of every file this process writes (RLIMIT_FSIZE, with
+/// SIGXFSZ ignored so an over-limit write fails with EFBIG) until destroyed.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    getrlimit(RLIMIT_FSIZE, &old_);
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit cap = old_;
+    cap.rlim_cur = bytes;
+    setrlimit(RLIMIT_FSIZE, &cap);
+  }
+  ~FileSizeLimit() {
+    setrlimit(RLIMIT_FSIZE, &old_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+
+ private:
+  rlimit old_{};
+  void (*old_handler_)(int) = nullptr;
+};
+
+}  // namespace
+
+TEST(SegmentStore, FailedAppendLeavesLaterAppendsReadable) {
+  // A put that fails mid-frame must not shift where the next frame lands:
+  // the next acknowledged put reads back, now and after a reopen.
+  StoreDir dir("failed_append");
   store::SegmentStore::Options o;
   o.dir = dir.str();
+  {
+    store::SegmentStore log(o);
+    ASSERT_TRUE(log.put(key_of(1), bytes_of(1000, 1), {}));
+    {
+      FileSizeLimit cap(100000);
+      EXPECT_THROW(log.put(key_of(2), bytes_of(200000, 2), {}), CompressionError);
+    }
+    ASSERT_TRUE(log.put(key_of(3), bytes_of(500, 3), {}));
+    Bytes out;
+    ASSERT_TRUE(log.get(key_of(3), out));
+    EXPECT_EQ(out, bytes_of(500, 3));
+    EXPECT_FALSE(log.get(key_of(2), out));
+    EXPECT_TRUE(log.verify().ok());
+  }
   store::SegmentStore log(o);
-  EXPECT_GT(log.open_report().torn_bytes, 0u);  // the half-written 3rd frame
   EXPECT_EQ(log.entry_count(), 2u);
+  EXPECT_EQ(log.open_report().torn_bytes, 0u);
   Bytes out;
-  ASSERT_TRUE(log.get(key_of(0), out));
-  EXPECT_EQ(out, bytes_of(512, 1));
   ASSERT_TRUE(log.get(key_of(1), out));
-  EXPECT_EQ(out, bytes_of(513, 2));
-  EXPECT_FALSE(log.get(key_of(2), out));  // torn mid-write
-  EXPECT_FALSE(log.get(key_of(3), out));  // never reached
+  EXPECT_EQ(out, bytes_of(1000, 1));
+  ASSERT_TRUE(log.get(key_of(3), out));
+  EXPECT_EQ(out, bytes_of(500, 3));
+}
+
+TEST(SegmentStore, FailedCompactKeepsTheOldLayout) {
+  // A compact() that fails part-way must leave the store usable on its old
+  // segments, with no partial new segment left on disk.
+  StoreDir dir("failed_compact");
+  store::SegmentStore::Options o;
+  o.dir = dir.str();
+  {
+    store::SegmentStore log(o);
+    for (unsigned i = 0; i < 4; ++i)
+      ASSERT_TRUE(log.put(key_of(i), bytes_of(50000, u8(i)), {}));
+    const u64 gen = log.generation();
+    {
+      FileSizeLimit cap(60000);
+      EXPECT_THROW(log.compact(), CompressionError);
+    }
+    EXPECT_EQ(log.generation(), gen);
+    EXPECT_FALSE(fs::exists(dir.path() / "seg-00000002.pfps"));
+    EXPECT_TRUE(log.put(key_of(4), bytes_of(700, 4), {}));
+    for (unsigned i = 0; i < 5; ++i) {
+      Bytes out;
+      ASSERT_TRUE(log.get(key_of(i), out)) << i;
+      EXPECT_EQ(out, bytes_of(i < 4 ? 50000 : 700, u8(i)));
+    }
+    EXPECT_TRUE(log.verify().ok());
+    // The next compact() succeeds and keeps every entry.
+    EXPECT_EQ(log.compact().live_entries, 5u);
+  }
+  store::SegmentStore log(o);
+  EXPECT_EQ(log.entry_count(), 5u);
   EXPECT_TRUE(log.verify().ok());
 }
 #endif
