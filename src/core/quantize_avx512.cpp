@@ -19,7 +19,9 @@
 
 #define PFPL_LANE_FN \
   __attribute__((target("avx512f,avx512vl,avx512dq,avx512bw"), always_inline)) inline
-#define PFPL_LANE_KERNEL __attribute__((target("avx512f,avx512vl,avx512dq,avx512bw")))
+// 64-byte aligned, as in quantize_avx2.cpp.
+#define PFPL_LANE_KERNEL \
+  __attribute__((target("avx512f,avx512vl,avx512dq,avx512bw"), aligned(64)))
 
 namespace repro::pfpl {
 namespace {

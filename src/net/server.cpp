@@ -11,13 +11,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -40,6 +37,11 @@ namespace {
 
 using common::get_le;
 using common::put_le;
+
+constexpr std::size_t kMaxFramePayload = 256u << 20;  ///< declared-length cap
+constexpr std::size_t kQueueCapacity = 4096;          ///< pool bounded queue
+constexpr u64 kDrainTimeoutNs = 5'000'000'000;        ///< flush deadline on drain
+constexpr std::size_t kSlowCapacity = 32;             ///< slow-request ring size
 
 /// An always-live Server::Stats count and the obs-gated registry counter
 /// that mirrors it (none when `metric` is null): one add() moves both.
@@ -141,31 +143,6 @@ u64 now_ns() {
   return static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                               std::chrono::steady_clock::now().time_since_epoch())
                               .count());
-}
-
-/// Test-only slowdown: PFPL_NET_TEST_SLOW_US sleeps inside every worker-side
-/// request, widening the in-flight window so the drain and backpressure
-/// tests are deterministic. Read fresh each time (test-only path; the hot
-/// path never reaches it in real runs). Unset in production.
-void test_slowdown() {
-  const char* e = std::getenv("PFPL_NET_TEST_SLOW_US");
-  if (e && e[0] != '\0') {
-    const long us = std::atol(e);
-    if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
-  }
-}
-
-/// Test-only crash: PFPL_NET_TEST_CRASH_AFTER=N raises SIGSEGV inside the
-/// worker handling the Nth pooled request — the CI induced-crash
-/// smoke uses this to exercise the crash-report path on a serving pfpld.
-/// Unset in production; the counter only exists when the env var is set.
-void test_crash() {
-  static const char* e = std::getenv("PFPL_NET_TEST_CRASH_AFTER");
-  if (!e || e[0] == '\0') return;
-  static std::atomic<long> seen{0};
-  const long n = std::atol(e);
-  if (n > 0 && seen.fetch_add(1, std::memory_order_relaxed) + 1 >= n)
-    ::raise(SIGSEGV);
 }
 
 struct Connection {
@@ -281,7 +258,7 @@ struct Server::Impl {
   u64 last_session_sweep_ns = 0;
 
   /// Slow-request ring, sorted by total_us descending, capped at
-  /// opts.slow_capacity. Written on the loop thread; the mutex covers
+  /// kSlowCapacity. Written on the loop thread; the mutex covers
   /// external stats_json() readers.
   mutable std::mutex slow_m;
   std::vector<SlowRequest> slow;
@@ -301,7 +278,7 @@ struct Server::Impl {
     set_nonblocking(wake_r, true);
     set_nonblocking(wake_w, true);
     reserve_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-    pool = std::make_unique<svc::ThreadPool>(o.threads, o.queue_capacity);
+    pool = std::make_unique<svc::ThreadPool>(o.threads, kQueueCapacity);
   }
 
   ~Impl() {
@@ -436,8 +413,7 @@ struct Server::Impl {
     w.kv("exec", pfpl::to_string(opts.exec));
     w.kv("max_inflight_bytes",
          static_cast<unsigned long long>(opts.max_inflight_bytes));
-    w.kv("max_frame_payload",
-         static_cast<unsigned long long>(opts.max_frame_payload));
+    w.kv("max_frame_payload", static_cast<unsigned long long>(kMaxFramePayload));
     w.kv("draining", s.draining);
     w.kv("connections_accepted", static_cast<unsigned long long>(s.connections_accepted));
     w.kv("connections_current", static_cast<unsigned long long>(s.connections_current));
@@ -510,11 +486,11 @@ struct Server::Impl {
           [](const SlowRequest& a, const SlowRequest& b) {
             return a.total_us > b.total_us;  // descending
           });
-      if (pos == slow.end() && slow.size() >= opts.slow_capacity) {
+      if (pos == slow.end() && slow.size() >= kSlowCapacity) {
         // Slower entries already fill the ring.
       } else {
         slow.insert(pos, s);
-        if (slow.size() > opts.slow_capacity) slow.pop_back();
+        if (slow.size() > kSlowCapacity) slow.pop_back();
       }
     }
     obs::EventLog& log = obs::EventLog::global();
@@ -647,8 +623,8 @@ struct Server::Impl {
   /// The one worker harness. Charges the frame's payload to the connection's
   /// in-flight budget and runs `body(payload)` on the pool; `body` returns
   /// the response frame. Everything around it — trace scope and work span,
-  /// the test hooks, the typed error frames, timing, and the hand-back to the
-  /// loop through the completion queue — lives here.
+  /// the typed error frames, timing, and the hand-back to the loop through
+  /// the completion queue — lives here.
   template <typename Body>
   void run_pooled(Connection& c, Frame& f, const char* span, u8 dtype, Body body) {
     Completion comp;
@@ -671,8 +647,6 @@ struct Server::Impl {
       obs::TraceContext::Scope trace_ctx(comp.request_id);
       obs::ScopedSpan work_span(span);
       try {
-        test_slowdown();
-        test_crash();
         comp.frame = body(payload);
       } catch (const std::exception& e) {
         comp.frame = encode_error_frame(comp.request_id, comp.op,
@@ -962,7 +936,7 @@ struct Server::Impl {
   void begin_drain() {
     if (draining) return;
     draining = true;
-    drain_deadline_ns = now_ns() + static_cast<u64>(opts.drain_timeout_ms) * 1000000ull;
+    drain_deadline_ns = now_ns() + kDrainTimeoutNs;
     if (poller) {
       if (listen.valid()) poller->remove(listen.fd());
       if (mlisten.valid()) poller->remove(mlisten.fd());
@@ -1010,20 +984,23 @@ struct Server::Impl {
     }
   }
 
-  /// EMFILE/ENFILE on accept: the process is out of fds but the pending
-  /// connection still sits in the backlog. Close the reserve fd to free one
-  /// slot, accept-and-close the peer (a deterministic close beats a backlog
-  /// timeout), re-arm the reserve, and log. Returns false when even the
-  /// reserve trick could not accept (nothing further to shed this round).
-  bool shed_accept() {
-    st.accept_overloads.add(1);
+  /// EMFILE/ENFILE on accept from `l` (the PFPN or the HTTP listener): the
+  /// process is out of fds but the pending connection still sits in the
+  /// backlog, and a level-triggered listener would stay readable forever.
+  /// Close the reserve fd to free one slot, accept-and-close the peer (a
+  /// deterministic close beats a backlog timeout), re-arm the reserve, and
+  /// log. Returns false when even the reserve trick could not accept
+  /// (nothing further to shed this round).
+  bool shed_accept(const Socket& l) {
     if (reserve_fd >= 0) {
       ::close(reserve_fd);
       reserve_fd = -1;
     }
-    const int fd = ::accept(listen.fd(), nullptr, nullptr);
+    const int fd = ::accept(l.fd(), nullptr, nullptr);
     if (fd >= 0) ::close(fd);
     if (reserve_fd < 0) reserve_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return false;
+    st.accept_overloads.add(1);
     obs::EventLog& log = obs::EventLog::global();
     if (log.would_log(obs::LogLevel::Warn)) {
       obs::JsonWriter w;
@@ -1033,7 +1010,7 @@ struct Server::Impl {
       w.end_object();
       log.emit(obs::LogLevel::Warn, "accept_overload", w.take());
     }
-    return fd >= 0;
+    return true;
   }
 
   void accept_ready() {
@@ -1047,7 +1024,7 @@ struct Server::Impl {
         if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
         if (errno == EMFILE || errno == ENFILE) {
           // Out of fds is an overload, not a crash: shed and keep serving.
-          if (!shed_accept()) return;
+          if (!shed_accept(listen)) return;
           continue;
         }
         return;  // transient accept errors (ECONNABORTED): keep serving
@@ -1057,8 +1034,7 @@ struct Server::Impl {
       const int one = 1;
       setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       const u64 id = next_conn_id++;
-      conns.emplace(id, std::make_unique<Connection>(id, std::move(s),
-                                                     opts.max_frame_payload));
+      conns.emplace(id, std::make_unique<Connection>(id, std::move(s), kMaxFramePayload));
       st.connections_accepted.add(1);
       st.connections.add(1);
     }
@@ -1069,7 +1045,10 @@ struct Server::Impl {
   void http_accept() {
     for (;;) {
       const int fd = ::accept(mlisten.fd(), nullptr, nullptr);
-      if (fd < 0) return;  // EAGAIN/EINTR/transient: poll re-arms us
+      if (fd < 0) {
+        if ((errno == EMFILE || errno == ENFILE) && shed_accept(mlisten)) continue;
+        return;  // EAGAIN/EINTR/transient: poll re-arms us
+      }
       Socket s(fd);
       set_nonblocking(fd, true);
       http_conns.emplace(next_http_id++, std::make_unique<HttpConn>(std::move(s)));

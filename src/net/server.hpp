@@ -25,7 +25,7 @@
 //     and STREAM_FRAME requests with a typed Draining error, let in-flight
 //     requests finish and their responses flush, then close everything and
 //     return from run(). A peer that refuses to read its responses is cut
-//     off after `drain_timeout_ms`.
+//     off after 5 s.
 //
 // Protocol errors get typed error frames: recoverable ones (CRC mismatch,
 // bad params, unsupported op, a response frame sent as a request) keep the
@@ -55,9 +55,6 @@ class Server {
     u16 port = 0;                                 ///< 0 = ephemeral
     unsigned threads = 0;                         ///< pool workers; 0 = hw
     std::size_t max_inflight_bytes = 64u << 20;   ///< per-connection budget
-    std::size_t max_frame_payload = 256u << 20;   ///< declared-length cap
-    std::size_t queue_capacity = 4096;            ///< pool bounded queue
-    int drain_timeout_ms = 5000;                  ///< flush deadline on drain
     pfpl::Executor exec = pfpl::Executor::Serial;
     /// Optional PFPS chunk store: COMPRESS/DECOMPRESS answers are looked up
     /// by content hash before dispatching to the pool, and computed results
@@ -65,10 +62,9 @@ class Server {
     /// stats. Null = no store (compute every request).
     std::shared_ptr<store::ChunkStore> store;
     /// Slow-request capture: requests whose total latency reaches `slow_ms`
-    /// enter a ring of the `slow_capacity` slowest (exposed via STATS and
-    /// METRICS, logged through obs::EventLog). 0 disables capture.
+    /// enter a ring of the 32 slowest (exposed via STATS and METRICS, logged
+    /// through obs::EventLog). 0 disables capture.
     int slow_ms = 0;
-    std::size_t slow_capacity = 32;
     /// Plain-HTTP GET /metrics listener on the same poll loop, for scrapers
     /// that do not speak PFPN: -1 = disabled, 0 = ephemeral, else the port.
     int metrics_port = -1;

@@ -204,10 +204,11 @@ SegmentStore::SegmentStore(const Options& opts, FileOps& ops) : opts_(opts), ops
   publish_locked();
 }
 
-void SegmentStore::publish_locked() const {
+void SegmentStore::publish_locked() {
   LogMetrics& m = LogMetrics::get();
   m.live_bytes.set(static_cast<long long>(live_bytes_));
   m.dead_bytes.set(static_cast<long long>(dead_bytes_));
+  entries_ = index_.size();
   m.entries.set(static_cast<long long>(index_.size()));
   m.segments.set(static_cast<long long>(segments_.size()));
 }
@@ -276,7 +277,7 @@ void SegmentStore::write_manifest_locked(const std::map<u64, Segment>& segments)
   put_le(buf.data() + 0, kManifestMagic);
   put_le(buf.data() + 4, kStoreVersion);
   put_le(buf.data() + 6, u16{0});
-  put_le(buf.data() + 8, generation_);
+  put_le(buf.data() + 8, generation_.load());
   put_le(buf.data() + 16, static_cast<u64>(segments.size()));
   std::size_t off = 24;
   for (const auto& [id, seg] : segments) {
@@ -365,6 +366,7 @@ void SegmentStore::append_frame_locked(const common::Hash128& key, const Bytes& 
   const u64 off = write_frame_locked(*active_, seg, key, payload, meta);
   index_.emplace(key, IndexEntry{seg.id, off, payload.size(), meta});
   live_bytes_ += kChunkFrameHeaderSize + payload.size();
+  entries_ = index_.size();
 }
 
 void SegmentStore::rotate_locked() {
@@ -436,25 +438,13 @@ std::vector<StoredChunk> SegmentStore::entries() const {
   return out;
 }
 
-std::size_t SegmentStore::entry_count() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return index_.size();
-}
+std::size_t SegmentStore::entry_count() const { return entries_; }
 
-u64 SegmentStore::live_bytes() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return live_bytes_;
-}
+u64 SegmentStore::live_bytes() const { return live_bytes_; }
 
-u64 SegmentStore::dead_bytes() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return dead_bytes_;
-}
+u64 SegmentStore::dead_bytes() const { return dead_bytes_; }
 
-u64 SegmentStore::generation() const {
-  std::lock_guard<std::mutex> lk(m_);
-  return generation_;
-}
+u64 SegmentStore::generation() const { return generation_; }
 
 SegmentStore::VerifyReport SegmentStore::verify() const {
   std::lock_guard<std::mutex> lk(m_);

@@ -33,9 +33,12 @@
 //
 // Thread safety: all public methods are serialized on one internal mutex
 // (appends are I/O-bound; the hot read path is the in-memory cache tier in
-// front of this class).
+// front of this class), except the four counters, which never wait behind
+// an append: a STATS render or the flight sampler reads them while a disk
+// write is stuck.
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -190,7 +193,7 @@ class SegmentStore {
   void discard_locked(u64 id);
   void rotate_locked();
   void scan_segment_locked(Segment& seg);
-  void publish_locked() const;  ///< the store.log.* gauges
+  void publish_locked();  ///< entries_ and the store.log.* gauges
   /// Append one frame to `file`, the open segment `seg`, and return its
   /// offset. A failed append truncates the segment back to seg.valid_bytes
   /// before rethrowing, so the next frame lands where the index says.
@@ -206,9 +209,11 @@ class SegmentStore {
   std::map<u64, Segment> segments_;  ///< ordered by id; last = active
   std::unordered_map<common::Hash128, IndexEntry, common::Hash128Hasher> index_;
   std::unique_ptr<FileOps::File> active_;  ///< append handle for the active segment
-  u64 generation_ = 0;
-  u64 live_bytes_ = 0;
-  u64 dead_bytes_ = 0;
+  // Written under m_, read without it.
+  std::atomic<u64> generation_{0};
+  std::atomic<u64> live_bytes_{0};
+  std::atomic<u64> dead_bytes_{0};
+  std::atomic<std::size_t> entries_{0};  ///< index_.size()
   OpenReport open_report_;
 };
 

@@ -50,13 +50,13 @@ common::Hash128 decompress_key(const void* stream, std::size_t n) {
   return common::hash128(buf, sizeof buf);
 }
 
-ChunkStore::ChunkStore(const Options& opts) : cache_(opts.cache) {
+ChunkStore::ChunkStore(const Options& opts, FileOps& ops) : cache_(opts.cache) {
   if (!opts.dir.empty()) {
     SegmentStore::Options lo;
     lo.dir = opts.dir;
     lo.max_segment_bytes = opts.max_segment_bytes;
     lo.fsync_each_append = opts.fsync_each_append;
-    log_ = std::make_unique<SegmentStore>(lo);
+    log_ = std::make_unique<SegmentStore>(lo, ops);
   }
 }
 

@@ -46,7 +46,8 @@ class ChunkStore {
     bool fsync_each_append = false;
   };
 
-  explicit ChunkStore(const Options& opts);
+  /// `ops` is the persistent tier's write seam (see SegmentStore).
+  explicit ChunkStore(const Options& opts, FileOps& ops = posix_file_ops());
 
   /// Cache, then segment log (promoting a log hit into the cache).
   bool get(const common::Hash128& key, Bytes& out);

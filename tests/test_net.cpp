@@ -14,8 +14,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <set>
@@ -26,6 +26,7 @@
 
 #include "common/checksum.hpp"
 #include "core/pfpl.hpp"
+#include "gated_store.hpp"
 #include "json_value.hpp"
 #include "net/backoff.hpp"
 #include "net/client.hpp"
@@ -80,6 +81,29 @@ struct TestServer {
   }
   net::Server server;
   std::thread thread;
+};
+
+/// A TestServer whose chunk store holds every segment append on a gate:
+/// each COMPRESS stays in flight on its pool worker, after the compressor
+/// ran, until the test calls `open()`. The destructor opens the gate before
+/// the server drains, so a failed assertion cannot wedge the drain.
+struct HeldServer {
+  explicit HeldServer(const net::Server::Options& opts)
+      : gs(std::filesystem::path(::testing::TempDir()) /
+           ("pfpl_held_" +
+            std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+            "_" + std::to_string(::getpid()))),
+        ts(with_store(opts)) {
+    gs.ops.hold();
+  }
+  net::Server::Options with_store(net::Server::Options o) const {
+    o.store = gs.store;
+    return o;
+  }
+  ~HeldServer() { open(); }
+  void open() { gs.ops.open(); }
+  gated::GatedStore gs;
+  TestServer ts;
 };
 
 /// Blocking raw-socket request: send pre-encoded wire bytes, read one
@@ -517,8 +541,8 @@ TEST(NetLoopback, BackpressureCapsInflightBytes) {
   net::Server::Options opts;
   opts.max_inflight_bytes = 64 * 1024;
   opts.threads = 1;
-  TestServer ts(opts);
-  ::setenv("PFPL_NET_TEST_SLOW_US", "20000", 1);  // 20 ms per request
+  HeldServer held(opts);
+  TestServer& ts = held.ts;
 
   net::Socket sock = net::tcp_connect("127.0.0.1", ts.server.port(), 5000);
   const std::vector<float> data = make_f32(8192);  // 32 KiB per request
@@ -534,9 +558,16 @@ TEST(NetLoopback, BackpressureCapsInflightBytes) {
     const Bytes one = net::encode_frame(h, data.data(), data.size() * 4);
     wire.insert(wire.end(), one.begin(), one.end());
   }
-  // Blast all 8 pipelined requests at once, then collect all 8 responses.
-  // The pool's LIFO pop may reorder completions, so match by request id.
+  // Blast all 8 pipelined requests at once while the first one is held on
+  // the gate: the loop admits a second (the budget is full) and parks the
+  // rest. Then collect all 8 responses. The pool's LIFO pop may reorder
+  // completions, so match by request id.
   net::send_all(sock.fd(), wire.data(), wire.size(), 10000);
+  ASSERT_TRUE(held.gs.ops.wait_held());
+  for (int i = 0; i < 5000 && ts.server.stats().inflight_bytes < opts.max_inflight_bytes; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(ts.server.stats().inflight_bytes, opts.max_inflight_bytes);
+  held.open();
   std::vector<bool> seen(kRequests, false);
   for (unsigned q = 0; q < kRequests; ++q) {
     u8 hdr[net::kFrameHeaderSize];
@@ -551,7 +582,6 @@ TEST(NetLoopback, BackpressureCapsInflightBytes) {
     if (!payload.empty())
       net::recv_all(sock.fd(), payload.data(), payload.size(), 30000);
   }
-  ::unsetenv("PFPL_NET_TEST_SLOW_US");
 
   // 32 KiB requests against a 64 KiB budget: at most 2 admitted at once.
   EXPECT_LE(ts.server.stats().peak_inflight_bytes, opts.max_inflight_bytes);
@@ -576,8 +606,8 @@ TEST(NetLoopback, OversizedSingleRequestAdmittedAlone) {
 TEST(NetLoopback, DrainFinishesInflightAndRejectsNew) {
   net::Server::Options opts;
   opts.threads = 1;
-  TestServer ts(opts);
-  ::setenv("PFPL_NET_TEST_SLOW_US", "150000", 1);  // 150 ms per request
+  HeldServer held(opts);
+  TestServer& ts = held.ts;
 
   const std::vector<float> data = make_f32(1024);
   pfpl::Params params;
@@ -585,7 +615,7 @@ TEST(NetLoopback, DrainFinishesInflightAndRejectsNew) {
   params.eps = 1e-3;
   const Bytes local = pfpl::compress(Field(data.data(), data.size()), params);
 
-  // A raw connection with one slow COMPRESS in flight. The in-flight bytes
+  // A raw connection with one COMPRESS held in flight. The in-flight bytes
   // keep this connection alive across the drain (idle conns are reaped).
   net::Socket sock = net::tcp_connect("127.0.0.1", ts.server.port(), 5000);
   net::FrameHeader h;
@@ -596,21 +626,22 @@ TEST(NetLoopback, DrainFinishesInflightAndRejectsNew) {
   h.request_id = 1;
   const Bytes slow_req = net::encode_frame(h, data.data(), data.size() * 4);
   net::send_all(sock.fd(), slow_req.data(), slow_req.size(), 5000);
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  ASSERT_TRUE(held.gs.ops.wait_held());
 
-  // Drain begins while request 1 is still being compressed.
+  // Drain begins while request 1 is still on its worker.
   net::Client ctl(ts.client_options());
   ctl.shutdown_server();
   EXPECT_TRUE(ts.server.stats().draining);
 
   // A NEW compress on the surviving connection is refused with the typed
-  // Draining status, immediately — before the slow request finishes.
+  // Draining status, immediately — before the held request finishes.
   h.request_id = 2;
   net::Frame refused = raw_roundtrip(sock.fd(), net::encode_frame(h, data.data(), 64));
   EXPECT_EQ(refused.header.status, static_cast<u16>(net::Status::Draining));
   EXPECT_EQ(refused.header.request_id, 2u);
 
   // The in-flight request still completes, byte-identical to local.
+  held.open();
   u8 hdr[net::kFrameHeaderSize];
   net::recv_all(sock.fd(), hdr, sizeof(hdr), 10000);
   net::FrameHeader rh = net::decode_frame_header(hdr);
@@ -620,7 +651,6 @@ TEST(NetLoopback, DrainFinishesInflightAndRejectsNew) {
   net::recv_all(sock.fd(), remote.data(), remote.size(), 10000);
   EXPECT_EQ(remote, local);
 
-  ::unsetenv("PFPL_NET_TEST_SLOW_US");
   ts.thread.join();  // run() returns once the drain finishes
 }
 
@@ -847,13 +877,19 @@ TEST(NetIntrospection, DisabledObservabilityScrapeValidAndRecordsNothing) {
 TEST(NetIntrospection, SlowRequestCaptureRingInStats) {
   net::Server::Options opts;
   opts.slow_ms = 1;
-  ::setenv("PFPL_NET_TEST_SLOW_US", "5000", 1);
-  TestServer ts(opts);
-  net::Client client(ts.client_options());
+  HeldServer held(opts);
+  net::Client client(held.ts.client_options());
   const std::vector<float> data = make_f32(1024);
-  client.compress(data.data(), data.size() * 4, DType::F32, EbType::ABS, 1e-3);
+  auto reply = std::async(std::launch::async, [&] {
+    return client.compress(data.data(), data.size() * 4, DType::F32, EbType::ABS, 1e-3);
+  });
+  // The gate keeps the request on its worker until the test has seen it
+  // there for 5 ms; the ring must charge that time to work.
+  ASSERT_TRUE(held.gs.ops.wait_held());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  held.open();
+  reply.get();
   const u64 id = client.last_request_id();
-  ::unsetenv("PFPL_NET_TEST_SLOW_US");
 
   obs::JsonValue doc = obs::parse_json(client.stats());
   EXPECT_GE(doc.at("slow_requests_captured").num, 1.0);
@@ -862,7 +898,7 @@ TEST(NetIntrospection, SlowRequestCaptureRingInStats) {
   EXPECT_EQ(worst.at("op").str, "COMPRESS");
   EXPECT_GE(worst.at("total_us").num, 5000.0);
   EXPECT_EQ(worst.at("request_id").num, static_cast<double>(id));
-  EXPECT_GE(worst.at("work_us").num, 5000.0);  // the injected sleep is work
+  EXPECT_GE(worst.at("work_us").num, 5000.0);  // the held append is work
 }
 
 // A connection reset while its request is in the pool must not leave its
@@ -875,8 +911,8 @@ TEST(NetIntrospection, InflightGaugeReturnsToZeroWhenConnDies) {
   const u64 finished = request_us.count();
   net::Server::Options opts;
   opts.threads = 1;
-  TestServer ts(opts);
-  ::setenv("PFPL_NET_TEST_SLOW_US", "100000", 1);
+  HeldServer held(opts);
+  TestServer& ts = held.ts;
 
   const std::vector<float> data = make_f32(1024);
   net::Socket sock = net::tcp_connect("127.0.0.1", ts.server.port(), 5000);
@@ -889,19 +925,21 @@ TEST(NetIntrospection, InflightGaugeReturnsToZeroWhenConnDies) {
   for (int i = 0; i < 500 && ts.server.stats().inflight_bytes == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   ASSERT_EQ(ts.server.stats().inflight_bytes, data.size() * 4);
+  ASSERT_TRUE(held.gs.ops.wait_held());
 
   // Reset (not FIN) the connection: the loop sees POLLERR and closes it
-  // while the slow request is still on the worker.
+  // while the held request is still on the worker.
   const linger rst{1, 0};
   ASSERT_EQ(::setsockopt(sock.fd(), SOL_SOCKET, SO_LINGER, &rst, sizeof rst), 0);
   sock.close();
-  for (int i = 0; i < 1000 && (ts.server.stats().connections_current != 0 ||
-                               request_us.count() == finished);
-       ++i)
+  for (int i = 0; i < 1000 && ts.server.stats().connections_current != 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  ::unsetenv("PFPL_NET_TEST_SLOW_US");
+  EXPECT_EQ(held.gs.ops.held(), 1u) << "the request left its worker before the reset";
+  held.open();
+  for (int i = 0; i < 1000 && request_us.count() == finished; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   ASSERT_EQ(ts.server.stats().connections_current, 0u);
-  ASSERT_EQ(request_us.count(), finished + 1) << "the slow request never finished";
+  ASSERT_EQ(request_us.count(), finished + 1) << "the held request never finished";
 
   EXPECT_EQ(ts.server.stats().inflight_bytes, 0u);
   EXPECT_EQ(gauge.value(), 0);
@@ -1053,13 +1091,16 @@ TEST(NetServer, MaxConnsDefersExtraConnections) {
 }
 
 TEST(NetServer, AcceptShedsGracefullyOnFdExhaustion) {
-  TestServer ts;
+  net::Server::Options o;
+  o.metrics_port = 0;  // the HTTP /metrics listener must shed too
+  TestServer ts(o);
   net::Client ok(ts.client_options());
   ok.ping();  // an established connection keeps working throughout
 
-  // Hoard every spare fd, then hand exactly one back so the victim can
+  // Hoard every spare fd, then hand exactly one back so a victim can
   // connect — the server's accept() then fails with EMFILE and must shed
-  // (close the new conn) instead of dying or spinning. Nothing may throw
+  // (close the new conn) instead of dying or spinning. One victim per
+  // listener, PFPN first, then HTTP on the same freed fd. Nothing may throw
   // while the hoard is held: sanitizer runtimes need a free fd to report,
   // so only plain syscalls run until the hoard is released.
   std::vector<int> hoard;
@@ -1072,48 +1113,68 @@ TEST(NetServer, AcceptShedsGracefullyOnFdExhaustion) {
   ::close(hoard.back());
   hoard.pop_back();
 
-  net::Socket victim;
-  bool connected = false;
-  try {
-    victim = net::tcp_connect("127.0.0.1", ts.server.port(), 2000);
-    connected = true;
-  } catch (...) {
-  }
-  // The shed closes the server's end: the victim reads EOF or ECONNRESET.
-  ssize_t got = -1;
-  int err = 0;
-  if (connected) {
-    pollfd p{victim.fd(), POLLIN, 0};
-    if (::poll(&p, 1, 2000) == 1) {
-      char byte;
-      got = ::recv(victim.fd(), &byte, 1, 0);
-      err = got < 0 ? errno : 0;
+  struct Shed {
+    bool connected = false;
+    ssize_t got = -1;
+    int err = 0;
+    bool pinged = false;
+  };
+  auto shed = [&](u16 port) {
+    Shed r;
+    net::Socket victim;
+    try {
+      victim = net::tcp_connect("127.0.0.1", port, 2000);
+      r.connected = true;
+    } catch (...) {
     }
-  }
+    // The shed closes the server's end: the victim reads EOF or ECONNRESET.
+    if (r.connected) {
+      pollfd p{victim.fd(), POLLIN, 0};
+      if (::poll(&p, 1, 2000) == 1) {
+        char byte;
+        r.got = ::recv(victim.fd(), &byte, 1, 0);
+        r.err = r.got < 0 ? errno : 0;
+      }
+    }
+    // The loop answers this PING after the shed returned, so its reserve fd
+    // is back before the victim's fd is freed for the next victim.
+    try {
+      ok.ping();
+      r.pinged = true;
+    } catch (...) {
+    }
+    return r;
+  };
+  const Shed pfpn = shed(ts.server.port());
+  const Shed http = shed(ts.server.metrics_port());
   for (int fd : hoard) ::close(fd);
 
-  ASSERT_TRUE(connected);
-  EXPECT_TRUE(got == 0 || (got < 0 && err == ECONNRESET)) << got << " " << err;
-  for (int i = 0; i < 200 && ts.server.stats().accept_overloads == 0; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_GE(ts.server.stats().accept_overloads, 1u);
-  // The server survived: existing and brand-new connections both work.
+  for (const Shed& r : {pfpn, http}) {
+    ASSERT_TRUE(r.connected);
+    EXPECT_TRUE(r.got == 0 || (r.got < 0 && r.err == ECONNRESET)) << r.got << " " << r.err;
+    EXPECT_TRUE(r.pinged);
+  }
+  EXPECT_EQ(ts.server.stats().accept_overloads, 2u);  // one shed per listener
+  // The server survived: existing and brand-new connections both work, on
+  // both listeners.
   ok.ping();
   net::Client fresh(ts.client_options());
   fresh.ping();
+  EXPECT_NE(http_get(ts.server.metrics_port(), "/metrics").find("HTTP/1.1 200"),
+            std::string::npos);
 }
 
 }  // namespace
 
-// The op table's policy, one op at a time on a connection that a slow
+// The op table's policy, one op at a time on a connection that a held
 // in-flight COMPRESS keeps alive across the drain: pooled ops and new
 // sessions are refused with Draining, everything else still answers, and
 // every request frame with a known op is counted once on arrival.
 TEST(NetServer, EveryOpHasATypedAnswerWhileDraining) {
   net::Server::Options opts;
   opts.threads = 1;
-  TestServer ts(opts);
-  ::setenv("PFPL_NET_TEST_SLOW_US", "500000", 1);
+  HeldServer held(opts);
+  TestServer& ts = held.ts;
 
   const std::vector<float> data = make_f32(256);
   net::Socket sock = net::tcp_connect("127.0.0.1", ts.server.port(), 5000);
@@ -1125,6 +1186,7 @@ TEST(NetServer, EveryOpHasATypedAnswerWhileDraining) {
   net::send_all(sock.fd(), slow_req.data(), slow_req.size(), 5000);
   for (int i = 0; i < 500 && ts.server.stats().inflight_bytes == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_TRUE(held.gs.ops.wait_held());
   net::Client ctl(ts.client_options());
   ctl.shutdown_server();
   ASSERT_TRUE(ts.server.stats().draining);
@@ -1173,9 +1235,9 @@ TEST(NetServer, EveryOpHasATypedAnswerWhileDraining) {
   EXPECT_EQ(after.requests_other - before.requests_other, 8u);  // 7 cases + PING
 
   // The in-flight request still completes on the same connection.
+  held.open();
   const net::Frame done = raw_roundtrip(sock.fd(), {}, 10000);
   EXPECT_EQ(done.header.status, static_cast<u16>(net::Status::Ok));
   EXPECT_EQ(done.header.request_id, 1u);
-  ::unsetenv("PFPL_NET_TEST_SLOW_US");
   ts.thread.join();
 }

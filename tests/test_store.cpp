@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 
 #include "common/hash.hpp"
 #include "core/pfpl.hpp"
+#include "gated_store.hpp"
 #include "ingest/pipeline.hpp"
 #include "store/cache.hpp"
 #include "store/segment_log.hpp"
@@ -409,6 +411,26 @@ TEST(ChunkStore, StatsJsonShape) {
   EXPECT_NE(js.find("\"cache\""), std::string::npos);
   EXPECT_NE(js.find("\"hits\""), std::string::npos);
   EXPECT_NE(js.find("\"persistent\":false"), std::string::npos);
+}
+
+// The stats never wait behind an append: the server renders them on its
+// event loop (STATS, METRICS) and in the flight sampler, which must keep
+// checking for stalls while a disk write is stuck.
+TEST(ChunkStore, StatsJsonDoesNotWaitForAStuckAppend) {
+  StoreDir dir("stats_stuck_append");
+  gated::GatedStore gs(dir.path());
+  gs.store->put(key_of(1), bytes_of(100, 1), {});
+  gs.ops.hold();
+  auto put = std::async(std::launch::async,
+                        [&] { gs.store->put(key_of(2), bytes_of(100, 2), {}); });
+  ASSERT_TRUE(gs.ops.wait_held());
+  auto stats = std::async(std::launch::async, [&] { return gs.store->stats_json(); });
+  const bool answered = stats.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  gs.ops.open();
+  put.get();
+  ASSERT_TRUE(answered) << "stats_json() waited for the held append";
+  EXPECT_NE(stats.get().find("\"entries\":1"), std::string::npos);
+  EXPECT_EQ(gs.store->log()->entry_count(), 2u);
 }
 
 // ------------------------------------------------- IngestPipeline + store
