@@ -79,8 +79,8 @@ namespace {
                "       per-kernel throughput attribution over the synthetic suites\n"
                "  pfpl store put <in1.raw> [in2.raw ...] --store DIR --dtype f32|f64\n"
                "       --eb abs|rel|noa --eps <e> [--exec serial|omp|gpusim]\n"
-               "       [--threads N] [--audit] [--progress]  # multi-file runs the\n"
-               "       ingest pipeline (dedup probe, parallel encode, group commits)\n"
+               "       [--threads N] [--audit] [--progress]  # the ingest pipeline\n"
+               "       (dedup probe, parallel encode, group commits); prints each key\n"
                "  pfpl store get <key> <out.pfpl> --store DIR\n"
                "  pfpl store ls --store DIR\n"
                "  pfpl store compact --store DIR\n"
@@ -323,12 +323,6 @@ Flags parse_args(int argc, char** argv, std::vector<std::string>& positional) {
   return fl;
 }
 
-/// The scalars in `bytes` raw bytes at `p`, as a 1-D field.
-Field make_field(const u8* p, std::size_t bytes, DType dtype) {
-  if (dtype == DType::F32) return Field(reinterpret_cast<const float*>(p), bytes / 4);
-  return Field(reinterpret_cast<const double*>(p), bytes / 8);
-}
-
 /// `raw / packed` bytes, 0 for an empty output.
 double ratio(double raw, double packed) { return packed > 0 ? raw / packed : 0.0; }
 
@@ -355,7 +349,7 @@ store::ChunkStore::Options store_options(const Flags& fl) {
   return so;
 }
 
-/// What `pfpl pack` and multi-file `pfpl store put` keep of an ingest run.
+/// What `pfpl pack` and `pfpl store put` keep of an ingest run.
 struct IngestRun {
   std::vector<ingest::Result> stored;  ///< the items that did not fail, in order
   std::size_t failed = 0;
@@ -439,9 +433,11 @@ int cmd_pack(const std::vector<std::string>& positional, const Flags& fl) {
   }
   std::unique_ptr<store::ChunkStore> chunk_store;
   if (!fl.store_dir.empty()) chunk_store = std::make_unique<store::ChunkStore>(store_options(fl));
-  // The ingest pipeline reads, probes and submits chunks on a producer thread
-  // while this thread assembles the archive entries in order.
+  // The ingest pipeline reads, probes, plans and encodes every file as pool
+  // work; this thread only commits and collects the entries in order. A run
+  // where every input failed leaves no archive behind.
   const IngestRun run = run_ingest(std::move(items), fl, chunk_store.get());
+  if (run.stored.empty()) return run.exit_code();
   svc::ArchiveWriter writer(out_path);
   for (const ingest::Result& r : run.stored) writer.add(r.name, r.header, r.stream, r.raw_bytes);
   writer.finish();
@@ -981,33 +977,20 @@ store::ChunkStore open_store(const Flags& fl) {
 
 int cmd_store_put(const std::vector<std::string>& positional, const Flags& fl) {
   store::ChunkStore cs = open_store(fl);
-  if (positional.size() == 1) {
-    // Single file: the synchronous path, which can print the content key
-    // (the pipeline's probe computes keys internally).
-    const std::vector<u8> raw = io::read_file(positional[0]);
-    const common::Hash128 key =
-        store::compress_key(raw.data(), raw.size(), fl.dtype, fl.params.eb, fl.params.eps);
-    Bytes cached;
-    if (cs.get(key, cached)) {
-      std::printf("%s: already stored (%zu bytes)\n", key.hex().c_str(), cached.size());
-      return 0;
-    }
-    const Bytes stream = pfpl::compress(make_field(raw.data(), raw.size(), fl.dtype), fl.params);
-    cs.put(key, stream, store::ChunkMeta{fl.dtype, fl.params.eb, fl.params.eps, raw.size()});
-    cs.sync();
-    std::printf("%s: stored %zu -> %zu bytes (ratio %.3f)\n", key.hex().c_str(), raw.size(),
-                stream.size(), ratio(raw.size(), stream.size()));
-    return 0;
-  }
-  // Multiple files: the ingest pipeline (dedup probe, chunk-parallel
-  // encode, group commits) — the same machinery as `pfpl pack`, with the
-  // store itself as the sink (no archive).
+  // The ingest pipeline (dedup probe, chunk-parallel encode, group commits),
+  // the same machinery as `pfpl pack`, with the store itself as the sink.
   std::vector<ingest::Item> items;
   items.reserve(positional.size());
   for (const std::string& path : positional) items.push_back(ingest::Item{path, path, {}});
   const IngestRun run = run_ingest(std::move(items), fl, &cs);
   u64 reused = 0, stored_bytes = 0, raw_bytes = 0;
   for (const ingest::Result& r : run.stored) {
+    if (r.reused)
+      std::printf("%s: already stored (%zu bytes)\n", r.key.hex().c_str(), r.stream.size());
+    else
+      std::printf("%s: stored %llu -> %zu bytes (ratio %.3f)\n", r.key.hex().c_str(),
+                  static_cast<unsigned long long>(r.raw_bytes), r.stream.size(),
+                  ratio(r.raw_bytes, r.stream.size()));
     reused += r.reused ? 1 : 0;
     stored_bytes += r.stream.size();
     raw_bytes += r.raw_bytes;
@@ -1116,7 +1099,7 @@ void print_first_violation(const char* who, const std::string& label, const obs:
 /// counters, and drill-down the snapshot paths use.
 std::size_t stream_audit_frame(const temporal::SessionConfig& cfg, u64 frame_index,
                                const u8* orig, const u8* recon) {
-  const Field field = make_field(orig, cfg.frame_bytes(), cfg.dtype);
+  const Field field = raw_field(orig, cfg.frame_bytes(), cfg.dtype);
   std::vector<u8> recon_raw(recon, recon + cfg.frame_bytes());
   char label[32];
   std::snprintf(label, sizeof label, "frame-%06llu",
@@ -1255,7 +1238,7 @@ int cmd_stream_pack(const std::vector<std::string>& positional, const Flags& fl)
     temporal::FrameEncoder enc(cfg);
     for (std::size_t i = 0; i < n_frames; ++i) {
       const temporal::EncodedFrame ef =
-          enc.encode(make_field(frame_ptr(i), cfg.frame_bytes(), cfg.dtype), i);
+          enc.encode(raw_field(frame_ptr(i), cfg.frame_bytes(), cfg.dtype), i);
       writer.append(ef);
       account(ef, i);
     }
@@ -1341,7 +1324,7 @@ int cmd_stream_pack(const std::vector<std::string>& positional, const Flags& fl)
 
 int cmd_compress(const std::vector<std::string>& positional, const Flags& fl) {
   const std::vector<u8> raw = io::read_file(positional[0]);
-  const Bytes out = pfpl::compress(make_field(raw.data(), raw.size(), fl.dtype), fl.params);
+  const Bytes out = pfpl::compress(raw_field(raw.data(), raw.size(), fl.dtype), fl.params);
   io::write_file(positional[1], out.data(), out.size());
   std::printf("%zu -> %zu bytes (ratio %.3f)\n", raw.size(), out.size(),
               ratio(raw.size(), out.size()));
@@ -1364,16 +1347,15 @@ int cmd_verify(const std::vector<std::string>& positional, const Flags&) {
   const Bytes comp = io::read_file(positional[1]);
   const pfpl::Header h = pfpl::peek_header(comp);
   // Judge every value of the stream, never a prefix of it.
-  const std::size_t width = dtype_size(h.dtype);
-  if (orig.size() % width || orig.size() / width != h.value_count)
+  const Field field = raw_field(orig.data(), orig.size(), h.dtype);
+  if (field.count() != h.value_count)
     throw CompressionError("verify: " + orig_path + " is " + std::to_string(orig.size()) +
-                           " bytes (" + std::to_string(orig.size() / width) + " " +
+                           " bytes (" + std::to_string(field.count()) + " " +
                            to_string(h.dtype) + " values), " + positional[1] + " holds " +
                            std::to_string(h.value_count) + " values");
   const std::vector<u8> back = pfpl::decompress(comp);
   const obs::AuditCase c = obs::ErrorBoundAuditor::verify_field(
-      make_field(orig.data(), orig.size(), h.dtype), back, h.eb_type, h.eps, "verify",
-      positional[1], /*seed=*/0, comp.size());
+      field, back, h.eb_type, h.eps, "verify", positional[1], /*seed=*/0, comp.size());
   print_first_violation("pfpl verify", positional[1], c);
   std::printf("eb=%s eps=%g  values=%zu max_err=%.6g allowed=%.6g psnr=%.2f dB\n",
               to_string(h.eb_type), h.eps, c.values, c.max_err, c.allowed, c.psnr_db);

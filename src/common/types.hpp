@@ -102,4 +102,17 @@ class CompressionError : public std::runtime_error {
   explicit CompressionError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// The 1-D field over `bytes` raw bytes at `p`. Throws CompressionError when
+/// `bytes` is not a whole number of `dtype` scalars, so no trailing byte is
+/// ever dropped silently.
+inline Field raw_field(const void* p, std::size_t bytes, DType dtype) {
+  const std::size_t width = dtype_size(dtype);
+  if (bytes % width)
+    throw CompressionError("input of " + std::to_string(bytes) +
+                           " bytes is not a whole number of " + to_string(dtype) + " values (" +
+                           std::to_string(width) + " bytes each)");
+  if (dtype == DType::F32) return Field(static_cast<const float*>(p), bytes / width);
+  return Field(static_cast<const double*>(p), bytes / width);
+}
+
 }  // namespace repro

@@ -1,16 +1,16 @@
 #include "ingest/pipeline.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <exception>
-#include <future>
-#include <stop_token>
+#include <mutex>
 #include <thread>
 #include <utility>
 
 #include "common/timer.hpp"
 #include "core/chunked.hpp"
-#include "ingest/queue.hpp"
 #include "io/raw_file.hpp"
 #include "obs/audit.hpp"
 #include "obs/metrics.hpp"
@@ -42,17 +42,16 @@ struct IngestMetrics {
   }
 };
 
-Field make_field(const Bytes& raw, DType dtype) {
-  if (dtype == DType::F32)
-    return Field(reinterpret_cast<const float*>(raw.data()), raw.size() / 4);
-  return Field(reinterpret_cast<const double*>(raw.data()), raw.size() / 8);
-}
-
 /// Milliseconds since `t` started; also recorded (in us) into `h`.
 double lap_ms(const Timer& t, obs::Histogram& h) {
   const double ms = t.seconds() * 1e3;
   h.record(static_cast<u64>(ms * 1e3));
   return ms;
+}
+
+/// The pool's worker count for the `threads` option (0 = hardware concurrency).
+unsigned worker_count(unsigned threads) {
+  return threads ? threads : std::max(1u, std::thread::hardware_concurrency());
 }
 
 }  // namespace
@@ -66,48 +65,38 @@ ProbeResult probe_compress(store::ChunkStore& cs, const void* raw, std::size_t n
   return pr;
 }
 
-/// One in-flight item: its input, the chunk tasks encoding it, and its
-/// outcome. The destructor waits for every chunk task still running, so no
-/// pool task outlives the raw bytes or payload slots it uses, on any exit
-/// path.
+/// One in-flight item: its input, its chunk slots and its Result. Its
+/// prepare task and helper tasks claim chunks from `next_chunk`; the one that
+/// drops `live` to zero finishes the item and sets `done`. The caller frees a
+/// Work only after `done`, so no task outlives the buffers it uses.
 struct IngestPipeline::Work {
   std::size_t index = 0;
   Item item;
-  u64 raw_bytes = 0;
-  common::Hash128 key{};
-  pfpl::Header header{};
+  Result out;
+  Field field;
   std::vector<Bytes> payloads;
-  std::vector<std::future<u32>> futures;
-  Bytes stream;
-  bool reused = false;
-  bool failed = false;
-  std::string error;
-  bool audited = false;
-  u64 audit_violations = 0;
+  std::vector<u32> sizes;
+  std::atomic<std::size_t> next_chunk{0};
+  std::atomic<unsigned> live{1};  ///< tasks of this item that have not exited
+  bool probed = false;
+  double read_ms = 0, hash_ms = 0;
+  std::atomic<double> encode_ms{0};
+  bool done = false;  ///< guarded by run()'s mutex
 
-  Work() = default;
-  Work(const Work&) = delete;
-  Work& operator=(const Work&) = delete;
-  ~Work() { wait_all(); }
-
-  void wait_all() {
-    for (auto& f : futures)
-      if (f.valid()) f.wait();
-  }
-  bool ready() const {
-    return std::all_of(futures.begin(), futures.end(), [](const std::future<u32>& f) {
-      return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-    });
-  }
   void fail(const std::string& why) {
-    failed = true;
-    error = why;
+    out.failed = true;
+    out.error = why;
   }
 };
 
+// Each in-flight item has at most `threads` tasks pending (its prepare task
+// and its helpers), and at most threads + 1 items are in flight, so a task's
+// own submit never waits on a queue that only the workers drain.
 IngestPipeline::IngestPipeline(const Options& opts)
     : opts_(opts),
-      pool_(std::make_unique<svc::ThreadPool>(opts.threads)) {}
+      pool_(std::make_unique<svc::ThreadPool>(
+          worker_count(opts.threads),
+          (worker_count(opts.threads) + 1) * worker_count(opts.threads))) {}
 
 IngestPipeline::~IngestPipeline() = default;
 
@@ -119,92 +108,134 @@ std::vector<Result> IngestPipeline::run(std::vector<Item> items) {
   stats_ = IngestStats{};
   stats_.files = items.size();
   stats_.threads = pool_->worker_count();
+  const unsigned threads = stats_.threads;
   const std::size_t total = items.size();
   std::vector<Result> results(total);
   IngestMetrics& im = IngestMetrics::get();
 
-  // Watchdog slots, one per thread, shared by every pipeline instance (the
-  // names are stable and slots are never recycled). Inert until armed.
-  static const int wd_produce = obs::Watchdog::global().register_slot("ingest.produce");
+  // Watchdog slot of the committing caller, shared by every pipeline instance
+  // (the name is stable and slots are never recycled). Inert until armed.
   static const int wd_commit = obs::Watchdog::global().register_slot("ingest.commit");
 
-  using WorkPtr = std::unique_ptr<Work>;
-  BoundedQueue<WorkPtr> inflight(stats_.threads + 1);
+  // `m` guards every Work::done, the raw bytes held by in-flight items and
+  // chunk errors; `retired_cv` wakes the caller when an item is done.
+  std::mutex m;
+  std::condition_variable retired_cv;
+  u64 inflight_bytes = 0, peak_bytes = 0;
 
-  // ---- producer: read, dedup probe, plan, submit every chunk -------------
-  // It writes only `items` and these locals, which run() reads after the join.
-  double read_ms = 0, hash_ms = 0, plan_ms = 0;
-  u64 hits = 0, misses = 0, chunks = 0;
-  std::exception_ptr producer_error;
-  // If run() leaves early (the progress callback threw), the jthread's
-  // destructor requests a stop, which closes the queue so a blocked push
-  // returns, then joins before the queue and `items` go away.
-  std::jthread producer([&](std::stop_token stop) {
-    std::stop_callback close_on_stop(stop, [&] { inflight.close(); });
+  // ---- pool tasks: prepare, encode chunks, finish ------------------------
+  // The last task of an item assembles it in chunk-slot order (byte-identical
+  // to pfpl::compress), optionally audits it and marks it done.
+  auto finish = [&](Work& w) {
+    Timer t;
+    Result& r = w.out;
     try {
-      for (std::size_t i = 0; i < total; ++i) {
-        obs::StallScope stall(wd_produce, i);
-        auto w = std::make_unique<Work>();
-        w->index = i;
-        w->item = std::move(items[i]);
-        try {
-          Timer t;
-          if (!w->item.path.empty()) w->item.raw = io::read_file(w->item.path);
-          w->raw_bytes = w->item.raw.size();
-          read_ms += lap_ms(t, im.read_us);
-          if (opts_.store) {
-            Timer th;
-            const ProbeResult pr =
-                probe_compress(*opts_.store, w->item.raw.data(), w->raw_bytes,
-                               opts_.dtype, opts_.params.eb, opts_.params.eps,
-                               w->stream);
-            w->key = pr.key;
-            w->reused = pr.hit;
-            if (pr.hit) w->header = pfpl::peek_header(w->stream);
-            ++(pr.hit ? hits : misses);
-            hash_ms += lap_ms(th, im.hash_us);
-          }
-          if (!w->reused) {
-            // Same plan and per-chunk code as pfpl::compress; the caller
-            // assembles the slots in chunk order.
-            Timer tp;
-            const Field field = make_field(w->item.raw, opts_.dtype);
-            w->header = pfpl::plan_header(field, opts_.params);
-            w->payloads.resize(w->header.chunk_count);
-            w->futures.reserve(w->header.chunk_count);
-            for (std::size_t c = 0; c < w->header.chunk_count; ++c)
-              w->futures.push_back(pool_->submit(
-                  [field, h = &w->header, c, exec = opts_.params.exec,
-                   slot = &w->payloads[c]] {
-                    return pfpl::encode_chunk(field, *h, c, exec, *slot);
-                  }));
-            chunks += w->header.chunk_count;
-            plan_ms += tp.seconds() * 1e3;
-          }
-        } catch (const std::exception& e) {
-          w->fail(e.what());
-        }
-        const std::size_t bytes = w->raw_bytes;
-        if (!inflight.push(std::move(w), bytes)) break;
+      if (!r.failed && !r.reused)
+        r.stream = pfpl::assemble_stream(r.header, w.sizes, w.payloads, opts_.params.exec);
+      if (!r.failed && opts_.audit) {
+        // Reused streams are audited too: the probe promises byte-identity,
+        // so a stored stream must satisfy the same bound.
+        const std::vector<u8> raw_back = pfpl::decompress(r.stream, opts_.params.exec);
+        const obs::AuditCase ac = obs::ErrorBoundAuditor::verify_field(
+            w.field, raw_back, opts_.params.eb, opts_.params.eps, "ingest", r.name,
+            /*seed=*/0, r.stream.size());
+        r.audited = true;
+        r.audit_violations = ac.violations;
       }
-    } catch (...) {
-      producer_error = std::current_exception();
+    } catch (const std::exception& e) {
+      w.fail(e.what());
     }
-    inflight.close();
-  });
+    // A done item waits for its commit holding only its stream.
+    w.item.raw = {};
+    w.payloads = {};
+    w.sizes = {};
+    w.encode_ms.fetch_add(t.seconds() * 1e3);
+    im.encode_us.record(static_cast<u64>(w.encode_ms * 1e3));
+    std::lock_guard<std::mutex> lk(m);
+    inflight_bytes -= r.raw_bytes;
+    w.done = true;
+    retired_cv.notify_all();
+  };
+  auto leave = [&](Work& w) {
+    if (w.live.fetch_sub(1) == 1) finish(w);
+  };
+  // Claim chunk indices until none are left (the paper's dynamic chunk
+  // assignment), then leave.
+  auto encode = [&](Work& w) {
+    Timer t;
+    const pfpl::Header& h = w.out.header;
+    for (std::size_t c; (c = w.next_chunk.fetch_add(1)) < h.chunk_count;) {
+      try {
+        w.sizes[c] = pfpl::encode_chunk(w.field, h, c, opts_.params.exec, w.payloads[c]);
+      } catch (const std::exception& e) {
+        std::lock_guard<std::mutex> lk(m);
+        w.fail(e.what());
+      }
+    }
+    w.encode_ms.fetch_add(t.seconds() * 1e3);
+    leave(w);
+  };
+  // An item's first task: read, dedup probe, plan, then fan out to helpers.
+  auto prepare = [&](Work& w) {
+    Result& r = w.out;
+    bool planned = false;
+    unsigned unsent = 0;  // helpers counted in `live` but not submitted yet
+    try {
+      Timer t;
+      if (!w.item.path.empty()) w.item.raw = io::read_file(w.item.path);
+      r.raw_bytes = w.item.raw.size();
+      w.read_ms = lap_ms(t, im.read_us);
+      {
+        std::lock_guard<std::mutex> lk(m);
+        inflight_bytes += r.raw_bytes;
+        peak_bytes = std::max(peak_bytes, inflight_bytes);
+      }
+      w.field = raw_field(w.item.raw.data(), r.raw_bytes, opts_.dtype);
+      if (opts_.store) {
+        Timer th;
+        const ProbeResult pr = probe_compress(*opts_.store, w.item.raw.data(), r.raw_bytes,
+                                              opts_.dtype, opts_.params.eb, opts_.params.eps,
+                                              r.stream);
+        r.key = pr.key;
+        r.reused = pr.hit;
+        w.probed = true;
+        if (pr.hit) r.header = pfpl::peek_header(r.stream);
+        w.hash_ms = lap_ms(th, im.hash_us);
+      }
+      if (!r.reused) {
+        // Same plan and per-chunk code as pfpl::compress.
+        Timer tp;
+        r.header = pfpl::plan_header(w.field, opts_.params);
+        w.payloads.resize(r.header.chunk_count);
+        w.sizes.resize(r.header.chunk_count);
+        w.encode_ms = tp.seconds() * 1e3;
+        planned = true;
+        if (r.header.chunk_count > 1)
+          unsent = std::min<u32>(threads - 1, r.header.chunk_count - 1);
+        w.live += unsent;
+        for (; unsent; --unsent) pool_->submit([&encode, &w] { encode(w); });
+      }
+    } catch (const std::exception& e) {
+      w.live -= unsent;
+      std::lock_guard<std::mutex> lk(m);
+      w.fail(e.what());
+    }
+    planned ? encode(w) : leave(w);
+  };
 
-  // ---- caller: commit retired items, then wait for and finish the next ---
-  // Only this thread writes stats_ until the producer is joined.
-  std::vector<WorkPtr> retired;
+  // ---- caller: keep the window full, commit retired items in order ------
+  using WorkPtr = std::unique_ptr<Work>;
+  std::deque<WorkPtr> window;    // submitted, not yet retired; oldest first
+  std::vector<WorkPtr> retired;  // done, not yet committed
   // One group commit for every retired item, then in-order delivery.
   auto commit = [&] {
     if (opts_.store) {
       std::vector<store::SegmentStore::BatchEntry> entries;
       for (const WorkPtr& w : retired)
-        if (!w->failed && !w->reused)
-          entries.push_back({w->key, &w->stream,
+        if (!w->out.failed && !w->out.reused)
+          entries.push_back({w->out.key, &w->out.stream,
                              store::ChunkMeta{opts_.dtype, opts_.params.eb,
-                                              opts_.params.eps, w->raw_bytes}});
+                                              opts_.params.eps, w->out.raw_bytes}});
       if (!entries.empty()) {
         Timer t;
         try {
@@ -215,84 +246,63 @@ std::vector<Result> IngestPipeline::run(std::vector<Item> items) {
           // A store I/O failure taints the whole group: the streams are
           // still correct, but their durability promise is broken.
           for (WorkPtr& w : retired)
-            if (!w->failed && !w->reused) w->fail(e.what());
+            if (!w->out.failed && !w->out.reused) w->fail(e.what());
         }
         stats_.append_ms += lap_ms(t, im.append_us);
       }
     }
     for (WorkPtr& w : retired) {
-      Result& r = results[w->index];
-      r.name = std::move(w->item.name);
-      r.raw_bytes = w->raw_bytes;
-      r.failed = w->failed;
-      r.error = std::move(w->error);
-      r.reused = w->reused;
-      r.audited = w->audited;
-      r.audit_violations = w->audit_violations;
-      if (!w->failed) {
-        r.header = w->header;
-        r.stream = std::move(w->stream);
-        stats_.bytes_out += r.stream.size();
-      }
+      Result& r = results[w->index] = std::move(w->out);
+      if (r.failed) r.stream = {};
       stats_.bytes_in += r.raw_bytes;
-      if (w->failed) ++stats_.files_failed;
-      if (w->reused) ++stats_.files_reused;
+      stats_.bytes_out += r.stream.size();
+      stats_.read_ms += w->read_ms;
+      stats_.hash_ms += w->hash_ms;
+      stats_.encode_ms += w->encode_ms;
+      if (!r.reused) stats_.chunks += r.header.chunk_count;
+      if (w->probed) ++(r.reused ? stats_.probe_hits : stats_.probe_misses);
+      if (r.audited) ++stats_.audited;
+      stats_.audit_violations += r.audit_violations;
+      if (r.failed) ++stats_.files_failed;
+      if (r.reused) ++stats_.files_reused;
       if (opts_.progress) opts_.progress(r, w->index, total);
     }
     retired.clear();
   };
 
-  WorkPtr w;
-  while (inflight.pop(w)) {
-    obs::StallScope stall(wd_commit, w->index);
-    if (!retired.empty() && !w->ready()) commit();  // commit before blocking
-    Timer t;
-    if (!w->failed && !w->reused) {
-      try {
-        std::vector<u32> sizes(w->futures.size());
-        for (std::size_t c = 0; c < sizes.size(); ++c) sizes[c] = w->futures[c].get();
-        w->stream =
-            pfpl::assemble_stream(w->header, sizes, w->payloads, opts_.params.exec);
-      } catch (const std::exception& e) {
-        w->fail(e.what());
-      }
+  // Declared after everything a task uses: on any exit (the progress
+  // callback threw), wait out every task before those locals die. The pool
+  // stays usable, unlike after drain(), which would reject a helper submit.
+  struct Quiesce {
+    svc::ThreadPool& pool;
+    ~Quiesce() { pool.wait_idle(); }
+  } quiesce{*pool_};
+
+  for (std::size_t next = 0; next < total || !window.empty();) {
+    for (; next < total && window.size() <= threads; ++next) {
+      auto w = std::make_unique<Work>();
+      w->index = next;
+      w->item = std::move(items[next]);
+      w->out.name = std::move(w->item.name);
+      pool_->submit([&prepare, wp = w.get()] { prepare(*wp); });
+      window.push_back(std::move(w));
+      stats_.peak_queue_items = std::max<u64>(stats_.peak_queue_items, window.size());
     }
-    if (!w->failed && opts_.audit) {
-      // Reused streams are audited too: the probe promises byte-identity,
-      // so a stored stream must satisfy the same bound.
-      try {
-        const std::vector<u8> raw_back = pfpl::decompress(w->stream, opts_.params.exec);
-        const obs::AuditCase ac = obs::ErrorBoundAuditor::verify_field(
-            make_field(w->item.raw, opts_.dtype), raw_back, opts_.params.eb,
-            opts_.params.eps, "ingest", w->item.name, /*seed=*/0, w->stream.size());
-        w->audited = true;
-        w->audit_violations = ac.violations;
-        ++stats_.audited;
-        stats_.audit_violations += ac.violations;
-      } catch (const std::exception& e) {
-        w->fail(e.what());
-      }
+    Work& front = *window.front();
+    obs::StallScope stall(wd_commit, front.index);
+    std::unique_lock<std::mutex> lk(m);
+    if (!front.done && !retired.empty()) {  // commit before blocking
+      lk.unlock();
+      commit();
+      lk.lock();
     }
-    // Retired items wait for the next commit holding only their stream.
-    w->wait_all();
-    w->item.raw = {};
-    w->payloads = {};
-    stats_.encode_ms += lap_ms(t, im.encode_us);
-    retired.push_back(std::move(w));
+    retired_cv.wait(lk, [&] { return front.done; });
+    lk.unlock();
+    retired.push_back(std::move(window.front()));
+    window.pop_front();
   }
   commit();
-  producer.join();
-  if (producer_error) std::rethrow_exception(producer_error);
-
-  stats_.read_ms = read_ms;
-  stats_.hash_ms = hash_ms;
-  stats_.encode_ms += plan_ms;
-  stats_.chunks = chunks;
-  stats_.probe_hits = hits;
-  stats_.probe_misses = misses;
-  stats_.peak_queue_bytes = inflight.peak_bytes();
-  stats_.peak_queue_items = inflight.peak_items();
-  pool_->drain();
+  stats_.peak_queue_bytes = peak_bytes;
   stats_.wall_ms = wall.seconds() * 1e3;
   return results;
 }

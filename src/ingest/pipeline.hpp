@@ -1,27 +1,30 @@
 // IngestPipeline — the repo's one multi-field, chunk-parallel compression
 // path (`pfpl pack`, `pfpl store put`, the `pack` benchmark workload).
 //
-// PFPL's chunks are independent, so it only has to keep the svc pool fed and
-// commit results in order. It runs on two threads:
+// PFPL's chunks are independent (paper §III-E), so the only serial step is
+// committing results in order. Everything else is work on one svc pool:
 //
-//   producer  reads each file whole, runs the store dedup probe, plans the
-//             header and submits every chunk's encode_chunk to the pool,
-//             then pushes the in-flight item onto a FIFO of at most
-//             threads + 1 items
-//   caller    pops items in order; when the next item's chunks are not all
-//             done yet, it first commits the items it has already retired
-//             (one ChunkStore::put_batch) and delivers them, then waits for
-//             the item's chunks and assembles (and optionally audits) it
+//   prepare task  one per item: reads the file, runs the store dedup probe,
+//                 plans the header and submits min(threads - 1, chunks - 1)
+//                 helper tasks; then it encodes chunks itself
+//   chunk claims  the prepare task and its helpers claim chunk indices from
+//                 the item's atomic counter and encode each into its slot;
+//                 the task that exits last assembles (and optionally audits)
+//                 the item and marks it done
+//   caller        keeps at most threads + 1 items in flight; before it would
+//                 block on the oldest one, it commits the items already done
+//                 (one ChunkStore::put_batch) and delivers them in order
 //
 // Assembly is in chunk-slot order, so every stream is byte-identical to
 // single-threaded pfpl::compress whatever the worker count or finishing
-// order. The FIFO makes completion order structural: the progress callback
+// order. The caller delivers strictly oldest first, so the progress callback
 // fires in submission order and run()'s result vector is index-aligned with
 // its input.
 //
-// Errors: a per-item failure (unreadable file, invalid bound, store I/O)
-// marks that item's Result and the rest of the run continues, matching
-// `pfpl pack`: pack the rest, report the failures.
+// Errors: a per-item failure (unreadable file, a size that is not a whole
+// number of scalars, invalid bound, store I/O) marks that item's Result and
+// the rest of the run continues, matching `pfpl pack`: pack the rest, report
+// the failures.
 #pragma once
 
 #include <functional>
@@ -44,7 +47,7 @@ class ThreadPool;
 namespace repro::ingest {
 
 /// One unit of ingest: a named payload, either on disk (path) or in memory
-/// (raw). When `path` is non-empty the producer loads it; otherwise `raw`
+/// (raw). When `path` is non-empty its prepare task loads it; otherwise `raw`
 /// is used as-is (the in-memory form the tests and the server use).
 struct Item {
   std::string name;
@@ -54,6 +57,7 @@ struct Item {
 
 struct Result {
   std::string name;
+  common::Hash128 key;  ///< content key; zero without a store
   Bytes stream;         ///< empty when failed
   pfpl::Header header;  ///< valid when !failed
   u64 raw_bytes = 0;
@@ -65,7 +69,7 @@ struct Result {
   u64 audit_violations = 0;
 };
 
-/// Dedup probe shared by the pipeline's producer and the network server's
+/// Dedup probe shared by the pipeline's prepare task and the network server's
 /// COMPRESS path: compute the request's content key and look it up in the
 /// store. On a hit, `stream_out` holds the stored (byte-identical) stream.
 struct ProbeResult {

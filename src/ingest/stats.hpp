@@ -1,9 +1,12 @@
 // Metrics for one IngestPipeline::run(). Stage times are SUMS of per-item
-// durations: read_ms and hash_ms (file read, dedup probe) run on the
-// producer thread, encode_ms is the producer's plan-and-submit time plus the
-// caller's wait, assembly and audit time, and append_ms is the caller's group
-// commits. Chunk encoding runs on the pool beside them, so stage_ms / wall_ms
-// reads as that stage's share of the wall time.
+// durations. read, hash and encode run in pool tasks, append on the caller:
+//   read_ms    reading the item's file (io::read_file; ~0 for in-memory items)
+//   hash_ms    the store dedup probe: content key and lookup (0 without a store)
+//   encode_ms  planning the header, every task's chunk-claim loop (one
+//              encode_chunk per claimed chunk), assembly and the optional audit
+//   append_ms  the caller's group commits (ChunkStore::put_batch)
+// So read_ms + hash_ms + encode_ms is the pool time the run used, and
+// dividing it by threads * wall_ms gives the pool's utilisation.
 #pragma once
 
 #include <string>
@@ -17,7 +20,7 @@ struct IngestStats {
   u64 files = 0;            ///< items submitted to run()
   u64 files_failed = 0;     ///< items that ended with an error
   u64 files_reused = 0;     ///< items answered by the store's dedup probe
-  u64 chunks = 0;           ///< chunk tasks submitted to the pool
+  u64 chunks = 0;           ///< chunks planned for encoding (not reused)
   u64 bytes_in = 0;         ///< raw bytes across all items
   u64 bytes_out = 0;        ///< compressed stream bytes across all items
   u64 probe_hits = 0;       ///< dedup-probe store hits
@@ -26,8 +29,8 @@ struct IngestStats {
   u64 appended = 0;         ///< chunks newly written to the persistent tier
   u64 audited = 0;
   u64 audit_violations = 0;
-  u64 peak_queue_bytes = 0;  ///< raw bytes of the queued in-flight items, at peak
-  u64 peak_queue_items = 0;  ///< queued in-flight items at peak (<= threads + 1)
+  u64 peak_queue_bytes = 0;  ///< raw bytes held by in-flight items, at peak
+  u64 peak_queue_items = 0;  ///< in-flight items (submitted, not retired) at peak, <= threads + 1
   unsigned threads = 0;      ///< encode pool worker count
   double read_ms = 0;        ///< per-stage per-item sums (see header comment)
   double hash_ms = 0;

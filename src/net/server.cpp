@@ -690,11 +690,8 @@ struct Server::Impl {
       if (cs)
         pr = ingest::probe_compress(*cs, in.data(), in.size(), dtype, eb, h.eps, stream);
       if (!pr.hit) {
-        const Field field =
-            dtype == DType::F64
-                ? Field(reinterpret_cast<const double*>(in.data()), in.size() / 8)
-                : Field(reinterpret_cast<const float*>(in.data()), in.size() / 4);
-        stream = pfpl::compress(field, pfpl::Params{h.eps, eb, opts.exec});
+        stream = pfpl::compress(raw_field(in.data(), in.size(), dtype),
+                                pfpl::Params{h.eps, eb, opts.exec});
         if (cs) cs->put(pr.key, stream, store::ChunkMeta{dtype, eb, h.eps, in.size()});
       }
       if (cs) (pr.hit ? st.store_hits : st.store_misses).add(1);

@@ -35,7 +35,7 @@ ThreadPool::ThreadPool(unsigned threads, std::size_t queue_capacity)
 
 ThreadPool::~ThreadPool() { shutdown(); }
 
-void ThreadPool::enqueue(std::function<void()> f) {
+void ThreadPool::submit(std::function<void()> f) {
   // The request id is a thread-local read and rides along even with obs off:
   // the watchdog reports it as a stall's detail.
   Task t{std::move(f), obs::enabled() ? obs::TraceRecorder::global().now_ns() : 0,
@@ -119,7 +119,7 @@ void ThreadPool::drain() {
   // idle, and the flag stays set until the last one re-enables submissions.
   draining_ = true;
   lk.unlock();
-  // Wake producers blocked on the capacity bound so they see the drain and
+  // Wake submitters blocked on the capacity bound so they see the drain and
   // throw instead of waiting out a queue slot that may never matter again.
   space_cv_.notify_all();
   lk.lock();

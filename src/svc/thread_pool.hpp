@@ -1,32 +1,30 @@
-// Thread pool for chunk-parallel work: the ingest pipeline's chunk encodes
-// and pfpld's request dispatch (DESIGN.md §svc).
+// Thread pool for chunk-parallel work: the ingest pipeline's per-file and
+// per-chunk tasks and pfpld's request dispatch (DESIGN.md §svc).
 //
 // Design:
 //   * one FIFO task queue shared by every worker. Any idle worker takes the
 //     oldest pending task — the paper's dynamic chunk assignment for load
 //     balance (chunks differ in compressibility) with nothing to tune, and
 //     tasks start in submission order.
-//   * submit() returns a std::future and BLOCKS while `queue_capacity` tasks
-//     are already pending — the bounded queue is the service's backpressure
-//     primitive, so a fast producer cannot buffer unbounded work in memory.
+//   * submit() BLOCKS while `queue_capacity` tasks are already pending — the
+//     bounded queue is the service's backpressure primitive, so a fast
+//     submitter cannot buffer unbounded work in memory.
 //   * graceful shutdown: the destructor (or shutdown()) lets every already-
 //     queued task run to completion, then joins the workers. Tasks submitted
 //     after shutdown began are rejected with CompressionError.
 //
-// The pool is deliberately scheduler-only: task *results* are delivered via
-// futures, so any execution order yields the same values — determinism of
-// the compressed output is the responsibility of the caller's slot layout
-// (see ingest/pipeline.cpp), not of the scheduler.
+// The pool is deliberately scheduler-only: a task returns nothing and must
+// not throw (an escaping exception terminates the process), so each task
+// writes its result into a slot its submitter owns and reports its own
+// errors. Determinism of the compressed output is the responsibility of the
+// caller's slot layout (see ingest/pipeline.cpp), not of the scheduler.
 #pragma once
 
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -49,16 +47,10 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Schedule `f` and return a future for its result. Blocks while the
-  /// pending-task count is at capacity; throws CompressionError after
-  /// shutdown() has begun.
-  template <typename F, typename R = std::invoke_result_t<std::decay_t<F>>>
-  std::future<R> submit(F&& f) {
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> fut = task->get_future();
-    enqueue([task] { (*task)(); });
-    return fut;
-  }
+  /// Schedule `f`, which must not throw. Blocks while the pending-task count
+  /// is at capacity; throws CompressionError after shutdown() has begun or
+  /// while a drain() is in progress.
+  void submit(std::function<void()> f);
 
   /// Block until every queued and running task has finished.
   void wait_idle();
@@ -96,7 +88,6 @@ class ThreadPool {
     u64 trace_ctx = 0;
   };
 
-  void enqueue(std::function<void()> f);
   void worker_loop(unsigned self);
 
   std::size_t capacity_;
@@ -104,7 +95,7 @@ class ThreadPool {
   // Scheduler state: the queue, running count, shutdown flag, counters.
   mutable std::mutex state_m_;
   std::condition_variable work_cv_;   ///< workers sleep here
-  std::condition_variable space_cv_;  ///< producers blocked on the bound
+  std::condition_variable space_cv_;  ///< submitters blocked on the bound
   std::condition_variable idle_cv_;   ///< wait_idle()/drain() sleep here
   std::deque<Task> queue_;            ///< queued, not yet started (FIFO)
   std::size_t running_ = 0;           ///< currently executing

@@ -1,8 +1,8 @@
 // Tests for the ingest pipeline — the repo's one multi-field, chunk-parallel
 // compression path: byte-identity with the serial compressor at every worker
-// count, in-order completion, dedup-probe reuse, group commits, the in-flight
-// item bound, per-item errors, unwinding when the caller's callback throws,
-// and the audit hook.
+// count and item size, in-order completion, dedup-probe reuse, group commits,
+// the in-flight item bound, per-item errors, unwinding when the caller's
+// callback throws, and the audit hook.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,7 +13,6 @@
 
 #include "core/pfpl.hpp"
 #include "ingest/pipeline.hpp"
-#include "ingest/queue.hpp"
 #include "store/store.hpp"
 
 using namespace repro;
@@ -107,6 +106,28 @@ TEST(IngestPipeline, StreamsByteIdenticalToSerialCompress) {
     EXPECT_EQ(st.audited, 0u);
     EXPECT_GT(st.chunks, 0u);
     EXPECT_EQ(st.bytes_in, 5u * kValues * sizeof(float));
+  }
+}
+
+TEST(IngestPipeline, MixedItemSizesKeepTheirBytes) {
+  // Zero chunks, a one-value chunk, exactly one chunk, one chunk plus one
+  // value and a short tail: each is byte-identical to the serial stream.
+  const std::vector<std::size_t> sizes{0, 1, 4096, 4097, 6000};
+  for (unsigned threads : {1u, 2u, 8u}) {
+    ingest::IngestPipeline::Options o = base_options();
+    o.threads = threads;
+    ingest::IngestPipeline pipe(o);
+    std::vector<ingest::Item> items;
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+      items.push_back(ingest::Item{"item" + std::to_string(i), "",
+                                   as_bytes(make_field_values(sizes[i], unsigned(i)))});
+    const std::vector<ingest::Result> rs = pipe.run(std::move(items));
+    ASSERT_EQ(rs.size(), sizes.size());
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      ASSERT_FALSE(rs[i].failed) << rs[i].error;
+      EXPECT_EQ(rs[i].stream, serial_stream(sizes[i], unsigned(i)))
+          << sizes[i] << " values differ at threads=" << threads;
+    }
   }
 }
 
@@ -231,8 +252,8 @@ TEST(IngestPipeline, AppendBatchingGroupsItems) {
 // ------------------------------------------------------------- backpressure
 
 TEST(IngestPipeline, InflightItemsBoundedByThreads) {
-  // The producer runs ahead of the caller by at most threads + 1 items, so
-  // at most that many raw inputs wait in the queue, whatever the item count.
+  // At most threads + 1 items are in flight ahead of the caller, so at most
+  // that many raw inputs are held at once, whatever the item count.
   const std::size_t kValues = 64 * 1024;  // 256 KiB raw, 16 chunks per item
   const std::size_t item_bytes = kValues * sizeof(float);
   for (unsigned threads : {1u, 2u, 4u}) {
@@ -246,20 +267,6 @@ TEST(IngestPipeline, InflightItemsBoundedByThreads) {
     EXPECT_LE(st.peak_queue_items, threads + 1u) << "threads=" << threads;
     EXPECT_LE(st.peak_queue_bytes, (threads + 1u) * item_bytes) << "threads=" << threads;
   }
-}
-
-TEST(BoundedQueue, CloseDrainsThenEnds) {
-  ingest::BoundedQueue<int> q(8);
-  ASSERT_TRUE(q.push(1, 4));
-  ASSERT_TRUE(q.push(2, 4));
-  q.close();
-  EXPECT_FALSE(q.push(3, 4));
-  int v = 0;
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.pop(v));
-  EXPECT_EQ(v, 2);
-  EXPECT_FALSE(q.pop(v));
 }
 
 // ------------------------------------------------------------------ errors
@@ -280,10 +287,28 @@ TEST(IngestPipeline, SoftErrorContinuesRemainingItems) {
   EXPECT_EQ(pipe.stats().files_failed, 1u);
 }
 
+TEST(IngestPipeline, PartialScalarFailsItsItem) {
+  // 14 bytes are three f32 values and two stray bytes: the item fails with
+  // the size in its message instead of dropping the tail, and the rest pack.
+  std::vector<ingest::Item> items = memory_items(3, 2000);
+  items[1].raw.resize(14);
+  ingest::IngestPipeline pipe(base_options());
+  const std::vector<ingest::Result> rs = pipe.run(std::move(items));
+  ASSERT_EQ(rs.size(), 3u);
+  EXPECT_TRUE(rs[1].failed);
+  EXPECT_NE(rs[1].error.find("14 bytes"), std::string::npos) << rs[1].error;
+  EXPECT_TRUE(rs[1].stream.empty());
+  for (std::size_t i : {0u, 2u}) {
+    EXPECT_FALSE(rs[i].failed) << rs[i].error;
+    EXPECT_EQ(rs[i].stream, serial_stream(2000, unsigned(i)));
+  }
+  EXPECT_EQ(pipe.stats().files_failed, 1u);
+}
+
 TEST(IngestPipeline, ThrowingProgressUnwindsWithoutDeadlock) {
-  // The first delivery throws while the producer is still reading and
-  // submitting: run() must rethrow, after stopping the producer and waiting
-  // out every chunk task that still uses an item's buffers.
+  // The first delivery throws while later items are still being read and
+  // encoded: run() must rethrow, after waiting out every pool task that
+  // still uses an item's buffers.
   bool throw_once = true;
   ingest::IngestPipeline::Options o = base_options();
   o.threads = 1;

@@ -486,6 +486,34 @@ TEST_F(CliTest, VerifyRejectsValueCountMismatch) {
   fs::remove(half);
 }
 
+TEST_F(CliTest, PartialScalarInputExitsOne) {
+  // 14 bytes are three f32 values and two stray bytes. Every verb that
+  // compresses refuses the input, naming its size, and writes nothing.
+  const std::string odd = tmp_path("partial_scalar.raw");
+  const std::string pfpa = tmp_path("partial_scalar.pfpa");
+  const std::string dir = tmp_path("partial_scalar_store");
+  io::write_file(odd, values.data(), 14);
+  fs::remove(comp);
+  fs::remove(pfpa);
+  fs::remove_all(dir);
+  const std::string flags = " --dtype f32 --eb abs --eps 1e-3";
+  for (const std::string& args : {" c " + odd + " " + comp, " pack " + pfpa + " " + odd,
+                                  " store put " + odd + " --store " + dir}) {
+    std::string text;
+    const int status = run_out(cli + args + flags + " 2>&1", text);
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << args << "\n" << text;
+    EXPECT_NE(text.find("14 bytes"), std::string::npos) << args << "\n" << text;
+  }
+  EXPECT_FALSE(fs::exists(comp));
+  EXPECT_FALSE(fs::exists(pfpa));
+  std::string listing;
+  ASSERT_EQ(run_out(cli + " store ls --store " + dir, listing), 0);
+  EXPECT_NE(listing.find("\n0 entries"), std::string::npos) << listing;
+  fs::remove(odd);
+  fs::remove_all(dir);
+}
+
 TEST_F(CliTest, FlagsMayPrecedePositionals) {
   ASSERT_EQ(run(cli + " c --dtype f32 --eb abs --eps 1e-3 " + in + " " + comp), 0);
   ASSERT_EQ(run(cli + " d --exec gpusim " + comp + " " + out), 0);

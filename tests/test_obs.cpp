@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <random>
 #include <set>
 #include <sstream>
@@ -328,17 +327,14 @@ TEST(ObsThreadPool, CountersConsistentAfterRandomizedBurst) {
   std::mt19937 rng(1234);
   std::uniform_int_distribution<int> spin(0, 2000);
   std::atomic<int> ran{0};
-  std::vector<std::future<int>> futures;
-  futures.reserve(kTasks);
   for (int i = 0; i < kTasks; ++i) {
     int work = spin(rng);
-    futures.push_back(pool.submit([&ran, work] {
+    pool.submit([&ran, work] {
       volatile int sink = 0;
       for (int j = 0; j < work; ++j) sink = sink + j;
-      return ran.fetch_add(1);
-    }));
+      ran.fetch_add(1);
+    });
   }
-  for (auto& f : futures) f.get();
   pool.wait_idle();
 
   svc::ThreadPool::Counters c = pool.counters();
@@ -553,9 +549,7 @@ TEST(ObsThreadPool, WaitAndRunHistogramsPopulateWhenEnabled) {
   const u64 wait_before = wait.count(), run_before = run.count();
   {
     svc::ThreadPool pool(2);
-    std::vector<std::future<void>> fs;
-    for (int i = 0; i < 32; ++i) fs.push_back(pool.submit([] {}));
-    for (auto& f : fs) f.get();
+    for (int i = 0; i < 32; ++i) pool.submit([] {});
     pool.wait_idle();
   }
   EXPECT_EQ(wait.count() - wait_before, 32u);

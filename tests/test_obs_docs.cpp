@@ -95,7 +95,8 @@ void touch_every_layer(const std::string& tmp_dir) {
 
   {
     svc::ThreadPool pool(1);
-    pool.submit([] {}).get();
+    pool.submit([] {});
+    pool.wait_idle();
   }
 
   {

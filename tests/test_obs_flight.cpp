@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -187,17 +186,16 @@ TEST(Watchdog, StallDetailIsRequestIdWithObsOff) {
   wd.reset_for_tests();
   wd.arm(20);
   svc::ThreadPool pool(1);
-  std::future<void> done;
   {
     obs::TraceContext::Scope ctx(42);
-    done = pool.submit([] { std::this_thread::sleep_for(std::chrono::milliseconds(100)); });
+    pool.submit([] { std::this_thread::sleep_for(std::chrono::milliseconds(100)); });
   }
   std::vector<obs::Watchdog::Stall> stalls;
   for (int i = 0; i < 200 && stalls.empty(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     stalls = wd.check();
   }
-  done.get();
+  pool.wait_idle();
   ASSERT_EQ(stalls.size(), 1u);
   EXPECT_EQ(stalls[0].slot, "svc.worker.0");
   EXPECT_EQ(stalls[0].detail, 42u);

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <latch>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -66,22 +67,10 @@ std::vector<double> wave_f64(std::size_t n, u64 seed) {
 // ThreadPool
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPool, FuturesReturnValues) {
-  svc::ThreadPool pool(4);
-  std::vector<std::future<int>> futs;
-  for (int i = 0; i < 100; ++i) futs.push_back(pool.submit([i] { return i * i; }));
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(futs[i].get(), i * i);
-}
-
 TEST(ThreadPool, ExecutesEveryTaskExactlyOnce) {
   svc::ThreadPool pool(3, /*queue_capacity=*/16);  // small bound: forces backpressure
   std::atomic<int> sum{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 1; i <= 500; ++i)
-    futs.push_back(pool.submit([i, &sum] { sum.fetch_add(i); }));
-  for (auto& f : futs) f.get();
-  // A future is ready before its worker bumps `executed`; wait for the
-  // workers to finish their bookkeeping before reading the counters.
+  for (int i = 1; i <= 500; ++i) pool.submit([i, &sum] { sum.fetch_add(i); });
   pool.wait_idle();
   EXPECT_EQ(sum.load(), 500 * 501 / 2);
   auto c = pool.counters();
@@ -117,34 +106,25 @@ TEST(ThreadPool, SubmitAfterShutdownThrows) {
   EXPECT_THROW(pool.submit([] {}), CompressionError);
 }
 
-TEST(ThreadPool, TaskExceptionsPropagateThroughFuture) {
-  svc::ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw CompressionError("boom"); });
-  EXPECT_THROW(f.get(), CompressionError);
-}
-
 TEST(ThreadPool, SingleWorkerRunsTasksInSubmissionOrder) {
   svc::ThreadPool pool(1);
-  std::promise<void> started, release;
-  std::shared_future<void> gate = release.get_future().share();
-  auto blocker = pool.submit([&started, gate] {
-    started.set_value();
-    gate.wait();
+  std::latch started{1}, release{1};
+  pool.submit([&started, &release] {
+    started.count_down();
+    release.wait();
   });
-  started.get_future().wait();  // the only worker is now parked on the gate
+  started.wait();  // the only worker is now parked on the gate
 
   std::mutex m;
   std::vector<int> order;
-  std::vector<std::future<void>> futs;
   for (int i = 0; i < 8; ++i)
-    futs.push_back(pool.submit([i, &m, &order] {
+    pool.submit([i, &m, &order] {
       std::lock_guard<std::mutex> lk(m);
       order.push_back(i);
-    }));
+    });
   EXPECT_EQ(pool.pending(), 8u);
-  release.set_value();
-  blocker.get();
-  for (auto& f : futs) f.get();
+  release.count_down();
+  pool.wait_idle();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
