@@ -11,7 +11,9 @@
 // the store's on-disk segment frames carry these keys verbatim.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstring>
 #include <string>
 
 #include "common/types.hpp"
@@ -77,11 +79,12 @@ inline u64 fmix64(u64 k) {
   return k;
 }
 
-/// Little-endian 64-bit load, byte-portable (compiles to a plain load on LE
-/// hosts — the same pattern the PFPN wire codec uses).
+/// Little-endian 64-bit load from any alignment: one word load, byte-swapped
+/// on big-endian hosts (GCC compiles a byte loop to eight loads per word).
 inline u64 load_le64(const u8* p) {
-  u64 v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<u64>(p[i]) << (8 * i);
+  u64 v;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
   return v;
 }
 

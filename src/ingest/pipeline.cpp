@@ -6,6 +6,7 @@
 #include <deque>
 #include <exception>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -72,6 +73,7 @@ ProbeResult probe_compress(store::ChunkStore& cs, const void* raw, std::size_t n
 struct IngestPipeline::Work {
   std::size_t index = 0;
   Item item;
+  io::FileBuffer file;  ///< a path item's bytes
   Result out;
   Field field;
   std::vector<Bytes> payloads;
@@ -147,6 +149,7 @@ std::vector<Result> IngestPipeline::run(std::vector<Item> items) {
     }
     // A done item waits for its commit holding only its stream.
     w.item.raw = {};
+    w.file = {};
     w.payloads = {};
     w.sizes = {};
     w.encode_ms.fetch_add(t.seconds() * 1e3);
@@ -182,18 +185,22 @@ std::vector<Result> IngestPipeline::run(std::vector<Item> items) {
     unsigned unsent = 0;  // helpers counted in `live` but not submitted yet
     try {
       Timer t;
-      if (!w.item.path.empty()) w.item.raw = io::read_file(w.item.path);
-      r.raw_bytes = w.item.raw.size();
+      std::span<const u8> in = w.item.raw;
+      if (!w.item.path.empty()) {
+        w.file = io::read_file_uninit(w.item.path);
+        in = {w.file.data.get(), w.file.size};
+      }
+      r.raw_bytes = in.size();
       w.read_ms = lap_ms(t, im.read_us);
       {
         std::lock_guard<std::mutex> lk(m);
         inflight_bytes += r.raw_bytes;
         peak_bytes = std::max(peak_bytes, inflight_bytes);
       }
-      w.field = raw_field(w.item.raw.data(), r.raw_bytes, opts_.dtype);
+      w.field = raw_field(in.data(), r.raw_bytes, opts_.dtype);
       if (opts_.store) {
         Timer th;
-        const ProbeResult pr = probe_compress(*opts_.store, w.item.raw.data(), r.raw_bytes,
+        const ProbeResult pr = probe_compress(*opts_.store, in.data(), r.raw_bytes,
                                               opts_.dtype, opts_.params.eb, opts_.params.eps,
                                               r.stream);
         r.key = pr.key;

@@ -1,6 +1,6 @@
 // Metrics for one IngestPipeline::run(). Stage times are SUMS of per-item
 // durations. read, hash and encode run in pool tasks, append on the caller:
-//   read_ms    reading the item's file (io::read_file; ~0 for in-memory items)
+//   read_ms    reading the item's file (io::read_file_uninit; ~0 for in-memory items)
 //   hash_ms    the store dedup probe: content key and lookup (0 without a store)
 //   encode_ms  planning the header, every task's chunk-claim loop (one
 //              encode_chunk per claimed chunk), assembly and the optional audit

@@ -1,13 +1,14 @@
 #include "io/raw_file.hpp"
 
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <memory>
 
 namespace repro::io {
 namespace {
@@ -18,87 +19,85 @@ std::string errno_text() {
   return errno ? std::strerror(errno) : "unexpected end of file";
 }
 
-FilePtr open_or_throw(const std::string& path, const char* mode, const char* verb) {
-  errno = 0;
-  FilePtr f(std::fopen(path.c_str(), mode), &std::fclose);
-  if (!f) throw CompressionError("cannot " + std::string(verb) + " " + path + ": " + errno_text());
-  return f;
+void check_range(const std::string& path, u64 total, u64 offset, std::size_t n) {
+  if (offset > total || n > total - offset)
+    throw CompressionError(path + ": read range past end of file");
 }
 
-/// 64-bit-clean size query: fseek/ftell use `long`, which is 32-bit on some
-/// ABIs, so every return value is checked and the size is validated before
-/// it is trusted (a >2 GiB file on a 32-bit `long` makes ftell fail or go
-/// negative rather than silently truncate the read).
-u64 stream_size(std::FILE* f, const std::string& path) {
-  // fopen succeeds on a directory, whose "size" from ftell is huge: refuse
-  // anything but a regular file before that size is trusted.
-  struct stat st;
-  errno = 0;
-  if (::fstat(::fileno(f), &st) != 0)
-    throw CompressionError("cannot stat " + path + ": " + errno_text());
-  if (!S_ISREG(st.st_mode)) {
-    errno = S_ISDIR(st.st_mode) ? EISDIR : EINVAL;
-    throw CompressionError("cannot read " + path + ": " + errno_text());
-  }
-  if (std::fseek(f, 0, SEEK_END) != 0)
-    throw CompressionError("cannot seek " + path + ": " + errno_text());
-  long size = std::ftell(f);
-  if (size < 0) throw CompressionError("cannot stat " + path + ": " + errno_text());
-  if (std::fseek(f, 0, SEEK_SET) != 0)
-    throw CompressionError("cannot seek " + path + ": " + errno_text());
-  return static_cast<u64>(size);
-}
-
-/// fread the full range in bounded pieces; a single fread of the whole buffer
-/// is allowed to short-count, and looping also keeps each request well under
-/// any platform size_t quirks on huge files.
-void read_exact(std::FILE* f, u8* dst, std::size_t n, const std::string& path) {
-  constexpr std::size_t kBlock = std::size_t{64} << 20;  // 64 MiB per fread
-  std::size_t done = 0;
-  while (done < n) {
-    errno = 0;
-    std::size_t want = std::min(kBlock, n - done);
-    std::size_t got = std::fread(dst + done, 1, want, f);
-    if (got == 0)
-      throw CompressionError("short read on " + path + ": " + errno_text());
-    done += got;
-  }
+std::size_t whole_size(const RawFile& f, const std::string& path) {
+  if (f.size() > std::numeric_limits<std::size_t>::max())
+    throw CompressionError(path + ": file too large for this address space");
+  return static_cast<std::size_t>(f.size());
 }
 
 }  // namespace
 
+RawFile::RawFile(const std::string& path) : path_(path) {
+  errno = 0;
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) throw CompressionError("cannot open " + path + ": " + errno_text());
+  struct stat st;
+  const char* verb = ::fstat(fd_, &st) != 0 ? "stat" : nullptr;
+  if (!verb && !S_ISREG(st.st_mode)) {
+    // open succeeds on a directory: trust the size of a regular file only.
+    errno = S_ISDIR(st.st_mode) ? EISDIR : EINVAL;
+    verb = "read";
+  }
+  if (verb) {
+    const std::string why = errno_text();
+    ::close(fd_);
+    throw CompressionError("cannot " + std::string(verb) + " " + path + ": " + why);
+  }
+  size_ = static_cast<u64>(st.st_size);
+}
+
+RawFile::~RawFile() { ::close(fd_); }
+
+void RawFile::read_at(u64 offset, void* dst, std::size_t n) const {
+  check_range(path_, size_, offset, n);
+  // pread in bounded pieces: one call may short-count (or hit a size limit).
+  constexpr std::size_t kBlock = std::size_t{64} << 20;
+  u8* out = static_cast<u8*>(dst);
+  for (std::size_t done = 0; done < n;) {
+    errno = 0;
+    const ssize_t got = ::pread(fd_, out + done, std::min(kBlock, n - done),
+                                static_cast<off_t>(offset + done));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) throw CompressionError("short read on " + path_ + ": " + errno_text());
+    done += static_cast<std::size_t>(got);
+  }
+}
+
 std::vector<u8> read_file(const std::string& path) {
-  FilePtr f = open_or_throw(path, "rb", "open");
-  u64 size = stream_size(f.get(), path);
-  if (size > std::numeric_limits<std::size_t>::max())
-    throw CompressionError(path + ": file too large for this address space");
-  std::vector<u8> buf(static_cast<std::size_t>(size));
-  if (size > 0) read_exact(f.get(), buf.data(), buf.size(), path);
+  const RawFile f(path);
+  std::vector<u8> buf(whole_size(f, path));
+  f.read_at(0, buf.data(), buf.size());
   return buf;
 }
 
-u64 file_size(const std::string& path) {
-  FilePtr f = open_or_throw(path, "rb", "open");
-  return stream_size(f.get(), path);
+FileBuffer read_file_uninit(const std::string& path) {
+  const RawFile f(path);
+  FileBuffer buf;
+  buf.size = whole_size(f, path);
+  buf.data = std::make_unique_for_overwrite<u8[]>(buf.size);
+  f.read_at(0, buf.data.get(), buf.size);
+  return buf;
 }
 
+u64 file_size(const std::string& path) { return RawFile(path).size(); }
+
 std::vector<u8> read_file_range(const std::string& path, u64 offset, std::size_t size) {
-  FilePtr f = open_or_throw(path, "rb", "open");
-  u64 total = stream_size(f.get(), path);
-  if (offset > total || size > total - offset)
-    throw CompressionError(path + ": read range past end of file");
-  if (offset > static_cast<u64>(std::numeric_limits<long>::max()))
-    throw CompressionError(path + ": offset exceeds seek range");
-  errno = 0;
-  if (std::fseek(f.get(), static_cast<long>(offset), SEEK_SET) != 0)
-    throw CompressionError("cannot seek " + path + ": " + errno_text());
+  const RawFile f(path);
+  check_range(path, f.size(), offset, size);  // before allocating `size` bytes
   std::vector<u8> buf(size);
-  if (size > 0) read_exact(f.get(), buf.data(), buf.size(), path);
+  f.read_at(offset, buf.data(), size);
   return buf;
 }
 
 void write_file(const std::string& path, const void* data, std::size_t size) {
-  FilePtr f = open_or_throw(path, "wb", "create");
+  errno = 0;
+  FilePtr f(std::fopen(path.c_str(), "wb"), &std::fclose);
+  if (!f) throw CompressionError("cannot create " + path + ": " + errno_text());
   errno = 0;
   if (size > 0 && std::fwrite(data, 1, size, f.get()) != size)
     throw CompressionError("short write on " + path + ": " + errno_text());

@@ -1,11 +1,14 @@
 // Raw binary file I/O for scalar fields (the SDRBench on-disk format: a bare
 // array of little-endian f32/f64 values, dims supplied out of band).
 //
+// Every read goes through one core, RawFile: open, fstat (regular files
+// only), then pread straight into the caller's memory, with no stdio buffer.
 // All functions throw CompressionError on failure; messages include the
-// strerror(errno) text of the failing call.
+// path and the strerror(errno) text of the failing call.
 #pragma once
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,8 +16,35 @@
 
 namespace repro::io {
 
+/// A regular file open for reading; closed on destruction.
+class RawFile {
+ public:
+  explicit RawFile(const std::string& path);
+  ~RawFile();
+  RawFile(const RawFile&) = delete;
+  RawFile& operator=(const RawFile&) = delete;
+  u64 size() const { return size_; }  ///< at open
+  /// Read exactly `n` bytes at `offset`; throws if that passes end of file.
+  void read_at(u64 offset, void* dst, std::size_t n) const;
+
+ private:
+  std::string path_;
+  int fd_ = -1;
+  u64 size_ = 0;
+};
+
+/// A whole file in memory that was not zero-filled before the read.
+struct FileBuffer {
+  std::unique_ptr<u8[]> data;
+  std::size_t size = 0;
+};
+
 /// Read a whole file into a byte buffer. Throws CompressionError on failure.
 std::vector<u8> read_file(const std::string& path);
+
+/// read_file into memory that is not zero-filled, so each byte is written
+/// once, by the read (the ingest pipeline's inputs, the store's segments).
+FileBuffer read_file_uninit(const std::string& path);
 
 /// Size of a file in bytes.
 u64 file_size(const std::string& path);

@@ -1,10 +1,12 @@
 // FileOps — the one seam through which SegmentStore changes its directory:
 // segment create and open-for-append, append, fsync, close, truncate, rename,
-// remove and directory fsync. Reads go straight to io::read_file*. The
+// remove and directory fsync. Reads go straight to io::RawFile. The
 // production posix_file_ops() writes through raw fds with no user-space
-// buffer. Tests wrap it to record every operation, rebuild the directory a
-// crash at any one would leave, and fail any one. Every failure throws
-// CompressionError naming the path and the errno text.
+// buffer; on Linux its appends also start writeback of every 1 MiB appended
+// (only start it: durability still comes from fsync alone). Tests wrap it
+// to record every operation, rebuild the directory a crash at any one would
+// leave, and fail any one. Every failure throws CompressionError naming the
+// path and the errno text.
 #pragma once
 
 #include <memory>

@@ -48,10 +48,10 @@ void encode_segment_header(u8* p, u64 id) {
   put_le(p + 8, id);
 }
 
-/// Whether `data` starts with segment `id`'s header.
-bool segment_header_ok(const Bytes& data, u64 id) {
-  if (data.size() < kSegmentHeaderSize) return false;
-  common::ByteReader r(data, "PFPS segment");
+/// Whether the `n` bytes at `p` start with segment `id`'s header.
+bool segment_header_ok(const u8* p, std::size_t n, u64 id) {
+  if (n < kSegmentHeaderSize) return false;
+  common::ByteReader r(p, n, "PFPS segment");
   const u32 magic = r.take<u32>();
   const u16 version = r.take<u16>();
   r.take<u16>();  // reserved
@@ -87,33 +87,39 @@ struct DecodedFrame {
   common::Hash128 key;
   ChunkMeta meta;
   u64 payload_len = 0;
+  u32 payload_crc = 0;
 };
 
-/// Decode the frame at byte `off` of segment bytes `data` into `out` and
-/// return its total size, or 0 when the bytes there are not one whole valid
-/// frame (short, bad magic, bad header or payload CRC, implausible dtype/eb)
-/// — the caller treats that as torn tail or corruption depending on context.
-std::size_t read_frame(const Bytes& data, std::size_t off, DecodedFrame& out) {
-  common::ByteReader r(data.data() + off, data.size() - off, "PFPS segment", off);
-  if (r.remaining() < kChunkFrameHeaderSize) return 0;
-  if (r.take<u32>() != kFrameMagic) return 0;
-  if (r.take<u32>() != common::crc32(data.data() + off + 8, kChunkFrameHeaderSize - 8))
-    return 0;
+/// Decode the kChunkFrameHeaderSize bytes at `p` into `out`; false on a bad
+/// magic or header CRC, or an implausible dtype/eb.
+bool read_frame_header(const u8* p, DecodedFrame& out) {
+  common::ByteReader r(p, kChunkFrameHeaderSize, "PFPS segment");
+  if (r.take<u32>() != kFrameMagic) return false;
+  if (r.take<u32>() != common::crc32(p + 8, kChunkFrameHeaderSize - 8)) return false;
   out.key.hi = r.take<u64>();
   out.key.lo = r.take<u64>();
   const u8 dtype = r.take<u8>(), eb = r.take<u8>();
-  if (dtype > 1 || eb > 2) return 0;
+  if (dtype > 1 || eb > 2) return false;
   out.meta.dtype = static_cast<DType>(dtype);
   out.meta.eb = static_cast<EbType>(eb);
   r.take<u16>();  // reserved
-  const u32 payload_crc = r.take<u32>();
+  out.payload_crc = r.take<u32>();
   out.meta.eps = r.take<double>();
   out.meta.raw_size = r.take<u64>();
   out.payload_len = r.take<u64>();
-  if (out.payload_len > r.remaining()) return 0;
-  const std::size_t n = static_cast<std::size_t>(out.payload_len);
-  if (common::crc32(r.take_bytes(n), n) != payload_crc) return 0;
-  return kChunkFrameHeaderSize + n;
+  return true;
+}
+
+/// Decode the frame at `p`, with `n` segment bytes left from there, into
+/// `out` and return its total size, or 0 when those bytes do not start with
+/// one whole valid frame (short, bad header, bad payload CRC) — the caller
+/// treats that as torn tail or corruption depending on context.
+std::size_t read_frame(const u8* p, std::size_t n, DecodedFrame& out) {
+  if (n < kChunkFrameHeaderSize || !read_frame_header(p, out)) return 0;
+  if (out.payload_len > n - kChunkFrameHeaderSize) return 0;
+  const std::size_t len = static_cast<std::size_t>(out.payload_len);
+  if (common::crc32(p + kChunkFrameHeaderSize, len) != out.payload_crc) return 0;
+  return kChunkFrameHeaderSize + len;
 }
 
 }  // namespace
@@ -230,13 +236,14 @@ std::string SegmentStore::segment_path(u64 id) const {
 std::string SegmentStore::manifest_path() const { return opts_.dir + "/manifest.pfps"; }
 
 void SegmentStore::scan_segment_locked(Segment& seg) {
-  const Bytes data = io::read_file(segment_path(seg.id));
-  seg.file_bytes = data.size();
+  const io::FileBuffer data = io::read_file_uninit(segment_path(seg.id));
+  const u8* p = data.data.get();
+  seg.file_bytes = data.size;
   seg.valid_bytes = 0;  // stays 0 when the header is unusable
-  if (segment_header_ok(data, seg.id)) {
+  if (segment_header_ok(p, data.size, seg.id)) {
     std::size_t off = kSegmentHeaderSize;
     DecodedFrame f;
-    while (const std::size_t frame_bytes = read_frame(data, off, f)) {
+    while (const std::size_t frame_bytes = read_frame(p + off, data.size - off, f)) {
       if (index_.emplace(f.key, IndexEntry{seg.id, off, f.payload_len, f.meta}).second) {
         live_bytes_ += frame_bytes;
       } else {
@@ -313,14 +320,19 @@ bool SegmentStore::get(const common::Hash128& key, Bytes& out, ChunkMeta* meta) 
     if (it == index_.end()) return false;
     e = it->second;
   }
-  Bytes frame = io::read_file_range(segment_path(e.segment), e.offset,
-                                    kChunkFrameHeaderSize + e.payload_len);
+  const io::RawFile file(segment_path(e.segment));
+  u8 hdr[kChunkFrameHeaderSize];  // the header lands here, the payload straight in `out`
+  file.read_at(e.offset, hdr, sizeof hdr);
   DecodedFrame f;
-  if (read_frame(frame, 0, f) != frame.size() || f.key != key)
+  bool ok = read_frame_header(hdr, f) && f.key == key && f.payload_len == e.payload_len;
+  if (ok) {
+    out.resize(static_cast<std::size_t>(e.payload_len));
+    file.read_at(e.offset + kChunkFrameHeaderSize, out.data(), out.size());
+    ok = common::crc32(out.data(), out.size()) == f.payload_crc;
+  }
+  if (!ok)
     throw CompressionError("store: frame for " + key.hex() +
                            " failed CRC verification (corrupt segment)");
-  out.assign(frame.begin() + static_cast<std::ptrdiff_t>(kChunkFrameHeaderSize),
-             frame.end());
   if (meta) *meta = f.meta;
   LogMetrics::get().reads.add(1);
   return true;
@@ -329,25 +341,30 @@ bool SegmentStore::get(const common::Hash128& key, Bytes& out, ChunkMeta* meta) 
 u64 SegmentStore::write_frame_locked(FileOps::File& file, Segment& seg,
                                      const common::Hash128& key, const Bytes& payload,
                                      const ChunkMeta& meta) {
-  Bytes frame(kChunkFrameHeaderSize + payload.size());
-  encode_frame_header(frame.data(), key, meta,
+  // Staged in the store's one frame buffer, grown but never zero-filled.
+  const std::size_t frame_size = kChunkFrameHeaderSize + payload.size();
+  if (frame_cap_ < frame_size) {
+    frame_buf_ = std::make_unique_for_overwrite<u8[]>(frame_size);
+    frame_cap_ = frame_size;
+  }
+  encode_frame_header(frame_buf_.get(), key, meta,
                       common::crc32(payload.data(), payload.size()), payload.size());
-  std::memcpy(frame.data() + kChunkFrameHeaderSize, payload.data(), payload.size());
+  std::memcpy(frame_buf_.get() + kChunkFrameHeaderSize, payload.data(), payload.size());
 
   try {
-    file.append(frame.data(), frame.size());
+    file.append(frame_buf_.get(), frame_size);
   } catch (const CompressionError&) {
     // Part of the frame may have landed: cut it off, or the next frame would
     // land past seg.valid_bytes, where the index does not look. Should the
     // cut fail too, file_bytes stays past valid_bytes and the next append to
     // the active segment retries it.
-    seg.file_bytes = seg.valid_bytes + frame.size();
+    seg.file_bytes = seg.valid_bytes + frame_size;
     ops_.truncate(segment_path(seg.id), seg.valid_bytes);
     seg.file_bytes = seg.valid_bytes;
     throw;
   }
   const u64 off = seg.valid_bytes;
-  seg.valid_bytes += frame.size();
+  seg.valid_bytes += frame_size;
   seg.file_bytes = seg.valid_bytes;
   return off;
 }
@@ -451,16 +468,17 @@ SegmentStore::VerifyReport SegmentStore::verify() const {
   VerifyReport rep;
   for (const auto& [id, seg] : segments_) {
     ++rep.segments;
-    Bytes data = io::read_file(segment_path(id));
-    rep.bytes_scanned += data.size();
-    if (data.size() < kSegmentHeaderSize || get_le<u32>(data.data()) != kSegmentMagic) {
+    const io::FileBuffer data = io::read_file_uninit(segment_path(id));
+    const u8* p = data.data.get();
+    rep.bytes_scanned += data.size;
+    if (data.size < kSegmentHeaderSize || get_le<u32>(p) != kSegmentMagic) {
       ++rep.corrupt_frames;
       continue;
     }
     std::size_t off = kSegmentHeaderSize;
-    while (off < data.size()) {
+    while (off < data.size) {
       DecodedFrame f;
-      const std::size_t frame_bytes = read_frame(data, off, f);
+      const std::size_t frame_bytes = read_frame(p + off, data.size - off, f);
       if (frame_bytes == 0) {
         // Frames are variable-length: nothing after an invalid frame can be
         // trusted, so count the rest of the segment as one corrupt region.
@@ -548,6 +566,8 @@ SegmentStore::CompactReport SegmentStore::compact() {
 
 void SegmentStore::sync() {
   std::lock_guard<std::mutex> lk(m_);
+  frame_buf_.reset();
+  frame_cap_ = 0;
   active_->fsync();
   write_manifest_locked(segments_);
 }

@@ -16,7 +16,9 @@
 // Crash model: a returned append survives a process kill (no user-space
 // buffer). A power loss keeps what an fsync covered: sealed segments, the
 // active one up to the last sync(), and with fsync_each_append every returned
-// put. Reopen scans every segment; the first invalid frame of the ACTIVE
+// put. Appends start writeback early (posix_file_ops(): every 1 MiB on
+// Linux), which shortens the fsyncs but makes nothing durable sooner.
+// Reopen scans every segment; the first invalid frame of the ACTIVE
 // segment starts the torn tail of an interrupted append, which is truncated.
 // One anywhere else is corruption: the rest of that segment is dead and
 // verify() reports it. A failed append truncates its partial frame at once.
@@ -209,6 +211,8 @@ class SegmentStore {
   std::map<u64, Segment> segments_;  ///< ordered by id; last = active
   std::unordered_map<common::Hash128, IndexEntry, common::Hash128Hasher> index_;
   std::unique_ptr<FileOps::File> active_;  ///< append handle for the active segment
+  std::unique_ptr<u8[]> frame_buf_;  ///< stages each frame; freed by sync()
+  std::size_t frame_cap_ = 0;
   // Written under m_, read without it.
   std::atomic<u64> generation_{0};
   std::atomic<u64> live_bytes_{0};

@@ -5,14 +5,19 @@
 // callback throws, and the audit hook.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "core/pfpl.hpp"
 #include "ingest/pipeline.hpp"
+#include "io/raw_file.hpp"
 #include "store/store.hpp"
 
 using namespace repro;
@@ -170,6 +175,56 @@ TEST(IngestPipeline, FileItemsMatchMemoryItems) {
   }
 }
 
+TEST(IngestPipeline, PathItemsMatchMemoryItems) {
+  // A path item is read into memory that is never zero-filled: its stream
+  // and content key must equal those of the same bytes handed over in
+  // memory. A directory fails its own item with the io message; the rest pack.
+  const std::vector<std::size_t> sizes{0, 1, 4096, 4097};
+  for (unsigned threads : {1u, 2u}) {
+    ScratchDir dir("path_items_" + std::to_string(threads));
+    const fs::path subdir = dir.path() / "a_directory";
+    fs::create_directories(subdir);
+    std::vector<ingest::Item> on_disk, in_memory;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      const Bytes raw = as_bytes(make_field_values(sizes[i], unsigned(i)));
+      const std::string path = (dir.path() / ("f" + std::to_string(i) + ".raw")).string();
+      io::write_file(path, raw.data(), raw.size());
+      on_disk.push_back(ingest::Item{"f" + std::to_string(i), path, {}});
+      in_memory.push_back(ingest::Item{"f" + std::to_string(i), "", raw});
+      if (i == 1) on_disk.push_back(ingest::Item{"dir", subdir.string(), {}});
+    }
+    auto run = [&](const std::string& tag, std::vector<ingest::Item> items) {
+      store::ChunkStore::Options so;
+      so.dir = (dir.path() / tag).string();
+      store::ChunkStore cs(so);
+      ingest::IngestPipeline::Options o = base_options();
+      o.threads = threads;
+      o.store = &cs;
+      ingest::IngestPipeline pipe(o);
+      return pipe.run(std::move(items));
+    };
+    std::vector<ingest::Result> disk = run("store_disk", std::move(on_disk));
+    const std::vector<ingest::Result> mem = run("store_mem", std::move(in_memory));
+    ASSERT_EQ(disk.size(), sizes.size() + 1);
+    const ingest::Result failed = disk[2];
+    disk.erase(disk.begin() + 2);
+    EXPECT_TRUE(failed.failed);
+    EXPECT_NE(failed.error.find("cannot read " + subdir.string()), std::string::npos)
+        << failed.error;
+    EXPECT_NE(failed.error.find(std::strerror(EISDIR)), std::string::npos) << failed.error;
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      ASSERT_FALSE(disk[i].failed) << disk[i].error;
+      ASSERT_FALSE(mem[i].failed) << mem[i].error;
+      EXPECT_FALSE(disk[i].reused);
+      EXPECT_EQ(disk[i].raw_bytes, sizes[i] * sizeof(float));
+      EXPECT_EQ(disk[i].stream, mem[i].stream) << sizes[i] << " values, threads=" << threads;
+      EXPECT_EQ(disk[i].stream, serial_stream(sizes[i], unsigned(i)));
+      EXPECT_EQ(disk[i].key, mem[i].key) << sizes[i] << " values, threads=" << threads;
+      EXPECT_FALSE(disk[i].key.is_zero());
+    }
+  }
+}
+
 // --------------------------------------------------------- in-order delivery
 
 TEST(IngestPipeline, ProgressFiresInSubmissionOrder) {
@@ -247,6 +302,41 @@ TEST(IngestPipeline, AppendBatchingGroupsItems) {
   const store::SegmentStore::VerifyReport rep = cs.log()->verify();
   EXPECT_TRUE(rep.ok());
   EXPECT_EQ(rep.frames_ok, 8u);
+}
+
+TEST(IngestPipeline, StoreFilesArePinned) {
+  // The store's on-disk bytes are part of the PFPS format: a fixed set packed
+  // into a fresh store (small segments, so it rotates; item 7 repeats item 0,
+  // so one frame is deduped) must leave exactly these files, however the
+  // write path gets them there.
+  ScratchDir dir("pinned");
+  const std::string store_dir = (dir.path() / "store").string();
+  {
+    store::ChunkStore::Options so;
+    so.dir = store_dir;
+    so.max_segment_bytes = 16 << 10;
+    store::ChunkStore cs(so);
+    ingest::IngestPipeline::Options o = base_options();
+    o.store = &cs;
+    ingest::IngestPipeline pipe(o);
+    std::vector<ingest::Item> items;
+    for (unsigned i = 0; i < 8; ++i)
+      items.push_back(ingest::Item{"item" + std::to_string(i), "",
+                                   as_bytes(make_field_values(3000 + 1500 * (i % 7), i % 7))});
+    for (const ingest::Result& r : pipe.run(std::move(items))) ASSERT_FALSE(r.failed) << r.error;
+  }
+  std::map<std::string, std::string> digests;
+  for (const fs::directory_entry& e : fs::directory_iterator(store_dir)) {
+    const Bytes b = io::read_file(e.path().string());
+    digests[e.path().filename().string()] = common::hash128(b.data(), b.size()).hex();
+  }
+  const std::map<std::string, std::string> pinned{
+      {"manifest.pfps", "25df8f75e930dd393f1a1d596b1815b4"},
+      {"seg-00000001.pfps", "e76c17dae6b1717f0e6ab4c5695702ed"},
+      {"seg-00000002.pfps", "1f59ffdc6bf3cc462689f1c4d0ec363e"},
+      {"seg-00000003.pfps", "d3964ebedb3467db5c8ed0763646f7d7"},
+      {"seg-00000004.pfps", "4bb283cc68fa1ed728d7bb2a0def0653"}};
+  EXPECT_EQ(digests, pinned);
 }
 
 // ------------------------------------------------------------- backpressure

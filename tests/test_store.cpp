@@ -102,6 +102,71 @@ TEST(Hash128, SensitiveToEveryInput) {
   EXPECT_NE(common::hash128(a.data(), a.size(), 1), base);
 }
 
+namespace {
+
+/// MurmurHash3 x64/128 with every little-endian word assembled one byte at
+/// a time: the reference for hash128's word loads. The two must agree on
+/// every length, alignment and seed, or every stored key would change.
+common::Hash128 byte_loop_hash128(const u8* p, std::size_t n, u64 seed) {
+  auto rotl = [](u64 x, int r) { return (x << r) | (x >> (64 - r)); };
+  auto fmix = [](u64 k) {
+    k ^= k >> 33;
+    k *= 0xFF51AFD7ED558CCDull;
+    k ^= k >> 33;
+    k *= 0xC4CEB9FE1A85EC53ull;
+    return k ^ (k >> 33);
+  };
+  auto load = [](const u8* q, std::size_t bytes) {  // little-endian, byte by byte
+    u64 v = 0;
+    for (std::size_t i = 0; i < bytes; ++i) v |= static_cast<u64>(q[i]) << (8 * i);
+    return v;
+  };
+  constexpr u64 c1 = 0x87C37B91114253D5ull, c2 = 0x4CF5AD432745937Full;
+  u64 h1 = seed, h2 = seed;
+  const std::size_t nblocks = n / 16;
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    u64 k1 = load(p + b * 16, 8), k2 = load(p + b * 16 + 8, 8);
+    k1 *= c1; k1 = rotl(k1, 31); k1 *= c2; h1 ^= k1;
+    h1 = rotl(h1, 27); h1 += h2; h1 = h1 * 5 + 0x52DCE729u;
+    k2 *= c2; k2 = rotl(k2, 33); k2 *= c1; h2 ^= k2;
+    h2 = rotl(h2, 31); h2 += h1; h2 = h2 * 5 + 0x38495AB5u;
+  }
+  const u8* tail = p + nblocks * 16;
+  const std::size_t rest = n & 15;
+  if (rest > 8) {
+    u64 k2 = load(tail + 8, rest - 8);
+    k2 *= c2; k2 = rotl(k2, 33); k2 *= c1; h2 ^= k2;
+  }
+  if (rest > 0) {
+    u64 k1 = load(tail, rest < 8 ? rest : 8);
+    k1 *= c1; k1 = rotl(k1, 31); k1 *= c2; h1 ^= k1;
+  }
+  h1 ^= static_cast<u64>(n);
+  h2 ^= static_cast<u64>(n);
+  h1 += h2;
+  h2 += h1;
+  h1 = fmix(h1);
+  h2 = fmix(h2);
+  h1 += h2;
+  h2 += h1;
+  return common::Hash128{h1, h2};
+}
+
+}  // namespace
+
+TEST(Hash128, WordLoadsMatchTheByteReference) {
+  // Every length 0..257 at every start offset 0..7 (so the word loads run
+  // unaligned), with seeds 0, 1 and 2^63.
+  Bytes buf(257 + 8);
+  for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<u8>(i * 131 + 7);
+  for (const u64 seed : {u64{0}, u64{1}, u64{1} << 63})
+    for (std::size_t off = 0; off < 8; ++off)
+      for (std::size_t n = 0; n <= 257; ++n)
+        ASSERT_EQ(common::hash128(buf.data() + off, n, seed),
+                  byte_loop_hash128(buf.data() + off, n, seed))
+            << "length " << n << ", offset " << off << ", seed " << seed;
+}
+
 TEST(StoreKeys, DomainSeparation) {
   Bytes raw(256, 0x11);
   const auto c = store::compress_key(raw.data(), raw.size(), DType::F32,
@@ -331,6 +396,70 @@ TEST(SegmentStore, SealedSegmentCorruptionDetected) {
   const store::SegmentStore::VerifyReport rep = log.verify();
   EXPECT_FALSE(rep.ok());
   EXPECT_GE(rep.corrupt_frames, 1u);
+}
+
+TEST(SegmentStore, GetRejectsBytesCorruptedAfterOpen) {
+  // get() reads the frame header to the stack and the payload straight into
+  // its output: a flipped payload or header byte on disk after the open scan
+  // must still throw, never return the bytes.
+  StoreDir dir("get_corrupt");
+  store::SegmentStore::Options o;
+  o.dir = dir.str();
+  store::SegmentStore log(o);
+  ASSERT_TRUE(log.put(key_of(1), bytes_of(300, 7), {}));
+  ASSERT_TRUE(log.put(key_of(2), bytes_of(300, 8), {}));
+  const std::string seg = (dir.path() / "seg-00000001.pfps").string();
+  auto flip = [&](std::size_t off) {
+    std::FILE* f = std::fopen(seg.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, static_cast<long>(off), SEEK_SET);
+    u8 b = 0;
+    ASSERT_EQ(std::fread(&b, 1, 1, f), 1u);
+    b ^= 0x01;
+    std::fseek(f, -1, SEEK_CUR);
+    std::fwrite(&b, 1, 1, f);
+    std::fclose(f);
+  };
+  const std::size_t frame2 = store::kSegmentHeaderSize + store::kChunkFrameHeaderSize + 300;
+  flip(store::kSegmentHeaderSize + store::kChunkFrameHeaderSize + 299);  // last payload byte
+  flip(frame2 + 20);                                                       // key.lo in the header
+  Bytes out;
+  for (unsigned k : {1u, 2u}) {
+    try {
+      log.get(key_of(k), out);
+      ADD_FAILURE() << "get of corrupted frame " << k << " did not throw";
+    } catch (const CompressionError& e) {
+      EXPECT_NE(std::string(e.what()).find("failed CRC verification"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SegmentStore, AppendsPastTheWritebackThresholdReadBack) {
+  // Past every 1 MiB appended, the POSIX append also starts writeback of the
+  // file: frames written across several of those points read back intact,
+  // before and after a reopen.
+  StoreDir dir("writeback");
+  store::SegmentStore::Options o;
+  o.dir = dir.str();
+  std::vector<Bytes> payloads;
+  for (unsigned i = 0; i < 5; ++i) payloads.push_back(bytes_of((600u << 10) + i, u8(i + 1)));
+  {
+    store::SegmentStore log(o);
+    for (unsigned i = 0; i < payloads.size(); ++i)
+      ASSERT_TRUE(log.put(key_of(i), payloads[i], {}));
+    Bytes out;
+    ASSERT_TRUE(log.get(key_of(4), out));
+    EXPECT_EQ(out, payloads[4]);
+  }
+  store::SegmentStore log(o);
+  EXPECT_TRUE(log.verify().ok());
+  EXPECT_EQ(log.open_report().torn_bytes, 0u);
+  for (unsigned i = 0; i < payloads.size(); ++i) {
+    Bytes out;
+    ASSERT_TRUE(log.get(key_of(i), out));
+    EXPECT_EQ(out, payloads[i]) << "frame " << i;
+  }
 }
 
 TEST(SegmentStore, ManifestRecoveredAfterDeletion) {
