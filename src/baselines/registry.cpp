@@ -11,7 +11,7 @@
 
 namespace repro::baselines {
 
-std::vector<CompressorPtr> baseline_compressors() {
+std::vector<CompressorPtr> all_compressors() {
   return {
       std::make_shared<ZfpLikeCompressor>(),
       std::make_shared<Sz2Compressor>(),
@@ -21,15 +21,10 @@ std::vector<CompressorPtr> baseline_compressors() {
       std::make_shared<SperrLikeCompressor>(),
       std::make_shared<FzGpuLikeCompressor>(),
       std::make_shared<CuszpLikeCompressor>(),
+      std::make_shared<pfpl::PfplCompressor>(pfpl::Executor::Serial),
+      std::make_shared<pfpl::PfplCompressor>(pfpl::Executor::OpenMP),
+      std::make_shared<pfpl::PfplCompressor>(pfpl::Executor::GpuSim),
   };
-}
-
-std::vector<CompressorPtr> all_compressors() {
-  std::vector<CompressorPtr> v = baseline_compressors();
-  v.push_back(std::make_shared<pfpl::PfplCompressor>(pfpl::Executor::Serial));
-  v.push_back(std::make_shared<pfpl::PfplCompressor>(pfpl::Executor::OpenMP));
-  v.push_back(std::make_shared<pfpl::PfplCompressor>(pfpl::Executor::GpuSim));
-  return v;
 }
 
 CompressorPtr find_compressor(const std::string& name) {

@@ -15,9 +15,6 @@ namespace repro::baselines {
 /// mirroring the paper's "we always show all versions of PFPL".
 std::vector<CompressorPtr> all_compressors();
 
-/// The seven baselines only (no PFPL).
-std::vector<CompressorPtr> baseline_compressors();
-
 /// Look up by name(); throws CompressionError if absent.
 CompressorPtr find_compressor(const std::string& name);
 

@@ -149,8 +149,9 @@ std::string g_report_stats;
 
 /// Emit the requested observability artifacts (called on every exit path
 /// that ran a command, including failures — a trace of a failed run is
-/// exactly what you want on the operator's desk).
-void flush_obs(const Flags& fl) {
+/// exactly what you want on the operator's desk). False when one could not
+/// be written.
+bool flush_obs(const Flags& fl) {
   try {
     if (!fl.report_path.empty()) {
       const std::string doc = obs::metrics_json_doc(g_report_stats);
@@ -160,7 +161,9 @@ void flush_obs(const Flags& fl) {
       obs::TraceRecorder::global().write_chrome_json(fl.trace_path);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "pfpl: obs: %s\n", e.what());
+    return false;
   }
+  return true;
 }
 
 /// The value of a numeric flag: a plain base-10 integer in [lo, hi], with no
@@ -1426,6 +1429,7 @@ int main(int argc, char** argv) {
     // report cleanly, never let the exception escape as a crash.
     std::fprintf(stderr, "pfpl: %s\n", e.what());
   }
-  flush_obs(fl);
+  // An artifact that could not be written fails a run that otherwise passed.
+  if (!flush_obs(fl) && rc == 0) rc = 1;
   return rc;
 }

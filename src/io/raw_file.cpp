@@ -6,14 +6,13 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 
+#include "io/file_ops.hpp"
+
 namespace repro::io {
 namespace {
-
-using FilePtr = std::unique_ptr<std::FILE, int (*)(std::FILE*)>;
 
 std::string errno_text() {
   return errno ? std::strerror(errno) : "unexpected end of file";
@@ -95,12 +94,7 @@ std::vector<u8> read_file_range(const std::string& path, u64 offset, std::size_t
 }
 
 void write_file(const std::string& path, const void* data, std::size_t size) {
-  errno = 0;
-  FilePtr f(std::fopen(path.c_str(), "wb"), &std::fclose);
-  if (!f) throw CompressionError("cannot create " + path + ": " + errno_text());
-  errno = 0;
-  if (size > 0 && std::fwrite(data, 1, size, f.get()) != size)
-    throw CompressionError("short write on " + path + ": " + errno_text());
+  posix_file_ops().create(path)->append(static_cast<const u8*>(data), size);
 }
 
 }  // namespace repro::io

@@ -3,8 +3,9 @@
 //
 // Every read goes through one core, RawFile: open, fstat (regular files
 // only), then pread straight into the caller's memory, with no stdio buffer.
-// All functions throw CompressionError on failure; messages include the
-// path and the strerror(errno) text of the failing call.
+// Every write goes through FileOps (file_ops.hpp). All functions throw
+// CompressionError on failure; messages include the path and the
+// strerror(errno) text of the failing call.
 #pragma once
 
 #include <cstring>
@@ -54,7 +55,8 @@ u64 file_size(const std::string& path);
 /// of the file). Throws if the range extends past end of file.
 std::vector<u8> read_file_range(const std::string& path, u64 offset, std::size_t size);
 
-/// Write a byte buffer to a file (truncating). Throws on failure.
+/// Write a byte buffer to a file (truncating): one posix_file_ops() create
+/// plus one append. Throws on failure, e.g. ENOSPC on /dev/full.
 void write_file(const std::string& path, const void* data, std::size_t size);
 
 template <typename T>

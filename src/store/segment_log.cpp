@@ -124,7 +124,7 @@ std::size_t read_frame(const u8* p, std::size_t n, DecodedFrame& out) {
 
 }  // namespace
 
-SegmentStore::SegmentStore(const Options& opts, FileOps& ops) : opts_(opts), ops_(ops) {
+SegmentStore::SegmentStore(const Options& opts, io::FileOps& ops) : opts_(opts), ops_(ops) {
   if (opts_.dir.empty()) throw CompressionError("store: empty directory path");
   if (opts_.max_segment_bytes < kSegmentHeaderSize + kChunkFrameHeaderSize)
     throw CompressionError("store: max_segment_bytes too small for one frame");
@@ -262,8 +262,8 @@ void SegmentStore::scan_segment_locked(Segment& seg) {
   }
 }
 
-std::unique_ptr<FileOps::File> SegmentStore::create_segment_locked(u64 id) {
-  std::unique_ptr<FileOps::File> file = ops_.create(segment_path(id));
+std::unique_ptr<io::FileOps::File> SegmentStore::create_segment_locked(u64 id) {
+  std::unique_ptr<io::FileOps::File> file = ops_.create(segment_path(id));
   u8 hdr[kSegmentHeaderSize];
   encode_segment_header(hdr, id);
   file->append(hdr, sizeof hdr);
@@ -299,7 +299,7 @@ void SegmentStore::write_manifest_locked(const std::map<u64, Segment>& segments)
   // generation or this one, never a torn manifest.
   const std::string tmp = manifest_path() + ".tmp";
   {
-    std::unique_ptr<FileOps::File> f = ops_.create(tmp);
+    std::unique_ptr<io::FileOps::File> f = ops_.create(tmp);
     f->append(buf.data(), buf.size());
     f->fsync();
   }
@@ -338,7 +338,7 @@ bool SegmentStore::get(const common::Hash128& key, Bytes& out, ChunkMeta* meta) 
   return true;
 }
 
-u64 SegmentStore::write_frame_locked(FileOps::File& file, Segment& seg,
+u64 SegmentStore::write_frame_locked(io::FileOps::File& file, Segment& seg,
                                      const common::Hash128& key, const Bytes& payload,
                                      const ChunkMeta& meta) {
   // Staged in the store's one frame buffer, grown but never zero-filled.
@@ -391,7 +391,7 @@ void SegmentStore::rotate_locked() {
   active_->fsync();
   const u64 next = seg.id + 1;
   try {
-    std::unique_ptr<FileOps::File> file = create_segment_locked(next);
+    std::unique_ptr<io::FileOps::File> file = create_segment_locked(next);
     seg.sealed = true;
     segments_.emplace(next, Segment{next, kSegmentHeaderSize, kSegmentHeaderSize, false});
     write_manifest_locked(segments_);
@@ -516,9 +516,9 @@ SegmentStore::CompactReport SegmentStore::compact() {
   std::map<u64, Segment> layout;
   std::unordered_map<common::Hash128, IndexEntry, common::Hash128Hasher> new_index;
   u64 new_live = 0;
-  std::unique_ptr<FileOps::File> active;
+  std::unique_ptr<io::FileOps::File> active;
   try {
-    std::unique_ptr<FileOps::File> out = create_segment_locked(cur_id);
+    std::unique_ptr<io::FileOps::File> out = create_segment_locked(cur_id);
     Segment cur{cur_id, kSegmentHeaderSize, kSegmentHeaderSize, /*sealed=*/true};
     for (const auto& [key, e] : live) {
       const Bytes payload = io::read_file_range(

@@ -10,14 +10,15 @@
 // segment reaches max_segment_bytes it is fsync'd, sealed into the manifest
 // (generation + 1), and a new active segment starts. Every frame carries two
 // CRC-32s (fixed header fields, payload), so a torn write is detectable at
-// the exact frame boundary. Every change to the directory goes through one
-// FileOps (file_ops.hpp).
+// the exact frame boundary. Every change to the directory goes through the
+// io::FileOps it was given (io/file_ops.hpp, the library's one write seam).
 //
 // Crash model: a returned append survives a process kill (no user-space
 // buffer). A power loss keeps what an fsync covered: sealed segments, the
 // active one up to the last sync(), and with fsync_each_append every returned
-// put. Appends start writeback early (posix_file_ops(): every 1 MiB on
-// Linux), which shortens the fsyncs but makes nothing durable sooner.
+// put. Appends start writeback early (io::posix_file_ops(): every 1 MiB on
+// Linux), which shortens the fsyncs but makes nothing durable sooner. Store
+// files are created with mode 0666 less the umask, like every io::FileOps file.
 // Reopen scans every segment; the first invalid frame of the ACTIVE
 // segment starts the torn tail of an interrupted append, which is truncated.
 // One anywhere else is corruption: the rest of that segment is dead and
@@ -50,7 +51,7 @@
 
 #include "common/hash.hpp"
 #include "common/types.hpp"
-#include "store/file_ops.hpp"
+#include "io/file_ops.hpp"
 
 namespace repro::store {
 
@@ -119,7 +120,7 @@ class SegmentStore {
   /// Opens (creating the directory if needed) and recovers the store; every
   /// change to the directory goes through `ops`.
   /// Throws CompressionError on unrecoverable I/O failure.
-  explicit SegmentStore(const Options& opts, FileOps& ops = posix_file_ops());
+  explicit SegmentStore(const Options& opts, io::FileOps& ops = io::posix_file_ops());
   ~SegmentStore();
 
   SegmentStore(const SegmentStore&) = delete;
@@ -190,7 +191,7 @@ class SegmentStore {
   std::string segment_path(u64 id) const;
   std::string manifest_path() const;
   void write_manifest_locked(const std::map<u64, Segment>& segments);
-  std::unique_ptr<FileOps::File> create_segment_locked(u64 id);
+  std::unique_ptr<io::FileOps::File> create_segment_locked(u64 id);
   /// Best-effort removal of segment `id`, if present, on a failure path.
   void discard_locked(u64 id);
   void rotate_locked();
@@ -199,18 +200,18 @@ class SegmentStore {
   /// Append one frame to `file`, the open segment `seg`, and return its
   /// offset. A failed append truncates the segment back to seg.valid_bytes
   /// before rethrowing, so the next frame lands where the index says.
-  u64 write_frame_locked(FileOps::File& file, Segment& seg, const common::Hash128& key,
+  u64 write_frame_locked(io::FileOps::File& file, Segment& seg, const common::Hash128& key,
                          const Bytes& payload, const ChunkMeta& meta);
   /// Append one indexed frame to the active segment, rotating first if full.
   void append_frame_locked(const common::Hash128& key, const Bytes& payload,
                            const ChunkMeta& meta);
 
   Options opts_;
-  FileOps& ops_;
+  io::FileOps& ops_;
   mutable std::mutex m_;
   std::map<u64, Segment> segments_;  ///< ordered by id; last = active
   std::unordered_map<common::Hash128, IndexEntry, common::Hash128Hasher> index_;
-  std::unique_ptr<FileOps::File> active_;  ///< append handle for the active segment
+  std::unique_ptr<io::FileOps::File> active_;  ///< append handle for the active segment
   std::unique_ptr<u8[]> frame_buf_;  ///< stages each frame; freed by sync()
   std::size_t frame_cap_ = 0;
   // Written under m_, read without it.

@@ -50,7 +50,7 @@ common::Hash128 decompress_key(const void* stream, std::size_t n) {
   return common::hash128(buf, sizeof buf);
 }
 
-ChunkStore::ChunkStore(const Options& opts, FileOps& ops) : cache_(opts.cache) {
+ChunkStore::ChunkStore(const Options& opts, io::FileOps& ops) : cache_(opts.cache) {
   if (!opts.dir.empty()) {
     SegmentStore::Options lo;
     lo.dir = opts.dir;

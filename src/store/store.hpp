@@ -47,7 +47,7 @@ class ChunkStore {
   };
 
   /// `ops` is the persistent tier's write seam (see SegmentStore).
-  explicit ChunkStore(const Options& opts, FileOps& ops = posix_file_ops());
+  explicit ChunkStore(const Options& opts, io::FileOps& ops = io::posix_file_ops());
 
   /// Cache, then segment log (promoting a log hit into the cache).
   bool get(const common::Hash128& key, Bytes& out);

@@ -1,18 +1,11 @@
 #include "svc/archive.hpp"
 
-#include <cerrno>
-#include <cstring>
-
 #include "common/bytes.hpp"
 #include "common/checksum.hpp"
 #include "io/raw_file.hpp"
 
 namespace repro::svc {
 namespace {
-
-std::string errno_text() {
-  return errno ? std::strerror(errno) : "unknown error";
-}
 
 // Shared by writer and reader: entry names are plain file names, never paths.
 // The reader MUST enforce this too — archives are untrusted input, and a
@@ -84,10 +77,8 @@ std::vector<ArchiveEntry> parse_index(common::ByteReader& r, u32 entry_count, u6
 // Writer
 // ---------------------------------------------------------------------------
 
-ArchiveWriter::ArchiveWriter(const std::string& path) : path_(path) {
-  errno = 0;
-  f_ = std::fopen(path.c_str(), "wb");
-  if (!f_) throw CompressionError("cannot create " + path + ": " + errno_text());
+ArchiveWriter::ArchiveWriter(const std::string& path, io::FileOps& ops)
+    : file_(ops.create(path)) {
   u8 header[kArchiveHeaderSize];
   common::put_le(header, kArchiveMagic);
   common::put_le(header + 4, kArchiveVersion);
@@ -95,20 +86,14 @@ ArchiveWriter::ArchiveWriter(const std::string& path) : path_(path) {
   write_raw(header, sizeof header);
 }
 
-ArchiveWriter::~ArchiveWriter() {
-  if (f_) std::fclose(f_);
-}
-
-void ArchiveWriter::write_raw(const void* data, std::size_t n) {
-  errno = 0;
-  if (n > 0 && std::fwrite(data, 1, n, f_) != n)
-    throw CompressionError("short write on " + path_ + ": " + errno_text());
+void ArchiveWriter::write_raw(const u8* data, std::size_t n) {
+  file_->append(data, n);
   offset_ += n;
 }
 
 void ArchiveWriter::add(const std::string& name, const pfpl::Header& header,
                         const Bytes& stream, u64 raw_size) {
-  if (!f_ || finished_) throw CompressionError("PFPA: add() after finish()");
+  if (!file_) throw CompressionError("PFPA: add() after finish()");
   if (name.size() > 0xFFFF || !valid_entry_name(name))
     throw CompressionError("PFPA: invalid entry name '" + name + "'");
   for (const ArchiveEntry& e : entries_)
@@ -128,23 +113,18 @@ void ArchiveWriter::add(const std::string& name, const pfpl::Header& header,
 }
 
 void ArchiveWriter::finish() {
-  if (!f_ || finished_) throw CompressionError("PFPA: finish() called twice");
-  finished_ = true;
+  if (!file_) throw CompressionError("PFPA: finish() called twice");
   const u64 index_offset = offset_;
-  Bytes index = serialize_index(entries_);
-  write_raw(index.data(), index.size());
-  u8 footer[kArchiveFooterSize];
-  common::put_le(footer, index_offset);
-  common::put_le(footer + 8, static_cast<u64>(index.size()));
-  common::put_le(footer + 16, static_cast<u32>(entries_.size()));
-  common::put_le(footer + 20, common::crc32(index.data(), index.size()));
-  common::put_le(footer + 24, kArchiveMagic);
-  write_raw(footer, sizeof footer);
-  errno = 0;
-  std::FILE* f = f_;
-  f_ = nullptr;
-  if (std::fclose(f) != 0)
-    throw CompressionError("cannot close " + path_ + ": " + errno_text());
+  Bytes tail = serialize_index(entries_);  // index + footer, one append
+  const u64 index_size = tail.size();
+  const u32 index_crc = common::crc32(tail.data(), tail.size());
+  common::append_le(tail, index_offset);
+  common::append_le(tail, index_size);
+  common::append_le(tail, static_cast<u32>(entries_.size()));
+  common::append_le(tail, index_crc);
+  common::append_le(tail, kArchiveMagic);
+  write_raw(tail.data(), tail.size());
+  file_.reset();
 }
 
 // ---------------------------------------------------------------------------

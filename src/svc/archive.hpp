@@ -18,13 +18,13 @@
 //                       magic (again, as an end-of-file sentinel)
 #pragma once
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
 #include "core/format.hpp"
+#include "io/file_ops.hpp"
 
 namespace repro::svc {
 
@@ -47,13 +47,14 @@ struct ArchiveEntry {
 };
 
 /// Streaming archive writer. Entries are appended in add() order; finish()
-/// writes the index and footer. The file is invalid until finish() returns.
+/// writes the index and footer. Every write is one FileOps append, and a
+/// failed one throws CompressionError from the call that made it. The file
+/// has no footer, so readers reject it, until finish() returns.
 class ArchiveWriter {
  public:
-  /// Creates/truncates `path`. Throws CompressionError (with errno text) on
-  /// failure.
-  explicit ArchiveWriter(const std::string& path);
-  ~ArchiveWriter();  // closes the file; unfinished archives stay invalid
+  /// Creates/truncates `path` through `ops` and writes the file header.
+  /// Throws CompressionError (with errno text) on failure.
+  explicit ArchiveWriter(const std::string& path, io::FileOps& ops = io::posix_file_ops());
 
   ArchiveWriter(const ArchiveWriter&) = delete;
   ArchiveWriter& operator=(const ArchiveWriter&) = delete;
@@ -70,12 +71,10 @@ class ArchiveWriter {
   std::size_t entry_count() const { return entries_.size(); }
 
  private:
-  void write_raw(const void* data, std::size_t n);
+  void write_raw(const u8* data, std::size_t n);
 
-  std::string path_;
-  std::FILE* f_ = nullptr;
+  std::unique_ptr<io::FileOps::File> file_;  ///< null once finished
   u64 offset_ = 0;
-  bool finished_ = false;
   std::vector<ArchiveEntry> entries_;
 };
 

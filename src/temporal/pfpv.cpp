@@ -9,6 +9,7 @@
 
 namespace repro::temporal {
 
+using common::append_le;
 using common::get_le;
 using common::put_le;
 
@@ -115,24 +116,17 @@ std::size_t decode_frame_record(const u8* p, std::size_t n, EncodedFrame& out) {
   return kPfpvRecordHeaderSize + bitmap_len + payload_len;
 }
 
-StreamWriter::StreamWriter(const std::string& path, const SessionConfig& cfg)
-    : path_(path) {
-  f_ = std::fopen(path.c_str(), "wb");
-  if (!f_) throw CompressionError("PFPV: cannot create " + path);
+StreamWriter::StreamWriter(const std::string& path, const SessionConfig& cfg,
+                           io::FileOps& ops)
+    : file_(ops.create(path)) {
   const Bytes header = encode_stream_header(cfg);
   write_bytes(header.data(), header.size());
 }
 
-StreamWriter::~StreamWriter() {
-  if (f_) std::fclose(f_);  // unfinished: leaves a valid truncated stream
-}
-
-void StreamWriter::write_bytes(const void* p, std::size_t n) {
-  if (!f_) throw CompressionError("PFPV: writer already finished");
-  if (std::fwrite(p, 1, n, f_) != n)
-    throw CompressionError("PFPV: short write to " + path_);
-  // Flush per record: a killed process loses at most the torn tail.
-  std::fflush(f_);
+void StreamWriter::write_bytes(const u8* p, std::size_t n) {
+  if (!file_) throw CompressionError("PFPV: writer already finished");
+  // One append per record: a killed process loses at most the torn tail.
+  file_->append(p, n);
   offset_ += n;
 }
 
@@ -152,25 +146,22 @@ void StreamWriter::append_encoded(const Bytes& record) {
 // — followed by a fixed 24-byte footer parsed from EOF:
 //   u64 index_offset  u64 frame_count  u32 index_crc  u32 magic
 void StreamWriter::finish() {
-  if (finished_) return;
+  if (!file_) return;
   const u64 index_offset = offset_;
-  Bytes index(8 + keyframes_.size() * 16);
-  put_le(index.data(), kPfpvIndexMagic);
-  put_le(index.data() + 4, static_cast<u32>(keyframes_.size()));
-  for (std::size_t i = 0; i < keyframes_.size(); ++i) {
-    put_le(index.data() + 8 + i * 16, keyframes_[i].frame_index);
-    put_le(index.data() + 16 + i * 16, keyframes_[i].file_offset);
+  Bytes tail;  // index + footer, one append
+  append_le(tail, kPfpvIndexMagic);
+  append_le(tail, static_cast<u32>(keyframes_.size()));
+  for (const KeyframeEntry& k : keyframes_) {
+    append_le(tail, k.frame_index);
+    append_le(tail, k.file_offset);
   }
-  u8 footer[kPfpvFooterSize];
-  put_le(footer, index_offset);
-  put_le(footer + 8, frames_);
-  put_le(footer + 16, common::crc32(index.data(), index.size()));
-  put_le(footer + 20, kPfpvIndexMagic);
-  write_bytes(index.data(), index.size());
-  write_bytes(footer, sizeof footer);
-  std::fclose(f_);
-  f_ = nullptr;
-  finished_ = true;
+  const u32 index_crc = common::crc32(tail.data(), tail.size());
+  append_le(tail, index_offset);
+  append_le(tail, frames_);
+  append_le(tail, index_crc);
+  append_le(tail, kPfpvIndexMagic);
+  write_bytes(tail.data(), tail.size());
+  file_.reset();
 }
 
 StreamReader::StreamReader(const std::string& path) { open(io::read_file(path)); }

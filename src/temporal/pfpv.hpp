@@ -13,19 +13,21 @@
 //   | footer (24 B)      |  index extent + CRC + end magic (parsed from EOF)
 //   +--------------------+
 //
-// The writer streams records out append-only (flushing each one), so a
-// process killed mid-stream leaves a prefix of complete records plus at most
-// one torn tail and no trailer. The reader recovers: when the footer is
-// missing or invalid it scans records from the top, keeps every record whose
-// two CRCs validate, rebuilds the keyframe index, and reports
-// `truncated() == true` with the byte count of the discarded tail.
+// The writer streams records out append-only, each record one FileOps append
+// (one write(2), no user-space buffer), so a process killed mid-stream leaves
+// a prefix of complete records plus at most one torn tail and no trailer.
+// The reader recovers: when the footer is missing or invalid it scans records
+// from the top, keeps every record whose two CRCs validate, rebuilds the
+// keyframe index, and reports `truncated() == true` with the byte count of
+// the discarded tail.
 #pragma once
 
-#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
+#include "io/file_ops.hpp"
 #include "temporal/temporal.hpp"
 
 namespace repro::temporal {
@@ -56,15 +58,16 @@ struct KeyframeEntry {
   u64 file_offset = 0;  ///< record start, from file start
 };
 
-/// Append-only PFPV file writer. Records are flushed as written; finish()
-/// appends the keyframe index + footer. Destroying an unfinished writer
-/// leaves a valid truncated stream.
+/// Append-only PFPV file writer. Each record is one FileOps append; finish()
+/// appends the keyframe index + footer. A failed write throws
+/// CompressionError from the call that made it. Destroying an unfinished
+/// writer leaves a valid truncated stream.
 class StreamWriter {
  public:
-  /// Creates/truncates `path` and writes the session header. Throws
-  /// CompressionError on I/O failure.
-  StreamWriter(const std::string& path, const SessionConfig& cfg);
-  ~StreamWriter();
+  /// Creates/truncates `path` through `ops` and writes the session header.
+  /// Throws CompressionError on I/O failure.
+  StreamWriter(const std::string& path, const SessionConfig& cfg,
+               io::FileOps& ops = io::posix_file_ops());
   StreamWriter(const StreamWriter&) = delete;
   StreamWriter& operator=(const StreamWriter&) = delete;
 
@@ -81,14 +84,12 @@ class StreamWriter {
   u64 bytes_written() const { return offset_; }
 
  private:
-  void write_bytes(const void* p, std::size_t n);
+  void write_bytes(const u8* p, std::size_t n);
 
-  std::FILE* f_ = nullptr;
-  std::string path_;
+  std::unique_ptr<io::FileOps::File> file_;  ///< null once finished
   u64 offset_ = 0;
   u64 frames_ = 0;
   std::vector<KeyframeEntry> keyframes_;
-  bool finished_ = false;
 };
 
 /// Whole-file PFPV reader. Loads the file, validates the session header,

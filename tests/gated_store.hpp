@@ -6,7 +6,7 @@
 // keeps that request in flight on its pool worker (in-flight bytes charged,
 // watchdog slot busy, response not yet queued), and one whose append raises
 // SIGSEGV kills the serving process inside that worker. Both go through the
-// store's own write seam (store::FileOps); the server has no test hook.
+// store's own write seam (io::FileOps); the server has no test hook.
 #pragma once
 
 #include <atomic>
@@ -19,7 +19,7 @@
 #include <string>
 #include <thread>
 
-#include "store/file_ops.hpp"
+#include "io/file_ops.hpp"
 #include "store/store.hpp"
 
 namespace repro::gated {
@@ -27,7 +27,7 @@ namespace repro::gated {
 /// Forwards every operation to the POSIX FileOps. Appends pass until the test
 /// arms hold() or crash(): the SegmentStore writes its first segment header
 /// while it is being constructed, so arm only after the store exists.
-class GatedOps final : public store::FileOps {
+class GatedOps final : public io::FileOps {
  public:
   /// Every later append waits until open() (or a 30 s safety deadline, so a
   /// failed test cannot hang its server's drain).
@@ -85,7 +85,7 @@ class GatedOps final : public store::FileOps {
     std::unique_ptr<File> inner_;
   };
 
-  static store::FileOps& inner() { return store::posix_file_ops(); }
+  static io::FileOps& inner() { return io::posix_file_ops(); }
 
   void gate() {
     if (mode_ == Mode::Crash) ::raise(SIGSEGV);

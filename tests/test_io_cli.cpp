@@ -166,6 +166,20 @@ TEST(RawFile, DirectoryIsTypedError) {
   fs::remove_all(dir);
 }
 
+TEST(RawFile, WriteErrorIsTypedError) {
+  // /dev/full takes the open and fails every write with ENOSPC. The error
+  // must reach the caller with the path, not vanish in a buffer or a close.
+  const u8 bytes[256] = {};
+  try {
+    io::write_file("/dev/full", bytes, sizeof bytes);
+    ADD_FAILURE() << "writing /dev/full did not throw";
+  } catch (const CompressionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("/dev/full"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::strerror(ENOSPC)), std::string::npos) << what;
+  }
+}
+
 // Exhaustive edge cases for the random-access range read: every failure mode
 // must surface as a typed CompressionError (the archive reader feeds it
 // untrusted index offsets), never a crash or a silently short buffer.
@@ -254,6 +268,24 @@ TEST_F(CliTest, CompressDecompressRoundTrip) {
   ASSERT_EQ(back.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i)
     ASSERT_LE(std::abs(static_cast<double>(values[i]) - back[i]), 1e-3) << i;
+}
+
+TEST_F(CliTest, WriteErrorsFailTheRun) {
+  // Every writer's output, and the --report document, on /dev/full (ENOSPC
+  // on every write): the run exits 1 with a pfpl: message naming the error.
+  const std::string c_args = " --dtype f32 --eb abs --eps 1e-3";
+  for (const std::string& args :
+       {" c " + in + " /dev/full" + c_args,
+        " c " + in + " " + comp + c_args + " --report /dev/full",
+        " pack /dev/full " + in + c_args,
+        std::string(" stream pack /dev/full --suite advect --frames 4 --values 4096")}) {
+    std::string err;
+    const int status = run_out(cli + args + " 2>&1", err);
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << args;
+    EXPECT_NE(err.find("pfpl: "), std::string::npos) << args << ": " << err;
+    EXPECT_NE(err.find(std::strerror(ENOSPC)), std::string::npos) << args << ": " << err;
+  }
 }
 
 TEST_F(CliTest, ExecutorsProduceIdenticalFiles) {

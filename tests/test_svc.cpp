@@ -1,8 +1,9 @@
 // Tests for the svc layer: the FIFO thread pool (bounded queue, graceful
 // shutdown, submission-order dispatch), the chunked primitives the ingest
 // pipeline's chunk fan-out builds on, and the PFPA archive container
-// (round-trip, random access, corruption rejection). The pipeline's byte
-// identity to single-threaded pfpl::compress is pinned in test_ingest.cpp.
+// (round-trip, random access, corruption rejection, injected write
+// failures). The pipeline's byte identity to single-threaded pfpl::compress
+// is pinned in test_ingest.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <fstream>
 #include <iterator>
 #include <latch>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -24,6 +26,7 @@
 #include "core/pfpl.hpp"
 #include "data/rng.hpp"
 #include "io/raw_file.hpp"
+#include "recording_ops.hpp"
 #include "svc/archive.hpp"
 #include "common/checksum.hpp"
 #include "common/cpu.hpp"
@@ -313,6 +316,68 @@ TEST(Archive, EmptyArchiveRoundTrips) {
   svc::ArchiveReader reader(path);
   EXPECT_TRUE(reader.entries().empty());
   fs::remove(path);
+}
+
+TEST(ArchiveCrash, EveryInjectedFailureIsAnError) {
+  // 3 entries and finish(), with each operation in turn failing with each
+  // fault. The call that attempted the operation throws, and what it leaves
+  // has no footer, so the reader rejects it: never a partial entry list.
+  std::vector<Bytes> streams;
+  for (u64 i = 0; i < 3; ++i) {
+    const auto v = wave_f32(3000 + 500 * i, 20 + i);
+    streams.push_back(pfpl::compress(Field(v.data(), v.size()), {1e-3, EbType::ABS}));
+  }
+  const char* const kNames[] = {"temp", "pres", "wind"};
+  const std::string path = tmp_path("crash.pfpa");
+  // Calls: the constructor, one add() per entry, finish(). Returns the
+  // index of the call that threw (calls.size() when none did) and records
+  // the operations attempted once each call returned in `calls`.
+  auto write = [&](recording::RecordingOps& ops, std::vector<std::size_t>& calls) {
+    std::unique_ptr<svc::ArchiveWriter> w;
+    calls.clear();
+    try {
+      w = std::make_unique<svc::ArchiveWriter>(path, ops);
+      calls.push_back(ops.attempted);
+      for (std::size_t i = 0; i < streams.size(); ++i) {
+        w->add(kNames[i], pfpl::peek_header(streams[i]), streams[i], 1);
+        calls.push_back(ops.attempted);
+      }
+      w->finish();
+      calls.push_back(ops.attempted);
+    } catch (const CompressionError&) {
+    }
+    return calls.size();
+  };
+  std::vector<std::size_t> clean_calls;
+  {
+    recording::RecordingOps ops;
+    ASSERT_EQ(write(ops, clean_calls), streams.size() + 2);
+    ASSERT_EQ(svc::ArchiveReader(path).entries().size(), streams.size());
+  }
+  const std::size_t ops_total = clean_calls.back();
+  ASSERT_EQ(ops_total, streams.size() + 3);  // create, header, entries, tail
+
+  std::size_t runs = 0;
+  for (std::size_t k = 0; k < ops_total; ++k) {
+    const std::size_t want_call =
+        std::upper_bound(clean_calls.begin(), clean_calls.end(), k) - clean_calls.begin();
+    for (recording::Fault fault :
+         {recording::Fault::Eio, recording::Fault::Enospc, recording::Fault::Short,
+          recording::Fault::ShortThenCutFails}) {
+      SCOPED_TRACE("op " + std::to_string(k) + " fails with " + recording::fault_name(fault));
+      fs::remove(path);
+      recording::RecordingOps ops;
+      ops.fail_at = k;
+      ops.fault = fault;
+      std::vector<std::size_t> calls;
+      EXPECT_EQ(write(ops, calls), want_call) << "the wrong call threw";
+      EXPECT_THROW(svc::ArchiveReader reader(path), CompressionError);
+      ++runs;
+    }
+    if (HasFailure()) break;
+  }
+  fs::remove(path);
+  EXPECT_EQ(runs, 4 * ops_total);
 }
 
 TEST(Checksum, Crc32KnownVector) {

@@ -1,14 +1,17 @@
 // Tests for the temporal streaming subsystem (src/temporal + the PFPN
 // STREAM ops): evolving-suite determinism, closed-loop P-frame error bounds
 // over long sequences, per-chunk intra fallback under a correlation-killing
-// regime change, PFPV container torn-tail recovery and corruption rejection,
-// and server-side session lifecycle (idle eviction, the session cap, drain).
+// regime change, PFPV container torn-tail recovery at every append boundary,
+// injected write failures and corruption rejection, and server-side session
+// lifecycle (idle eviction, the session cap, drain).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
+#include "recording_ops.hpp"
 #include "temporal/pfpv.hpp"
 #include "temporal/temporal.hpp"
 #include "tiers.hpp"
@@ -292,31 +296,141 @@ TEST(Pfpv, RoundTripPreservesFramesAndKeyframeIndex) {
 }
 
 TEST(Pfpv, TornTailRecoversCompletePrefix) {
+  // The writer's appends are recorded; every prefix of them, and each with
+  // the first half of the next append torn onto it, is what a process killed
+  // at that point leaves.
   const auto seq = data::generate_evolving(data::find_evolving("advect"), 2048, 12);
   const auto cfg = config_for(seq, EbType::ABS, 1e-3, 4);
   TempFile tf;
-  std::vector<u64> record_ends;
+  recording::RecordingOps ops;
   {
-    temporal::StreamWriter w(tf.path, cfg);
+    temporal::StreamWriter w(tf.path, cfg, ops);
     temporal::FrameEncoder enc(cfg);
-    for (std::size_t t = 0; t < seq.frames(); ++t) {
-      w.append(enc.encode(seq.frame(t), t));
-      record_ends.push_back(w.bytes_written());
-    }
-    // No finish(): simulates a process killed mid-stream (no index/footer).
+    for (std::size_t t = 0; t < seq.frames(); ++t) w.append(enc.encode(seq.frame(t), t));
+    w.finish();
   }
-  // Chop mid-record: keep 7 complete records plus half of the 8th.
-  const u64 cut = (record_ends[6] + record_ends[7]) / 2;
-  fs::resize_file(tf.path, cut);
-  temporal::StreamReader r(tf.path);
-  EXPECT_TRUE(r.truncated());
-  EXPECT_EQ(r.frame_count(), 7u);
-  EXPECT_EQ(r.truncated_bytes(), cut - record_ends[6]);
-  ASSERT_FALSE(r.keyframes().empty());
-  temporal::FrameDecoder dec(cfg);
-  for (std::size_t t = 0; t < r.frame_count(); ++t)
-    EXPECT_EQ(audit_frame(cfg, frame_bytes(seq, t), dec.decode(r.frame(t)).data()),
-              0u);
+  std::vector<Bytes> appends;  // the header, one per record, the trailer
+  for (const recording::Op& op : ops.log)
+    if (op.kind == recording::OpKind::Append) appends.push_back(op.data);
+  ASSERT_EQ(appends.size(), seq.frames() + 2);
+
+  Bytes prefix;
+  std::vector<u64> record_ends;  // complete records in `prefix`
+  std::size_t cuts = 0;
+  for (std::size_t k = 0; k <= appends.size(); ++k) {
+    if (k > 0) {
+      prefix.insert(prefix.end(), appends[k - 1].begin(), appends[k - 1].end());
+      if (k >= 2 && k <= seq.frames() + 1) record_ends.push_back(prefix.size());
+    }
+    std::vector<Bytes> cut{prefix};
+    if (k < appends.size()) {
+      cut.push_back(prefix);
+      cut.back().insert(cut.back().end(), appends[k].begin(),
+                        appends[k].begin() + appends[k].size() / 2);
+    }
+    for (const Bytes& bytes : cut) {
+      SCOPED_TRACE("after " + std::to_string(k) + " appends, " +
+                   std::to_string(bytes.size()) + " bytes");
+      ++cuts;
+      if (bytes.size() < temporal::kPfpvHeaderSize) {
+        EXPECT_THROW(temporal::StreamReader{bytes}, CompressionError);
+        continue;
+      }
+      const temporal::StreamReader r(bytes);
+      const bool finished = k == appends.size();
+      EXPECT_EQ(r.truncated(), !finished);
+      ASSERT_EQ(r.frame_count(), record_ends.size());
+      const u64 records_end = record_ends.empty() ? temporal::kPfpvHeaderSize
+                                                  : record_ends.back();
+      if (!finished) {
+        EXPECT_EQ(r.truncated_bytes(), bytes.size() - records_end);
+      }
+      if (r.frame_count() > 0) {
+        EXPECT_EQ(r.keyframes().front().frame_index, 0u);
+      }
+      temporal::FrameDecoder dec(cfg);
+      for (std::size_t t = 0; t < r.frame_count(); ++t)
+        EXPECT_EQ(audit_frame(cfg, frame_bytes(seq, t), dec.decode(r.frame(t)).data()), 0u)
+            << "frame " << t;
+    }
+  }
+  EXPECT_EQ(cuts, 2 * appends.size() + 1);
+}
+
+TEST(PfpvCrash, EveryInjectedFailureIsAnError) {
+  // 8 frames and finish(), with each operation in turn failing with each
+  // fault. The call that attempted the operation throws, and the file left
+  // behind reads back as the records written before it.
+  const auto seq = data::generate_evolving(data::find_evolving("advect"), 1024, 8);
+  const auto cfg = config_for(seq, EbType::ABS, 1e-3, 4);
+  std::vector<temporal::EncodedFrame> frames;
+  temporal::FrameEncoder enc(cfg);
+  for (std::size_t t = 0; t < seq.frames(); ++t) frames.push_back(enc.encode(seq.frame(t), t));
+
+  TempFile tf;
+  // Calls: the constructor, one append per frame, finish(). Returns the
+  // index of the call that threw (calls.size() when none did) and records
+  // the operations attempted once each call returned in `calls`.
+  auto write = [&](recording::RecordingOps& ops, std::vector<std::size_t>& calls) {
+    std::unique_ptr<temporal::StreamWriter> w;
+    calls.clear();
+    try {
+      w = std::make_unique<temporal::StreamWriter>(tf.path, cfg, ops);
+      calls.push_back(ops.attempted);
+      for (const temporal::EncodedFrame& f : frames) {
+        w->append(f);
+        calls.push_back(ops.attempted);
+      }
+      w->finish();
+      calls.push_back(ops.attempted);
+    } catch (const CompressionError&) {
+    }
+    return calls.size();
+  };
+  std::vector<std::size_t> clean_calls;  // ops attempted once each call returned
+  {
+    recording::RecordingOps ops;
+    ASSERT_EQ(write(ops, clean_calls), frames.size() + 2);
+  }
+  const std::size_t ops_total = clean_calls.back();
+  ASSERT_EQ(ops_total, frames.size() + 3);  // create, header, records, trailer
+
+  std::size_t runs = 0;
+  for (std::size_t k = 0; k < ops_total; ++k) {
+    const std::size_t want_call =
+        std::upper_bound(clean_calls.begin(), clean_calls.end(), k) - clean_calls.begin();
+    for (recording::Fault fault :
+         {recording::Fault::Eio, recording::Fault::Enospc, recording::Fault::Short,
+          recording::Fault::ShortThenCutFails}) {
+      SCOPED_TRACE("op " + std::to_string(k) + " fails with " + recording::fault_name(fault));
+      fs::remove(tf.path);
+      recording::RecordingOps ops;
+      ops.fail_at = k;
+      ops.fault = fault;
+      std::vector<std::size_t> calls;
+      EXPECT_EQ(write(ops, calls), want_call) << "the wrong call threw";
+      ++runs;
+      // Records 0 .. want_call - 2 were appended whole (call 0 is the
+      // constructor, call 1 + i appends frame i).
+      const std::size_t whole = want_call > 0 ? std::min(want_call - 1, frames.size()) : 0;
+      Bytes left;
+      if (fs::exists(tf.path)) left = io::read_file(tf.path);
+      if (left.size() < temporal::kPfpvHeaderSize) {
+        EXPECT_EQ(want_call, 0u) << "the header was written, but is gone";
+        EXPECT_THROW(temporal::StreamReader{left}, CompressionError);
+        continue;
+      }
+      const temporal::StreamReader r(left);
+      EXPECT_TRUE(r.truncated());
+      ASSERT_EQ(r.frame_count(), whole);
+      for (std::size_t i = 0; i < whole; ++i)
+        EXPECT_EQ(temporal::encode_frame_record(r.frame(i)),
+                  temporal::encode_frame_record(frames[i]))
+            << "frame " << i;
+    }
+    if (HasFailure()) break;
+  }
+  EXPECT_EQ(runs, 4 * ops_total);
 }
 
 TEST(Pfpv, CorruptRecordEndsTheRecoverableStream) {
