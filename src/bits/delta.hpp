@@ -5,6 +5,9 @@
 // transform is a bijection regardless of the word values. Combined with
 // negabinary conversion this turns slowly varying bin-number sequences into
 // words with long runs of leading zero bits (paper Figure 3).
+//
+// The entry points (bottom of lossless_avx2.cpp) run lossless_avx512.cpp
+// from the Avx512 rung up and the scalar:: reference loops below it.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +18,15 @@
 namespace repro::bits {
 
 /// In-place forward delta + negabinary over `n` words.
+void delta_negabinary_encode(u32* w, std::size_t n);
+void delta_negabinary_encode(u64* w, std::size_t n);
+
+/// In-place inverse: negabinary decode + prefix-sum reconstruction.
+void delta_negabinary_decode(u32* w, std::size_t n);
+void delta_negabinary_decode(u64* w, std::size_t n);
+
+namespace scalar {
+
 template <typename U>
 inline void delta_negabinary_encode(U* w, std::size_t n) {
   U prev = 0;
@@ -25,7 +37,6 @@ inline void delta_negabinary_encode(U* w, std::size_t n) {
   }
 }
 
-/// In-place inverse: negabinary decode + prefix-sum reconstruction.
 template <typename U>
 inline void delta_negabinary_decode(U* w, std::size_t n) {
   U prev = 0;
@@ -34,5 +45,7 @@ inline void delta_negabinary_decode(U* w, std::size_t n) {
     w[i] = prev;
   }
 }
+
+}  // namespace scalar
 
 }  // namespace repro::bits

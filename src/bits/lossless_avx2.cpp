@@ -2,8 +2,9 @@
 // zero-byte elimination, encode and decode (bitshuffle.hpp, zerobyte.hpp),
 // and the entry points at the bottom, which run it from the Avx2 rung of
 // common::isa() up and the scalar:: functions below it. From the Avx512 rung
-// the zero-byte entry points run lossless_avx512.cpp instead. Bitmap levels
-// live in this thread's ChunkScratch (chunk_scratch.hpp).
+// they run lossless_avx512.cpp instead, whose delta + negabinary kernels
+// (delta.hpp) have no AVX2 counterpart. Bitmap levels live in this thread's
+// ChunkScratch (chunk_scratch.hpp).
 //
 // The scalar:: functions are the specification. For every input these
 // kernels write the same bytes, return the same consumed count and throw the
@@ -37,6 +38,7 @@
 // level runs the scalar loop. DESIGN.md §8.2 has the proof obligations.
 #include "bits/bitshuffle.hpp"
 #include "bits/chunk_scratch.hpp"
+#include "bits/delta.hpp"
 #include "bits/zerobyte.hpp"
 #include "bits/zerobyte_tiers.hpp"
 #include "common/cpu.hpp"
@@ -325,15 +327,29 @@ namespace repro::bits {
 
 void bitshuffle(u32* w, std::size_t n) {
   assert(n % 32 == 0);
+  if (common::isa() >= common::Isa::Avx512) return avx512::shuffle_tiles(w, n);
   if (common::isa() >= common::Isa::Avx2) return avx2::shuffle_tiles(w, n);
   scalar::bitshuffle(w, n);
 }
 
 void bitshuffle(u64* w, std::size_t n) {
   assert(n % 64 == 0);
+  if (common::isa() >= common::Isa::Avx512) return avx512::shuffle_tiles(w, n);
   if (common::isa() >= common::Isa::Avx2) return avx2::shuffle_tiles(w, n);
   scalar::bitshuffle(w, n);
 }
+
+// Delta has no AVX2 tier: the Avx2 rung runs the scalar loops.
+#define BITS_DELTA_ENTRY(fn, U, kernel)                                 \
+  void fn(U* w, std::size_t n) {                                        \
+    if (common::isa() >= common::Isa::Avx512) return avx512::kernel(w, n); \
+    scalar::fn(w, n);                                                   \
+  }
+BITS_DELTA_ENTRY(delta_negabinary_encode, u32, delta_encode)
+BITS_DELTA_ENTRY(delta_negabinary_encode, u64, delta_encode)
+BITS_DELTA_ENTRY(delta_negabinary_decode, u32, delta_decode)
+BITS_DELTA_ENTRY(delta_negabinary_decode, u64, delta_decode)
+#undef BITS_DELTA_ENTRY
 
 void zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out) {
   const common::Isa rung = common::isa();
@@ -357,6 +373,10 @@ namespace repro::bits {
 
 void bitshuffle(u32* w, std::size_t n) { scalar::bitshuffle(w, n); }
 void bitshuffle(u64* w, std::size_t n) { scalar::bitshuffle(w, n); }
+void delta_negabinary_encode(u32* w, std::size_t n) { scalar::delta_negabinary_encode(w, n); }
+void delta_negabinary_encode(u64* w, std::size_t n) { scalar::delta_negabinary_encode(w, n); }
+void delta_negabinary_decode(u32* w, std::size_t n) { scalar::delta_negabinary_decode(w, n); }
+void delta_negabinary_decode(u64* w, std::size_t n) { scalar::delta_negabinary_decode(w, n); }
 void zerobyte_encode(const u8* data, std::size_t n, std::vector<u8>& out) {
   scalar::zerobyte_encode(data, n, out);
 }

@@ -1,9 +1,9 @@
 // What the SIMD tiers of zero-byte elimination (bits/lossless_avx2.cpp,
 // bits/lossless_avx512.cpp) share: the bitmap-level bookkeeping, and the
-// Avx512 tier's entry points, which the dispatch at the bottom of
-// lossless_avx2.cpp calls. The level functions carry no target attribute;
-// they are always inlined into the tiers' kernels and compiled for their ISA
-// there.
+// Avx512 tier's entry points of every lossless stage, which the dispatch at
+// the bottom of lossless_avx2.cpp calls. The level functions carry no target
+// attribute; they are always inlined into the tiers' kernels and compiled
+// for their ISA there.
 #pragma once
 
 #include <array>
@@ -64,5 +64,13 @@ namespace repro::bits::avx512 {
 /// zerobyte_encode/zerobyte_decode at the Avx512 rung; call only there.
 void encode(const u8* data, std::size_t n, std::vector<u8>& out);
 std::size_t decode(const u8* in, std::size_t in_size, u8* data, std::size_t n);
+
+/// bitshuffle and delta_negabinary_* at the Avx512 rung (x86 only).
+void shuffle_tiles(u32* w, std::size_t n);
+void shuffle_tiles(u64* w, std::size_t n);
+void delta_encode(u32* w, std::size_t n);
+void delta_encode(u64* w, std::size_t n);
+void delta_decode(u32* w, std::size_t n);
+void delta_decode(u64* w, std::size_t n);
 
 }  // namespace repro::bits::avx512

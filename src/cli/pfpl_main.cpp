@@ -821,7 +821,9 @@ int cmd_remote_shutdown(const std::vector<std::string>&, const Flags& fl) {
 /// (suite, file) of each dtype group, and prints the kernel attribution
 /// table per group, with the share of core.encode_chunk_ns spent in the
 /// encode kernels (their spans nest inside the chunk's, so it is at most
-/// 100%). `--json` prints the pfpl-metrics/1 document `--report` writes.
+/// 100%; NOA's whole-field range pass is its own "plan" row, outside it) and
+/// what the guarantee cost the group's streams. `--json` prints the
+/// pfpl-metrics/1 document `--report` writes.
 int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
   // Validate --suite against BOTH suite families up front: an unknown name
   // exits 2 with the full roster instead of silently profiling nothing.
@@ -871,11 +873,20 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
     // Each dtype group starts from a clean registry so its table attributes
     // only its own traffic.
     obs::MetricsRegistry::global().reset();
+    pfpl::GuaranteeCost cost;  // summed over the group's streams
     for (const data::Suite& s : suites)
       for (const data::SyntheticFile& f : s.files) {
         const Bytes stream = pfpl::compress(f.field(), fl.params);
         const std::vector<u8> back = pfpl::decompress(stream, fl.params.exec);
         (void)back;
+        obs::set_enabled(false);  // its lossless decode is not the table's traffic
+        const pfpl::GuaranteeCost g = pfpl::guarantee_cost(stream);
+        obs::set_enabled(true);
+        cost.values_lossless += g.values_lossless;
+        cost.chunks_raw += g.chunks_raw;
+        // The lowest of any stream; as u64, -1 (none) is the largest.
+        cost.first_lossless_chunk = static_cast<i64>(
+            std::min<u64>(cost.first_lossless_chunk, g.first_lossless_chunk));
       }
 
     const u64 chunk_ns = obs::encode_chunk_ns();
@@ -888,13 +899,17 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
                   to_string(dtype), suites.size(), total_bytes / 1e6,
                   to_string(fl.params.eb), fl.params.eps,
                   pfpl::to_string(fl.params.exec), isa);
-      std::printf("%s", obs::kernel_table_text().c_str());
+      std::printf("%s", obs::kernel_table_text(total_bytes).c_str());
       std::printf("encode: %.3f ms in kernels of %.3f ms per-chunk total (%.1f%% "
-                  "attributed)\n\n",
+                  "attributed)\n",
                   attributed_ns / 1e6, chunk_ns / 1e6,
                   chunk_ns ? 100.0 * static_cast<double>(attributed_ns) /
                                  static_cast<double>(chunk_ns)
                            : 0.0);
+      std::printf("guarantee: values_lossless=%llu chunks_raw=%llu first_lossless_chunk=%lld\n\n",
+                  static_cast<unsigned long long>(cost.values_lossless),
+                  static_cast<unsigned long long>(cost.chunks_raw),
+                  static_cast<long long>(cost.first_lossless_chunk));
     }
     jw.begin_object();
     jw.kv("dtype", to_string(dtype));
@@ -904,7 +919,10 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
     jw.kv("bytes", static_cast<unsigned long long>(total_bytes));
     jw.kv("chunk_encode_ns", static_cast<unsigned long long>(chunk_ns));
     jw.kv("attributed_encode_ns", static_cast<unsigned long long>(attributed_ns));
-    jw.key("kernels").raw(obs::kernel_json());
+    jw.kv("values_lossless", static_cast<unsigned long long>(cost.values_lossless));
+    jw.kv("chunks_raw", static_cast<unsigned long long>(cost.chunks_raw));
+    jw.kv("first_lossless_chunk", static_cast<long long>(cost.first_lossless_chunk));
+    jw.key("kernels").raw(obs::kernel_json(total_bytes));
     jw.end_object();
   }
 
@@ -937,6 +955,8 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
       dec.decode(ef);
     }
     const std::size_t raw_bytes = seq.frames() * cfg.frame_bytes();
+    // Each NOA range pass scans one intra frame.
+    const u64 plan_bytes = obs::noa_range_stat(0).calls * cfg.frame_bytes();
     if (!fl.json) {
       std::printf("== temporal/%s: %zu frame(s), %.1f MB raw, %llu I + %llu P, "
                   "ratio %.2f isa=%s ==\n",
@@ -944,7 +964,7 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
                   static_cast<unsigned long long>(enc.intra_frames()),
                   static_cast<unsigned long long>(enc.predicted_frames()),
                   stream_bytes ? static_cast<double>(raw_bytes) / stream_bytes : 0.0, isa);
-      std::printf("%s\n", obs::kernel_table_text().c_str());
+      std::printf("%s\n", obs::kernel_table_text(plan_bytes).c_str());
     }
     jw.begin_object();
     jw.kv("dtype", to_string(spec.dtype));
@@ -955,7 +975,7 @@ int cmd_profile(const std::vector<std::string>&, const Flags& fl) {
     jw.kv("iframes", static_cast<unsigned long long>(enc.intra_frames()));
     jw.kv("pframes", static_cast<unsigned long long>(enc.predicted_frames()));
     jw.kv("chunk_encode_ns", static_cast<unsigned long long>(obs::encode_chunk_ns()));
-    jw.key("kernels").raw(obs::kernel_json());
+    jw.key("kernels").raw(obs::kernel_json(plan_bytes));
     jw.end_object();
   }
   jw.end_array();

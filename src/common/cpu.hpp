@@ -16,9 +16,10 @@ namespace repro::common {
 
 /// Each rung needs everything below it. Clmul is PCLMULQDQ + SSE4.1 (the
 /// folded CRC-32): a rung of its own, since some CPUs have it without AVX2.
-/// Avx512 is AVX-512 F+BW+VL+DQ+VBMI+VBMI2 (Ice Lake, Sapphire Rapids, Zen 4):
-/// the zero-byte kernels need VBMI2's byte compress/expand, so Skylake-SP and
-/// Cascade Lake, which lack it, stay on Avx2.
+/// Avx512 is AVX-512 F+BW+VL+DQ+VBMI+VBMI2 and GFNI (Ice Lake, Sapphire
+/// Rapids, Zen 4): the zero-byte kernels need VBMI2's byte compress/expand
+/// and the bit shuffle GFNI's 8x8 bit-matrix multiply, so Skylake-SP and
+/// Cascade Lake, which lack both, stay on Avx2.
 enum class Isa { Scalar, Clmul, Avx2, Avx512 };
 inline constexpr Isa kTopIsa = Isa::Avx512;
 
@@ -39,7 +40,7 @@ inline Isa native_isa() {
   const bool avx512 = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
                       __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("avx512dq") &&
                       __builtin_cpu_supports("avx512vbmi") &&
-                      __builtin_cpu_supports("avx512vbmi2");
+                      __builtin_cpu_supports("avx512vbmi2") && __builtin_cpu_supports("gfni");
   return avx512 ? Isa::Avx512 : Isa::Avx2;
 #else
   return Isa::Scalar;

@@ -173,9 +173,11 @@ Header plan_header(const Field& in, const Params& p) {
   OBS_SPAN("pfpl.plan");
   const std::size_t n = in.count();
   fpmath::FiniteRange range;
-  if (p.eb == EbType::NOA)
-    range = in.dtype == DType::F32 ? fpmath::finite_range(in.as<float>())
-                                   : fpmath::finite_range(in.as<double>());
+  if (p.eb == EbType::NOA) {
+    OBS_SPAN("pfpl.noa_range", obs::Kernel::NoaRange);
+    range = in.dtype == DType::F32 ? finite_range_block(in.as<float>())
+                                   : finite_range_block(in.as<double>());
+  }
   Header h = plan_bound(in.dtype, p.eb, p.eps, range);
   const std::size_t cw = chunk_values(in.dtype);
   h.value_count = n;

@@ -47,8 +47,14 @@
 //   * A REL encode step whose in-range lanes all lie inside the quantizer's
 //     RelMargin skips det_exp and the check, which provably pass there
 //     (DESIGN.md §8.1, "The margin path"); any other step runs them all.
+//
+// NOA's range pass keeps lane minima and maxima of the finite values. A zero
+// end takes the sign of the field's first zero, as fpmath::finite_range's
+// strict-order std::min/max do (DESIGN.md §8.1).
 #pragma once
 
+#include <algorithm>
+#include <limits>
 #include <type_traits>
 
 #include "core/quantizers.hpp"
@@ -362,12 +368,61 @@ PFPL_LANE_KERNEL void rel_decode(const RelQuantizer<T>& q, RelConsts c, const Bi
   for (; i < k; ++i) out[i] = q.decode(in[i]);
 }
 
+// --- NOA range ----------------------------------------------------------------
+
+/// Groups of lanes with their own min/max chains.
+constexpr int kRangeGroups = 4;
+
+template <typename T>
+PFPL_LANE_KERNEL fpmath::FiniteRange range_lanes(const T* v, std::size_t n) {
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  D lo[kRangeGroups], hi[kRangeGroups];
+  for (int j = 0; j < kRangeGroups; ++j) lo[j] = splat(inf), hi[j] = splat(-inf);
+  std::size_t i = 0;
+  // A field streams from memory once: prefetching 4 KiB ahead makes the
+  // pass 10-23% faster on fields of 4-8 MB (EXPERIMENTS.md).
+  constexpr std::size_t kAhead = 4096 / sizeof(T);
+  for (; i + kW * kRangeGroups <= n; i += kW * kRangeGroups) {
+    if (i + kAhead < n) __builtin_prefetch(v + i + kAhead);
+    for (int j = 0; j < kRangeGroups; ++j) {
+      I b;
+      const D x = load_values(v + i + kW * j, b);
+      const M finite = lt(absval(x), splat(inf));  // NaN fails it too
+      lo[j] = min_pd(lo[j], select(finite, x, splat(inf)));
+      hi[j] = max_pd(hi[j], select(finite, x, splat(-inf)));
+    }
+  }
+  for (int j = 1; j < kRangeGroups; ++j)
+    lo[0] = min_pd(lo[0], lo[j]), hi[0] = max_pd(hi[0], hi[j]);
+  double l[kW], h[kW], mn = inf, mx = -inf;
+  store_words<double>(l, as_int(lo[0]));
+  store_words<double>(h, as_int(hi[0]));
+  for (int j = 0; j < kW; ++j) mn = std::min(mn, l[j]), mx = std::max(mx, h[j]);
+  for (; i < n; ++i)
+    if (std::isfinite(v[i])) mn = std::min<double>(mn, v[i]), mx = std::max<double>(mx, v[i]);
+  if (mn > mx) return {};  // no finite value
+  if (mn == 0 || mx == 0) {
+    const double first_zero = *std::find(v, v + n, T{0});
+    if (mn == 0) mn = first_zero;
+    if (mx == 0) mx = first_zero;
+  }
+  return {mn, mx};
+}
+
 }  // namespace
 }  // namespace repro::pfpl
 
 #endif
 
 namespace repro::pfpl {
+
+template <typename T>
+fpmath::FiniteRange tier::Kernels::finite_range(const T* v, std::size_t n) {
+#if defined(__x86_64__) || defined(__i386__)
+  return range_lanes(v, n);
+#endif
+  return fpmath::finite_range(std::span<const T>(v, n));
+}
 
 template <typename Q>
 void tier::Kernels::encode(const Q& q, const typename Q::Value* in, typename Q::Bits* out,
@@ -403,5 +458,7 @@ PFPL_LANE_INSTANCES(AbsQuantizer, double, u64)
 PFPL_LANE_INSTANCES(RelQuantizer, float, u32)
 PFPL_LANE_INSTANCES(RelQuantizer, double, u64)
 #undef PFPL_LANE_INSTANCES
+template fpmath::FiniteRange tier::Kernels::finite_range(const float*, std::size_t);
+template fpmath::FiniteRange tier::Kernels::finite_range(const double*, std::size_t);
 
 }  // namespace repro::pfpl

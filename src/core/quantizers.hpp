@@ -46,8 +46,9 @@ namespace repro::pfpl {
 // The lane block kernels of the Avx2 and Avx512 rungs (quantize_avx2.cpp,
 // quantize_avx512.cpp; one body for both in quantize_lanes.hpp), each
 // instantiated for the four quantizer types. Output word i equals
-// q.encode(in[i]) (resp. q.decode), bit for bit, for any input. Call each
-// only at its rung of common::isa() or above.
+// q.encode(in[i]) (resp. q.decode), bit for bit, for any input; the range
+// equals fpmath::finite_range. Call each only at its rung of common::isa()
+// or above.
 #define PFPL_LANE_KERNELS                                                                  \
   struct Kernels {                                                                         \
     template <typename Q>                                                                  \
@@ -56,6 +57,8 @@ namespace repro::pfpl {
     template <typename Q>                                                                  \
     static void decode(const Q& q, const typename Q::Bits* in, typename Q::Value* out,     \
                        std::size_t k);                                                     \
+    template <typename T>                                                                  \
+    static fpmath::FiniteRange finite_range(const T* v, std::size_t n);                    \
   }
 namespace avx2 {
 PFPL_LANE_KERNELS;
@@ -64,6 +67,16 @@ namespace avx512 {
 PFPL_LANE_KERNELS;
 }
 #undef PFPL_LANE_KERNELS
+
+/// fpmath::finite_range(v), bit for bit, signs of zero included: NOA's plan
+/// pass, through the lane kernels from the Avx2 rung up.
+template <typename T>
+fpmath::FiniteRange finite_range_block(std::span<const T> v) {
+  const common::Isa rung = common::isa();
+  if (rung >= common::Isa::Avx512) return avx512::Kernels::finite_range(v.data(), v.size());
+  if (rung >= common::Isa::Avx2) return avx2::Kernels::finite_range(v.data(), v.size());
+  return fpmath::finite_range(v);
+}
 
 // ---------------------------------------------------------------------------
 // ABS quantizer (also used by NOA with the range-derived bound).

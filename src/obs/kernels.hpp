@@ -11,10 +11,13 @@
 //
 //   kernel.<name>_ns      histogram  per-chunk kernel nanoseconds (count = calls)
 //   core.encode_chunk_ns  histogram  the whole chunk encode around its kernels
+//   kernel.noa_range_ns   histogram  NOA's range pass over a whole field
 //
 // The kernel spans nest inside the chunk span, so the encode kernels' sum
 // never exceeds core.encode_chunk_ns. MB/s derives from the logical bytes of
 // the kernel's direction (core.bytes_in, core.bytes_decoded) over its sum.
+// The NOA range pass runs before any chunk: it is a "plan" row outside that
+// share, over field bytes only the caller knows.
 #pragma once
 
 #include <string>
@@ -37,6 +40,8 @@ enum class Kernel : int {
   Dequantize,
   /// Not a kernel: the whole chunk encode, the attributed share's denominator.
   EncodeChunk,
+  /// Not a chunk kernel: NOA's finite range over the whole field.
+  NoaRange,
 };
 
 inline constexpr int kKernelCount = 8;
@@ -59,15 +64,18 @@ struct KernelStat {
 /// callers filter on calls as needed). Pipeline order, encode first.
 std::vector<KernelStat> kernel_stats();
 
+/// The NOA range pass's row over the `field_bytes` it scanned.
+KernelStat noa_range_stat(u64 field_bytes);
+
 /// Sum of core.encode_chunk_ns.
 u64 encode_chunk_ns();
 
-/// {"encode":[{name,calls,bytes,ns,MBps}...],"decode":[...]} with zero-call
-/// kernels omitted.
-std::string kernel_json();
+/// {"encode":[{name,calls,bytes,ns,MBps}...],"decode":[...],"plan":[...]}
+/// with zero-call kernels omitted; `plan_bytes` as in noa_range_stat.
+std::string kernel_json(u64 plan_bytes = 0);
 
 /// Human-readable attribution table (used by `pfpl profile`); empty string
 /// when nothing was recorded.
-std::string kernel_table_text();
+std::string kernel_table_text(u64 plan_bytes = 0);
 
 }  // namespace repro::obs

@@ -292,6 +292,56 @@ TEST(BitsTiers, TransposeRandomTiles) {
   });
 }
 
+namespace {
+
+/// Delta encode, then decode, in place at the rung in force, against the
+/// scalar loops; a guard word on each side must stay untouched.
+template <typename U>
+void expect_delta_agrees(const std::vector<U>& w, const std::string& what) {
+  const U guard = static_cast<U>(0x5A5A5A5A5A5A5A5Aull);
+  std::vector<U> ref = w, got(w.size() + 2, guard);
+  std::copy(w.begin(), w.end(), got.begin() + 1);
+  scalar::delta_negabinary_encode(ref.data(), ref.size());
+  delta_negabinary_encode(got.data() + 1, w.size());
+  ASSERT_TRUE(std::equal(ref.begin(), ref.end(), got.begin() + 1)) << "encode " << what;
+  scalar::delta_negabinary_decode(ref.data(), ref.size());
+  delta_negabinary_decode(got.data() + 1, w.size());
+  ASSERT_TRUE(std::equal(ref.begin(), ref.end(), got.begin() + 1)) << "decode " << what;
+  ASSERT_EQ(ref, w) << what;
+  ASSERT_EQ(got.front(), guard) << what;
+  ASSERT_EQ(got.back(), guard) << what;
+}
+
+/// Every length from 0 to three tiles, each filled with random words, then
+/// 0, all ones and alternating extremes.
+template <typename U>
+void delta_lengths(u64 seed) {
+  constexpr std::size_t kTile = sizeof(U) * 8;
+  data::Rng rng(seed);
+  for (std::size_t n = 0; n <= 3 * kTile; ++n) {
+    const std::string len = std::to_string(n) + " words";
+    std::vector<U> w(n);
+    for (auto& x : w) x = static_cast<U>(rng.next_u64());
+    expect_delta_agrees(w, "random, " + len);
+    std::fill(w.begin(), w.end(), U{0});
+    expect_delta_agrees(w, "zeros, " + len);
+    std::fill(w.begin(), w.end(), static_cast<U>(~U{0}));
+    expect_delta_agrees(w, "ones, " + len);
+    for (std::size_t i = 0; i < n; ++i)
+      w[i] = i % 2 ? static_cast<U>(~U{0} >> 1) : static_cast<U>(U{1} << (kTile - 1));
+    expect_delta_agrees(w, "extremes, " + len);
+  }
+}
+
+}  // namespace
+
+TEST(BitsTiers, DeltaNegabinaryMatchesScalar) {
+  for_each_rung([&] {
+    delta_lengths<u32>(22);
+    delta_lengths<u64>(23);
+  });
+}
+
 TEST(BitsTiers, ZeroByteEncodeEveryLengthAndDensity) {
   for_each_rung(Isa::Avx2, [&] {
     data::Rng rng(21);

@@ -766,6 +766,22 @@ TEST_F(CliTest, ProfileJsonSchema) {
   EXPECT_EQ(stats.at("isa").str, common::isa_name(common::isa()));
   ASSERT_EQ(stats.at("groups").arr.size(), 1u);
   EXPECT_EQ(stats.at("groups").arr[0].at("dtype").str, "f32");
+  // What the guarantee cost the group's streams, and no NOA range pass.
+  const obs::JsonValue& group = stats.at("groups").arr[0];
+  for (const char* key : {"values_lossless", "chunks_raw", "first_lossless_chunk"})
+    EXPECT_TRUE(group.has(key)) << key;
+  EXPECT_TRUE(group.at("kernels").at("plan").arr.empty());
+
+  // NOA plans every field with one range pass, its own row outside the
+  // encode kernels.
+  ASSERT_EQ(run_out(cli + " profile --json --suite CESM-ATM --eb noa", out), 0);
+  const obs::JsonValue noa = obs::parse_json(out).at("stats").at("groups").arr.at(0);
+  const obs::JsonValue& plan = noa.at("kernels").at("plan");
+  ASSERT_EQ(plan.arr.size(), 1u);
+  EXPECT_EQ(plan.arr[0].at("name").str, "noa_range");
+  EXPECT_GT(plan.arr[0].at("calls").num, 0);
+  for (const obs::JsonValue& k : noa.at("kernels").at("encode").arr)
+    EXPECT_NE(k.at("name").str, "noa_range");
 }
 
 TEST_F(CliTest, NumericFlagRanges) {

@@ -392,6 +392,8 @@ const GoldenDigest kGolden[] = {
     {"f64/ramp/ABS/1e-310", "7e873698f04f3fcb14b063c1c7c473ab", "e215994e50ba73cd2038635515c2112d"},
     {"f32/const/NOA/1e-03", "a060c13d4dd81353e31a8d9f1eff1f4f", "2c3bd960e87b2a9aba42e10cccc4a080"},
     {"f64/const/NOA/1e-03", "98336f090636678225e216b1e19e3345", "ec47553a54aa266b70a43c6e3595f05d"},
+    {"f32/zeros/NOA/1e-03", "0e8dea06dcc46a0cbc8dfc5258bdaf2b", "1b116409cbc373c2bde7689152d05d49"},
+    {"f64/zeros/NOA/1e-03", "43cfc04a7cd26d93e3d249d2bc003e8f", "629527bf8e092cfd5040bec45f0bd3f1"},
 };
 
 template <typename T>
@@ -457,6 +459,23 @@ TEST(PfplGolden, ConstantFieldNoa) {
                EbType::NOA);
   check_golden("f64/const/NOA/1e-03", std::vector<double>(kGoldenCount<double>, -7.25), 1e-3,
                EbType::NOA);
+}
+
+TEST(PfplGolden, SignedZerosNoa) {
+  // The only finite values are zeros of both signs, so NOA's range is the
+  // field's first zero at both ends: -0 for f32, +0 for f64. noa_bound maps
+  // either sign to a +0 recon_param, so the stream pins the bytes, and
+  // QuantizerTiers.NoaRangeMatchesScalar pins the signs themselves.
+  const auto field = [](auto first) {
+    using T = decltype(first);
+    const T inf = std::numeric_limits<T>::infinity();
+    const T pattern[] = {std::numeric_limits<T>::quiet_NaN(), first, -first, inf, -first, -inf};
+    std::vector<T> v(kGoldenCount<T>);
+    for (std::size_t i = 0; i < v.size(); ++i) v[i] = pattern[i % 6];
+    return v;
+  };
+  check_golden("f32/zeros/NOA/1e-03", field(-0.0f), 1e-3, EbType::NOA);
+  check_golden("f64/zeros/NOA/1e-03", field(0.0), 1e-3, EbType::NOA);
 }
 
 // --- per-thread chunk scratch ------------------------------------------------

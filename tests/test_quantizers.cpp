@@ -830,3 +830,79 @@ TEST(QuantizerTiers, BlockApiMatchesPerValue) {
     }
   });
 }
+
+// --- NOA range pass ------------------------------------------------------------
+
+namespace {
+
+/// finite_range_block at the rung in force must return fpmath::finite_range's
+/// ends bit for bit, signs of zero included.
+template <typename T>
+void expect_range_agrees(const std::vector<T>& v, const std::string& what) {
+  const std::span<const T> s(v);
+  const fpmath::FiniteRange want = fpmath::finite_range(s), got = finite_range_block(s);
+  ASSERT_EQ(fpmath::to_bits(got.min), fpmath::to_bits(want.min)) << "min, " << what;
+  ASSERT_EQ(fpmath::to_bits(got.max), fpmath::to_bits(want.max)) << "max, " << what;
+}
+
+/// Every length up to past two full steps of the widest rung (8 lanes x 4
+/// groups), so each lane, group and tail position is hit.
+template <typename T>
+void noa_range_cases(u64 seed) {
+  using L = std::numeric_limits<T>;
+  const std::vector<T> nonfinite = {L::quiet_NaN(), -L::quiet_NaN(), L::infinity(),
+                                    -L::infinity()};
+  const std::vector<T> special = special_values<T>();
+  data::Rng rng(seed);
+  const auto pick = [&](const std::vector<T>& from) { return from[rng.next_u64() % from.size()]; };
+  for (std::size_t n = 0; n <= 75; ++n) {
+    const std::string len = ", " + std::to_string(n) + " values";
+    std::vector<T> v(n);
+    for (auto& x : v) x = pick(nonfinite);
+    expect_range_agrees(v, "all non-finite" + len);
+    // One finite value (zeros, denormals, +-max among them) at each position.
+    for (std::size_t at = 0; at < n; ++at) {
+      std::vector<T> w = v;
+      w[at] = special[(at + n) % special.size()];
+      expect_range_agrees(w, "one finite at " + std::to_string(at) + len);
+    }
+    // Zeros of both signs with only non-finite values, or with values of one
+    // sign, so that the min, the max or both are zero. The first zero, of
+    // each sign, sits first, in the middle or last; no zero comes before it.
+    const std::vector<std::vector<T>> others = {
+        {}, {T(1), L::denorm_min(), L::max()}, {T(-1), -L::denorm_min(), -L::max()}};
+    for (const std::vector<T>& other : others)
+      for (const T first : {T(0), T(-0.0)})
+        for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+          if (n == 0) continue;
+          std::vector<T> w(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            const u64 r = rng.next_u64() % 3;
+            w[i] = r == 0 || other.empty() ? pick(nonfinite) : pick(other);
+            if (i > at && rng.next_u64() % 2) w[i] = rng.next_u64() % 2 ? T(0) : T(-0.0);
+          }
+          w[at] = first;
+          expect_range_agrees(w, "first zero " + std::string(std::signbit(first) ? "-0" : "+0") +
+                                     " at " + std::to_string(at) + len);
+        }
+    for (auto& x : v) x = rng.next_u64() % 4 ? pick(special) : pick(nonfinite);
+    expect_range_agrees(v, "special values" + len);
+  }
+  // A long field: random patterns, then the same with a zero end.
+  std::vector<T> v = random_patterns<T>(10007, seed);
+  expect_range_agrees(v, "random patterns");
+  for (auto& x : v)
+    if (std::isfinite(x)) x = x == 0 ? T(1) : std::fabs(x);
+  v[9000] = T(-0.0);
+  v[9001] = T(0);
+  expect_range_agrees(v, "non-negative patterns, zeros near the end");
+}
+
+}  // namespace
+
+TEST(QuantizerTiers, NoaRangeMatchesScalar) {
+  for_each_rung([&] {
+    noa_range_cases<float>(61);
+    noa_range_cases<double>(62);
+  });
+}

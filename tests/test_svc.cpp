@@ -579,7 +579,7 @@ TEST(IsaLadder, NativeRungMatchesProcCpuinfo) {
   const std::vector<std::vector<std::string>> adds = {
       {"pclmulqdq", "sse4_1"},
       {"avx2"},
-      {"avx512f", "avx512bw", "avx512vl", "avx512dq", "avx512vbmi", "avx512_vbmi2"}};
+      {"avx512f", "avx512bw", "avx512vl", "avx512dq", "avx512vbmi", "avx512_vbmi2", "gfni"}};
   Isa want = Isa::Scalar;
   for (const auto& need : adds) {
     if (!std::all_of(need.begin(), need.end(), [&](const auto& f) { return flags.count(f); }))
