@@ -75,8 +75,12 @@ Frame Client::roundtrip_once(const FrameHeader& h, const void* payload, std::siz
   const std::string id_tag = " (request_id " + std::to_string(h.request_id) + ")";
   try {
     ensure_connected();
-    const Bytes wire = encode_frame(h, payload, n);
-    send_all(sock_.fd(), wire.data(), wire.size(), opts_.request_timeout_ms);
+    // Header and payload leave in one sendmsg, straight from the caller's
+    // buffer: the header's CRC covers the payload where it lies.
+    u8 head[kFrameHeaderSize];
+    encode_frame_header(h, payload, n, head);
+    const iovec parts[2] = {{head, sizeof head}, {const_cast<void*>(payload), n}};
+    send_all(sock_.fd(), parts, 2, opts_.request_timeout_ms);
 
     u8 hdr[kFrameHeaderSize];
     recv_all(sock_.fd(), hdr, sizeof(hdr), opts_.request_timeout_ms);

@@ -1,6 +1,8 @@
 #include "net/frame.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "common/bytes.hpp"
 #include "common/checksum.hpp"
@@ -27,6 +29,14 @@ void encode_header(u8* p, const FrameHeader& h) {
   put_le(p + 16, h.eps);
   put_le(p + 24, h.request_id);
   put_le(p + 32, h.payload_len);
+}
+
+FrameHeader error_header(u64 request_id, u8 request_op, Status st) {
+  FrameHeader h;
+  h.op = static_cast<u8>((request_op & ~kResponseBit) | kResponseBit);
+  h.status = static_cast<u16>(st);
+  h.request_id = request_id;
+  return h;
 }
 
 }  // namespace
@@ -66,22 +76,35 @@ std::string status_name(u16 st) {
   return "Status" + std::to_string(st);
 }
 
-Bytes encode_frame(FrameHeader h, const void* payload, std::size_t n) {
+void encode_frame_header(FrameHeader h, const void* payload, std::size_t n, u8* out) {
   h.payload_len = n;
   h.payload_crc = common::crc32(payload, n);
+  encode_header(out, h);
+}
+
+WireFrame wire_frame(const FrameHeader& h, Bytes body) {
+  WireFrame w{{}, std::move(body)};
+  encode_frame_header(h, w.body.data(), w.body.size(), w.head.data());
+  return w;
+}
+
+Bytes encode_frame(FrameHeader h, const void* payload, std::size_t n) {
   Bytes out(kFrameHeaderSize + n);
-  encode_header(out.data(), h);
+  encode_frame_header(h, payload, n, out.data());
   if (n) std::memcpy(out.data() + kFrameHeaderSize, payload, n);
   return out;
 }
 
+WireFrame error_frame(u64 request_id, u8 request_op, Status st,
+                      const std::string& message) {
+  return wire_frame(error_header(request_id, request_op, st),
+                    Bytes(message.begin(), message.end()));
+}
+
 Bytes encode_error_frame(u64 request_id, u8 request_op, Status st,
                          const std::string& message) {
-  FrameHeader h;
-  h.op = static_cast<u8>((request_op & ~kResponseBit) | kResponseBit);
-  h.status = static_cast<u16>(st);
-  h.request_id = request_id;
-  return encode_frame(h, message.data(), message.size());
+  return encode_frame(error_header(request_id, request_op, st), message.data(),
+                      message.size());
 }
 
 FrameHeader decode_frame_header(const u8* p) {
@@ -123,15 +146,14 @@ FrameParser::Result FrameParser::fail(Status st, std::string text, bool fatal) {
   return Result::Error;
 }
 
-FrameParser::Result FrameParser::next(Frame& out) {
+FrameParser::Result FrameParser::stage() {
   if (fatal_) return Result::Error;  // poisoned: framing can't be trusted
   if (!have_header_) {
-    if (buf_.size() - pos_ < kFrameHeaderSize) return Result::NeedMore;
-    const u8* p = buf_.data() + pos_;
+    if (buffered() < kFrameHeaderSize) return Result::NeedMore;
     err_request_id_ = 0;
     err_op_ = 0;
     try {
-      h_ = decode_frame_header(p);
+      h_ = decode_frame_header(buf_.data() + pos_);
     } catch (const NetError& e) {
       return fail(Status::BadFrame, e.what(), /*fatal=*/true);
     }
@@ -145,18 +167,43 @@ FrameParser::Result FrameParser::next(Frame& out) {
     pos_ += kFrameHeaderSize;
     have_header_ = true;
   }
-  if (buf_.size() - pos_ < h_.payload_len) return Result::NeedMore;
-  const u8* payload = buf_.data() + pos_;
-  const u32 crc = common::crc32(payload, static_cast<std::size_t>(h_.payload_len));
-  pos_ += static_cast<std::size_t>(h_.payload_len);
+  if (const auto k = std::min<std::size_t>(buffered(), h_.payload_len - got_)) {
+    // Staged bytes: one copy, no zero fill; an unused window goes back first.
+    payload_.resize(got_);
+    payload_.insert(payload_.end(), buf_.data() + pos_, buf_.data() + pos_ + k);
+    pos_ += k;
+    got_ += k;
+  }
+  return got_ == h_.payload_len ? Result::Ready : Result::NeedMore;
+}
+
+std::span<u8> FrameParser::room() {
+  if (got_ == payload_.size() && got_ < h_.payload_len) {
+    // Sized from the bytes that arrived, never from the declared length:
+    // a peer that declares 256 MiB and sends one byte pins one step.
+    const auto want = std::min<std::size_t>(h_.payload_len, std::max(kRecvStep, 2 * got_));
+    payload_.reserve(want);  // exact, unlike resize()'s own growth
+    payload_.resize(want);
+  }
+  return {payload_.data() + got_, payload_.size() - got_};
+}
+
+std::span<u8> FrameParser::recv_window() {
+  return stage() == Result::NeedMore && have_header_ ? room() : std::span<u8>{};
+}
+
+FrameParser::Result FrameParser::next(Frame& out) {
+  if (const Result r = stage(); r != Result::Ready) return r;
   have_header_ = false;
-  if (crc != h_.payload_crc) {
+  got_ = 0;
+  Bytes payload = std::exchange(payload_, {});
+  if (common::crc32(payload.data(), payload.size()) != h_.payload_crc) {
     // The declared length matched what arrived, so the stream is still
     // framed — discard this payload and keep the connection parseable.
     return fail(Status::CrcMismatch, "PFPN: payload CRC mismatch", /*fatal=*/false);
   }
   out.header = h_;
-  out.payload.assign(payload, payload + h_.payload_len);
+  out.payload = std::move(payload);
   return Result::Ready;
 }
 

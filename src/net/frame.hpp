@@ -17,14 +17,17 @@
 // interpreted. Full layout spec in docs/FORMAT.md §PFPN.
 //
 // FrameParser consumes a byte stream *incrementally* (feed() arbitrary
-// splits, next() yields complete frames) and classifies malformed input:
+// splits, or recv_window()/commit() to receive a payload straight into its
+// frame's buffer; next() yields complete frames) and classifies malformed input:
 // recoverable errors (payload CRC mismatch, where the frame boundary is
 // still trustworthy) leave the parser usable; framing errors (bad magic,
 // wrong version, oversized declared length) poison it, because nothing after
 // the corruption can be resynchronized safely.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <span>
 #include <string>
 
 #include "common/types.hpp"
@@ -118,6 +121,20 @@ struct Frame {
   Bytes payload;
 };
 
+/// Write the 40-byte header of `h` to `out`, with payload_len and
+/// payload_crc taken from the payload it will precede.
+void encode_frame_header(FrameHeader h, const void* payload, std::size_t n, u8* out);
+
+/// A frame kept in two parts for a scatter-gather send: its encoded header
+/// and the payload that header covers, owned and never copied.
+struct WireFrame {
+  std::array<u8, kFrameHeaderSize> head{};
+  Bytes body;
+  std::size_t size() const { return head.size() + body.size(); }
+};
+
+WireFrame wire_frame(const FrameHeader& h, Bytes body);
+
 /// Serialize a frame: fills in payload_len and payload_crc from the payload.
 Bytes encode_frame(FrameHeader h, const void* payload, std::size_t n);
 inline Bytes encode_frame(FrameHeader h, const Bytes& payload) {
@@ -126,6 +143,9 @@ inline Bytes encode_frame(FrameHeader h, const Bytes& payload) {
 
 /// Build a typed error *response* frame: op = request op | response bit,
 /// status = `st`, payload = UTF-8 `message`.
+WireFrame error_frame(u64 request_id, u8 request_op, Status st,
+                      const std::string& message);
+/// The same frame as one buffer.
 Bytes encode_error_frame(u64 request_id, u8 request_op, Status st,
                          const std::string& message);
 
@@ -140,8 +160,18 @@ class FrameParser {
   /// buffer arbitrary memory before any payload byte arrives).
   explicit FrameParser(std::size_t max_payload = 256u << 20);
 
+  /// A frame's payload buffer grows to this many bytes, or to twice the
+  /// bytes that have arrived, whichever is larger.
+  static constexpr std::size_t kRecvStep = std::size_t{1} << 20;
+
   /// Append raw bytes received from the peer.
   void feed(const void* data, std::size_t n);
+
+  /// Free room at the end of the current frame's payload buffer, to receive
+  /// into directly; empty until a header is parsed and once the payload is
+  /// complete. Report the bytes written there with commit().
+  std::span<u8> recv_window();
+  void commit(std::size_t n) { got_ += n; }
 
   enum class Result {
     NeedMore,  ///< no complete frame buffered yet
@@ -165,15 +195,24 @@ class FrameParser {
 
   std::size_t buffered() const { return buf_.size() - pos_; }
   std::size_t max_payload() const { return max_payload_; }
+  /// Heap bytes held: the staging buffer plus the current frame's buffer.
+  std::size_t held_bytes() const { return buf_.capacity() + payload_.capacity(); }
 
  private:
   Result fail(Status st, std::string text, bool fatal);
+  /// Parse a header if none is pending, then move staged bytes into the
+  /// frame's payload buffer: Ready once the whole payload is there.
+  Result stage();
+  /// The free tail of payload_, grown by one step when it is full.
+  std::span<u8> room();
 
-  Bytes buf_;
+  Bytes buf_;            ///< staging: bytes not yet claimed by a frame
   std::size_t pos_ = 0;  ///< consumed prefix of buf_
   std::size_t max_payload_;
   bool have_header_ = false;
   FrameHeader h_{};
+  Bytes payload_;        ///< the current frame's payload buffer
+  std::size_t got_ = 0;  ///< payload bytes received into payload_
   bool fatal_ = false;
   Status err_status_ = Status::Ok;
   std::string err_text_;

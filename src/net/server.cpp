@@ -149,7 +149,7 @@ struct Connection {
   u64 id = 0;
   Socket sock;
   FrameParser parser;
-  std::deque<Bytes> outq;       ///< response buffers awaiting the socket
+  std::deque<WireFrame> outq;   ///< responses awaiting the socket
   std::size_t out_off = 0;      ///< sent prefix of outq.front()
   std::deque<Frame> deferred;   ///< parsed requests parked by backpressure
   std::size_t inflight = 0;     ///< dispatched-but-unanswered payload bytes
@@ -161,7 +161,7 @@ struct Connection {
 /// A worker-finished response headed back to the event loop.
 struct Completion {
   u64 conn_id = 0;
-  Bytes frame;                ///< encoded response (success or error)
+  WireFrame frame;            ///< the response (success or error)
   std::size_t release = 0;    ///< in-flight payload bytes to give back
   u64 t0_ns = 0;              ///< dispatch timestamp
   u64 work_start_ns = 0;      ///< worker picked the task up (queue-wait end)
@@ -180,7 +180,7 @@ struct SlowRequest {
   u8 op = 0;
   u8 dtype = 0;
   u64 payload_bytes = 0;
-  u64 total_us = 0;  ///< dispatch -> completion processed on the loop
+  u64 total_us = 0;  ///< dispatch -> write-through send attempt on the loop
   u64 wait_us = 0;   ///< dispatch -> worker start (pool queue + scheduling)
   u64 work_us = 0;   ///< worker compute time
 };
@@ -202,12 +202,11 @@ void write_slow_row(obs::JsonWriter& w, const SlowRequest& s) {
 
 /// The one success-response builder: the op (with the response bit) and the
 /// request id come from the request `h`; `echo` supplies the dtype/eb_type/
-/// eps fields the op reports back (all zero by default).
-Bytes ok_frame(const FrameHeader& h, const void* body, std::size_t n,
-               FrameHeader echo = {}) {
+/// eps fields the op reports back (all zero by default). `body` is moved in.
+WireFrame ok_frame(const FrameHeader& h, Bytes body, FrameHeader echo = {}) {
   echo.op = h.op | kResponseBit;
   echo.request_id = h.request_id;
-  return encode_frame(echo, body, n);
+  return wire_frame(echo, std::move(body));
 }
 
 /// A connection on the plain-HTTP metrics listener. One request per
@@ -507,7 +506,7 @@ struct Server::Impl {
 
   // -- responses -----------------------------------------------------------
 
-  void queue_response(Connection& c, Bytes frame, bool is_error) {
+  void queue_response(Connection& c, WireFrame frame, bool is_error) {
     st.frames_tx.add(1);
     if (is_error) st.errors.add(1);
     c.outq.push_back(std::move(frame));
@@ -515,36 +514,39 @@ struct Server::Impl {
 
   void queue_error(Connection& c, const FrameHeader& h, Status stc,
                    const std::string& text) {
-    queue_response(c, encode_error_frame(h.request_id, h.op, stc, text), /*is_error=*/true);
+    queue_response(c, error_frame(h.request_id, h.op, stc, text), /*is_error=*/true);
   }
 
-  void reply(Connection& c, const FrameHeader& h, const void* body = nullptr,
-             std::size_t n = 0, const FrameHeader& echo = {}) {
-    queue_response(c, ok_frame(h, body, n, echo), /*is_error=*/false);
+  void reply(Connection& c, const FrameHeader& h, Bytes body = {},
+             const FrameHeader& echo = {}) {
+    queue_response(c, ok_frame(h, std::move(body), echo), /*is_error=*/false);
   }
 
-  /// Flush as much of the out-queue as the socket accepts right now.
+  /// Flush as much of the out-queue as the socket accepts right now: each
+  /// sendmsg gathers the headers and bodies of up to eight queued frames.
   void flush_out(Connection& c) {
     while (!c.outq.empty()) {
-      Bytes& front = c.outq.front();
-      while (c.out_off < front.size()) {
-        const ssize_t rc = ::send(c.sock.fd(), front.data() + c.out_off,
-                                  front.size() - c.out_off, MSG_NOSIGNAL);
-        if (rc > 0) {
-          c.out_off += static_cast<std::size_t>(rc);
-          st.bytes_tx.add(static_cast<u64>(rc));
-          continue;
-        }
-        if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-        if (rc < 0 && errno == EINTR) continue;
+      iovec iov[16];
+      std::size_t n = 0;
+      for (auto it = c.outq.begin(); it != c.outq.end() && n < std::size(iov); ++it) {
+        iov[n++] = {it->head.data(), it->head.size()};
+        iov[n++] = {it->body.data(), it->body.size()};
+      }
+      const ssize_t rc = send_gather(c.sock.fd(), iov, n, c.out_off);
+      if (rc == 0) return;  // socket full: run() arms POLLOUT
+      if (rc < 0) {
         // Peer vanished: drop the queue; the close logic reaps the conn.
         c.outq.clear();
         c.out_off = 0;
         c.no_read = true;
         return;
       }
-      c.outq.pop_front();
-      c.out_off = 0;
+      st.bytes_tx.add(static_cast<u64>(rc));
+      c.out_off += static_cast<std::size_t>(rc);
+      while (!c.outq.empty() && c.out_off >= c.outq.front().size()) {
+        c.out_off -= c.outq.front().size();
+        c.outq.pop_front();
+      }
     }
   }
 
@@ -649,8 +651,8 @@ struct Server::Impl {
       try {
         comp.frame = body(payload);
       } catch (const std::exception& e) {
-        comp.frame = encode_error_frame(comp.request_id, comp.op,
-                                        Status::CompressFailed, e.what());
+        comp.frame =
+            error_frame(comp.request_id, comp.op, Status::CompressFailed, e.what());
         comp.is_error = true;
       }
       comp.work_ns = now_ns() - comp.work_start_ns;
@@ -695,7 +697,7 @@ struct Server::Impl {
         if (cs) cs->put(pr.key, stream, store::ChunkMeta{dtype, eb, h.eps, in.size()});
       }
       if (cs) (pr.hit ? st.store_hits : st.store_misses).add(1);
-      return ok_frame(h, stream.data(), stream.size(), h);
+      return ok_frame(h, std::move(stream), h);
     });
   }
 
@@ -725,7 +727,7 @@ struct Server::Impl {
       echo.dtype = static_cast<u8>(sh.dtype);
       echo.eb_type = static_cast<u8>(sh.eb_type);
       echo.eps = sh.eps;
-      return ok_frame(h, raw.data(), raw.size(), echo);
+      return ok_frame(h, std::move(raw), echo);
     });
   }
 
@@ -780,18 +782,17 @@ struct Server::Impl {
       echo.dtype = static_cast<u8>(cfg.dtype);
       echo.eb_type = static_cast<u8>(cfg.eb);
       echo.eps = cfg.eps;
-      const Bytes record = temporal::encode_frame_record(ef);
-      return ok_frame(h, record.data(), record.size(), echo);
+      return ok_frame(h, temporal::encode_frame_record(ef), echo);
     });
   }
 
   void on_ping(Connection& c, Frame& f) {
-    reply(c, f.header, f.payload.data(), f.payload.size());
+    reply(c, f.header, std::move(f.payload));
   }
 
   void on_stats(Connection& c, Frame& f) {
     const std::string json = stats_json();
-    reply(c, f.header, json.data(), json.size());
+    reply(c, f.header, Bytes(json.begin(), json.end()));
   }
 
   void on_shutdown(Connection& c, Frame& f) {
@@ -813,7 +814,7 @@ struct Server::Impl {
                          "unknown metrics format '" + fmt + "'");
     }
     st.metrics_scrapes.add(1);
-    reply(c, f.header, doc.data(), doc.size());
+    reply(c, f.header, Bytes(doc.begin(), doc.end()));
   }
 
   void on_stream_open(Connection& c, Frame& f) {
@@ -851,9 +852,9 @@ struct Server::Impl {
     }
     st.sessions_opened.add(1);
     st.sessions.add(1);
-    u8 body[8];
-    put_le(body, sid);
-    reply(c, h, body, sizeof body, h);
+    Bytes body(8);
+    put_le(body.data(), sid);
+    reply(c, h, std::move(body), h);
   }
 
   void on_stream_close(Connection& c, Frame& f) {
@@ -896,8 +897,8 @@ struct Server::Impl {
       // Typed error frame for the offender; framing errors also poison the
       // stream, so stop reading and close once everything queued flushes.
       queue_response(c,
-                     encode_error_frame(c.parser.error_request_id(), c.parser.error_op(),
-                                        c.parser.status(), c.parser.error()),
+                     error_frame(c.parser.error_request_id(), c.parser.error_op(),
+                                 c.parser.status(), c.parser.error()),
                      /*is_error=*/true);
       if (c.parser.fatal()) {
         c.no_read = true;
@@ -908,14 +909,20 @@ struct Server::Impl {
 
   void read_ready(Connection& c) {
     u8 buf[64 << 10];
-    // Bounded per poll round: ~256 KiB keeps one fast peer from starving
+    // Bounded per poll round: four reads keep one fast peer from starving
     // the rest of the loop (level-triggered poll re-arms immediately).
     for (int round = 0; round < 4; ++round) {
-      const ssize_t rc = ::recv(c.sock.fd(), buf, sizeof(buf), 0);
+      // Once a header is parsed, the rest of its payload is received
+      // straight into the frame's own buffer; headers go through `buf`.
+      std::span<u8> dst = c.parser.recv_window();
+      const bool in_place = !dst.empty();
+      if (!in_place) dst = buf;
+      const ssize_t rc = ::recv(c.sock.fd(), dst.data(), dst.size(), 0);
       if (rc > 0) {
-        st.bytes_rx.add(static_cast<u64>(rc));
-        c.parser.feed(buf, static_cast<std::size_t>(rc));
-        if (static_cast<std::size_t>(rc) < sizeof(buf)) break;
+        const auto got = static_cast<std::size_t>(rc);
+        st.bytes_rx.add(got);
+        in_place ? c.parser.commit(got) : c.parser.feed(buf, got);
+        if (got < dst.size()) break;
         continue;
       }
       if (rc == 0) {  // peer half-closed: no more requests will arrive
@@ -962,22 +969,23 @@ struct Server::Impl {
       batch.swap(completions);
     }
     for (Completion& comp : batch) {
+      // A connection that died before its answer was ready already returned
+      // its in-flight bytes (close_conn), so its response is just dropped.
+      auto it = conns.find(comp.conn_id);
+      Connection* c = it == conns.end() ? nullptr : it->second.get();
+      if (c) {
+        c->inflight -= comp.release;
+        st.inflight_bytes.sub(comp.release);
+        queue_response(*c, std::move(comp.frame), comp.is_error);
+        flush_out(*c);  // write-through: POLLOUT only if the socket refuses bytes
+      }
+      // Stamped after the send attempt, so a slow socket write shows here.
       const u64 us = (now_ns() - comp.t0_ns) / 1000;
       st.request_us.record(us);
       if (comp.op == static_cast<u8>(Op::Compress)) st.compress_us.record(us);
       if (comp.op == static_cast<u8>(Op::Decompress)) st.decompress_us.record(us);
       note_slow(comp, us);
-      auto it = conns.find(comp.conn_id);
-      if (it == conns.end()) {
-        // Connection died before its answer was ready: close_conn already
-        // returned its in-flight bytes, so just drop the response.
-        continue;
-      }
-      Connection& c = *it->second;
-      c.inflight -= comp.release;
-      st.inflight_bytes.sub(comp.release);
-      queue_response(c, std::move(comp.frame), comp.is_error);
-      pump(c);  // freed budget may un-park deferred frames / buffered bytes
+      if (c) pump(*c);  // freed budget may un-park deferred frames / buffered bytes
     }
   }
 
@@ -1132,16 +1140,11 @@ struct Server::Impl {
 
   /// Returns true when the connection is finished and should be closed.
   bool http_flush(HttpConn& hc) {
+    const iovec out{hc.out.data(), hc.out.size()};
     while (hc.out_off < hc.out.size()) {
-      const ssize_t rc = ::send(hc.sock.fd(), hc.out.data() + hc.out_off,
-                                hc.out.size() - hc.out_off, MSG_NOSIGNAL);
-      if (rc > 0) {
-        hc.out_off += static_cast<std::size_t>(rc);
-        continue;
-      }
-      if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return false;
-      if (rc < 0 && errno == EINTR) continue;
-      return true;  // peer gone
+      const ssize_t rc = send_gather(hc.sock.fd(), &out, 1, hc.out_off);
+      if (rc <= 0) return rc < 0;  // socket full, or the peer is gone
+      hc.out_off += static_cast<std::size_t>(rc);
     }
     return !hc.out.empty();  // fully flushed (one response per connection)
   }
@@ -1255,15 +1258,10 @@ struct Server::Impl {
           close_conn(it);
           continue;
         }
-        if (e.revents & POLLOUT) flush_out(c);
-        if (e.revents & (POLLIN | POLLHUP)) {
-          if (!c.no_read)
-            read_ready(c);
-          else if (e.revents & POLLHUP) {
-            // Peer fully gone and nothing readable: flush what we can.
-            flush_out(c);
-          }
-        }
+        if ((e.revents & (POLLIN | POLLHUP)) && !c.no_read) read_ready(c);
+        // Writable, a reply the read just queued, or a hangup: send what
+        // the socket takes now.
+        if (!c.outq.empty()) flush_out(c);
         // Reap: peer can't send more, nothing pending either way.
         if (c.no_read && c.inflight == 0 && c.deferred.empty() && c.outq.empty())
           close_conn(it);

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 namespace repro::net {
 namespace {
@@ -124,21 +125,36 @@ void set_nonblocking(int fd, bool on) {
     throw_errno("net: fcntl(F_SETFL)");
 }
 
-void send_all(int fd, const void* data, std::size_t n, int timeout_ms) {
-  const u8* p = static_cast<const u8*>(data);
-  std::size_t sent = 0;
-  while (sent < n) {
-    const ssize_t rc = ::send(fd, p + sent, n - sent, MSG_NOSIGNAL);
-    if (rc > 0) {
-      sent += static_cast<std::size_t>(rc);
+ssize_t send_gather(int fd, const iovec* iov, std::size_t n, std::size_t skip) {
+  iovec left[16];
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < n && k < std::size(left); ++i) {
+    if (skip >= iov[i].iov_len) {  // sent already, or empty
+      skip -= iov[i].iov_len;
       continue;
     }
-    if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!wait_fd(fd, POLLOUT, timeout_ms)) throw NetError("net: send timeout");
-      continue;
-    }
-    if (rc < 0 && errno == EINTR) continue;
-    throw_errno("net: send");
+    left[k++] = {static_cast<u8*>(iov[i].iov_base) + skip, iov[i].iov_len - skip};
+    skip = 0;
+  }
+  msghdr m{};
+  m.msg_iov = left;
+  m.msg_iovlen = k;
+  for (;;) {
+    const ssize_t rc = ::sendmsg(fd, &m, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (rc >= 0) return rc;
+    if (errno == EINTR) continue;
+    return errno == EAGAIN || errno == EWOULDBLOCK ? 0 : -1;
+  }
+}
+
+void send_all(int fd, const iovec* iov, std::size_t n, int timeout_ms) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < n; ++i) total += iov[i].iov_len;
+  for (std::size_t sent = 0; sent < total;) {
+    const ssize_t rc = send_gather(fd, iov, n, sent);
+    if (rc < 0) throw_errno("net: send");
+    if (rc == 0 && !wait_fd(fd, POLLOUT, timeout_ms)) throw NetError("net: send timeout");
+    sent += static_cast<std::size_t>(rc);
   }
 }
 

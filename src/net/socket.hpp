@@ -1,8 +1,11 @@
 // Thin dependency-free POSIX TCP helpers for the PFPN service: an RAII fd,
-// listen/connect with timeouts, and poll-gated blocking send/recv. All
+// listen/connect with timeouts, scatter-gather sends and poll-gated recv. All
 // failures throw NetError with errno text; SIGPIPE is never raised (sends
 // use MSG_NOSIGNAL).
 #pragma once
+
+#include <sys/types.h>
+#include <sys/uio.h>
 
 #include <cstddef>
 #include <string>
@@ -56,9 +59,19 @@ Socket tcp_connect(const std::string& host, u16 port, int timeout_ms);
 
 void set_nonblocking(int fd, bool on);
 
-/// Send exactly `n` bytes; `timeout_ms` bounds each poll-for-writable wait
-/// (<= 0 = wait forever). Throws NetError on failure or timeout.
-void send_all(int fd, const void* data, std::size_t n, int timeout_ms);
+/// One non-blocking sendmsg of the bytes of `iov[0..n)` past the first
+/// `skip`, 16 buffers at most. Returns the bytes sent, 0 when the socket
+/// takes none now, or -1 on any other error (errno says which).
+ssize_t send_gather(int fd, const iovec* iov, std::size_t n, std::size_t skip);
+
+/// Send every byte of `iov[0..n)` in order, resuming after partial writes;
+/// `timeout_ms` bounds each poll-for-writable wait (<= 0 = wait forever).
+/// Throws NetError on failure or timeout.
+void send_all(int fd, const iovec* iov, std::size_t n, int timeout_ms);
+inline void send_all(int fd, const void* data, std::size_t n, int timeout_ms) {
+  const iovec one{const_cast<void*>(data), n};
+  send_all(fd, &one, 1, timeout_ms);
+}
 
 /// Receive exactly `n` bytes. Throws NetError on failure, timeout, or EOF
 /// before `n` bytes arrived.

@@ -17,8 +17,11 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <map>
 #include <memory>
+#include <random>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -324,6 +327,180 @@ TEST(NetFrame, GarbageMidStream) {
   EXPECT_TRUE(p.fatal());
 }
 
+namespace {
+
+/// One thing a parser yields: a frame, or a typed error.
+struct ParseEvent {
+  net::FrameParser::Result result;
+  net::Status status;
+  bool fatal;
+  u64 request_id;
+  Bytes payload;
+  bool operator==(const ParseEvent&) const = default;
+};
+
+/// Take every frame and error the parser holds now.
+void drain_parser(net::FrameParser& p, std::vector<ParseEvent>& out) {
+  using Result = net::FrameParser::Result;
+  net::Frame f;
+  for (Result r; (r = p.next(f)) != Result::NeedMore;) {
+    if (r == Result::Ready) {
+      out.push_back({r, net::Status::Ok, false, f.header.request_id, f.payload});
+      continue;
+    }
+    out.push_back({r, p.status(), p.fatal(), p.error_request_id(), {}});
+    if (p.fatal()) break;
+  }
+}
+
+Bytes pattern_payload(std::size_t n, unsigned seed) {
+  Bytes b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<u8>(i * 131 + seed + (i >> 11));
+  return b;
+}
+
+}  // namespace
+
+// The same pipelined stream, cut every way the server and the fuzzer cut
+// it, parses to the same frames and the same typed errors as one feed().
+TEST(NetFrame, EveryDeliveryPatternParsesTheSameFrames) {
+  struct Spec {
+    u64 id;
+    std::size_t bytes;
+    bool bad_crc;
+  };
+  const Spec specs[] = {{1, 0, false},     {2, 3, false},
+                        {3, 100, true},    {4, 16u << 10, false},
+                        {5, (1u << 20) + 3, false}};
+  Bytes wire;
+  std::vector<std::size_t> frame_at;
+  for (const Spec& sp : specs) {
+    net::FrameHeader h;
+    h.op = static_cast<u8>(net::Op::Compress);
+    h.request_id = sp.id;
+    Bytes one = net::encode_frame(h, pattern_payload(sp.bytes, static_cast<unsigned>(sp.id)));
+    if (sp.bad_crc) one[net::kFrameHeaderSize + 7] ^= 0x10;
+    frame_at.push_back(wire.size());
+    wire.insert(wire.end(), one.begin(), one.end());
+  }
+
+  std::vector<ParseEvent> want;
+  {
+    net::FrameParser p;
+    p.feed(wire.data(), wire.size());
+    drain_parser(p, want);
+  }
+  ASSERT_EQ(want.size(), std::size(specs));
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].request_id, specs[i].id);
+    EXPECT_EQ(want[i].status,
+              specs[i].bad_crc ? net::Status::CrcMismatch : net::Status::Ok);
+    EXPECT_FALSE(want[i].fatal);
+    if (!specs[i].bad_crc) {
+      EXPECT_EQ(want[i].payload,
+                pattern_payload(specs[i].bytes, static_cast<unsigned>(specs[i].id)));
+    }
+  }
+
+  auto check = [&](const std::string& how, const std::vector<ParseEvent>& got) {
+    ASSERT_EQ(got.size(), want.size()) << how;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      EXPECT_TRUE(got[i] == want[i]) << how << ": event " << i << " differs";
+  };
+
+  {  // every header byte by byte, every payload in one piece
+    net::FrameParser p;
+    std::vector<ParseEvent> got;
+    for (std::size_t f = 0; f < frame_at.size(); ++f) {
+      const std::size_t end = f + 1 < frame_at.size() ? frame_at[f + 1] : wire.size();
+      for (std::size_t i = frame_at[f]; i < frame_at[f] + net::kFrameHeaderSize; ++i) {
+        p.feed(&wire[i], 1);
+        drain_parser(p, got);
+      }
+      const std::size_t body = frame_at[f] + net::kFrameHeaderSize;
+      p.feed(wire.data() + body, end - body);
+      drain_parser(p, got);
+    }
+    check("header bytes one at a time", got);
+  }
+  {  // 13-byte pieces
+    net::FrameParser p;
+    std::vector<ParseEvent> got;
+    for (std::size_t at = 0; at < wire.size(); at += 13) {
+      p.feed(wire.data() + at, std::min<std::size_t>(13, wire.size() - at));
+      drain_parser(p, got);
+    }
+    check("13-byte pieces", got);
+  }
+  // The server's path: whatever a header's payload window offers is
+  // received in place, anything else goes through feed(); the parser is
+  // drained after some pieces only, as after a round of reads.
+  for (unsigned seed = 1; seed <= 8; ++seed) {
+    std::mt19937 rng(seed);
+    net::FrameParser p;
+    std::vector<ParseEvent> got;
+    std::size_t in_place = 0;
+    for (std::size_t at = 0; at < wire.size();) {
+      const std::size_t cut =
+          std::min<std::size_t>(1 + rng() % (seed % 2 ? 97 : 300000), wire.size() - at);
+      const std::span<u8> window = p.recv_window();
+      if (!window.empty()) {
+        const std::size_t k = std::min(cut, window.size());
+        std::memcpy(window.data(), wire.data() + at, k);
+        p.commit(k);
+        in_place += k;
+        at += k;
+      } else {
+        p.feed(wire.data() + at, cut);
+        at += cut;
+      }
+      if (rng() % 2) drain_parser(p, got);
+    }
+    drain_parser(p, got);
+    check("in place, seed " + std::to_string(seed), got);
+    EXPECT_GT(in_place, std::size_t{1} << 19) << "seed " << seed;
+  }
+}
+
+// A header may declare the largest payload the parser accepts; the memory
+// it holds still follows the bytes that arrived, not that declaration.
+TEST(NetFrame, DeclaredLengthAllocatesOnlyWhatArrived) {
+  constexpr std::size_t kStep = net::FrameParser::kRecvStep;
+  net::FrameParser p;
+  net::FrameHeader h;
+  h.op = static_cast<u8>(net::Op::Compress);
+  Bytes wire = net::encode_frame(h, Bytes{0x5A});
+  const u64 declared = p.max_payload();
+  std::memcpy(&wire[32], &declared, 8);
+  p.feed(wire.data(), wire.size());
+  net::Frame f;
+  ASSERT_EQ(p.next(f), net::FrameParser::Result::NeedMore);
+  EXPECT_FALSE(p.fatal());
+  EXPECT_LE(p.held_bytes(), wire.size() + kStep);
+  EXPECT_LE(p.recv_window().size(), kStep);
+  EXPECT_LE(p.held_bytes(), wire.size() + kStep);
+
+  // More bytes grow it only with them: never past twice what arrived plus
+  // one step, whether they come in place or through feed().
+  const Bytes piece(48u << 10, 0xA5);
+  std::size_t received = wire.size();
+  for (int i = 0; i < 64; ++i) {
+    std::size_t k = piece.size();
+    if (i % 2) {
+      p.feed(piece.data(), k);
+    } else {
+      const std::span<u8> window = p.recv_window();
+      ASSERT_FALSE(window.empty());
+      k = std::min(window.size(), k);
+      std::memcpy(window.data(), piece.data(), k);
+      p.commit(k);
+    }
+    received += k;
+    ASSERT_EQ(p.next(f), net::FrameParser::Result::NeedMore);
+    ASSERT_LE(p.held_bytes(), 2 * received + kStep) << "after " << received << " bytes";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // ThreadPool::drain (satellite)
 
@@ -409,6 +586,20 @@ TEST(NetLoopback, RoundTripAllDtypesAndBounds) {
       const std::vector<u8> back = client.decompress(remote);
       EXPECT_EQ(back, pfpl::decompress(local)) << to_string(dtype) << "/" << to_string(eb);
     }
+  }
+
+  // A 4 MiB + 12 B field: the request and the DECOMPRESS answer each take
+  // many socket reads, so the server receives the payload in place in steps.
+  const std::vector<float> big = make_f32(((4u << 20) + 12) / 4, 5);
+  for (EbType eb : {EbType::ABS, EbType::REL, EbType::NOA}) {
+    pfpl::Params params;
+    params.eb = eb;
+    params.eps = 1e-3;
+    const Bytes local = pfpl::compress(Field(big.data(), big.size()), params);
+    const Bytes remote = client.compress(big.data(), big.size() * 4, DType::F32, eb, 1e-3);
+    EXPECT_EQ(remote, local) << "4 MiB + 12 B f32/" << to_string(eb);
+    EXPECT_EQ(client.decompress(remote), pfpl::decompress(local))
+        << "4 MiB + 12 B f32/" << to_string(eb);
   }
 }
 
@@ -677,6 +868,196 @@ TEST(NetLoopback, ClientRetriesOnceAfterServerRestart) {
   // The old connection is dead; the client must reconnect + retry once.
   client.ping();
   EXPECT_EQ(client.reconnects(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Wire bytes: the scatter-gather sends of the client and the server put on
+// the socket exactly what encode_frame() builds.
+
+namespace {
+
+/// Receive `n` bytes, at most `piece` per read.
+void recv_pieces(int fd, u8* p, std::size_t n, std::size_t piece) {
+  for (std::size_t at = 0; at < n; at += piece) {
+    piece = std::min(piece, n - at);
+    net::recv_all(fd, p + at, piece, 10000);
+  }
+}
+
+/// One whole frame as the raw bytes that crossed the socket.
+Bytes recv_frame_bytes(int fd, std::size_t piece) {
+  Bytes out(net::kFrameHeaderSize);
+  recv_pieces(fd, out.data(), out.size(), piece);
+  const auto len = static_cast<std::size_t>(net::decode_frame_header(out.data()).payload_len);
+  out.resize(out.size() + len);
+  recv_pieces(fd, out.data() + net::kFrameHeaderSize, len, piece);
+  return out;
+}
+
+/// Shrunk send and receive buffers. With them, and with reads of 997 bytes
+/// on the other end, a 4 MiB frame leaves in many short sendmsg counts.
+/// (At a few KiB, TCP's small-window stalls make the test take minutes.)
+void shrink_buffers(int fd) {
+  const int small = 64 << 10;
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &small, sizeof small);
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &small, sizeof small);
+}
+
+net::FrameHeader response_header(net::Op op, u64 id) {
+  net::FrameHeader h;
+  h.op = static_cast<u8>(op) | net::kResponseBit;
+  h.request_id = id;
+  return h;
+}
+
+}  // namespace
+
+TEST(NetWire, ScatterGatherBytesEqualEncodeFrame) {
+  const std::vector<float> data = make_f32(((4u << 20) + 12) / 4, 3);
+  const std::size_t raw_n = data.size() * 4;
+  const auto* raw_p = reinterpret_cast<const u8*>(data.data());
+  pfpl::Params params;
+  params.eb = EbType::ABS;
+  params.eps = 1e-3;
+  const Bytes stream = pfpl::compress(Field(data.data(), data.size()), params);
+  const std::vector<u8> raw = pfpl::decompress(stream);
+  const pfpl::Header sh = pfpl::peek_header(stream);
+
+  for (const bool shrunk : {false, true}) {
+    SCOPED_TRACE(shrunk ? "SO_SNDBUF shrunk" : "default buffers");
+    const std::size_t piece = shrunk ? 997 : std::size_t{1} << 20;
+
+    // Client requests, captured by a bare listener that answers by hand.
+    {
+      net::Socket lst = net::tcp_listen("127.0.0.1", 0);
+      if (shrunk) shrink_buffers(lst.fd());  // an accepted socket inherits them
+      net::Client::Options o;
+      o.port = net::local_port(lst);
+      o.max_attempts = 1;
+      net::Client client(o);
+      auto compressed = std::async(std::launch::async, [&] {
+        return client.compress(data.data(), raw_n, DType::F32, EbType::ABS, 1e-3);
+      });
+      pollfd pl{lst.fd(), POLLIN, 0};
+      ASSERT_EQ(::poll(&pl, 1, 10000), 1);
+      net::Socket peer(::accept(lst.fd(), nullptr, nullptr));
+      ASSERT_TRUE(peer.valid());
+
+      const Bytes req = recv_frame_bytes(peer.fd(), piece);
+      net::FrameHeader want;
+      want.op = static_cast<u8>(net::Op::Compress);
+      want.dtype = static_cast<u8>(DType::F32);
+      want.eb_type = static_cast<u8>(EbType::ABS);
+      want.eps = 1e-3;
+      want.request_id = net::decode_frame_header(req.data()).request_id;
+      EXPECT_TRUE(req == net::encode_frame(want, raw_p, raw_n)) << "COMPRESS request";
+      const Bytes ok =
+          net::encode_frame(response_header(net::Op::Compress, want.request_id), stream);
+      net::send_all(peer.fd(), ok.data(), ok.size(), 10000);
+      EXPECT_TRUE(compressed.get() == stream);
+
+      auto decompressed =
+          std::async(std::launch::async, [&] { return client.decompress(stream); });
+      const Bytes dreq = recv_frame_bytes(peer.fd(), piece);
+      want = {};
+      want.op = static_cast<u8>(net::Op::Decompress);
+      want.request_id = net::decode_frame_header(dreq.data()).request_id;
+      EXPECT_TRUE(dreq == net::encode_frame(want, stream)) << "DECOMPRESS request";
+      const Bytes dok =
+          net::encode_frame(response_header(net::Op::Decompress, want.request_id), raw);
+      net::send_all(peer.fd(), dok.data(), dok.size(), 10000);
+      EXPECT_TRUE(decompressed.get() == raw);
+    }
+
+    // Server responses to four pipelined requests, matched by request id:
+    // the pool may answer COMPRESS and DECOMPRESS in either order. The
+    // requests leave as one gathered send of eight parts, so with shrunk
+    // buffers its short counts fall inside any of them.
+    TestServer ts;
+    net::Socket sock = net::tcp_connect("127.0.0.1", ts.server.port(), 5000);
+    if (shrunk) shrink_buffers(sock.fd());
+    net::FrameHeader c;
+    c.op = static_cast<u8>(net::Op::Compress);
+    c.dtype = static_cast<u8>(DType::F32);
+    c.eb_type = static_cast<u8>(EbType::ABS);
+    c.eps = 1e-3;
+    c.request_id = 11;
+    net::FrameHeader d;
+    d.op = static_cast<u8>(net::Op::Decompress);
+    d.request_id = 12;
+    net::FrameHeader ping;
+    ping.op = static_cast<u8>(net::Op::Ping);
+    ping.request_id = 13;
+    net::FrameHeader bad = c;
+    bad.dtype = 9;
+    bad.request_id = 14;
+    const std::string echo = "ping body";
+    std::vector<net::WireFrame> reqs;
+    reqs.push_back(net::wire_frame(c, Bytes(raw_p, raw_p + raw_n)));
+    reqs.push_back(net::wire_frame(d, stream));
+    reqs.push_back(net::wire_frame(ping, Bytes(echo.begin(), echo.end())));
+    reqs.push_back(net::wire_frame(bad, Bytes(64)));
+    std::vector<iovec> parts;
+    for (net::WireFrame& w : reqs) {
+      parts.push_back({w.head.data(), w.head.size()});
+      parts.push_back({w.body.data(), w.body.size()});
+    }
+    const Bytes flat = net::encode_frame(c, raw_p, raw_n);
+    EXPECT_TRUE(std::equal(reqs[0].head.begin(), reqs[0].head.end(), flat.begin()));
+    auto sent = std::async(std::launch::async, [&] {
+      net::send_all(sock.fd(), parts.data(), parts.size(), 10000);
+    });
+
+    net::FrameHeader c_ok = c;
+    c_ok.op |= net::kResponseBit;
+    net::FrameHeader d_ok = response_header(net::Op::Decompress, 12);
+    d_ok.dtype = static_cast<u8>(sh.dtype);
+    d_ok.eb_type = static_cast<u8>(sh.eb_type);
+    d_ok.eps = sh.eps;
+    std::map<u64, Bytes> want = {
+        {11, net::encode_frame(c_ok, stream)},
+        {12, net::encode_frame(d_ok, raw)},
+        {13, net::encode_frame(response_header(net::Op::Ping, 13), echo.data(), echo.size())},
+        {14, net::encode_error_frame(14, c.op, net::Status::BadParams, "unknown dtype/eb_type")}};
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const Bytes got = recv_frame_bytes(sock.fd(), piece);
+      const u64 id = net::decode_frame_header(got.data()).request_id;
+      ASSERT_EQ(want.count(id), 1u) << "response id " << id;
+      EXPECT_TRUE(got == want[id]) << "response to request " << id;
+    }
+    sent.get();
+  }
+
+  // Where a short write falls is the kernel's choice, so resuming is also
+  // checked at fixed cuts: inside the header, at its end, inside the body.
+  // The first `cut` bytes go by hand, then send_gather() continues from
+  // there, as flush_out() and send_all() do after a short count.
+  const net::WireFrame frame = net::wire_frame(response_header(net::Op::Compress, 21), stream);
+  const Bytes whole = net::encode_frame(response_header(net::Op::Compress, 21), stream);
+  const iovec parts[2] = {{const_cast<u8*>(frame.head.data()), frame.head.size()},
+                          {const_cast<u8*>(frame.body.data()), frame.body.size()}};
+  for (const std::size_t cut : {std::size_t{1}, std::size_t{39}, net::kFrameHeaderSize,
+                                net::kFrameHeaderSize + 1, whole.size() / 2, whole.size() - 1}) {
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+    net::Socket a(sv[0]), b(sv[1]);
+    auto got = std::async(std::launch::async, [&] {
+      Bytes out(whole.size());
+      net::recv_all(b.fd(), out.data(), out.size(), 10000);
+      return out;
+    });
+    net::send_all(a.fd(), whole.data(), cut, 10000);
+    for (std::size_t sent = cut; sent < whole.size();) {
+      const ssize_t rc = net::send_gather(a.fd(), parts, 2, sent);
+      ASSERT_GE(rc, 0) << "cut " << cut;
+      if (rc == 0) {
+        pollfd pw{a.fd(), POLLOUT, 0};
+        ::poll(&pw, 1, 1000);
+      }
+      sent += static_cast<std::size_t>(rc);
+    }
+    EXPECT_TRUE(got.get() == whole) << "resumed at byte " << cut;
+  }
 }
 
 // ---------------------------------------------------------------------------
