@@ -63,9 +63,8 @@ namespace {
                "       [--store DIR] [--cache-mb N]   # answer repeats from the chunk store\n"
                "       [--metrics-port N]  # plain-HTTP GET /metrics listener (0 = ephemeral)\n"
                "       [--slow-ms N] [--slow-log FILE]  # capture + log slow requests\n"
-               "       [--flight-ms N] [--flight-depth N]  # metric-snapshot flight recorder\n"
-               "       [--stall-ms N]     # watchdog: flag requests/stages stuck N ms\n"
-               "       [--crash-dir DIR]  # fatal-signal crash reports + stall dumps\n"
+               "       [--stall-ms N]     # watchdog: flag requests stuck N ms\n"
+               "       [--crash-dir DIR]  # fatal-signal crash reports + stall reports\n"
                "       [--max-conns N]    # cap concurrent connections (0 = unlimited)\n"
                "       [--max-sessions N] [--session-idle-ms N]  # temporal stream\n"
                "                          # sessions: cap + idle eviction (0 = off)\n"
@@ -73,7 +72,7 @@ namespace {
                "       --eb abs|rel|noa --eps <e>\n"
                "  pfpl remote decompress <in.pfpl> <out.raw> --host H:P\n"
                "  pfpl remote stats|ping|shutdown --host H:P [--timeout-ms N]\n"
-               "  pfpl remote metrics --host H:P [--prom | --history]\n"
+               "  pfpl remote metrics --host H:P [--prom]\n"
                "  pfpl profile [--json] [--suite NAME] [--dtype f32|f64] [--full]\n"
                "       [--eb abs|rel|noa] [--eps <e>] [--exec serial|omp|gpusim]\n"
                "       per-kernel throughput attribution over the synthetic suites\n"
@@ -118,8 +117,8 @@ struct Flags {
   std::size_t max_inflight = 0;     ///< `pfpl serve --max-inflight BYTES` (0 = default)
   int timeout_ms = 0;               ///< `pfpl remote --timeout-ms N` (0 = default)
   /// `pfpl serve` flags stored straight into the server's options: --bind,
-  /// --port, --slow-ms, --metrics-port, --flight-ms, --flight-depth,
-  /// --stall-ms, --crash-dir, --max-conns, --max-sessions, --session-idle-ms.
+  /// --port, --slow-ms, --metrics-port, --stall-ms, --crash-dir,
+  /// --max-conns, --max-sessions, --session-idle-ms.
   net::Server::Options serve;
   // PFPS chunk store (`pfpl serve|pack|store`).
   std::string store_dir;            ///< `--store DIR` (empty = no persistence)
@@ -127,7 +126,6 @@ struct Flags {
   // Live introspection (`pfpl serve` / `pfpl remote metrics`).
   std::string slow_log;             ///< `pfpl serve --slow-log FILE` (empty = stderr)
   bool prom = false;                ///< `pfpl remote metrics --prom`
-  bool history = false;             ///< `pfpl remote metrics --history`
   // Temporal stream verbs (`pfpl stream pack`).
   std::string dims;                 ///< `pfpl stream pack --dims ZxYxX`
   std::size_t frames = 0;           ///< `--frames N` (0 = suite default)
@@ -274,8 +272,6 @@ constexpr FlagRow kFlags[] = {
     {"--timeout-ms", true, set_uint<0, kInt, &Flags::timeout_ms>},
     {"--slow-ms", true, set_uint<0, kInt, &Flags::serve, &Serve::slow_ms>},
     {"--slow-log", true, set_text<&Flags::slow_log>},
-    {"--flight-ms", true, set_uint<0, kInt, &Flags::serve, &Serve::flight_ms>},
-    {"--flight-depth", true, set_uint<1, kInt, &Flags::serve, &Serve::flight_depth>},
     {"--stall-ms", true, set_uint<0, kU64, &Flags::serve, &Serve::stall_ms>},
     {"--crash-dir", true, set_text<&Flags::serve, &Serve::crash_dir>},
     {"--metrics-port", true, set_uint<0, 65535, &Flags::serve, &Serve::metrics_port>},
@@ -293,7 +289,6 @@ constexpr FlagRow kFlags[] = {
     {"--trace", true, set_text<&Flags::trace_path>},
     {"--report", true, set_text<&Flags::report_path>},
     {"--prom", false, set_switch<&Flags::prom>},
-    {"--history", false, set_switch<&Flags::history>},
     {"--json", false, set_switch<&Flags::json>},
     {"--audit", false, set_switch<&Flags::audit>},
     {"--progress", false, set_switch<&Flags::progress>},
@@ -725,17 +720,11 @@ int cmd_serve(const std::vector<std::string>&, const Flags& fl) {
                 fl.store_dir.c_str());
   // Same contract as the serving line: parseable, flushed before the loop.
   if (opts.metrics_port >= 0)
-    std::printf("pfpl: metrics on %s:%u (GET /metrics, /metrics.json, /stats, /history)\n",
+    std::printf("pfpl: metrics on %s:%u (GET /metrics, /metrics.json, /stats)\n",
                 opts.bind_host.c_str(), static_cast<unsigned>(server.metrics_port()));
   if (opts.slow_ms > 0)
     std::printf("pfpl: slow-request capture: threshold=%dms log=%s\n", opts.slow_ms,
                 fl.slow_log.empty() ? "stderr" : fl.slow_log.c_str());
-  if (opts.flight_ms > 0 || opts.stall_ms > 0 || !opts.crash_dir.empty())
-    std::printf("pfpl: flight recorder: interval=%dms depth=%d stall=%llums "
-                "crash-dir=%s\n",
-                opts.flight_ms > 0 ? opts.flight_ms : 1000, opts.flight_depth,
-                static_cast<unsigned long long>(opts.stall_ms),
-                opts.crash_dir.empty() ? "(none)" : opts.crash_dir.c_str());
   std::printf("pfpl: stream sessions: max=%zu idle-timeout=%dms\n", opts.max_sessions,
               opts.session_idle_ms);
   std::fflush(stdout);
@@ -798,8 +787,8 @@ int cmd_remote_stats(const std::vector<std::string>&, const Flags& fl) {
 
 int cmd_remote_metrics(const std::vector<std::string>&, const Flags& fl) {
   net::Client client(client_options(fl, "remote"));
-  // Prometheus text already ends in '\n'; the JSON documents do not.
-  const std::string doc = fl.history ? client.metrics_fmt("history") : client.metrics(fl.prom);
+  // Prometheus text already ends in '\n'; the JSON document does not.
+  const std::string doc = client.metrics(fl.prom);
   std::printf(fl.prom ? "%s" : "%s\n", doc.c_str());
   return 0;
 }

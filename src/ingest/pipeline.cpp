@@ -16,7 +16,6 @@
 #include "obs/audit.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 #include "store/store.hpp"
 #include "svc/thread_pool.hpp"
 
@@ -114,10 +113,6 @@ std::vector<Result> IngestPipeline::run(std::vector<Item> items) {
   const std::size_t total = items.size();
   std::vector<Result> results(total);
   IngestMetrics& im = IngestMetrics::get();
-
-  // Watchdog slot of the committing caller, shared by every pipeline instance
-  // (the name is stable and slots are never recycled). Inert until armed.
-  static const int wd_commit = obs::Watchdog::global().register_slot("ingest.commit");
 
   // `m` guards every Work::done, the raw bytes held by in-flight items and
   // chunk errors; `retired_cv` wakes the caller when an item is done.
@@ -296,7 +291,6 @@ std::vector<Result> IngestPipeline::run(std::vector<Item> items) {
       stats_.peak_queue_items = std::max<u64>(stats_.peak_queue_items, window.size());
     }
     Work& front = *window.front();
-    obs::StallScope stall(wd_commit, front.index);
     std::unique_lock<std::mutex> lk(m);
     if (!front.done && !retired.empty()) {  // commit before blocking
       lk.unlock();

@@ -171,10 +171,7 @@ std::string Client::stats() {
 }
 
 std::string Client::metrics(bool prom) {
-  return metrics_fmt(prom ? "prom" : "json");
-}
-
-std::string Client::metrics_fmt(const std::string& fmt) {
+  const std::string fmt = prom ? "prom" : "json";
   FrameHeader h;
   h.op = static_cast<u8>(Op::Metrics);
   Frame f = roundtrip(h, fmt.data(), fmt.size());

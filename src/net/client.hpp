@@ -67,9 +67,6 @@ class Client {
   /// Server metrics (the METRICS op): the pfpl-metrics/1 JSON document, or
   /// Prometheus text exposition format when `prom` is true.
   std::string metrics(bool prom = false);
-  /// METRICS with an explicit format selector: "json", "prom", or "history"
-  /// (the flight-recorder ring as a pfpl-flight/1 document).
-  std::string metrics_fmt(const std::string& fmt);
 
   /// Round-trip an empty PING (connectivity + liveness check).
   void ping();

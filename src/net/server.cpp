@@ -20,13 +20,12 @@
 #include "common/bytes.hpp"
 #include "ingest/pipeline.hpp"
 #include "net/poller.hpp"
-#include "obs/crash.hpp"
 #include "obs/event_log.hpp"
 #include "obs/exposition.hpp"
-#include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "obs/watchdog.hpp"
 #include "store/store.hpp"
 #include "svc/thread_pool.hpp"
 #include "temporal/pfpv.hpp"
@@ -807,8 +806,6 @@ struct Server::Impl {
       doc = obs::prometheus_text();
     } else if (fmt.empty() || fmt == "json") {
       doc = obs::metrics_json_doc(stats_json());
-    } else if (fmt == "history") {
-      doc = obs::FlightRecorder::global().history_json();
     } else {
       return queue_error(c, f.header, Status::BadParams,
                          "unknown metrics format '" + fmt + "'");
@@ -1078,12 +1075,9 @@ struct Server::Impl {
     } else if (path == "/stats") {
       body = stats_json();
       ctype = "application/json";
-    } else if (path == "/history") {
-      body = obs::FlightRecorder::global().history_json();
-      ctype = "application/json";
     } else {
       status = "404 Not Found";
-      body = "unknown path (try /metrics, /metrics.json, /stats, /history)\n";
+      body = "unknown path (try /metrics, /metrics.json, /stats)\n";
     }
     if (status[0] == '2' && (path == "/metrics" || path == "/metrics.json")) {
       st.metrics_scrapes.add(1);
@@ -1161,23 +1155,11 @@ struct Server::Impl {
   void run() {
     // First, so a failed epoll_create1 throws before anything needs undoing.
     poller = std::make_unique<Poller>();
-    // Flight recorder + crash handler live for the duration of the loop.
-    // stall_ms alone still needs the sampler thread (it drives the checks),
-    // so any of the three options brings the recorder up.
-    const bool flight_on =
-        opts.flight_ms > 0 || opts.stall_ms > 0 || !opts.crash_dir.empty();
-    if (flight_on) {
-      if (!opts.crash_dir.empty()) obs::install_crash_handler(opts.crash_dir);
-      obs::FlightRecorder::Options fo;
-      fo.interval_ms = opts.flight_ms > 0 ? opts.flight_ms : 1000;
-      fo.depth = opts.flight_depth;
-      fo.stall_ms = opts.stall_ms;
-      fo.crash_dir = opts.crash_dir;
-      fo.stats = [this] { return stats_json(); };
-      obs::FlightRecorder& fr = obs::FlightRecorder::global();
-      fr.configure(std::move(fo));
-      fr.start();
-    }
+    // The sampler (watchdog checks, stall reports, crash body) lives for the
+    // duration of the loop. It renders the first crash body before the loop
+    // serves anything.
+    if (opts.stall_ms > 0 || !opts.crash_dir.empty())
+      sampler.start(opts.stall_ms, opts.crash_dir, [this] { return stats_json(); });
 
     // Tags carry the fd's kind in the top byte and the conn/http id below
     // it, so one epoll_wait result routes straight to its handler with no
@@ -1289,14 +1271,12 @@ struct Server::Impl {
     // conns are dropped) and drop whatever the workers pushed meanwhile.
     pool->drain();
     process_completions();
-    // Stop the sampler after the pool is quiet: the last snapshot (and the
-    // crash body, when armed) reflects the fully drained server.
-    if (flight_on) {
-      obs::FlightRecorder& fr = obs::FlightRecorder::global();
-      fr.sample_now();
-      fr.stop();
-    }
+    sampler.stop();
   }
+
+  /// Declared last, so it stops (it reads stats_json()) before any member
+  /// it reads is destroyed, should run() exit by an exception.
+  obs::Sampler sampler;
 };
 
 Server::Server(const Options& opts) : impl_(std::make_unique<Impl>(opts)) {

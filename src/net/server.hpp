@@ -68,18 +68,12 @@ class Server {
     /// Plain-HTTP GET /metrics listener on the same poll loop, for scrapers
     /// that do not speak PFPN: -1 = disabled, 0 = ephemeral, else the port.
     int metrics_port = -1;
-    /// Flight recorder: snapshot the metrics registry every `flight_ms` into
-    /// a ring of `flight_depth` (served as /history and the METRICS "history"
-    /// selector). 0 disables the sampler thread entirely.
-    int flight_ms = 0;
-    int flight_depth = 32;
-    /// Watchdog threshold: flag any pool worker stuck on one request (or any
-    /// ingest stage stuck on one item) for longer than this. Requires the
-    /// flight recorder (its sampler drives the checks). 0 disables.
+    /// Watchdog threshold: flag any pool worker stuck on one request for
+    /// longer than this. 0 disables. Either option starts the obs::Sampler
+    /// thread for the duration of run().
     u64 stall_ms = 0;
     /// Non-empty: install the fatal-signal crash handler writing
-    /// `<crash_dir>/crash-<pid>.json`, keep its body refreshed with the last
-    /// flight snapshots, and write stall dumps there.
+    /// `<crash_dir>/crash-<pid>.json` and write stall reports there.
     std::string crash_dir;
     /// Accepted-connection cap: at the limit the listener is simply not
     /// polled for reads, so new peers wait in the kernel backlog until a

@@ -4,14 +4,18 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <vector>
 
 #include "common/types.hpp"
+#include "obs/exposition.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 
 namespace repro::obs {
 namespace {
@@ -19,7 +23,6 @@ namespace {
 // Everything the handler touches lives in static storage and is published
 // with release stores; the handler itself allocates nothing.
 char g_path[512] = {0};
-std::atomic<bool> g_installed{false};
 
 // Double-buffered pre-rendered bodies. The strings are never destroyed and
 // never shrink while active; ptr/len are published after the string is
@@ -32,17 +35,12 @@ std::atomic<std::size_t> g_len[2] = {0, 0};
 std::atomic<int> g_active{-1};
 std::mutex g_render_m;  ///< serializes set_crash_body callers
 
-/// Decimal-format `v` into `buf` (async-signal-safe snprintf substitute).
-std::size_t u64_dec(char* buf, unsigned long long v) {
-  char tmp[24];
-  std::size_t n = 0;
-  do {
-    tmp[n++] = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v);
-  for (std::size_t i = 0; i < n; ++i) buf[i] = tmp[n - 1 - i];
-  return n;
-}
+// The handled signals and the closing text the handler appends for each,
+// `,"signal":"SIGSEGV","signo":11}}` and a newline, rendered at install
+// time so the handler formats nothing.
+constexpr int kSignals[] = {SIGSEGV, SIGABRT, SIGBUS};
+constexpr const char* kSignalNames[] = {"SIGSEGV", "SIGABRT", "SIGBUS"};
+char g_tails[3][48];
 
 void write_all(int fd, const char* p, std::size_t n) {
   while (n > 0) {
@@ -53,38 +51,17 @@ void write_all(int fd, const char* p, std::size_t n) {
   }
 }
 
-const char* signal_name(int sig) {
-  switch (sig) {
-    case SIGSEGV: return "SIGSEGV";
-    case SIGABRT: return "SIGABRT";
-    case SIGBUS: return "SIGBUS";
-    default: return "SIG?";
-  }
-}
-
 extern "C" void crash_signal_handler(int sig) {
   // open/write/close and signal/raise are all async-signal-safe.
   const int fd = ::open(g_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd >= 0) {
+    // install_crash_handler() sets a body before sigaction(), so there is
+    // always an active one.
     const int a = g_active.load(std::memory_order_acquire);
-    if (a >= 0) {
-      write_all(fd, g_ptr[a].load(std::memory_order_relaxed),
-                g_len[a].load(std::memory_order_relaxed));
-    } else {
-      static const char fallback[] = "{\"schema\":\"pfpl-crash/1\"";
-      write_all(fd, fallback, sizeof(fallback) - 1);
-    }
-    char tail[96];
-    std::size_t n = 0;
-    const char* name = signal_name(sig);
-    std::memcpy(tail + n, ",\"signal\":\"", 11); n += 11;
-    const std::size_t name_len = std::strlen(name);
-    std::memcpy(tail + n, name, name_len); n += name_len;
-    std::memcpy(tail + n, "\",\"signo\":", 10); n += 10;
-    n += u64_dec(tail + n, static_cast<unsigned long long>(sig));
-    tail[n++] = '}';
-    tail[n++] = '\n';
-    write_all(fd, tail, n);
+    write_all(fd, g_ptr[a].load(std::memory_order_relaxed),
+              g_len[a].load(std::memory_order_relaxed));
+    for (int i = 0; i < 3; ++i)
+      if (kSignals[i] == sig) write_all(fd, g_tails[i], std::strlen(g_tails[i]));
     ::close(fd);
   }
   // Restore the default disposition and re-raise so the process dies with
@@ -95,19 +72,36 @@ extern "C" void crash_signal_handler(int sig) {
 
 }  // namespace
 
-std::string minimal_crash_body() {
+std::string crash_body(const std::string& stats) {
+  // The trace tail: the last 32 spans by start time, rendered small.
+  std::vector<SpanEvent> events = TraceRecorder::global().events();
+  std::sort(events.begin(), events.end(),
+            [](const SpanEvent& a, const SpanEvent& b) { return a.start_ns < b.start_ns; });
+  if (events.size() > 32) events.erase(events.begin(), events.end() - 32);
   JsonWriter w;
   w.begin_object();
-  w.kv("schema", "pfpl-crash/1");
   w.kv("pid", static_cast<unsigned long long>(::getpid()));
   w.key("build").begin_object();
   w.kv("compiler", __VERSION__);
   w.kv("cpp", static_cast<unsigned long long>(__cplusplus));
   w.end_object();
+  w.key("trace_tail").begin_array();
+  for (const SpanEvent& e : events) {
+    w.begin_object();
+    w.kv("name", e.name);
+    w.kv("tid", static_cast<unsigned long long>(e.tid));
+    w.kv("start_us", static_cast<unsigned long long>(e.start_ns / 1000));
+    w.kv("dur_us", static_cast<unsigned long long>(e.dur_ns / 1000));
+    if (e.request_id) w.kv("request_id", static_cast<unsigned long long>(e.request_id));
+    w.end_object();
+  }
+  w.end_array();
   w.end_object();
-  std::string body = w.take();
-  body.pop_back();  // the handler supplies the closing brace
-  return body;
+  std::string crash = w.take();
+  crash.pop_back();  // the handler closes the crash member...
+  std::string body = metrics_json_doc(stats);
+  body.pop_back();  // ...and the document
+  return body + ",\"crash\":" + crash;
 }
 
 void set_crash_body(const std::string& body) {
@@ -127,20 +121,17 @@ void install_crash_handler(const std::string& dir) {
     throw CompressionError("crash-dir '" + dir + "': " + ec.message());
   std::snprintf(g_path, sizeof g_path, "%s/crash-%lld.json", dir.c_str(),
                 static_cast<long long>(::getpid()));
-  if (g_active.load(std::memory_order_acquire) < 0) set_crash_body(minimal_crash_body());
+  if (g_active.load(std::memory_order_acquire) < 0) set_crash_body(crash_body());
 
   struct sigaction sa;
   std::memset(&sa, 0, sizeof sa);
   sa.sa_handler = crash_signal_handler;
   sigemptyset(&sa.sa_mask);
-  for (const int sig : {SIGSEGV, SIGABRT, SIGBUS}) sigaction(sig, &sa, nullptr);
-  g_installed.store(true, std::memory_order_release);
-}
-
-bool crash_handler_installed() { return g_installed.load(std::memory_order_acquire); }
-
-std::string crash_report_path() {
-  return g_installed.load(std::memory_order_acquire) ? std::string(g_path) : std::string();
+  for (int i = 0; i < 3; ++i) {
+    std::snprintf(g_tails[i], sizeof g_tails[i], ",\"signal\":\"%s\",\"signo\":%d}}\n",
+                  kSignalNames[i], kSignals[i]);
+    sigaction(kSignals[i], &sa, nullptr);
+  }
 }
 
 }  // namespace repro::obs

@@ -6,18 +6,18 @@
 // status is unchanged — supervisors and CI observe the real crash).
 //
 // Signal handlers may only call async-signal-safe functions, so nothing can
-// be *formatted* inside the handler. Instead the FlightRecorder (or any
-// caller) keeps a fully pre-rendered report body registered via
-// set_crash_body(): a JSON object rendered WITHOUT its closing brace. The
-// handler just write(2)s the active body and appends
-// `,"signal":"SIGSEGV","signo":11}` with hand-rolled decimal formatting.
-// Bodies double-buffer behind an atomic index — the renderer fills the
-// inactive slot and flips, the handler only ever reads the active slot, and
-// retired bodies are kept alive so a handler racing a flip still reads valid
-// memory.
+// be *formatted* inside the handler. Instead the Sampler (obs/watchdog.hpp)
+// keeps a fully pre-rendered report body registered via set_crash_body():
+// the `pfpl-metrics/1` document opened with its `crash` member and cut
+// before that member's closing brace. The handler just write(2)s the active
+// body and the closing text rendered at install time,
+// `,"signal":"SIGSEGV","signo":11}}`. Bodies double-buffer behind an atomic index — the
+// renderer fills the inactive slot and flips, the handler only ever reads
+// the active slot, and retired bodies are kept alive so a handler racing a
+// flip still reads valid memory.
 //
-// install time renders a minimal body (schema + build info) so a crash
-// before the first flight-recorder tick still produces a parseable report.
+// install_crash_handler() registers a body (without server stats) before it
+// installs the handlers, so the handler always has a body to write.
 #pragma once
 
 #include <string>
@@ -29,19 +29,13 @@ namespace repro::obs {
 /// CompressionError when the directory cannot be created.
 void install_crash_handler(const std::string& dir);
 
-bool crash_handler_installed();
-
-/// Register the pre-rendered report body: a JSON object WITHOUT the final
-/// closing '}' (the handler appends the signal fields and the brace).
+/// Register the pre-rendered report body, cut where crash_body() cuts it
+/// (the handler appends the signal fields and both closing braces).
 /// Thread-safe against the handler; call from one renderer thread at a time.
-void set_crash_body(const std::string& body_without_closing_brace);
+void set_crash_body(const std::string& body);
 
-/// The minimal body installed before any flight-recorder tick: schema,
-/// build info, pid. Returned without the closing brace.
-std::string minimal_crash_body();
-
-/// The path the handler would write for this process (for tests and smoke
-/// scripts); empty when no handler is installed.
-std::string crash_report_path();
+/// metrics_json_doc(stats) opened with `"crash":{"pid":…,"build":{…},
+/// "trace_tail":[…]` (the last 32 spans), without the closing text.
+std::string crash_body(const std::string& stats = "");
 
 }  // namespace repro::obs

@@ -7,7 +7,7 @@
 //     `_total`, gauges as-is plus a `_peak` companion family, histograms as
 //     cumulative `_bucket{le="..."}` series with `+Inf`, `_sum`, `_count`.
 //   * JSON (`metrics_json_doc()`): the one `pfpl-metrics/1` document. The
-//     METRICS op, `/metrics.json`, every flight-recorder ring entry,
+//     METRICS op, `/metrics.json`, the stall and crash reports,
 //     `pfpl --report`, `pfpl profile --json` and bench `--json` all write it.
 //
 // Both renderers read the registry's merged snapshots under the registry's

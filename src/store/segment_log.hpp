@@ -37,7 +37,7 @@
 // Thread safety: all public methods are serialized on one internal mutex
 // (appends are I/O-bound; the hot read path is the in-memory cache tier in
 // front of this class), except the four counters, which never wait behind
-// an append: a STATS render or the flight sampler reads them while a disk
+// an append: a STATS render or the stall sampler reads them while a disk
 // write is stuck.
 #pragma once
 

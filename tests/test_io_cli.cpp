@@ -806,8 +806,6 @@ TEST_F(CliTest, NumericFlagRanges) {
       {"--cache-mb", "1", kUint, kUintAbove},
       {"--timeout-ms", "0", kInt, kIntAbove},
       {"--slow-ms", "0", kInt, kIntAbove},
-      {"--flight-ms", "0", kInt, kIntAbove},
-      {"--flight-depth", "1", kInt, kIntAbove},
       {"--stall-ms", "0", kU64, kU64Above},
       {"--metrics-port", "0", "65535", "65536"},
       {"--max-conns", "0", kU64, kU64Above},
@@ -836,11 +834,16 @@ TEST_F(CliTest, MissingValueAndUnknownFlagExitTwo) {
   EXPECT_EQ(exit_code(list + " --store"), 2);
   EXPECT_EQ(exit_code(list + " --trace"), 2);
   EXPECT_EQ(exit_code(list + " --no-such-flag"), 2);
-  // Retired with `pfpl top`: --report FILE and the server's --history cover them.
+  // Retired with `pfpl top`: --report FILE and METRICS reads cover them.
   EXPECT_EQ(exit_code(list + " --metrics"), 2);
   EXPECT_EQ(exit_code(list + " --interval-ms 1"), 2);
   EXPECT_EQ(exit_code(list + " --count 1"), 2);
   EXPECT_EQ(exit_code(cli + " top --host 127.0.0.1:1"), 2);
+  // Retired with the flight recorder: two METRICS reads give a window.
+  EXPECT_EQ(exit_code(list + " --flight-ms 1000"), 2);
+  EXPECT_EQ(exit_code(list + " --flight-depth 32"), 2);
+  EXPECT_EQ(exit_code(list + " --history"), 2);
+  EXPECT_EQ(exit_code(cli + " remote metrics --host 127.0.0.1:1 --history"), 2);
   EXPECT_EQ(exit_code(cli + " c " + in + " " + comp + " --eps"), 2);
   EXPECT_EQ(exit_code(cli + " c " + in + " " + comp + " --eps 1e-3 --no-such-flag"), 2);
   EXPECT_FALSE(fs::exists(comp));

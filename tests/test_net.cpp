@@ -1207,6 +1207,31 @@ TEST(NetIntrospection, MetricsOpJsonPromAndHttpConsistent) {
   EXPECT_GE(ts.server.stats().metrics_scrapes, 4u);  // 2 op + 2 HTTP /metrics*
 }
 
+// The flight-recorder ring is gone: its METRICS selector is an unknown
+// format and its HTTP path an unknown path, and the connection survives.
+TEST(NetIntrospection, RetiredHistorySurfaceIsRefused) {
+  net::Server::Options opts;
+  opts.metrics_port = 0;
+  TestServer ts(opts);
+  net::Socket sock = net::tcp_connect("127.0.0.1", ts.server.port(), 5000);
+  net::FrameHeader h;
+  h.op = static_cast<u8>(net::Op::Metrics);
+  h.request_id = 5;
+  const std::string history = "history";
+  const net::Frame err = raw_roundtrip(sock.fd(), net::encode_frame(h, history.data(),
+                                                                     history.size()));
+  EXPECT_EQ(err.header.status, static_cast<u16>(net::Status::BadParams));
+  const std::string text(err.payload.begin(), err.payload.end());
+  EXPECT_NE(text.find("unknown metrics format 'history'"), std::string::npos) << text;
+  h.request_id = 6;
+  const net::Frame ok = raw_roundtrip(sock.fd(), net::encode_frame(h, nullptr, 0));
+  EXPECT_EQ(ok.header.status, static_cast<u16>(net::Status::Ok));
+  EXPECT_EQ(obs::parse_json(std::string(ok.payload.begin(), ok.payload.end())).at("schema").str,
+            "pfpl-metrics/1");
+  const std::string http = http_get(ts.server.metrics_port(), "/history");
+  EXPECT_EQ(http.rfind("HTTP/1.1 404", 0), 0u) << http.substr(0, 120);
+}
+
 // Satellite: scraping under concurrent traffic always yields a parseable
 // document, and the counters in it never go backwards.
 TEST(NetIntrospection, ConcurrentScrapesSeeMonotonicCounters) {

@@ -1,15 +1,14 @@
 // Fork-based pfpld fixtures: a serving process killed by SIGSEGV inside a
 // pool worker, and a request wedged on its worker past the stall watchdog's
 // threshold. Each server runs in a forked child, because the crash handler,
-// the flight recorder, the watchdog and the event log are process-wide. The
-// child crashes or holds its request through the chunk store's write seam
+// the sampler, the watchdog and the event log are process-wide. The child
+// crashes or holds its request through the chunk store's write seam
 // (gated_store.hpp); the server itself has no test hook. Nothing here sleeps
-// to make a request slow: the parent polls, with a deadline, for the
-// snapshots, the crash report and the stall dump.
+// to make a request slow: the parent waits, with a deadline, for the child's
+// death or for the stall report.
 #include <gtest/gtest.h>
 
 #include <poll.h>
-#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -65,7 +64,7 @@ struct TempRoot {
 
 /// A pfpld in a forked child. `body(ready)` runs in the child: it builds
 /// its store and server, arms its gate, calls `ready(server)` to report the
-/// bound ports through a pipe, and serves. The child _exits when the body
+/// bound port through a pipe, and serves. The child _exits when the body
 /// returns; one still alive when the fixture ends is killed.
 struct ServingChild {
   template <typename Body>
@@ -76,8 +75,8 @@ struct ServingChild {
     if (pid == 0) {
       ::close(fds[0]);
       auto ready = [fd = fds[1]](const net::Server& server) {
-        const u16 ports[2] = {server.port(), server.metrics_port()};
-        if (::write(fd, ports, sizeof ports) != sizeof ports) ::_exit(101);
+        const u16 p = server.port();
+        if (::write(fd, &p, sizeof p) != sizeof p) ::_exit(101);
         ::close(fd);
       };
       int code = 0;
@@ -90,12 +89,8 @@ struct ServingChild {
     }
     ::close(fds[1]);
     pollfd p{fds[0], POLLIN, 0};
-    u16 ports[2] = {0, 0};
-    if (pid > 0 && ::poll(&p, 1, 10000) == 1 &&
-        ::read(fds[0], ports, sizeof ports) == sizeof ports) {
-      port = ports[0];
-      metrics_port = ports[1];
-    }
+    if (pid > 0 && ::poll(&p, 1, 10000) == 1 && ::read(fds[0], &port, sizeof port) != sizeof port)
+      port = 0;
     ::close(fds[0]);
   }
   ~ServingChild() {
@@ -131,64 +126,31 @@ struct ServingChild {
   pid_t pid = -1;
   bool reaped = false;
   u16 port = 0;
-  u16 metrics_port = 0;
 };
 
-/// The body of a plain-HTTP GET (the server answers Connection: close).
-std::string http_get(u16 port, const std::string& path) {
-  net::Socket sock = net::tcp_connect("127.0.0.1", port, 5000);
-  const std::string req = "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n";
-  net::send_all(sock.fd(), req.data(), req.size(), 5000);
-  std::string out;
-  char buf[4096];
-  for (ssize_t n; (n = ::recv(sock.fd(), buf, sizeof buf, 0)) > 0;)
-    out.append(buf, static_cast<std::size_t>(n));
-  const std::size_t body = out.find("\r\n\r\n");
-  return body == std::string::npos ? std::string() : out.substr(body + 4);
-}
-
-/// Parse `path` as JSON once it exists and parses (its writer may still be
-/// mid-write); a null value at the deadline.
-obs::JsonValue poll_json(const fs::path& path) {
-  const auto until = Clock::now() + kDeadline;
-  while (Clock::now() < until) {
+/// Parse `path` once it exists. Its writers never leave half a file: the
+/// crash handler finishes before its process dies, and the sampler renames
+/// each stall report into place. A null value at the deadline.
+obs::JsonValue wait_json(const fs::path& path) {
+  for (const auto until = Clock::now() + kDeadline; Clock::now() < until;) {
     std::ifstream in(path);
     if (in.good()) {
       std::stringstream ss;
       ss << in.rdbuf();
-      try {
-        return obs::parse_json(ss.str());
-      } catch (const std::exception&) {
-      }
+      return obs::parse_json(ss.str());
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return {};
 }
 
-/// A `pfpl-flight/1` history document: served by a running recorder, every
-/// snapshot a metrics snapshot with the server's stats, seq increasing.
-void expect_history(const obs::JsonValue& d, std::size_t min_snapshots) {
-  EXPECT_EQ(d.at("schema").str, "pfpl-flight/1");
-  EXPECT_TRUE(d.at("running").b);
-  const auto& snaps = d.at("snapshots").arr;
-  EXPECT_GE(snaps.size(), min_snapshots);
-  double prev = -1;
-  for (const obs::JsonValue& s : snaps) {
-    EXPECT_TRUE(s.has("seq") && s.has("ts_ms") && s.has("metrics"));
-    EXPECT_EQ(s.at("schema").str, "pfpl-metrics/1");
-    EXPECT_TRUE(s.has("stats"));
-    EXPECT_GT(s.at("seq").num, prev);
-    prev = s.at("seq").num;
-  }
-}
-
 }  // namespace
 
 // A SIGSEGV in a pool worker of a serving pfpld: the client sees the
 // connection close, the process dies with the signal, and the crash handler
-// leaves a pfpl-crash/1 report carrying the last flight snapshots. The
-// /history ring is checked over PFPN and HTTP while the server is healthy.
+// leaves the metrics document with the server's stats and a `crash` member
+// naming the signal. The server renders that body before it serves, so the
+// first request may crash.
 TEST(NetCrash, WorkerSegfaultWritesTheCrashReport) {
   TempRoot root;
   const fs::path crash_dir = root.path / "crash";
@@ -196,9 +158,6 @@ TEST(NetCrash, WorkerSegfaultWritesTheCrashReport) {
     gated::GatedStore gs(root.path / "store");
     net::Server::Options o;
     o.threads = 2;
-    o.metrics_port = 0;
-    o.flight_ms = 50;
-    o.flight_depth = 8;
     o.crash_dir = crash_dir.string();
     o.store = gs.store;
     net::Server server(o);
@@ -208,17 +167,6 @@ TEST(NetCrash, WorkerSegfaultWritesTheCrashReport) {
   });
   ASSERT_NE(child.port, 0) << "the serving child never reported its port";
   net::Client client = child.client();
-
-  // Two snapshots in the ring mean the first one's crash body is rendered.
-  obs::JsonValue history;
-  for (const auto until = Clock::now() + kDeadline; Clock::now() < until;) {
-    history = obs::parse_json(client.metrics_fmt("history"));
-    if (history.at("snapshots").arr.size() >= 2) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  expect_history(history, 2);
-  expect_history(obs::parse_json(http_get(child.metrics_port, "/history")), 2);
-
   const std::vector<float> data = make_f32(4096);
   try {
     client.compress(data.data(), data.size() * 4, DType::F32, EbType::ABS, 1e-3);
@@ -232,21 +180,21 @@ TEST(NetCrash, WorkerSegfaultWritesTheCrashReport) {
   EXPECT_EQ(WTERMSIG(status), SIGSEGV);
 
   const obs::JsonValue d =
-      poll_json(crash_dir / ("crash-" + std::to_string(child.pid) + ".json"));
-  ASSERT_TRUE(d.is_object()) << "no parseable crash report in " << crash_dir;
-  EXPECT_EQ(d.at("schema").str, "pfpl-crash/1");
-  EXPECT_EQ(d.at("signal").str, "SIGSEGV");
-  EXPECT_EQ(d.at("signo").num, SIGSEGV);
-  EXPECT_EQ(d.at("flight").at("interval_ms").num, 50);
-  const auto& snaps = d.at("flight").at("snapshots").arr;
-  ASSERT_GE(snaps.size(), 1u);
-  for (const obs::JsonValue& s : snaps)
-    EXPECT_TRUE(s.has("seq") && s.has("ts_ms") && s.has("metrics"));
-  EXPECT_TRUE(d.has("trace_tail"));
+      wait_json(crash_dir / ("crash-" + std::to_string(child.pid) + ".json"));
+  ASSERT_TRUE(d.is_object()) << "no crash report in " << crash_dir;
+  EXPECT_EQ(d.at("schema").str, "pfpl-metrics/1");
+  EXPECT_TRUE(d.has("ts_ms") && d.at("metrics").is_object());
+  EXPECT_TRUE(d.at("stats").has("requests_compress"));
+  const obs::JsonValue& crash = d.at("crash");
+  EXPECT_EQ(crash.at("pid").num, child.pid);
+  EXPECT_EQ(crash.at("signal").str, "SIGSEGV");
+  EXPECT_EQ(crash.at("signo").num, SIGSEGV);
+  EXPECT_TRUE(crash.at("trace_tail").is_array());
 }
 
 // A request held on its worker past --stall-ms: the watchdog logs one
-// `stall` event for the worker's slot and writes a stall dump. Released,
+// `stall` event for the worker's slot and the sampler writes a stall report
+// naming the slot and the request. Released,
 // the request answers, lands in the slow-request ring and the slow log
 // (an obs::EventLog file, as --slow-log configures it), and the server
 // drains cleanly.
@@ -263,7 +211,6 @@ TEST(NetCrash, HeldWorkerTripsTheStallWatchdog) {
     gated::GatedStore gs(root.path / "store");
     net::Server::Options o;
     o.threads = 2;
-    o.flight_ms = 50;
     o.stall_ms = kStallMs;
     o.crash_dir = dumps.string();
     o.slow_ms = 1;
@@ -294,11 +241,18 @@ TEST(NetCrash, HeldWorkerTripsTheStallWatchdog) {
   net::Socket sock = net::tcp_connect("127.0.0.1", child.port, 5000);
   net::send_all(sock.fd(), req.data(), req.size(), 5000);
 
-  const obs::JsonValue dump = poll_json(dumps / "stall-1.json");
+  const obs::JsonValue report = wait_json(dumps / "stall-1.json");
   ::close(release[1]);
-  ASSERT_TRUE(dump.is_object()) << "no stall dump in " << dumps;
-  EXPECT_EQ(dump.at("schema").str, "pfpl-flight/1");
-  EXPECT_GE(dump.at("stalls_detected").num, 1);
+  ASSERT_TRUE(report.is_object()) << "no stall report in " << dumps;
+  EXPECT_EQ(report.at("schema").str, "pfpl-metrics/1");
+  EXPECT_TRUE(report.at("stats").has("requests_compress"));
+  const obs::JsonValue& stall = report.at("stall");
+  EXPECT_EQ(stall.at("threshold_ms").num, kStallMs);
+  ASSERT_EQ(stall.at("slots").arr.size(), 1u);
+  const obs::JsonValue& held = stall.at("slots").arr[0];
+  EXPECT_EQ(held.at("slot").str.rfind("svc.worker.", 0), 0u) << held.at("slot").str;
+  EXPECT_GE(held.at("busy_ms").num, kStallMs);
+  EXPECT_EQ(held.at("detail").num, 77);
 
   // The held request still answers, byte-identical to the local codec.
   u8 hdr[net::kFrameHeaderSize];

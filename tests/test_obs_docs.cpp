@@ -6,13 +6,16 @@
 // the doc's "Metric names" table. `kernel.*` names expand from the
 // "Kernel attribution" table. The names are read from the doc, never copied
 // here, so a metric added without a doc row (or a row left behind by a
-// deleted metric) fails this test.
+// deleted metric) fails this test. A second test holds src/ and docs/ to one
+// snapshot schema name.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -174,4 +177,25 @@ TEST(ObsDocs, MetricNamesTableMatchesTheRegistry) {
     EXPECT_TRUE(documented.count(name)) << name << " is registered but not documented";
   for (const std::string& name : documented)
     EXPECT_TRUE(registered.count(name)) << name << " is documented but never registered";
+}
+
+// Every document the code writes is `pfpl-metrics/1` (the stall and crash
+// reports add a member to it), and the docs name no other schema.
+TEST(ObsDocs, OnlyOneSnapshotSchema) {
+  namespace fs = std::filesystem;
+  const std::regex schema("pfpl-[a-z]+/[0-9]+");
+  std::map<std::string, std::string> found;  // schema -> first file naming it
+  for (const char* dir : {"src", "docs"}) {
+    const fs::path root = fs::path(PFPL_SOURCE_DIR) / dir;
+    ASSERT_TRUE(fs::is_directory(root)) << root;
+    for (const fs::directory_entry& e : fs::recursive_directory_iterator(root)) {
+      if (!e.is_regular_file()) continue;
+      const std::string text = slurp(e.path().string());
+      for (std::sregex_iterator m(text.begin(), text.end(), schema), end; m != end; ++m)
+        found.emplace(m->str(), e.path().string());
+    }
+  }
+  ASSERT_TRUE(found.count("pfpl-metrics/1"));
+  for (const auto& [name, file] : found)
+    EXPECT_EQ(name, "pfpl-metrics/1") << "named in " << file;
 }

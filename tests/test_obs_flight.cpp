@@ -1,13 +1,13 @@
-// Tests for the flight-recorder subsystem added with kernel attribution:
-// per-kernel nanosecond accounting, the stall watchdog, the async-signal-safe
-// crash reporter (validated by actually crashing a forked child), the
-// FlightRecorder ring + /history document round-trip, and the stall dump.
+// Tests for kernel attribution (per-kernel nanosecond accounting), the stall
+// watchdog, the async-signal-safe crash reporter (validated by actually
+// crashing a forked child), and the Sampler thread's stall reports.
 #include <gtest/gtest.h>
 
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -22,7 +22,6 @@
 #include "json_value.hpp"
 #include "obs/control.hpp"
 #include "obs/crash.hpp"
-#include "obs/flight.hpp"
 #include "obs/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -38,6 +37,14 @@ struct ObsGuard {
   ~ObsGuard() { obs::set_enabled(prev); }
   bool prev;
 };
+
+/// Undo install_crash_handler(), so a later real crash in this binary is not
+/// routed into a test directory.
+void restore_default_signals() {
+  ::signal(SIGSEGV, SIG_DFL);
+  ::signal(SIGABRT, SIG_DFL);
+  ::signal(SIGBUS, SIG_DFL);
+}
 
 std::vector<float> smooth(std::size_t n) {
   std::vector<float> v(n);
@@ -143,7 +150,7 @@ TEST(Watchdog, DetectsStallOncePerBusySpan) {
   ASSERT_EQ(stalls.size(), 1u);
   EXPECT_EQ(stalls[0].detail, 778u);
   wd.end(slot);
-  EXPECT_EQ(wd.stalls_detected(), 2u);
+  EXPECT_TRUE(wd.check().empty());  // an ended span never reports
   wd.reset_for_tests();
 }
 
@@ -158,7 +165,6 @@ TEST(Watchdog, IdleOrFastSpansNeverReport) {
   EXPECT_TRUE(wd.check().empty());  // busy but within threshold
   wd.end(slot);
   EXPECT_TRUE(wd.check().empty());
-  EXPECT_EQ(wd.stalls_detected(), 0u);
   wd.reset_for_tests();
 }
 
@@ -211,10 +217,8 @@ TEST(CrashHandler, ForkedChildCrashWritesParseableReport) {
   fs::remove_all(dir, ec);
 
   obs::install_crash_handler(dir.string());
-  ASSERT_TRUE(obs::crash_handler_installed());
-  obs::set_crash_body(obs::minimal_crash_body() + ",\"marker\":\"unit-test\"");
-  const std::string path = obs::crash_report_path();
-  ASSERT_FALSE(path.empty());
+  obs::set_crash_body(obs::crash_body() + ",\"marker\":\"unit-test\"");
+  const fs::path path = dir / ("crash-" + std::to_string(::getpid()) + ".json");
 
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
@@ -233,129 +237,137 @@ TEST(CrashHandler, ForkedChildCrashWritesParseableReport) {
   ASSERT_TRUE(in.good()) << path;
   std::string doc((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   obs::JsonValue v = obs::parse_json(doc);
-  EXPECT_EQ(v.at("schema").str, "pfpl-crash/1");
-  EXPECT_EQ(v.at("marker").str, "unit-test");
-  EXPECT_EQ(v.at("signal").str, "SIGSEGV");
-  EXPECT_DOUBLE_EQ(v.at("signo").num, SIGSEGV);
-  EXPECT_TRUE(v.at("build").has("compiler"));
+  EXPECT_EQ(v.at("schema").str, "pfpl-metrics/1");
+  const obs::JsonValue& crash = v.at("crash");
+  EXPECT_EQ(crash.at("marker").str, "unit-test");
+  EXPECT_EQ(crash.at("signal").str, "SIGSEGV");
+  EXPECT_DOUBLE_EQ(crash.at("signo").num, SIGSEGV);
+  EXPECT_TRUE(crash.at("build").has("compiler"));
 
-  // Restore default dispositions so a later real crash in this binary is not
-  // routed into the test directory.
-  ::signal(SIGSEGV, SIG_DFL);
-  ::signal(SIGABRT, SIG_DFL);
-  ::signal(SIGBUS, SIG_DFL);
+  restore_default_signals();
   fs::remove_all(dir, ec);
 }
 
+// The body installed before any sampler tick, closed with the exact tail
+// the handler writes for SIGSEGV.
 TEST(CrashHandler, MinimalBodyClosesToValidJson) {
-  obs::JsonValue v = obs::parse_json(obs::minimal_crash_body() + "}");
-  EXPECT_EQ(v.at("schema").str, "pfpl-crash/1");
-  EXPECT_GT(v.at("pid").num, 0);
+  const std::string tail = ",\"signal\":\"SIGSEGV\",\"signo\":11}}\n";
+  obs::JsonValue v = obs::parse_json(obs::crash_body() + tail);
+  EXPECT_EQ(v.at("schema").str, "pfpl-metrics/1");
+  EXPECT_TRUE(v.at("metrics").is_object());
+  const obs::JsonValue& crash = v.at("crash");
+  EXPECT_GT(crash.at("pid").num, 0);
+  EXPECT_EQ(crash.at("signal").str, "SIGSEGV");
+  EXPECT_DOUBLE_EQ(crash.at("signo").num, 11);
+  EXPECT_TRUE(crash.at("trace_tail").is_array());
 }
 
-// -------------------------------------------------------- flight recorder ---
+// ---------------------------------------------------------------- sampler ---
 
-TEST(FlightRecorder, NotRunningUntilConfiguredAndStarted) {
-  // Zero-footprint: merely linking the recorder must not spin up a thread.
-  EXPECT_FALSE(obs::FlightRecorder::global().running());
+namespace {
+
+/// The parsed `<dir>/stall-1.json` once the sampler has renamed it into
+/// place; a null value at the deadline.
+obs::JsonValue wait_stall_report(const std::filesystem::path& dir) {
+  const std::filesystem::path path = dir / "stall-1.json";
+  for (int i = 0; i < 2000 && !std::filesystem::exists(path); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::ifstream in(path);
+  if (!in.good()) return {};
+  return obs::parse_json(
+      std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>()));
 }
 
-TEST(FlightRecorder, HistoryDocumentRoundTripsAndRingIsBounded) {
-  ObsGuard guard(true);
-  obs::FlightRecorder& fr = obs::FlightRecorder::global();
-  fr.clear();
-  obs::FlightRecorder::Options o;
-  o.interval_ms = 10;
-  o.depth = 4;
-  o.stats = [] { return std::string("{\"probe\":123}"); };
-  fr.configure(o);
+}  // namespace
 
-  obs::MetricsRegistry::global().reset();
-  obs::MetricsRegistry::global().counter("flight.test.count").add(7);
-
-  fr.start();
-  EXPECT_TRUE(fr.running());
-  // Ten manual samples on a depth-4 ring: the ring must cap, seq must keep
-  // counting.
-  for (int i = 0; i < 10; ++i) fr.sample_now();
-  EXPECT_LE(fr.snapshot_count(), 4u);
-  fr.stop();
-  EXPECT_FALSE(fr.running());
-
-  obs::JsonValue v = obs::parse_json(fr.history_json());
-  EXPECT_EQ(v.at("schema").str, "pfpl-flight/1");
-  EXPECT_FALSE(v.at("running").b);
-  EXPECT_DOUBLE_EQ(v.at("depth").num, 4);
-  const auto& snaps = v.at("snapshots").arr;
-  ASSERT_GE(snaps.size(), 1u);
-  ASSERT_LE(snaps.size(), 4u);
-  double prev_seq = -1;
-  for (const obs::JsonValue& s : snaps) {
-    EXPECT_GT(s.at("seq").num, prev_seq);
-    prev_seq = s.at("seq").num;
-    EXPECT_GT(s.at("ts_ms").num, 0);
-    // Each entry is a metrics snapshot: the registry and the caller's stats.
-    EXPECT_EQ(s.at("schema").str, "pfpl-metrics/1");
-    EXPECT_DOUBLE_EQ(s.at("metrics").at("counters").at("flight.test.count").num, 7);
-    EXPECT_DOUBLE_EQ(s.at("stats").at("probe").num, 123);
-  }
-  fr.clear();
-  EXPECT_EQ(fr.snapshot_count(), 0u);
+TEST(Sampler, NotRunningUntilStarted) {
+  // Zero-footprint: constructing a sampler does not spin up a thread.
+  obs::Sampler s;
+  EXPECT_FALSE(s.running());
+  s.start(0, "", nullptr);
+  EXPECT_TRUE(s.running());
+  s.stop();
+  EXPECT_FALSE(s.running());
 }
 
-// A stall dump is the history document at full depth, so the snapshots in it
-// are metrics snapshots and its stalls_detected counts the stall.
-TEST(FlightRecorder, StallDumpIsTheHistoryDocument) {
+// A stall report is the metrics document (the registry and the caller's
+// stats) with a `stall` member naming the stuck slot and its unit.
+TEST(Sampler, StallReportIsAMetricsDocument) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::path(::testing::TempDir()) / "pfpl_stall_dump_test";
+  ObsGuard guard(true);
+  const fs::path dir = fs::path(::testing::TempDir()) / "pfpl_stall_report_test";
   std::error_code ec;
   fs::remove_all(dir, ec);
   obs::Watchdog& wd = obs::Watchdog::global();
   wd.reset_for_tests();
-  obs::FlightRecorder& fr = obs::FlightRecorder::global();
-  fr.clear();
-  obs::FlightRecorder::Options o;
-  o.stall_ms = 20;
-  o.crash_dir = dir.string();
-  fr.configure(o);
+  obs::MetricsRegistry::global().reset();
+  obs::MetricsRegistry::global().counter("sampler.test.count").add(7);
 
-  fr.sample_now();  // one snapshot before the stall
   const int slot = wd.register_slot("test.stalled");
+  obs::Sampler s;
+  s.start(20, dir.string(), [] { return std::string("{\"probe\":123}"); });
+  obs::JsonValue v;
   {
     obs::StallScope scope(slot, 7);
-    std::this_thread::sleep_for(std::chrono::milliseconds(40));
-    fr.sample_now();
+    v = wait_stall_report(dir);
   }
+  s.stop();
+  EXPECT_FALSE(wd.armed());
 
-  std::ifstream in(dir / "stall-1.json");
-  ASSERT_TRUE(in.good());
-  const std::string doc((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  obs::JsonValue v = obs::parse_json(doc);
-  EXPECT_EQ(v.at("schema").str, "pfpl-flight/1");
-  EXPECT_GE(v.at("stalls_detected").num, 1);
-  const auto& snaps = v.at("snapshots").arr;
-  ASSERT_EQ(snaps.size(), 2u);
-  for (const obs::JsonValue& s : snaps) EXPECT_EQ(s.at("schema").str, "pfpl-metrics/1");
+  ASSERT_TRUE(v.is_object()) << "no stall report in " << dir;
+  EXPECT_EQ(v.at("schema").str, "pfpl-metrics/1");
+  EXPECT_GT(v.at("ts_ms").num, 0);
+  EXPECT_DOUBLE_EQ(v.at("metrics").at("counters").at("sampler.test.count").num, 7);
+  EXPECT_DOUBLE_EQ(v.at("stats").at("probe").num, 123);
+  const obs::JsonValue& stall = v.at("stall");
+  EXPECT_DOUBLE_EQ(stall.at("threshold_ms").num, 20);
+  ASSERT_EQ(stall.at("slots").arr.size(), 1u);
+  const obs::JsonValue& row = stall.at("slots").arr[0];
+  EXPECT_EQ(row.at("slot").str, "test.stalled");
+  EXPECT_GE(row.at("busy_ms").num, 20);
+  EXPECT_DOUBLE_EQ(row.at("detail").num, 7);
 
-  fr.configure({});
-  fr.clear();
   wd.reset_for_tests();
+  restore_default_signals();
   fs::remove_all(dir, ec);
 }
 
-TEST(FlightRecorder, SamplerThreadSamplesOnItsOwn) {
-  ObsGuard guard(true);
-  obs::FlightRecorder& fr = obs::FlightRecorder::global();
-  fr.clear();
-  obs::FlightRecorder::Options o;
-  o.interval_ms = 5;
-  o.depth = 8;
-  fr.configure(o);
-  fr.start();
-  // First sample is immediate; wait for at least one more from the cadence.
-  for (int i = 0; i < 200 && fr.snapshot_count() < 2; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  fr.stop();
-  EXPECT_GE(fr.snapshot_count(), 2u);
-  fr.clear();
+// With nothing but the sampler thread checking, a pool task held past the
+// threshold leaves a whole report that names its worker and request id, and
+// no temporary file behind.
+TEST(Sampler, WritesStallReportOnItsOwn) {
+  namespace fs = std::filesystem;
+  ObsGuard guard(false);
+  const fs::path dir = fs::path(::testing::TempDir()) / "pfpl_stall_sampler_test";
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  obs::Watchdog& wd = obs::Watchdog::global();
+  wd.reset_for_tests();
+  svc::ThreadPool pool(1);
+  obs::Sampler s;
+  s.start(20, dir.string(), nullptr);
+  std::atomic<bool> release{false};
+  {
+    obs::TraceContext::Scope ctx(42);
+    pool.submit([&] {
+      while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+  }
+  const obs::JsonValue v = wait_stall_report(dir);
+  release.store(true);
+  pool.wait_idle();
+  s.stop();
+
+  ASSERT_TRUE(v.is_object()) << "no stall report in " << dir;
+  EXPECT_EQ(v.at("schema").str, "pfpl-metrics/1");
+  const auto& slots = v.at("stall").at("slots").arr;
+  ASSERT_EQ(slots.size(), 1u);
+  EXPECT_EQ(slots[0].at("slot").str, "svc.worker.0");
+  EXPECT_DOUBLE_EQ(slots[0].at("detail").num, 42);
+  EXPECT_FALSE(fs::exists(dir / "stall-1.json.tmp"));
+  EXPECT_FALSE(fs::exists(dir / "stall-2.json"));  // one report per stalled unit
+
+  wd.reset_for_tests();
+  restore_default_signals();
+  fs::remove_all(dir, ec);
 }
