@@ -3,7 +3,6 @@
 // kVerbs. Exit codes: 0 ok, 1 error, 2 usage, 3 bound violation.
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -11,7 +10,6 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -21,7 +19,6 @@
 #include "data/synthetic.hpp"
 #include "ingest/pipeline.hpp"
 #include "io/raw_file.hpp"
-#include "net/backoff.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "obs/audit.hpp"
@@ -66,8 +63,6 @@ namespace {
                "       [--stall-ms N]     # watchdog: flag requests stuck N ms\n"
                "       [--crash-dir DIR]  # fatal-signal crash reports + stall reports\n"
                "       [--max-conns N]    # cap concurrent connections (0 = unlimited)\n"
-               "       [--max-sessions N] [--session-idle-ms N]  # temporal stream\n"
-               "                          # sessions: cap + idle eviction (0 = off)\n"
                "  pfpl remote compress <in.raw> <out.pfpl> --host H:P --dtype f32|f64\n"
                "       --eb abs|rel|noa --eps <e>\n"
                "  pfpl remote decompress <in.pfpl> <out.raw> --host H:P\n"
@@ -90,9 +85,6 @@ namespace {
                "  pfpl stream pack <out.pfpv> --suite advect|diffuse|regime\n"
                "       --eb abs|rel|noa --eps <e> [--frames N] [--values N] [--seed S]\n"
                "       [--keyframe-interval N] [--audit] [--dump-raw DIR] [--dump-recon DIR]\n"
-               "       [--host H:P]  # push the session to pfpld (STREAM_OPEN/FRAME);\n"
-               "                     # on server loss the client reopens and resumes\n"
-               "                     # at a keyframe\n"
                "  pfpl stream unpack <in.pfpv> <outdir>   # frame-NNNNNN.raw per frame\n"
                "  pfpl stream info <in.pfpv> [--json]\n"
                "observability (any verb): --trace FILE  --report FILE\n");
@@ -118,7 +110,7 @@ struct Flags {
   int timeout_ms = 0;               ///< `pfpl remote --timeout-ms N` (0 = default)
   /// `pfpl serve` flags stored straight into the server's options: --bind,
   /// --port, --slow-ms, --metrics-port, --stall-ms, --crash-dir,
-  /// --max-conns, --max-sessions, --session-idle-ms.
+  /// --max-conns.
   net::Server::Options serve;
   // PFPS chunk store (`pfpl serve|pack|store`).
   std::string store_dir;            ///< `--store DIR` (empty = no persistence)
@@ -283,8 +275,6 @@ constexpr FlagRow kFlags[] = {
     {"--seed", true, set_uint<0, kU64, &Flags::seed>},
     {"--dump-raw", true, set_text<&Flags::dump_raw>},
     {"--dump-recon", true, set_text<&Flags::dump_recon>},
-    {"--max-sessions", true, set_uint<0, kU64, &Flags::serve, &Serve::max_sessions>},
-    {"--session-idle-ms", true, set_uint<0, kInt, &Flags::serve, &Serve::session_idle_ms>},
     {"--suite", true, set_text<&Flags::suite>},
     {"--trace", true, set_text<&Flags::trace_path>},
     {"--report", true, set_text<&Flags::report_path>},
@@ -725,8 +715,6 @@ int cmd_serve(const std::vector<std::string>&, const Flags& fl) {
   if (opts.slow_ms > 0)
     std::printf("pfpl: slow-request capture: threshold=%dms log=%s\n", opts.slow_ms,
                 fl.slow_log.empty() ? "stderr" : fl.slow_log.c_str());
-  std::printf("pfpl: stream sessions: max=%zu idle-timeout=%dms\n", opts.max_sessions,
-              opts.session_idle_ms);
   std::fflush(stdout);
   server.run();
   std::signal(SIGINT, SIG_DFL);
@@ -748,13 +736,6 @@ int cmd_serve(const std::vector<std::string>&, const Flags& fl) {
                 static_cast<unsigned long long>(st.store_hits),
                 static_cast<unsigned long long>(st.store_misses));
   }
-  if (st.sessions_opened)
-    std::printf("pfpl: stream sessions: %llu opened, %llu closed, %llu evicted, "
-                "%llu frames\n",
-                static_cast<unsigned long long>(st.sessions_opened),
-                static_cast<unsigned long long>(st.sessions_closed),
-                static_cast<unsigned long long>(st.sessions_evicted),
-                static_cast<unsigned long long>(st.stream_frames));
   g_report_stats = server.stats_json();
   return 0;
 }
@@ -1163,13 +1144,15 @@ int cmd_stream_unpack(const std::vector<std::string>& positional, const Flags&) 
 
 /// `pfpl stream pack` — author a PFPV frame stream (docs/FORMAT.md §PFPV).
 /// Frames come either from raw files (--dims) or from an evolving suite
-/// generator (--suite). They are encoded locally or, with --host, pushed
-/// through a pfpld temporal session whose returned records are appended. On
-/// session loss (idle eviction, server restart, drain) the remote path
-/// reopens a session and resumes: the server's fresh encoder emits a
-/// keyframe, so the stream stays decodable.
+/// generator (--suite), and are encoded locally: the encoder's closed-loop
+/// reference is state no PFPN request carries.
 int cmd_stream_pack(const std::vector<std::string>& positional, const Flags& fl) {
   const std::string& out_path = positional[0];
+  if (!fl.host.empty()) {
+    std::fprintf(stderr, "pfpl stream pack: --host is not supported; frames are "
+                         "encoded locally\n");
+    return 2;
+  }
 
   // -- assemble the frame source ---------------------------------------------
   temporal::SessionConfig cfg;
@@ -1226,90 +1209,28 @@ int cmd_stream_pack(const std::vector<std::string>& positional, const Flags& fl)
   if (!fl.dump_raw.empty()) std::filesystem::create_directories(fl.dump_raw);
   if (!fl.dump_recon.empty()) std::filesystem::create_directories(fl.dump_recon);
 
-  // -- encode (local session or remote pfpld session) ------------------------
+  // -- encode ------------------------------------------------------------------
   temporal::StreamWriter writer(out_path, cfg);
   // The decoder runs whenever we need reconstructions (audit / dump-recon);
   // it consumes exactly the records that land in the file, so what we audit
   // is what a reader will see.
   const bool want_recon = fl.audit || !fl.dump_recon.empty();
   temporal::FrameDecoder dec(cfg);
-  u64 iframes = 0, pframes = 0, violations = 0, reopens = 0;
-  auto account = [&](const temporal::EncodedFrame& ef, std::size_t i) {
+  temporal::FrameEncoder enc(cfg);
+  u64 iframes = 0, pframes = 0, violations = 0;
+  for (std::size_t i = 0; i < n_frames; ++i) {
+    const u8* raw = frame_ptr(i);
+    const temporal::EncodedFrame ef =
+        enc.encode(raw_field(raw, cfg.frame_bytes(), cfg.dtype), i);
+    writer.append(ef);
     (ef.type == temporal::FrameType::Intra ? iframes : pframes) += 1;
     if (!fl.dump_raw.empty())
-      write_frame_file(fl.dump_raw, ef.frame_index, frame_ptr(i), cfg.frame_bytes());
-    if (!want_recon) return;
+      write_frame_file(fl.dump_raw, ef.frame_index, raw, cfg.frame_bytes());
+    if (!want_recon) continue;
     const std::vector<u8>& recon = dec.decode(ef);
-    if (fl.audit)
-      violations += stream_audit_frame(cfg, ef.frame_index, frame_ptr(i), recon.data());
+    if (fl.audit) violations += stream_audit_frame(cfg, ef.frame_index, raw, recon.data());
     if (!fl.dump_recon.empty())
       write_frame_file(fl.dump_recon, ef.frame_index, recon.data(), recon.size());
-  };
-
-  if (fl.host.empty()) {
-    temporal::FrameEncoder enc(cfg);
-    for (std::size_t i = 0; i < n_frames; ++i) {
-      const temporal::EncodedFrame ef =
-          enc.encode(raw_field(frame_ptr(i), cfg.frame_bytes(), cfg.dtype), i);
-      writer.append(ef);
-      account(ef, i);
-    }
-  } else {
-    net::Client client(client_options(fl, "stream pack"));
-    auto open_session = [&]() {
-      return client.stream_open(cfg.dtype, cfg.eb, cfg.eps, cfg.dims,
-                                cfg.keyframe_interval);
-    };
-    u64 sid = open_session();
-    // Reopen pacing: 100 ms doubling to a 2 s cap, jittered so clients that
-    // lost the same server do not reconnect in lockstep. Five reopens wait
-    // at least 1.55 s in total, enough to ride out a server restart.
-    constexpr unsigned kMaxReopensPerFrame = 5;
-    net::BackoffJitter jitter(net::process_jitter_seed());
-    for (std::size_t i = 0; i < n_frames; ++i) {
-      Bytes record;
-      unsigned attempts = 0;
-      for (;;) {
-        try {
-          record = client.stream_frame(sid, i, frame_ptr(i), cfg.frame_bytes());
-          break;
-        } catch (const net::RemoteError& e) {
-          // BadSession (evicted / server restarted) and Draining are the two
-          // recoverable refusals: a fresh session resumes at a keyframe.
-          // Anything else is a real answer — propagate it.
-          if (e.status() != static_cast<u16>(net::Status::BadSession) &&
-              e.status() != static_cast<u16>(net::Status::Draining))
-            throw;
-          if (++attempts > kMaxReopensPerFrame) throw;
-        } catch (const net::NetError&) {
-          if (++attempts > kMaxReopensPerFrame) throw;
-        }
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(net::backoff_ms(attempts, 100, 2000, jitter)));
-        try {
-          sid = open_session();
-          ++reopens;
-          std::fprintf(stderr,
-                       "pfpl stream: session lost at frame %zu; reopened as %llu "
-                       "(next frame is a keyframe)\n",
-                       i, static_cast<unsigned long long>(sid));
-        } catch (const net::NetError&) {
-          // Server still down; the next loop iteration backs off and retries.
-        }
-      }
-      writer.append_encoded(record);
-      temporal::EncodedFrame ef;
-      if (!temporal::decode_frame_record(record.data(), record.size(), ef))
-        throw CompressionError("stream pack: server returned an invalid PFPV "
-                               "record for frame " + std::to_string(i));
-      account(ef, i);
-    }
-    try {
-      client.stream_close(sid);
-    } catch (const net::NetError&) {
-      // Close is best-effort: the stream on disk is already complete and the
-      // server will idle-evict the session.
-    }
   }
   writer.finish();
 
@@ -1320,13 +1241,8 @@ int cmd_stream_pack(const std::vector<std::string>& positional, const Flags& fl)
               out_path.c_str(), n_frames, static_cast<unsigned long long>(iframes),
               static_cast<unsigned long long>(pframes), cfg.dims[0], cfg.dims[1],
               cfg.dims[2], to_string(cfg.dtype), to_string(cfg.eb), cfg.eps);
-  const std::string via = fl.host.empty()
-                              ? std::string()
-                              : " via " + fl.host + ", " + std::to_string(reopens) +
-                                    " session reopen(s)";
-  std::printf("raw=%.0f -> file=%llu bytes (ratio %.3f)%s\n", raw_bytes,
-              static_cast<unsigned long long>(file_bytes), ratio(raw_bytes, file_bytes),
-              via.c_str());
+  std::printf("raw=%.0f -> file=%llu bytes (ratio %.3f)\n", raw_bytes,
+              static_cast<unsigned long long>(file_bytes), ratio(raw_bytes, file_bytes));
   if (fl.audit)
     std::printf("audit: %llu violation(s) across %zu decoded frame(s)%s\n",
                 static_cast<unsigned long long>(violations), n_frames,

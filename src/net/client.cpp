@@ -2,22 +2,15 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
-#include <cstring>
 
-#include <thread>
-
-#include "common/bytes.hpp"
 #include "common/checksum.hpp"
 #include "common/hash.hpp"
-#include "net/backoff.hpp"
 #include "obs/metrics.hpp"
 
 namespace repro::net {
 namespace {
-
-using common::get_le;
-using common::put_le;
 
 /// Client-side latency histogram (microseconds, whole round trip).
 obs::Histogram& client_request_us() {
@@ -120,10 +113,6 @@ Frame Client::roundtrip(const FrameHeader& base, const void* payload, std::size_
   FrameHeader h = base;
   const u64 t0 = now_us();
   const unsigned attempts = std::max(opts_.max_attempts, 1u);
-  // Jitter state seeded from the client's id stream: deterministic per
-  // client, decorrelated across clients (fresh_id() seeds from pid/clock/
-  // address).
-  BackoffJitter jitter(next_id_ ^ 0xC2B2AE3D27D4EB4Full);
   for (unsigned attempt = 1;; ++attempt) {
     h.request_id = fresh_id();
     try {
@@ -136,13 +125,9 @@ Frame Client::roundtrip(const FrameHeader& base, const void* payload, std::size_
       throw;  // the server answered; retrying would repeat the same refusal
     } catch (const NetError&) {
       // Transport failure: the connection state is unknown, so drop it and
-      // retry on a fresh one (requests are pure => idempotent), backing off
-      // between attempts so a dead server is not hammered in a tight loop.
+      // resend on a fresh one (requests are pure, so a resend is safe).
       sock_.close();
       if (attempt >= attempts) throw;
-      const int ms =
-          backoff_ms(attempt, opts_.backoff_base_ms, opts_.backoff_max_ms, jitter);
-      if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
     }
   }
 }
@@ -182,40 +167,6 @@ void Client::ping() {
   FrameHeader h;
   h.op = static_cast<u8>(Op::Ping);
   roundtrip(h, nullptr, 0);
-}
-
-u64 Client::stream_open(DType dtype, EbType eb, double eps,
-                        const std::array<u32, 3>& dims, u32 keyframe_interval) {
-  FrameHeader h;
-  h.op = static_cast<u8>(Op::StreamOpen);
-  h.dtype = static_cast<u8>(dtype);
-  h.eb_type = static_cast<u8>(eb);
-  h.eps = eps;
-  u8 body[16];
-  for (std::size_t d = 0; d < 3; ++d) put_le(body + 4 * d, dims[d]);
-  put_le(body + 12, keyframe_interval);
-  Frame f = roundtrip(h, body, sizeof body);
-  if (f.payload.size() != 8)
-    throw NetError("PFPN: STREAM_OPEN response is not a session id");
-  return get_le<u64>(f.payload.data());
-}
-
-Bytes Client::stream_frame(u64 sid, u64 frame_index, const void* raw, std::size_t n) {
-  FrameHeader h;
-  h.op = static_cast<u8>(Op::StreamFrame);
-  Bytes body(16 + n);
-  put_le(body.data(), sid);
-  put_le(body.data() + 8, frame_index);
-  std::memcpy(body.data() + 16, raw, n);
-  return roundtrip(h, body.data(), body.size()).payload;
-}
-
-void Client::stream_close(u64 sid) {
-  FrameHeader h;
-  h.op = static_cast<u8>(Op::StreamClose);
-  u8 body[8];
-  put_le(body, sid);
-  roundtrip(h, body, sizeof body);
 }
 
 void Client::shutdown_server() {

@@ -7,19 +7,17 @@
 //                     params, CRC mismatch, draining, ...). Never retried:
 //                     the server is reachable and said no.
 //   * NetError      — transport trouble (connect/send/recv failure, timeout,
-//                     peer closed). Because every PFPN request is a pure
-//                     function of its payload, the client reconnects and
-//                     retries up to Options::max_attempts total attempts,
-//                     sleeping an exponentially growing, jittered backoff
-//                     between them (defaults keep the historical behavior:
-//                     one immediate retry).
+//                     peer closed). Every PFPN request is a pure function of
+//                     its payload (the server keeps no state between them),
+//                     so the client drops the connection and resends on a
+//                     fresh one at once, up to Options::max_attempts total
+//                     attempts. This is the one retry policy.
 //
 // Thread safety: a Client is a single connection with request/response
 // framing — use one Client per thread (the load generator does exactly
 // that), or add external locking.
 #pragma once
 
-#include <array>
 #include <string>
 
 #include "common/types.hpp"
@@ -36,14 +34,8 @@ class Client {
     int connect_timeout_ms = 5000;
     int request_timeout_ms = 120000;  ///< per send/recv wait, not per byte
     /// Total attempts per request (first try included); 1 = exactly one
-    /// attempt, ever. The default matches the old hard-coded retry-once.
+    /// attempt, ever. The default retries once.
     unsigned max_attempts = 2;
-    /// Backoff before retry k (1-based): min(backoff_base_ms << (k-1),
-    /// backoff_max_ms), scaled by a uniform jitter in [0.5, 1.5) so a fleet
-    /// of clients does not reconnect in lockstep. 0 = immediate (the old
-    /// behavior).
-    int backoff_base_ms = 0;
-    int backoff_max_ms = 2000;
     std::size_t max_response_payload = 1u << 30;
   };
 
@@ -70,23 +62,6 @@ class Client {
 
   /// Round-trip an empty PING (connectivity + liveness check).
   void ping();
-
-  /// Open a temporal frame session (STREAM_OPEN): the server builds a
-  /// FrameEncoder with (dtype, eb, eps, dims, keyframe_interval) and its own
-  /// executor. Returns the server-assigned session id.
-  u64 stream_open(DType dtype, EbType eb, double eps, const std::array<u32, 3>& dims,
-                  u32 keyframe_interval);
-
-  /// Push frame `frame_index` (raw scalars, exactly the session's frame
-  /// byte size) to session `sid` (STREAM_FRAME). Returns the encoded PFPV
-  /// frame record — append it to a temporal::StreamWriter. Frames must be
-  /// pushed in order; RemoteError(BadSession) means the session is gone
-  /// (idle-evicted or the server restarted): open a new session and resume —
-  /// the next frame will be a keyframe.
-  Bytes stream_frame(u64 sid, u64 frame_index, const void* raw, std::size_t n);
-
-  /// Close session `sid` (STREAM_CLOSE). Idempotent on the server.
-  void stream_close(u64 sid);
 
   /// Ask the server to drain and exit. The OK response is sent before the
   /// server stops, so this returning means the drain has begun.

@@ -49,9 +49,6 @@ const char* to_string(Op op) {
     case Op::Ping: return "PING";
     case Op::Shutdown: return "SHUTDOWN";
     case Op::Metrics: return "METRICS";
-    case Op::StreamOpen: return "STREAM_OPEN";
-    case Op::StreamFrame: return "STREAM_FRAME";
-    case Op::StreamClose: return "STREAM_CLOSE";
   }
   return "?";
 }
@@ -65,8 +62,6 @@ const char* to_string(Status st) {
     case Status::CompressFailed: return "CompressFailed";
     case Status::TooLarge: return "TooLarge";
     case Status::Draining: return "Draining";
-    case Status::BadSession: return "BadSession";
-    case Status::SessionLimit: return "SessionLimit";
   }
   return nullptr;
 }

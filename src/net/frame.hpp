@@ -8,13 +8,13 @@
 //   | payload           |   payload_len bytes (raw scalars, PFPL stream,
 //   +-------------------+   JSON stats, or UTF-8 error text)
 //
-// Requests carry op COMPRESS/DECOMPRESS/STATS/PING/SHUTDOWN; responses echo
-// the request's op with the response bit (0x80) set and the same request_id.
-// status == 0 means success; a nonzero status makes the frame a *typed error
-// frame* whose payload is a human-readable message. The payload is covered
-// by CRC-32 (common/checksum.hpp — the same checksum the PFPA archive uses),
-// so a flipped bit in transit is detected before any payload byte is
-// interpreted. Full layout spec in docs/FORMAT.md §PFPN.
+// Requests carry op COMPRESS/DECOMPRESS/STATS/PING/SHUTDOWN/METRICS;
+// responses echo the request's op with the response bit (0x80) set and the
+// same request_id. status == 0 means success; a nonzero status makes the
+// frame a *typed error frame* whose payload is a human-readable message. The
+// payload is covered by CRC-32 (common/checksum.hpp — the same checksum the
+// PFPA archive uses), so a flipped bit in transit is detected before any
+// payload byte is interpreted. Full layout spec in docs/FORMAT.md §PFPN.
 //
 // FrameParser consumes a byte stream *incrementally* (feed() arbitrary
 // splits, or recv_window()/commit() to receive a payload straight into its
@@ -65,15 +65,8 @@ enum class Op : u8 {
   Shutdown = 5,    ///< begin graceful drain; response: empty payload
   Metrics = 6,     ///< payload: "" or "json" for JSON, "prom" for Prometheus
                    ///< text; response payload: the rendered metrics document
-  // 7 and 8 are retired (SHARDMAP, HEALTH); never reuse them.
-  StreamOpen = 9,  ///< open a temporal frame session: dtype/eb/eps in the
-                   ///< header, payload = dims + keyframe interval (16 B);
-                   ///< response payload: u64 session id
-  StreamFrame = 10,  ///< payload: u64 session id + u64 frame index + raw
-                     ///< frame scalars; response payload: the encoded PFPV
-                     ///< frame record
-  StreamClose = 11,  ///< payload: u64 session id; response: empty
-                     ///< (idempotent — closing an unknown session is Ok)
+  // 7 and 8 are retired (SHARDMAP, HEALTH), and 9-11 (STREAM_OPEN,
+  // STREAM_FRAME, STREAM_CLOSE); never reuse them.
 };
 
 inline constexpr u8 kResponseBit = 0x80;
@@ -87,10 +80,8 @@ enum class Status : u16 {
   CompressFailed = 4,  ///< the compressor rejected the request (error text)
   TooLarge = 5,        ///< declared payload_len over the server's limit
   Draining = 6,        ///< server is draining; request rejected
-  // 7 is retired (wrong shard); never reuse it.
-  BadSession = 8,      ///< STREAM_FRAME names an unknown or evicted session
-                       ///< — open a new one (the next frame is a keyframe)
-  SessionLimit = 9,    ///< STREAM_OPEN refused: --max-sessions reached
+  // 7 (wrong shard), 8 (BadSession) and 9 (SessionLimit) are retired;
+  // never reuse them.
 };
 
 const char* to_string(Op op);

@@ -17,7 +17,6 @@
 #include <mutex>
 #include <vector>
 
-#include "common/bytes.hpp"
 #include "ingest/pipeline.hpp"
 #include "net/poller.hpp"
 #include "obs/event_log.hpp"
@@ -28,14 +27,9 @@
 #include "obs/watchdog.hpp"
 #include "store/store.hpp"
 #include "svc/thread_pool.hpp"
-#include "temporal/pfpv.hpp"
-#include "temporal/temporal.hpp"
 
 namespace repro::net {
 namespace {
-
-using common::get_le;
-using common::put_le;
 
 constexpr std::size_t kMaxFramePayload = 256u << 20;  ///< declared-length cap
 constexpr std::size_t kQueueCapacity = 4096;          ///< pool bounded queue
@@ -101,41 +95,12 @@ struct Counters {
   Count slow_requests{"net.slow_requests"};
   Count metrics_scrapes{"net.metrics_scrapes"};
   Count accept_overloads{"net.accept_overloads"};
-  Count sessions_opened{"temporal.sessions_opened"};
-  Count sessions_closed{"temporal.sessions_closed"};
-  Count sessions_evicted{"temporal.sessions_evicted"};
-  Count stream_frames{"temporal.stream_frames"};
-  Level sessions{"temporal.sessions"};
-  /// Registry only: pool dispatches (COMPRESS, DECOMPRESS, STREAM_FRAME) and latencies.
+  /// Registry only: pool dispatches (COMPRESS, DECOMPRESS) and latencies.
   obs::Counter& pool_requests = obs::MetricsRegistry::global().counter("net.requests");
   obs::Histogram& request_us = obs::MetricsRegistry::global().histogram("net.request_us");
   obs::Histogram& compress_us = obs::MetricsRegistry::global().histogram("net.compress_us");
   obs::Histogram& decompress_us =
       obs::MetricsRegistry::global().histogram("net.decompress_us");
-};
-
-/// One temporal frame session. The encoder is stateful (closed-loop
-/// reference), so frames of a session are serialized by `m`; distinct
-/// sessions encode concurrently on the pool. The map entry is a shared_ptr:
-/// eviction/drain can erase it while a worker still holds the object.
-struct StreamSession {
-  u64 id = 0;
-  temporal::SessionConfig cfg;
-  temporal::FrameEncoder enc;
-  std::mutex m;                     ///< serializes encode + expected_index
-  /// Next in-order client frame index. The *first* frame of a session may
-  /// carry any index: a client resuming after a reconnect (its old session
-  /// was evicted or died with the server) continues its own numbering, and
-  /// the fresh encoder answers it with a keyframe regardless. From then on
-  /// indices must be strictly sequential.
-  u64 expected_index = 0;
-  bool started = false;             ///< false until the first frame lands
-  std::atomic<u64> last_active_ns{0};
-  std::atomic<u64> frames{0}, iframes{0}, pframes{0};
-  u64 created_ns = 0;
-
-  StreamSession(u64 i, const temporal::SessionConfig& c, u64 now)
-      : id(i), cfg(c), enc(c), last_active_ns(now), created_ns(now) {}
 };
 
 u64 now_ns() {
@@ -248,13 +213,6 @@ struct Server::Impl {
   std::mutex comp_m;
   std::vector<Completion> completions;
 
-  /// Temporal frame sessions. The mutex covers the map; per-session state is
-  /// guarded by each session's own lock (workers encode under it).
-  mutable std::mutex sess_m;
-  std::map<u64, std::shared_ptr<StreamSession>> sessions;
-  u64 next_session_id = 1;
-  u64 last_session_sweep_ns = 0;
-
   /// Slow-request ring, sorted by total_us descending, capped at
   /// kSlowCapacity. Written on the loop thread; the mutex covers
   /// external stats_json() readers.
@@ -313,91 +271,8 @@ struct Server::Impl {
     out.slow_requests = st.slow_requests.get();
     out.metrics_scrapes = st.metrics_scrapes.get();
     out.accept_overloads = st.accept_overloads.get();
-    out.sessions_opened = st.sessions_opened.get();
-    out.sessions_closed = st.sessions_closed.get();
-    out.sessions_evicted = st.sessions_evicted.get();
-    out.sessions_current = st.sessions.get();
-    out.stream_frames = st.stream_frames.get();
     out.draining = draining.load(std::memory_order_relaxed);
     return out;
-  }
-
-  // -- temporal sessions ----------------------------------------------------
-
-  std::shared_ptr<StreamSession> find_session(u64 sid) const {
-    std::lock_guard<std::mutex> lk(sess_m);
-    auto it = sessions.find(sid);
-    return it == sessions.end() ? nullptr : it->second;
-  }
-
-  /// Loop thread: erase every session idle for longer than `idle_ns`, or every
-  /// session when `idle_ns` is 0 (drain); both count as evicted.
-  void evict_sessions(u64 idle_ns) {
-    const u64 now = now_ns();
-    std::size_t evicted = 0;
-    {
-      std::lock_guard<std::mutex> lk(sess_m);
-      for (auto it = sessions.begin(); it != sessions.end();) {
-        // A worker may stamp last_active after `now` was read: never idle.
-        const u64 last = it->second->last_active_ns.load(std::memory_order_relaxed);
-        if (idle_ns == 0 || (last < now && now - last > idle_ns)) {
-          it = sessions.erase(it);
-          ++evicted;
-        } else {
-          ++it;
-        }
-      }
-    }
-    if (evicted) {
-      st.sessions_evicted.add(evicted);
-      st.sessions.sub(evicted);
-    }
-  }
-
-  /// Idle eviction past opts.session_idle_ms, time-gated to one sweep per
-  /// ~500 ms.
-  void evict_idle_sessions() {
-    if (opts.session_idle_ms <= 0) return;
-    const u64 now = now_ns();
-    if (now - last_session_sweep_ns < 500'000'000ull) return;
-    last_session_sweep_ns = now;
-    evict_sessions(static_cast<u64>(opts.session_idle_ms) * 1'000'000ull);
-  }
-
-  /// Per-session STATS rows (id, frame counts, age/idle).
-  std::string sessions_json() const {
-    std::vector<std::shared_ptr<StreamSession>> snap;
-    {
-      std::lock_guard<std::mutex> lk(sess_m);
-      snap.reserve(sessions.size());
-      for (const auto& [id, s] : sessions) snap.push_back(s);
-    }
-    const u64 now = now_ns();
-    obs::JsonWriter w;
-    w.begin_array();
-    for (const auto& s : snap) {
-      w.begin_object();
-      w.kv("id", static_cast<unsigned long long>(s->id));
-      w.kv("dtype", repro::to_string(s->cfg.dtype));
-      w.kv("eb", repro::to_string(s->cfg.eb));
-      w.kv("eps", s->cfg.eps);
-      w.kv("frame_values", static_cast<unsigned long long>(s->cfg.frame_values()));
-      w.kv("keyframe_interval",
-           static_cast<unsigned long long>(s->cfg.keyframe_interval));
-      w.kv("frames", static_cast<unsigned long long>(
-                         s->frames.load(std::memory_order_relaxed)));
-      w.kv("iframes", static_cast<unsigned long long>(
-                          s->iframes.load(std::memory_order_relaxed)));
-      w.kv("pframes", static_cast<unsigned long long>(
-                          s->pframes.load(std::memory_order_relaxed)));
-      w.kv("age_s", static_cast<double>(now - s->created_ns) / 1e9);
-      w.kv("idle_s",
-           static_cast<double>(now - s->last_active_ns.load(std::memory_order_relaxed)) /
-               1e9);
-      w.end_object();
-    }
-    w.end_array();
-    return w.take();
   }
 
   std::string stats_json() const {
@@ -442,17 +317,6 @@ struct Server::Impl {
       w.kv("store_misses", static_cast<unsigned long long>(s.store_misses));
       w.key("store").raw(opts.store->stats_json());
     }
-    w.key("sessions");
-    w.begin_object();
-    w.kv("current", static_cast<unsigned long long>(s.sessions_current));
-    w.kv("opened", static_cast<unsigned long long>(s.sessions_opened));
-    w.kv("closed", static_cast<unsigned long long>(s.sessions_closed));
-    w.kv("evicted", static_cast<unsigned long long>(s.sessions_evicted));
-    w.kv("stream_frames", static_cast<unsigned long long>(s.stream_frames));
-    w.kv("max_sessions", static_cast<unsigned long long>(opts.max_sessions));
-    w.kv("session_idle_ms", opts.session_idle_ms);
-    w.key("rows").raw(sessions_json());
-    w.end_object();
     w.end_object();
     return w.take();
   }
@@ -572,12 +436,6 @@ struct Server::Impl {
         {Op::Ping, &Counters::requests_other, false, &Impl::on_ping, nullptr},
         {Op::Shutdown, &Counters::requests_other, false, &Impl::on_shutdown, nullptr},
         {Op::Metrics, &Counters::requests_other, false, &Impl::on_metrics, nullptr},
-        {Op::StreamOpen, &Counters::requests_other, true, &Impl::on_stream_open,
-         nullptr},
-        {Op::StreamFrame, &Counters::requests_other, true, &Impl::on_stream_frame,
-         &Impl::run_stream_frame},
-        {Op::StreamClose, &Counters::requests_other, false, &Impl::on_stream_close,
-         nullptr},
     };
     for (const OpRow& r : kOps)
       if (static_cast<u8>(r.op) == op) return &r;
@@ -627,14 +485,14 @@ struct Server::Impl {
   /// the typed error frames, timing, and the hand-back to the loop through
   /// the completion queue — lives here.
   template <typename Body>
-  void run_pooled(Connection& c, Frame& f, const char* span, u8 dtype, Body body) {
+  void run_pooled(Connection& c, Frame& f, const char* span, Body body) {
     Completion comp;
     comp.conn_id = c.id;
     comp.release = f.payload.size();
     comp.t0_ns = now_ns();
     comp.request_id = f.header.request_id;
     comp.op = f.header.base_op();
-    comp.dtype = dtype;
+    comp.dtype = f.header.dtype;
     c.inflight += comp.release;
     st.inflight_bytes.add(comp.release);
     st.pool_requests.add(1);
@@ -678,7 +536,7 @@ struct Server::Impl {
 
   void run_compress(Connection& c, Frame& f) {
     const FrameHeader h = f.header;
-    run_pooled(c, f, "net.work.compress", h.dtype,
+    run_pooled(c, f, "net.work.compress",
                [this, h](const Bytes& in) {
       const auto dtype = static_cast<DType>(h.dtype);
       const auto eb = static_cast<EbType>(h.eb_type);
@@ -708,7 +566,7 @@ struct Server::Impl {
 
   void run_decompress(Connection& c, Frame& f) {
     const FrameHeader h = f.header;
-    run_pooled(c, f, "net.work.decompress", h.dtype,
+    run_pooled(c, f, "net.work.decompress",
                [this, h](const Bytes& in) {
       store::ChunkStore* cs = opts.store.get();
       const common::Hash128 key =
@@ -727,61 +585,6 @@ struct Server::Impl {
       echo.eb_type = static_cast<u8>(sh.eb_type);
       echo.eps = sh.eps;
       return ok_frame(h, std::move(raw), echo);
-    });
-  }
-
-  void on_stream_frame(Connection& c, Frame& f) {
-    if (f.payload.size() < 16)
-      return queue_error(c, f.header, Status::BadParams,
-                         "STREAM_FRAME payload must carry u64 session id + u64 "
-                         "frame index + raw scalars");
-    admit(c, f);
-  }
-
-  /// STREAM_FRAME: resolve the session on the loop thread (it may have been
-  /// idle-evicted while the frame was parked), then encode on the pool.
-  /// Frames of one session serialize on the session mutex; distinct sessions
-  /// encode concurrently.
-  void run_stream_frame(Connection& c, Frame& f) {
-    const FrameHeader h = f.header;
-    const u64 sid = get_le<u64>(f.payload.data());
-    std::shared_ptr<StreamSession> sess = find_session(sid);
-    if (!sess)
-      return queue_error(c, h, Status::BadSession,
-                         "unknown session " + std::to_string(sid) +
-                             " (evicted or never opened) — reopen and resume");
-    if (f.payload.size() != 16 + sess->cfg.frame_bytes())
-      return queue_error(c, h, Status::BadParams,
-                         "frame payload is " + std::to_string(f.payload.size() - 16) +
-                             " bytes, session " + std::to_string(sid) + " expects " +
-                             std::to_string(sess->cfg.frame_bytes()));
-    st.stream_frames.add(1);
-    const u8 dtype = static_cast<u8>(sess->cfg.dtype);
-    run_pooled(c, f, "net.work.stream_frame", dtype,
-               [h, sess = std::move(sess)](const Bytes& in) {
-      const u64 fidx = get_le<u64>(in.data() + 8);
-      std::lock_guard<std::mutex> lk(sess->m);
-      if (sess->started && fidx != sess->expected_index)
-        throw CompressionError("out-of-order frame index " + std::to_string(fidx) +
-                               " (session expects " +
-                               std::to_string(sess->expected_index) + ")");
-      const temporal::SessionConfig& cfg = sess->cfg;
-      const Field field =
-          cfg.dtype == DType::F64
-              ? Field(reinterpret_cast<const double*>(in.data() + 16), cfg.frame_values())
-              : Field(reinterpret_cast<const float*>(in.data() + 16), cfg.frame_values());
-      const temporal::EncodedFrame ef = sess->enc.encode(field, fidx);
-      sess->started = true;
-      sess->expected_index = fidx + 1;
-      sess->last_active_ns.store(now_ns(), std::memory_order_relaxed);
-      sess->frames.fetch_add(1, std::memory_order_relaxed);
-      (ef.type == temporal::FrameType::Intra ? sess->iframes : sess->pframes)
-          .fetch_add(1, std::memory_order_relaxed);
-      FrameHeader echo;
-      echo.dtype = static_cast<u8>(cfg.dtype);
-      echo.eb_type = static_cast<u8>(cfg.eb);
-      echo.eps = cfg.eps;
-      return ok_frame(h, temporal::encode_frame_record(ef), echo);
     });
   }
 
@@ -812,63 +615,6 @@ struct Server::Impl {
     }
     st.metrics_scrapes.add(1);
     reply(c, f.header, Bytes(doc.begin(), doc.end()));
-  }
-
-  void on_stream_open(Connection& c, Frame& f) {
-    const FrameHeader& h = f.header;
-    if (f.payload.size() != 16)
-      return queue_error(c, h, Status::BadParams,
-                         "STREAM_OPEN payload must be 16 bytes (3x u32 dims + u32 "
-                         "keyframe_interval)");
-    if (h.dtype > 1 || h.eb_type > 2 || !std::isfinite(h.eps))
-      return queue_error(c, h, Status::BadParams,
-                         "unknown dtype/eb_type or non-finite eps");
-    temporal::SessionConfig cfg;
-    cfg.dtype = static_cast<DType>(h.dtype);
-    cfg.eb = static_cast<EbType>(h.eb_type);
-    cfg.eps = h.eps;
-    common::ByteReader r(f.payload, "PFPN STREAM_OPEN");
-    for (u32& d : cfg.dims) d = r.take<u32>();
-    cfg.keyframe_interval = r.take<u32>();
-    cfg.exec = opts.exec;
-    u64 sid = 0;
-    {
-      std::lock_guard<std::mutex> lk(sess_m);
-      if (opts.max_sessions && sessions.size() >= opts.max_sessions)
-        return queue_error(c, h, Status::SessionLimit,
-                           "session limit of " + std::to_string(opts.max_sessions) +
-                               " reached");
-      sid = next_session_id++;
-      try {
-        sessions.emplace(sid, std::make_shared<StreamSession>(sid, cfg, now_ns()));
-      } catch (const CompressionError& e) {
-        // FrameEncoder's config validation (zero frame, eps below the dtype's
-        // min normal under ABS, ...).
-        return queue_error(c, h, Status::BadParams, e.what());
-      }
-    }
-    st.sessions_opened.add(1);
-    st.sessions.add(1);
-    Bytes body(8);
-    put_le(body.data(), sid);
-    reply(c, h, std::move(body), h);
-  }
-
-  void on_stream_close(Connection& c, Frame& f) {
-    if (f.payload.size() != 8)
-      return queue_error(c, f.header, Status::BadParams,
-                         "STREAM_CLOSE payload must be a u64 session id");
-    bool erased = false;
-    {
-      std::lock_guard<std::mutex> lk(sess_m);
-      erased = sessions.erase(get_le<u64>(f.payload.data())) != 0;
-    }
-    if (erased) {
-      st.sessions_closed.add(1);
-      st.sessions.sub(1);
-    }
-    // Idempotent: closing an unknown/already-evicted session is Ok.
-    reply(c, f.header);
   }
 
   /// Parse and handle every complete frame buffered on the connection,
@@ -953,10 +699,6 @@ struct Server::Impl {
         queue_error(*c, f.header, Status::Draining, "server is draining");
       }
     }
-    // Temporal sessions die with the drain: clients get Draining for frames
-    // of this process's lifetime and BadSession from the next one, and both
-    // recover the same way (reopen, resume at a keyframe).
-    evict_sessions(0);
   }
 
   void process_completions() {
@@ -1227,7 +969,6 @@ struct Server::Impl {
         }
       }
       process_completions();
-      evict_idle_sessions();
       if (stop_requested.load(std::memory_order_relaxed)) begin_drain();
       if (accept_hit && listen.valid()) accept_ready();
 

@@ -10,22 +10,22 @@
 //   * Every request frame runs one prologue (count it, look up its op's row
 //     in a per-op table, refuse it if the server is draining and the row
 //     says so) and then its row's handler on the loop thread.
-//   * COMPRESS, DECOMPRESS and STREAM_FRAME work is dispatched onto a
-//     svc::ThreadPool through one worker harness. Workers never touch
-//     connection state: each finished request is pushed onto a completion
-//     queue and the loop is woken through a self-pipe, the only cross-thread
-//     channel.
+//   * COMPRESS and DECOMPRESS work is dispatched onto a svc::ThreadPool
+//     through one worker harness. Each is a pure function of its payload:
+//     no state outlives a request, so a client may resend any of them.
+//     Workers never touch connection state: each finished request is pushed
+//     onto a completion queue and the loop is woken through a self-pipe, the
+//     only cross-thread channel.
 //   * Backpressure is per connection: while a connection has more than
 //     `max_inflight_bytes` of dispatched-but-unanswered payload, the loop
 //     parks its parsed-but-undispatched frames and stops polling it for
 //     reads. A single request larger than the whole budget is admitted alone
 //     so it cannot deadlock.
 //   * Graceful drain (SIGINT via request_stop(), or a SHUTDOWN frame): stop
-//     accepting connections, answer new COMPRESS, DECOMPRESS, STREAM_OPEN
-//     and STREAM_FRAME requests with a typed Draining error, let in-flight
-//     requests finish and their responses flush, then close everything and
-//     return from run(). A peer that refuses to read its responses is cut
-//     off after 5 s.
+//     accepting connections, answer new COMPRESS and DECOMPRESS requests
+//     with a typed Draining error, let in-flight requests finish and their
+//     responses flush, then close everything and return from run(). A peer
+//     that refuses to read its responses is cut off after 5 s.
 //
 // Protocol errors get typed error frames: recoverable ones (CRC mismatch,
 // bad params, unsupported op, a response frame sent as a request) keep the
@@ -79,13 +79,6 @@ class Server {
     /// polled for reads, so new peers wait in the kernel backlog until a
     /// slot frees. 0 = unlimited.
     std::size_t max_conns = 0;
-    /// Temporal frame sessions (STREAM_OPEN/FRAME/CLOSE): cap on concurrent
-    /// sessions (0 = unlimited) and the idle-eviction threshold — a session
-    /// with no frame for `session_idle_ms` is evicted and later frames get
-    /// Status::BadSession (the client reopens and resumes at a keyframe).
-    /// 0 disables idle eviction.
-    std::size_t max_sessions = 64;
-    int session_idle_ms = 60000;
   };
 
   /// Plain-atomic service counters (live regardless of obs::enabled(), so
@@ -100,7 +93,7 @@ class Server {
     u64 bytes_tx = 0;
     u64 requests_compress = 0;
     u64 requests_decompress = 0;
-    u64 requests_other = 0;   ///< every other known op, STREAM_FRAME included
+    u64 requests_other = 0;   ///< every other known op
     u64 errors = 0;           ///< typed error frames sent
     u64 store_hits = 0;       ///< requests answered from the chunk store
     u64 store_misses = 0;     ///< requests that had to compute (store attached)
@@ -109,11 +102,6 @@ class Server {
     u64 slow_requests = 0;    ///< requests captured by the slow-request ring
     u64 metrics_scrapes = 0;  ///< METRICS ops + HTTP /metrics[.json] GETs
     u64 accept_overloads = 0; ///< connections shed on EMFILE/ENFILE
-    u64 sessions_opened = 0;  ///< STREAM_OPEN sessions created
-    u64 sessions_closed = 0;  ///< STREAM_CLOSE (explicit client close)
-    u64 sessions_evicted = 0; ///< idle-evicted or killed by drain
-    u64 sessions_current = 0; ///< live temporal sessions
-    u64 stream_frames = 0;    ///< STREAM_FRAME requests admitted
     bool draining = false;
   };
 

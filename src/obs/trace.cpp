@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 
 #include "obs/json.hpp"
 
@@ -91,47 +90,6 @@ std::string TraceRecorder::chrome_json() const {
   w.end_array();
   w.end_object();
   return w.take();
-}
-
-std::string TraceRecorder::text_tree() const {
-  std::vector<SpanEvent> evs = events();
-  std::map<u32, std::vector<SpanEvent>> by_tid;
-  for (SpanEvent& e : evs) by_tid[e.tid].push_back(std::move(e));
-
-  std::string out;
-  char line[256];
-  for (auto& [tid, v] : by_tid) {
-    std::sort(v.begin(), v.end(), [](const SpanEvent& a, const SpanEvent& b) {
-      return a.start_ns != b.start_ns ? a.start_ns < b.start_ns : a.depth < b.depth;
-    });
-    std::snprintf(line, sizeof(line), "tid %u (%zu spans)\n", tid, v.size());
-    out += line;
-    // Collapse runs of same-name siblings (the per-chunk fan-out would
-    // otherwise print thousands of identical lines).
-    for (std::size_t i = 0; i < v.size();) {
-      std::size_t j = i;
-      u64 total = 0, mn = UINT64_MAX, mx = 0;
-      while (j < v.size() && v[j].name == v[i].name && v[j].depth == v[i].depth) {
-        total += v[j].dur_ns;
-        mn = std::min(mn, v[j].dur_ns);
-        mx = std::max(mx, v[j].dur_ns);
-        ++j;
-      }
-      std::string indent(2 * (v[i].depth + 1), ' ');
-      if (j - i == 1) {
-        std::snprintf(line, sizeof(line), "%s%-28s %10.3f ms\n", indent.c_str(),
-                      v[i].name.c_str(), v[i].dur_ns / 1e6);
-      } else {
-        std::snprintf(line, sizeof(line),
-                      "%s%-28s x%-6zu total %10.3f ms  min/max %.3f/%.3f ms\n",
-                      indent.c_str(), v[i].name.c_str(), j - i, total / 1e6, mn / 1e6,
-                      mx / 1e6);
-      }
-      out += line;
-      i = j;
-    }
-  }
-  return out;
 }
 
 void TraceRecorder::write_chrome_json(const std::string& path) const {

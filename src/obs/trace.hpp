@@ -87,8 +87,6 @@ class TraceRecorder {
 
   /// Chrome trace_event JSON ({"traceEvents":[...]}; ts/dur in microseconds).
   std::string chrome_json() const;
-  /// Indented per-thread tree; runs of same-name siblings are aggregated.
-  std::string text_tree() const;
   /// Write chrome_json() to `path`. Throws CompressionError on I/O failure.
   void write_chrome_json(const std::string& path) const;
 

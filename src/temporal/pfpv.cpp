@@ -130,12 +130,8 @@ void StreamWriter::write_bytes(const u8* p, std::size_t n) {
   offset_ += n;
 }
 
-void StreamWriter::append(const EncodedFrame& f) { append_encoded(encode_frame_record(f)); }
-
-void StreamWriter::append_encoded(const Bytes& record) {
-  EncodedFrame f;
-  if (decode_frame_record(record.data(), record.size(), f) != record.size())
-    throw CompressionError("PFPV: refusing to append a malformed frame record");
+void StreamWriter::append(const EncodedFrame& f) {
+  const Bytes record = encode_frame_record(f);
   if (f.type == FrameType::Intra) keyframes_.push_back({f.frame_index, offset_});
   write_bytes(record.data(), record.size());
   ++frames_;

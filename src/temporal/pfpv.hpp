@@ -73,9 +73,6 @@ class StreamWriter {
 
   /// Append one frame record (encodes it first).
   void append(const EncodedFrame& f);
-  /// Append an already-encoded record (e.g. returned by a remote session).
-  /// Validates the record bytes before writing.
-  void append_encoded(const Bytes& record);
 
   /// Write the keyframe index + footer and close the file.
   void finish();

@@ -100,10 +100,10 @@ class FrameEncoder {
   explicit FrameEncoder(const SessionConfig& cfg);
 
   /// Encode the next frame. `frame` must match the session dtype and shape.
-  /// `frame_index` is recorded in the result (the stream position — under a
-  /// reconnected remote session it may be ahead of this encoder's local
-  /// count); the I/P cadence follows the *encoder's* own frame count, so a
-  /// fresh encoder always starts with an I frame.
+  /// `frame_index` is recorded in the result (the stream position, which
+  /// need not equal this encoder's own count); the I/P cadence follows the
+  /// *encoder's* own frame count, so a fresh encoder always starts with an I
+  /// frame.
   EncodedFrame encode(const Field& frame, u64 frame_index);
   EncodedFrame encode(const Field& frame) { return encode(frame, frames_encoded_); }
 

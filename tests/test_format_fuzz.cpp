@@ -817,12 +817,10 @@ TEST_PER_RUNG(ContainerFuzz, Pfpv) {
 
 TEST_PER_RUNG(ContainerFuzz, Pfpn) {
   // A request/response exchange as one byte stream: COMPRESS both ways, a
-  // STREAM_OPEN, a typed error and a PING.
+  // DECOMPRESS request, a typed error and a PING.
   const data::SyntheticFile f = suite_file(DType::F32, 512);
   const Bytes stream = pfpl::compress(f.field(), {1e-3, EbType::ABS});
   const Bytes raw = original_of(f.field(), EbType::ABS, 1e-3).raw;
-  u8 open_body[16] = {};
-  for (std::size_t d = 0; d < 3; ++d) common::put_le(open_body + 4 * d, u32{8});
   auto header = [](net::Op op, bool response, u64 id) {
     net::FrameHeader h;
     h.op = static_cast<u8>(static_cast<u8>(op) | (response ? net::kResponseBit : 0));
@@ -833,7 +831,7 @@ TEST_PER_RUNG(ContainerFuzz, Pfpn) {
   const std::vector<Bytes> frames = {
       net::encode_frame(header(net::Op::Compress, false, 1), raw),
       net::encode_frame(header(net::Op::Compress, true, 1), stream),
-      net::encode_frame(header(net::Op::StreamOpen, false, 2), open_body, sizeof open_body),
+      net::encode_frame(header(net::Op::Decompress, false, 2), stream),
       net::encode_error_frame(3, static_cast<u8>(net::Op::Ping), net::Status::BadParams, "no"),
       net::encode_frame(header(net::Op::Ping, false, 4), nullptr, 0)};
   Target t;
@@ -851,6 +849,7 @@ TEST_PER_RUNG(ContainerFuzz, Pfpn) {
     t.crcs.push_back({at + 12, at + net::kFrameHeaderSize, h.payload_len});
   }
   pfpl_layout(t.seed, frames[0].size() + net::kFrameHeaderSize, t);
+  pfpl_layout(t.seed, frames[0].size() + frames[1].size() + net::kFrameHeaderSize, t);
   t.decode = [&](const Bytes& in, Check& c) {
     // Whole, then in 13-byte pieces: both must parse the same frames.
     for (std::size_t piece : {in.size(), std::size_t{13}}) {
@@ -867,12 +866,10 @@ TEST_PER_RUNG(ContainerFuzz, Pfpn) {
           const auto it = payload_of.find({fr.header.request_id, fr.header.op});
           if (it == payload_of.end()) continue;
           c.expect(fr.payload == it->second, "a parsed payload differs from the original");
-          if (fr.header.op == (static_cast<u8>(net::Op::Compress) | net::kResponseBit))
+          // Both frames that carry the PFPL stream decode within the bound.
+          if (fr.header.op == (static_cast<u8>(net::Op::Compress) | net::kResponseBit) ||
+              fr.header.op == static_cast<u8>(net::Op::Decompress))
             c.bound(pfpl::decompress(fr.payload), 0);
-          if (fr.header.op == static_cast<u8>(net::Op::StreamOpen)) {
-            common::ByteReader r(fr.payload, "PFPN STREAM_OPEN");
-            for (int d = 0; d < 4; ++d) r.take<u32>();
-          }
         }
       }
     }

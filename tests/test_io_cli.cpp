@@ -2,22 +2,16 @@
 // std::system against the built binary).
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
-#include <signal.h>
-#include <spawn.h>
 #include <sys/wait.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <limits>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -25,8 +19,6 @@
 #include "data/rng.hpp"
 #include "io/raw_file.hpp"
 #include "json_value.hpp"
-
-extern char** environ;
 
 using namespace repro;
 namespace fs = std::filesystem;
@@ -61,48 +53,6 @@ int exit_code(const std::string& cmd) {
   const int status = run(cmd);
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
-
-/// A background process with stdout and stderr in files. Killed and reaped
-/// on scope exit unless wait() reaped it first.
-struct Spawned {
-  Spawned(const std::vector<std::string>& argv, const std::string& out,
-          const std::string& err) {
-    posix_spawn_file_actions_t fa;
-    posix_spawn_file_actions_init(&fa);
-    posix_spawn_file_actions_addopen(&fa, 1, out.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    posix_spawn_file_actions_addopen(&fa, 2, err.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    std::vector<char*> args;
-    for (const std::string& a : argv) args.push_back(const_cast<char*>(a.c_str()));
-    args.push_back(nullptr);
-    if (posix_spawn(&pid, args[0], &fa, nullptr, args.data(), environ) != 0) pid = -1;
-    posix_spawn_file_actions_destroy(&fa);
-  }
-  ~Spawned() { kill(); }
-  Spawned(const Spawned&) = delete;
-  Spawned& operator=(const Spawned&) = delete;
-
-  void kill() {
-    if (pid <= 0) return;
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, nullptr, 0);
-    pid = -1;
-  }
-  /// Wait status, or -1 while the process still runs after `seconds`.
-  int wait(int seconds) {
-    const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
-    int status = 0;
-    while (pid > 0 && std::chrono::steady_clock::now() < until) {
-      if (::waitpid(pid, &status, WNOHANG) == pid) {
-        pid = -1;
-        return status;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return -1;
-  }
-
-  pid_t pid = -1;
-};
 
 }  // namespace
 
@@ -813,8 +763,6 @@ TEST_F(CliTest, NumericFlagRanges) {
       {"--values", "1", kU64, kU64Above},
       {"--keyframe-interval", "0", kUint, kUintAbove},
       {"--seed", "0", kU64, kU64Above},
-      {"--max-sessions", "0", kU64, kU64Above},
-      {"--session-idle-ms", "0", kInt, kIntAbove},
   };
   const std::string list = cli + " list /nonexistent/pfpl_flags.pfpa ";
   for (const Range& r : ranges) {
@@ -844,6 +792,20 @@ TEST_F(CliTest, MissingValueAndUnknownFlagExitTwo) {
   EXPECT_EQ(exit_code(list + " --flight-depth 32"), 2);
   EXPECT_EQ(exit_code(list + " --history"), 2);
   EXPECT_EQ(exit_code(cli + " remote metrics --host 127.0.0.1:1 --history"), 2);
+  // Retired with the remote stream session: every PFPN request is pure.
+  EXPECT_EQ(exit_code(list + " --max-sessions 8"), 2);
+  EXPECT_EQ(exit_code(list + " --session-idle-ms 100"), 2);
+  const std::string pfpv = tmp_path("retired_remote.pfpv");
+  fs::remove(pfpv);
+  std::string err;
+  const int status = run_out(cli + " stream pack " + pfpv +
+                                 " --suite advect --frames 2 --values 64 --eps 1e-3"
+                                 " --host 127.0.0.1:1 2>&1",
+                             err);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2) << err;
+  EXPECT_NE(err.find("--host is not supported"), std::string::npos) << err;
+  EXPECT_FALSE(fs::exists(pfpv));
   EXPECT_EQ(exit_code(cli + " c " + in + " " + comp + " --eps"), 2);
   EXPECT_EQ(exit_code(cli + " c " + in + " " + comp + " --eps 1e-3 --no-such-flag"), 2);
   EXPECT_FALSE(fs::exists(comp));
@@ -902,72 +864,4 @@ TEST_F(CliTest, ServeReportIsTheFinalMetricsDocument) {
   EXPECT_EQ(got, want);
   EXPECT_GE(stats.at("requests_compress").num, 1);
   fs::remove(report);
-}
-
-TEST_F(CliTest, RemoteStreamSurvivesServerSigkill) {
-  // A remote `stream pack` session loses its server to SIGKILL mid-stream; a
-  // replacement binds the same port, the client reopens its session and
-  // resumes at a keyframe, and the stream finishes complete with zero bound
-  // violations. The replacement then drains cleanly.
-  const std::string dir = tmp_path("sigkill");
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  const std::string pfpv = dir + "/remote.pfpv", a_log = dir + "/serve_a.log",
-                    b_log = dir + "/serve_b.log", client_out = dir + "/client.log",
-                    client_err = dir + "/client_err.log";
-  constexpr int kFrames = 200;
-  auto serve = [&](const std::string& port, const std::string& log) {
-    return std::make_unique<Spawned>(
-        std::vector<std::string>{cli, "serve", "--bind", "127.0.0.1", "--port", port,
-                                 "--threads", "2", "--max-sessions", "8"},
-        log, "/dev/null");
-  };
-  auto a = serve("0", a_log);
-  unsigned port = 0;
-  for (int i = 0; i < 10000 && !port; ++i) {
-    std::sscanf(slurp(a_log).c_str(), "pfpl: serving on 127.0.0.1:%u", &port);
-    if (!port) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_NE(port, 0u) << slurp(a_log);
-  const std::string host = "127.0.0.1:" + std::to_string(port);
-
-  // The client audits every returned record locally, so its exit code is
-  // the zero-violations verdict across the reconnect.
-  Spawned client({cli, "stream", "pack", pfpv, "--suite", "advect", "--frames",
-                  std::to_string(kFrames), "--values", "16384", "--eps", "1e-4", "--eb",
-                  "noa", "--audit", "--host", host},
-                 client_out, client_err);
-  // Kill only once records demonstrably stream (the .pfpv is past a few
-  // records), so the loss is mid-stream.
-  std::error_code ec;
-  for (int i = 0; i < 10000 && !(fs::file_size(pfpv, ec) > 65536 && !ec); ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_GT(fs::file_size(pfpv, ec), 65536u) << "the client never started streaming";
-  a->kill();
-  auto b = serve(std::to_string(port), b_log);
-
-  const int status = client.wait(60);
-  const std::string out = slurp(client_out), err = slurp(client_err);
-  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-      << "wait status " << status << "\n" << out << err;
-  EXPECT_NE(err.find("session lost at frame"), std::string::npos) << err;
-  EXPECT_NE(out.find("session reopen(s)"), std::string::npos) << out;
-  EXPECT_EQ(out.find(" 0 session reopen(s)"), std::string::npos) << out;
-  EXPECT_NE(out.find("audit: 0 violation(s)"), std::string::npos) << out;
-
-  // The resumed stream is complete and decodable.
-  std::string info;
-  ASSERT_EQ(run_out(cli + " stream info " + pfpv, info), 0);
-  EXPECT_NE(info.find("frames=" + std::to_string(kFrames) + " "), std::string::npos) << info;
-  ASSERT_EQ(run(cli + " stream unpack " + pfpv + " " + dir + "/frames"), 0);
-  std::size_t frames = 0;
-  for ([[maybe_unused]] const auto& f : fs::directory_iterator(dir + "/frames")) ++frames;
-  EXPECT_EQ(frames, static_cast<std::size_t>(kFrames));
-
-  // Graceful drain of the replacement server.
-  EXPECT_EQ(run(cli + " remote shutdown --host " + host), 0);
-  const int b_status = b->wait(10);
-  EXPECT_TRUE(WIFEXITED(b_status) && WEXITSTATUS(b_status) == 0) << "wait status " << b_status;
-  EXPECT_NE(slurp(b_log).find("server drained"), std::string::npos) << slurp(b_log);
-  fs::remove_all(dir);
 }

@@ -256,21 +256,6 @@ TEST(ObsTrace, NestedSpansProduceWellFormedChromeJson) {
   rec.clear();
 }
 
-TEST(ObsTrace, TextTreeAggregatesSiblingRuns) {
-  ObsGuard guard(true);
-  auto& rec = obs::TraceRecorder::global();
-  rec.clear();
-  {
-    OBS_SPAN("parent");
-    for (int i = 0; i < 5; ++i) OBS_SPAN("child");
-  }
-  std::string tree = rec.text_tree();
-  EXPECT_NE(tree.find("parent"), std::string::npos);
-  EXPECT_NE(tree.find("child"), std::string::npos);
-  EXPECT_NE(tree.find("x5"), std::string::npos);  // 5 children collapsed
-  rec.clear();
-}
-
 TEST(ObsTrace, SpansFromMultipleThreadsGetDistinctTids) {
   ObsGuard guard(true);
   auto& rec = obs::TraceRecorder::global();

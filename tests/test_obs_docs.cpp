@@ -1,7 +1,7 @@
 // docs/OBSERVABILITY.md against the metrics registry, in both directions.
 //
 // With observability on, the test makes the smallest call that reaches each
-// metric registration site (core, pool, store, ingest, net + temporal, lc,
+// metric registration site (core, pool, store, ingest, net, temporal, lc,
 // audit), then compares the registry's names with the backticked names of
 // the doc's "Metric names" table. `kernel.*` names expand from the
 // "Kernel attribution" table. The names are read from the doc, never copied
@@ -10,7 +10,6 @@
 // snapshot schema name.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -34,6 +33,7 @@
 #include "obs/metrics.hpp"
 #include "store/store.hpp"
 #include "svc/thread_pool.hpp"
+#include "temporal/temporal.hpp"
 
 using namespace repro;
 
@@ -130,12 +130,17 @@ void touch_every_layer(const std::string& tmp_dir) {
       net::Client client(co);
       const Bytes rc = client.compress(raw.data(), raw.size(), DType::F32, EbType::ABS, 1e-3);
       (void)client.decompress(rc);
-      const u64 sid = client.stream_open(DType::F32, EbType::ABS, 1e-3,
-                                         std::array<u32, 3>{1, 1, 4096}, 16);
-      (void)client.stream_frame(sid, 0, raw.data(), raw.size());
     }
     server.request_stop();
     loop.join();
+  }
+
+  {
+    temporal::SessionConfig tc;
+    tc.eps = 1e-3;
+    tc.dims = {1, 1, 4096};
+    temporal::FrameEncoder enc(tc);
+    (void)enc.encode(Field(v.data(), v.size()), 0);
   }
 
   (void)lc::search({std::vector<u8>(raw.begin(), raw.end())}, lc::SearchConfig{32, 1});

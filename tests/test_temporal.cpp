@@ -1,19 +1,16 @@
-// Tests for the temporal streaming subsystem (src/temporal + the PFPN
-// STREAM ops): evolving-suite determinism, closed-loop P-frame error bounds
-// over long sequences, per-chunk intra fallback under a correlation-killing
-// regime change, PFPV container torn-tail recovery at every append boundary,
-// injected write failures and corruption rejection, and server-side session
-// lifecycle (idle eviction, the session cap, drain).
+// Tests for the temporal streaming subsystem (src/temporal): evolving-suite
+// determinism, closed-loop P-frame error bounds over long sequences,
+// per-chunk intra fallback under a correlation-killing regime change, PFPV
+// container torn-tail recovery at every append boundary, injected write
+// failures and corruption rejection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -22,9 +19,6 @@
 #include "data/evolving.hpp"
 #include "io/raw_file.hpp"
 #include "metrics/error_stats.hpp"
-#include "net/client.hpp"
-#include "net/frame.hpp"
-#include "net/server.hpp"
 #include "recording_ops.hpp"
 #include "temporal/pfpv.hpp"
 #include "temporal/temporal.hpp"
@@ -81,31 +75,6 @@ struct TempFile {
   }
   static inline int counter = 0;
   std::string path;
-};
-
-/// A server on its own thread; joins on scope exit (same idiom as test_net).
-struct TestServer {
-  explicit TestServer(net::Server::Options opts = {}) : server(opts) {
-    thread = std::thread([this] { server.run(); });
-  }
-  ~TestServer() {
-    if (thread.joinable()) {
-      server.request_stop();
-      thread.join();
-    }
-  }
-  void stop() {
-    server.request_stop();
-    thread.join();
-  }
-  net::Client::Options client_options() const {
-    net::Client::Options o;
-    o.host = "127.0.0.1";
-    o.port = server.port();
-    return o;
-  }
-  net::Server server;
-  std::thread thread;
 };
 
 // ---------------------------------------------------------------------------
@@ -462,122 +431,6 @@ TEST(Pfpv, GarbageHeaderIsRejected) {
   EXPECT_THROW(temporal::StreamReader{junk}, CompressionError);
   Bytes tiny(8, 0);
   EXPECT_THROW(temporal::StreamReader{tiny}, CompressionError);
-}
-
-// ---------------------------------------------------------------------------
-// PFPN stream sessions (server lifecycle)
-
-TEST(StreamSession, RemoteFramesMatchLocalEncoder) {
-  const auto seq = data::generate_evolving(data::find_evolving("advect"), 2048, 10);
-  const auto cfg = config_for(seq, EbType::ABS, 1e-3, 4);
-  TestServer ts;
-  net::Client client(ts.client_options());
-  const u64 sid =
-      client.stream_open(cfg.dtype, cfg.eb, cfg.eps, cfg.dims, cfg.keyframe_interval);
-  temporal::FrameDecoder dec(cfg);
-  u64 iframes = 0;
-  const std::size_t nbytes = cfg.frame_bytes();
-  for (std::size_t t = 0; t < seq.frames(); ++t) {
-    const Bytes record = client.stream_frame(sid, t, frame_bytes(seq, t), nbytes);
-    temporal::EncodedFrame ef;
-    ASSERT_EQ(temporal::decode_frame_record(record.data(), record.size(), ef),
-              record.size());
-    EXPECT_EQ(ef.frame_index, t);
-    if (ef.type == temporal::FrameType::Intra) ++iframes;
-    EXPECT_EQ(audit_frame(cfg, frame_bytes(seq, t), dec.decode(ef).data()), 0u)
-        << "frame " << t;
-  }
-  EXPECT_GE(iframes, 3u);  // keyframe_interval 4 over 10 frames
-  client.stream_close(sid);
-  client.stream_close(sid);  // idempotent
-  const auto st = ts.server.stats();
-  EXPECT_EQ(st.sessions_opened, 1u);
-  EXPECT_EQ(st.sessions_closed, 1u);
-  EXPECT_EQ(st.sessions_current, 0u);
-  EXPECT_EQ(st.stream_frames, 10u);
-}
-
-TEST(StreamSession, FreshSessionAcceptsAnyFirstIndexThenEnforcesOrder) {
-  // The reconnect-resume contract: a client whose session died mid-stream
-  // re-opens and continues its own frame numbering, so a fresh session must
-  // accept an arbitrary first index (answering with a keyframe) — but stays
-  // strictly sequential afterwards.
-  TestServer ts;
-  net::Client client(ts.client_options());
-  const std::array<u32, 3> dims{1, 16, 16};
-  std::vector<float> frame(16 * 16, 3.0f);
-  const u64 sid = client.stream_open(DType::F32, EbType::ABS, 1e-3, dims, 16);
-  const Bytes rec = client.stream_frame(sid, 7, frame.data(),
-                                        frame.size() * sizeof(float));
-  temporal::EncodedFrame ef;
-  ASSERT_EQ(temporal::decode_frame_record(rec.data(), rec.size(), ef), rec.size());
-  EXPECT_EQ(ef.frame_index, 7u);
-  EXPECT_EQ(ef.type, temporal::FrameType::Intra);
-  EXPECT_THROW(
-      (void)client.stream_frame(sid, 9, frame.data(), frame.size() * sizeof(float)),
-      net::RemoteError);
-  (void)client.stream_frame(sid, 8, frame.data(), frame.size() * sizeof(float));
-  client.stream_close(sid);
-}
-
-TEST(StreamSession, IdleSessionsAreEvictedAndGetBadSession) {
-  net::Server::Options opts;
-  opts.session_idle_ms = 100;
-  TestServer ts(opts);
-  net::Client client(ts.client_options());
-  const std::array<u32, 3> dims{1, 16, 16};
-  const u64 sid = client.stream_open(DType::F32, EbType::ABS, 1e-3, dims, 16);
-  std::vector<float> frame(16 * 16, 1.0f);
-  (void)client.stream_frame(sid, 0, frame.data(), frame.size() * sizeof(float));
-  // The sweep runs on the poll loop at most every 500 ms; wait past idle +
-  // sweep cadence, then poke the loop so the sweep actually fires.
-  std::this_thread::sleep_for(std::chrono::milliseconds(700));
-  bool evicted = false;
-  for (int i = 0; i < 20 && !evicted; ++i) {
-    try {
-      (void)client.stream_frame(sid, 1, frame.data(), frame.size() * sizeof(float));
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    } catch (const net::RemoteError& e) {
-      EXPECT_EQ(e.status(), static_cast<u16>(net::Status::BadSession));
-      evicted = true;
-    }
-  }
-  EXPECT_TRUE(evicted) << "idle session was never evicted";
-  EXPECT_GE(ts.server.stats().sessions_evicted, 1u);
-  EXPECT_EQ(ts.server.stats().sessions_current, 0u);
-}
-
-TEST(StreamSession, SessionCapRefusesWithSessionLimit) {
-  net::Server::Options opts;
-  opts.max_sessions = 1;
-  TestServer ts(opts);
-  net::Client client(ts.client_options());
-  const std::array<u32, 3> dims{1, 8, 8};
-  const u64 sid = client.stream_open(DType::F32, EbType::ABS, 1e-3, dims, 16);
-  try {
-    (void)client.stream_open(DType::F32, EbType::ABS, 1e-3, dims, 16);
-    FAIL() << "second STREAM_OPEN should exceed max_sessions=1";
-  } catch (const net::RemoteError& e) {
-    EXPECT_EQ(e.status(), static_cast<u16>(net::Status::SessionLimit));
-  }
-  client.stream_close(sid);
-  // Slot freed: a new session opens fine.
-  const u64 sid2 = client.stream_open(DType::F32, EbType::ABS, 1e-3, dims, 16);
-  client.stream_close(sid2);
-}
-
-TEST(StreamSession, DrainKillsOpenSessions) {
-  TestServer ts;
-  net::Client client(ts.client_options());
-  const std::array<u32, 3> dims{1, 8, 8};
-  std::vector<float> frame(8 * 8, 2.0f);
-  const u64 sid = client.stream_open(DType::F32, EbType::ABS, 1e-3, dims, 16);
-  (void)client.stream_frame(sid, 0, frame.data(), frame.size() * sizeof(float));
-  ts.stop();  // graceful drain
-  const auto st = ts.server.stats();
-  EXPECT_EQ(st.sessions_opened, 1u);
-  EXPECT_GE(st.sessions_evicted, 1u) << "drain must kill live sessions";
-  EXPECT_EQ(st.sessions_current, 0u);
 }
 
 }  // namespace
