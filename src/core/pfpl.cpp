@@ -294,8 +294,16 @@ Bytes compress(const Field& in, const Params& p) {
   Header h = plan_header(in, p);
   std::vector<Bytes> payloads(h.chunk_count);
   std::vector<u32> sizes(h.chunk_count, 0);
-  for_each_chunk(h.chunk_count, p.exec,
-                 [&](std::size_t c) { sizes[c] = encode_chunk(in, h, c, p.exec, payloads[c]); });
+  const std::size_t cw = chunk_values(h.dtype);
+  // One quantizer for every chunk: a REL one derives its margin once.
+  with_quantizer(h, [&](const auto& q) {
+    using T = typename std::decay_t<decltype(q)>::Value;
+    const T* data = static_cast<const T*>(in.data);
+    for_each_chunk(h.chunk_count, p.exec, [&](std::size_t c) {
+      const std::size_t k = std::min(cw, in.count() - c * cw);
+      sizes[c] = encode_one_chunk(data + c * cw, k, q, p.exec, payloads[c]);
+    });
+  });
   return assemble_stream(h, sizes, payloads, p.exec);
 }
 
@@ -303,8 +311,14 @@ std::vector<u8> decompress(const Bytes& stream, Executor exec) {
   OBS_SPAN("pfpl.decompress");
   const ChunkTable t = read_chunk_table(stream);
   std::vector<u8> out(t.header.value_count * dtype_size(t.header.dtype));
-  for_each_chunk(t.sizes.size(), exec, [&](std::size_t c) {
-    decode_chunk(stream, t, c, exec, out.data() + c * kChunkBytes);
+  const u64 cw = chunk_values(t.header.dtype);
+  with_quantizer(t.header, [&](const auto& q) {
+    using T = typename std::decay_t<decltype(q)>::Value;
+    T* const values = reinterpret_cast<T*>(out.data());
+    for_each_chunk(t.sizes.size(), exec, [&](std::size_t c) {
+      const std::size_t k = std::min(cw, t.header.value_count - c * cw);
+      decode_one_chunk(stream.data() + t.offsets[c], t.sizes[c], q, exec, values + c * cw, k);
+    });
   });
   return out;
 }

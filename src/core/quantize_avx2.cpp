@@ -53,6 +53,11 @@ PFPL_LANE_FN I add64(I a, I b) { return _mm256_add_epi64(a, b); }
 PFPL_LANE_FN I shl(I x, int n) { return _mm256_slli_epi64(x, n); }
 PFPL_LANE_FN I shr(I x, int n) { return _mm256_srli_epi64(x, n); }
 
+/// table[idx mod 16] per lane, one gather.
+PFPL_LANE_FN D lookup16(const double* table, I idx) {
+  return _mm256_i64gather_pd(table, idx & splat64(15), 8);
+}
+
 /// Unsigned 64-bit a < b (AVX2 only has the signed compare).
 PFPL_LANE_FN M lt_u64(I a, I b) {
   const I flip = splat64(u64{1} << 63);

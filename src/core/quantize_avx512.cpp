@@ -59,6 +59,11 @@ PFPL_LANE_FN I add64(I a, I b) { return _mm512_add_epi64(a, b); }
 PFPL_LANE_FN I shl(I x, unsigned n) { return _mm512_maskz_slli_epi64(kAll, x, n); }
 PFPL_LANE_FN I shr(I x, unsigned n) { return _mm512_maskz_srli_epi64(kAll, x, n); }
 
+/// table[idx mod 16] per lane: vpermt2pd reads the low four index bits.
+PFPL_LANE_FN D lookup16(const double* table, I idx) {
+  return _mm512_permutex2var_pd(_mm512_loadu_pd(table), idx, _mm512_loadu_pd(table + 8));
+}
+
 /// fpmath::round_nearest_even, bit for bit (see the Avx2 rung's round_ne:
 /// vrndscalepd with scale 0 rounds as roundpd does).
 PFPL_LANE_FN D round_ne(D x) {

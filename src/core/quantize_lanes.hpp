@@ -6,7 +6,8 @@
 //     lane mask) with the helpers splat, splat64, as_int, as_dbl, lt, le, gt,
 //     ge, eq, is_nan, eq64, lt_u64, both, either, a_not_b, select, absval,
 //     min_pd, max_pd, round_ne, to_i64, to_f64, add64, shl, shr, lane_bits,
-//     load_values, load_words, store_words, to_value and value_bits;
+//     lookup16, load_values, load_words, store_words, to_value and
+//     value_bits;
 //   * PFPL_LANE_FN (target + always_inline) and PFPL_LANE_KERNEL (target);
 //   * `tier`, an alias of the rung's namespace (avx2 or avx512).
 // Integer lanes also use the bitwise vector operators & | ^ ~ on I (not + or
@@ -47,6 +48,11 @@
 //   * A REL encode step whose in-range lanes all lie inside the quantizer's
 //     RelMargin skips det_exp and the check, which provably pass there
 //     (DESIGN.md §8.1, "The margin path"); any other step runs them all.
+//   * Before that, a REL encode step tries the first pass, a division-free
+//     table logarithm within a proven delta of det_log: a step whose lanes
+//     all lie within near - delta of a guarded bin stores its words without
+//     det_log (DESIGN.md §8.1, "The first pass"); any other step runs as
+//     above.
 //
 // NOA's range pass keeps lane minima and maxima of the finite values. A zero
 // end takes the sign of the field's first zero, as fpmath::finite_range's
@@ -304,6 +310,60 @@ PFPL_LANE_FN void rel_encode_step(const RelQuantizer<T>& q, const RelConsts& c, 
   }
 }
 
+/// The first pass over the kW*G values at `in` (DESIGN.md §8.1, "The first
+/// pass"): a finite nonzero lane is decided when its division-free t1 lies
+/// within margin.first of bd1 = round(t1), a guarded bin, and its double is
+/// normal. Then bd1 is the bin encode() verifies and keeps. Zero, NaN and
+/// +-inf lanes are decided with their usual words. Stores the step's words
+/// and returns true when every lane is decided; otherwise stores nothing.
+template <typename T, int G>
+PFPL_LANE_FN bool rel_first_step(const RelConsts& c, const T* in, BitsOf<T>* out) {
+  using Q = RelQuantizer<T>;
+  using FT = FloatTraits<T>;
+  const D scale = splat(c.scale), first = splat(c.margin.first);
+  const D guard_lo = splat(c.margin.lo), guard_hi = splat(c.margin.hi);
+  const D bias = splat(static_cast<double>(Q::bias));
+  const D inf = splat(fpmath::from_bits<double>(FloatTraits<double>::pos_inf));
+  const I sign_mask = splat64(FT::sign_mask), ones = splat64(kOnes<T>), zero64 = splat64(0);
+  Lanes<G> m, rc, nlc, e, l1;
+  for (int j = 0; j < G; ++j) {
+    I b;
+    const I a = as_int(absval(load_values(in + kW * j, b)));
+    e.g[j] = to_f64(shr(a, 52)) - 1023.0;
+    m.g[j] = as_dbl((a & splat64(FloatTraits<double>::mantissa_mask)) |
+                    splat64(0x3FF0000000000000ull));
+    rc.g[j] = lookup16(first_pass::kRecip, shr(a, 48));
+    nlc.g[j] = lookup16(first_pass::kNegLogRecip, shr(a, 48));
+  }
+  first_pass::log_reduced(m, rc, nlc, e, l1);
+  I words[G];
+  M ok[G];
+  unsigned missed = 0;
+  for (int j = 0; j < G; ++j) {
+    I b;
+    load_values(in + kW * j, b);
+    const D t = l1.g[j] * scale, bd = round_ne(t);
+    // t - bd is exact, as on the margin path.
+    ok[j] = both(le(absval(t - bd), first), both(ge(bd, guard_lo), le(bd, guard_hi)));
+    // e = -1023: a zero or subnormal double. An f32 one is a zero word or,
+    // under DAZ, a subnormal whose t1 lies far below the guard range.
+    if constexpr (sizeof(T) == 8) ok[j] = both(ok[j], gt(e.g[j], splat(-1023.0)));
+    missed |= ~lane_bits(ok[j]) & ((1u << kW) - 1);
+    words[j] = shl(to_i64(bd + bias), 1) | shr(b, FT::total_bits - 1);
+  }
+  // Any other lane must be a zero, NaN or +-inf, which keeps its usual word.
+  for (int j = 0; missed && j < G; ++j) {
+    I b;
+    const D v = load_values(in + kW * j, b);
+    const M is_zero = eq64(~sign_mask & b, zero64);
+    if (lane_bits(a_not_b(a_not_b(lt(absval(v), inf), is_zero), ok[j]))) return false;
+    const I raw = select(is_nan(v), ~sign_mask & b, b) ^ ones;
+    words[j] = select(ok[j], words[j], select(is_zero, shr(b, FT::total_bits - 1), raw));
+  }
+  for (int j = 0; j < G; ++j) store_words<T>(out + kW * j, words[j]);
+  return true;
+}
+
 /// rel_decode on the kW*G words at `in`, grouped as rel_encode_step.
 template <typename T, int G>
 PFPL_LANE_FN void rel_decode_step(const RelQuantizer<T>& q, const RelConsts& c,
@@ -333,13 +393,19 @@ PFPL_LANE_FN void rel_decode_step(const RelQuantizer<T>& q, const RelConsts& c,
   }
 }
 
-template <typename T, bool kMargin>
-PFPL_LANE_FN void rel_encode_steps(const RelQuantizer<T>& q, const RelConsts& c, const T* in,
-                                   BitsOf<T>* out, std::size_t k) {
+/// With kFirst, each step tries the first pass and runs rel_encode_step only
+/// when a lane is left undecided. Each path is its own aligned function:
+/// inlined side by side into rel_encode they slowed the margin path by 3-5%.
+template <typename T, bool kMargin, bool kFirst>
+PFPL_LANE_KERNEL void rel_encode_steps(const RelQuantizer<T>& q, const RelConsts& c, const T* in,
+                                       BitsOf<T>* out, std::size_t k) {
   std::size_t i = 0;
   for (; i + kW * kGroups <= k; i += kW * kGroups)
-    rel_encode_step<T, kGroups, kMargin>(q, c, in + i, out + i);
-  for (; i + kW <= k; i += kW) rel_encode_step<T, 1, kMargin>(q, c, in + i, out + i);
+    if (!kFirst || !rel_first_step<T, kGroups>(c, in + i, out + i))
+      rel_encode_step<T, kGroups, kMargin>(q, c, in + i, out + i);
+  for (; i + kW <= k; i += kW)
+    if (!kFirst || !rel_first_step<T, 1>(c, in + i, out + i))
+      rel_encode_step<T, 1, kMargin>(q, c, in + i, out + i);
   for (; i < k; ++i) out[i] = q.encode(in[i]);
 }
 
@@ -348,14 +414,21 @@ PFPL_LANE_FN void rel_encode_steps(const RelQuantizer<T>& q, const RelConsts& c,
 /// t's fraction spread evenly, while a full step holds at most one lane
 /// outside the margin on average (2m * kW * kGroups <= 1, m = 0.5 - near).
 /// That keeps f32 at eps 1e-5 (m = 0.003) on it at both rungs, and f32 at
-/// 1e-7 (m = 0.3), where nearly every step runs det_exp, off it.
+/// 1e-7 (m = 0.3), where nearly every step runs det_exp, off it. The first
+/// pass runs under the same rule with m + delta (0.5 - first), which keeps
+/// f64 at 1e-7 (delta = 0.032) on the margin path alone.
 template <typename T>
 PFPL_LANE_KERNEL void rel_encode(const RelQuantizer<T>& q, RelConsts c, const T* in,
                                  BitsOf<T>* out, std::size_t k) {
-  if (c.margin.near >= 0 && 2 * (0.5 - c.margin.near) * kW * kGroups <= 1)
-    rel_encode_steps<T, true>(q, c, in, out, k);
+  const auto sparse = [](double near) {
+    return near >= 0 && 2 * (0.5 - near) * kW * kGroups <= 1;
+  };
+  if (sparse(c.margin.first))
+    rel_encode_steps<T, true, true>(q, c, in, out, k);
+  else if (sparse(c.margin.near))
+    rel_encode_steps<T, true, false>(q, c, in, out, k);
   else
-    rel_encode_steps<T, false>(q, c, in, out, k);
+    rel_encode_steps<T, false, false>(q, c, in, out, k);
 }
 
 template <typename T>

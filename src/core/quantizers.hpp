@@ -177,9 +177,55 @@ class AbsQuantizer {
 /// nonzero value whose t = det_log(|v|) * scale lies within `near` of its bin
 /// bd = round(t), with lo <= bd <= hi, the bound check of bin bd provably
 /// passes, so the lanes may bin it without det_exp. near < 0: no value.
+/// The first pass (below) decides a lane whose t1 lies within `first` of its
+/// guarded bin: delta bounds |t1 - t| there, and first is the double below
+/// near - delta. first < 0: no lane.
 struct RelMargin {
-  double near = -1, lo = 0, hi = -1;
+  double near = -1, delta = 0, first = -1, lo = 0, hi = -1;
 };
+
+/// The REL lanes' division-free first pass (DESIGN.md §8.1, "The first
+/// pass"). For a normal double a = 2^e * m, m in [1, 2), and i the top four
+/// fraction bits of m:
+///   ln a ~ e * ln 2 - ln c_i + p(m * c_i - 1),
+/// with c_i = 32 / (33 + 2i) rounded to 24 bits (so m * c_i is exact for an
+/// f32 m), kNegLogRecip[i] = -ln c_i rounded to nearest, and p the degree-4
+/// Taylor polynomial of log1p.
+namespace first_pass {
+inline constexpr double kRecip[16] = {
+    0x1.f07c2p-1, 0x1.d41d42p-1, 0x1.bacf92p-1, 0x1.a41a42p-1, 0x1.8f9c18p-1, 0x1.7d05f4p-1,
+    0x1.6c16c2p-1, 0x1.5c9882p-1, 0x1.4e5e0ap-1, 0x1.414142p-1, 0x1.3521dp-1, 0x1.29e412p-1,
+    0x1.1f7048p-1, 0x1.15b1e6p-1, 0x1.0c9714p-1, 0x1.041042p-1};
+inline constexpr double kNegLogRecip[16] = {
+    0x1.f82990e78338p-6,  0x1.6f0d272e56b4dp-4, 0x1.29552c41ff52ep-3, 0x1.9525a80f456b8p-3,
+    0x1.fb918bd5e3e44p-3, 0x1.2e8e2bee11d31p-2, 0x1.5d1bda55809dp-2,  0x1.89a33a8c14264p-2,
+    0x1.b44f791cc8f66p-2, 0x1.dd469dec1c4acp-2, 0x1.025529da5d1p-1,   0x1.154c3e3f4d5eep-1,
+    0x1.2795e0e89b11bp-1, 0x1.393e0d2562a1ap-1, 0x1.4a4f87bb03ec9p-1, 0x1.5ad402d359f3cp-1};
+
+/// R = max |m * c_i - 1| over each cell [1 + i/16, 1 + (i+1)/16): the
+/// products have at most 30 bits and lie near 1, so every step is exact.
+inline constexpr double kMaxR = [] {
+  double r = 0;
+  for (int i = 0; i < 16; ++i)
+    for (double m : {1 + i / 16.0, 1 + (i + 1) / 16.0})
+      r = std::max({r, m * kRecip[i] - 1, 1 - m * kRecip[i]});
+  return r;
+}();
+
+/// e * ln 2 - ln c + p(m * c - 1), with ln 2 rounded to nearest (no
+/// Cody-Waite split needed). The lanes instantiate it for Lanes<G>, like
+/// the det_poly cores; no step may be re-associated or fused.
+template <typename V>
+[[gnu::always_inline]] inline void log_reduced(const V& m, const V& c, const V& neg_log_c,
+                                               const V& e, V& out) {
+  const V r = m * c - 1.0;
+  V p = r * -0.25 + 1.0 / 3.0;
+  p = p * r - 0.5;
+  p = p * r + 1.0;
+  p = p * r;
+  out = e * 0x1.62e42fefa39efp-1 + (neg_log_c + p);
+}
+}  // namespace first_pass
 
 template <typename T>
 class RelQuantizer {
@@ -316,7 +362,12 @@ class RelQuantizer {
         up(up(up(6 * u * lam) + 24 * u) + up(up(8 * u * L) + up(ut * (1 + 0x1p-20))));
     const double m = up(err / two_log_);
     if (!(m < 0.5)) return {};
-    return {std::nextafter(0.5 - m, 0.0), lo, hi};
+    const double near = std::nextafter(0.5 - m, 0.0);
+    // The first pass: |t1 - t| <= (R^5/4 + 13u + 8u*Lambda) * scale.
+    double r5 = first_pass::kMaxR;
+    for (int i = 0; i < 4; ++i) r5 = up(r5 * first_pass::kMaxR);
+    const double delta = up(up(up(r5 * 0.25) + up(13 * u + up(8 * u * lam))) * scale_);
+    return {near, delta, std::nextafter(near - delta, -1.0), lo, hi};
   }
 
   double eps_;

@@ -617,6 +617,158 @@ TEST(QuantizerTiers, RelMarginEdges) {
   });
 }
 
+namespace {
+
+/// The REL lanes' first-pass logarithm of a normal double `a`: the lanes'
+/// operations in their order (first_pass::log_reduced for double).
+double first_pass_log(double a) {
+  const u64 b = fpmath::to_bits(a);
+  const int i = static_cast<int>(b >> 48 & 15);
+  const double m =
+      fpmath::from_bits<double>((b & FloatTraits<double>::mantissa_mask) | 0x3FF0000000000000ull);
+  const double e = static_cast<double>(static_cast<int>(b >> 52)) - 1023.0;
+  double out;
+  first_pass::log_reduced(m, first_pass::kRecip[i], first_pass::kNegLogRecip[i], e, out);
+  return out;
+}
+
+/// How the first pass treats `v`: 0 decided as a bin (its t1 lies within
+/// `first` of a guarded bin and its double is normal), 1 within `first` of
+/// its bin but outside the guard range or subnormal, 2 anything else. Zero,
+/// NaN and +-inf count as 2, which keeps them out of the whole steps below.
+template <typename T>
+int first_pass_class(const RelQuantizer<T>& q, T v) {
+  const double a = std::fabs(static_cast<double>(v));
+  if (v == T(0) || !std::isfinite(v)) return 2;
+  const RelMargin& mg = q.margin();
+  const double t = first_pass_log(a) * (0.5 / q.log1p_eps());
+  const double bd = fpmath::round_nearest_even(t);
+  if (!(std::fabs(t - bd) <= mg.first)) return 2;
+  const bool normal = a >= std::numeric_limits<double>::min();
+  return normal && bd >= mg.lo && bd <= mg.hi ? 0 : 1;
+}
+
+/// Checks one quantizer's first pass: values within a few ulps of
+/// t = bd +- (near - delta), bd +- near and bd +- 0.5 for bins at the guard
+/// ends, past them and across the range; the top-four-bit cell boundaries
+/// 2^e * (1 + j/16) (powers of two among them) over the whole exponent
+/// range; and subnormals. Values the first pass decides come first, then
+/// those it leaves only for the guard range or a subnormal double, so both
+/// fill whole lane steps. Every word must equal encode()'s, and every bin
+/// must pass the integer oracle.
+template <typename T>
+void check_first_pass_edges(double eps, const std::string& what) {
+  using L = std::numeric_limits<T>;
+  const RelQuantizer<T> q(eps);
+  const RelMargin& mg = q.margin();
+  ASSERT_GT(mg.first, 0) << what << ": first pass off";
+  ASSERT_GT(mg.delta, 0) << what;
+  EXPECT_LT(mg.first, mg.near - mg.delta) << what;
+  const double l = q.log1p_eps(), scale = 0.5 / l;
+  std::vector<double> bins = {mg.lo - 3, mg.lo - 2, mg.lo - 1, mg.lo, mg.lo + 1,
+                              mg.hi - 1, mg.hi,     mg.hi + 1, mg.hi + 2, mg.hi + 3};
+  data::Rng rng(37);
+  for (int i = 0; i < 64; ++i) bins.push_back(std::round(rng.uniform(mg.lo, mg.hi)));
+  // As in check_margin_edges: libm's exp, then Newton steps on det_log.
+  const auto locate = [&](double t) {
+    double a = std::exp(2 * l * t);
+    for (int i = 0; i < 3 && std::isfinite(a); ++i)
+      a *= 1 + (t - fpmath::det_log(a) * scale) * 2 * l;
+    return static_cast<T>(a);
+  };
+  std::vector<T> vals;
+  for (double b : bins) {
+    add_window(vals, locate(b), 24);
+    for (double d : {mg.first, mg.near - mg.delta, mg.near, 0.5}) {
+      add_window(vals, locate(b - d), 6);
+      add_window(vals, locate(b + d), 6);
+    }
+  }
+  for (int e = L::min_exponent - 1; e < L::max_exponent; e += (e < -4 || e > 4) ? 9 : 1)
+    for (int j = 0; j < 16; ++j) add_window(vals, std::ldexp(T(1 + j / 16.0), e), 3);
+  for (T s : {L::min(), L::denorm_min(), T(L::min() / 3)}) add_window(vals, s, 40);
+  for (int i = 0; i < 256; ++i)
+    vals.push_back(static_cast<T>(L::min() * rng.uniform()) * (i % 2 ? T(1) : T(-1)));
+  std::stable_sort(vals.begin(), vals.end(), [&](T a, T b) {
+    return first_pass_class(q, a) < first_pass_class(q, b);
+  });
+  std::size_t count[3] = {};
+  for (T v : vals) ++count[first_pass_class(q, v)];
+  EXPECT_GT(count[0], vals.size() / 32) << what;
+  EXPECT_GT(count[1], 64u) << what;
+  EXPECT_GT(count[2], vals.size() / 32) << what;
+  expect_tiers_agree(q, vals, what);
+  std::vector<typename RelQuantizer<T>::Bits> words(vals.size());
+  q.encode_block(vals.data(), words.data(), vals.size());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    if (!RelQuantizer<T>::is_bin(words[i])) continue;
+    const T r = q.decode(words[i]);
+    bad += !oracle::rel_holds(vals[i], r, eps) || (vals[i] < 0) != (r < 0);
+  }
+  EXPECT_EQ(bad, 0u) << what << ": bins the oracle rejects";
+}
+
+}  // namespace
+
+TEST(QuantizerTiers, RelFirstPassEdges) {
+  for_each_rung(Isa::Avx2, [&] {
+    for (double eps : {1e-1, 1e-3, 1e-5, 1e-7}) {
+      check_first_pass_edges<float>(eps, "f32 REL first pass " + std::to_string(eps));
+      check_first_pass_edges<double>(eps, "f64 REL first pass " + std::to_string(eps));
+    }
+  });
+}
+
+// The error bounds DESIGN.md §8.1 ("The first pass") derives, with
+// u = 2^-53, checked against long double libm, and delta against the lanes'
+// t1 and det_log's t on samples. delta itself uses larger constants.
+TEST(RelFirstPassErrors, WithinTheDerivedBounds) {
+  constexpr double u = 0x1p-53;
+  const double R = first_pass::kMaxR;
+  EXPECT_GT(R, 1 / 33.0);
+  EXPECT_LT(R, 1 / 32.0);
+  for (int i = 0; i < 16; ++i) {
+    // c_i has 24 bits, and -ln c_i is rounded to nearest.
+    const double c = first_pass::kRecip[i];
+    EXPECT_EQ(c, std::ldexp(std::round(std::ldexp(c, 24)), -24)) << i;
+    const long double nl = -std::log(static_cast<long double>(c));
+    EXPECT_LE(static_cast<double>(std::fabs(first_pass::kNegLogRecip[i] - nl)),
+              u * static_cast<double>(nl)) << i;
+  }
+  const double trunc = std::pow(R, 5) / (5 * (1 - R));
+  const RelQuantizer<float> q32[] = {RelQuantizer<float>(1e-2), RelQuantizer<float>(1e-3),
+                                     RelQuantizer<float>(1e-5)};
+  const RelQuantizer<double> q64[] = {RelQuantizer<double>(1e-2), RelQuantizer<double>(1e-3),
+                                      RelQuantizer<double>(1e-5)};
+  // |t1 - t| <= delta wherever t1 rounds to a guarded bin.
+  const auto check_delta = [](const auto& q, double a) {
+    const RelMargin& mg = q.margin();
+    const double scale = 0.5 / q.log1p_eps();
+    const double t1 = first_pass_log(a) * scale, bd = fpmath::round_nearest_even(t1);
+    if (bd < mg.lo || bd > mg.hi) return;
+    ASSERT_LE(std::fabs(t1 - fpmath::det_log(a) * scale), mg.delta) << a;
+  };
+  data::Rng rng(43);
+  for (int i = 0; i < 200000; ++i) {
+    // |l1 - ln a| <= R^5/(5(1-R)) + 2.6u + 1.5u|e ln 2| + u|l1| over the
+    // positive normal doubles.
+    const u64 lo_bits = fpmath::to_bits(std::numeric_limits<double>::min());
+    const double a = fpmath::from_bits<double>(
+        lo_bits + rng.next_u64() % (FloatTraits<double>::pos_inf - lo_bits));
+    const double l1 = first_pass_log(a);
+    const double e = static_cast<double>(static_cast<int>(fpmath::to_bits(a) >> 52) - 1023);
+    const long double ln = std::log(static_cast<long double>(a));
+    ASSERT_LE(static_cast<double>(std::fabs(l1 - ln)),
+              trunc + 2.6 * u + 1.5 * u * std::fabs(e * 0.6931471805599453) + u * std::fabs(l1))
+        << a;
+    const float f = std::fabs(fpmath::from_bits<float>(static_cast<u32>(rng.next_u64())));
+    for (const auto& q : q64) check_delta(q, a);
+    if (std::isfinite(f) && f > 0)
+      for (const auto& q : q32) check_delta(q, f);
+  }
+}
+
 TEST(QuantizerTiers, RelReconstructionOutsideOneMultiplyRange) {
   // det_exp scales by 2^k in one multiply only for k in [-1021, 1023]; these
   // bins reconstruct outside that range (f64 values near the denormals and
