@@ -80,17 +80,21 @@ void for_each_chunk(std::size_t nchunks, Executor exec, const F& f) {
   if (err) std::rethrow_exception(err);
 }
 
-/// Quantize one chunk's `k` values and run the (CPU or GPU-sim) lossless
+/// Quantize chunk `c` of `in` with `q` and run the (CPU or GPU-sim) lossless
 /// pipeline, appending the payload to `payload`; returns the size word.
 /// The quantizer is fused into the chunk loop exactly as in the paper
 /// ("the most important optimization is fusing all four stages ... including
 /// the quantizer"): the input slice is read once, everything else happens in
 /// this thread's chunk scratch.
-template <typename T, typename Q>
-u32 encode_one_chunk(const T* data, std::size_t k, const Q& q, Executor exec,
+template <typename Q>
+u32 encode_one_chunk(const Q& q, const Field& in, std::size_t c, Executor exec,
                      std::vector<u8>& payload) {
   OBS_SPAN("pfpl.encode_chunk", obs::Kernel::EncodeChunk);
+  using T = typename Q::Value;
   using Bits = typename fpmath::FloatTraits<T>::Bits;
+  const std::size_t cw = chunk_values(in.dtype);
+  const std::size_t k = std::min(cw, in.count() - c * cw);
+  const T* const data = static_cast<const T*>(in.data) + c * cw;
   Bits* const words = bits::chunk_scratch().quantized<Bits>(k);
   {
     OBS_SPAN("pfpl.quantize", obs::Kernel::Quantize);
@@ -109,15 +113,20 @@ u32 encode_one_chunk(const T* data, std::size_t k, const Q& q, Executor exec,
   return compressed ? sz : (sz | kRawChunkFlag);
 }
 
-/// Decode one chunk (`size_word` from the table, payload at `in`) into `k`
-/// values: lossless decode, consumed-size check, dequantize.
-template <typename T, typename Q>
-void decode_one_chunk(const u8* in, u32 size_word, const Q& q, Executor exec, T* values,
-                      std::size_t k) {
+/// Decode chunk `c` of `stream` with `q` into its values at `out`: lossless
+/// decode, consumed-size check, dequantize.
+template <typename Q>
+void decode_one_chunk(const Q& q, const Bytes& stream, const ChunkTable& t, std::size_t c,
+                      Executor exec, void* out) {
   OBS_SPAN("pfpl.decode_chunk");
-  const std::size_t csize = size_word & ~kRawChunkFlag;
-  const bool compressed = (size_word & kRawChunkFlag) == 0;
+  using T = typename Q::Value;
   using Bits = typename fpmath::FloatTraits<T>::Bits;
+  const u64 cw = chunk_values(t.header.dtype);
+  const std::size_t k = std::min(cw, t.header.value_count - c * cw);
+  const u8* const in = stream.data() + t.offsets[c];
+  const std::size_t csize = t.sizes[c] & ~kRawChunkFlag;
+  const bool compressed = (t.sizes[c] & kRawChunkFlag) == 0;
+  T* const values = static_cast<T*>(out);
   Bits* const words = bits::chunk_scratch().quantized<Bits>(k);
   const std::size_t used = exec == Executor::GpuSim
                                ? sim::gpu_chunk_decode(in, csize, compressed, words, k)
@@ -188,12 +197,7 @@ Header plan_header(const Field& in, const Params& p) {
 u32 encode_chunk(const Field& in, const Header& h, std::size_t c, Executor exec,
                  std::vector<u8>& out) {
   if (in.dtype != h.dtype) throw CompressionError("PFPL: field dtype does not match the plan");
-  const std::size_t cw = chunk_values(h.dtype);
-  const std::size_t k = std::min(cw, in.count() - c * cw);
-  return with_quantizer(h, [&](const auto& q) {
-    using T = typename std::decay_t<decltype(q)>::Value;
-    return encode_one_chunk(static_cast<const T*>(in.data) + c * cw, k, q, exec, out);
-  });
+  return with_quantizer(h, [&](const auto& q) { return encode_one_chunk(q, in, c, exec, out); });
 }
 
 Bytes assemble_stream(const Header& h, const std::vector<u32>& sizes,
@@ -280,13 +284,7 @@ GuaranteeCost guarantee_cost(const Bytes& stream) {
 
 void decode_chunk(const Bytes& stream, const ChunkTable& t, std::size_t c, Executor exec,
                   void* values) {
-  const u64 cw = chunk_values(t.header.dtype);
-  const std::size_t k = std::min(cw, t.header.value_count - c * cw);
-  with_quantizer(t.header, [&](const auto& q) {
-    using T = typename std::decay_t<decltype(q)>::Value;
-    decode_one_chunk(stream.data() + t.offsets[c], t.sizes[c], q, exec, static_cast<T*>(values),
-                     k);
-  });
+  with_quantizer(t.header, [&](const auto& q) { decode_one_chunk(q, stream, t, c, exec, values); });
 }
 
 Bytes compress(const Field& in, const Params& p) {
@@ -294,14 +292,10 @@ Bytes compress(const Field& in, const Params& p) {
   Header h = plan_header(in, p);
   std::vector<Bytes> payloads(h.chunk_count);
   std::vector<u32> sizes(h.chunk_count, 0);
-  const std::size_t cw = chunk_values(h.dtype);
   // One quantizer for every chunk: a REL one derives its margin once.
   with_quantizer(h, [&](const auto& q) {
-    using T = typename std::decay_t<decltype(q)>::Value;
-    const T* data = static_cast<const T*>(in.data);
     for_each_chunk(h.chunk_count, p.exec, [&](std::size_t c) {
-      const std::size_t k = std::min(cw, in.count() - c * cw);
-      sizes[c] = encode_one_chunk(data + c * cw, k, q, p.exec, payloads[c]);
+      sizes[c] = encode_one_chunk(q, in, c, p.exec, payloads[c]);
     });
   });
   return assemble_stream(h, sizes, payloads, p.exec);
@@ -311,13 +305,9 @@ std::vector<u8> decompress(const Bytes& stream, Executor exec) {
   OBS_SPAN("pfpl.decompress");
   const ChunkTable t = read_chunk_table(stream);
   std::vector<u8> out(t.header.value_count * dtype_size(t.header.dtype));
-  const u64 cw = chunk_values(t.header.dtype);
   with_quantizer(t.header, [&](const auto& q) {
-    using T = typename std::decay_t<decltype(q)>::Value;
-    T* const values = reinterpret_cast<T*>(out.data());
     for_each_chunk(t.sizes.size(), exec, [&](std::size_t c) {
-      const std::size_t k = std::min(cw, t.header.value_count - c * cw);
-      decode_one_chunk(stream.data() + t.offsets[c], t.sizes[c], q, exec, values + c * cw, k);
+      decode_one_chunk(q, stream, t, c, exec, out.data() + c * kChunkBytes);
     });
   });
   return out;

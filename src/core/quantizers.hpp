@@ -178,10 +178,10 @@ class AbsQuantizer {
 /// bd = round(t), with lo <= bd <= hi, the bound check of bin bd provably
 /// passes, so the lanes may bin it without det_exp. near < 0: no value.
 /// The first pass (below) decides a lane whose t1 lies within `first` of its
-/// guarded bin: delta bounds |t1 - t| there, and first is the double below
-/// near - delta. first < 0: no lane.
+/// guarded bin: first is the double below near - delta, where delta bounds
+/// |t1 - t| there. first < 0: no lane.
 struct RelMargin {
-  double near = -1, delta = 0, first = -1, lo = 0, hi = -1;
+  double near = -1, first = -1, lo = 0, hi = -1;
 };
 
 /// The REL lanes' division-free first pass (DESIGN.md §8.1, "The first
@@ -367,7 +367,7 @@ class RelQuantizer {
     double r5 = first_pass::kMaxR;
     for (int i = 0; i < 4; ++i) r5 = up(r5 * first_pass::kMaxR);
     const double delta = up(up(up(r5 * 0.25) + up(13 * u + up(8 * u * lam))) * scale_);
-    return {near, delta, std::nextafter(near - delta, -1.0), lo, hi};
+    return {near, std::nextafter(near - delta, -1.0), lo, hi};
   }
 
   double eps_;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -635,7 +636,8 @@ double first_pass_log(double a) {
 /// How the first pass treats `v`: 0 decided as a bin (its t1 lies within
 /// `first` of a guarded bin and its double is normal), 1 within `first` of
 /// its bin but outside the guard range or subnormal, 2 anything else. Zero,
-/// NaN and +-inf count as 2, which keeps them out of the whole steps below.
+/// NaN and +-inf count as 2, which keeps them out of the whole steps of
+/// check_first_pass_edges (RelFirstPassSpecials puts them in such steps).
 template <typename T>
 int first_pass_class(const RelQuantizer<T>& q, T v) {
   const double a = std::fabs(static_cast<double>(v));
@@ -649,12 +651,12 @@ int first_pass_class(const RelQuantizer<T>& q, T v) {
 }
 
 /// Checks one quantizer's first pass: values within a few ulps of
-/// t = bd +- (near - delta), bd +- near and bd +- 0.5 for bins at the guard
-/// ends, past them and across the range; the top-four-bit cell boundaries
-/// 2^e * (1 + j/16) (powers of two among them) over the whole exponent
-/// range; and subnormals. Values the first pass decides come first, then
-/// those it leaves only for the guard range or a subnormal double, so both
-/// fill whole lane steps. Every word must equal encode()'s, and every bin
+/// t = bd +- first (just below near - delta), bd +- near and bd +- 0.5 for
+/// bins at the guard ends, past them and across the range; the
+/// top-four-bit cell boundaries 2^e * (1 + j/16) (powers of two among them)
+/// over the whole exponent range; and subnormals. Values the first pass
+/// decides come first, then those it leaves only for the guard range or a
+/// subnormal double, so both fill whole lane steps. Every word must equal encode()'s, and every bin
 /// must pass the integer oracle.
 template <typename T>
 void check_first_pass_edges(double eps, const std::string& what) {
@@ -662,8 +664,7 @@ void check_first_pass_edges(double eps, const std::string& what) {
   const RelQuantizer<T> q(eps);
   const RelMargin& mg = q.margin();
   ASSERT_GT(mg.first, 0) << what << ": first pass off";
-  ASSERT_GT(mg.delta, 0) << what;
-  EXPECT_LT(mg.first, mg.near - mg.delta) << what;
+  EXPECT_LT(mg.first, mg.near) << what;
   const double l = q.log1p_eps(), scale = 0.5 / l;
   std::vector<double> bins = {mg.lo - 3, mg.lo - 2, mg.lo - 1, mg.lo, mg.lo + 1,
                               mg.hi - 1, mg.hi,     mg.hi + 1, mg.hi + 2, mg.hi + 3};
@@ -679,7 +680,7 @@ void check_first_pass_edges(double eps, const std::string& what) {
   std::vector<T> vals;
   for (double b : bins) {
     add_window(vals, locate(b), 24);
-    for (double d : {mg.first, mg.near - mg.delta, mg.near, 0.5}) {
+    for (double d : {mg.first, mg.near, 0.5}) {
       add_window(vals, locate(b - d), 6);
       add_window(vals, locate(b + d), 6);
     }
@@ -713,9 +714,48 @@ void check_first_pass_edges(double eps, const std::string& what) {
 
 TEST(QuantizerTiers, RelFirstPassEdges) {
   for_each_rung(Isa::Avx2, [&] {
-    for (double eps : {1e-1, 1e-3, 1e-5, 1e-7}) {
+    for (double eps : {1e-1, 1e-3, 1e-5, 1e-7, 0.5, 1.5, 1e30}) {
       check_first_pass_edges<float>(eps, "f32 REL first pass " + std::to_string(eps));
       check_first_pass_edges<double>(eps, "f64 REL first pass " + std::to_string(eps));
+    }
+  });
+}
+
+// Zero, NaN, +-inf and subnormals, one at each position of a 75-value block
+// whose other values the first pass decides, so the special sits in a step
+// the first pass could take whole. At large bounds the t1 of a zero, NaN or
+// infinity can round to a guarded bin within `first` (f64 +-inf at 1.5 and
+// 1e30, an f32 zero above 2^1023); each must still get encode()'s word.
+TEST(QuantizerTiers, RelFirstPassSpecials) {
+  const auto num = [](double x) {
+    char s[32];
+    std::snprintf(s, sizeof s, "%g", x);
+    return std::string(s);
+  };
+  const auto each_position = [&num](const auto& q, const std::string& what) {
+    using T = typename std::decay_t<decltype(q)>::Value;
+    using L = std::numeric_limits<T>;
+    using FT = FloatTraits<T>;
+    constexpr std::size_t kBlock = 75;
+    std::vector<T> base;
+    for (T v : random_moderate<T>(8 * kBlock, 3, 67))
+      if (base.size() < kBlock && first_pass_class(q, v) == 0) base.push_back(v);
+    ASSERT_EQ(base.size(), kBlock) << what << ": too few values the first pass decides";
+    const std::vector<T> specials = {
+        L::quiet_NaN(), -L::quiet_NaN(), L::signaling_NaN(),
+        fpmath::from_bits<T>(FT::pos_inf | FT::mantissa_mask), L::infinity(), -L::infinity(),
+        T(0), -T(0), L::denorm_min(), -L::min() / 3};
+    for (const T x : specials)
+      for (std::size_t p = 0; p < kBlock; ++p) {
+        auto vals = base;
+        vals[p] = x;
+        expect_tiers_agree(q, vals, what + " " + num(x) + " at " + std::to_string(p));
+      }
+  };
+  for_each_rung(Isa::Avx2, [&] {
+    for (double eps : {1e-3, 0.5, 1.5, 1e30, 1e308}) {
+      each_position(RelQuantizer<float>(eps), "f32 REL " + num(eps));
+      each_position(RelQuantizer<double>(eps), "f64 REL " + num(eps));
     }
   });
 }
@@ -741,13 +781,14 @@ TEST(RelFirstPassErrors, WithinTheDerivedBounds) {
                                      RelQuantizer<float>(1e-5)};
   const RelQuantizer<double> q64[] = {RelQuantizer<double>(1e-2), RelQuantizer<double>(1e-3),
                                       RelQuantizer<double>(1e-5)};
-  // |t1 - t| <= delta wherever t1 rounds to a guarded bin.
+  // |t1 - t| <= delta < near - first wherever t1 rounds to a guarded bin.
   const auto check_delta = [](const auto& q, double a) {
     const RelMargin& mg = q.margin();
     const double scale = 0.5 / q.log1p_eps();
     const double t1 = first_pass_log(a) * scale, bd = fpmath::round_nearest_even(t1);
     if (bd < mg.lo || bd > mg.hi) return;
-    ASSERT_LE(std::fabs(t1 - fpmath::det_log(a) * scale), mg.delta) << a;
+    const long double room = mg.near - static_cast<long double>(mg.first);
+    ASSERT_LT(std::fabs(t1 - fpmath::det_log(a) * scale), room) << a;
   };
   data::Rng rng(43);
   for (int i = 0; i < 200000; ++i) {
